@@ -10,8 +10,8 @@ GO ?= go
 # Benchmarks recorded into the machine-readable perf trajectory
 # (BENCH_*.json via `make bench-json`); keep the hot-path and engine
 # comparison benchmarks here so every PR's baseline is diffable.
-BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkBatchNetworkStep|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit'
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkBatchNetworkStep|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit|BenchmarkStoragePut'
+BENCH_OUT ?= BENCH_PR12.json
 
 all: ci
 
@@ -55,10 +55,13 @@ bench-json:
 
 # Diff fresh trajectory numbers against a committed baseline; fails on a
 # >BENCH_THRESHOLD regression in time or allocations per benchmark.
-BENCH_BASELINE ?= BENCH_PR9.json
+# scripts/ci.sh runs this target, so the pattern and baseline live here
+# only.
+BENCH_BASELINE ?= BENCH_PR10.json
 BENCH_THRESHOLD ?= 0.15
+BENCH_COMPARE_TIME ?= 1s
 bench-compare:
-	$(GO) test -run xxx -bench $(BENCH_JSON_PATTERN) -benchtime 1s -benchmem . > bench.out
+	$(GO) test -run xxx -bench $(BENCH_JSON_PATTERN) -benchtime $(BENCH_COMPARE_TIME) -benchmem . > bench.out
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -threshold $(BENCH_THRESHOLD) < bench.out
 	@rm -f bench.out
 

@@ -1,6 +1,7 @@
-// Service-layer benchmark: the scenariod HTTP round-trip on a warm key.
-// BenchmarkScenarioStoreHit prices an in-process store read; this adds
-// the daemon on top — JSON encode, loopback HTTP, queue dedup, storage
+// Service-layer benchmarks: the scenariod HTTP round-trip on a warm key,
+// a tiered read-through, and a storage-module Put on a full store.
+// BenchmarkScenarioStoreHit prices an in-process store read; the
+// round-trip adds the daemon on top — JSON encode, loopback HTTP, queue dedup, storage
 // module, outcome decode — which is what a sweep script pays per cell
 // when it shares the cache through scenariod instead of opening the
 // store directly.
@@ -8,6 +9,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/scenario"
@@ -51,6 +53,55 @@ func BenchmarkServiceStoreHit(b *testing.B) {
 		}
 		if !st.Cached {
 			b.Fatal("warm key missed the store")
+		}
+	}
+}
+
+// BenchmarkStoragePut prices one fresh Put through the storage module
+// onto a disk store already holding 1000 small cells. A cap-less Put
+// writes its cell and nothing else (the footprint is recounted by
+// Stats, not by Put), so ns/op must not grow with the store.
+func BenchmarkStoragePut(b *testing.B) {
+	const prefill = 1000
+	backend, err := service.OpenStoreBackend(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := scenarioStoreSpec()
+	out, err := scenario.Run(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cell := func(i int) scenario.Spec {
+		s := spec
+		s.Name = fmt.Sprintf("bench-put-%d", i)
+		return s
+	}
+	ctx := context.Background()
+	for i := 0; i < prefill; i++ {
+		if err := backend.Put(ctx, cell(i), out); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	s := service.NewStorage(backend, scenario.GCConfig{})
+	if err := s.Configure(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := s.Stop(); err != nil {
+			b.Errorf("stopping storage: %v", err)
+		}
+	}()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(ctx, cell(prefill+i), out); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

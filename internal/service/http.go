@@ -254,8 +254,7 @@ func (h *HTTPServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		// code: the key may exist fleet-wide, this daemon just cannot see
 		// it right now. IsNotFound matches both.
 		code := CodeNotFound
-		if ss, serr := h.storage.Stats(r.Context()); serr == nil &&
-			ss.Tier != nil && ss.Tier.BreakerState != "closed" {
+		if h.storage.Degraded() {
 			code = CodeRemoteDegraded
 		}
 		writeError(w, http.StatusNotFound, code, fmt.Sprintf("unknown scenario key %q", key))

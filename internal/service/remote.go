@@ -355,10 +355,6 @@ func (r *RemoteBackend) GC(ctx context.Context, cfg scenario.GCConfig) (scenario
 	return gcb.GC(ctx, cfg)
 }
 
-// Degraded reports whether the breaker is currently outside the closed
-// state (the daemon is operating local-only).
-func (r *RemoteBackend) Degraded() bool { return r.br.state() != breakerClosed }
-
 // TierStats snapshots the tier counters plus the breaker's state.
 func (r *RemoteBackend) TierStats() TierStats {
 	r.mu.Lock()

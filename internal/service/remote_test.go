@@ -393,9 +393,11 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 
 // TestDegradedReadCode: with the breaker open, a miss on the local
 // tier is reported as remote_degraded — "not found here, but the fleet
-// may have it" — and still satisfies IsNotFound.
+// may have it" — and still satisfies IsNotFound. Classifying the 404
+// reads the breaker directly: it never lists the local tier.
 func TestDegradedReadCode(t *testing.T) {
-	d := startDaemon(t, Config{Remote: deadRemote, RemoteTimeout: 200 * time.Millisecond})
+	local := &listCounter{MemBackend: NewMemBackend()}
+	d := startDaemon(t, Config{Backend: local, Remote: deadRemote, RemoteTimeout: 200 * time.Millisecond})
 	c := NewClient(d.BaseURL())
 
 	// Trip the breaker: three submits, three failed remote fetches.
@@ -404,7 +406,11 @@ func TestDegradedReadCode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	lists := local.lists.Load()
 	_, err := c.Get(ctx, "no-such-key")
+	if n := local.lists.Load() - lists; n != 0 {
+		t.Errorf("404 GET listed the local tier %d times, want 0", n)
+	}
 	se, ok := err.(*StatusError)
 	if !ok {
 		t.Fatalf("degraded miss error = %T (%v), want *StatusError", err, err)

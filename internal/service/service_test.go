@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/scenario"
@@ -212,6 +213,113 @@ func TestStorageCaps(t *testing.T) {
 	bare := NewStorage(nopBackend{}, scenario.GCConfig{MaxCells: 1})
 	if err := bare.Configure(); err == nil {
 		t.Error("Configure accepted caps on a backend without GC")
+	}
+}
+
+// listCounter is a MemBackend that counts its List calls.
+type listCounter struct {
+	*MemBackend
+	lists atomic.Int64
+}
+
+func (b *listCounter) List(ctx context.Context) ([]scenario.CellInfo, error) {
+	b.lists.Add(1)
+	return b.MemBackend.List(ctx)
+}
+
+// footprint lists a backend directly, bypassing the counter.
+func (b *listCounter) footprint(t *testing.T) (cells, bytes int64) {
+	t.Helper()
+	infos, err := b.MemBackend.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		bytes += info.Size
+	}
+	return int64(len(infos)), bytes
+}
+
+// TestLazyFootprint: a cap-less Put never lists; Stats lists once, and
+// only when a Put has landed since the last refresh (or none was taken);
+// a capped Storage takes its footprint from GC without listing at all.
+func TestLazyFootprint(t *testing.T) {
+	out, err := scenario.Run(testSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := func(s *Storage) StorageStats {
+		t.Helper()
+		st, err := s.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	start := func(b Backend, gc scenario.GCConfig) *Storage {
+		t.Helper()
+		s := NewStorage(b, gc)
+		if err := s.Configure(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := s.Stop(); err != nil {
+				t.Error(err)
+			}
+		})
+		return s
+	}
+
+	b := &listCounter{MemBackend: NewMemBackend()}
+	s := start(b, scenario.GCConfig{})
+	for i := 0; i < 3; i++ {
+		if st := stats(s); st.Cells != 0 || st.Bytes != 0 {
+			t.Fatalf("empty store stats = %+v, want 0 cells / 0 bytes", st)
+		}
+	}
+	if n := b.lists.Load(); n != 1 {
+		t.Errorf("3 Stats on a never-written store listed %d times, want 1", n)
+	}
+
+	const puts = 5
+	for i := 0; i < puts; i++ {
+		if err := s.Put(ctx, testSpec(24+float64(i)), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := b.lists.Load() - 1; n != 0 {
+		t.Errorf("%d cap-less Puts listed %d times, want 0", puts, n)
+	}
+	wantCells, wantBytes := b.footprint(t)
+	if st := stats(s); st.Puts != puts || st.Cells != wantCells || st.Bytes != wantBytes || wantCells != puts {
+		t.Errorf("stats after puts = %+v, want %d puts / %d cells / %d bytes", st, puts, wantCells, wantBytes)
+	}
+	if n := b.lists.Load(); n != 2 {
+		t.Errorf("first Stats after puts: %d Lists in total, want 2", n)
+	}
+	if st := stats(s); st.Cells != wantCells || st.Bytes != wantBytes {
+		t.Errorf("repeat stats = %+v, want %d cells / %d bytes", st, wantCells, wantBytes)
+	}
+	if n := b.lists.Load(); n != 2 {
+		t.Errorf("Stats with no Put between listed again: %d Lists in total, want 2", n)
+	}
+
+	cb := &listCounter{MemBackend: NewMemBackend()}
+	cs := start(cb, scenario.GCConfig{MaxCells: 2})
+	for i := 0; i < 3; i++ {
+		if err := cs.Put(ctx, testSpec(24+float64(i)), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantCells, wantBytes = cb.footprint(t)
+	if st := stats(cs); st.Cells != 2 || st.Cells != wantCells || st.Bytes != wantBytes {
+		t.Errorf("capped stats = %+v, want %d cells / %d bytes", st, wantCells, wantBytes)
+	}
+	if n := cb.lists.Load(); n != 0 {
+		t.Errorf("capped Storage listed %d times, want 0 (GC reports the footprint)", n)
 	}
 }
 

@@ -24,7 +24,8 @@ const defaultReqTimeout = 30 * time.Second
 // Every public method takes the caller's context; the serve loop derives
 // a per-request deadline (ReqTimeout) under it before touching the
 // backend, so a stuck or slow backend call is cancelled instead of
-// wedging the goroutine for everyone behind it.
+// wedging the goroutine for everyone behind it. The footprint snapshot
+// is lazy: a cap-less Put marks it stale, and Stats relists once if so.
 type Storage struct {
 	backend Backend
 	// gc caps the cache tier; the zero value disables eviction.
@@ -36,8 +37,9 @@ type Storage struct {
 	reqs chan storageReq
 	done chan struct{}
 
-	// stats are owned by the serving goroutine.
+	// stats are owned by the serving goroutine; fresh marks Cells/Bytes current.
 	stats StorageStats
+	fresh bool
 }
 
 // StorageStats accounts the storage module's traffic.
@@ -46,8 +48,8 @@ type StorageStats struct {
 	Hits    int64 `json:"hits"`
 	Puts    int64 `json:"puts"`
 	Evicted int64 `json:"evicted"`
-	// Cells / Bytes snapshot the backend footprint after the last Put or
-	// GC pass (List-derived; refreshed lazily on Stats when never put).
+	// Cells / Bytes snapshot the backend footprint as of the last refresh:
+	// a List on Stats when a Put has landed since, or a capped Put's GC.
 	Cells int64 `json:"cells"`
 	Bytes int64 `json:"bytes"`
 	// Tier is present when the backend is tiered (RemoteBackend): the
@@ -150,15 +152,8 @@ func (s *Storage) serve() {
 		ctx, cancel := context.WithTimeout(base, s.ReqTimeout)
 		var resp storageResp
 		switch req.op {
-		case opGet:
-			out, ok, err := s.backend.Get(ctx, req.key)
-			s.stats.Gets++
-			if ok {
-				s.stats.Hits++
-			}
-			resp = storageResp{out: out, ok: ok, err: err}
-		case opFetch:
-			out, ok, err := s.fetch(ctx, req.spec, req.key)
+		case opGet, opFetch:
+			out, ok, err := s.fetch(ctx, req)
 			s.stats.Gets++
 			if ok {
 				s.stats.Hits++
@@ -178,7 +173,7 @@ func (s *Storage) serve() {
 			n, err := s.backend.Len(ctx)
 			resp = storageResp{n: n, err: err}
 		case opStats:
-			if s.stats.Puts == 0 && s.stats.Cells == 0 {
+			if !s.fresh {
 				s.refreshFootprint(ctx)
 			}
 			resp = storageResp{stats: s.statsSnapshot()}
@@ -188,14 +183,21 @@ func (s *Storage) serve() {
 	}
 }
 
-// fetch resolves a key with the spec in hand: tiered backends read
-// through (and may delegate the simulation to their remote); plain
-// backends degrade to Get.
-func (s *Storage) fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
-	if f, ok := s.backend.(Fetcher); ok {
-		return f.Fetch(ctx, spec, key)
+// fetch resolves a key. With the spec in hand (opFetch) tiered backends
+// read through and may delegate the simulation to their remote; every
+// other lookup is a plain Get.
+func (s *Storage) fetch(ctx context.Context, req storageReq) (*scenario.Outcome, bool, error) {
+	if f, ok := s.backend.(Fetcher); ok && req.op == opFetch {
+		return f.Fetch(ctx, req.spec, req.key)
 	}
-	return s.backend.Get(ctx, key)
+	return s.backend.Get(ctx, req.key)
+}
+
+// Degraded reports whether a tiered backend's breaker is not closed. It
+// reads the mutex-guarded tier stats directly, bypassing the serve loop.
+func (s *Storage) Degraded() bool {
+	ts, ok := s.backend.(TierStatter)
+	return ok && ts.TierStats().BreakerState != breakerClosed.String()
 }
 
 // statsSnapshot copies the counters and attaches the tier split when the
@@ -209,9 +211,10 @@ func (s *Storage) statsSnapshot() StorageStats {
 	return st
 }
 
-// maybeGC runs an eviction pass when caps are configured, then refreshes
-// the footprint snapshot.
+// maybeGC follows a landed Put: it marks the footprint stale, or runs
+// the capped eviction pass whose exact result keeps it fresh.
 func (s *Storage) maybeGC(ctx context.Context) error {
+	s.fresh = false
 	if s.gc.Enabled() {
 		res, err := s.backend.(GCBackend).GC(ctx, s.gc)
 		if err != nil {
@@ -220,9 +223,8 @@ func (s *Storage) maybeGC(ctx context.Context) error {
 		s.stats.Evicted += int64(len(res.Evicted))
 		s.stats.Cells = int64(res.Remaining)
 		s.stats.Bytes = res.RemainingBytes
-		return nil
+		s.fresh = true
 	}
-	s.refreshFootprint(ctx)
 	return nil
 }
 
@@ -230,8 +232,9 @@ func (s *Storage) maybeGC(ctx context.Context) error {
 func (s *Storage) refreshFootprint(ctx context.Context) {
 	infos, err := s.backend.List(ctx)
 	if err != nil {
-		return // footprint is advisory; the next pass retries
+		return // footprint is advisory; the next Stats retries
 	}
+	s.fresh = true
 	s.stats.Cells = int64(len(infos))
 	s.stats.Bytes = 0
 	for _, info := range infos {
