@@ -10,8 +10,8 @@ GO ?= go
 # Benchmarks recorded into the machine-readable perf trajectory
 # (BENCH_*.json via `make bench-json`); keep the hot-path and engine
 # comparison benchmarks here so every PR's baseline is diffable.
-BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkBatchNetworkStep|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit|BenchmarkStoragePut'
-BENCH_OUT ?= BENCH_PR12.json
+BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkBatchNetworkStep|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit|BenchmarkStoragePut|BenchmarkStorageGetParallel'
+BENCH_OUT ?= BENCH_PR13.json
 
 all: ci
 
@@ -57,7 +57,7 @@ bench-json:
 # >BENCH_THRESHOLD regression in time or allocations per benchmark.
 # scripts/ci.sh runs this target, so the pattern and baseline live here
 # only.
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR12.json
 BENCH_THRESHOLD ?= 0.15
 BENCH_COMPARE_TIME ?= 1s
 bench-compare:

@@ -1,5 +1,6 @@
 // Service-layer benchmarks: the scenariod HTTP round-trip on a warm key,
-// a tiered read-through, and a storage-module Put on a full store.
+// a tiered read-through, and storage-module Puts and concurrent Gets on
+// a full store.
 // BenchmarkScenarioStoreHit prices an in-process store read; the
 // round-trip adds the daemon on top — JSON encode, loopback HTTP, queue dedup, storage
 // module, outcome decode — which is what a sweep script pays per cell
@@ -10,6 +11,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/scenario"
@@ -104,6 +106,60 @@ func BenchmarkStoragePut(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkStorageGetParallel prices warm Storage.Get calls from
+// GOMAXPROCS goroutines at once over a disk store holding 1000 cells.
+// Lookups take no storage lock, so ns/op should fall as cores are
+// added instead of queueing behind one another.
+func BenchmarkStorageGetParallel(b *testing.B) {
+	const prefill = 1000
+	backend, err := service.OpenStoreBackend(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := scenarioStoreSpec()
+	out, err := scenario.Run(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	keys := make([]string, prefill)
+	for i := range keys {
+		s := spec
+		s.Name = fmt.Sprintf("bench-get-%d", i)
+		if err := backend.Put(ctx, s, out); err != nil {
+			b.Fatal(err)
+		}
+		if keys[i], err = scenario.Key(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	s := service.NewStorage(backend, scenario.GCConfig{})
+	if err := s.Configure(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := s.Stop(); err != nil {
+			b.Errorf("stopping storage: %v", err)
+		}
+	}()
+
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(next.Add(1)); pb.Next(); i++ {
+			if _, ok, err := s.Get(ctx, keys[i%prefill]); err != nil || !ok {
+				b.Errorf("warm get: ok=%v err=%v", ok, err)
+				return
+			}
+		}
+	})
 }
 
 // discardBackend is a local tier that never hits and never retains, so

@@ -184,7 +184,7 @@ type CellInfo struct {
 // List inspects every cell in the store, sorted by key. Cells written by
 // other format versions are still listed (with their stored version) —
 // inspection sees what is on disk, unlike Get, which treats them as
-// misses.
+// misses. A cell evicted while the listing runs is left out.
 func (st *Store) List() ([]CellInfo, error) {
 	keys, err := st.Keys()
 	if err != nil {
@@ -193,6 +193,9 @@ func (st *Store) List() ([]CellInfo, error) {
 	infos := make([]CellInfo, 0, len(keys))
 	for _, key := range keys {
 		b, err := os.ReadFile(st.path(key))
+		if os.IsNotExist(err) {
+			continue // raced with a concurrent eviction; already gone
+		}
 		if err != nil {
 			return nil, fmt.Errorf("scenario: inspecting store cell %s: %w", key, err)
 		}

@@ -16,11 +16,17 @@ import (
 // fronts either with a shared tier on another scenariod. Every method
 // takes a context: the storage module derives a per-request deadline
 // before each call, so a backend that does I/O (disk, network) can be
-// cancelled instead of wedging the serving goroutine.
+// cancelled instead of hanging its caller.
 //
-// Backends are accessed from the storage module's single goroutine, so
-// implementations need no internal locking for daemon use — but the
-// in-memory backend locks anyway, because tests hit backends directly.
+// Implementations must be safe for concurrent use: the storage module
+// runs lookups, Lists and Lens concurrently with each other and with
+// one Put (or GC) at a time. The built-in backends are: StoreBackend
+// writes each cell to a temp file and renames it into place, so a
+// concurrent read sees a whole cell or none, a read racing an eviction
+// either opened the file before the unlink or misses, and a List skips
+// a cell evicted under it;
+// MemBackend locks its map; RemoteBackend locks its counters and its
+// breaker, and its local tier is one of the other two.
 type Backend interface {
 	// Name identifies the backend in listings and stats.
 	Name() string

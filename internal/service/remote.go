@@ -214,7 +214,7 @@ func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome,
 			r.count(func(st *TierStats) { st.RemoteMisses++ })
 			return nil, false, nil
 		}
-		r.remoteFailure(err)
+		r.remoteFailure()
 		return nil, false, nil
 	}
 	r.br.success()
@@ -231,8 +231,9 @@ func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome,
 // Fetch resolves a miss with the spec in hand: local first, then a
 // blocking submit to the remote daemon — the remote simulates (its
 // singleflight dedups across every daemon fetching the same spec) and
-// the outcome is write-backed locally. Remote trouble returns a miss so
-// the local worker runs the simulation itself.
+// the outcome is write-backed locally, marking the calling storage
+// module's footprint stale. Remote trouble returns a miss so the local
+// worker runs the simulation itself.
 func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
 	out, ok, err := r.local.Get(ctx, key)
 	if err != nil || ok {
@@ -249,7 +250,7 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 	st, err := r.client.Submit(rctx, spec, true)
 	cancel()
 	if err != nil {
-		r.remoteFailure(err)
+		r.remoteFailure()
 		return nil, false, nil
 	}
 	r.br.success()
@@ -260,7 +261,9 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 	r.count(func(st *TierStats) { st.RemoteHits++ })
 	// Write-back: the next read of this key is a local hit. Failure is
 	// tolerable — the outcome is already in hand and re-fetchable.
-	_ = r.local.Put(ctx, spec, st.Outcome)
+	if r.local.Put(ctx, spec, st.Outcome) == nil {
+		footprintChanged(ctx)
+	}
 	return st.Outcome, true, nil
 }
 
@@ -280,8 +283,9 @@ func (r *RemoteBackend) Put(ctx context.Context, spec scenario.Spec, out *scenar
 	select {
 	case r.writes <- writeThrough{spec: spec, out: out}:
 	default:
-		// Full queue: drop rather than block the storage goroutine. The
-		// cell is safe locally; only the shared tier misses it.
+		// Full queue: drop rather than block the Put, which holds the
+		// storage module's Put lock. The cell is safe locally; only the
+		// shared tier misses it.
 		r.count(func(st *TierStats) { st.WriteDropped++ })
 	}
 	return nil
@@ -322,7 +326,7 @@ func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, out *
 			r.count(func(st *TierStats) { st.WriteThroughs++ })
 			return
 		}
-		r.remoteFailure(err)
+		r.remoteFailure()
 		if attempt < r.retries-1 {
 			// Jitter the backoff off the wall clock's low bits so
 			// synchronized retry storms decorrelate.
@@ -374,10 +378,9 @@ func (r *RemoteBackend) count(f func(*TierStats)) {
 }
 
 // remoteFailure records one failed remote call.
-func (r *RemoteBackend) remoteFailure(err error) {
+func (r *RemoteBackend) remoteFailure() {
 	r.br.failure()
 	r.count(func(st *TierStats) { st.RemoteErrors++ })
-	_ = err
 }
 
 // breakerState enumerates the circuit breaker's states.

@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -169,18 +172,7 @@ func TestMemBackendGC(t *testing.T) {
 // TestStorageCaps: with caps configured the storage module trims after
 // every Put and accounts the evictions.
 func TestStorageCaps(t *testing.T) {
-	s := NewStorage(NewMemBackend(), scenario.GCConfig{MaxCells: 2})
-	if err := s.Configure(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := s.Stop(); err != nil {
-			t.Error(err)
-		}
-	}()
+	s := startStorage(t, NewMemBackend(), scenario.GCConfig{MaxCells: 2})
 	out, err := scenario.Run(testSpec(24))
 	if err != nil {
 		t.Fatal(err)
@@ -200,11 +192,7 @@ func TestStorageCaps(t *testing.T) {
 	if _, ok, err := s.Get(ctx, keys[0]); err != nil || ok {
 		t.Errorf("oldest cell survived the cap: ok=%v err=%v", ok, err)
 	}
-	st, err := s.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Puts != 3 || st.Evicted != 1 || st.Cells != 2 {
+	if st := storageStats(t, s); st.Puts != 3 || st.Evicted != 1 || st.Cells != 2 {
 		t.Errorf("stats = %+v, want 3 puts / 1 evicted / 2 cells", st)
 	}
 
@@ -240,43 +228,72 @@ func (b *listCounter) footprint(t *testing.T) (cells, bytes int64) {
 	return int64(len(infos)), bytes
 }
 
+// startStorage configures and starts a storage module, stopping it on
+// cleanup.
+func startStorage(t *testing.T, b Backend, gc scenario.GCConfig) *Storage {
+	t.Helper()
+	s := NewStorage(b, gc)
+	if err := s.Configure(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Stop(); err != nil {
+			t.Error(err)
+		}
+	})
+	return s
+}
+
+// storageStats reads a storage module's stats, failing the test on error.
+func storageStats(t *testing.T, s *Storage) StorageStats {
+	t.Helper()
+	st, err := s.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// fakeLeader is a remote tier over httptest: every submit finishes at
+// once with out, every key read misses, every push is accepted.
+func fakeLeader(t *testing.T, out *scenario.Outcome) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPost:
+			var spec scenario.Spec
+			if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+				writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
+				return
+			}
+			key, _ := scenario.Key(spec)
+			writeJSON(w, http.StatusOK, JobStatus{Key: key, State: StateDone, Outcome: out})
+		case http.MethodPut:
+			writeJSON(w, http.StatusOK, JobStatus{State: StateDone})
+		default:
+			writeError(w, http.StatusNotFound, CodeNotFound, "no such key")
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 // TestLazyFootprint: a cap-less Put never lists; Stats lists once, and
-// only when a Put has landed since the last refresh (or none was taken);
-// a capped Storage takes its footprint from GC without listing at all.
+// only when a Put or a tiered write-back has landed since the last
+// refresh (or none was taken); a capped Storage takes its footprint from
+// GC without listing at all.
 func TestLazyFootprint(t *testing.T) {
 	out, err := scenario.Run(testSpec(24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := func(s *Storage) StorageStats {
-		t.Helper()
-		st, err := s.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	start := func(b Backend, gc scenario.GCConfig) *Storage {
-		t.Helper()
-		s := NewStorage(b, gc)
-		if err := s.Configure(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			if err := s.Stop(); err != nil {
-				t.Error(err)
-			}
-		})
-		return s
-	}
-
 	b := &listCounter{MemBackend: NewMemBackend()}
-	s := start(b, scenario.GCConfig{})
+	s := startStorage(t, b, scenario.GCConfig{})
 	for i := 0; i < 3; i++ {
-		if st := stats(s); st.Cells != 0 || st.Bytes != 0 {
+		if st := storageStats(t, s); st.Cells != 0 || st.Bytes != 0 {
 			t.Fatalf("empty store stats = %+v, want 0 cells / 0 bytes", st)
 		}
 	}
@@ -294,13 +311,13 @@ func TestLazyFootprint(t *testing.T) {
 		t.Errorf("%d cap-less Puts listed %d times, want 0", puts, n)
 	}
 	wantCells, wantBytes := b.footprint(t)
-	if st := stats(s); st.Puts != puts || st.Cells != wantCells || st.Bytes != wantBytes || wantCells != puts {
+	if st := storageStats(t, s); st.Puts != puts || st.Cells != wantCells || st.Bytes != wantBytes || wantCells != puts {
 		t.Errorf("stats after puts = %+v, want %d puts / %d cells / %d bytes", st, puts, wantCells, wantBytes)
 	}
 	if n := b.lists.Load(); n != 2 {
 		t.Errorf("first Stats after puts: %d Lists in total, want 2", n)
 	}
-	if st := stats(s); st.Cells != wantCells || st.Bytes != wantBytes {
+	if st := storageStats(t, s); st.Cells != wantCells || st.Bytes != wantBytes {
 		t.Errorf("repeat stats = %+v, want %d cells / %d bytes", st, wantCells, wantBytes)
 	}
 	if n := b.lists.Load(); n != 2 {
@@ -308,19 +325,214 @@ func TestLazyFootprint(t *testing.T) {
 	}
 
 	cb := &listCounter{MemBackend: NewMemBackend()}
-	cs := start(cb, scenario.GCConfig{MaxCells: 2})
+	cs := startStorage(t, cb, scenario.GCConfig{MaxCells: 2})
 	for i := 0; i < 3; i++ {
 		if err := cs.Put(ctx, testSpec(24+float64(i)), out); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wantCells, wantBytes = cb.footprint(t)
-	if st := stats(cs); st.Cells != 2 || st.Cells != wantCells || st.Bytes != wantBytes {
+	if st := storageStats(t, cs); st.Cells != 2 || st.Cells != wantCells || st.Bytes != wantBytes {
 		t.Errorf("capped stats = %+v, want %d cells / %d bytes", st, wantCells, wantBytes)
 	}
 	if n := cb.lists.Load(); n != 0 {
 		t.Errorf("capped Storage listed %d times, want 0 (GC reports the footprint)", n)
 	}
+
+	// A follower's remote-hit Fetch writes the outcome back into its
+	// local tier without a Put: the next Stats must count the new cell.
+	rb := NewRemoteBackend(NewMemBackend(), NewClient(fakeLeader(t, out).URL))
+	t.Cleanup(func() {
+		if err := rb.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	rs := startStorage(t, rb, scenario.GCConfig{})
+	before := storageStats(t, rs).Cells
+	spec := testSpec(40)
+	key, _ := scenario.Key(spec)
+	if _, ok, err := rs.Fetch(ctx, spec, key); err != nil || !ok {
+		t.Fatalf("remote-hit fetch: ok=%v err=%v", ok, err)
+	}
+	if st := storageStats(t, rs); st.Cells != before+1 || st.Tier == nil || st.Tier.RemoteHits != 1 {
+		t.Errorf("stats after a write-back = %+v (tier %+v), want %d cells / 1 remote hit", st, st.Tier, before+1)
+	}
+}
+
+// parkedFetcher is a MemBackend whose Fetch signals entered and then
+// parks until release is closed, like a tiered fetch waiting on a
+// remote simulation.
+type parkedFetcher struct {
+	*MemBackend
+	entered, release chan struct{}
+}
+
+func (b *parkedFetcher) Fetch(ctx context.Context, _ scenario.Spec, key string) (*scenario.Outcome, bool, error) {
+	close(b.entered)
+	<-b.release
+	return b.MemBackend.Get(ctx, key)
+}
+
+// TestParkedFetchBlocksNoOne: while one Fetch is parked inside the
+// backend, a Get, a Put and a Stats all complete. The fetch is released
+// only after they return, so the test needs no timing assumptions; the
+// timeout only turns a deadlock into a failure.
+func TestParkedFetchBlocksNoOne(t *testing.T) {
+	out, err := scenario.Run(testSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &parkedFetcher{MemBackend: NewMemBackend(), entered: make(chan struct{}), release: make(chan struct{})}
+	s := startStorage(t, b, scenario.GCConfig{})
+	spec := testSpec(25)
+	key, _ := scenario.Key(spec)
+
+	fetched := make(chan error, 1)
+	go func() {
+		_, _, err := s.Fetch(ctx, testSpec(26), "parked")
+		fetched <- err
+	}()
+	<-b.entered
+
+	others := make(chan error, 1)
+	go func() {
+		if err := s.Put(ctx, spec, out); err != nil {
+			others <- err
+			return
+		}
+		if _, ok, err := s.Get(ctx, key); err != nil || !ok {
+			others <- fmt.Errorf("get during a parked fetch: ok=%v err=%v", ok, err)
+			return
+		}
+		if st, err := s.Stats(ctx); err != nil || st.Puts != 1 || st.Cells != 1 {
+			others <- fmt.Errorf("stats during a parked fetch: %+v err=%v", st, err)
+			return
+		}
+		others <- nil
+	}()
+	select {
+	case err := <-others:
+		close(b.release)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		close(b.release)
+		t.Fatal("Put/Get/Stats blocked behind a parked Fetch")
+	}
+	if err := <-fetched; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStorageConcurrentStress runs Put, Get, Fetch, List and Stats
+// concurrently through Storage over every built-in backend, cap-less and
+// capped, under -race. Afterwards Puts is exact and Cells/Bytes equal a
+// fresh List; a Get or List racing an eviction is a miss, never an
+// error.
+func TestStorageConcurrentStress(t *testing.T) {
+	out, err := scenario.Run(testSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := fakeLeader(t, out)
+	backends := []struct {
+		name string
+		make func(t *testing.T) Backend
+	}{
+		{"store", func(t *testing.T) Backend {
+			b, err := OpenStoreBackend(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}},
+		{"mem", func(*testing.T) Backend { return NewMemBackend() }},
+		{"remote", func(t *testing.T) Backend {
+			rb := NewRemoteBackend(NewMemBackend(), NewClient(leader.URL))
+			t.Cleanup(func() {
+				if err := rb.Close(); err != nil {
+					t.Error(err)
+				}
+			})
+			return rb
+		}},
+	}
+	caps := []struct {
+		name string
+		gc   scenario.GCConfig
+	}{{"capless", scenario.GCConfig{}}, {"maxcells", scenario.GCConfig{MaxCells: 3}}}
+
+	const workers, rounds = 4, 8
+	for _, bc := range backends {
+		for _, cc := range caps {
+			t.Run(bc.name+"/"+cc.name, func(t *testing.T) {
+				b := bc.make(t)
+				s := startStorage(t, b, cc.gc)
+				errs := make(chan error, workers)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						errs <- stressWorker(s, out, w, rounds)
+					}(w)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					if err != nil {
+						t.Error(err)
+					}
+				}
+
+				st := storageStats(t, s)
+				infos, err := b.List(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var bytes int64
+				for _, info := range infos {
+					bytes += info.Size
+				}
+				if st.Puts != workers*rounds || st.Cells != int64(len(infos)) || st.Bytes != bytes {
+					t.Errorf("stats = %+v, want %d puts / %d cells / %d bytes", st, workers*rounds, len(infos), bytes)
+				}
+				if cc.gc.Enabled() && bc.name != "remote" && st.Cells > int64(cc.gc.MaxCells) {
+					t.Errorf("%d cells survived MaxCells=%d", st.Cells, cc.gc.MaxCells)
+				}
+			})
+		}
+	}
+}
+
+// stressWorker is one TestStorageConcurrentStress client: each round
+// puts a fresh cell, reads it back (a concurrent eviction may already
+// have taken it), fetches a never-put key (a tiered backend writes the
+// leader's answer back), lists and reads the stats.
+func stressWorker(s *Storage, out *scenario.Outcome, w, rounds int) error {
+	for i := 0; i < rounds; i++ {
+		spec := testSpec(20 + float64(w*rounds+i)/100)
+		key, _ := scenario.Key(spec)
+		if err := s.Put(ctx, spec, out); err != nil {
+			return err
+		}
+		if _, _, err := s.Get(ctx, key); err != nil {
+			return fmt.Errorf("get racing eviction: %w", err)
+		}
+		other := testSpec(30 + float64(w*rounds+i)/100)
+		okey, _ := scenario.Key(other)
+		if _, _, err := s.Fetch(ctx, other, okey); err != nil {
+			return fmt.Errorf("fetch: %w", err)
+		}
+		if _, err := s.List(ctx); err != nil {
+			return fmt.Errorf("list racing eviction: %w", err)
+		}
+		if _, err := s.Stats(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // nopBackend implements Backend but not GCBackend.
@@ -540,9 +752,25 @@ func TestStoppedQueueRejectsSubmits(t *testing.T) {
 	if _, err := d.Queue().Submit(ctx, testSpec(24)); err != ErrStopped {
 		t.Errorf("submit after stop: %v, want ErrStopped", err)
 	}
-	// Stopped storage answers ErrStopped too (not a panic).
-	if _, _, err := d.Storage().Get(ctx, "deadbeef"); err != ErrStopped {
-		t.Errorf("storage get after stop: %v, want ErrStopped", err)
+	// Every storage method answers ErrStopped too (not a panic).
+	s := d.Storage()
+	spec := testSpec(24)
+	key, _ := scenario.Key(spec)
+	_, _, getErr := s.Get(ctx, key)
+	_, _, fetchErr := s.Fetch(ctx, spec, key)
+	_, listErr := s.List(ctx)
+	_, lenErr := s.Len(ctx)
+	_, statsErr := s.Stats(ctx)
+	for _, c := range []struct {
+		op  string
+		err error
+	}{
+		{"get", getErr}, {"fetch", fetchErr}, {"put", s.Put(ctx, spec, &scenario.Outcome{})},
+		{"list", listErr}, {"len", lenErr}, {"stats", statsErr},
+	} {
+		if c.err != ErrStopped {
+			t.Errorf("storage %s after stop: %v, want ErrStopped", c.op, c.err)
+		}
 	}
 }
 

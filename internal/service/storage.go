@@ -3,41 +3,46 @@ package service
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
 )
 
-// defaultReqTimeout bounds one backend operation inside the storage
-// serve loop. Local backends finish in microseconds; the bound exists
-// for tiered backends whose Get/Fetch may cross the network (those also
-// apply their own, tighter remote deadline).
+// defaultReqTimeout bounds one backend call made by the storage module.
+// Local backends finish in microseconds; the bound exists for tiered
+// backends whose Get/Fetch may cross the network (those also apply
+// their own, tighter remote deadline).
 const defaultReqTimeout = 30 * time.Second
 
-// Storage is the storage module: it owns the Backend and serializes
-// every access through a request/reply channel served by one goroutine
-// (the coop/storage pattern). Serialization is what makes the cache-cap
-// contract simple — a Put and the GC pass it triggers are one atomic
-// step from every other module's point of view, and backends need no
-// locking of their own.
+// Storage is the storage module: it owns the Backend and calls it from
+// the caller's goroutine. Lookups (Get, Fetch, List, Len) run
+// concurrently with no lock held, so a tiered Fetch waiting on its
+// remote stalls no one; this relies on backends being safe for
+// concurrent use (see Backend). One mutex makes a Put and the GC pass it
+// triggers a single step for every other Put and Stats; a lookup racing
+// it sees a cell either whole or not at all.
 //
-// Every public method takes the caller's context; the serve loop derives
-// a per-request deadline (ReqTimeout) under it before touching the
-// backend, so a stuck or slow backend call is cancelled instead of
-// wedging the goroutine for everyone behind it. The footprint snapshot
-// is lazy: a cap-less Put marks it stale, and Stats relists once if so.
+// Every public method takes the caller's context and derives a deadline
+// (defaultReqTimeout) under it before touching the backend, so a stuck
+// backend call is cancelled instead of hanging its caller. The
+// footprint snapshot is lazy: a cap-less Put or a tiered write-back
+// marks it stale, and Stats relists once if so.
 type Storage struct {
 	backend Backend
 	// gc caps the cache tier; the zero value disables eviction.
 	gc scenario.GCConfig
-	// ReqTimeout bounds each backend call made by the serve loop; zero
-	// selects defaultReqTimeout. Set before Configure.
-	ReqTimeout time.Duration
 
-	reqs chan storageReq
-	done chan struct{}
+	// gets/hits count lookups without the lock, so a lookup never waits
+	// on a Put or a relist.
+	gets, hits atomic.Int64
+	// stopped is set under mu, so Stop waits out an in-flight Put.
+	stopped atomic.Bool
 
-	// stats are owned by the serving goroutine; fresh marks Cells/Bytes current.
+	// mu serializes Put+GC and Stats' relist, and guards stats and fresh.
+	mu sync.Mutex
+	// stats holds Puts, Evicted and the footprint; fresh marks Cells/Bytes current.
 	stats StorageStats
 	fresh bool
 }
@@ -49,45 +54,14 @@ type StorageStats struct {
 	Puts    int64 `json:"puts"`
 	Evicted int64 `json:"evicted"`
 	// Cells / Bytes snapshot the backend footprint as of the last refresh:
-	// a List on Stats when a Put has landed since, or a capped Put's GC.
+	// a List on Stats when a Put or write-back has landed since, or a
+	// capped Put's GC.
 	Cells int64 `json:"cells"`
 	Bytes int64 `json:"bytes"`
 	// Tier is present when the backend is tiered (RemoteBackend): the
 	// local/remote hit split, remote failure accounting, and the circuit
 	// breaker's state. Nil for single-tier backends.
 	Tier *TierStats `json:"tier,omitempty"`
-}
-
-// storageOp selects the request kind.
-type storageOp int
-
-const (
-	opGet storageOp = iota
-	opFetch
-	opPut
-	opList
-	opLen
-	opStats
-)
-
-// storageReq is one request into the serving goroutine; the reply
-// channel is buffered so the server never blocks on a dead client.
-type storageReq struct {
-	op    storageOp
-	ctx   context.Context
-	key   string
-	spec  scenario.Spec
-	out   *scenario.Outcome
-	reply chan storageResp
-}
-
-type storageResp struct {
-	out   *scenario.Outcome
-	ok    bool
-	infos []scenario.CellInfo
-	n     int
-	stats StorageStats
-	err   error
 }
 
 // NewStorage builds the storage module over a backend. gc caps the
@@ -100,8 +74,7 @@ func NewStorage(backend Backend, gc scenario.GCConfig) *Storage {
 // Name implements Module.
 func (s *Storage) Name() string { return "storage" }
 
-// Configure validates the backend/cap combination and allocates the
-// request plumbing.
+// Configure validates the backend/cap combination.
 func (s *Storage) Configure() error {
 	if s.backend == nil {
 		return fmt.Errorf("storage: nil backend")
@@ -114,105 +87,111 @@ func (s *Storage) Configure() error {
 			return fmt.Errorf("storage: backend %s does not support eviction (cache caps need a GCBackend)", s.backend.Name())
 		}
 	}
-	if s.ReqTimeout == 0 {
-		s.ReqTimeout = defaultReqTimeout
-	}
-	s.reqs = make(chan storageReq)
-	s.done = make(chan struct{})
 	return nil
 }
 
-// Start launches the serving goroutine.
-func (s *Storage) Start() error {
-	go s.serve()
-	return nil
-}
+// Start implements Module; callers drive the backend themselves, so
+// there is nothing to launch.
+func (s *Storage) Start() error { return nil }
 
-// Stop closes the intake and waits for the server to drain. Requests
-// after Stop fail with ErrStopped.
+// Stop waits for an in-flight Put (and its GC pass) to finish; every
+// later call fails with ErrStopped.
 func (s *Storage) Stop() error {
-	close(s.reqs)
-	<-s.done
+	s.mu.Lock()
+	s.stopped.Store(true)
+	s.mu.Unlock()
 	return nil
 }
 
 // ErrStopped reports a request against a stopped module.
 var ErrStopped = fmt.Errorf("service: module stopped")
 
-// serve is the single goroutine owning the backend.
-func (s *Storage) serve() {
-	defer close(s.done)
-	for req := range s.reqs {
-		// Per-request deadline: the caller's context (already cancelled
-		// if the client went away) capped by the module bound.
-		base := req.ctx
-		if base == nil {
-			base = context.Background()
-		}
-		ctx, cancel := context.WithTimeout(base, s.ReqTimeout)
-		var resp storageResp
-		switch req.op {
-		case opGet, opFetch:
-			out, ok, err := s.fetch(ctx, req)
-			s.stats.Gets++
-			if ok {
-				s.stats.Hits++
-			}
-			resp = storageResp{out: out, ok: ok, err: err}
-		case opPut:
-			err := s.backend.Put(ctx, req.spec, req.out)
-			if err == nil {
-				s.stats.Puts++
-				err = s.maybeGC(ctx)
-			}
-			resp = storageResp{err: err}
-		case opList:
-			infos, err := s.backend.List(ctx)
-			resp = storageResp{infos: infos, err: err}
-		case opLen:
-			n, err := s.backend.Len(ctx)
-			resp = storageResp{n: n, err: err}
-		case opStats:
-			if !s.fresh {
-				s.refreshFootprint(ctx)
-			}
-			resp = storageResp{stats: s.statsSnapshot()}
-		}
-		cancel()
-		req.reply <- resp
+// begin rejects calls on a stopped module and derives the per-call
+// deadline: the caller's context (already cancelled if the client went
+// away) capped by the module bound.
+func (s *Storage) begin(ctx context.Context) (context.Context, context.CancelFunc, error) {
+	if s.stopped.Load() {
+		return nil, nil, ErrStopped
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithTimeout(ctx, defaultReqTimeout)
+	return ctx, cancel, nil
+}
+
+// Get looks a content key up in the backend.
+func (s *Storage) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
+	ctx, cancel, err := s.begin(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	defer cancel()
+	return s.count(s.backend.Get(ctx, key))
+}
+
+// Fetch looks a key up with the spec available, letting a tiered
+// backend resolve the miss remotely (the queue's workers use this so a
+// miss costs the fleet one simulation, wherever it runs). Plain
+// backends fall back to Get.
+func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
+	f, ok := s.backend.(Fetcher)
+	if !ok {
+		return s.Get(ctx, key)
+	}
+	ctx, cancel, err := s.begin(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	defer cancel()
+	// The context carries the module to a tiered write-back, which
+	// marks the footprint stale (see footprintChanged).
+	return s.count(f.Fetch(context.WithValue(ctx, storageKey{}, s), spec, key))
+}
+
+// count accounts one lookup and passes its result through.
+func (s *Storage) count(out *scenario.Outcome, ok bool, err error) (*scenario.Outcome, bool, error) {
+	s.gets.Add(1)
+	if ok {
+		s.hits.Add(1)
+	}
+	return out, ok, err
+}
+
+// storageKey is the context key under which Fetch passes its Storage.
+type storageKey struct{}
+
+// footprintChanged tells the Storage a Fetch runs under that a cell
+// landed outside Put (a tiered write-back), so the next Stats relists.
+// Outside a Storage call it does nothing.
+func footprintChanged(ctx context.Context) {
+	if s, ok := ctx.Value(storageKey{}).(*Storage); ok {
+		s.mu.Lock()
+		s.fresh = false
+		s.mu.Unlock()
 	}
 }
 
-// fetch resolves a key. With the spec in hand (opFetch) tiered backends
-// read through and may delegate the simulation to their remote; every
-// other lookup is a plain Get.
-func (s *Storage) fetch(ctx context.Context, req storageReq) (*scenario.Outcome, bool, error) {
-	if f, ok := s.backend.(Fetcher); ok && req.op == opFetch {
-		return f.Fetch(ctx, req.spec, req.key)
+// Put persists an outcome and, when caps are configured, trims the
+// cache tier in the same locked step.
+func (s *Storage) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ctx, cancel, err := s.begin(ctx)
+	if err != nil {
+		return err
 	}
-	return s.backend.Get(ctx, req.key)
-}
-
-// Degraded reports whether a tiered backend's breaker is not closed. It
-// reads the mutex-guarded tier stats directly, bypassing the serve loop.
-func (s *Storage) Degraded() bool {
-	ts, ok := s.backend.(TierStatter)
-	return ok && ts.TierStats().BreakerState != breakerClosed.String()
-}
-
-// statsSnapshot copies the counters and attaches the tier split when the
-// backend keeps one.
-func (s *Storage) statsSnapshot() StorageStats {
-	st := s.stats
-	if ts, ok := s.backend.(TierStatter); ok {
-		tier := ts.TierStats()
-		st.Tier = &tier
+	defer cancel()
+	if err := s.backend.Put(ctx, spec, out); err != nil {
+		return err
 	}
-	return st
+	s.stats.Puts++
+	return s.maybeGC(ctx)
 }
 
-// maybeGC follows a landed Put: it marks the footprint stale, or runs
-// the capped eviction pass whose exact result keeps it fresh.
+// maybeGC follows a landed Put (caller holds mu): it marks the
+// footprint stale, or runs the capped eviction pass whose exact result
+// keeps it fresh.
 func (s *Storage) maybeGC(ctx context.Context) error {
 	s.fresh = false
 	if s.gc.Enabled() {
@@ -228,7 +207,51 @@ func (s *Storage) maybeGC(ctx context.Context) error {
 	return nil
 }
 
-// refreshFootprint recomputes the Cells/Bytes snapshot from a listing.
+// List inspects the backend's cells.
+func (s *Storage) List(ctx context.Context) ([]scenario.CellInfo, error) {
+	ctx, cancel, err := s.begin(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer cancel()
+	return s.backend.List(ctx)
+}
+
+// Len counts the backend's cells.
+func (s *Storage) Len(ctx context.Context) (int, error) {
+	ctx, cancel, err := s.begin(ctx)
+	if err != nil {
+		return 0, err
+	}
+	defer cancel()
+	return s.backend.Len(ctx)
+}
+
+// Stats snapshots the module's accounting, relisting the footprint
+// first when it is stale, and attaches the tier split when the backend
+// keeps one.
+func (s *Storage) Stats(ctx context.Context) (StorageStats, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ctx, cancel, err := s.begin(ctx)
+	if err != nil {
+		return StorageStats{}, err
+	}
+	defer cancel()
+	if !s.fresh {
+		s.refreshFootprint(ctx)
+	}
+	st := s.stats
+	st.Gets, st.Hits = s.gets.Load(), s.hits.Load()
+	if ts, ok := s.backend.(TierStatter); ok {
+		tier := ts.TierStats()
+		st.Tier = &tier
+	}
+	return st, nil
+}
+
+// refreshFootprint recomputes the Cells/Bytes snapshot from a listing
+// (caller holds mu).
 func (s *Storage) refreshFootprint(ctx context.Context) {
 	infos, err := s.backend.List(ctx)
 	if err != nil {
@@ -242,53 +265,9 @@ func (s *Storage) refreshFootprint(ctx context.Context) {
 	}
 }
 
-// call sends one request, translating a stopped module into ErrStopped
-// instead of a panic on the closed channel.
-func (s *Storage) call(req storageReq) (resp storageResp) {
-	defer func() {
-		if recover() != nil {
-			resp = storageResp{err: ErrStopped}
-		}
-	}()
-	req.reply = make(chan storageResp, 1)
-	s.reqs <- req
-	return <-req.reply
-}
-
-// Get looks a content key up in the backend.
-func (s *Storage) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
-	resp := s.call(storageReq{op: opGet, ctx: ctx, key: key})
-	return resp.out, resp.ok, resp.err
-}
-
-// Fetch looks a key up with the spec available, letting a tiered
-// backend resolve the miss remotely (the queue's workers use this so a
-// miss costs the fleet one simulation, wherever it runs).
-func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
-	resp := s.call(storageReq{op: opFetch, ctx: ctx, spec: spec, key: key})
-	return resp.out, resp.ok, resp.err
-}
-
-// Put persists an outcome and, when caps are configured, trims the
-// cache tier in the same serialized step.
-func (s *Storage) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
-	return s.call(storageReq{op: opPut, ctx: ctx, spec: spec, out: out}).err
-}
-
-// List inspects the backend's cells.
-func (s *Storage) List(ctx context.Context) ([]scenario.CellInfo, error) {
-	resp := s.call(storageReq{op: opList, ctx: ctx})
-	return resp.infos, resp.err
-}
-
-// Len counts the backend's cells.
-func (s *Storage) Len(ctx context.Context) (int, error) {
-	resp := s.call(storageReq{op: opLen, ctx: ctx})
-	return resp.n, resp.err
-}
-
-// Stats snapshots the module's accounting.
-func (s *Storage) Stats(ctx context.Context) (StorageStats, error) {
-	resp := s.call(storageReq{op: opStats, ctx: ctx})
-	return resp.stats, resp.err
+// Degraded reports whether a tiered backend's breaker is not closed. It
+// reads the mutex-guarded tier stats directly and takes no storage lock.
+func (s *Storage) Degraded() bool {
+	ts, ok := s.backend.(TierStatter)
+	return ok && ts.TierStats().BreakerState != breakerClosed.String()
 }
