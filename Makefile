@@ -10,8 +10,10 @@ GO ?= go
 # Benchmarks recorded into the machine-readable perf trajectory
 # (BENCH_*.json via `make bench-json`); keep the hot-path and engine
 # comparison benchmarks here so every PR's baseline is diffable.
-BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkBatchNetworkStep|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit|BenchmarkStoragePut|BenchmarkStorageGetParallel'
-BENCH_OUT ?= BENCH_PR13.json
+# BenchmarkFleetRun/workers=0 is the one entry that runs more than one
+# engine worker, so a multi-worker slowdown shows up here too.
+BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkBatchNetworkStep|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkFleetRun|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit|BenchmarkStoragePut|BenchmarkStorageGetParallel'
+BENCH_OUT ?= BENCH_PR14.json
 
 all: ci
 
@@ -57,7 +59,7 @@ bench-json:
 # >BENCH_THRESHOLD regression in time or allocations per benchmark.
 # scripts/ci.sh runs this target, so the pattern and baseline live here
 # only.
-BENCH_BASELINE ?= BENCH_PR12.json
+BENCH_BASELINE ?= BENCH_PR13.json
 BENCH_THRESHOLD ?= 0.15
 BENCH_COMPARE_TIME ?= 1s
 bench-compare:

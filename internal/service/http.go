@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -165,13 +166,19 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, apiError{Error: msg, Code: code})
 }
 
-// submitErr maps a queue submit error onto status + code.
+// submitErr maps a queue submit error onto status + code: only a spec
+// that failed validation or hashing is the client's fault; a storage
+// fault (an unreadable or undecodable cell) is the server's.
 func submitErr(w http.ResponseWriter, err error) {
-	if err == ErrStopped {
+	var se *specError
+	switch {
+	case errors.As(err, &se):
+		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
+	case errors.Is(err, ErrStopped):
 		writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
-		return
+	default:
+		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 	}
-	writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 }
 
 // handleSubmit is POST /v1/scenarios.

@@ -187,6 +187,13 @@ func (q *Queue) shardOf(key string) int {
 	return int(v % uint64(q.shards))
 }
 
+// specError marks a Submit failure caused by the spec itself (validation
+// or hashing): the client's fault, unlike a storage error or a shutdown.
+type specError struct{ err error }
+
+func (e *specError) Error() string { return e.err.Error() }
+func (e *specError) Unwrap() error { return e.err }
+
 // Submit accepts a spec: validate, hash, answer from the store when the
 // cell exists, coalesce onto an in-flight job when one is already
 // queued or running (singleflight), otherwise enqueue on the key's
@@ -197,12 +204,12 @@ func (q *Queue) shardOf(key string) int {
 // once fleet-wide, wherever the singleflight that owns it runs.
 func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, &specError{err}
 	}
 	spec.Workers = q.engineWorkers
 	key, err := scenario.Key(spec)
 	if err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, &specError{err}
 	}
 	q.addStat(&q.stats.submitted)
 
@@ -320,7 +327,9 @@ func (q *Queue) Stats() QueueStats {
 	return s
 }
 
-// worker drains one shard: run, persist, publish, retire.
+// worker drains one shard: run, persist, publish, retire. A job is
+// counted and retired before its done channel closes, so a woken waiter
+// already sees it out of the in-flight listing and in the stats.
 func (q *Queue) worker(jobs <-chan *job) {
 	defer q.wg.Done()
 	for j := range jobs {
@@ -333,8 +342,8 @@ func (q *Queue) worker(jobs <-chan *job) {
 			j.state = StateFailed
 			j.err = "scenariod stopping before execution"
 			j.mu.Unlock()
-			close(j.done)
 			q.addStat(&q.stats.failed)
+			close(j.done)
 			continue
 		}
 
@@ -357,11 +366,11 @@ func (q *Queue) worker(jobs <-chan *job) {
 			j.cached = true
 			j.outcome = out
 			j.mu.Unlock()
-			close(j.done)
 			q.addStat(&q.stats.cacheHits)
 			q.mu.Lock()
 			delete(q.inflight, j.key)
 			q.mu.Unlock()
+			close(j.done)
 			continue
 		}
 
@@ -381,18 +390,19 @@ func (q *Queue) worker(jobs <-chan *job) {
 			j.outcome = out
 		}
 		j.mu.Unlock()
-		close(j.done)
 
 		if err != nil {
 			q.addStat(&q.stats.failed)
 			// Failed jobs stay in the table so pollers see the error;
 			// a re-submit replaces them (see Submit).
+			close(j.done)
 			continue
 		}
 		q.addStat(&q.stats.simulated)
 		q.mu.Lock()
 		delete(q.inflight, j.key)
 		q.mu.Unlock()
+		close(j.done)
 	}
 }
 

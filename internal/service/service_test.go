@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -699,6 +700,40 @@ func TestHTTPValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// faultyBackend is a MemBackend whose reads fail, as a disk store's do on
+// an unreadable or undecodable cell.
+type faultyBackend struct{ *MemBackend }
+
+func (faultyBackend) Get(context.Context, string) (*scenario.Outcome, bool, error) {
+	return nil, false, errors.New("reading cell: unexpected end of JSON input")
+}
+
+// TestSubmitErrorCodes: a submit is blamed on the client (400
+// invalid_spec) only when its spec fails validation; a storage fault is
+// the server's (500 internal).
+func TestSubmitErrorCodes(t *testing.T) {
+	d := startDaemon(t, Config{Backend: faultyBackend{NewMemBackend()}})
+	c := NewClient(d.BaseURL())
+	for _, tc := range []struct {
+		name   string
+		spec   scenario.Spec
+		status int
+		code   string
+	}{
+		{"storage fault", testSpec(30), http.StatusInternalServerError, CodeInternal},
+		{"invalid spec", scenario.Spec{Kind: "warp"}, http.StatusBadRequest, CodeInvalidSpec},
+	} {
+		_, err := c.Submit(ctx, tc.spec, false)
+		var se *StatusError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: error = %T (%v), want *StatusError", tc.name, err, err)
+		}
+		if se.Code != tc.status || se.APICode != tc.code {
+			t.Errorf("%s -> %d/%q, want %d/%q", tc.name, se.Code, se.APICode, tc.status, tc.code)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -13,7 +14,7 @@ import (
 
 // This file is the lockstep structure-of-arrays batch runner: where
 // RunBatch hands each job its own private simulation loop, a Lockstep
-// advances N same-shape servers one tick at a time from a single warm
+// advances N same-shape servers over one horizon from a single warm
 // instance. Construction does all the expensive, pass-invariant work once
 // — servers are built, workload generators are precompiled into per-tick
 // demand schedules (deduplicated across jobs sharing a generator, e.g. the
@@ -26,12 +27,23 @@ import (
 //
 // Results are bit-identical to running the same jobs through RunBatch (or
 // sequentially): every lane owns its server and policy, performs exactly
-// the floating-point operations sim.Run would, in the same order, and the
-// tick-major schedule cannot couple lanes. Tests assert DeepEqual against
-// RunBatch across batch sizes and worker counts.
+// the floating-point operations sim.Run would, in the same order, and no
+// lane reads another's state. Tests assert DeepEqual against RunBatch
+// across batch sizes and worker counts.
+//
+// Schedule: lanes are sharded contiguously over the workers, and each
+// worker steps its lanes one at a time, each through its whole horizon
+// (lane-major). Lanes are built one after another, so neighbours share
+// 64-byte cache lines; two workers stepping neighbours at once would
+// bounce those lines between cores every tick. Lane-major order steps a
+// shard's edge lanes at opposite ends of the pass, so neighbours across a
+// shard boundary never run together — except a shard of one lane (fewer
+// than two lanes per worker), which runs beside its neighbour throughout.
+// A worker that finishes its shard takes the rest of another from its far
+// end (see runShared).
 //
 // Eligibility: all jobs must share one engine tick and one duration, so
-// the batch advances on a single clock. NewLockstep reports
+// one tick length and tick count serve every lane. NewLockstep reports
 // ErrHeterogeneous otherwise; RunLockstep is the drop-in entry point that
 // falls back to RunBatch in that case.
 
@@ -421,34 +433,81 @@ func (ls *Lockstep) finalize(ln *lane) {
 	}
 }
 
-// lockstepCohort bounds how many lanes advance tick-major together. A
-// lane's working set (server, DTM state, sensor ring, schedule window) is
-// a few kilobytes; a whole 64-lane rack swept once per tick would evict
-// itself from cache every tick, so the batch advances in cohorts small
-// enough to stay resident while still interleaving lanes tick by tick.
-// Measured on the 64-lane benchmark: cohorts of 2–4 are ~17% faster than
-// 8 and ~20% faster than 32. Cohort order cannot change results — lanes
-// are independent.
-const lockstepCohort = 4
-
-// runRange advances lanes [lo, hi) through the full horizon, tick-major
-// within cache-sized cohorts.
-func (ls *Lockstep) runRange(lo, hi int) {
-	for c := lo; c < hi; c += lockstepCohort {
-		ce := c + lockstepCohort
-		if ce > hi {
-			ce = hi
-		}
-		for k := 0; k < ls.nTicks; k++ {
-			for i := c; i < ce; i++ {
-				ls.step(&ls.lanes[i], k)
-			}
-		}
+// runLane advances lane i through its whole horizon; every schedule runs
+// lanes this way, one at a time per worker (see the file comment).
+func (ls *Lockstep) runLane(i int) {
+	ln := &ls.lanes[i]
+	for k := 0; k < ls.nTicks; k++ {
+		ls.step(ln, k)
 	}
 }
 
-// Run executes one batch pass: every lane is reset (and warm-started), all
-// lanes advance tick-by-tick, and the per-lane results are returned in job
+// runShared steps the lanes on the calling goroutine and workers-1
+// helpers. Worker w runs its shard [next[w], end[w]) front to back, then
+// takes other shards' remaining lanes from their backs, so a worker that
+// starts late or is descheduled holds the pass up by at most the lane it
+// is stepping, not by its whole shard. In a balanced pass nothing is
+// taken, and shard-boundary neighbours still run at opposite ends of it.
+// ParallelFor is not used: it hands lanes out in job order, giving two
+// workers neighbours at once. A panic in any worker is re-raised on the
+// caller once every worker has stopped.
+func (ls *Lockstep) runShared(workers int) {
+	n := len(ls.lanes)
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards next, end and panicked
+		next     = make([]int, workers)
+		end      = make([]int, workers)
+		panicked any
+	)
+	for w := range next {
+		next[w], end[w] = w*n/workers, (w+1)*n/workers
+	}
+	claim := func(w int) (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next[w] < end[w] {
+			next[w]++
+			return next[w] - 1, true
+		}
+		for v := 1; v < workers; v++ {
+			if s := (w + v) % workers; next[s] < end[s] {
+				end[s]--
+				return end[s], true
+			}
+		}
+		return 0, false
+	}
+	work := func(w int) {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if panicked == nil {
+					panicked = r
+				}
+				mu.Unlock()
+			}
+		}()
+		for i, ok := claim(w); ok; i, ok = claim(w) {
+			ls.runLane(i)
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+}
+
+// Run executes one batch pass: every lane is reset (and warm-started) and
+// run through the horizon, and the per-lane results are returned in job
 // order. Lanes are sharded contiguously across the worker pool; results
 // are bit-identical at any worker count, and to RunBatch on the same jobs.
 //
@@ -474,13 +533,11 @@ func (ls *Lockstep) Run() ([]*Result, error) {
 		workers = n
 	}
 	if workers <= 1 {
-		ls.runRange(0, n)
-	} else {
-		if err := ParallelFor(workers, workers, func(w int) {
-			ls.runRange(w*n/workers, (w+1)*n/workers)
-		}); err != nil {
-			return nil, err
+		for i := range ls.lanes {
+			ls.runLane(i)
 		}
+	} else {
+		ls.runShared(workers)
 	}
 	for i := range ls.lanes {
 		ls.finalize(&ls.lanes[i])

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -114,6 +116,178 @@ func TestLockstepMatchesRunBatch(t *testing.T) {
 		}
 	}
 }
+
+// orderPolicy stamps its lane's first and last Step from a counter shared
+// by every lane, recording when the lane was stepped relative to the
+// others.
+type orderPolicy struct {
+	clock       *atomic.Int64
+	first, last int64
+}
+
+func (p *orderPolicy) Name() string { return "order" }
+
+func (p *orderPolicy) Step(Observation) Command {
+	n := p.clock.Add(1)
+	if p.first == 0 {
+		p.first = n
+	}
+	p.last = n
+	return Command{Fan: 3000, Cap: 1}
+}
+
+func (p *orderPolicy) Reset() { p.first, p.last = 0, 0 }
+
+// TestLockstepStepsLaneMajor pins the stepping order: a worker runs each
+// lane it takes through its whole horizon before it takes another, so no
+// more lanes are ever in progress than there are workers (two workers
+// never keep a row of neighbouring lanes, which share cache lines, in
+// flight together), and a single worker steps the lanes in job order.
+func TestLockstepStepsLaneMajor(t *testing.T) {
+	const n = 8
+	for _, workers := range []int{1, 2} {
+		var clock atomic.Int64
+		jobs := lockstepJobs(t, n)
+		policies := make([]*orderPolicy, n)
+		for i := range jobs {
+			policies[i] = &orderPolicy{clock: &clock}
+			jobs[i].Config.Policy = policies[i]
+		}
+		ls, err := NewLockstep(jobs, BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ls.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// The most lanes in progress at once is reached at some lane's
+		// first step.
+		for i, p := range policies {
+			open := 0
+			for _, q := range policies {
+				if q.first <= p.first && p.first <= q.last {
+					open++
+				}
+			}
+			if open > workers {
+				t.Errorf("workers=%d: %d lanes in progress when lane %d started (step %d)", workers, open, i, p.first)
+			}
+		}
+		if workers > 1 {
+			continue
+		}
+		for i := 0; i+1 < n; i++ {
+			if a, b := policies[i], policies[i+1]; a.last >= b.first {
+				t.Errorf("workers=1: lane %d started (step %d) before lane %d finished (step %d)", i+1, b.first, i, a.last)
+			}
+		}
+	}
+}
+
+// stallPolicy holds its lane's first step until every other lane has
+// finished: a stand-in for a worker descheduled in the middle of a pass.
+type stallPolicy struct {
+	others   <-chan struct{}
+	timedOut bool
+}
+
+func (p *stallPolicy) Name() string { return "stall" }
+
+func (p *stallPolicy) Step(obs Observation) Command {
+	if obs.T == 0 {
+		select {
+		case <-p.others:
+		case <-time.After(10 * time.Second):
+			p.timedOut = true
+		}
+	}
+	return Command{Fan: 3000, Cap: 1}
+}
+
+func (p *stallPolicy) Reset() {}
+
+// finishPolicy closes done when its lane is the last of a group to take
+// its final step.
+type finishPolicy struct {
+	ticks, steps int
+	left         *atomic.Int64
+	done         chan struct{}
+}
+
+func (p *finishPolicy) Name() string { return "finish" }
+
+func (p *finishPolicy) Step(Observation) Command {
+	p.steps++
+	if p.steps == p.ticks && p.left.Add(-1) == 0 {
+		close(p.done)
+	}
+	return Command{Fan: 3000, Cap: 1}
+}
+
+func (p *finishPolicy) Reset() { p.steps = 0 }
+
+// TestLockstepWorkersTakeOverStalledShard: a worker stuck on one lane
+// must not hold up the rest of its shard. Lane 0 waits until every other
+// lane has finished, so the pass only completes if the second worker
+// takes lanes 1-3 from the first worker's shard.
+func TestLockstepWorkersTakeOverStalledShard(t *testing.T) {
+	const n = 8
+	ls, err := NewLockstep(lockstepJobs(t, n), BatchOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left atomic.Int64
+	left.Store(n - 1)
+	done := make(chan struct{})
+	stall := &stallPolicy{others: done}
+	if err := ls.SetPolicy(0, stall); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if err := ls.SetPolicy(i, &finishPolicy{ticks: ls.Ticks(), left: &left, done: done}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ls.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if stall.timedOut {
+		t.Fatal("lanes 1-3 waited behind the stalled lane 0 instead of moving to the other worker")
+	}
+}
+
+// TestLockstepRepanicsWorkerPanic: a policy panicking in the calling
+// worker's shard (lane 0) or a helper's (lane n-1) surfaces on the caller
+// of Run, after every worker has stopped.
+func TestLockstepRepanicsWorkerPanic(t *testing.T) {
+	const n = 8
+	ls, err := NewLockstep(lockstepJobs(t, n), BatchOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, n - 1} {
+		if err := ls.SetPolicy(i, panicPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "policy panic" {
+					t.Errorf("lane %d: recovered %v, want the policy's panic", i, r)
+				}
+			}()
+			ls.Run()
+		}()
+		if err := ls.SetPolicy(i, &feedbackPolicy{ref: 70, gain: 15, cap: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+type panicPolicy struct{}
+
+func (panicPolicy) Name() string             { return "panic" }
+func (panicPolicy) Step(Observation) Command { panic("policy panic") }
+func (panicPolicy) Reset()                   {}
 
 // TestLockstepWarmRerunIdentical: re-stepping a warm instance must
 // reproduce its first pass exactly — the property the fleet fixed point

@@ -24,6 +24,11 @@ go build ./...
 go test -race ./...
 go test -run xxx -bench . -benchtime 1x -benchmem .
 
+# The benchmark under bench/ is its own module, so the root `go test
+# ./...` never reaches it; its TestEngineGoldens is the check that every
+# engine kind still produces bit-identical outcomes.
+(cd bench && go test ./...)
+
 # Zero-allocation contracts: the consolidated table (zeroalloc_test.go)
 # is built out of the -race run by its build tag (AllocsPerRun is
 # unreliable under the race detector), so assert it explicitly here.
