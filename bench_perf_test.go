@@ -451,14 +451,14 @@ func lockstepBenchJobs(b *testing.B, n int) []sim.Job {
 	return jobs
 }
 
-// BenchmarkLockstepVsBatch compares one whole-batch pass under the two
-// engines at fleet-relevant batch sizes. The batch side rebuilds servers
-// and re-evaluates workload generators every op (RunBatch's contract);
-// the lockstep side re-steps one warm instance, the fleet fixed point's
-// steady state — precompiled demand schedules, reused servers, reused
-// recording buffers, zero allocations per pass at one worker. Results are
-// bit-identical between the two (asserted by the sim tests); this
-// benchmark measures what the reuse is worth.
+// BenchmarkLockstepVsBatch compares one whole-batch pass at fleet-relevant
+// batch sizes. The batch side runs each job alone through sim.Run on a
+// fresh server, rebuilding servers and re-evaluating workload generators
+// every op; the lockstep side re-steps one warm instance, the fleet fixed
+// point's steady state — precompiled demand schedules, reused servers,
+// reused recording buffers, zero allocations per pass at one worker.
+// Results are bit-identical between the two (asserted by the sim tests);
+// this benchmark measures what the reuse is worth.
 func BenchmarkLockstepVsBatch(b *testing.B) {
 	for _, n := range []int{8, 64} {
 		b.Run("batch/"+unitName("servers", float64(n), ""), func(b *testing.B) {
@@ -466,8 +466,14 @@ func BenchmarkLockstepVsBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunBatch(jobs, sim.BatchOptions{Workers: 1}); err != nil {
-					b.Fatal(err)
+				for _, j := range jobs {
+					server, err := j.Server()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := sim.Run(server, j.Config); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			if sec := b.Elapsed().Seconds(); sec > 0 {
@@ -491,68 +497,6 @@ func BenchmarkLockstepVsBatch(b *testing.B) {
 			}
 			if sec := b.Elapsed().Seconds(); sec > 0 {
 				b.ReportMetric(900*float64(n)*float64(b.N)/sec, "ticks/s")
-			}
-		})
-	}
-}
-
-// BenchmarkBatchNetworkStep compares the SoA lockstep RK4 integrator
-// against stepping the same population of standalone Networks, at the
-// 16-node multicore shape. The SoA layout streams the batch dimension
-// contiguously; both sides are zero-alloc after warm-up.
-func BenchmarkBatchNetworkStep(b *testing.B) {
-	const nodes = 16
-	for _, batch := range []int{8, 64} {
-		b.Run("loop/"+unitName("servers", float64(batch), ""), func(b *testing.B) {
-			nets := make([]*thermal.Network, batch)
-			for s := range nets {
-				nets[s] = buildNetwork(b, nodes)
-				if err := nets[s].Step(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, net := range nets {
-					if err := net.Step(1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run("soa/"+unitName("servers", float64(batch), ""), func(b *testing.B) {
-			bn, err := thermal.NewBatchNetwork(nodes, batch, 25)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink := nodes - 1
-			if err := bn.SetCapacitance(sink, 500); err != nil {
-				b.Fatal(err)
-			}
-			if err := bn.ConnectAmbient(sink, 0.05); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < sink; i++ {
-				if err := bn.SetCapacitance(i, 50); err != nil {
-					b.Fatal(err)
-				}
-				if err := bn.Connect(i, sink, 0.5); err != nil {
-					b.Fatal(err)
-				}
-				for s := 0; s < batch; s++ {
-					bn.SetLoad(i, s, 10)
-				}
-			}
-			if err := bn.Step(1); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bn.Step(1); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

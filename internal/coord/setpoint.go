@@ -19,8 +19,7 @@ import (
 // extra headroom buys nothing — demand is already near its ceiling).
 type SetpointScheduler struct {
 	Lo, Hi units.Celsius
-	window int
-	pred   filter.Predictor
+	pred   *filter.MAPredictor
 	last   units.Celsius
 }
 
@@ -34,7 +33,7 @@ func NewSetpointScheduler(lo, hi units.Celsius, window int) (*SetpointScheduler,
 	if window < 1 {
 		return nil, fmt.Errorf("coord: predictor window %d < 1", window)
 	}
-	return &SetpointScheduler{Lo: lo, Hi: hi, window: window, pred: filter.NewMAPredictor(window), last: lo}, nil
+	return &SetpointScheduler{Lo: lo, Hi: hi, pred: filter.NewMAPredictor(window), last: lo}, nil
 }
 
 // Observe feeds one utilization sample (called every CPU tick) and
@@ -49,13 +48,9 @@ func (s *SetpointScheduler) Observe(u units.Utilization) units.Celsius {
 // Current returns the most recently scheduled reference.
 func (s *SetpointScheduler) Current() units.Celsius { return s.last }
 
-// Reset restores the initial state. Predictors that can clear in place do
-// (keeping warm-batch policy resets allocation-free); others are rebuilt.
+// Reset restores the initial state in place, keeping warm-batch policy
+// resets allocation-free.
 func (s *SetpointScheduler) Reset() {
-	if r, ok := s.pred.(interface{ Reset() }); ok {
-		r.Reset()
-	} else {
-		s.pred = filter.NewMAPredictor(s.window)
-	}
+	s.pred.Reset()
 	s.last = s.Lo
 }

@@ -14,13 +14,30 @@ import (
 )
 
 // These tests pin the scenario refactor to the pre-refactor behavior:
-// each legacy entry point is re-implemented here exactly as it invoked
-// the engines before becoming a scenario adapter, and the adapter's
-// output must match bit for bit. A drift in the registry factories, the
-// spec construction, or the runner's engine selection fails loudly.
+// each legacy entry point is re-implemented here exactly as it built its
+// jobs before becoming a scenario adapter, each job is run alone through
+// sim.Run, and the adapter's output must match bit for bit. A drift in the
+// registry factories, the spec construction, or the batch engine fails
+// loudly.
+
+// runAlone runs each job alone through sim.Run on a fresh server.
+func runAlone(t *testing.T, jobs []sim.Job) []*sim.Result {
+	t.Helper()
+	results := make([]*sim.Result, len(jobs))
+	for i, j := range jobs {
+		server, err := j.Server()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = sim.Run(server, j.Config); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return results
+}
 
 // legacyTable3 is the pre-refactor Table3: jobs built by hand from
-// core.TableIIISolutions and run through sim.RunLockstep.
+// core.TableIIISolutions.
 func legacyTable3(t *testing.T, tc Table3Config) []Table3Row {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -50,10 +67,7 @@ func legacyTable3(t *testing.T, tc Table3Config) []Table3Row {
 			},
 		}
 	}
-	results, err := sim.RunLockstep(jobs, sim.BatchOptions{Workers: tc.Workers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runAlone(t, jobs)
 	rows := make([]Table3Row, 0, len(results))
 	var baseline units.Joule
 	for i, res := range results {
@@ -97,7 +111,7 @@ func TestTable3MatchesLegacy(t *testing.T) {
 }
 
 // legacyFig3 is the pre-refactor Fig3 engine invocation: per-variant fan
-// controllers built by hand and run through sim.RunBatch.
+// controllers built by hand.
 func legacyFig3(t *testing.T, fc Fig3Config) []*sim.Result {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -152,11 +166,7 @@ func legacyFig3(t *testing.T, fc Fig3Config) []*sim.Result {
 			},
 		}
 	}
-	results, err := sim.RunBatch(jobs, sim.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results
+	return runAlone(t, jobs)
 }
 
 func TestFig3MatchesLegacyBatch(t *testing.T) {
@@ -195,7 +205,7 @@ func TestFig3MatchesLegacyBatch(t *testing.T) {
 }
 
 // legacyFaults is the pre-refactor Faults: the fault pipeline assembled
-// by hand inside the job's ServerFactory, run through sim.RunBatch.
+// by hand inside the job's ServerFactory.
 func legacyFaults(t *testing.T, fc FaultConfig) *FaultResult {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -249,10 +259,7 @@ func legacyFaults(t *testing.T, fc FaultConfig) *FaultResult {
 			},
 		}
 	}
-	results, err := sim.RunBatch(jobs, sim.BatchOptions{Workers: fc.Workers})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runAlone(t, jobs)
 	return &FaultResult{Clean: results[0].Metrics, Faulted: results[1].Metrics}
 }
 

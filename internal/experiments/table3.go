@@ -114,8 +114,9 @@ func table3PolicyRefs() []scenario.FactoryRef {
 }
 
 // Table3Spec builds the declarative comparison: the five solutions share
-// one clock and one demand trace, so the spec is a lockstep cohort — the
-// runner compiles the trace once for all of them.
+// one demand trace, which the runner compiles once for all of them. The
+// kind stays KindLockstep, an alias of KindBatch, so the store key does
+// not move.
 func Table3Spec(tc Table3Config) scenario.Spec {
 	wref := table3WorkloadRef(tc)
 	prefs := table3PolicyRefs()
@@ -171,8 +172,8 @@ func table3RowsFromUnits(unitRows []scenario.Unit) []Table3Row {
 }
 
 // Table3 runs the five Table III solutions through the scenario runner
-// (one warm lockstep cohort, bit-identical to the historical RunBatch
-// implementation) and normalizes fan energy to the uncoordinated
+// (one warm lockstep batch, bit-identical to running each solution alone
+// through sim.Run) and normalizes fan energy to the uncoordinated
 // baseline (row 1).
 func Table3(tc Table3Config) (*Table3Result, error) {
 	if tc.Duration <= 0 {

@@ -11,7 +11,7 @@ import (
 // Table3MC is the multi-seed Monte Carlo variant of Table III: the same
 // five solutions evaluated across N independent workload-noise seeds, as
 // one scenario whose (seed, solution) jobs all advance through a single
-// warm lockstep cohort. It reports each solution's mean ± population
+// warm lockstep batch. It reports each solution's mean ± population
 // stddev across seeds, turning the paper's single-draw table into a
 // sampling distribution — one number per cell stops being a coin flip.
 //

@@ -1,21 +1,9 @@
-// Package filter provides the streaming signal filters used by the
-// predictive set-point scheduler (moving-average utilization prediction,
-// Sec. V-B of the paper, following Coskun et al. [19]) and by the sensing
-// pipeline (rate limiting, smoothing).
-//
-// Every filter implements Filter: a stateful sample-in/sample-out stage.
-// Filters are deliberately simple and allocation-free per sample.
+// Package filter provides the moving-average utilization predictor of the
+// predictive set-point scheduler (Sec. V-B of the paper, following Coskun
+// et al. [19]). The filters are allocation-free per sample.
 package filter
 
 import "fmt"
-
-// Filter is a streaming single-input single-output filter stage.
-type Filter interface {
-	// Update consumes one input sample and returns the filter output.
-	Update(x float64) float64
-	// Reset returns the filter to its initial state.
-	Reset()
-}
 
 // MovingAverage is a fixed-window arithmetic-mean filter. Before the window
 // fills it averages the samples seen so far.
@@ -35,7 +23,7 @@ func NewMovingAverage(n int) *MovingAverage {
 	return &MovingAverage{window: make([]float64, n)}
 }
 
-// Update implements Filter.
+// Update consumes one sample and returns the mean of the window.
 func (m *MovingAverage) Update(x float64) float64 {
 	if m.count < len(m.window) {
 		m.count++
@@ -48,191 +36,12 @@ func (m *MovingAverage) Update(x float64) float64 {
 	return m.sum / float64(m.count)
 }
 
-// Reset implements Filter.
+// Reset empties the window.
 func (m *MovingAverage) Reset() {
 	for i := range m.window {
 		m.window[i] = 0
 	}
 	m.next, m.count, m.sum = 0, 0, 0
-}
-
-// Len returns the configured window length.
-func (m *MovingAverage) Len() int { return len(m.window) }
-
-// Filled reports whether the window has seen at least Len samples.
-func (m *MovingAverage) Filled() bool { return m.count == len(m.window) }
-
-// EWMA is an exponentially weighted moving average:
-// y[k] = alpha*x[k] + (1-alpha)*y[k-1], seeded with the first sample.
-type EWMA struct {
-	alpha  float64
-	value  float64
-	primed bool
-}
-
-// NewEWMA returns an EWMA filter with smoothing factor alpha in (0, 1].
-// It panics for alpha outside that interval.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("filter: EWMA alpha %v outside (0, 1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Update implements Filter.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.primed {
-		e.value, e.primed = x, true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Reset implements Filter.
-func (e *EWMA) Reset() { e.value, e.primed = 0, false }
-
-// Median is a fixed-window streaming median filter, robust against the
-// single-sample spikes that Gaussian measurement noise produces.
-type Median struct {
-	window []float64
-	sorted []float64
-	next   int
-	count  int
-}
-
-// NewMedian returns a median filter over n samples. It panics if n < 1.
-func NewMedian(n int) *Median {
-	if n < 1 {
-		panic(fmt.Sprintf("filter: median window %d < 1", n))
-	}
-	return &Median{window: make([]float64, n), sorted: make([]float64, 0, n)}
-}
-
-// Update implements Filter.
-func (m *Median) Update(x float64) float64 {
-	if m.count < len(m.window) {
-		m.count++
-		m.sorted = insertSorted(m.sorted, x)
-	} else {
-		old := m.window[m.next]
-		m.sorted = removeSorted(m.sorted, old)
-		m.sorted = insertSorted(m.sorted, x)
-	}
-	m.window[m.next] = x
-	m.next = (m.next + 1) % len(m.window)
-	n := len(m.sorted)
-	if n%2 == 1 {
-		return m.sorted[n/2]
-	}
-	return (m.sorted[n/2-1] + m.sorted[n/2]) / 2
-}
-
-// Reset implements Filter.
-func (m *Median) Reset() {
-	m.next, m.count = 0, 0
-	m.sorted = m.sorted[:0]
-}
-
-func insertSorted(s []float64, x float64) []float64 {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = x
-	return s
-}
-
-func removeSorted(s []float64, x float64) []float64 {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	// lo is the first index >= x; it must equal x since x was inserted.
-	copy(s[lo:], s[lo+1:])
-	return s[:len(s)-1]
-}
-
-// RateLimiter bounds the per-sample change of a signal: the output moves
-// toward the input by at most maxStep per Update. It models actuator slew
-// (the fan cannot jump instantaneously between speeds).
-type RateLimiter struct {
-	maxStep float64
-	value   float64
-	primed  bool
-}
-
-// NewRateLimiter returns a rate limiter allowing at most maxStep change per
-// sample. It panics if maxStep <= 0.
-func NewRateLimiter(maxStep float64) *RateLimiter {
-	if maxStep <= 0 {
-		panic(fmt.Sprintf("filter: rate limit %v <= 0", maxStep))
-	}
-	return &RateLimiter{maxStep: maxStep}
-}
-
-// Update implements Filter.
-func (r *RateLimiter) Update(x float64) float64 {
-	if !r.primed {
-		r.value, r.primed = x, true
-		return x
-	}
-	d := x - r.value
-	switch {
-	case d > r.maxStep:
-		r.value += r.maxStep
-	case d < -r.maxStep:
-		r.value -= r.maxStep
-	default:
-		r.value = x
-	}
-	return r.value
-}
-
-// Reset implements Filter.
-func (r *RateLimiter) Reset() { r.value, r.primed = 0, false }
-
-// Chain composes filters in sequence: the output of stage i feeds stage
-// i+1. An empty chain is the identity.
-type Chain struct {
-	stages []Filter
-}
-
-// NewChain returns a Chain over the given stages.
-func NewChain(stages ...Filter) *Chain { return &Chain{stages: stages} }
-
-// Update implements Filter.
-func (c *Chain) Update(x float64) float64 {
-	for _, s := range c.stages {
-		x = s.Update(x)
-	}
-	return x
-}
-
-// Reset implements Filter.
-func (c *Chain) Reset() {
-	for _, s := range c.stages {
-		s.Reset()
-	}
-}
-
-// Predictor forecasts the next sample of a signal. The set-point scheduler
-// uses it for utilization prediction.
-type Predictor interface {
-	// Observe records one sample and returns the prediction for the next.
-	Observe(x float64) float64
 }
 
 // MAPredictor predicts the next sample as the moving average of the last n
@@ -245,17 +54,10 @@ type MAPredictor struct {
 // NewMAPredictor returns a moving-average predictor over n samples.
 func NewMAPredictor(n int) *MAPredictor { return &MAPredictor{ma: NewMovingAverage(n)} }
 
-// Observe implements Predictor.
+// Observe records one sample and returns the prediction for the next.
 func (p *MAPredictor) Observe(x float64) float64 { return p.ma.Update(x) }
 
 // Reset clears the predictor's window in place — indistinguishable from a
 // freshly constructed predictor, without the allocation (policy Reset sits
 // on the warm batch re-step path).
 func (p *MAPredictor) Reset() { p.ma.Reset() }
-
-// LastValuePredictor predicts the next sample to equal the current one
-// (the naive baseline the moving-average predictor is compared against).
-type LastValuePredictor struct{}
-
-// Observe implements Predictor.
-func (LastValuePredictor) Observe(x float64) float64 { return x }

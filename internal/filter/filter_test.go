@@ -2,7 +2,6 @@ package filter
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -22,24 +21,6 @@ func TestMovingAverageBasics(t *testing.T) {
 		if got := m.Update(s.in); math.Abs(got-s.want) > 1e-12 {
 			t.Errorf("step %d: Update(%v) = %v, want %v", i, s.in, got, s.want)
 		}
-	}
-}
-
-func TestMovingAverageFilled(t *testing.T) {
-	m := NewMovingAverage(2)
-	if m.Filled() {
-		t.Error("fresh filter reports filled")
-	}
-	m.Update(1)
-	if m.Filled() {
-		t.Error("half-full filter reports filled")
-	}
-	m.Update(2)
-	if !m.Filled() {
-		t.Error("full filter reports unfilled")
-	}
-	if m.Len() != 2 {
-		t.Errorf("Len = %d", m.Len())
 	}
 }
 
@@ -93,198 +74,6 @@ func TestMovingAverageBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if got := e.Update(10); got != 10 {
-		t.Errorf("first sample = %v, want 10 (seeded)", got)
-	}
-	if got := e.Update(0); got != 5 {
-		t.Errorf("second = %v, want 5", got)
-	}
-	if got := e.Update(0); got != 2.5 {
-		t.Errorf("third = %v, want 2.5", got)
-	}
-	e.Reset()
-	if got := e.Update(7); got != 7 {
-		t.Errorf("after reset = %v, want 7", got)
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.2)
-	var got float64
-	for i := 0; i < 200; i++ {
-		got = e.Update(3.5)
-	}
-	if math.Abs(got-3.5) > 1e-9 {
-		t.Errorf("EWMA of constant = %v, want 3.5", got)
-	}
-}
-
-func TestEWMAPanicsOnBadAlpha(t *testing.T) {
-	for _, a := range []float64{0, -0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) did not panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
-func TestMedianOddWindow(t *testing.T) {
-	m := NewMedian(3)
-	steps := []struct{ in, want float64 }{
-		{5, 5},
-		{1, 3}, // [5 1] -> mean of two
-		{9, 5}, // [5 1 9] -> 5
-		{2, 2}, // [1 9 2] -> 2
-		{2, 2}, // [9 2 2] -> 2
-	}
-	for i, s := range steps {
-		if got := m.Update(s.in); got != s.want {
-			t.Errorf("step %d: Update(%v) = %v, want %v", i, s.in, got, s.want)
-		}
-	}
-}
-
-func TestMedianSuppressesSpike(t *testing.T) {
-	m := NewMedian(5)
-	for i := 0; i < 5; i++ {
-		m.Update(10)
-	}
-	if got := m.Update(1000); got != 10 {
-		t.Errorf("median after single spike = %v, want 10", got)
-	}
-}
-
-func TestMedianMatchesSortReference(t *testing.T) {
-	f := func(raw []float64) bool {
-		var xs []float64
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, math.Mod(x, 1e6))
-			}
-		}
-		m := NewMedian(7)
-		var win []float64
-		for _, x := range xs {
-			win = append(win, x)
-			if len(win) > 7 {
-				win = win[1:]
-			}
-			got := m.Update(x)
-			ref := append([]float64(nil), win...)
-			sort.Float64s(ref)
-			var want float64
-			n := len(ref)
-			if n%2 == 1 {
-				want = ref[n/2]
-			} else {
-				want = (ref[n/2-1] + ref[n/2]) / 2
-			}
-			if math.Abs(got-want) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMedianReset(t *testing.T) {
-	m := NewMedian(3)
-	m.Update(1)
-	m.Update(2)
-	m.Reset()
-	if got := m.Update(9); got != 9 {
-		t.Errorf("after reset = %v, want 9", got)
-	}
-}
-
-func TestRateLimiter(t *testing.T) {
-	r := NewRateLimiter(10)
-	if got := r.Update(100); got != 100 {
-		t.Errorf("first sample = %v, want 100 (primed)", got)
-	}
-	if got := r.Update(200); got != 110 {
-		t.Errorf("limited up-step = %v, want 110", got)
-	}
-	if got := r.Update(50); got != 100 {
-		t.Errorf("limited down-step = %v, want 100", got)
-	}
-	if got := r.Update(103); got != 103 {
-		t.Errorf("small step = %v, want 103", got)
-	}
-}
-
-func TestRateLimiterConvergesEventually(t *testing.T) {
-	r := NewRateLimiter(5)
-	r.Update(0)
-	var got float64
-	for i := 0; i < 100; i++ {
-		got = r.Update(42)
-	}
-	if got != 42 {
-		t.Errorf("did not converge: %v", got)
-	}
-}
-
-func TestRateLimiterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRateLimiter(0) did not panic")
-		}
-	}()
-	NewRateLimiter(0)
-}
-
-func TestRateLimiterStepBoundProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		r := NewRateLimiter(3)
-		prev := math.NaN()
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			x = math.Mod(x, 1e6)
-			got := r.Update(x)
-			if !math.IsNaN(prev) && math.Abs(got-prev) > 3+1e-9 {
-				return false
-			}
-			prev = got
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestChain(t *testing.T) {
-	c := NewChain(NewEWMA(1), NewRateLimiter(5))
-	// EWMA with alpha=1 is identity, so the chain acts as the rate limiter.
-	c.Update(0)
-	if got := c.Update(100); got != 5 {
-		t.Errorf("chain = %v, want 5", got)
-	}
-	c.Reset()
-	if got := c.Update(7); got != 7 {
-		t.Errorf("after reset = %v, want 7", got)
-	}
-}
-
-func TestEmptyChainIsIdentity(t *testing.T) {
-	c := NewChain()
-	if got := c.Update(3.14); got != 3.14 {
-		t.Errorf("empty chain = %v", got)
-	}
-}
-
 func TestMAPredictorTracksMean(t *testing.T) {
 	p := NewMAPredictor(4)
 	var got float64
@@ -311,12 +100,5 @@ func TestMAPredictorFiltersNoise(t *testing.T) {
 	}
 	if math.Abs(got-0.5) > 0.02 {
 		t.Errorf("noisy prediction = %v, want ~0.5", got)
-	}
-}
-
-func TestLastValuePredictor(t *testing.T) {
-	var p LastValuePredictor
-	if got := p.Observe(0.42); got != 0.42 {
-		t.Errorf("LastValuePredictor = %v", got)
 	}
 }

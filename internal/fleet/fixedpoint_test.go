@@ -10,9 +10,9 @@ import (
 )
 
 // naiveRun reimplements the pre-lockstep relaxation loop — every pass
-// rebuilds every node (server, workload generator, policy) and runs a
-// fresh sim.RunBatch, recording only on the final pass — as the reference
-// the warm-instance rewrite must match bit for bit.
+// rebuilds every node (server, workload generator, policy) and runs each
+// node alone through sim.Run, recording only on the final pass — as the
+// reference the warm-instance rewrite must match bit for bit.
 func naiveRun(t *testing.T, c Config) *Result {
 	t.Helper()
 	if err := c.Validate(); err != nil {
@@ -27,12 +27,11 @@ func naiveRun(t *testing.T, c Config) *Result {
 		}
 	}
 	meanPower := make([]units.Watt, len(c.Nodes))
-	var results []*sim.Result
+	results := make([]*sim.Result, len(c.Nodes))
 	var inlets []units.Celsius
 	for p := 0; p < passes; p++ {
 		inlets = c.Inlets(meanPower)
 		final := p == passes-1
-		jobs := make([]sim.Job, len(c.Nodes))
 		for i, n := range c.Nodes {
 			cfg := n.Config
 			cfg.Ambient = inlets[i]
@@ -47,30 +46,26 @@ func naiveRun(t *testing.T, c Config) *Result {
 			if err != nil {
 				t.Fatal(err)
 			}
-			server := sim.Factory(cfg)
+			build := sim.NewPhysicalServer
 			if n.Server != nil {
-				hook, hookCfg := n.Server, cfg
-				server = func() (*sim.PhysicalServer, error) { return hook(hookCfg) }
+				build = n.Server
 			}
-			jobs[i] = sim.Job{
-				Name:   n.Name,
-				Server: server,
-				Config: sim.RunConfig{
-					Duration:    c.Duration,
-					Workload:    gen,
-					Policy:      pol,
-					Record:      final && c.Record,
-					RecordPower: final,
-					WarmStart:   n.WarmStart,
-				},
+			server, err := build(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		var err error
-		results, err = sim.RunBatch(jobs, sim.BatchOptions{Workers: c.Workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range results {
+			r, err := sim.Run(server, sim.RunConfig{
+				Duration:    c.Duration,
+				Workload:    gen,
+				Policy:      pol,
+				Record:      final && c.Record,
+				RecordPower: final,
+				WarmStart:   n.WarmStart,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[i] = r
 			meanPower[i] = units.Watt(float64(r.Metrics.CPUEnergy+r.Metrics.FanEnergy) / float64(c.Duration))
 		}
 	}

@@ -21,8 +21,8 @@
 // precompiled once per Run, and each relaxation pass re-steps the same
 // instance with updated inlets and fresh policies. The rack inherits the
 // batch engine's guarantees — results are order-stable, bit-identical
-// between Workers = 1 and Workers = N (and to per-pass sim.RunBatch
-// rebuilds), and -race clean.
+// between Workers = 1 and Workers = N (and to rebuilding every node each
+// pass and running it alone through sim.Run), and -race clean.
 package fleet
 
 import (

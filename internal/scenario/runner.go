@@ -14,11 +14,10 @@ import (
 
 // Run executes a scenario: validate, dispatch to the kind's runner, and
 // return the normalized Outcome. Engine selection is the runner's job —
-// sim-kind scenarios advance through one warm sim.Lockstep instance when
-// every job shares the clock (always true for a spec-level horizon) and
-// fall back to sim.RunBatch otherwise; fleet scenarios resolve the shared
-// inlet field through fleet.Run; multicore scenarios use multicore.Run.
-// Results are bit-identical at any Workers value.
+// multi-job sim scenarios advance through one warm sim.Lockstep instance;
+// fleet scenarios resolve the shared inlet field through fleet.Run;
+// multicore scenarios use multicore.Run. Results are bit-identical at any
+// Workers value.
 func Run(s Spec) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -55,8 +54,8 @@ func AddSimTicks(n int64) { simTicksRun.Add(n) }
 
 func init() {
 	RegisterKind(KindSingle, "one closed-loop run (sim.Run)", runSingle)
-	RegisterKind(KindBatch, "concurrent jobs, auto engine (lockstep or batch)", runSimBatch)
-	RegisterKind(KindLockstep, "concurrent jobs, lockstep engine asserted", runSimBatch)
+	RegisterKind(KindBatch, "concurrent jobs (sim.Lockstep)", runSimBatch)
+	RegisterKind(KindLockstep, "alias of batch, kept for its store keys", runSimBatch)
 	RegisterKind(KindFleet, "rack with shared inlet field (fleet.Run)", runFleet)
 	RegisterKind(KindFleetCoord, "rack under the global coordinator (fleet.RunCoordinated)", runFleetCoord)
 	RegisterKind(KindMulticore, "three-controller N-core run (multicore.Run)", runMulticore)
@@ -214,32 +213,21 @@ func runSingle(s Spec) (*Outcome, error) {
 	return simOutcome(s.Kind, jobs, polNames, []*sim.Result{res}), nil
 }
 
-// runSimBatch executes a multi-job scenario. KindBatch auto-selects the
-// engine through sim.RunLockstep (one warm lockstep instance when the
-// jobs share tick and duration — bit-identical to RunBatch — with a
-// RunBatch fallback otherwise); KindLockstep asserts lockstep eligibility
-// instead of falling back.
+// runSimBatch executes a KindBatch or KindLockstep scenario as one
+// lockstep batch, bit-identical to running each job alone through sim.Run.
+// A job that cannot be built fails the scenario before any job steps.
 func runSimBatch(s Spec) (*Outcome, error) {
 	jobs, polNames, err := s.buildSimJobs()
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.BatchOptions{Workers: s.Workers}
-	var results []*sim.Result
-	if s.Kind == KindLockstep {
-		ls, err := sim.NewLockstep(jobs, opts)
-		if err != nil {
-			return nil, err
-		}
-		results, err = ls.Run()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		results, err = sim.RunLockstep(jobs, opts)
-		if err != nil {
-			return nil, err
-		}
+	ls, err := sim.NewLockstep(jobs, sim.BatchOptions{Workers: s.Workers})
+	if err != nil {
+		return nil, err
+	}
+	results, err := ls.Run()
+	if err != nil {
+		return nil, err
 	}
 	return simOutcome(s.Kind, jobs, polNames, results), nil
 }

@@ -1,9 +1,8 @@
 // Package scenario is the unified experiment surface of the repository:
 // one declarative Spec describes any simulation the other layers can run —
-// a single closed-loop server, a homogeneous batch, a lockstep cohort, a
-// rack with a shared inlet field, or the multicore three-controller
-// scenario — and Run executes it on the fastest eligible engine and
-// returns one normalized Outcome.
+// a single closed-loop server, a batch of independent jobs, a rack with a
+// shared inlet field, or the multicore three-controller scenario — and
+// Run executes it on its kind's engine and returns one normalized Outcome.
 //
 // A Spec is plain data: platform configurations are embedded verbatim
 // (sim.Config, fleet parameters), while workloads and policies are named
@@ -38,12 +37,12 @@ import (
 const (
 	// KindSingle runs exactly one job on the plain engine (sim.Run).
 	KindSingle = "single"
-	// KindBatch runs the jobs concurrently, auto-selecting the engine:
-	// one warm sim.Lockstep instance when every job shares the clock
-	// (always true for spec-level Duration), sim.RunBatch otherwise.
+	// KindBatch runs the jobs concurrently as one warm sim.Lockstep
+	// batch; jobs may differ in platform, engine tick included.
 	KindBatch = "batch"
-	// KindLockstep is KindBatch with the lockstep engine asserted: the
-	// run fails instead of falling back when the jobs are heterogeneous.
+	// KindLockstep is an alias of KindBatch. The kind is part of a spec's
+	// store key, so it stays registered for the specs that name it
+	// (experiments.Table3Spec, Table3MCSpec) to keep their keys.
 	KindLockstep = "lockstep"
 	// KindFleet runs a rack through fleet.Run (shared inlet field,
 	// recirculation fixed point).

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fleet"
@@ -194,27 +195,84 @@ func mustWorkload(t *testing.T, ref FactoryRef, cfg sim.Config) workload.Generat
 	return g
 }
 
-// TestBatchKindsBitIdentical: the same jobs through single, batch and
-// lockstep kinds (and any worker count) produce identical unit metrics.
+// TestBatchKindsBitIdentical: every job of a batch or lockstep spec (at
+// any worker count) produces the unit metrics of the same job run as a
+// single spec — also when the jobs run on different engine ticks.
 func TestBatchKindsBitIdentical(t *testing.T) {
-	base := cheapSpec(27)
-	single, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []string{KindBatch, KindLockstep} {
-		for _, workers := range []int{0, 1, 2} {
-			s := cheapSpec(27)
-			s.Kind = kind
-			s.Workers = workers
-			out, err := Run(s)
+	tick2 := sim.Default()
+	tick2.Ambient = 27
+	tick2.Tick = 2
+	job := cheapSpec(27).Jobs[0]
+	mixed := []JobSpec{job, job}
+	mixed[1].Config = &tick2
+	for _, jobs := range [][]JobSpec{cheapSpec(27).Jobs, mixed} {
+		want := make([]sim.Metrics, len(jobs))
+		for i, j := range jobs {
+			single := cheapSpec(27)
+			single.Jobs = []JobSpec{j}
+			out, err := Run(single)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", kind, workers, err)
+				t.Fatal(err)
 			}
-			if got, want := SimMetrics(&out.Units[0]), SimMetrics(&single.Units[0]); got != want {
-				t.Errorf("%s workers=%d metrics differ:\n%+v\n%+v", kind, workers, got, want)
+			want[i] = SimMetrics(&out.Units[0])
+		}
+		for _, kind := range []string{KindBatch, KindLockstep} {
+			for _, workers := range []int{0, 1, 2} {
+				s := cheapSpec(27)
+				s.Kind = kind
+				s.Workers = workers
+				s.Jobs = jobs
+				out, err := Run(s)
+				if err != nil {
+					t.Fatalf("%s workers=%d jobs=%d: %v", kind, workers, len(jobs), err)
+				}
+				for i := range want {
+					if got := SimMetrics(&out.Units[i]); got != want[i] {
+						t.Errorf("%s workers=%d jobs=%d unit %d metrics differ:\n%+v\n%+v", kind, workers, len(jobs), i, got, want[i])
+					}
+				}
 			}
 		}
+	}
+}
+
+// countedSteps counts every Step of a "test-step-counter" policy.
+var countedSteps atomic.Int64
+
+// stepCounter holds the fan and counts its steps in countedSteps.
+type stepCounter struct{}
+
+func (stepCounter) Name() string { return "step-counter" }
+
+func (stepCounter) Step(sim.Observation) sim.Command {
+	countedSteps.Add(1)
+	return sim.Command{Fan: 3000, Cap: 1}
+}
+
+func (stepCounter) Reset() {}
+
+func init() {
+	RegisterPolicy("test-step-counter", "fan hold that counts its steps (tests)",
+		func(sim.Config, int64, Params) (sim.Policy, error) { return stepCounter{}, nil })
+}
+
+// TestBatchBadJobFailsBeforeAnyStep: a batch whose last job cannot build
+// its server fails before the healthy jobs simulate anything.
+func TestBatchBadJobFailsBeforeAnyStep(t *testing.T) {
+	bad := sim.Default()
+	bad.NSockets = 0
+	job := JobSpec{
+		Workload: FactoryRef{Name: "constant", Params: Params{"u": 0.6}},
+		Policy:   FactoryRef{Name: "test-step-counter"},
+	}
+	s := Spec{Kind: KindBatch, Name: "bad", Duration: 3600, Workers: 1, Jobs: []JobSpec{job, job, job}}
+	s.Jobs[2].Config = &bad
+	before := countedSteps.Load()
+	if _, err := Run(s); err == nil {
+		t.Fatal("batch with an unbuildable job succeeded")
+	}
+	if n := countedSteps.Load() - before; n != 0 {
+		t.Errorf("policies took %d steps before the batch failed, want 0", n)
 	}
 }
 

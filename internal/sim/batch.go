@@ -2,18 +2,19 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 )
 
-// This file is the parallel batch simulation engine: experiments that used
-// to run their scenarios one after another on one core (Table III's five
-// solutions, the Ziegler–Nichols region sweep, Monte Carlo seed fans) fan
-// out over a worker pool instead. Results are order-stable — job k's
-// result lands in slot k regardless of scheduling — and bit-identical to a
-// sequential run of the same jobs, because every job owns its server (via
-// ServerFactory), its policy, and all other mutable state.
+// This file holds the batch engine's job description and its worker-pool
+// primitive. Experiments that used to run their scenarios one after
+// another on one core (Table III's five solutions, Monte Carlo seed fans,
+// a rack's nodes) describe each run as a Job and hand the set to
+// NewLockstep (lockstep.go), which steps them concurrently. Results are
+// order-stable — job k's result lands in slot k regardless of scheduling
+// — and bit-identical to running each job alone through Run, because every
+// job owns its server (via ServerFactory), its policy, and all other
+// mutable state.
 //
 // Usage:
 //
@@ -21,7 +22,9 @@ import (
 //		{Name: "baseline", Server: factoryA, Config: rcA},
 //		{Name: "proposed", Server: factoryB, Config: rcB},
 //	}
-//	results, err := sim.RunBatch(jobs, sim.BatchOptions{})
+//	ls, err := sim.NewLockstep(jobs, sim.BatchOptions{})
+//	...
+//	results, err := ls.Run()
 //	// results[0] is "baseline", results[1] is "proposed".
 
 // ServerFactory builds a fresh PhysicalServer for one batch job. Each
@@ -41,8 +44,8 @@ type Job struct {
 	// Server builds the job's private platform. Required.
 	Server ServerFactory
 	// Config is the run to execute. Its Policy must not be shared with
-	// any other job in the batch: policies are stateful and RunBatch
-	// executes jobs concurrently. Workload generators are safe to share —
+	// any other job in the batch: policies are stateful and a Lockstep
+	// steps jobs concurrently. Workload generators are safe to share —
 	// they are deterministic and read-only during a run.
 	Config RunConfig
 }
@@ -55,7 +58,7 @@ type BatchOptions struct {
 	Workers int
 }
 
-// BatchError reports the first failed job of a batch (lowest job index).
+// BatchError reports the job that failed a batch.
 type BatchError struct {
 	Index int    // failing job's position in the jobs slice
 	Name  string // failing job's name
@@ -73,63 +76,12 @@ func (e *BatchError) Error() string {
 // Unwrap exposes the underlying job error.
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// RunBatch executes the jobs concurrently on a worker pool and returns one
-// Result per job, in job order. On failure it returns the results computed
-// so far (failed or skipped slots are nil) and a *BatchError for the
-// lowest-indexed failure. Results are deterministic: scheduling cannot
-// reorder or perturb them, so a parallel batch is bit-identical to running
-// the same jobs sequentially with fresh servers.
-func RunBatch(jobs []Job, opts BatchOptions) ([]*Result, error) {
-	results := make([]*Result, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
-	}
-	// Shared mutable state across jobs breaks both determinism and memory
-	// safety under -race; reject it up front instead of racing. Only
-	// pointer-typed policies can alias mutable state — value policies are
-	// copied into each job's interface and two equal values are distinct.
-	seen := make(map[Policy]int, len(jobs))
-	for i, j := range jobs {
-		if j.Server == nil {
-			return results, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("nil ServerFactory")}
-		}
-		if p := j.Config.Policy; p != nil && reflect.ValueOf(p).Kind() == reflect.Pointer {
-			if prev, dup := seen[p]; dup {
-				return results, &BatchError{
-					Index: i, Name: j.Name,
-					Err: fmt.Errorf("shares a Policy instance with job %d; give every job its own", prev),
-				}
-			}
-			seen[p] = i
-		}
-	}
-	errs := make([]error, len(jobs))
-	err := ParallelFor(len(jobs), opts.Workers, func(i int) {
-		server, err := jobs[i].Server()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i], errs[i] = Run(server, jobs[i].Config)
-	})
-	if err != nil {
-		return results, err
-	}
-	for i, e := range errs {
-		if e != nil {
-			return results, &BatchError{Index: i, Name: jobs[i].Name, Err: e}
-		}
-	}
-	return results, nil
-}
-
 // ParallelFor runs fn(0..n-1) across a pool of workers and blocks until
 // every call returns. Each index runs exactly once; fn must confine its
 // writes to per-index state (slot i of a result slice) for the output to
-// be deterministic. It is the low-level primitive under RunBatch, also
-// used directly by experiments whose unit of work is not a sim.Run (e.g.
-// the Ziegler–Nichols tuning sweep). Workers <= 0 means GOMAXPROCS. A
-// panicking fn is re-panicked on the calling goroutine.
+// be deterministic. Experiments whose unit of work is not a sim.Run (e.g.
+// the Ziegler–Nichols tuning sweep) use it directly. Workers <= 0 means
+// GOMAXPROCS. A panicking fn is re-panicked on the calling goroutine.
 func ParallelFor(n, workers int, fn func(i int)) error {
 	if n < 0 {
 		return fmt.Errorf("sim: negative iteration count %d", n)
@@ -184,19 +136,4 @@ func ParallelFor(n, workers int, fn func(i int)) error {
 		panic(panicked)
 	}
 	return nil
-}
-
-// Sweep builds n jobs with build(i) and runs them as one batch: a
-// convenience for one-axis parameter sweeps. The results are order-stable
-// against the sweep axis.
-func Sweep(n int, opts BatchOptions, build func(i int) (Job, error)) ([]*Result, error) {
-	jobs := make([]Job, n)
-	for i := 0; i < n; i++ {
-		j, err := build(i)
-		if err != nil {
-			return nil, fmt.Errorf("sim: building sweep job %d: %w", i, err)
-		}
-		jobs[i] = j
-	}
-	return RunBatch(jobs, opts)
 }

@@ -9,10 +9,11 @@
 // actuator.
 //
 // The tick loop is allocation-free after warm-up, and independent runs
-// (solution comparisons, seed sweeps, tuning experiments) execute
-// concurrently through the batch engine — see RunBatch, ParallelFor and
-// Sweep in batch.go. Batch results are order-stable and bit-identical to
-// sequential execution.
+// (solution comparisons, seed sweeps, a rack's nodes) execute concurrently
+// through the batch engine, a warm Lockstep (lockstep.go) over Jobs
+// (batch.go); ParallelFor serves work that is not a Run, such as tuning
+// sweeps. Batch results are order-stable and bit-identical to running
+// each job alone through Run.
 package sim
 
 import (

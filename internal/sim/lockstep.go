@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -12,24 +11,27 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the lockstep structure-of-arrays batch runner: where
-// RunBatch hands each job its own private simulation loop, a Lockstep
-// advances N same-shape servers over one horizon from a single warm
-// instance. Construction does all the expensive, pass-invariant work once
-// — servers are built, workload generators are precompiled into per-tick
-// demand schedules (deduplicated across jobs sharing a generator, e.g. the
-// five Table III solutions fed by one trace), and every result, metrics
-// accumulator and recorded series is preallocated — so re-stepping the
-// batch is allocation-free and skips the per-tick workload evaluation
-// entirely. The fleet layer's recirculation fixed point re-runs the same
-// rack with updated inlet temperatures every relaxation pass; holding one
-// warm Lockstep per rack turns each pass into a pure re-step.
+// This file is the batch engine: a Lockstep advances N simulations
+// (Table III's five solutions, a rack's nodes, a fault campaign's cells)
+// from a single warm instance. Construction does all the expensive,
+// pass-invariant work once — servers are built, workload generators are
+// precompiled into per-tick demand schedules (deduplicated across jobs
+// sharing a generator and clock, e.g. the five Table III solutions fed by
+// one trace), and every result, metrics accumulator and recorded series is
+// preallocated — so re-stepping the batch is allocation-free and skips the
+// per-tick workload evaluation entirely. The fleet layer's recirculation
+// fixed point re-runs the same rack with updated inlet temperatures every
+// relaxation pass; holding one warm Lockstep per rack turns each pass into
+// a pure re-step.
 //
-// Results are bit-identical to running the same jobs through RunBatch (or
-// sequentially): every lane owns its server and policy, performs exactly
-// the floating-point operations sim.Run would, in the same order, and no
-// lane reads another's state. Tests assert DeepEqual against RunBatch
-// across batch sizes and worker counts.
+// Every lane keeps its own clock — the engine tick of its server and the
+// tick count of its job's duration — so jobs with mixed ticks or durations
+// batch together. Results are bit-identical to running each job alone
+// through sim.Run on a fresh server: every lane owns its server and
+// policy, performs exactly the floating-point operations sim.Run would, in
+// the same order, and no lane reads another's state. Tests assert
+// DeepEqual against sequential Run across batch sizes, worker counts and
+// mixed clocks.
 //
 // Schedule: lanes are sharded contiguously over the workers, and each
 // worker steps its lanes one at a time, each through its whole horizon
@@ -41,16 +43,6 @@ import (
 // than two lanes per worker), which runs beside its neighbour throughout.
 // A worker that finishes its shard takes the rest of another from its far
 // end (see runShared).
-//
-// Eligibility: all jobs must share one engine tick and one duration, so
-// one tick length and tick count serve every lane. NewLockstep reports
-// ErrHeterogeneous otherwise; RunLockstep is the drop-in entry point that
-// falls back to RunBatch in that case.
-
-// ErrHeterogeneous reports a job set the lockstep runner cannot batch on
-// one clock (mixed engine ticks or durations). Callers fall back to
-// RunBatch, which has no such constraint.
-var ErrHeterogeneous = errors.New("sim: jobs not lockstep-eligible (mixed tick or duration)")
 
 // lane is one server's slot in the lockstep batch.
 type lane struct {
@@ -58,6 +50,10 @@ type lane struct {
 	server *PhysicalServer
 	policy Policy
 	warm   *WarmPoint
+	// tick and nTicks are the lane's clock: its server's engine tick and
+	// the number of ticks in its job's duration.
+	tick   units.Seconds
+	nTicks int
 	demand []units.Utilization // precompiled schedule, one entry per tick
 	// scale multiplies the precompiled schedule at step time (results
 	// clamped to [0, 1]); 1 leaves the schedule untouched bit for bit. The
@@ -91,13 +87,10 @@ type lane struct {
 	sumDem   float64
 }
 
-// Lockstep is a warm batch of same-clock simulations. Build one with
-// NewLockstep, run it with Run, and re-step it after adjusting per-lane
-// ambients or policies (SetAmbient, SetPolicy) — construction work is
-// never repeated.
+// Lockstep is a warm batch of simulations. Build one with NewLockstep,
+// run it with Run, and re-step it after adjusting per-lane ambients or
+// policies (SetAmbient, SetPolicy) — construction work is never repeated.
 type Lockstep struct {
-	tick    units.Seconds
-	nTicks  int
 	workers int
 	lanes   []lane
 	results []*Result
@@ -105,10 +98,10 @@ type Lockstep struct {
 
 // NewLockstep builds a warm lockstep batch from the jobs: servers are
 // constructed (one per job, via its factory), demand schedules are
-// precompiled, and all result storage is preallocated. It returns
-// ErrHeterogeneous when the jobs do not share one tick and duration, and a
-// *BatchError for per-job defects (nil factory, nil workload or policy,
-// aliased policies, non-positive duration) — mirroring RunBatch's checks.
+// precompiled, and all result storage is preallocated. A per-job defect
+// (nil factory, nil workload or policy, aliased policies, non-positive
+// duration, a server its factory cannot build) is reported as a
+// *BatchError naming the failing job, before any lane steps.
 func NewLockstep(jobs []Job, opts BatchOptions) (*Lockstep, error) {
 	if len(jobs) == 0 {
 		return &Lockstep{results: []*Result{}}, nil
@@ -136,9 +129,6 @@ func NewLockstep(jobs []Job, opts BatchOptions) (*Lockstep, error) {
 			}
 			seen[p] = i
 		}
-		if j.Config.Duration != jobs[0].Config.Duration {
-			return nil, ErrHeterogeneous
-		}
 	}
 
 	ls := &Lockstep{
@@ -146,17 +136,11 @@ func NewLockstep(jobs []Job, opts BatchOptions) (*Lockstep, error) {
 		lanes:   make([]lane, len(jobs)),
 		results: make([]*Result, len(jobs)),
 	}
-	schedules := make(map[workload.Generator][]units.Utilization, len(jobs))
+	schedules := make(map[scheduleKey][]units.Utilization, len(jobs))
 	for i, j := range jobs {
 		server, err := j.Server()
 		if err != nil {
 			return nil, &BatchError{Index: i, Name: j.Name, Err: err}
-		}
-		if i == 0 {
-			ls.tick = server.cfg.Tick
-			ls.nTicks = int(float64(j.Config.Duration) / float64(ls.tick))
-		} else if server.cfg.Tick != ls.tick {
-			return nil, ErrHeterogeneous
 		}
 		ln := &ls.lanes[i]
 		ln.name = j.Name
@@ -164,33 +148,44 @@ func NewLockstep(jobs []Job, opts BatchOptions) (*Lockstep, error) {
 		ln.policy = j.Config.Policy
 		ln.scale = 1
 		ln.warm = j.Config.WarmStart
+		ln.tick = server.cfg.Tick
+		ln.nTicks = int(float64(j.Config.Duration) / float64(ln.tick))
 		ln.record = j.Config.Record
 		ln.recordPower = j.Config.Record || j.Config.RecordPower
-		ln.demand = compileSchedule(schedules, j.Config.Workload, ls.nTicks, ls.tick)
+		ln.demand = compileSchedule(schedules, scheduleKey{j.Config.Workload, ln.tick, ln.nTicks})
 		ls.results[i] = &ln.result
 	}
 	return ls, nil
 }
 
-// compileSchedule evaluates gen at every tick into a demand schedule,
-// reusing an already-compiled schedule when the same generator instance
-// drives several jobs (generators are deterministic and read-only, so the
-// samples are shared safely). Only comparable generator types participate
-// in deduplication.
-func compileSchedule(cache map[workload.Generator][]units.Utilization,
-	gen workload.Generator, nTicks int, tick units.Seconds) []units.Utilization {
-	cmp := reflect.TypeOf(gen).Comparable()
+// scheduleKey identifies a compiled demand schedule: one generator sampled
+// on one clock. Lanes sharing a generator but not a clock (a different
+// tick or horizon) sample it at different instants and get their own
+// schedules.
+type scheduleKey struct {
+	gen    workload.Generator
+	tick   units.Seconds
+	nTicks int
+}
+
+// compileSchedule evaluates the key's generator at every tick of its clock
+// into a demand schedule, reusing an already-compiled schedule when the
+// same generator instance drives several jobs on the same clock
+// (generators are deterministic and read-only, so the samples are shared
+// safely). Only comparable generator types participate in deduplication.
+func compileSchedule(cache map[scheduleKey][]units.Utilization, key scheduleKey) []units.Utilization {
+	cmp := reflect.TypeOf(key.gen).Comparable()
 	if cmp {
-		if s, ok := cache[gen]; ok {
+		if s, ok := cache[key]; ok {
 			return s
 		}
 	}
-	s := make([]units.Utilization, nTicks)
+	s := make([]units.Utilization, key.nTicks)
 	for k := range s {
-		s[k] = gen.At(units.Seconds(float64(k) * float64(tick)))
+		s[k] = key.gen.At(units.Seconds(float64(k) * float64(key.tick)))
 	}
 	if cmp {
-		cache[gen] = s
+		cache[key] = s
 	}
 	return s
 }
@@ -198,8 +193,15 @@ func compileSchedule(cache map[workload.Generator][]units.Utilization,
 // Len returns the number of lanes in the batch.
 func (ls *Lockstep) Len() int { return len(ls.lanes) }
 
-// Ticks returns the per-lane tick count of one run.
-func (ls *Lockstep) Ticks() int { return ls.nTicks }
+// Ticks returns the longest lane's tick count of one run — every lane's
+// count when the jobs share one clock.
+func (ls *Lockstep) Ticks() int {
+	n := 0
+	for i := range ls.lanes {
+		n = max(n, ls.lanes[i].nTicks)
+	}
+	return n
+}
 
 // SetAmbient re-homes lane i's platform at a new inlet temperature. The
 // next Run simulates from that operating point; an invalid combination
@@ -293,16 +295,16 @@ func (ls *Lockstep) ensureSeries(ln *lane) {
 		return
 	}
 	if ln.sPower == nil {
-		ln.sPower = trace.NewSeriesCap("total_power", ls.nTicks)
+		ln.sPower = trace.NewSeriesCap("total_power", ln.nTicks)
 	}
 	if ln.record && ln.tsFull == nil {
-		ln.sDemand = trace.NewSeriesCap("demand", ls.nTicks)
-		ln.sDeliv = trace.NewSeriesCap("delivered", ls.nTicks)
-		ln.sCap = trace.NewSeriesCap("cap", ls.nTicks)
-		ln.sFanCmd = trace.NewSeriesCap("fan_cmd", ls.nTicks)
-		ln.sFanAct = trace.NewSeriesCap("fan_actual", ls.nTicks)
-		ln.sJunc = trace.NewSeriesCap("junction", ls.nTicks)
-		ln.sMeas = trace.NewSeriesCap("measured", ls.nTicks)
+		ln.sDemand = trace.NewSeriesCap("demand", ln.nTicks)
+		ln.sDeliv = trace.NewSeriesCap("delivered", ln.nTicks)
+		ln.sCap = trace.NewSeriesCap("cap", ln.nTicks)
+		ln.sFanCmd = trace.NewSeriesCap("fan_cmd", ln.nTicks)
+		ln.sFanAct = trace.NewSeriesCap("fan_actual", ln.nTicks)
+		ln.sJunc = trace.NewSeriesCap("junction", ln.nTicks)
+		ln.sMeas = trace.NewSeriesCap("measured", ln.nTicks)
 		ts := trace.NewSet()
 		for _, s := range []*trace.Series{ln.sDemand, ln.sDeliv, ln.sCap, ln.sFanCmd, ln.sFanAct, ln.sJunc, ln.sMeas} {
 			ts.Add(s)
@@ -359,7 +361,7 @@ func (ls *Lockstep) reset(ln *lane) error {
 // tick, metrics accumulation — the body of sim.Run's loop, with the
 // workload query replaced by the precompiled schedule.
 func (ls *Lockstep) step(ln *lane, k int) {
-	t := units.Seconds(float64(k) * float64(ls.tick))
+	t := units.Seconds(float64(k) * float64(ln.tick))
 	demand := ln.demand[k]
 	if ln.scale != 1 {
 		demand = units.Utilization(float64(demand) * ln.scale)
@@ -421,9 +423,9 @@ func (ls *Lockstep) step(ln *lane, k int) {
 // sim.Run does after its loop.
 func (ls *Lockstep) finalize(ln *lane) {
 	m := &ln.result.Metrics
-	m.Ticks = ls.nTicks
-	if ls.nTicks > 0 {
-		n := float64(ls.nTicks)
+	m.Ticks = ln.nTicks
+	if ln.nTicks > 0 {
+		n := float64(ln.nTicks)
 		m.ViolationFrac = float64(ln.violated) / n
 		m.HWThrottleFrac = float64(ln.hwThrot) / n
 		m.MeanJunction = units.Celsius(ln.sumJunc / n)
@@ -437,7 +439,7 @@ func (ls *Lockstep) finalize(ln *lane) {
 // lanes this way, one at a time per worker (see the file comment).
 func (ls *Lockstep) runLane(i int) {
 	ln := &ls.lanes[i]
-	for k := 0; k < ls.nTicks; k++ {
+	for k := 0; k < ln.nTicks; k++ {
 		ls.step(ln, k)
 	}
 }
@@ -509,7 +511,8 @@ func (ls *Lockstep) runShared(workers int) {
 // Run executes one batch pass: every lane is reset (and warm-started) and
 // run through the horizon, and the per-lane results are returned in job
 // order. Lanes are sharded contiguously across the worker pool; results
-// are bit-identical at any worker count, and to RunBatch on the same jobs.
+// are bit-identical at any worker count, and to running each job alone
+// through sim.Run.
 //
 // The returned results (and their trace sets) are owned by the Lockstep
 // and remain valid until the next Run — callers that need to retain a pass
@@ -543,23 +546,4 @@ func (ls *Lockstep) Run() ([]*Result, error) {
 		ls.finalize(&ls.lanes[i])
 	}
 	return ls.results, nil
-}
-
-// RunLockstep executes the jobs through a one-shot lockstep batch when
-// they share one clock, falling back to RunBatch when they do not. Results
-// are bit-identical either way; the lockstep path evaluates each distinct
-// workload generator once instead of once per job per tick.
-func RunLockstep(jobs []Job, opts BatchOptions) ([]*Result, error) {
-	ls, err := NewLockstep(jobs, opts)
-	if err != nil {
-		var be *BatchError
-		if errors.Is(err, ErrHeterogeneous) || errors.As(err, &be) {
-			// Not eligible, or a per-job defect: degrade to RunBatch,
-			// which honors the partial-results contract (healthy jobs
-			// still produce results beside the *BatchError).
-			return RunBatch(jobs, opts)
-		}
-		return nil, err
-	}
-	return ls.Run()
 }

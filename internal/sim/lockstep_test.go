@@ -15,7 +15,7 @@ import (
 
 // feedbackPolicy is a stateful closed-loop test policy: it integrates the
 // measured temperature error toward a set-point and throttles on
-// violations, exercising every Observation field so a lockstep/batch
+// violations, exercising every Observation field so a lockstep/Run
 // divergence anywhere in the loop shows up in the results.
 type feedbackPolicy struct {
 	ref  units.Celsius
@@ -90,30 +90,100 @@ func lockstepJobs(t testing.TB, n int) []Job {
 	return jobs
 }
 
-// TestLockstepMatchesRunBatch: the lockstep runner must reproduce
-// RunBatch's results bit for bit — metrics and traces — across batch
-// sizes and worker counts.
-func TestLockstepMatchesRunBatch(t *testing.T) {
-	for _, n := range []int{1, 3, 8} {
-		want, err := RunBatch(lockstepJobs(t, n), BatchOptions{Workers: 1})
+// runAlone is the reference the lockstep engine must reproduce: each job
+// run alone through Run on a fresh server from its factory.
+func runAlone(t testing.TB, jobs []Job) []*Result {
+	t.Helper()
+	results := make([]*Result, len(jobs))
+	for i, j := range jobs {
+		server, err := j.Server()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4, 0} {
-			got, err := RunLockstep(lockstepJobs(t, n), BatchOptions{Workers: workers})
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			for i := range want {
-				if got[i].Metrics != want[i].Metrics {
-					t.Fatalf("n=%d workers=%d lane %d: lockstep metrics %+v != batch %+v",
-						n, workers, i, got[i].Metrics, want[i].Metrics)
-				}
-				if !reflect.DeepEqual(got[i].Traces, want[i].Traces) {
-					t.Fatalf("n=%d workers=%d lane %d: lockstep traces differ from batch", n, workers, i)
-				}
-			}
+		if results[i], err = Run(server, j.Config); err != nil {
+			t.Fatal(err)
 		}
+	}
+	return results
+}
+
+// runLockstep runs the jobs as one lockstep batch.
+func runLockstep(t testing.TB, jobs []Job, workers int) []*Result {
+	t.Helper()
+	ls, err := NewLockstep(jobs, BatchOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := ls.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// assertSameResults requires bit-identical metrics and traces lane by lane.
+func assertSameResults(t *testing.T, label string, got, want []*Result) {
+	t.Helper()
+	for i := range want {
+		if got[i].Metrics != want[i].Metrics {
+			t.Fatalf("%s lane %d: lockstep metrics %+v != Run %+v", label, i, got[i].Metrics, want[i].Metrics)
+		}
+		if !reflect.DeepEqual(got[i].Traces, want[i].Traces) {
+			t.Fatalf("%s lane %d: lockstep traces differ from Run", label, i)
+		}
+	}
+}
+
+// TestLockstepMatchesRun: the lockstep engine must reproduce each job run
+// alone through Run bit for bit — metrics and traces — across batch sizes
+// and worker counts.
+func TestLockstepMatchesRun(t *testing.T) {
+	for _, n := range []int{1, 3, 8} {
+		want := runAlone(t, lockstepJobs(t, n))
+		for _, workers := range []int{1, 2, 4, 0} {
+			got := runLockstep(t, lockstepJobs(t, n), workers)
+			assertSameResults(t, fmt.Sprintf("n=%d workers=%d", n, workers), got, want)
+		}
+	}
+}
+
+// TestLockstepMixedClocks: every lane runs on its own clock. Jobs with
+// mixed durations and engine ticks batch together, and one generator
+// instance shared across clocks is sampled on each lane's own instants
+// (the schedule cache must not hand one clock's samples to another).
+func TestLockstepMixedClocks(t *testing.T) {
+	mixed := func() []Job {
+		jobs := lockstepJobs(t, 5)
+		tick2 := Default()
+		tick2.Ambient = 30
+		tick2.Tick = 2
+		// Lanes 1, 3 and 4 share lane 0's generator on other clocks: lane 1
+		// over a shorter horizon, lane 3 every 2 s (as many ticks as lane
+		// 1), lane 4 over a longer horizon.
+		shared := jobs[0].Config.Workload
+		jobs[1].Config.Workload = shared
+		jobs[1].Config.Duration = 300
+		jobs[3].Server = Factory(tick2)
+		jobs[3].Config.Workload = shared
+		jobs[3].Config.Record = true
+		jobs[4].Config.Workload = shared
+		jobs[4].Config.Duration = 900
+		return jobs
+	}
+	want := runAlone(t, mixed())
+	for _, workers := range []int{1, 2} {
+		ls, err := NewLockstep(mixed(), BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ls.Ticks(); got != 900 {
+			t.Errorf("workers=%d: Ticks() = %d, want the longest lane's 900", workers, got)
+		}
+		got, err := ls.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }
 
@@ -351,10 +421,7 @@ func TestLockstepSetAmbientMatchesRebuild(t *testing.T) {
 		cfg.Ambient = inlets[i]
 		jobs[i].Server = Factory(cfg)
 	}
-	want, err := RunBatch(jobs, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runAlone(t, jobs)
 	for i := range want {
 		if got[i].Metrics != want[i].Metrics {
 			t.Fatalf("lane %d: re-homed metrics %+v != rebuilt %+v", i, got[i].Metrics, want[i].Metrics)
@@ -375,7 +442,7 @@ func TestLockstepSetAmbientRejectsInvalid(t *testing.T) {
 }
 
 // TestLockstepSharedScheduleDedupe: jobs driven by the same generator
-// instance share one precompiled schedule and still match RunBatch.
+// instance share one precompiled schedule and still match sequential Run.
 func TestLockstepSharedScheduleDedupe(t *testing.T) {
 	cfg := Default()
 	cfg.Ambient = 30
@@ -398,67 +465,36 @@ func TestLockstepSharedScheduleDedupe(t *testing.T) {
 		}
 		return jobs
 	}
-	want, err := RunBatch(mk(), BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunLockstep(mk(), BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Metrics != want[i].Metrics {
-			t.Fatalf("lane %d: shared-generator lockstep differs from batch", i)
-		}
-	}
+	assertSameResults(t, "shared generator", runLockstep(t, mk(), 1), runAlone(t, mk()))
 }
 
-// TestLockstepHeterogeneousFallsBack: mixed durations or ticks are not
-// lockstep-eligible; NewLockstep says so and RunLockstep transparently
-// degrades to RunBatch with identical results.
-func TestLockstepHeterogeneousFallsBack(t *testing.T) {
-	mixed := func() []Job {
-		jobs := lockstepJobs(t, 3)
-		jobs[2].Config.Duration = 450
-		return jobs
-	}
-	if _, err := NewLockstep(mixed(), BatchOptions{}); !errors.Is(err, ErrHeterogeneous) {
-		t.Fatalf("mixed durations: err = %v, want ErrHeterogeneous", err)
-	}
-	want, err := RunBatch(mixed(), BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunLockstep(mixed(), BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Metrics != want[i].Metrics {
-			t.Fatalf("lane %d: fallback results differ from RunBatch", i)
-		}
-	}
-
-	// Mixed engine ticks (only discoverable after construction).
-	ticky := lockstepJobs(t, 2)
-	cfg2 := Default()
-	cfg2.Tick = 2
-	ticky[1].Server = Factory(cfg2)
-	if _, err := NewLockstep(ticky, BatchOptions{}); !errors.Is(err, ErrHeterogeneous) {
-		t.Fatalf("mixed ticks: err = %v, want ErrHeterogeneous", err)
-	}
-}
-
-// TestLockstepRejectsSharedPolicy mirrors RunBatch's aliasing guard at
-// construction and through SetPolicy.
+// TestLockstepRejectsSharedPolicy: a pointer policy aliased by two jobs
+// is refused at construction (blaming the second job) and through
+// SetPolicy; two equal value policies are copies, not shared state, and
+// are accepted.
 func TestLockstepRejectsSharedPolicy(t *testing.T) {
-	jobs := lockstepJobs(t, 2)
 	shared := &feedbackPolicy{ref: 70, gain: 15, cap: 1}
-	jobs[0].Config.Policy = shared
-	jobs[1].Config.Policy = shared
-	var be *BatchError
-	if _, err := NewLockstep(jobs, BatchOptions{}); !errors.As(err, &be) {
-		t.Fatalf("shared policy accepted: %v", err)
+	for _, tc := range []struct {
+		name   string
+		p0, p1 Policy
+		reject bool
+	}{
+		{"shared-pointer", shared, shared, true},
+		{"equal-values", HoldPolicy{Fan: 2000}, HoldPolicy{Fan: 2000}, false},
+	} {
+		jobs := lockstepJobs(t, 2)
+		jobs[0].Config.Policy = tc.p0
+		jobs[1].Config.Policy = tc.p1
+		_, err := NewLockstep(jobs, BatchOptions{})
+		var be *BatchError
+		switch {
+		case !tc.reject && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.reject && !errors.As(err, &be):
+			t.Errorf("%s: accepted: err = %v", tc.name, err)
+		case tc.reject && be.Index != 1:
+			t.Errorf("%s: error blames job %d, want 1", tc.name, be.Index)
+		}
 	}
 
 	ls, err := NewLockstep(lockstepJobs(t, 2), BatchOptions{})
@@ -473,14 +509,17 @@ func TestLockstepRejectsSharedPolicy(t *testing.T) {
 	}
 }
 
-// TestLockstepConstructionErrors: per-job defects surface as *BatchError
-// with the failing index, like RunBatch.
+// TestLockstepConstructionErrors: per-job defects, including a server
+// its factory cannot build, surface as *BatchError with the failing index;
+// with two defective jobs the lower index is blamed.
 func TestLockstepConstructionErrors(t *testing.T) {
 	for name, mutate := range map[string]func([]Job){
 		"nil-factory":  func(js []Job) { js[1].Server = nil },
 		"nil-workload": func(js []Job) { js[1].Config.Workload = nil },
 		"nil-policy":   func(js []Job) { js[1].Config.Policy = nil },
 		"bad-duration": func(js []Job) { js[1].Config.Duration = -1 },
+		"bad-server":   func(js []Job) { js[1].Server = Factory(Config{}) },
+		"first-of-two": func(js []Job) { js[1].Config.Duration = -1; js[2].Config.Workload = nil },
 	} {
 		jobs := lockstepJobs(t, 3)
 		mutate(jobs)
@@ -490,25 +529,6 @@ func TestLockstepConstructionErrors(t *testing.T) {
 		} else if be.Index != 1 {
 			t.Errorf("%s: error blames job %d, want 1", name, be.Index)
 		}
-	}
-}
-
-// TestRunLockstepPartialResultsOnJobError: for per-job defects the
-// drop-in entry point degrades to RunBatch and preserves its contract —
-// healthy jobs still produce results beside the *BatchError.
-func TestRunLockstepPartialResultsOnJobError(t *testing.T) {
-	jobs := lockstepJobs(t, 3)
-	jobs[1].Config.Duration = -1
-	results, err := RunLockstep(jobs, BatchOptions{Workers: 1})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("defective job accepted: %v", err)
-	}
-	if be.Index != 1 {
-		t.Errorf("error blames job %d, want 1", be.Index)
-	}
-	if len(results) != 3 || results[0] == nil || results[2] == nil {
-		t.Error("healthy jobs lost their results on the error path")
 	}
 }
 
@@ -551,10 +571,7 @@ func TestLockstepDemandScale(t *testing.T) {
 		return jobs
 	}
 
-	base, err := RunLockstep(mkJobs(), BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runLockstep(t, mkJobs(), 1)
 
 	ls, err := NewLockstep(mkJobs(), BatchOptions{Workers: 1})
 	if err != nil {

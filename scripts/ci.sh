@@ -34,12 +34,12 @@ go test -run xxx -bench . -benchtime 1x -benchmem .
 # unreliable under the race detector), so assert it explicitly here.
 go test -run TestZeroAllocContracts .
 
-# Lockstep-vs-batch equivalence smoke: the lockstep engine must stay
-# bit-identical to RunBatch (and the fleet fixed point to its per-pass
-# rebuild reference, the coordinator to its budget/placement invariants)
-# — run those suites explicitly, without the race detector, so the
-# allocation bars are asserted too.
-go test -run 'Lockstep|FixedPoint|BatchNetwork|Coordinat|ArbitrateRack|Migrate' ./internal/sim ./internal/fleet ./internal/thermal ./internal/coord
+# Lockstep equivalence smoke: the lockstep engine must stay bit-identical
+# to running each job alone through sim.Run (and the fleet fixed point to
+# its per-pass rebuild reference, the coordinator to its budget/placement
+# invariants) — run those suites explicitly, without the race detector, so
+# the allocation bars are asserted too.
+go test -run 'Lockstep|FixedPoint|Coordinat|ArbitrateRack|Migrate' ./internal/sim ./internal/fleet ./internal/coord
 
 # Fleet-layer smoke: build and run the rack subcommand and the datacenter
 # example with fixed seeds on short horizons, and fail if either produces

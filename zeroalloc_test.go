@@ -174,49 +174,6 @@ func TestZeroAllocContracts(t *testing.T) {
 			},
 		},
 		{
-			// The lockstep SoA integrator (6 nodes × 8 lanes) after the
-			// first Step.
-			name: "batch-network-step",
-			runs: 100,
-			setup: func(t *testing.T) func() {
-				const nodes, lanes = 6, 8
-				bn, err := thermal.NewBatchNetwork(nodes, lanes, 25)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sink := nodes - 1
-				if err := bn.SetCapacitance(sink, 500); err != nil {
-					t.Fatal(err)
-				}
-				if err := bn.ConnectAmbient(sink, 0.05); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < sink; i++ {
-					if err := bn.SetCapacitance(i, 50); err != nil {
-						t.Fatal(err)
-					}
-					if err := bn.Connect(i, sink, 0.5); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for s := 0; s < lanes; s++ {
-					bn.SetAmbient(s, units.Celsius(20+float64(s)))
-					for i := 0; i < sink; i++ {
-						bn.SetLoad(i, s, units.Watt(5+float64(i)+0.25*float64(s)))
-						bn.SetTemperature(i, s, units.Celsius(25+0.5*float64(i)+0.1*float64(s)))
-					}
-				}
-				if err := bn.Step(1); err != nil {
-					t.Fatal(err)
-				}
-				return func() {
-					if err := bn.Step(1); err != nil {
-						t.Fatal(err)
-					}
-				}
-			},
-		},
-		{
 			// multicore.Server.Tick once the sensor rings have grown to
 			// steady size — TickResult reuses the per-server scratch
 			// buffers (the aliasing contract scratchalias enforces).
