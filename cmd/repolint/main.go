@@ -4,9 +4,10 @@
 // in comments: deterministic packages take time and randomness explicitly
 // (detsource), map iteration never shapes output or hashes (maporder),
 // workload factories never read cfg.Ambient (ambientread), scratch-
-// aliased tick results never outlive their tick (scratchalias), and every
+// aliased tick results never outlive their tick (scratchalias), every
 // field hashed into scenario store keys carries a deliberate json tag
-// (hashedfield).
+// (hashedfield), and every declaration under internal/ has a caller
+// outside the tests (testonly).
 //
 // Usage:
 //

@@ -134,10 +134,3 @@ func (a *AdaptivePID) Reset() {
 	a.pid.SetRefSpeed(a.regions[0].RefSpeed)
 	a.pid.SetGains(a.regions[0].Gains)
 }
-
-// ActiveRegion returns the index (into the sorted region table) whose
-// reference speed currently serves as the Eq. 4 offset.
-func (a *AdaptivePID) ActiveRegion() int { return a.active }
-
-// Regions returns a copy of the sorted region table.
-func (a *AdaptivePID) Regions() []Region { return append([]Region(nil), a.regions...) }

@@ -50,7 +50,7 @@ func TestAdaptiveSortsRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := a.Regions()
+	got := a.regions
 	if got[0].RefSpeed != 2000 || got[1].RefSpeed != 6000 {
 		t.Errorf("regions not sorted: %+v", got)
 	}
@@ -115,17 +115,17 @@ func TestAdaptivePairSwitchResetsIntegral(t *testing.T) {
 	if a.pid.errSum == 0 {
 		t.Fatal("integral did not accumulate")
 	}
-	if a.ActiveRegion() != 0 {
-		t.Fatalf("active pair = %d, want 0", a.ActiveRegion())
+	if a.active != 0 {
+		t.Fatalf("active pair = %d, want 0", a.active)
 	}
 	// Operating speed crosses into pair (1, 2): s_ref updates to the
 	// pair's lower bound and the integral resets (Sec. IV-B).
 	a.Decide(FanInputs{Meas: 77, Actual: 5500})
-	if a.ActiveRegion() != 1 {
-		t.Fatalf("active pair = %d, want 1", a.ActiveRegion())
+	if a.active != 1 {
+		t.Fatalf("active pair = %d, want 1", a.active)
 	}
-	if a.pid.RefSpeed() != 4000 {
-		t.Errorf("s_ref = %v, want 4000 after switch", a.pid.RefSpeed())
+	if a.pid.cfg.RefSpeed != 4000 {
+		t.Errorf("s_ref = %v, want 4000 after switch", a.pid.cfg.RefSpeed)
 	}
 	// errSum contains only the current step's error (reset happened
 	// before Decide's accumulation of +2).
@@ -141,11 +141,11 @@ func TestAdaptiveTwoRegionsNeverSwitch(t *testing.T) {
 	a := newTestAdaptive(t)
 	for _, s := range []units.RPM{1500, 2500, 4500, 5900, 7000} {
 		a.Decide(FanInputs{Meas: 77, Actual: s})
-		if a.ActiveRegion() != 0 {
+		if a.active != 0 {
 			t.Fatalf("pair switched at %v", s)
 		}
-		if a.pid.RefSpeed() != 2000 {
-			t.Fatalf("s_ref = %v at %v, want 2000", a.pid.RefSpeed(), s)
+		if a.pid.cfg.RefSpeed != 2000 {
+			t.Fatalf("s_ref = %v at %v, want 2000", a.pid.cfg.RefSpeed, s)
 		}
 	}
 	if math.Abs(a.pid.errSum-10) > 1e-9 {
@@ -169,10 +169,10 @@ func TestAdaptiveReset(t *testing.T) {
 	a := newTestAdaptive(t)
 	a.Decide(FanInputs{Meas: 80, Actual: 7000})
 	a.Reset()
-	if a.ActiveRegion() != 0 {
+	if a.active != 0 {
 		t.Error("Reset did not return to region 0")
 	}
-	if a.pid.RefSpeed() != 2000 {
+	if a.pid.cfg.RefSpeed != 2000 {
 		t.Error("Reset did not restore s_ref")
 	}
 	if a.pid.errSum != 0 || a.pid.primed {

@@ -6,40 +6,6 @@ import (
 	"repro/internal/units"
 )
 
-// SingleThreshold is the on/off fan controller of Sec. I: full speed above
-// the threshold, minimum speed below. The paper notes such controllers are
-// used "conservatively" in shipping servers and shows they are not stable
-// under non-ideal measurements.
-type SingleThreshold struct {
-	Threshold units.Celsius
-	Lim       Limits
-}
-
-// NewSingleThreshold validates and builds the controller.
-func NewSingleThreshold(threshold units.Celsius, lim Limits) (*SingleThreshold, error) {
-	if err := lim.Validate(); err != nil {
-		return nil, err
-	}
-	return &SingleThreshold{Threshold: threshold, Lim: lim}, nil
-}
-
-// Decide implements FanController.
-func (s *SingleThreshold) Decide(in FanInputs) units.RPM {
-	if in.Meas > s.Threshold {
-		return s.Lim.Max
-	}
-	return s.Lim.Min
-}
-
-// Reference implements FanController.
-func (s *SingleThreshold) Reference() units.Celsius { return s.Threshold }
-
-// SetReference implements FanController.
-func (s *SingleThreshold) SetReference(t units.Celsius) { s.Threshold = t }
-
-// Reset implements FanController (stateless).
-func (s *SingleThreshold) Reset() {}
-
 // Deadzone is the incremental deadzone fan controller whose oscillation
 // under a fixed workload the paper measures in Fig. 4: the speed steps up
 // when the measurement exceeds the upper threshold, steps down below the

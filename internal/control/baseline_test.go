@@ -6,36 +6,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestSingleThreshold(t *testing.T) {
-	s, err := NewSingleThreshold(75, testLimits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Decide(FanInputs{Meas: 80}); got != 8500 {
-		t.Errorf("hot output = %v, want max", got)
-	}
-	if got := s.Decide(FanInputs{Meas: 70}); got != 1000 {
-		t.Errorf("cool output = %v, want min", got)
-	}
-	if got := s.Decide(FanInputs{Meas: 75}); got != 1000 {
-		t.Errorf("at threshold = %v, want min (strict >)", got)
-	}
-	if s.Reference() != 75 {
-		t.Error("Reference wrong")
-	}
-	s.SetReference(70)
-	if s.Threshold != 70 {
-		t.Error("SetReference did not take")
-	}
-	s.Reset() // stateless, must not panic
-}
-
-func TestSingleThresholdValidation(t *testing.T) {
-	if _, err := NewSingleThreshold(75, Limits{Min: -1, Max: 100}); err == nil {
-		t.Error("bad limits accepted")
-	}
-}
-
 func TestDeadzoneValidation(t *testing.T) {
 	if _, err := NewDeadzone(75, 73, 100, testLimits); err == nil {
 		t.Error("inverted band accepted")

@@ -38,7 +38,7 @@ func NewCapper(low, high units.Celsius, step, minCap units.Utilization) (*Capper
 	return &Capper{Low: low, High: high, StepSize: step, MinCap: minCap}, nil
 }
 
-// Decide implements CapController. The step is taken from the currently
+// Decide proposes the cap for the next CPU decision period. The step is taken from the currently
 // applied cap, not from an internally remembered proposal: the coordinator
 // may have rejected the previous proposal, and stepping from the applied
 // value keeps the local law consistent with the platform.
@@ -59,5 +59,5 @@ func (c *Capper) Decide(in CapInputs) units.Utilization {
 	return cap
 }
 
-// Reset implements CapController (stateless).
+// Reset clears controller state (the capper is stateless).
 func (c *Capper) Reset() {}

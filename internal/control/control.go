@@ -1,9 +1,9 @@
 // Package control implements the local controllers of the paper: the
 // PID fan-speed controller of Eq. 4, its adaptive gain-scheduled variant
 // of Eqs. 8–9, the quantization-error elimination rule of Eq. 10, the
-// deadzone-like CPU utilization capper of Sec. III-A, and the simple
-// single-threshold and deadzone fan controllers the paper shows to be
-// unstable under non-ideal measurements (Fig. 4).
+// deadzone-like CPU utilization capper of Sec. III-A, and the deadzone fan
+// controller the paper shows to be unstable under non-ideal measurements
+// (Fig. 4).
 //
 // Controllers are invoked at their own decision period by the simulation
 // engine. They receive the DTM-visible (lagged, quantized) measurement and
@@ -42,14 +42,6 @@ type CapInputs struct {
 	T      units.Seconds     // simulation time
 	Meas   units.Celsius     // DTM-visible temperature
 	Actual units.Utilization // currently applied CPU cap
-}
-
-// CapController proposes a CPU utilization cap each CPU decision period.
-type CapController interface {
-	// Decide returns the proposed cap for the next period.
-	Decide(in CapInputs) units.Utilization
-	// Reset clears controller state.
-	Reset()
 }
 
 // Limits bounds a fan actuator.

@@ -65,9 +65,3 @@ func (g *QuantGuard) SetReference(t units.Celsius) { g.inner.SetReference(t) }
 
 // Reset implements FanController.
 func (g *QuantGuard) Reset() { g.inner.Reset() }
-
-// Step returns the configured quantization step |T_Q|.
-func (g *QuantGuard) Step() float64 { return g.tq }
-
-// Inner returns the wrapped controller.
-func (g *QuantGuard) Inner() FanController { return g.inner }

@@ -167,10 +167,10 @@ func TestQuantGuardWithoutGuardOscillates(t *testing.T) {
 
 func TestQuantGuardAccessors(t *testing.T) {
 	g, p := newGuarded(t)
-	if g.Step() != 1 {
+	if g.tq != 1 {
 		t.Error("Step wrong")
 	}
-	if g.Inner() != FanController(p) {
+	if g.inner != FanController(p) {
 		t.Error("Inner wrong")
 	}
 	if g.Reference() != 75 {

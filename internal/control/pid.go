@@ -155,18 +155,9 @@ func (p *PID) ObserveHold(meas units.Celsius) {
 // SetRefSpeed updates the linearization offset s_ref of Eq. 4.
 func (p *PID) SetRefSpeed(s units.RPM) { p.cfg.RefSpeed = s }
 
-// RefSpeed returns the current linearization offset.
-func (p *PID) RefSpeed() units.RPM { return p.cfg.RefSpeed }
-
-// Gains returns the active gain set.
-func (p *PID) Gains() PIDGains { return p.cfg.Gains }
-
 // SetGains replaces the active gain set (the adaptive scheduler
 // interpolates a new set every decision).
 func (p *PID) SetGains(g PIDGains) { p.cfg.Gains = g }
-
-// Limits returns the actuator bounds.
-func (p *PID) Limits() Limits { return p.cfg.Limits }
 
 // SetSlewPerStep updates the per-decision command slew bound (0 disables).
 func (p *PID) SetSlewPerStep(s units.RPM) {

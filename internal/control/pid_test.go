@@ -199,14 +199,14 @@ func TestPIDReferenceAccessors(t *testing.T) {
 		t.Error("SetReference did not take")
 	}
 	p.SetRefSpeed(6000)
-	if p.RefSpeed() != 6000 {
+	if p.cfg.RefSpeed != 6000 {
 		t.Error("SetRefSpeed did not take")
 	}
 	p.SetGains(PIDGains{KP: 9})
-	if p.Gains().KP != 9 {
+	if p.cfg.Gains.KP != 9 {
 		t.Error("SetGains did not take")
 	}
-	if p.Limits() != testLimits {
-		t.Error("Limits() wrong")
+	if p.cfg.Limits != testLimits {
+		t.Error("limits wrong")
 	}
 }

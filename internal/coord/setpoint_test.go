@@ -117,8 +117,8 @@ func TestSingleStepTriggersOnDegradation(t *testing.T) {
 	if !s.Observe(true, 85, 75) {
 		t.Fatal("boost did not trigger with 100% degradation")
 	}
-	if !s.Boosted() || s.BoostCount() != 1 {
-		t.Errorf("state = boosted %v count %d", s.Boosted(), s.BoostCount())
+	if !s.boosted || s.boosts != 1 {
+		t.Errorf("state = boosted %v count %d", s.boosted, s.boosts)
 	}
 }
 
@@ -127,27 +127,27 @@ func TestSingleStepReleaseConditions(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Observe(true, 85, 75)
 	}
-	if !s.Boosted() {
+	if !s.boosted {
 		t.Fatal("not boosted")
 	}
 	// Violations cleared but still warm: keep boosting.
 	for i := 0; i < 5; i++ {
 		s.Observe(false, 76, 75)
 	}
-	if !s.Boosted() {
+	if !s.boosted {
 		t.Error("released while above T_ref - margin")
 	}
 	// Cool AND clean: release.
 	s.Observe(false, 73, 75)
-	if s.Boosted() {
+	if s.boosted {
 		t.Error("did not release when cool and violation-free")
 	}
 	// A fresh degradation burst re-triggers.
 	for i := 0; i < 5; i++ {
 		s.Observe(true, 85, 75)
 	}
-	if !s.Boosted() || s.BoostCount() != 2 {
-		t.Errorf("re-trigger failed: boosted %v count %d", s.Boosted(), s.BoostCount())
+	if !s.boosted || s.boosts != 2 {
+		t.Errorf("re-trigger failed: boosted %v count %d", s.boosted, s.boosts)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestSingleStepBelowThresholdNoBoost(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Observe(i%5 < 2, 85, 75)
 	}
-	if s.Boosted() {
+	if s.boosted {
 		t.Error("boosted below threshold")
 	}
 }
@@ -168,7 +168,7 @@ func TestSingleStepReset(t *testing.T) {
 		s.Observe(true, 85, 75)
 	}
 	s.Reset()
-	if s.Boosted() || s.BoostCount() != 0 {
+	if s.boosted || s.boosts != 0 {
 		t.Error("reset incomplete")
 	}
 	// Window must refill from scratch.

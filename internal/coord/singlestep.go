@@ -79,12 +79,6 @@ func (s *SingleStepScaler) Observe(violated bool, meas, ref units.Celsius) bool 
 	return s.boosted
 }
 
-// Boosted reports whether the scaler currently pins the fan at maximum.
-func (s *SingleStepScaler) Boosted() bool { return s.boosted }
-
-// BoostCount returns how many distinct boosts have fired.
-func (s *SingleStepScaler) BoostCount() int { return s.boosts }
-
 // Reset clears all state.
 func (s *SingleStepScaler) Reset() {
 	for i := range s.history {

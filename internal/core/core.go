@@ -511,10 +511,3 @@ func (d *DTM) releaseSpeed(obs sim.Observation) units.RPM {
 	}
 	return units.ClampRPM(v, d.opt.Config.FanMinSpeed, d.opt.Config.FanMaxSpeed)
 }
-
-// Reference returns the fan controller's current set-point (tests and
-// traces read it).
-func (d *DTM) Reference() units.Celsius { return d.fan.Reference() }
-
-// Boosted reports whether the single-step scaler is currently active.
-func (d *DTM) Boosted() bool { return d.scaler != nil && d.scaler.Boosted() }

@@ -187,11 +187,11 @@ func TestDTMAdaptiveRefTracksLoad(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Step(sim.Observation{T: units.Seconds(i), Measured: 70, Demand: 0.1, FanCmd: 2000, FanActual: 2000, Cap: 1})
 	}
-	low := d.Reference()
+	low := d.fan.Reference()
 	for i := 10; i < 30; i++ {
 		d.Step(sim.Observation{T: units.Seconds(i), Measured: 70, Demand: 0.9, FanCmd: 2000, FanActual: 2000, Cap: 1})
 	}
-	high := d.Reference()
+	high := d.fan.Reference()
 	if low >= high {
 		t.Errorf("T_ref did not rise with load: %v -> %v", low, high)
 	}
@@ -217,18 +217,18 @@ func TestDTMSingleStepBoostAndRelease(t *testing.T) {
 			FanCmd: 2000, FanActual: 2000, Cap: 1,
 		})
 	}
-	if !d.Boosted() || cmd.Fan != cfg.FanMaxSpeed {
-		t.Fatalf("boost not engaged: boosted=%v fan=%v", d.Boosted(), cmd.Fan)
+	if !d.boosting || cmd.Fan != cfg.FanMaxSpeed {
+		t.Fatalf("boost not engaged: boosted=%v fan=%v", d.boosting, cmd.Fan)
 	}
 	// Cool and violation-free: release drops to a finite speed well
 	// below max (the computed lowest feasible speed).
-	for i := 6; i < 20 && d.Boosted(); i++ {
+	for i := 6; i < 20 && d.boosting; i++ {
 		cmd = d.Step(sim.Observation{
 			T: units.Seconds(i), Measured: 70, Demand: 0.7, Violated: false,
 			FanCmd: cfg.FanMaxSpeed, FanActual: cfg.FanMaxSpeed, Cap: 1,
 		})
 	}
-	if d.Boosted() {
+	if d.boosting {
 		t.Fatal("boost never released")
 	}
 	if cmd.Fan >= cfg.FanMaxSpeed || cmd.Fan <= cfg.FanMinSpeed {
@@ -246,11 +246,17 @@ func TestDTMResetClearsState(t *testing.T) {
 		d.Step(sim.Observation{T: units.Seconds(i), Measured: 85, Demand: 0.9, Violated: true, FanCmd: 3000, FanActual: 3000, Cap: 0.7})
 	}
 	d.Reset()
-	if d.Boosted() {
+	if d.boosting {
 		t.Error("boost survives reset")
 	}
 	if d.lastFan != 0 || d.fanEver {
 		t.Error("fan cadence survives reset")
+	}
+	// A reset scaler starts from an empty window, so one more violated
+	// tick cannot boost; a scaler that kept its window would.
+	d.Step(sim.Observation{T: 0, Measured: 85, Demand: 0.9, Violated: true, FanCmd: 3000, FanActual: 3000, Cap: 0.7})
+	if d.boosting {
+		t.Error("scaler window survives reset")
 	}
 }
 

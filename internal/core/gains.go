@@ -121,11 +121,3 @@ func TuneRegions(cfg sim.Config, speeds []units.RPM, util units.Utilization,
 	}
 	return out, nil
 }
-
-// SetDefaultRegionsForTest swaps the shipped gain schedule and returns the
-// previous one; experiment tests use it to evaluate tuning-rule ablations.
-func SetDefaultRegionsForTest(rs []control.Region) []control.Region {
-	old := defaultRegions
-	defaultRegions = rs
-	return old
-}

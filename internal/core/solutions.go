@@ -51,6 +51,8 @@ func NewFullStack(cfg sim.Config) (*DTM, error) {
 
 // TableIIISolutions returns the five evaluated policies in the paper's
 // row order.
+//
+//lint:ignore testonly differential reference for experiments.TestTable3MatchesLegacy
 func TableIIISolutions(cfg sim.Config) ([]*DTM, error) {
 	builders := []func(sim.Config) (*DTM, error){
 		NewUncoordinated,

@@ -6,37 +6,8 @@
 // tests assert their qualitative shape against the paper's claims.
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-	"repro/internal/units"
-)
+import "repro/internal/sim"
 
 // DefaultConfig returns the platform configuration shared by all
 // experiments: the Table I calibration.
 func DefaultConfig() sim.Config { return sim.Default() }
-
-// newServer builds the platform or fails loudly; scenario configurations
-// are compile-time constants, so an error is a programming bug.
-func newServer(cfg sim.Config) (*sim.PhysicalServer, error) {
-	server, err := sim.NewPhysicalServer(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: building server: %w", err)
-	}
-	return server, nil
-}
-
-// fanSpeedForJunction returns the steady fan speed holding the target
-// junction temperature at the given utilization, for scenario design.
-func fanSpeedForJunction(cfg sim.Config, target units.Celsius, u units.Utilization) (units.RPM, error) {
-	server, err := newServer(cfg)
-	if err != nil {
-		return 0, err
-	}
-	cpu, _, err := cfg.Models()
-	if err != nil {
-		return 0, err
-	}
-	return server.Thermal().SpeedForJunction(target, cpu.Power(u))
-}

@@ -154,8 +154,9 @@ func TestFig5DynamicStability(t *testing.T) {
 	}
 }
 
-// TestTable3Shape asserts the qualitative Table III results (see
-// EXPERIMENTS.md for the paper-vs-measured discussion):
+// TestTable3Shape asserts the qualitative Table III results at the
+// default operating point (the paper's values are quoted beside each
+// ordering below; the magnitudes differ, only the orderings are checked):
 //
 //	violations: E-coord > w/o coord > R-coord > +A-Tref > +SS_fan
 //	fan energy: E-coord lowest; R-coord above baseline; the adaptive

@@ -52,6 +52,8 @@ type SweepPoint struct {
 // returns one point per cell, order-stable against the grid axes. Each
 // point's rack simulates as a parallel batch; point results are
 // bit-identical for any Workers value.
+//
+//lint:ignore testonly differential reference for scenario.TestFleetGridMatchesFleetSweep
 func Sweep(sc SweepConfig) ([]SweepPoint, error) {
 	if len(sc.RackSizes) == 0 {
 		return nil, fmt.Errorf("fleet: sweep has no rack sizes")

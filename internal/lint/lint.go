@@ -38,6 +38,7 @@ func All() []*Analyzer {
 		AmbientRead,
 		ScratchAlias,
 		HashedField,
+		TestOnly,
 	}
 }
 

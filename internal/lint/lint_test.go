@@ -49,7 +49,9 @@ func TestTreeClean(t *testing.T) {
 
 // TestLoaderCoverage sanity-checks that the loader saw the packages the
 // analyzers guard (a silently-skipped package would make TestTreeClean
-// vacuous).
+// vacuous). testonly counts references from every loaded package, so the
+// callers outside internal/ must load too: were the nested bench/ module
+// skipped, testonly would report code only the benchmark calls.
 func TestLoaderCoverage(t *testing.T) {
 	p := loadProgram(t)
 	got := map[string]bool{}
@@ -68,6 +70,8 @@ func TestLoaderCoverage(t *testing.T) {
 		"repro/cmd/experiments",
 		"repro/cmd/repolint",
 		"repro/cmd/scenariod",
+		"repro/bench",
+		"repro/examples/datacenter",
 	} {
 		if !got[want] {
 			t.Errorf("loader missed package %s", want)

@@ -5,8 +5,9 @@
 // randomness explicitly (detsource), map iteration never shapes output or
 // hashes (maporder), workload factories never read cfg.Ambient
 // (ambientread), scratch-aliased tick results never outlive their tick
-// (scratchalias), and every field reachable from the scenario store hash
-// carries a deliberate JSON tag (hashedfield).
+// (scratchalias), every field reachable from the scenario store hash
+// carries a deliberate JSON tag (hashedfield), and every declaration
+// under internal/ has a caller outside the tests (testonly).
 //
 // The driver is cmd/repolint; `make lint` runs it over the module and
 // exits non-zero on any finding. False positives are suppressed in place
@@ -31,6 +32,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked package of the module (or a standalone
@@ -53,6 +55,9 @@ type Package struct {
 	// Types and Info are the go/types results for the package.
 	Types *types.Package
 	Info  *types.Info
+	// Prog is the program the package was checked against (whole-program
+	// analyzers such as testonly reach the other packages through it).
+	Prog *Program
 }
 
 // IsTestFile reports whether the position's file is a _test.go file.
@@ -76,6 +81,9 @@ type Program struct {
 	byPath map[string]*Package
 	src    types.ImporterFrom
 	ctx    build.Context
+
+	usesOnce sync.Once
+	uses     *useIndex
 }
 
 // moduleRe extracts the module path from go.mod.
@@ -304,6 +312,7 @@ func (prog *Program) check(path, dir string, files []*ast.File) (*Package, error
 		Files:  files,
 		Types:  tpkg,
 		Info:   info,
+		Prog:   prog,
 	}
 	if len(errs) > 0 {
 		return pkg, fmt.Errorf("%s:\n\t%s", path, strings.Join(errs, "\n\t"))
@@ -334,6 +343,8 @@ func (prog *Program) ImportFrom(path, dir string, mode types.ImportMode) (*types
 // is the module-relative path of dir, so analyzers keyed on path suffixes
 // (detsource's deterministic-package set, hashedfield's scenario root)
 // see testdata packages exactly as they would see the real ones.
+//
+//lint:ignore testonly analyzer test harness for TestAnalyzersOnTestdata
 func (prog *Program) LoadDir(dir string) (*Package, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {

@@ -172,19 +172,10 @@ func NewServer(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// NCore returns the number of cores.
-func (s *Server) NCore() int { return s.cfg.NCore }
-
 // CommandFan sets the shared fan command, clamped to the platform range.
 func (s *Server) CommandFan(v units.RPM) {
 	s.fanCmd = units.ClampRPM(v, s.cfg.Base.FanMinSpeed, s.cfg.Base.FanMaxSpeed)
 }
-
-// FanActual returns the slewed physical fan speed.
-func (s *Server) FanActual() units.RPM { return s.fanAct }
-
-// CoreJunction returns core c's true temperature.
-func (s *Server) CoreJunction(c int) units.Celsius { return s.net.Temperature(c) }
 
 // TickResult reports one multi-core engine step.
 type TickResult struct {
@@ -270,18 +261,4 @@ func (s *Server) Tick(coreUtil []units.Utilization) (TickResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Reset returns the platform to ambient with the fan at its floor.
-func (s *Server) Reset() {
-	for i := 0; i <= s.cfg.NCore; i++ {
-		s.net.SetTemperature(i, s.cfg.Base.Ambient)
-	}
-	for _, p := range s.pipes {
-		p.Reset()
-	}
-	s.fanCmd = s.cfg.Base.FanMinSpeed
-	s.fanAct = s.cfg.Base.FanMinSpeed
-	s.clock = 0
-	s.started = false
 }

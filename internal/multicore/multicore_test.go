@@ -106,24 +106,6 @@ func TestTickValidatesArity(t *testing.T) {
 	}
 }
 
-func TestServerReset(t *testing.T) {
-	cfg := DefaultConfig()
-	server, _ := NewServer(cfg)
-	server.CommandFan(8000)
-	for i := 0; i < 100; i++ {
-		if _, err := server.Tick(SplitEven(0.9, cfg.NCore)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	server.Reset()
-	if server.FanActual() != cfg.Base.FanMinSpeed {
-		t.Error("fan not reset")
-	}
-	if server.CoreJunction(0) != cfg.Base.Ambient {
-		t.Error("cores not reset to ambient")
-	}
-}
-
 func TestSchedulerValidation(t *testing.T) {
 	if _, err := NewScheduler(0, 0.2, 5); err == nil {
 		t.Error("zero spread accepted")
@@ -146,7 +128,7 @@ func TestSchedulerMigratesHotToCold(t *testing.T) {
 	}
 	meas := []units.Celsius{85, 70, 72, 71}
 	assign := []units.Utilization{1.0, 0.1, 0.2, 0.2}
-	out := sc.Decide(0, meas, assign)
+	out := sc.DecideInto(nil, 0, meas, assign)
 	if out[0] != 0.75 || out[1] != 0.35 {
 		t.Errorf("migration = %v, want 0.25 moved from core0 to core1", out)
 	}
@@ -155,7 +137,7 @@ func TestSchedulerMigratesHotToCold(t *testing.T) {
 	}
 	// The input must not be mutated.
 	if assign[0] != 1.0 {
-		t.Error("Decide mutated its input")
+		t.Error("DecideInto mutated its input")
 	}
 }
 
@@ -163,14 +145,14 @@ func TestSchedulerRespectsIntervalAndThreshold(t *testing.T) {
 	sc, _ := NewScheduler(3, 0.25, 5)
 	meas := []units.Celsius{85, 70, 72, 71}
 	assign := []units.Utilization{1.0, 0.1, 0.2, 0.2}
-	sc.Decide(0, meas, assign) // fires
-	out := sc.Decide(2, meas, assign)
+	sc.DecideInto(nil, 0, meas, assign) // fires
+	out := sc.DecideInto(nil, 2, meas, assign)
 	if out[0] != 1.0 {
 		t.Error("migrated inside the decision interval")
 	}
 	// Below threshold: no migration even when due.
 	flat := []units.Celsius{75, 74, 74, 73}
-	out = sc.Decide(10, flat, assign)
+	out = sc.DecideInto(nil, 10, flat, assign)
 	if out[0] != 1.0 || sc.Migrations != 1 {
 		t.Error("migrated below the spread threshold")
 	}
@@ -179,30 +161,21 @@ func TestSchedulerRespectsIntervalAndThreshold(t *testing.T) {
 func TestSchedulerBoundsMoves(t *testing.T) {
 	sc, _ := NewScheduler(3, 0.5, 5)
 	// Hot core only has 0.1 to give.
-	out := sc.Decide(0, []units.Celsius{90, 60}, []units.Utilization{0.1, 0.3})
+	out := sc.DecideInto(nil, 0, []units.Celsius{90, 60}, []units.Utilization{0.1, 0.3})
 	if out[0] != 0 || math.Abs(float64(out[1]-0.4)) > 1e-12 {
 		t.Errorf("bounded move = %v", out)
 	}
 	// Cold core can only absorb 0.1.
 	sc2, _ := NewScheduler(3, 0.5, 5)
-	out = sc2.Decide(0, []units.Celsius{90, 60}, []units.Utilization{0.8, 0.9})
+	out = sc2.DecideInto(nil, 0, []units.Celsius{90, 60}, []units.Utilization{0.8, 0.9})
 	if math.Abs(float64(out[0]-0.7)) > 1e-12 || out[1] != 1.0 {
 		t.Errorf("absorb-bounded move = %v", out)
 	}
 	// Nothing to move: no migration counted.
 	sc3, _ := NewScheduler(3, 0.5, 5)
-	out = sc3.Decide(0, []units.Celsius{90, 60}, []units.Utilization{0, 1})
+	out = sc3.DecideInto(nil, 0, []units.Celsius{90, 60}, []units.Utilization{0, 1})
 	if sc3.Migrations != 0 || out[0] != 0 {
 		t.Errorf("degenerate move = %v (%d migrations)", out, sc3.Migrations)
-	}
-}
-
-func TestSchedulerReset(t *testing.T) {
-	sc, _ := NewScheduler(3, 0.25, 5)
-	sc.Decide(0, []units.Celsius{85, 70}, []units.Utilization{1, 0})
-	sc.Reset()
-	if sc.Migrations != 0 {
-		t.Error("reset incomplete")
 	}
 }
 
@@ -316,8 +289,8 @@ func TestTickResultAliasesScratch(t *testing.T) {
 	}
 }
 
-// TestDecideIntoMatchesDecide: the scratch-reusing scheduler entry point
-// must be behaviorally identical to the allocating one.
+// TestDecideIntoMatchesDecide: reusing one scratch slice across decisions
+// must behave exactly like handing the scheduler a fresh slice each time.
 func TestDecideIntoMatchesDecide(t *testing.T) {
 	meas := []units.Celsius{85, 70, 72, 71}
 	assign := []units.Utilization{1.0, 0.1, 0.2, 0.2}
@@ -325,11 +298,11 @@ func TestDecideIntoMatchesDecide(t *testing.T) {
 	sc2, _ := NewScheduler(3, 0.25, 5)
 	scratch := make([]units.Utilization, 0, len(assign))
 	for _, tm := range []units.Seconds{0, 2, 5, 10} {
-		want := sc1.Decide(tm, meas, assign)
+		want := sc1.DecideInto(nil, tm, meas, assign)
 		scratch = sc2.DecideInto(scratch, tm, meas, assign)
 		for i := range want {
 			if scratch[i] != want[i] {
-				t.Fatalf("t=%v: DecideInto %v != Decide %v", tm, scratch, want)
+				t.Fatalf("t=%v: reused scratch %v != fresh slice %v", tm, scratch, want)
 			}
 		}
 	}

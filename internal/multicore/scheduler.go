@@ -41,20 +41,13 @@ func NewScheduler(spread units.Celsius, step units.Utilization, interval units.S
 	return &Scheduler{SpreadThreshold: spread, MigrationStep: step, Interval: interval}, nil
 }
 
-// Decide returns the new per-core utilization assignment given the
+// DecideInto returns the new per-core utilization assignment given the
 // measured per-core temperatures and the current assignment. Outside its
 // decision period, or when the spread is inside the threshold, it returns
-// the assignment unchanged. The returned slice is always a fresh copy;
-// the per-tick run loop uses DecideInto with a reused scratch slice
-// instead.
-func (sc *Scheduler) Decide(t units.Seconds, meas []units.Celsius, assign []units.Utilization) []units.Utilization {
-	return sc.DecideInto(make([]units.Utilization, 0, len(assign)), t, meas, assign)
-}
-
-// DecideInto is Decide writing the new assignment into dst (grown as
-// needed and returned re-sliced) so a caller invoking the scheduler every
-// tick can reuse one scratch buffer instead of allocating per decision.
-// dst must not alias assign.
+// the assignment unchanged. The result is written into dst (grown as
+// needed and returned re-sliced), so a caller invoking the scheduler every
+// tick reuses one scratch buffer instead of allocating per decision; dst
+// must not alias assign.
 func (sc *Scheduler) DecideInto(dst []units.Utilization, t units.Seconds, meas []units.Celsius, assign []units.Utilization) []units.Utilization {
 	out := append(dst[:0], assign...)
 	if len(meas) != len(assign) || len(out) < 2 {
@@ -94,13 +87,6 @@ func (sc *Scheduler) DecideInto(dst []units.Utilization, t units.Seconds, meas [
 	out[cold] += move
 	sc.Migrations++
 	return out
-}
-
-// Reset clears scheduler state.
-func (sc *Scheduler) Reset() {
-	sc.last = 0
-	sc.started = false
-	sc.Migrations = 0
 }
 
 // SplitEven divides a socket-level utilization evenly over n cores.

@@ -1,11 +1,10 @@
 // Package power implements the server power models of the paper
-// (Sec. III-B, Table I): a utilization-linear CPU model (Eq. 1), the cubic
-// fan-power law, and energy accounting over a simulation run.
+// (Sec. III-B, Table I): a utilization-linear CPU model (Eq. 1) and the
+// cubic fan-power law.
 package power
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/units"
 )
@@ -35,9 +34,6 @@ func (m CPUModel) Power(u units.Utilization) units.Watt {
 	u = units.ClampUtil(u)
 	return m.Static + units.Watt(float64(m.Dynamic)*float64(u))
 }
-
-// Max returns the power at full utilization.
-func (m CPUModel) Max() units.Watt { return m.Static + m.Dynamic }
 
 // UtilizationFor inverts the model: the utilization that draws power p,
 // clamped to [0, 1]. A zero-dynamic model returns 0.
@@ -73,69 +69,3 @@ func (m FanModel) Power(s units.RPM) units.Watt {
 	frac := units.Clamp(float64(s)/float64(m.MaxSpeed), 0, 1)
 	return units.Watt(float64(m.MaxPower) * frac * frac * frac)
 }
-
-// SpeedFor inverts the cubic law: the speed that draws power p, clamped to
-// [0, MaxSpeed].
-func (m FanModel) SpeedFor(p units.Watt) units.RPM {
-	if m.MaxPower == 0 {
-		return 0
-	}
-	frac := units.Clamp(float64(p)/float64(m.MaxPower), 0, 1)
-	return units.RPM(float64(m.MaxSpeed) * math.Cbrt(frac))
-}
-
-// Budget aggregates CPU and fan power into the server total of Sec. III-B:
-// P_tot = P_cpu + P_fan, for a server with NSockets identical sockets each
-// carrying one fan.
-type Budget struct {
-	CPU      CPUModel
-	Fan      FanModel
-	NSockets int
-}
-
-// Total returns the server power at the given utilization and fan speed.
-// All sockets run the same workload and fan speed (the paper's balanced
-// assumption).
-func (b Budget) Total(u units.Utilization, s units.RPM) units.Watt {
-	n := b.NSockets
-	if n < 1 {
-		n = 1
-	}
-	return units.Watt(float64(n)) * (b.CPU.Power(u) + b.Fan.Power(s))
-}
-
-// Accumulator integrates power into energy with left-rectangle steps, the
-// natural scheme for a fixed-step simulator where power is piecewise
-// constant over a step.
-type Accumulator struct {
-	total units.Joule
-	time  units.Seconds
-}
-
-// Add accrues power p held for duration dt. Negative dt panics: simulated
-// time never flows backward.
-func (a *Accumulator) Add(p units.Watt, dt units.Seconds) {
-	if dt < 0 {
-		panic(fmt.Sprintf("power: negative duration %v", dt))
-	}
-	a.total += units.Joule(float64(p) * float64(dt))
-	a.time += dt
-}
-
-// Total returns the accumulated energy.
-func (a *Accumulator) Total() units.Joule { return a.total }
-
-// Duration returns the accumulated time.
-func (a *Accumulator) Duration() units.Seconds { return a.time }
-
-// MeanPower returns the average power over the accumulated duration, or 0
-// if nothing has been accumulated.
-func (a *Accumulator) MeanPower() units.Watt {
-	if a.time == 0 {
-		return 0
-	}
-	return units.Watt(float64(a.total) / float64(a.time))
-}
-
-// Reset clears the accumulator.
-func (a *Accumulator) Reset() { a.total, a.time = 0, 0 }

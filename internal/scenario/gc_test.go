@@ -182,6 +182,10 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key, err := Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const workers = 8
 	var wg sync.WaitGroup
 	errc := make(chan error, workers*2)
@@ -200,7 +204,7 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				back, ok, err := st.Get(spec)
+				back, ok, err := st.GetKey(key)
 				if err != nil {
 					errc <- err
 					return
@@ -217,7 +221,7 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	back, ok, err := st.Get(spec)
+	back, ok, err := st.GetKey(key)
 	if err != nil || !ok {
 		t.Fatalf("final Get: ok=%v err=%v", ok, err)
 	}

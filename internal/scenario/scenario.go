@@ -570,9 +570,6 @@ func parseAisle(s string) (fleet.Aisle, error) {
 	return 0, fmt.Errorf("unknown aisle %q (want cold|mid|hot)", s)
 }
 
-// AisleName returns the canonical spec name for a fleet aisle.
-func AisleName(a fleet.Aisle) string { return a.String() }
-
 // fleetCoordParams is the closed set of coordinator policy knobs a
 // fleetcoord spec may carry in Params. Every knob is semantic (it shapes
 // the run), so all of them participate in the store identity hash; zero

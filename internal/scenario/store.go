@@ -81,18 +81,9 @@ func (st *Store) path(key string) string {
 	return filepath.Join(st.dir, key+".json")
 }
 
-// Get looks a spec up. ok is false on a miss; a hit returns the stored
-// outcome, bit-identical to the run that produced it (float64 survives
-// the JSON round trip exactly).
-func (st *Store) Get(s Spec) (out *Outcome, ok bool, err error) {
-	key, err := Key(s)
-	if err != nil {
-		return nil, false, err
-	}
-	return st.GetKey(key)
-}
-
-// GetKey looks a precomputed key up.
+// GetKey looks a precomputed key up. ok is false on a miss; a hit returns
+// the stored outcome, bit-identical to the run that produced it (float64
+// survives the JSON round trip exactly).
 func (st *Store) GetKey(key string) (*Outcome, bool, error) {
 	b, err := os.ReadFile(st.path(key))
 	if os.IsNotExist(err) {
@@ -107,12 +98,9 @@ func (st *Store) GetKey(key string) (*Outcome, bool, error) {
 		Version int      `json:"version"`
 		Outcome *Outcome `json:"outcome"`
 	}
-	if err := json.Unmarshal(b, &entry); err != nil {
-		return nil, false, fmt.Errorf("scenario: decoding store cell %s: %w", key, err)
-	}
-	if entry.Version != storeVersion {
-		// An old-format cell is a miss, not an error: the caller recomputes
-		// and Put overwrites it in the current format.
+	if err := json.Unmarshal(b, &entry); err != nil || entry.Version != storeVersion {
+		// A corrupt or old-format cell is a miss, not an error: the caller
+		// recomputes and Put's atomic rename overwrites it.
 		return nil, false, nil
 	}
 	return entry.Outcome, true, nil
@@ -175,7 +163,8 @@ type CellInfo struct {
 	Name string
 	// Units is the number of per-unit results in the outcome.
 	Units int
-	// Version is the cell's on-disk format version.
+	// Version is the cell's on-disk format version; 0 for a cell that
+	// does not decode.
 	Version int
 	// Size is the cell file's size in bytes.
 	Size int64
@@ -183,8 +172,9 @@ type CellInfo struct {
 
 // List inspects every cell in the store, sorted by key. Cells written by
 // other format versions are still listed (with their stored version) —
-// inspection sees what is on disk, unlike Get, which treats them as
-// misses. A cell evicted while the listing runs is left out.
+// inspection sees what is on disk, unlike GetKey, which treats them as
+// misses. A cell that does not decode is listed with Version 0. A cell
+// evicted while the listing runs is left out.
 func (st *Store) List() ([]CellInfo, error) {
 	keys, err := st.Keys()
 	if err != nil {
@@ -199,6 +189,7 @@ func (st *Store) List() ([]CellInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: inspecting store cell %s: %w", key, err)
 		}
+		info := CellInfo{Key: key, Size: int64(len(b))}
 		var probe struct {
 			Version int `json:"version"`
 			Spec    struct {
@@ -209,17 +200,11 @@ func (st *Store) List() ([]CellInfo, error) {
 				Units []struct{} `json:"units"`
 			} `json:"outcome"`
 		}
-		if err := json.Unmarshal(b, &probe); err != nil {
-			return nil, fmt.Errorf("scenario: inspecting store cell %s: %w", key, err)
+		if json.Unmarshal(b, &probe) == nil {
+			info.Kind, info.Name = probe.Spec.Kind, probe.Spec.Name
+			info.Units, info.Version = len(probe.Outcome.Units), probe.Version
 		}
-		infos = append(infos, CellInfo{
-			Key:     key,
-			Kind:    probe.Spec.Kind,
-			Name:    probe.Spec.Name,
-			Units:   len(probe.Outcome.Units),
-			Version: probe.Version,
-			Size:    int64(len(b)),
-		})
+		infos = append(infos, info)
 	}
 	return infos, nil
 }

@@ -323,13 +323,17 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := st.Get(spec); ok {
+	key, err := Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := st.GetKey(key); ok {
 		t.Fatal("hit on empty store")
 	}
 	if err := st.Put(spec, out); err != nil {
 		t.Fatal(err)
 	}
-	back, ok, err := st.Get(spec)
+	back, ok, err := st.GetKey(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +354,8 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreVersionMismatchIsMiss: a cell written by a different format
-// version reads as a miss, not an error.
+// version, or one that does not decode (torn or corrupt), reads as a miss,
+// not an error, and the next Put overwrites it.
 func TestStoreVersionMismatchIsMiss(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -375,12 +380,26 @@ func TestStoreVersionMismatchIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry.Version = storeVersion + 1
-	b, _ = json.Marshal(entry)
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := st.Get(spec); err != nil || ok {
-		t.Errorf("future-version cell: ok=%v err=%v, want miss without error", ok, err)
+	future, _ := json.Marshal(entry)
+	for _, tc := range []struct {
+		name string
+		cell []byte
+	}{
+		{"future-version", future},
+		{"corrupt", b[:len(b)/2]},
+	} {
+		if err := os.WriteFile(path, tc.cell, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := st.GetKey(key); err != nil || ok {
+			t.Errorf("%s cell: ok=%v err=%v, want miss without error", tc.name, ok, err)
+		}
+		if err := st.Put(spec, out); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := st.GetKey(key); err != nil || !ok {
+			t.Errorf("%s cell after Put: ok=%v err=%v, want hit", tc.name, ok, err)
+		}
 	}
 }
 
@@ -560,5 +579,19 @@ func TestStoreList(t *testing.T) {
 	}
 	if len(infos) != 2 || infos[0].Version != storeVersion+1 {
 		t.Errorf("future-version cell mislisted: %+v", infos)
+	}
+
+	// A cell that does not decode is listed as version 0 instead of
+	// failing the whole listing.
+	torn := []byte(`{"version": 1, "spec": {"kind": "sin`)
+	if err := os.WriteFile(filepath.Join(st.Dir(), "torn.json"), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	infos, err = st.List()
+	if err != nil {
+		t.Fatalf("listing with a corrupt cell: %v", err)
+	}
+	if len(infos) != 3 || infos[2] != (CellInfo{Key: "torn", Size: int64(len(torn))}) {
+		t.Errorf("corrupt cell mislisted: %+v", infos)
 	}
 }

@@ -114,7 +114,6 @@ type Redundant struct {
 	disagree int
 	health   Health
 
-	ticks         int
 	rejectedTicks int // replica-samples rejected (implausible or outlier)
 	quorumFails   int // ticks where no quorum survived
 	failSafeTicks int // ticks spent in FailSafe
@@ -216,7 +215,6 @@ func (r *Redundant) Sample(t units.Seconds, v float64) float64 {
 	}
 	r.lastT = t
 	r.hasT = true
-	r.ticks++
 
 	for i, c := range r.chains {
 		r.readings[i] = c.Sample(t, v)
@@ -306,7 +304,7 @@ func (r *Redundant) Reset() {
 	r.lastGood, r.goodSet = 0, false
 	r.disagree = 0
 	r.health = HealthOK
-	r.ticks, r.rejectedTicks, r.quorumFails, r.failSafeTicks = 0, 0, 0, 0
+	r.rejectedTicks, r.quorumFails, r.failSafeTicks = 0, 0, 0
 }
 
 // NeedsPower reports whether any replica chain contains a power-density
@@ -323,30 +321,6 @@ func (r *Redundant) ObservePower(w float64) {
 
 // Health returns the voter's current self-assessment.
 func (r *Redundant) Health() Health { return r.health }
-
-// Sensors returns the replica count.
-func (r *Redundant) Sensors() int { return len(r.chains) }
-
-// FailSafeFrac returns the fraction of samples spent in FailSafe.
-func (r *Redundant) FailSafeFrac() float64 {
-	if r.ticks == 0 {
-		return 0
-	}
-	return float64(r.failSafeTicks) / float64(r.ticks)
-}
-
-// QuorumFailFrac returns the fraction of samples where no quorum of
-// agreeing replicas survived.
-func (r *Redundant) QuorumFailFrac() float64 {
-	if r.ticks == 0 {
-		return 0
-	}
-	return float64(r.quorumFails) / float64(r.ticks)
-}
-
-// Rejected returns the cumulative count of replica-samples voted out
-// (implausible or outlier) since Reset.
-func (r *Redundant) Rejected() int { return r.rejectedTicks }
 
 // insertionSort sorts a short slice in place without allocating — replica
 // counts are single digits, where insertion sort beats sort.Float64s and

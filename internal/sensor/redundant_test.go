@@ -55,8 +55,8 @@ func TestRedundantCleanIsTransparent(t *testing.T) {
 			t.Fatalf("t=%v: health %v, want ok", tm, r.Health())
 		}
 	}
-	if r.Rejected() != 0 || r.QuorumFailFrac() != 0 {
-		t.Errorf("clean run rejected %d samples, quorum-fail frac %g", r.Rejected(), r.QuorumFailFrac())
+	if r.rejectedTicks != 0 || r.quorumFails != 0 {
+		t.Errorf("clean run rejected %d samples, %d quorum failures", r.rejectedTicks, r.quorumFails)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestRedundantOutvotesStuckReplica(t *testing.T) {
 			t.Fatalf("t=%v: health %v, want ok", tm, r.Health())
 		}
 	}
-	if r.Rejected() == 0 {
+	if r.rejectedTicks == 0 {
 		t.Error("stuck replica was never voted out")
 	}
 }
@@ -95,8 +95,8 @@ func TestRedundantRangePlausibility(t *testing.T) {
 	if got := r.Sample(0, 50); got != 50 {
 		t.Fatalf("fused %v, want 50", got)
 	}
-	if r.Rejected() != 1 {
-		t.Errorf("rejected %d, want 1 (the out-of-range replica)", r.Rejected())
+	if r.rejectedTicks != 1 {
+		t.Errorf("rejected %d, want 1 (the out-of-range replica)", r.rejectedTicks)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestRedundantSlewPlausibility(t *testing.T) {
 	if r.Health() == HealthOK {
 		t.Error("50 °C/s jump kept quorum at Quorum=3; slew check missed it")
 	}
-	rej := r.Rejected()
+	rej := r.rejectedTicks
 	if rej == 0 {
 		t.Error("jump was not rejected")
 	}
@@ -159,8 +159,8 @@ func TestRedundantHoldThenFailSafe(t *testing.T) {
 	if r.Health() != HealthFailSafe {
 		t.Fatalf("health %v after hold budget, want failsafe", r.Health())
 	}
-	if r.FailSafeFrac() == 0 {
-		t.Error("FailSafeFrac 0 after latching")
+	if r.failSafeTicks == 0 {
+		t.Error("no FailSafe tick counted after latching")
 	}
 	// Agreement restored: the voter recovers to OK.
 	lo.Offset, hi.Offset = 0, 0
@@ -236,7 +236,7 @@ func TestRedundantResetReplaysBitIdentical(t *testing.T) {
 		first[i] = r.Sample(units.Seconds(i), input(i))
 	}
 	r.Reset()
-	if r.Health() != HealthOK || r.Rejected() != 0 || r.FailSafeFrac() != 0 {
+	if r.Health() != HealthOK || r.rejectedTicks != 0 || r.failSafeTicks != 0 {
 		t.Fatal("Reset did not clear voter state")
 	}
 	for i := range first {

@@ -55,6 +55,8 @@ func NewQuantizer(bits int, min, max float64) (*Quantizer, error) {
 
 // TableIQuantizer returns the paper's measurement quantizer: an 8-bit ADC
 // spanning 0..255 °C, i.e. a 1 °C step.
+//
+//lint:ignore testonly Table I fixture for TestQuantizerTableI and the sensor-chain tests
 func TableIQuantizer() *Quantizer {
 	q, err := NewQuantizer(8, 0, 255)
 	if err != nil {
@@ -62,9 +64,6 @@ func TableIQuantizer() *Quantizer {
 	}
 	return q
 }
-
-// Step returns the quantization step size |T_Q|.
-func (q *Quantizer) Step() float64 { return q.step }
 
 // Sample implements Stage: round to the nearest level, clamped to range.
 func (q *Quantizer) Sample(_ units.Seconds, v float64) float64 {
@@ -172,37 +171,6 @@ func (g *GaussianNoise) Sample(_ units.Seconds, v float64) float64 {
 
 // Reset implements Stage: the noise stream restarts from its seed.
 func (g *GaussianNoise) Reset() { g.rng = stats.NewRand(g.seed) }
-
-// SampleHold decimates the signal to one sample per Interval: the output
-// changes only at multiples of the sampling interval (sensor polling
-// period), holding in between.
-type SampleHold struct {
-	Interval units.Seconds
-	lastT    units.Seconds
-	value    float64
-	primed   bool
-}
-
-// NewSampleHold builds a sample-and-hold stage with the given interval.
-func NewSampleHold(interval units.Seconds) (*SampleHold, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("sensor: non-positive sample interval %v", interval)
-	}
-	return &SampleHold{Interval: interval}, nil
-}
-
-// Sample implements Stage.
-func (s *SampleHold) Sample(t units.Seconds, v float64) float64 {
-	if !s.primed || t-s.lastT >= s.Interval-1e-9 {
-		s.value = v
-		s.lastT = t
-		s.primed = true
-	}
-	return s.value
-}
-
-// Reset implements Stage.
-func (s *SampleHold) Reset() { s.primed = false; s.value = 0; s.lastT = 0 }
 
 // Pipeline chains stages in order: physical value in, DTM-visible value
 // out. The paper's chain is noise -> quantizer -> delay.

@@ -10,8 +10,8 @@ import (
 
 func TestQuantizerTableI(t *testing.T) {
 	q := TableIQuantizer()
-	if q.Step() != 1 {
-		t.Fatalf("Table I step = %v, want 1 C", q.Step())
+	if q.step != 1 {
+		t.Fatalf("Table I step = %v, want 1 C", q.step)
 	}
 	tests := []struct{ in, want float64 }{
 		{74.4, 74},
@@ -82,7 +82,7 @@ func TestQuantizerErrorBoundProperty(t *testing.T) {
 		}
 		v := units.Clamp(math.Mod(raw, 300), 0, 255)
 		got := q.Sample(0, v)
-		return math.Abs(got-v) <= q.Step()/2+1e-9
+		return math.Abs(got-v) <= q.step/2+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -190,32 +190,6 @@ func TestGaussianNoiseResetRestartsStream(t *testing.T) {
 func TestGaussianNoiseValidation(t *testing.T) {
 	if _, err := NewGaussianNoise(-0.1, 0); err == nil {
 		t.Error("negative sigma accepted")
-	}
-}
-
-func TestSampleHold(t *testing.T) {
-	s, err := NewSampleHold(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Sample(0, 5); got != 5 {
-		t.Errorf("first sample = %v", got)
-	}
-	if got := s.Sample(0.5, 99); got != 5 {
-		t.Errorf("mid-interval sample = %v, want held 5", got)
-	}
-	if got := s.Sample(1.0, 42); got != 42 {
-		t.Errorf("next interval = %v, want 42", got)
-	}
-	s.Reset()
-	if got := s.Sample(1.2, 7); got != 7 {
-		t.Errorf("after reset = %v", got)
-	}
-}
-
-func TestSampleHoldValidation(t *testing.T) {
-	if _, err := NewSampleHold(0); err == nil {
-		t.Error("zero interval accepted")
 	}
 }
 

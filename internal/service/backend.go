@@ -73,9 +73,6 @@ func OpenStoreBackend(dir string) (*StoreBackend, error) {
 	return &StoreBackend{st: st}, nil
 }
 
-// NewStoreBackend wraps an already-open store.
-func NewStoreBackend(st *scenario.Store) *StoreBackend { return &StoreBackend{st: st} }
-
 // Name identifies the backend as the store directory.
 func (b *StoreBackend) Name() string { return "store:" + b.st.Dir() }
 

@@ -37,10 +37,6 @@ const (
 type Client struct {
 	base string
 	hc   *http.Client
-	// retries is the total attempt budget per call (1 = no retry);
-	// backoff seeds the jittered exponential delay between attempts.
-	retries int
-	backoff time.Duration
 }
 
 // ClientOption shapes a Client.
@@ -57,30 +53,12 @@ func WithTimeout(d time.Duration) ClientOption {
 	}
 }
 
-// WithRetry retries transport errors and 5xx responses up to n extra
-// attempts with jittered exponential backoff from base. 4xx responses
-// are never retried (they are deterministic), and a cancelled context
-// stops the loop. The default is no retry.
-func WithRetry(n int, base time.Duration) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.retries = 1 + n
-		}
-		if base > 0 {
-			c.backoff = base
-		}
-	}
-}
-
 // NewClient builds a client for a daemon base URL ("http://host:port").
-// Without options the behavior is the historical one: 5-minute timeout,
-// no retries.
+// Without options the timeout is 5 minutes.
 func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
-		base:    base,
-		hc:      &http.Client{Timeout: 5 * time.Minute},
-		retries: 1,
-		backoff: 50 * time.Millisecond,
+		base: base,
+		hc:   &http.Client{Timeout: 5 * time.Minute},
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -125,46 +103,9 @@ func IsNotFound(err error) bool {
 	return false
 }
 
-// retryable reports whether an attempt outcome is worth retrying:
-// transport errors and 5xx statuses are; 4xx are deterministic.
-func retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if se, ok := err.(*StatusError); ok {
-		return se.Code >= 500
-	}
-	return true
-}
-
-// do runs one JSON round trip with the configured retry budget. body is
-// re-readable by construction (a byte slice), so every attempt sends
-// identical bytes.
+// do runs one JSON round trip. A failed call is not retried: callers
+// with a retry policy (RemoteBackend's write-through) own it.
 func (c *Client) do(ctx context.Context, method, url string, body []byte, v any) error {
-	delay := c.backoff
-	var last error
-	for attempt := 0; attempt < c.retries; attempt++ {
-		if attempt > 0 {
-			// Jittered exponential backoff off the wall clock's low bits,
-			// so a fleet of retrying clients decorrelates.
-			jitter := time.Duration(time.Now().UnixNano()) % (delay/2 + 1)
-			select {
-			case <-time.After(delay + jitter):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			delay *= 2
-		}
-		last = c.once(ctx, method, url, body, v)
-		if last == nil || !retryable(last) || ctx.Err() != nil {
-			return last
-		}
-	}
-	return last
-}
-
-// once is a single attempt.
-func (c *Client) once(ctx context.Context, method, url string, body []byte, v any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -242,29 +183,6 @@ func (c *Client) Get(ctx context.Context, key string) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	return st, nil
-}
-
-// Poll polls a key until it reaches StateDone or StateFailed, or the
-// timeout elapses.
-func (c *Client) Poll(ctx context.Context, key string, interval, timeout time.Duration) (JobStatus, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		st, err := c.Get(ctx, key)
-		if err != nil {
-			return JobStatus{}, err
-		}
-		if st.State == StateDone || st.State == StateFailed {
-			return st, nil
-		}
-		if time.Now().After(deadline) {
-			return st, fmt.Errorf("scenariod: key %s still %s after %v", key, st.State, timeout)
-		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
-	}
 }
 
 // List fetches the stored cells and in-flight jobs.

@@ -123,12 +123,6 @@ func (d *Daemon) BackendName() string { return d.backend.Name() }
 // Shards reports the queue worker count.
 func (d *Daemon) Shards() int { return d.queue.shards }
 
-// Queue exposes the queue module (tests and in-process consumers).
-func (d *Daemon) Queue() *Queue { return d.queue }
-
-// Storage exposes the storage module (tests and in-process consumers).
-func (d *Daemon) Storage() *Storage { return d.storage }
-
 // String describes the daemon for startup logs.
 func (d *Daemon) String() string {
 	return fmt.Sprintf("scenariod backend=%s shards=%d", d.BackendName(), d.Shards())

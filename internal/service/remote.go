@@ -111,40 +111,6 @@ func RemoteSyncWrites(sync bool) RemoteOption {
 	return func(r *RemoteBackend) { r.sync = sync }
 }
 
-// RemoteRetry shapes the write-through retry loop: up to n attempts with
-// exponential backoff from base (jittered). Defaults: 3 attempts, 50ms.
-func RemoteRetry(n int, base time.Duration) RemoteOption {
-	return func(r *RemoteBackend) {
-		if n > 0 {
-			r.retries = n
-		}
-		if base > 0 {
-			r.backoff = base
-		}
-	}
-}
-
-// RemoteBreaker shapes the circuit breaker: trip after threshold
-// consecutive failures, probe again after cooldown. Defaults: 3, 5s.
-func RemoteBreaker(threshold int, cooldown time.Duration) RemoteOption {
-	return func(r *RemoteBackend) {
-		if threshold > 0 {
-			r.br.threshold = threshold
-		}
-		if cooldown > 0 {
-			r.br.cooldown = cooldown
-		}
-	}
-}
-
-// remoteClock injects a fake clock (tests).
-func remoteClock(now func() time.Time) RemoteOption {
-	return func(r *RemoteBackend) {
-		r.now = now
-		r.br.now = now
-	}
-}
-
 // NewRemoteBackend builds the tiered backend over a local tier and a
 // client pointed at the remote daemon. Call Close when done: it stops
 // the background writer and abandons in-flight remote work.
@@ -269,8 +235,8 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 
 // Put lands the outcome in the local tier (errors here are real — the
 // local store is the daemon's correctness tier) and then writes through
-// to the remote: synchronously with retries when configured, otherwise
-// queued to the background writer. Write-through failure never fails
+// to the remote, with retries: synchronously under RemoteSyncWrites,
+// otherwise queued to the background writer. Write-through failure never fails
 // the Put.
 func (r *RemoteBackend) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
 	if err := r.local.Put(ctx, spec, out); err != nil {

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,10 +189,10 @@ func TestLeaderDiesMidRun(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("warm submit state = %s: %s", st.State, st.Error)
 	}
-	if sims := leader.Queue().Stats().Simulated; sims != 1 {
+	if sims := leader.queue.Stats().Simulated; sims != 1 {
 		t.Errorf("leader simulated %d, want 1 (follower should delegate)", sims)
 	}
-	if sims := follower.Queue().Stats().Simulated; sims != 0 {
+	if sims := follower.queue.Stats().Simulated; sims != 0 {
 		t.Errorf("follower simulated %d, want 0 (remote hit)", sims)
 	}
 
@@ -222,7 +220,7 @@ func TestLeaderDiesMidRun(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("cold submit state = %s: %s", st.State, st.Error)
 	}
-	if sims := follower.Queue().Stats().Simulated; sims != 1 {
+	if sims := follower.queue.Stats().Simulated; sims != 1 {
 		t.Errorf("follower simulated %d after leader death, want 1", sims)
 	}
 
@@ -252,8 +250,11 @@ func TestWriteThroughFailureNeverFailsPut(t *testing.T) {
 			rb := NewRemoteBackend(NewMemBackend(), NewClient(deadRemote),
 				RemoteSyncWrites(mode.sync),
 				RemoteTimeout(200*time.Millisecond),
-				RemoteRetry(2, time.Millisecond),
-				RemoteBreaker(100, time.Hour)) // keep probing: count real errors
+				func(r *RemoteBackend) {
+					r.retries, r.backoff = 2, time.Millisecond
+					// Keep probing: count real errors, not breaker skips.
+					r.br.threshold, r.br.cooldown = 100, time.Hour
+				})
 			defer func() {
 				if err := rb.Close(); err != nil {
 					t.Error(err)
@@ -315,7 +316,7 @@ func TestTwoTierByteIdentity(t *testing.T) {
 		t.Error("read-through outcome differs from direct scenario.Run")
 	}
 
-	if sims := leader.Queue().Stats().Simulated + follower.Queue().Stats().Simulated; sims != 1 {
+	if sims := leader.queue.Stats().Simulated + follower.queue.Stats().Simulated; sims != 1 {
 		t.Errorf("fleet simulated %d for one unique spec, want 1", sims)
 	}
 
@@ -420,51 +421,6 @@ func TestDegradedReadCode(t *testing.T) {
 	}
 	if !IsNotFound(err) {
 		t.Error("IsNotFound rejected a degraded miss")
-	}
-}
-
-// TestClientWithRetry: transport-level retries are opt-in, bounded, and
-// only cover retryable outcomes (5xx), never deterministic 4xx.
-func TestClientWithRetry(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.WriteHeader(http.StatusInternalServerError)
-			_ = json.NewEncoder(w).Encode(apiError{Error: "transient", Code: CodeInternal})
-			return
-		}
-		_ = json.NewEncoder(w).Encode(ListResponse{})
-	}))
-	defer srv.Close()
-
-	// Default client: no retries, the first 500 is final.
-	if _, err := NewClient(srv.URL).List(ctx); err == nil {
-		t.Error("default client retried a 500")
-	}
-
-	// Retrying client: two extra attempts clear the two failures.
-	calls.Store(0)
-	c := NewClient(srv.URL, WithRetry(2, time.Millisecond))
-	if _, err := c.List(ctx); err != nil {
-		t.Errorf("retrying client failed: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("retrying client made %d calls, want 3", got)
-	}
-
-	// 4xx is deterministic: one call, no retry budget spent.
-	var gets atomic.Int64
-	srv4 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		w.WriteHeader(http.StatusNotFound)
-		_ = json.NewEncoder(w).Encode(apiError{Error: "nope", Code: CodeNotFound})
-	}))
-	defer srv4.Close()
-	if _, err := NewClient(srv4.URL, WithRetry(3, time.Millisecond)).Get(ctx, "k"); !IsNotFound(err) {
-		t.Errorf("coded 404 -> %v, want not-found", err)
-	}
-	if got := gets.Load(); got != 1 {
-		t.Errorf("404 retried: %d calls, want 1", got)
 	}
 }
 

@@ -602,7 +602,7 @@ func TestSingleflightAndByteIdentity(t *testing.T) {
 		}
 	}
 
-	qs := d.Queue().Stats()
+	qs := d.queue.Stats()
 	if qs.Submitted != k || qs.Simulated != 1 {
 		t.Errorf("queue stats %+v: want %d submitted, 1 simulated", qs, k)
 	}
@@ -704,7 +704,7 @@ func TestHTTPValidation(t *testing.T) {
 }
 
 // faultyBackend is a MemBackend whose reads fail, as a disk store's do on
-// an unreadable or undecodable cell.
+// an unreadable cell.
 type faultyBackend struct{ *MemBackend }
 
 func (faultyBackend) Get(context.Context, string) (*scenario.Outcome, bool, error) {
@@ -784,11 +784,11 @@ func TestStoppedQueueRejectsSubmits(t *testing.T) {
 	if err := d.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Queue().Submit(ctx, testSpec(24)); err != ErrStopped {
+	if _, err := d.queue.Submit(ctx, testSpec(24)); err != ErrStopped {
 		t.Errorf("submit after stop: %v, want ErrStopped", err)
 	}
 	// Every storage method answers ErrStopped too (not a panic).
-	s := d.Storage()
+	s := d.storage
 	spec := testSpec(24)
 	key, _ := scenario.Key(spec)
 	_, _, getErr := s.Get(ctx, key)
@@ -835,5 +835,26 @@ func TestLoadTestSmoke(t *testing.T) {
 	}
 	if res.Summary() == "" {
 		t.Error("empty summary")
+	}
+}
+
+// TestWireValues pins the literal strings clients see in error envelopes
+// and job states. Every other test compares against the constants, so a
+// renamed wire value would pass them all and still break old clients.
+func TestWireValues(t *testing.T) {
+	for _, tc := range []struct{ name, got, want string }{
+		{"CodeNotFound", CodeNotFound, "not_found"},
+		{"CodeInvalidSpec", CodeInvalidSpec, "invalid_spec"},
+		{"CodeShuttingDown", CodeShuttingDown, "shutting_down"},
+		{"CodeRemoteDegraded", CodeRemoteDegraded, "remote_degraded"},
+		{"CodeInternal", CodeInternal, "internal"},
+		{"StateQueued", StateQueued, "queued"},
+		{"StateRunning", StateRunning, "running"},
+		{"StateDone", StateDone, "done"},
+		{"StateFailed", StateFailed, "failed"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %q on the wire, want %q", tc.name, tc.got, tc.want)
+		}
 	}
 }

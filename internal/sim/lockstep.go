@@ -245,9 +245,6 @@ func (ls *Lockstep) SetDemandScale(i int, f float64) error {
 	return nil
 }
 
-// DemandScale returns lane i's current demand scale.
-func (ls *Lockstep) DemandScale(i int) float64 { return ls.lanes[i].scale }
-
 // MeanDemand returns the mean of lane i's unscaled precompiled demand
 // schedule — the divisible workload share the fleet coordinator
 // redistributes between nodes.

@@ -572,8 +572,8 @@ func TestLockstepDemandScale(t *testing.T) {
 	if err := ls.SetDemandScale(0, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := ls.DemandScale(0); got != 0.5 {
-		t.Fatalf("DemandScale = %v", got)
+	if got := ls.lanes[0].scale; got != 0.5 {
+		t.Fatalf("lane scale = %v", got)
 	}
 	scaled, err := ls.Run()
 	if err != nil {

@@ -60,9 +60,6 @@ func NewPhysicalServer(cfg Config) (*PhysicalServer, error) {
 	}, nil
 }
 
-// Config returns the server configuration.
-func (s *PhysicalServer) Config() Config { return s.cfg }
-
 // Thermal exposes the underlying thermal model (read-mostly: experiments
 // query steady-state helpers).
 func (s *PhysicalServer) Thermal() *thermal.Server { return s.therm }

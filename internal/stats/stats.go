@@ -1,6 +1,7 @@
 // Package stats provides the small statistics toolkit used across the
-// simulator: descriptive statistics, autocorrelation (for oscillation-period
-// estimation), histograms, and a deterministic Gaussian random source.
+// simulator: descriptive statistics, peak detection (for oscillation
+// period and amplitude), counter-based hashing for seeded streams, and a
+// deterministic Gaussian random source.
 //
 // Everything operates on []float64 and is allocation-conscious; the control
 // loops call these helpers every decision period.
@@ -8,10 +9,8 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // ErrEmpty is returned by reducers that are undefined on empty input.
@@ -47,18 +46,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// RMS returns the root-mean-square of xs, or 0 for empty input.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // MinMax returns the smallest and largest elements of xs.
 // It returns ErrEmpty on empty input.
 func MinMax(xs []float64) (lo, hi float64, err error) {
@@ -77,125 +64,6 @@ func MinMax(xs []float64) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
-// Percentile returns the p-th percentile (p in [0, 100]) of xs using linear
-// interpolation between closest ranks. It returns ErrEmpty on empty input
-// and an error for p outside [0, 100]. The input slice is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v outside [0, 100]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// Autocorrelation returns the normalized autocorrelation of xs at the given
-// lag: r(lag) = sum((x[i]-m)(x[i+lag]-m)) / sum((x[i]-m)^2). It returns 0
-// when the lag is out of range or the signal has no variance. The value at
-// lag 0 of a non-constant signal is 1.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag < 0 || lag >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i+lag < n; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
-}
-
-// DominantPeriod estimates the period (in samples) of the strongest
-// oscillatory component of xs by locating the first local maximum of the
-// autocorrelation above minLag. It returns 0 if no peak with correlation of
-// at least minCorr exists — i.e. the signal is not convincingly periodic.
-func DominantPeriod(xs []float64, minLag int, minCorr float64) int {
-	n := len(xs)
-	if minLag < 1 {
-		minLag = 1
-	}
-	best, bestLag := 0.0, 0
-	prev := Autocorrelation(xs, minLag-1)
-	cur := Autocorrelation(xs, minLag)
-	for lag := minLag; lag < n/2; lag++ {
-		next := Autocorrelation(xs, lag+1)
-		if cur >= prev && cur > next && cur > best && cur >= minCorr {
-			best, bestLag = cur, lag
-		}
-		prev, cur = cur, next
-	}
-	return bestLag
-}
-
-// Histogram counts xs into nbins equal-width bins spanning [lo, hi].
-// Values outside the range are clamped into the first or last bin.
-// It returns an error if nbins < 1 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins < 1 {
-		return nil, fmt.Errorf("stats: nbins %d < 1", nbins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: bad histogram range [%v, %v]", lo, hi)
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, nil
-}
-
-// CountAbove returns how many elements of xs exceed threshold.
-func CountAbove(xs []float64, threshold float64) int {
-	n := 0
-	for _, x := range xs {
-		if x > threshold {
-			n++
-		}
-	}
-	return n
-}
-
-// FractionAbove returns the fraction of elements of xs exceeding threshold,
-// or 0 for empty input.
-func FractionAbove(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return float64(CountAbove(xs, threshold)) / float64(len(xs))
-}
-
 // Rand is the deterministic random source used by the whole simulator. It
 // wraps math/rand with an explicit seed so every experiment is reproducible,
 // and adds the Gaussian helper the workload generators need.
@@ -208,12 +76,6 @@ func NewRand(seed int64) *Rand {
 	return &Rand{r: rand.New(rand.NewSource(seed))}
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (g *Rand) Float64() float64 { return g.r.Float64() }
-
-// Intn returns a uniform sample in [0, n). It panics if n <= 0.
-func (g *Rand) Intn(n int) int { return g.r.Intn(n) }
-
 // Normal returns a Gaussian sample with the given mean and standard
 // deviation. Negative sigma panics.
 func (g *Rand) Normal(mean, sigma float64) float64 {
@@ -221,13 +83,4 @@ func (g *Rand) Normal(mean, sigma float64) float64 {
 		panic("stats: negative sigma")
 	}
 	return mean + sigma*g.r.NormFloat64()
-}
-
-// Exponential returns an exponentially distributed sample with the given
-// mean. It panics if mean <= 0.
-func (g *Rand) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		panic("stats: non-positive exponential mean")
-	}
-	return g.r.ExpFloat64() * mean
 }

@@ -52,15 +52,15 @@ func TestNetworkValidation(t *testing.T) {
 
 func TestNetworkNames(t *testing.T) {
 	net, _ := NewNetwork(2, 25)
-	if net.Name(0) != "node0" {
-		t.Errorf("default name = %q", net.Name(0))
+	if net.names[0] != "node0" {
+		t.Errorf("default name = %q", net.names[0])
 	}
 	net.SetName(0, "die")
-	if net.Name(0) != "die" {
+	if net.names[0] != "die" {
 		t.Error("SetName did not take")
 	}
-	if net.Size() != 2 {
-		t.Errorf("Size = %d", net.Size())
+	if net.n != 2 {
+		t.Errorf("size = %d", net.n)
 	}
 }
 
@@ -224,18 +224,6 @@ func TestNetworkMultiCoreLateralCoupling(t *testing.T) {
 	}
 }
 
-func TestNetworkSetters(t *testing.T) {
-	net, _ := NewNetwork(1, 25)
-	net.SetTemperature(0, 90)
-	if net.Temperature(0) != 90 {
-		t.Error("SetTemperature did not take")
-	}
-	net.SetAmbient(30)
-	if net.Ambient() != 30 {
-		t.Error("SetAmbient did not take")
-	}
-}
-
 // TestNetworkCacheInvalidation: mutating topology, capacitance, or an
 // ambient coupling after stepping must produce the same trajectory as a
 // fresh network built in the final configuration — the compiled neighbor
@@ -270,7 +258,7 @@ func TestNetworkCacheInvalidation(t *testing.T) {
 	mustOK(t, fresh.SetCapacitance(0, 2))
 	mustOK(t, fresh.ConnectAmbient(2, 0.05))
 	for i := 0; i < 3; i++ {
-		fresh.SetTemperature(i, net.Temperature(i))
+		fresh.temps[i] = net.Temperature(i)
 	}
 
 	for i := 0; i < 50; i++ {

@@ -69,11 +69,6 @@ func (n *Node) Step(ref units.Celsius, r units.KPerW, c units.JPerK, p units.Wat
 	return n.temp
 }
 
-// TimeConstant returns tau = R*C in seconds.
-func TimeConstant(r units.KPerW, c units.JPerK) units.Seconds {
-	return units.Seconds(float64(r) * float64(c))
-}
-
 // CapacitanceFor returns the capacitance that yields the given time
 // constant at the given resistance: C = tau / R. The server model uses it
 // to derive C_hs from Table I's "60 s at max air flow".

@@ -68,17 +68,11 @@ func NewServer(params ServerParams) (*Server, error) {
 	}, nil
 }
 
-// Params returns the model parameters.
-func (s *Server) Params() ServerParams { return s.params }
-
 // Sink returns the current heat-sink temperature T_hs.
 func (s *Server) Sink() units.Celsius { return s.sink.Temperature() }
 
 // Junction returns the current die junction temperature T_j.
 func (s *Server) Junction() units.Celsius { return s.die.Temperature() }
-
-// Ambient returns the configured ambient temperature.
-func (s *Server) Ambient() units.Celsius { return s.params.Ambient }
 
 // SetAmbient changes the inlet temperature (datacenter scenarios vary it).
 func (s *Server) SetAmbient(t units.Celsius) { s.params.Ambient = t }
@@ -100,6 +94,8 @@ func (s *Server) Step(p units.Watt, v units.RPM, dt units.Seconds) units.Celsius
 // SteadyJunction returns the junction temperature the model converges to
 // if load p and fan speed v are held forever:
 // T_amb + (R_hs(v) + R_die) * P.
+//
+//lint:ignore testonly analytic reference for TestServerConvergesToSteadyJunction and sim's TestWarmStart
 func (s *Server) SteadyJunction(p units.Watt, v units.RPM) units.Celsius {
 	rhs := s.params.Law.Resistance(v)
 	return SteadyState(SteadyState(s.params.Ambient, rhs, p), s.params.DieRes, p)

@@ -175,7 +175,7 @@ func TestServerResetAndSetState(t *testing.T) {
 func TestServerSetAmbient(t *testing.T) {
 	s, _ := NewServer(testParams(t))
 	s.SetAmbient(35)
-	if s.Ambient() != 35 {
+	if s.params.Ambient != 35 {
 		t.Fatal("SetAmbient did not take")
 	}
 	// Steady junction shifts by exactly the ambient delta.

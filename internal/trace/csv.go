@@ -48,47 +48,4 @@ func (st *Set) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a CSV written by WriteCSV back into a Set. Empty cells are
-// skipped (the sample is simply absent from that series).
-func ReadCSV(r io.Reader) (*Set, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read csv: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("trace: empty csv")
-	}
-	header := records[0]
-	if len(header) < 2 || header[0] != "t" {
-		return nil, fmt.Errorf("trace: bad header %v", header)
-	}
-	st := NewSet()
-	for _, name := range header[1:] {
-		st.Add(NewSeries(name))
-	}
-	for li, rec := range records[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want %d", li+2, len(rec), len(header))
-		}
-		t, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d time: %w", li+2, err)
-		}
-		for i, cell := range rec[1:] {
-			if cell == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: row %d col %q: %w", li+2, header[i+1], err)
-			}
-			if err := st.byKey[header[i+1]].Append(t, v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return st, nil
-}
-
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }

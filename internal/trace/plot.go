@@ -103,39 +103,6 @@ func (st *Set) Plot(opt PlotOptions) string {
 	return b.String()
 }
 
-// Sparkline renders a single series as a one-line block-character chart of
-// the given width, useful for compact progress output.
-func Sparkline(s *Series, width int) string {
-	if s.Len() == 0 || width <= 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	st, _ := s.Summarize()
-	span := st.Max - st.Min
-	t0 := s.points[0].T
-	t1 := s.points[s.Len()-1].T
-	if t1 == t0 {
-		t1 = t0 + 1
-	}
-	var b strings.Builder
-	for c := 0; c < width; c++ {
-		t := t0 + (t1-t0)*float64(c)/float64(maxInt(1, width-1))
-		v, ok := s.ValueAt(t)
-		if !ok {
-			b.WriteRune(' ')
-			continue
-		}
-		var level int
-		if span == 0 {
-			level = 0
-		} else {
-			level = int((v - st.Min) / span * float64(len(blocks)-1))
-		}
-		b.WriteRune(blocks[level])
-	}
-	return b.String()
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

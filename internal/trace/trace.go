@@ -1,6 +1,6 @@
 // Package trace provides the time-series container used throughout the
 // simulator for recorded signals (temperatures, fan speeds, utilizations),
-// plus CSV interchange and terminal plotting so every paper figure can be
+// plus CSV export and terminal plotting so every paper figure can be
 // rendered without external tooling.
 package trace
 
@@ -125,29 +125,6 @@ func (s *Series) ValueAt(t float64) (v float64, ok bool) {
 	return s.points[i-1].V, true
 }
 
-// Resample returns the series sampled every dt from its first to last
-// timestamp using zero-order hold. It returns an empty series when s is
-// empty, and an error for dt <= 0.
-func (s *Series) Resample(dt float64) (*Series, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("trace: resample interval %v <= 0", dt)
-	}
-	out := NewSeries(s.Name)
-	if len(s.points) == 0 {
-		return out, nil
-	}
-	t0, t1 := s.points[0].T, s.points[len(s.points)-1].T
-	for k := 0; ; k++ {
-		t := t0 + float64(k)*dt
-		if t > t1+1e-9 {
-			break
-		}
-		v, _ := s.ValueAt(t)
-		out.points = append(out.points, Point{T: t, V: v})
-	}
-	return out, nil
-}
-
 // Crossings returns the times at which the series crosses the given level,
 // with linear interpolation between samples. Touching the level exactly
 // counts once.
@@ -175,29 +152,6 @@ func (s *Series) Crossings(level float64) []float64 {
 	return out
 }
 
-// Stats summarizes a series.
-type Stats struct {
-	Min, Max, Mean, Last float64
-}
-
-// Summarize computes the summary statistics of the series values.
-// ok is false for an empty series.
-func (s *Series) Summarize() (Stats, bool) {
-	if len(s.points) == 0 {
-		return Stats{}, false
-	}
-	st := Stats{Min: s.points[0].V, Max: s.points[0].V}
-	sum := 0.0
-	for _, p := range s.points {
-		st.Min = math.Min(st.Min, p.V)
-		st.Max = math.Max(st.Max, p.V)
-		sum += p.V
-	}
-	st.Mean = sum / float64(len(s.points))
-	st.Last = s.points[len(s.points)-1].V
-	return st, true
-}
-
 // SettlingTime returns the earliest time after which the series stays
 // within ±band of target forever (within the recorded horizon). ok is
 // false if the series never settles or is empty.
@@ -217,18 +171,6 @@ func (s *Series) SettlingTime(target, band float64) (t float64, ok bool) {
 		return 0, false // still outside at the end
 	}
 	return s.points[lastOutside+1].T, true
-}
-
-// Integrate returns the trapezoidal integral of the series over its full
-// extent: for power traces in watts against seconds this is energy in
-// joules.
-func (s *Series) Integrate() float64 {
-	var sum float64
-	for i := 1; i < len(s.points); i++ {
-		a, b := s.points[i-1], s.points[i]
-		sum += (a.V + b.V) / 2 * (b.T - a.T)
-	}
-	return sum
 }
 
 // Set is an ordered collection of series sharing a time base, e.g. all

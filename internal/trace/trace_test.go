@@ -3,7 +3,6 @@ package trace
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestAppendMonotonic(t *testing.T) {
@@ -88,30 +87,6 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s, _ := FromSlices("x", []float64{0, 10}, []float64{1, 5})
-	r, err := s.Resample(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Resample len = %d, want 3", r.Len())
-	}
-	wants := []float64{1, 1, 5}
-	for i, w := range wants {
-		if r.At(i).V != w {
-			t.Errorf("sample %d = %v, want %v", i, r.At(i).V, w)
-		}
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Error("Resample(0) accepted")
-	}
-	empty := NewSeries("e")
-	if r, err := empty.Resample(1); err != nil || r.Len() != 0 {
-		t.Errorf("empty resample = %v, %v", r, err)
-	}
-}
-
 func TestCrossings(t *testing.T) {
 	s, _ := FromSlices("x", []float64{0, 1, 2, 3, 4}, []float64{0, 2, 0, 2, 0})
 	xs := s.Crossings(1)
@@ -134,20 +109,6 @@ func TestCrossingsTouch(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s, _ := FromSlices("x", []float64{0, 1, 2, 3}, []float64{4, -2, 6, 0})
-	st, ok := s.Summarize()
-	if !ok {
-		t.Fatal("Summarize not ok")
-	}
-	if st.Min != -2 || st.Max != 6 || st.Mean != 2 || st.Last != 0 {
-		t.Errorf("Stats = %+v", st)
-	}
-	if _, ok := NewSeries("e").Summarize(); ok {
-		t.Error("empty Summarize ok")
-	}
-}
-
 func TestSettlingTime(t *testing.T) {
 	// Signal: outside band until t=3, then inside.
 	s, _ := FromSlices("x",
@@ -166,36 +127,6 @@ func TestSettlingTime(t *testing.T) {
 	s3, _ := FromSlices("x", []float64{0, 1}, []float64{5, 5})
 	if got, ok := s3.SettlingTime(5, 0.5); !ok || got != 0 {
 		t.Errorf("immediate settle = %v, %v", got, ok)
-	}
-}
-
-func TestIntegrate(t *testing.T) {
-	s, _ := FromSlices("p", []float64{0, 2, 4}, []float64{1, 3, 1})
-	// Trapezoids: (1+3)/2*2 + (3+1)/2*2 = 8
-	if got := s.Integrate(); got != 8 {
-		t.Errorf("Integrate = %v, want 8", got)
-	}
-	if got := NewSeries("e").Integrate(); got != 0 {
-		t.Errorf("empty Integrate = %v", got)
-	}
-}
-
-func TestIntegrateConstantProperty(t *testing.T) {
-	f := func(v float64, n uint8) bool {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-		v = math.Mod(v, 1e6)
-		steps := int(n%50) + 2
-		s := NewSeries("c")
-		for i := 0; i < steps; i++ {
-			s.MustAppend(float64(i), v)
-		}
-		want := v * float64(steps-1)
-		return math.Abs(s.Integrate()-want) <= 1e-6*(1+math.Abs(want))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -15,9 +15,6 @@ import (
 // Celsius is a temperature in degrees Celsius.
 type Celsius float64
 
-// Kelvin is an absolute temperature in kelvins.
-type Kelvin float64
-
 // RPM is a rotational fan speed in revolutions per minute.
 type RPM float64
 
@@ -39,15 +36,6 @@ type JPerK float64
 
 // Utilization is a CPU utilization fraction in [0, 1].
 type Utilization float64
-
-// CelsiusZeroInKelvin is the offset between the Celsius and Kelvin scales.
-const CelsiusZeroInKelvin Kelvin = 273.15
-
-// Kelvin converts a Celsius temperature to kelvins.
-func (c Celsius) Kelvin() Kelvin { return Kelvin(c) + CelsiusZeroInKelvin }
-
-// Celsius converts an absolute temperature to degrees Celsius.
-func (k Kelvin) Celsius() Celsius { return Celsius(k - CelsiusZeroInKelvin) }
 
 // String implements fmt.Stringer with one decimal place.
 func (c Celsius) String() string { return fmt.Sprintf("%.1f°C", float64(c)) }
@@ -95,16 +83,9 @@ func ClampUtil(u Utilization) Utilization {
 // Lerp(a, b, 1) == b. t outside [0, 1] extrapolates.
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
 
-// InvLerp returns the parameter t such that Lerp(a, b, t) == v.
-// It panics if a == b, where the parameter is undefined.
-func InvLerp(a, b, v float64) float64 {
-	if a == b {
-		panic("units.InvLerp: degenerate interval")
-	}
-	return (v - a) / (b - a)
-}
-
 // ApproxEqual reports whether a and b differ by at most tol.
+//
+//lint:ignore testonly tolerance fixture pinned by TestApproxEqual
 func ApproxEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // IsFinite reports whether v is neither NaN nor infinite. The simulator

@@ -6,24 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCelsiusKelvinRoundTrip(t *testing.T) {
-	cases := []Celsius{-273.15, -40, 0, 25, 80, 125}
-	for _, c := range cases {
-		if got := c.Kelvin().Celsius(); math.Abs(float64(got-c)) > 1e-12 {
-			t.Errorf("round trip %v -> %v", c, got)
-		}
-	}
-}
-
-func TestCelsiusKelvinOffset(t *testing.T) {
-	if got := Celsius(0).Kelvin(); got != 273.15 {
-		t.Fatalf("0C = %v K, want 273.15", got)
-	}
-	if got := Kelvin(373.15).Celsius(); math.Abs(float64(got-100)) > 1e-12 {
-		t.Fatalf("373.15K = %v C, want 100", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	tests := []struct {
 		v, lo, hi, want float64
@@ -110,36 +92,6 @@ func TestLerpEndpoints(t *testing.T) {
 	if Lerp(2, 10, 0.5) != 6 {
 		t.Error("Lerp midpoint wrong")
 	}
-}
-
-func TestInvLerpInvertsLerp(t *testing.T) {
-	f := func(a, b, tt float64) bool {
-		if !IsFinite(a) || !IsFinite(b) || !IsFinite(tt) {
-			return true
-		}
-		// Keep magnitudes modest so floating point error stays bounded.
-		a = math.Mod(a, 1e6)
-		b = math.Mod(b, 1e6)
-		tt = math.Mod(tt, 4)
-		if math.Abs(a-b) < 1e-6 {
-			return true
-		}
-		v := Lerp(a, b, tt)
-		got := InvLerp(a, b, v)
-		return math.Abs(got-tt) < 1e-6*(1+math.Abs(tt))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInvLerpPanicsOnDegenerate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("InvLerp(3, 3, 5) did not panic")
-		}
-	}()
-	InvLerp(3, 3, 5)
 }
 
 func TestIsFinite(t *testing.T) {

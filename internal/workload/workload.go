@@ -3,8 +3,8 @@
 // alternate between 0.1 and 0.7 with additive Gaussian noise (σ = 0.04);
 // this package provides that construction plus the spike patterns that
 // motivate the single-step fan scaler (Sec. V-C, citing [20]), and several
-// generic generators (constant, ramp, PRBS, Markov-modulated, recorded
-// trace playback) used by tests and examples.
+// generic generators (constant, step, PRBS, Markov-modulated) used by
+// tests and examples.
 //
 // A Generator maps simulation time to the utilization the workload demands.
 // Generators are deterministic: the same generator asked at the same time
@@ -72,24 +72,6 @@ func (s Square) At(t units.Seconds) units.Utilization {
 		return s.Low
 	}
 	return s.High
-}
-
-// Ramp rises linearly from From to To over Duration, then holds To.
-type Ramp struct {
-	From, To units.Utilization
-	Duration units.Seconds
-}
-
-// At implements Generator.
-func (r Ramp) At(t units.Seconds) units.Utilization {
-	if r.Duration <= 0 || t >= r.Duration {
-		return units.ClampUtil(r.To)
-	}
-	if t <= 0 {
-		return units.ClampUtil(r.From)
-	}
-	frac := float64(t) / float64(r.Duration)
-	return units.ClampUtil(units.Utilization(units.Lerp(float64(r.From), float64(r.To), frac)))
 }
 
 // Step jumps from Before to After at time At.
@@ -329,53 +311,3 @@ func (m Markov) At(t units.Seconds) units.Utilization {
 	}
 	return units.ClampUtil(m.IdleU)
 }
-
-// Trace plays back a recorded utilization trace with zero-order hold,
-// holding the last value after the trace ends and the first value before
-// it begins.
-type Trace struct {
-	times []units.Seconds
-	utils []units.Utilization
-}
-
-// NewTrace builds a playback generator from parallel slices. Times must be
-// strictly increasing.
-func NewTrace(times []units.Seconds, utils []units.Utilization) (*Trace, error) {
-	if len(times) != len(utils) {
-		return nil, fmt.Errorf("workload: %d times vs %d utils", len(times), len(utils))
-	}
-	if len(times) == 0 {
-		return nil, fmt.Errorf("workload: empty trace")
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] <= times[i-1] {
-			return nil, fmt.Errorf("workload: non-increasing time at index %d", i)
-		}
-	}
-	for i, u := range utils {
-		if u < 0 || u > 1 {
-			return nil, fmt.Errorf("workload: utilization %v at index %d outside [0, 1]", u, i)
-		}
-	}
-	return &Trace{times: append([]units.Seconds(nil), times...), utils: append([]units.Utilization(nil), utils...)}, nil
-}
-
-// At implements Generator.
-func (tr *Trace) At(t units.Seconds) units.Utilization {
-	if t <= tr.times[0] {
-		return tr.utils[0]
-	}
-	lo, hi := 0, len(tr.times)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if tr.times[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return tr.utils[lo-1]
-}
-
-// Len returns the number of samples in the trace.
-func (tr *Trace) Len() int { return len(tr.times) }

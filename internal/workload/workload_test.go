@@ -57,29 +57,6 @@ func TestPaperSquare(t *testing.T) {
 	}
 }
 
-func TestRamp(t *testing.T) {
-	r := Ramp{From: 0.2, To: 0.8, Duration: 10}
-	if got := r.At(0); got != 0.2 {
-		t.Errorf("At(0) = %v", got)
-	}
-	if got := r.At(5); math.Abs(float64(got)-0.5) > 1e-12 {
-		t.Errorf("At(5) = %v, want 0.5", got)
-	}
-	if got := r.At(10); got != 0.8 {
-		t.Errorf("At(10) = %v", got)
-	}
-	if got := r.At(100); got != 0.8 {
-		t.Errorf("At(100) = %v", got)
-	}
-	if got := r.At(-1); got != 0.2 {
-		t.Errorf("At(-1) = %v", got)
-	}
-	zero := Ramp{From: 0.1, To: 0.9, Duration: 0}
-	if got := zero.At(0); got != 0.9 {
-		t.Errorf("zero-duration ramp = %v, want To", got)
-	}
-}
-
 func TestStep(t *testing.T) {
 	s := Step{Before: 0.1, After: 0.7, Time: 100}
 	if s.At(99.9) != 0.1 || s.At(100) != 0.7 {
@@ -241,52 +218,12 @@ func TestMarkovEventuallyVisitsBothStates(t *testing.T) {
 	}
 }
 
-func TestTracePlayback(t *testing.T) {
-	tr, err := NewTrace(
-		[]units.Seconds{0, 10, 20},
-		[]units.Utilization{0.2, 0.5, 0.9},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		t    units.Seconds
-		want units.Utilization
-	}{
-		{-5, 0.2}, {0, 0.2}, {9.9, 0.2}, {10, 0.5}, {15, 0.5}, {20, 0.9}, {1000, 0.9},
-	}
-	for _, tt := range tests {
-		if got := tr.At(tt.t); got != tt.want {
-			t.Errorf("At(%v) = %v, want %v", tt.t, got, tt.want)
-		}
-	}
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
-func TestTraceValidation(t *testing.T) {
-	if _, err := NewTrace(nil, nil); err == nil {
-		t.Error("empty trace accepted")
-	}
-	if _, err := NewTrace([]units.Seconds{0}, []units.Utilization{0.1, 0.2}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := NewTrace([]units.Seconds{0, 0}, []units.Utilization{0.1, 0.2}); err == nil {
-		t.Error("non-increasing times accepted")
-	}
-	if _, err := NewTrace([]units.Seconds{0}, []units.Utilization{1.5}); err == nil {
-		t.Error("out-of-range utilization accepted")
-	}
-}
-
 func TestGeneratorsAlwaysInRangeProperty(t *testing.T) {
 	sq := PaperSquare(300)
 	noisy, _ := NewNoisy(sq, 0.2, 1, 5)
 	spiky, _ := NewSpiky(noisy, PeriodicSpikes(10, 100, 15, 1.0, 5))
 	gens := []Generator{
 		sq, noisy, spiky,
-		Ramp{From: 0, To: 1, Duration: 100},
 		PRBS{Low: 0, High: 1, Dwell: 7, Seed: 1},
 		Markov{IdleU: 0, BusyU: 1, Dwell: 3, PIdleToBusy: 0.5, PBusyToIdle: 0.5, Seed: 2},
 	}

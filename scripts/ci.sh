@@ -15,8 +15,8 @@ if [ -n "$unformatted" ]; then
 fi
 
 # Static-analysis gate: the repo-specific analyzers (determinism,
-# map-order, ambient-read, scratch-alias, hash-coverage) must be clean
-# before anything heavier runs.
+# map-order, ambient-read, scratch-alias, hash-coverage, test-only code)
+# must be clean before anything heavier runs.
 go run ./cmd/repolint
 
 go vet ./...
