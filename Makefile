@@ -13,7 +13,7 @@ GO ?= go
 # BenchmarkFleetRun/workers=0 is the one entry that runs more than one
 # engine worker, so a multi-worker slowdown shows up here too.
 BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkFleetRun|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit|BenchmarkStoragePut|BenchmarkStorageGetParallel'
-BENCH_OUT ?= BENCH_PR16.json
+BENCH_OUT ?= BENCH_PR17.json
 
 all: ci
 
@@ -59,7 +59,7 @@ bench-json:
 # >BENCH_THRESHOLD regression in time or allocations per benchmark.
 # scripts/ci.sh runs this target, so the pattern and baseline live here
 # only.
-BENCH_BASELINE ?= BENCH_PR15.json
+BENCH_BASELINE ?= BENCH_PR16.json
 BENCH_THRESHOLD ?= 0.15
 BENCH_COMPARE_TIME ?= 1s
 bench-compare:

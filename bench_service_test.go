@@ -86,18 +86,11 @@ func BenchmarkStoragePut(b *testing.B) {
 		}
 	}
 
-	s := service.NewStorage(backend, scenario.GCConfig{})
-	if err := s.Configure(); err != nil {
+	s, err := service.NewStorage(backend, scenario.GCConfig{})
+	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := s.Stop(); err != nil {
-			b.Errorf("stopping storage: %v", err)
-		}
-	}()
+	defer s.Stop()
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -136,18 +129,11 @@ func BenchmarkStorageGetParallel(b *testing.B) {
 		}
 	}
 
-	s := service.NewStorage(backend, scenario.GCConfig{})
-	if err := s.Configure(); err != nil {
+	s, err := service.NewStorage(backend, scenario.GCConfig{})
+	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := s.Stop(); err != nil {
-			b.Errorf("stopping storage: %v", err)
-		}
-	}()
+	defer s.Stop()
 
 	var next atomic.Int64
 	b.ReportAllocs()

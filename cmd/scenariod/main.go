@@ -2,20 +2,17 @@
 // holding one content-addressed result store behind a deduplicating job
 // queue, so many clients (sweep scripts, CI, notebooks) share one cache
 // instead of each recomputing the same cells. The client verbs talk to
-// a running daemon; loadtest drives one through the two-phase
-// cold/hot workload and prints the latency/hit-rate report.
+// a running daemon; the benchmark under bench/ measures one under load.
 //
-//	scenariod serve    -addr 127.0.0.1:0 -store DIR [-shards N] [-maxcells N] [-maxbytes N]
-//	scenariod submit   -addr HOST:PORT [-wait] -spec FILE|-
-//	scenariod get      -addr HOST:PORT KEY
-//	scenariod ls       -addr HOST:PORT
-//	scenariod stats    -addr HOST:PORT
-//	scenariod loadtest [-addr HOST:PORT] [-clients K] [-cold N] [-hot N] [-requests N] [-json FILE]
+//	scenariod serve  -addr 127.0.0.1:0 -store DIR [-shards N] [-maxcells N] [-maxbytes N]
+//	scenariod submit -addr HOST:PORT [-wait] -spec FILE|-
+//	scenariod get    -addr HOST:PORT KEY
+//	scenariod ls     -addr HOST:PORT
+//	scenariod stats  -addr HOST:PORT
 //
 // serve prints "scenariod listening on ADDR" once the socket is bound
 // (scripts parse it to learn the ephemeral port) and shuts down cleanly
-// on SIGINT/SIGTERM. loadtest without -addr self-hosts an ephemeral
-// in-process daemon.
+// on SIGINT/SIGTERM.
 package main
 
 import (
@@ -32,7 +29,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/service"
-	"repro/internal/units"
 )
 
 func main() {
@@ -55,8 +51,6 @@ func main() {
 		err = lsCmd(args)
 	case "stats":
 		err = statsCmd(args)
-	case "loadtest":
-		err = loadtestCmd(args)
 	case "help", "-h", "-help", "--help":
 		usage(os.Stdout)
 	default:
@@ -73,13 +67,11 @@ func usage(w *os.File) {
 	fmt.Fprint(w, `usage: scenariod <verb> [flags]
 
 verbs:
-  serve     run the daemon (HTTP API + job queue + store)
-  submit    POST a spec file (or - for stdin) to a daemon
-  get       poll one scenario key
-  ls        list stored cells and in-flight jobs
-  stats     print queue/storage/engine accounting
-  loadtest  drive a daemon (or a self-hosted one) through the
-            cold/hot workload and report latency + hit rate
+  serve   run the daemon (HTTP API + job queue + store)
+  submit  POST a spec file (or - for stdin) to a daemon
+  get     poll one scenario key
+  ls      list stored cells and in-flight jobs
+  stats   print queue/storage/engine accounting
 
 run "scenariod <verb> -h" for the verb's flags.
 `)
@@ -107,7 +99,6 @@ func serveCmd(args []string) error {
 	maxBytes := fs.Int64("maxbytes", 0, "cache cap: max summed cell bytes (0 = unbounded)")
 	remote := fs.String("remote", "", "shared-tier scenariod to front (host:port; empty = single tier)")
 	remoteTimeout := fs.Duration("remote-timeout", 0, "per-call remote deadline (0 = 5s default)")
-	remoteSync := fs.Bool("remote-sync", false, "write through to the remote synchronously on puts")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -121,7 +112,7 @@ func serveCmd(args []string) error {
 	}
 	d, err := service.New(service.Config{
 		Addr: *addr, StoreDir: *storeDir,
-		Remote: remoteBase, RemoteTimeout: *remoteTimeout, RemoteSync: *remoteSync,
+		Remote: remoteBase, RemoteTimeout: *remoteTimeout,
 		Shards: *shards, EngineWorkers: *workers,
 		MaxCells: *maxCells, MaxBytes: *maxBytes,
 	})
@@ -259,116 +250,4 @@ func statsCmd(args []string) error {
 		return err
 	}
 	return printJSON(sr)
-}
-
-func loadtestCmd(args []string) error {
-	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	addr := fs.String("addr", "", "daemon address (empty = self-host an ephemeral daemon)")
-	twoTier := fs.Bool("two-tier", false, "self-host a leader + tiered follower pair and run the two-tier workload")
-	clients := fs.Int("clients", 8, "concurrent clients")
-	cold := fs.Int("cold", 24, "unique spec population")
-	hot := fs.Int("hot", 12, "hot working-set size")
-	requests := fs.Int("requests", 50, "hot-phase requests per client")
-	hotFrac := fs.Float64("hotfrac", 0.95, "hot-phase probability of drawing a warm key")
-	duration := fs.Float64("duration", 900, "per-spec simulated horizon (s)")
-	seed := fs.Int64("seed", 1, "population/mix seed")
-	jsonOut := fs.String("json", "", "write the full report JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := service.LoadTestConfig{
-		Clients: *clients, ColdSpecs: *cold, HotSpecs: *hot,
-		Requests: *requests, HotFraction: *hotFrac,
-		Duration: units.Seconds(*duration), Seed: *seed,
-	}
-
-	if *twoTier {
-		return twoTierLoadtest(cfg, *jsonOut)
-	}
-
-	base := ""
-	if *addr != "" {
-		b, err := baseURL(*addr)
-		if err != nil {
-			return err
-		}
-		base = b
-	} else {
-		d, err := service.New(service.Config{})
-		if err != nil {
-			return err
-		}
-		if err := d.Start(); err != nil {
-			return err
-		}
-		defer func() {
-			if err := d.Stop(); err != nil {
-				log.Printf("loadtest: stopping self-hosted daemon: %v", err)
-			}
-		}()
-		base = d.BaseURL()
-		fmt.Printf("loadtest: self-hosted daemon on %s (%s)\n", base, d)
-	}
-
-	res, err := service.RunLoadTest(service.NewClient(base), cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Summary())
-	return writeReport(res, *jsonOut)
-}
-
-// twoTierLoadtest self-hosts a leader and a tiered follower and drives
-// the leader-warm / cold-follower / warm-follower workload.
-func twoTierLoadtest(cfg service.LoadTestConfig, jsonOut string) error {
-	leader, err := service.New(service.Config{})
-	if err != nil {
-		return err
-	}
-	if err := leader.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		if err := leader.Stop(); err != nil {
-			log.Printf("loadtest: stopping leader: %v", err)
-		}
-	}()
-	follower, err := service.New(service.Config{Remote: leader.BaseURL()})
-	if err != nil {
-		return err
-	}
-	if err := follower.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		if err := follower.Stop(); err != nil {
-			log.Printf("loadtest: stopping follower: %v", err)
-		}
-	}()
-	fmt.Printf("loadtest: leader %s, follower %s (%s)\n",
-		leader.BaseURL(), follower.BaseURL(), follower)
-
-	res, err := service.RunTwoTierLoadTest(
-		service.NewClient(leader.BaseURL()), service.NewClient(follower.BaseURL()), cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Summary())
-	return writeReport(res, jsonOut)
-}
-
-// writeReport pretty-prints a report JSON to a file when requested.
-func writeReport(v any, path string) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("loadtest: report written to %s\n", path)
-	return nil
 }

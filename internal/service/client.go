@@ -32,8 +32,8 @@ const (
 )
 
 // Client talks to a scenariod instance. It is safe for concurrent use
-// (the load-test driver shares one client across its workers so the
-// underlying http.Transport pools connections).
+// (goroutines sharing one client share the underlying http.Transport's
+// connection pool).
 type Client struct {
 	base string
 	hc   *http.Client

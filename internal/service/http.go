@@ -12,7 +12,7 @@ import (
 	"repro/internal/scenario"
 )
 
-// HTTPServer is the API module. Endpoints:
+// HTTPServer is the API part. Endpoints:
 //
 //	POST /v1/scenarios        submit a Spec (JSON body) → JobStatus.
 //	                          A spec whose cell is already stored
@@ -38,44 +38,30 @@ import (
 type HTTPServer struct {
 	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
-	// queue and storage are the modules the handlers call into.
+	// queue and storage are the parts the handlers call into.
 	queue   *Queue
 	storage *Storage
-	// startTicks snapshots the engine tick probe at module start so
+	// startTicks snapshots the engine tick probe at Start so
 	// /v1/stats reports the daemon's own simulation work.
 	startTicks int64
 	startRuns  int64
 
 	srv *http.Server
 	ln  net.Listener
-	mux *http.ServeMux
 }
 
-// NewHTTPServer builds the API module.
+// NewHTTPServer builds the API part and its route table (no socket yet
+// — Start binds it).
 func NewHTTPServer(addr string, queue *Queue, storage *Storage) *HTTPServer {
-	return &HTTPServer{Addr: addr, queue: queue, storage: storage}
-}
-
-// Name implements Module.
-func (h *HTTPServer) Name() string { return "httpserver" }
-
-// Configure validates the wiring and builds the route table (no socket
-// yet — Start owns outside resources).
-func (h *HTTPServer) Configure() error {
-	if h.queue == nil || h.storage == nil {
-		return fmt.Errorf("httpserver: nil queue or storage module")
-	}
-	if h.Addr == "" {
-		return fmt.Errorf("httpserver: empty listen address")
-	}
-	h.mux = http.NewServeMux()
-	h.mux.HandleFunc("POST /v1/scenarios", h.handleSubmit)
-	h.mux.HandleFunc("GET /v1/scenarios", h.handleList)
-	h.mux.HandleFunc("GET /v1/scenarios/{key}", h.handleGet)
-	h.mux.HandleFunc("PUT /v1/scenarios/{key}", h.handlePush)
-	h.mux.HandleFunc("GET /v1/stats", h.handleStats)
-	h.srv = &http.Server{Handler: h.mux, ReadHeaderTimeout: 10 * time.Second}
-	return nil
+	h := &HTTPServer{Addr: addr, queue: queue, storage: storage}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/scenarios", h.handleSubmit)
+	mux.HandleFunc("GET /v1/scenarios", h.handleList)
+	mux.HandleFunc("GET /v1/scenarios/{key}", h.handleGet)
+	mux.HandleFunc("PUT /v1/scenarios/{key}", h.handlePush)
+	mux.HandleFunc("GET /v1/stats", h.handleStats)
+	h.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	return h
 }
 
 // Start binds the listener and serves in the background.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -100,6 +101,8 @@ type Queue struct {
 
 	mu       sync.Mutex
 	inflight map[string]*job
+	// failed holds the failed jobs still in inflight, oldest first.
+	failed   []*job
 	accept   bool
 	stopping bool
 	// submitters tracks Submits past the accept check but not yet
@@ -115,38 +118,36 @@ type Queue struct {
 	}
 }
 
-// NewQueue builds the queue module over the storage module.
-func NewQueue(storage *Storage, shards, engineWorkers int) *Queue {
-	return &Queue{storage: storage, shards: shards, engineWorkers: engineWorkers, run: scenario.Run}
-}
+// maxFailedJobs bounds the failed jobs the in-flight table keeps for
+// pollers; past it the oldest failure is forgotten (its key polls as
+// unknown, and a resubmit still retries it).
+const maxFailedJobs = 64
 
-// Name implements Module.
-func (q *Queue) Name() string { return "queue" }
-
-// Configure validates the shard count and allocates the job table and
-// shard channels.
-func (q *Queue) Configure() error {
-	if q.storage == nil {
-		return fmt.Errorf("queue: nil storage module")
+// NewQueue builds the queue over the storage part: shards workers (at
+// least one), each run capped at engineWorkers engine workers (0 = all
+// cores).
+func NewQueue(storage *Storage, shards, engineWorkers int) (*Queue, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("queue: need at least one shard worker (got %d)", shards)
 	}
-	if q.shards < 1 {
-		return fmt.Errorf("queue: need at least one shard worker (got %d)", q.shards)
+	if engineWorkers < 0 {
+		return nil, fmt.Errorf("queue: negative engine worker cap %d", engineWorkers)
 	}
-	if q.engineWorkers < 0 {
-		return fmt.Errorf("queue: negative engine worker cap %d", q.engineWorkers)
+	q := &Queue{
+		storage: storage, shards: shards, engineWorkers: engineWorkers, run: scenario.Run,
+		inflight: make(map[string]*job),
+		queues:   make([]chan *job, shards),
 	}
-	q.inflight = make(map[string]*job)
-	q.queues = make([]chan *job, q.shards)
 	for i := range q.queues {
 		// The buffer absorbs submit bursts without blocking the HTTP
 		// handler; a full shard applies backpressure on the submitter.
 		q.queues[i] = make(chan *job, 256)
 	}
-	return nil
+	return q, nil
 }
 
 // Start launches the shard workers and opens the intake.
-func (q *Queue) Start() error {
+func (q *Queue) Start() {
 	for i := range q.queues {
 		q.wg.Add(1)
 		go q.worker(q.queues[i])
@@ -154,14 +155,13 @@ func (q *Queue) Start() error {
 	q.mu.Lock()
 	q.accept = true
 	q.mu.Unlock()
-	return nil
 }
 
 // Stop closes the intake and waits for the workers. Jobs already
 // executing finish (their results are persisted for the next process);
 // jobs still queued are failed with a shutdown error instead of run, so
 // Stop returns promptly even with a deep backlog.
-func (q *Queue) Stop() error {
+func (q *Queue) Stop() {
 	q.mu.Lock()
 	q.accept = false
 	q.stopping = true
@@ -171,7 +171,6 @@ func (q *Queue) Stop() error {
 		close(q.queues[i])
 	}
 	q.wg.Wait()
-	return nil
 }
 
 // shardOf maps a content key to its worker. Keys are SHA-256 hex, so
@@ -237,7 +236,7 @@ func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, erro
 			q.addStat(&q.stats.coalesced)
 			return j.snapshot(), nil
 		}
-		delete(q.inflight, key)
+		q.failed = slices.DeleteFunc(q.failed, func(f *job) bool { return f == j })
 	}
 	j := &job{key: key, spec: spec, state: StateQueued, done: make(chan struct{})}
 	q.inflight[key] = j
@@ -338,12 +337,7 @@ func (q *Queue) worker(jobs <-chan *job) {
 		q.mu.Unlock()
 		if stopping {
 			// Shutdown: fail the backlog instead of simulating it.
-			j.mu.Lock()
-			j.state = StateFailed
-			j.err = "scenariod stopping before execution"
-			j.mu.Unlock()
-			q.addStat(&q.stats.failed)
-			close(j.done)
+			q.fail(j, "scenariod stopping before execution")
 			continue
 		}
 
@@ -381,29 +375,41 @@ func (q *Queue) worker(jobs <-chan *job) {
 			err = q.storage.Put(context.Background(), j.spec, out)
 		}
 
-		j.mu.Lock()
 		if err != nil {
-			j.state = StateFailed
-			j.err = err.Error()
-		} else {
-			j.state = StateDone
-			j.outcome = out
-		}
-		j.mu.Unlock()
-
-		if err != nil {
-			q.addStat(&q.stats.failed)
-			// Failed jobs stay in the table so pollers see the error;
-			// a re-submit replaces them (see Submit).
-			close(j.done)
+			q.fail(j, err.Error())
 			continue
 		}
+		j.mu.Lock()
+		j.state = StateDone
+		j.outcome = out
+		j.mu.Unlock()
 		q.addStat(&q.stats.simulated)
 		q.mu.Lock()
 		delete(q.inflight, j.key)
 		q.mu.Unlock()
 		close(j.done)
 	}
+}
+
+// fail marks a job failed and keeps it in the in-flight table so
+// pollers see the error, until a resubmit replaces it (see Submit) or
+// maxFailedJobs newer failures push it out. The state change and the
+// failed list move together under q.mu, so Submit never sees a failed
+// job that is not on the list.
+func (q *Queue) fail(j *job, msg string) {
+	q.mu.Lock()
+	j.mu.Lock()
+	j.state = StateFailed
+	j.err = msg
+	j.mu.Unlock()
+	q.failed = append(q.failed, j)
+	if len(q.failed) > maxFailedJobs {
+		delete(q.inflight, q.failed[0].key)
+		q.failed = q.failed[1:]
+	}
+	q.mu.Unlock()
+	q.addStat(&q.stats.failed)
+	close(j.done)
 }
 
 // addStat bumps one counter under the stats lock.

@@ -16,8 +16,8 @@ import (
 // Fetch — the queue workers' miss path — delegates the whole simulation
 // to the remote daemon, whose singleflight queue dedups across the
 // fleet, so N daemons sharing one leader cost exactly one simulation
-// per unique spec. Puts land locally first and write through to the
-// remote (async by default, sync when configured).
+// per unique spec. Puts land locally first and are queued to a
+// background writer that writes them through to the remote.
 //
 // The headline guarantee is the failure semantics: remote trouble can
 // only cost cache hits, never correctness or availability. Every remote
@@ -32,8 +32,6 @@ type RemoteBackend struct {
 
 	// timeout bounds each remote call (Get/Fetch/Push attempt).
 	timeout time.Duration
-	// sync makes Put block on the write-through instead of queueing it.
-	sync bool
 	// retries/backoff shape the write-through retry loop.
 	retries int
 	backoff time.Duration
@@ -42,7 +40,7 @@ type RemoteBackend struct {
 
 	br *breaker
 
-	// writes is the async write-through queue; nil when sync.
+	// writes is the write-through queue the background writer drains.
 	writes chan writeThrough
 	// root cancels in-flight remote work on Close.
 	root   context.Context
@@ -53,7 +51,7 @@ type RemoteBackend struct {
 	st TierStats
 }
 
-// writeThrough is one queued async write-through.
+// writeThrough is one queued write-through.
 type writeThrough struct {
 	spec scenario.Spec
 	out  *scenario.Outcome
@@ -75,7 +73,7 @@ type TierStats struct {
 	// breaker was open — the local-only operating mode at work.
 	DegradedSkips int64 `json:"degraded_skips"`
 	// WriteThroughs / WriteDropped account the Put replication path:
-	// completed remote writes and writes abandoned (queue full on async,
+	// completed remote writes and writes abandoned (queue full,
 	// retries exhausted, or breaker open).
 	WriteThroughs int64 `json:"write_throughs"`
 	WriteDropped  int64 `json:"write_dropped"`
@@ -105,12 +103,6 @@ func RemoteTimeout(d time.Duration) RemoteOption {
 	}
 }
 
-// RemoteSyncWrites makes Put block on the write-through (still never
-// failing the Put) instead of queueing it to the background writer.
-func RemoteSyncWrites(sync bool) RemoteOption {
-	return func(r *RemoteBackend) { r.sync = sync }
-}
-
 // NewRemoteBackend builds the tiered backend over a local tier and a
 // client pointed at the remote daemon. Call Close when done: it stops
 // the background writer and abandons in-flight remote work.
@@ -128,11 +120,9 @@ func NewRemoteBackend(local Backend, client *Client, opts ...RemoteOption) *Remo
 		opt(r)
 	}
 	r.root, r.cancel = context.WithCancel(context.Background())
-	if !r.sync {
-		r.writes = make(chan writeThrough, 128)
-		r.wg.Add(1)
-		go r.writer()
-	}
+	r.writes = make(chan writeThrough, 128)
+	r.wg.Add(1)
+	go r.writer()
 	return r
 }
 
@@ -146,9 +136,7 @@ func (r *RemoteBackend) Name() string {
 // the local tier is never touched.
 func (r *RemoteBackend) Close() error {
 	r.cancel()
-	if r.writes != nil {
-		close(r.writes)
-	}
+	close(r.writes)
 	r.wg.Wait()
 	return nil
 }
@@ -234,17 +222,12 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 }
 
 // Put lands the outcome in the local tier (errors here are real — the
-// local store is the daemon's correctness tier) and then writes through
-// to the remote, with retries: synchronously under RemoteSyncWrites,
-// otherwise queued to the background writer. Write-through failure never fails
-// the Put.
+// local store is the daemon's correctness tier) and then queues the
+// write-through to the background writer, which retries it. Write-through
+// failure never fails the Put.
 func (r *RemoteBackend) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
 	if err := r.local.Put(ctx, spec, out); err != nil {
 		return err
-	}
-	if r.sync {
-		r.pushRetry(ctx, spec, out)
-		return nil
 	}
 	select {
 	case r.writes <- writeThrough{spec: spec, out: out}:
@@ -257,7 +240,7 @@ func (r *RemoteBackend) Put(ctx context.Context, spec scenario.Spec, out *scenar
 	return nil
 }
 
-// writer drains the async write-through queue.
+// writer drains the write-through queue.
 func (r *RemoteBackend) writer() {
 	defer r.wg.Done()
 	for wt := range r.writes {

@@ -234,7 +234,8 @@ func TestLeaderDiesMidRun(t *testing.T) {
 }
 
 // TestWriteThroughFailureNeverFailsPut: a Put whose write-through
-// cannot reach the remote still succeeds, synchronously and async.
+// cannot reach the remote still succeeds, and the background writer
+// counts the failed attempts and the dropped write.
 func TestWriteThroughFailureNeverFailsPut(t *testing.T) {
 	spec := testSpec(72)
 	out, err := scenario.Run(spec)
@@ -242,44 +243,61 @@ func TestWriteThroughFailureNeverFailsPut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mode := range []struct {
-		name string
-		sync bool
-	}{{"sync", true}, {"async", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			rb := NewRemoteBackend(NewMemBackend(), NewClient(deadRemote),
-				RemoteSyncWrites(mode.sync),
-				RemoteTimeout(200*time.Millisecond),
-				func(r *RemoteBackend) {
-					r.retries, r.backoff = 2, time.Millisecond
-					// Keep probing: count real errors, not breaker skips.
-					r.br.threshold, r.br.cooldown = 100, time.Hour
-				})
-			defer func() {
-				if err := rb.Close(); err != nil {
-					t.Error(err)
-				}
-			}()
+	t.Run("async", func(t *testing.T) {
+		rb := NewRemoteBackend(NewMemBackend(), NewClient(deadRemote),
+			RemoteTimeout(200*time.Millisecond),
+			func(r *RemoteBackend) {
+				r.retries, r.backoff = 2, time.Millisecond
+				// Keep probing: count real errors, not breaker skips.
+				r.br.threshold, r.br.cooldown = 100, time.Hour
+			})
+		defer func() {
+			if err := rb.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
 
-			if err := rb.Put(ctx, spec, out); err != nil {
-				t.Fatalf("%s put with dead remote: %v", mode.name, err)
-			}
-			// The cell is safe in the local tier regardless of the remote.
-			key, err := scenario.Key(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ok, err := rb.Get(ctx, key)
-			if err != nil || !ok || got == nil {
-				t.Fatalf("local tier lost the put: ok=%v err=%v", ok, err)
-			}
-			if mode.sync {
-				st := rb.TierStats()
-				if st.WriteDropped == 0 || st.RemoteErrors == 0 {
-					t.Errorf("sync write-through to dead remote not accounted: %+v", st)
-				}
-			}
-		})
+		if err := rb.Put(ctx, spec, out); err != nil {
+			t.Fatalf("put with dead remote: %v", err)
+		}
+		// The cell is safe in the local tier regardless of the remote.
+		key, err := scenario.Key(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := rb.Get(ctx, key)
+		if err != nil || !ok || got == nil {
+			t.Fatalf("local tier lost the put: ok=%v err=%v", ok, err)
+		}
+		// Wait for the writer to give up before Close, which would
+		// otherwise drop the queued write without attempting it.
+		deadline := time.Now().Add(10 * time.Second)
+		st := rb.TierStats()
+		for (st.WriteDropped == 0 || st.RemoteErrors == 0) && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			st = rb.TierStats()
+		}
+		if st.WriteDropped != 1 || st.RemoteErrors == 0 {
+			t.Errorf("write-through to dead remote not accounted: %+v", st)
+		}
+	})
+}
+
+// TestTieredDaemonStopsTwice: only a daemon's first Stop closes its
+// RemoteBackend, so a second Stop returns nil instead of closing the
+// background writer's queue again.
+func TestTieredDaemonStopsTwice(t *testing.T) {
+	d, err := New(Config{Remote: deadRemote})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := d.Stop(); err != nil {
+			t.Fatalf("Stop #%d: %v", i+1, err)
+		}
 	}
 }
 

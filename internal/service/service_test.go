@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -58,79 +59,102 @@ func startDaemon(t *testing.T, cfg Config) *Daemon {
 	return d
 }
 
-// fakeModule records lifecycle calls into a shared log.
-type fakeModule struct {
-	name                string
-	log                 *[]string
-	failConf, failStart bool
+// closeCounter is a MemBackend that counts its Close calls, as a
+// daemon's closable backend (a RemoteBackend) sees them, and runs
+// atClose, when set, inside each.
+type closeCounter struct {
+	*MemBackend
+	closes  atomic.Int64
+	atClose func()
 }
 
-func (m *fakeModule) Name() string { return m.name }
-func (m *fakeModule) Configure() error {
-	*m.log = append(*m.log, "conf:"+m.name)
-	if m.failConf {
-		return fmt.Errorf("boom")
+func (b *closeCounter) Close() error {
+	b.closes.Add(1)
+	if b.atClose != nil {
+		b.atClose()
 	}
 	return nil
 }
-func (m *fakeModule) Start() error {
-	*m.log = append(*m.log, "start:"+m.name)
-	if m.failStart {
-		return fmt.Errorf("boom")
+
+// TestDaemonStopOrder: Stop closes the backend last, once the API, the
+// queue and storage are all down, so nothing can reach it any more.
+func TestDaemonStopOrder(t *testing.T) {
+	backend := &closeCounter{MemBackend: NewMemBackend()}
+	d := startDaemon(t, Config{Backend: backend})
+	var httpErr, submitErr, getErr error
+	backend.atClose = func() {
+		var resp *http.Response
+		if resp, httpErr = http.Get(d.BaseURL() + "/v1/stats"); httpErr == nil {
+			resp.Body.Close()
+		}
+		_, submitErr = d.queue.Submit(ctx, testSpec(24))
+		_, _, getErr = d.storage.Get(ctx, "deadbeef")
 	}
-	return nil
+	if err := d.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if n := backend.closes.Load(); n != 1 {
+		t.Fatalf("Stop closed the backend %d times, want 1", n)
+	}
+	if httpErr == nil {
+		t.Error("the API still answered when the backend closed")
+	}
+	if submitErr != ErrStopped || getErr != ErrStopped {
+		t.Errorf("at backend close: submit %v, storage get %v; want ErrStopped from both", submitErr, getErr)
+	}
 }
-func (m *fakeModule) Stop() error {
-	*m.log = append(*m.log, "stop:"+m.name)
-	return nil
-}
 
-// TestCoordinatorLifecycle: Configure/Start walk in order, Stop in
-// reverse, and a failed Start rolls back the already-started prefix.
-func TestCoordinatorLifecycle(t *testing.T) {
-	var log []string
-	a := &fakeModule{name: "a", log: &log}
-	b := &fakeModule{name: "b", log: &log}
-	c := NewCoordinator(a, b)
-	if err := c.Configure(); err != nil {
+// TestDaemonFailedStart: a Start whose bind fails stops the queue and
+// storage it brought up, so every later call answers ErrStopped and no
+// worker is left running, and leaves the backend open for Stop, which
+// closes it exactly once however often it is called. Configuration
+// errors surface from New.
+func TestDaemonFailedStart(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
+	defer taken.Close()
+	backend := &closeCounter{MemBackend: NewMemBackend()}
+	d, err := New(Config{Addr: taken.Addr().String(), Backend: backend})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Stop(); err != nil {
-		t.Fatal(err)
+	if err := d.Start(); err == nil {
+		t.Fatal("Start succeeded on an address already in use")
 	}
-	want := "[conf:a conf:b start:a start:b stop:b stop:a]"
-	if got := fmt.Sprint(log); got != want {
-		t.Errorf("lifecycle order %v, want %v", got, want)
+	if n := backend.closes.Load(); n != 0 {
+		t.Errorf("failed Start closed the backend %d times, want 0 (Stop owns it)", n)
 	}
 
-	// Start failure in the middle: the started prefix stops in reverse,
-	// the failing module and everything after it are never stopped.
-	log = nil
-	bad := &fakeModule{name: "bad", log: &log, failStart: true}
-	tail := &fakeModule{name: "tail", log: &log}
-	c = NewCoordinator(a, bad, tail)
-	if err := c.Configure(); err != nil {
-		t.Fatal(err)
+	if _, err := d.queue.Submit(ctx, testSpec(24)); err != ErrStopped {
+		t.Errorf("submit after a failed Start: %v, want ErrStopped", err)
 	}
-	if err := c.Start(); err == nil {
-		t.Fatal("Start succeeded past a failing module")
-	}
-	want = "[conf:a conf:bad conf:tail start:a start:bad stop:a]"
-	if got := fmt.Sprint(log); got != want {
-		t.Errorf("rollback order %v, want %v", got, want)
+	assertStorageStopped(t, d.storage)
+	workers := make(chan struct{})
+	go func() {
+		d.queue.wg.Wait()
+		close(workers)
+	}()
+	select {
+	case <-workers:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a queue worker is still running after a failed Start")
 	}
 
-	// Configure failure stops the walk.
-	log = nil
-	c = NewCoordinator(&fakeModule{name: "x", log: &log, failConf: true}, a)
-	if err := c.Configure(); err == nil {
-		t.Fatal("Configure succeeded past a failing module")
+	for i := 0; i < 2; i++ {
+		if err := d.Stop(); err != nil {
+			t.Fatalf("Stop #%d after a failed Start: %v", i+1, err)
+		}
+		if n := backend.closes.Load(); n != 1 {
+			t.Errorf("after Stop #%d the backend was closed %d times, want 1", i+1, n)
+		}
 	}
-	if got := fmt.Sprint(log); got != "[conf:x]" {
-		t.Errorf("configure walk continued past failure: %v", got)
+
+	for _, cfg := range []Config{{Shards: -1}, {EngineWorkers: -1}, {MaxCells: -1}} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New(%+v) accepted an invalid configuration", cfg)
+		}
 	}
 }
 
@@ -187,8 +211,8 @@ func TestStorageCaps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := s.Len(ctx); err != nil || n != 2 {
-		t.Fatalf("Len = %d (%v), want 2 under MaxCells=2", n, err)
+	if infos, err := s.List(ctx); err != nil || len(infos) != 2 {
+		t.Fatalf("List = %d cells (%v), want 2 under MaxCells=2", len(infos), err)
 	}
 	if _, ok, err := s.Get(ctx, keys[0]); err != nil || ok {
 		t.Errorf("oldest cell survived the cap: ok=%v err=%v", ok, err)
@@ -199,9 +223,11 @@ func TestStorageCaps(t *testing.T) {
 
 	// A capped configuration without a GC-capable backend is a
 	// configuration error, not a silent unbounded cache.
-	bare := NewStorage(nopBackend{}, scenario.GCConfig{MaxCells: 1})
-	if err := bare.Configure(); err == nil {
-		t.Error("Configure accepted caps on a backend without GC")
+	if _, err := NewStorage(nopBackend{}, scenario.GCConfig{MaxCells: 1}); err == nil {
+		t.Error("NewStorage accepted caps on a backend without GC")
+	}
+	if _, err := NewStorage(nil, scenario.GCConfig{}); err == nil {
+		t.Error("NewStorage accepted a nil backend")
 	}
 }
 
@@ -229,22 +255,14 @@ func (b *listCounter) footprint(t *testing.T) (cells, bytes int64) {
 	return int64(len(infos)), bytes
 }
 
-// startStorage configures and starts a storage module, stopping it on
-// cleanup.
+// startStorage builds a storage part, stopping it on cleanup.
 func startStorage(t *testing.T, b Backend, gc scenario.GCConfig) *Storage {
 	t.Helper()
-	s := NewStorage(b, gc)
-	if err := s.Configure(); err != nil {
+	s, err := NewStorage(b, gc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := s.Stop(); err != nil {
-			t.Error(err)
-		}
-	})
+	t.Cleanup(s.Stop)
 	return s
 }
 
@@ -547,80 +565,101 @@ func (nopBackend) Put(context.Context, scenario.Spec, *scenario.Outcome) error {
 func (nopBackend) List(context.Context) ([]scenario.CellInfo, error)           { return nil, nil }
 func (nopBackend) Len(context.Context) (int, error)                            { return 0, nil }
 
-// TestSingleflightAndByteIdentity is the tentpole's core contract in one
-// scene: k concurrent submits of one never-seen spec cost exactly one
-// simulation (probe-verified), and every HTTP-fetched outcome is
-// byte-identical to a direct scenario.Run.
+// TestSingleflightAndByteIdentity is the daemon's core contract in one
+// scene: k concurrent clients that each submit every one of n
+// never-seen specs cost exactly n simulations (counted by the queue and
+// by the tick probe), and every HTTP-fetched outcome is byte-identical
+// to a direct scenario.Run. The herd is k submits of one spec; the
+// population has each client walk all specs from its own offset.
 func TestSingleflightAndByteIdentity(t *testing.T) {
-	spec := testSpec(30)
-	ticksBefore := scenario.ProbeSimTicks()
-	want, err := scenario.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneRun := scenario.ProbeSimTicks() - ticksBefore
-	if oneRun <= 0 {
-		t.Fatalf("reference run moved the tick probe by %d", oneRun)
-	}
-	wantJSON, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name           string
+		clients, specs int
+	}{
+		{"herd", 12, 1},
+		{"population", 4, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specs := make([]scenario.Spec, tc.specs)
+			wantJSON := make([]string, tc.specs)
+			var wantTicks int64
+			for i := range specs {
+				specs[i] = testSpec(30 + float64(i))
+				before := scenario.ProbeSimTicks()
+				want, err := scenario.Run(specs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantTicks += scenario.ProbeSimTicks() - before
+				b, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantJSON[i] = string(b)
+			}
+			if wantTicks <= 0 {
+				t.Fatalf("reference runs moved the tick probe by %d", wantTicks)
+			}
 
-	d := startDaemon(t, Config{Shards: 4})
-	c := NewClient(d.BaseURL())
+			d := startDaemon(t, Config{Shards: 4})
+			c := NewClient(d.BaseURL())
 
-	const k = 12
-	start := scenario.ProbeSimTicks()
-	var wg sync.WaitGroup
-	results := make([]JobStatus, k)
-	errs := make([]error, k)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = c.Submit(ctx, spec, true)
-		}(i)
-	}
-	wg.Wait()
-	if d := scenario.ProbeSimTicks() - start; d != oneRun {
-		t.Errorf("%d concurrent submits simulated %d ticks, want one run's %d", k, d, oneRun)
-	}
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			t.Fatalf("submit %d: %v", i, errs[i])
-		}
-		if results[i].State != StateDone {
-			t.Fatalf("submit %d finished %s: %s", i, results[i].State, results[i].Error)
-		}
-		got, err := json.Marshal(results[i].Outcome)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(wantJSON) {
-			t.Errorf("submit %d outcome differs from direct scenario.Run", i)
-		}
-	}
+			n := tc.clients * tc.specs
+			start := scenario.ProbeSimTicks()
+			var wg sync.WaitGroup
+			results := make([]JobStatus, n)
+			errs := make([]error, n)
+			for k := 0; k < tc.clients; k++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					for i := 0; i < tc.specs; i++ {
+						s := (k + i) % tc.specs
+						results[k*tc.specs+s], errs[k*tc.specs+s] = c.Submit(ctx, specs[s], true)
+					}
+				}(k)
+			}
+			wg.Wait()
+			if d := scenario.ProbeSimTicks() - start; d != wantTicks {
+				t.Errorf("%d submits of %d specs simulated %d ticks, want %d", n, tc.specs, d, wantTicks)
+			}
+			for i := range results {
+				if errs[i] != nil {
+					t.Fatalf("submit %d: %v", i, errs[i])
+				}
+				if results[i].State != StateDone {
+					t.Fatalf("submit %d finished %s: %s", i, results[i].State, results[i].Error)
+				}
+				got, err := json.Marshal(results[i].Outcome)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != wantJSON[i%tc.specs] {
+					t.Errorf("submit %d outcome differs from direct scenario.Run", i)
+				}
+			}
 
-	qs := d.queue.Stats()
-	if qs.Submitted != k || qs.Simulated != 1 {
-		t.Errorf("queue stats %+v: want %d submitted, 1 simulated", qs, k)
-	}
-	if qs.CacheHits+qs.Coalesced != k-1 {
-		t.Errorf("queue stats %+v: want %d hits+coalesced", qs, k-1)
-	}
+			qs := d.queue.Stats()
+			if qs.Submitted != int64(n) || qs.Simulated != int64(tc.specs) {
+				t.Errorf("queue stats %+v: want %d submitted, %d simulated", qs, n, tc.specs)
+			}
+			if qs.CacheHits+qs.Coalesced != int64(n-tc.specs) {
+				t.Errorf("queue stats %+v: want %d hits+coalesced", qs, n-tc.specs)
+			}
 
-	// The poll path returns the same bytes from the store.
-	st, err := c.Get(ctx, results[0].Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Cached || st.State != StateDone {
-		t.Errorf("poll after completion: %+v, want cached done", st)
-	}
-	got, _ := json.Marshal(st.Outcome)
-	if string(got) != string(wantJSON) {
-		t.Error("polled outcome differs from direct scenario.Run")
+			// The poll path returns the same bytes from the store.
+			st, err := c.Get(ctx, results[0].Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Cached || st.State != StateDone {
+				t.Errorf("poll after completion: %+v, want cached done", st)
+			}
+			got, _ := json.Marshal(st.Outcome)
+			if string(got) != wantJSON[0] {
+				t.Error("polled outcome differs from direct scenario.Run")
+			}
+		})
 	}
 }
 
@@ -787,21 +826,25 @@ func TestStoppedQueueRejectsSubmits(t *testing.T) {
 	if _, err := d.queue.Submit(ctx, testSpec(24)); err != ErrStopped {
 		t.Errorf("submit after stop: %v, want ErrStopped", err)
 	}
-	// Every storage method answers ErrStopped too (not a panic).
-	s := d.storage
+	assertStorageStopped(t, d.storage)
+}
+
+// assertStorageStopped checks that every storage method answers
+// ErrStopped (not a panic).
+func assertStorageStopped(t *testing.T, s *Storage) {
+	t.Helper()
 	spec := testSpec(24)
 	key, _ := scenario.Key(spec)
 	_, _, getErr := s.Get(ctx, key)
 	_, _, fetchErr := s.Fetch(ctx, spec, key)
 	_, listErr := s.List(ctx)
-	_, lenErr := s.Len(ctx)
 	_, statsErr := s.Stats(ctx)
 	for _, c := range []struct {
 		op  string
 		err error
 	}{
 		{"get", getErr}, {"fetch", fetchErr}, {"put", s.Put(ctx, spec, &scenario.Outcome{})},
-		{"list", listErr}, {"len", lenErr}, {"stats", statsErr},
+		{"list", listErr}, {"stats", statsErr},
 	} {
 		if c.err != ErrStopped {
 			t.Errorf("storage %s after stop: %v, want ErrStopped", c.op, c.err)
@@ -809,33 +852,57 @@ func TestStoppedQueueRejectsSubmits(t *testing.T) {
 	}
 }
 
-// TestLoadTestSmoke drives the two-phase load test against a tiny
-// self-hosted daemon: the dedup invariant holds and the hot phase hits
-// the cache.
-func TestLoadTestSmoke(t *testing.T) {
-	d := startDaemon(t, Config{Shards: 4})
-	res, err := RunLoadTest(NewClient(d.BaseURL()), LoadTestConfig{
-		Clients: 4, ColdSpecs: 3, HotSpecs: 2, Requests: 10,
-		Duration: 120, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestFailedJobsBounded: the in-flight table keeps at most
+// maxFailedJobs failed jobs and forgets the oldest first; a kept
+// failure still polls with its error, and resubmitting it retries
+// without pushing out another. The specs pass Validate and fail in the
+// policy factory (pid-fixed has no region 7).
+func TestFailedJobsBounded(t *testing.T) {
+	d := startDaemon(t, Config{})
+	c := NewClient(d.BaseURL())
+	specs := make([]scenario.Spec, maxFailedJobs+1)
+	keys := make([]string, len(specs))
+	for i := range specs {
+		specs[i] = testSpec(24)
+		specs[i].Name = fmt.Sprintf("bad-region-%d", i)
+		specs[i].Jobs[0].Policy = scenario.FactoryRef{Name: "pid-fixed", Params: scenario.Params{"region": 7}}
+		st, err := c.Submit(ctx, specs[i], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed {
+			t.Fatalf("submit %d = %+v, want failed", i, st)
+		}
+		keys[i] = st.Key
 	}
-	if res.ColdSimulated != int64(res.UniqueSpecs) {
-		t.Errorf("cold phase simulated %d, want %d", res.ColdSimulated, res.UniqueSpecs)
+	assertFailedKept := func(stage string) {
+		t.Helper()
+		lr, err := c.List(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lr.Inflight) != maxFailedJobs {
+			t.Errorf("%s: %d jobs in flight, want the %d newest failures", stage, len(lr.Inflight), maxFailedJobs)
+		}
+		for _, i := range []int{1, maxFailedJobs} {
+			st, err := c.Get(ctx, keys[i])
+			if err != nil || st.State != StateFailed || !strings.Contains(st.Error, "region 7") {
+				t.Errorf("%s: poll of failure %d = %+v (%v), want failed with its error", stage, i, st, err)
+			}
+		}
+		if _, err := c.Get(ctx, keys[0]); !IsNotFound(err) {
+			t.Errorf("%s: poll of the oldest failure: %v, want not found", stage, err)
+		}
 	}
-	if res.HotRequests != 4*10 {
-		t.Errorf("hot requests = %d, want 40", res.HotRequests)
+	assertFailedKept("after the failures")
+
+	if st, err := c.Submit(ctx, specs[maxFailedJobs], true); err != nil || st.State != StateFailed {
+		t.Fatalf("resubmit of a kept failure = %+v (%v), want failed again", st, err)
 	}
-	if res.HitRate <= 0.5 {
-		t.Errorf("hit rate %.2f, want mostly warm", res.HitRate)
+	if n := d.queue.Stats().Failed; n != maxFailedJobs+2 {
+		t.Errorf("%d runs failed, want %d (the resubmit retries)", n, maxFailedJobs+2)
 	}
-	if res.WarmP99MS <= 0 {
-		t.Error("warm p99 not measured")
-	}
-	if res.Summary() == "" {
-		t.Error("empty summary")
-	}
+	assertFailedKept("after the resubmit")
 }
 
 // TestWireValues pins the literal strings clients see in error envelopes

@@ -17,7 +17,7 @@ import (
 const defaultReqTimeout = 30 * time.Second
 
 // Storage is the storage module: it owns the Backend and calls it from
-// the caller's goroutine. Lookups (Get, Fetch, List, Len) run
+// the caller's goroutine. Lookups (Get, Fetch, List) run
 // concurrently with no lock held, so a tiered Fetch waiting on its
 // remote stalls no one; this relies on backends being safe for
 // concurrent use (see Backend). One mutex makes a Put and the GC pass it
@@ -64,46 +64,31 @@ type StorageStats struct {
 	Tier *TierStats `json:"tier,omitempty"`
 }
 
-// NewStorage builds the storage module over a backend. gc caps the
-// cache tier (zero = unbounded); a capped configuration needs a backend
+// NewStorage builds the storage part over a backend. gc caps the cache
+// tier (zero = unbounded); a capped configuration needs a backend
 // implementing GCBackend.
-func NewStorage(backend Backend, gc scenario.GCConfig) *Storage {
-	return &Storage{backend: backend, gc: gc}
-}
-
-// Name implements Module.
-func (s *Storage) Name() string { return "storage" }
-
-// Configure validates the backend/cap combination.
-func (s *Storage) Configure() error {
-	if s.backend == nil {
-		return fmt.Errorf("storage: nil backend")
+func NewStorage(backend Backend, gc scenario.GCConfig) (*Storage, error) {
+	if backend == nil {
+		return nil, fmt.Errorf("storage: nil backend")
 	}
-	if s.gc.Enabled() {
-		if s.gc.MaxBytes < 0 || s.gc.MaxCells < 0 {
-			return fmt.Errorf("storage: negative GC cap")
-		}
-		if _, ok := s.backend.(GCBackend); !ok {
-			return fmt.Errorf("storage: backend %s does not support eviction (cache caps need a GCBackend)", s.backend.Name())
-		}
+	if gc.MaxBytes < 0 || gc.MaxCells < 0 {
+		return nil, fmt.Errorf("storage: negative GC cap")
 	}
-	return nil
+	if _, ok := backend.(GCBackend); gc.Enabled() && !ok {
+		return nil, fmt.Errorf("storage: backend %s does not support eviction (cache caps need a GCBackend)", backend.Name())
+	}
+	return &Storage{backend: backend, gc: gc}, nil
 }
-
-// Start implements Module; callers drive the backend themselves, so
-// there is nothing to launch.
-func (s *Storage) Start() error { return nil }
 
 // Stop waits for an in-flight Put (and its GC pass) to finish; every
 // later call fails with ErrStopped.
-func (s *Storage) Stop() error {
+func (s *Storage) Stop() {
 	s.mu.Lock()
 	s.stopped.Store(true)
 	s.mu.Unlock()
-	return nil
 }
 
-// ErrStopped reports a request against a stopped module.
+// ErrStopped reports a request against a stopped queue or storage.
 var ErrStopped = fmt.Errorf("service: module stopped")
 
 // begin rejects calls on a stopped module and derives the per-call
@@ -215,16 +200,6 @@ func (s *Storage) List(ctx context.Context) ([]scenario.CellInfo, error) {
 	}
 	defer cancel()
 	return s.backend.List(ctx)
-}
-
-// Len counts the backend's cells.
-func (s *Storage) Len(ctx context.Context) (int, error) {
-	ctx, cancel, err := s.begin(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer cancel()
-	return s.backend.Len(ctx)
 }
 
 // Stats snapshots the module's accounting, relisting the footprint

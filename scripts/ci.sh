@@ -34,6 +34,11 @@ go test -run xxx -bench . -benchtime 1x -benchmem .
 # unreliable under the race detector), so assert it explicitly here.
 go test -run TestZeroAllocContracts .
 
+# Submit-path fuzz smoke: a short native fuzz run over spec decode,
+# Validate and Key (plain `go test` above only replays the seeds and
+# any committed testdata/fuzz inputs). Bounded so CI time stays flat.
+go test -run '^$' -fuzz '^FuzzSpecKey$' -fuzztime 15s ./internal/scenario
+
 # Lockstep equivalence smoke: the lockstep engine must stay bit-identical
 # to running each job alone through sim.Run (and the fleet fixed point to
 # its per-pass rebuild reference, the coordinator to its budget/placement
