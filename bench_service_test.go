@@ -1,16 +1,18 @@
 // Service-layer benchmarks: the scenariod HTTP round-trip on a warm key,
-// a tiered read-through, and storage-module Puts and concurrent Gets on
-// a full store.
-// BenchmarkScenarioStoreHit prices an in-process store read; the
-// round-trip adds the daemon on top — JSON encode, loopback HTTP, queue dedup, storage
-// module, outcome decode — which is what a sweep script pays per cell
-// when it shares the cache through scenariod instead of opening the
-// store directly.
+// a tiered read-through, and storage-module Puts (cap-less and capped)
+// and concurrent Gets on a full store.
+// BenchmarkScenarioStoreHit prices an in-process store read and decode;
+// the round-trip adds the daemon on top — request encode, loopback HTTP,
+// queue dedup, the storage module (whose backend serves a repeated key
+// from its decoded-outcome cache), response encode and client decode —
+// which is what a sweep script pays per cell when it shares the cache
+// through scenariod instead of opening the store directly.
 package main
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -63,7 +65,18 @@ func BenchmarkServiceStoreHit(b *testing.B) {
 // onto a disk store already holding 1000 small cells. A cap-less Put
 // writes its cell and nothing else (the footprint is recounted by
 // Stats, not by Put), so ns/op must not grow with the store.
-func BenchmarkStoragePut(b *testing.B) {
+func BenchmarkStoragePut(b *testing.B) { benchStoragePut(b, scenario.GCConfig{}) }
+
+// BenchmarkStoragePutCapped is BenchmarkStoragePut with the store capped
+// at its 1000 pre-filled cells: every Put runs Store.GC, which stats
+// every cell and evicts the oldest one (dropping it from the backend's
+// outcome cache).
+func BenchmarkStoragePutCapped(b *testing.B) {
+	benchStoragePut(b, scenario.GCConfig{MaxCells: 1000})
+}
+
+// benchStoragePut times fresh Puts onto a 1000-cell disk store under gc.
+func benchStoragePut(b *testing.B, gc scenario.GCConfig) {
 	const prefill = 1000
 	backend, err := service.OpenStoreBackend(b.TempDir())
 	if err != nil {
@@ -86,7 +99,7 @@ func BenchmarkStoragePut(b *testing.B) {
 		}
 	}
 
-	s, err := service.NewStorage(backend, scenario.GCConfig{})
+	s, err := service.NewStorage(backend, gc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,7 +117,10 @@ func BenchmarkStoragePut(b *testing.B) {
 // BenchmarkStorageGetParallel prices warm Storage.Get calls from
 // GOMAXPROCS goroutines at once over a disk store holding 1000 cells.
 // Lookups take no storage lock, so ns/op should fall as cores are
-// added instead of queueing behind one another.
+// added instead of queueing behind one another. Each goroutine reads
+// its own share of the keys round and round, so a key comes back only
+// after every other key of that share, more cells than the backend's
+// outcome cache holds: every Get reads and decodes its cell.
 func BenchmarkStorageGetParallel(b *testing.B) {
 	const prefill = 1000
 	backend, err := service.OpenStoreBackend(b.TempDir())
@@ -135,12 +151,15 @@ func BenchmarkStorageGetParallel(b *testing.B) {
 	}
 	defer s.Stop()
 
+	procs := runtime.GOMAXPROCS(0)
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		for i := int(next.Add(1)); pb.Next(); i++ {
-			if _, ok, err := s.Get(ctx, keys[i%prefill]); err != nil || !ok {
+		g := int(next.Add(1)-1) % procs
+		share := keys[g*prefill/procs : (g+1)*prefill/procs]
+		for i := 0; pb.Next(); i++ {
+			if _, ok, err := s.Get(ctx, share[i%len(share)]); err != nil || !ok {
 				b.Errorf("warm get: ok=%v err=%v", ok, err)
 				return
 			}

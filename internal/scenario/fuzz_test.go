@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -73,6 +74,99 @@ func FuzzSpecKey(f *testing.F) {
 		}
 		if got, err := Key(back); err != nil || got != key {
 			t.Fatalf("round trip moved the key %s -> %s (%v)\n%s", key, got, err, enc)
+		}
+	})
+}
+
+// decodeOutcome decodes one Outcome strictly: unknown fields are
+// rejected.
+func decodeOutcome(data []byte) (*Outcome, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var o Outcome
+	if err := dec.Decode(&o); err != nil {
+		return nil, err
+	}
+	return &o, nil
+}
+
+// dropEmpty sets the omitempty collections that decoded empty to nil:
+// "aggregate":{} and an absent aggregate encode the same, so they are
+// the same outcome.
+func dropEmpty(o *Outcome) {
+	if len(o.Aggregate) == 0 {
+		o.Aggregate = nil
+	}
+	for i := range o.Units {
+		u := &o.Units[i]
+		if len(u.Labels) == 0 {
+			u.Labels = nil
+		}
+		if len(u.Series) == 0 {
+			u.Series = nil
+		}
+	}
+}
+
+// FuzzOutcomeRoundTrip fuzzes the bytes a store cell or a pushed
+// outcome carries: whatever strictly decodes as an Outcome re-encodes,
+// decodes back to an equal value and re-encodes to the same bytes, so a
+// cached outcome hashes like the run that produced it.
+func FuzzOutcomeRoundTrip(f *testing.F) {
+	recorded := cheapSpec(25)
+	recorded.Duration = 10
+	recorded.Record = true
+	batch := cheapSpec(27)
+	batch.Kind = KindBatch
+	batch.Jobs = append(batch.Jobs, JobSpec{
+		Workload: FactoryRef{Name: "square", Params: Params{"period": 60}},
+		Policy:   FactoryRef{Name: "full"},
+	})
+	fault := faultJobTarget(60).Spec
+	fault.Kind = KindFaultSweep
+	fault.Jobs[0].Faults = &FaultSpec{StuckAt: 10, StuckLen: 20}
+	for _, s := range []Spec{
+		recorded,
+		batch,
+		{Kind: KindFleet, Name: "fleet", Duration: 60, Fleet: &FleetSpec{Size: 2, Seed: 1}},
+		faultFleetTarget(60, true).Spec,
+		{Kind: KindMulticore, Duration: 60, Multicore: &MulticoreSpec{Workload: FactoryRef{Name: "constant"}}},
+		fault,
+	} {
+		out, err := Run(s)
+		if err != nil {
+			f.Fatalf("seed %s: %v", s.Kind, err)
+		}
+		data, err := json.Marshal(out)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		o, err := decodeOutcome(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(o)
+		if err != nil {
+			t.Fatalf("decoded outcome does not encode: %v", err)
+		}
+		back, err := decodeOutcome(enc)
+		if err != nil {
+			t.Fatalf("re-decoding %s: %v", enc, err)
+		}
+		dropEmpty(o)
+		if !reflect.DeepEqual(o, back) {
+			t.Fatalf("round trip changed the outcome\n%#v\n%#v", o, back)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatalf("re-encoding moved the bytes\n%s\n%s", enc, again)
 		}
 	})
 }

@@ -59,8 +59,8 @@ type gcCandidate struct {
 // first, lexicographically smallest key on ties. The walk tolerates a
 // concurrently deleted cell (another GC, a manual rm) by skipping it;
 // a concurrent Put may land after the snapshot, so a caller that needs
-// a hard bound re-runs GC (the scenariod storage module serializes Put
-// and GC on one goroutine, which closes that window).
+// a hard bound re-runs GC (the scenariod storage module holds one mutex
+// across each Put and its GC pass, which closes that window).
 func (st *Store) GC(cfg GCConfig) (GCResult, error) {
 	var res GCResult
 	if err := cfg.validate(); err != nil {

@@ -85,12 +85,19 @@ func (st *Store) path(key string) string {
 // the stored outcome, bit-identical to the run that produced it (float64
 // survives the JSON round trip exactly).
 func (st *Store) GetKey(key string) (*Outcome, bool, error) {
+	out, _, ok, err := st.GetKeySized(key)
+	return out, ok, err
+}
+
+// GetKeySized is GetKey that also reports the cell's encoded size in
+// bytes, for callers that budget memory by it.
+func (st *Store) GetKeySized(key string) (*Outcome, int, bool, error) {
 	b, err := os.ReadFile(st.path(key))
 	if os.IsNotExist(err) {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("scenario: reading store cell %s: %w", key, err)
+		return nil, 0, false, fmt.Errorf("scenario: reading store cell %s: %w", key, err)
 	}
 	// Decode only what a hit needs: the stored spec is provenance for
 	// humans and re-runs, not for the hot lookup path.
@@ -98,21 +105,26 @@ func (st *Store) GetKey(key string) (*Outcome, bool, error) {
 		Version int      `json:"version"`
 		Outcome *Outcome `json:"outcome"`
 	}
-	if err := json.Unmarshal(b, &entry); err != nil || entry.Version != storeVersion {
-		// A corrupt or old-format cell is a miss, not an error: the caller
-		// recomputes and Put's atomic rename overwrites it.
-		return nil, false, nil
+	if err := json.Unmarshal(b, &entry); err != nil || entry.Version != storeVersion || entry.Outcome == nil {
+		// A corrupt, old-format or outcome-less cell is a miss, not an
+		// error: the caller recomputes and Put's atomic rename overwrites
+		// it.
+		return nil, 0, false, nil
 	}
-	return entry.Outcome, true, nil
+	return entry.Outcome, len(b), true, nil
 }
 
 // Put persists a spec's outcome. The write is atomic (temp file + rename)
 // so a killed sweep never leaves a truncated cell behind — on restart the
-// cell either exists complete or reads as a miss.
+// cell either exists complete or reads as a miss. A nil outcome is
+// rejected: it would read back as a miss forever.
 func (st *Store) Put(s Spec, out *Outcome) error {
 	key, err := Key(s)
 	if err != nil {
 		return err
+	}
+	if out == nil {
+		return fmt.Errorf("scenario: store cell %s: nil outcome", key)
 	}
 	entry := storeEntry{Version: storeVersion, Key: key, Spec: s, Outcome: out}
 	b, err := json.MarshalIndent(entry, "", " ")

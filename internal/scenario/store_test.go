@@ -354,8 +354,9 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreVersionMismatchIsMiss: a cell written by a different format
-// version, or one that does not decode (torn or corrupt), reads as a miss,
-// not an error, and the next Put overwrites it.
+// version, one that does not decode (torn or corrupt), or one without an
+// outcome reads as a miss, not an error, and the next Put overwrites it.
+// Put refuses to write an outcome-less cell.
 func TestStoreVersionMismatchIsMiss(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -387,6 +388,8 @@ func TestStoreVersionMismatchIsMiss(t *testing.T) {
 	}{
 		{"future-version", future},
 		{"corrupt", b[:len(b)/2]},
+		{"no-outcome", []byte(`{"version":1}`)},
+		{"null-outcome", []byte(`{"version":1,"outcome":null}`)},
 	} {
 		if err := os.WriteFile(path, tc.cell, 0o644); err != nil {
 			t.Fatal(err)
@@ -400,6 +403,9 @@ func TestStoreVersionMismatchIsMiss(t *testing.T) {
 		if _, ok, err := st.GetKey(key); err != nil || !ok {
 			t.Errorf("%s cell after Put: ok=%v err=%v, want hit", tc.name, ok, err)
 		}
+	}
+	if err := st.Put(spec, nil); err == nil {
+		t.Error("Put stored a nil outcome")
 	}
 }
 

@@ -24,14 +24,19 @@ import (
 // writes each cell to a temp file and renames it into place, so a
 // concurrent read sees a whole cell or none, a read racing an eviction
 // either opened the file before the unlink or misses, and a List skips
-// a cell evicted under it;
+// a cell evicted under it; its outcome cache is locked, and a read
+// that races a Put or GC cannot cache the cell it replaced or evicted;
 // MemBackend locks its map; RemoteBackend locks its counters and its
 // breaker, and its local tier is one of the other two.
+//
+// An outcome a backend returns is shared, read-only: StoreBackend's
+// cache and MemBackend hand the same value to every caller, so no
+// caller may modify it.
 type Backend interface {
 	// Name identifies the backend in listings and stats.
 	Name() string
 	// Get returns the outcome stored under a content key (ok=false on a
-	// miss).
+	// miss). The outcome is shared and must not be modified.
 	Get(ctx context.Context, key string) (*scenario.Outcome, bool, error)
 	// Put persists a spec's outcome under its content key.
 	Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error
@@ -58,9 +63,14 @@ type Fetcher interface {
 	Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error)
 }
 
-// StoreBackend serves an on-disk content-addressed scenario.Store.
+// StoreBackend serves an on-disk content-addressed scenario.Store. It
+// keeps the most recently read outcomes decoded in memory (see
+// cacheBytes), so a repeated hit costs no syscall and no decode. The
+// cache sees only the changes made through this backend: Put and GC
+// drop the keys they replace or evict.
 type StoreBackend struct {
-	st *scenario.Store
+	st    *scenario.Store
+	cache outcomeCache
 }
 
 // OpenStoreBackend opens (creating if needed) a store-backed backend
@@ -76,13 +86,29 @@ func OpenStoreBackend(dir string) (*StoreBackend, error) {
 // Name identifies the backend as the store directory.
 func (b *StoreBackend) Name() string { return "store:" + b.st.Dir() }
 
-// Get reads a cell by key.
+// Get answers a cached key from memory, or reads the cell and caches
+// its outcome.
 func (b *StoreBackend) Get(_ context.Context, key string) (*scenario.Outcome, bool, error) {
-	return b.st.GetKey(key)
+	out, gen, ok := b.cache.get(key)
+	if ok {
+		return out, true, nil
+	}
+	out, size, ok, err := b.st.GetKeySized(key)
+	if ok {
+		b.cache.add(key, out, size, gen)
+	}
+	return out, ok, err
 }
 
-// Put persists a cell (atomic temp-file + rename, see scenario.Store).
+// Put persists a cell (atomic temp-file + rename, see scenario.Store)
+// and then drops the key from the cache, so the next Get reads the new
+// cell. The drop must follow the rename (see outcomeCache).
 func (b *StoreBackend) Put(_ context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+	key, err := scenario.Key(spec)
+	if err != nil {
+		return err
+	}
+	defer b.cache.drop(key)
 	return b.st.Put(spec, out)
 }
 
@@ -92,9 +118,12 @@ func (b *StoreBackend) List(context.Context) ([]scenario.CellInfo, error) { retu
 // Len counts the cells.
 func (b *StoreBackend) Len(context.Context) (int, error) { return b.st.Len() }
 
-// GC trims the store to the caps (oldest mtime first, key tiebreak).
+// GC trims the store to the caps (oldest mtime first, key tiebreak) and
+// drops the evicted keys from the cache.
 func (b *StoreBackend) GC(_ context.Context, cfg scenario.GCConfig) (scenario.GCResult, error) {
-	return b.st.GC(cfg)
+	res, err := b.st.GC(cfg)
+	b.cache.drop(res.Evicted...)
+	return res, err
 }
 
 // memCell is one in-memory cell: the encoded entry (so List can report a
@@ -137,11 +166,15 @@ func (b *MemBackend) Get(_ context.Context, key string) (*scenario.Outcome, bool
 
 // Put stores the outcome under the spec's content key. A re-put of an
 // existing key refreshes the payload but keeps the original insertion
-// sequence, mirroring how the disk backend's key identity is stable.
+// sequence, mirroring how the disk backend's key identity is stable. A
+// nil outcome is rejected.
 func (b *MemBackend) Put(_ context.Context, spec scenario.Spec, out *scenario.Outcome) error {
 	key, err := scenario.Key(spec)
 	if err != nil {
 		return err
+	}
+	if out == nil {
+		return fmt.Errorf("service: mem cell %s: nil outcome", key)
 	}
 	enc, err := json.Marshal(struct {
 		Spec    scenario.Spec     `json:"spec"`

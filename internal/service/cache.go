@@ -1,0 +1,97 @@
+package service
+
+import (
+	"container/list"
+	"sync"
+
+	"repro/internal/scenario"
+)
+
+// cacheBytes bounds StoreBackend's in-memory outcome cache, counted in
+// encoded cell bytes (the cell file's size). A cell larger than
+// cacheBytes/16 is never cached, so one long recorded run cannot flush
+// the small, hot cells a sweep re-reads.
+const cacheBytes = 256 << 10
+
+// outcomeCache is a bounded LRU of decoded outcomes keyed by content
+// key. The values are shared: every hit returns the same pointer, so
+// callers must treat them as read-only (see Backend).
+//
+// A miss reads the cell with no lock held, so a Put or GC can replace
+// or evict it between the read and the insert. The generation closes
+// that window: a reader takes it before its disk read, drop bumps it
+// after the disk change, and add refuses an insert made under an older
+// generation.
+type outcomeCache struct {
+	mu    sync.Mutex
+	gen   uint64
+	bytes int
+	lru   list.List // of *cacheEntry, most recently used first
+	items map[string]*list.Element
+}
+
+type cacheEntry struct {
+	key  string
+	out  *scenario.Outcome
+	size int
+}
+
+// get returns a cached outcome, or on a miss the generation a later add
+// of the cell must present.
+func (c *outcomeCache) get(key string) (*scenario.Outcome, uint64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*cacheEntry).out, c.gen, true
+	}
+	return nil, c.gen, false
+}
+
+// add caches an outcome read from a cell of size bytes, unless a drop
+// ran since gen was taken or the cell is oversize, then evicts the
+// least recently used entries down to the budget.
+func (c *outcomeCache) add(key string, out *scenario.Outcome, size int, gen uint64) {
+	if size > cacheBytes/16 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if gen != c.gen {
+		return
+	}
+	if el, ok := c.items[key]; ok {
+		// Another reader of the same generation got here first; its
+		// outcome decodes from the same bytes.
+		c.lru.MoveToFront(el)
+		return
+	}
+	if c.items == nil {
+		c.items = make(map[string]*list.Element)
+	}
+	c.items[key] = c.lru.PushFront(&cacheEntry{key: key, out: out, size: size})
+	c.bytes += size
+	for c.bytes > cacheBytes {
+		c.remove(c.lru.Back())
+	}
+}
+
+// drop forgets keys whose cells were just replaced or removed and
+// invalidates every read that started before.
+func (c *outcomeCache) drop(keys ...string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gen++
+	for _, key := range keys {
+		if el, ok := c.items[key]; ok {
+			c.remove(el)
+		}
+	}
+}
+
+// remove unlinks one entry (caller holds mu).
+func (c *outcomeCache) remove(el *list.Element) {
+	e := c.lru.Remove(el).(*cacheEntry)
+	delete(c.items, e.key)
+	c.bytes -= e.size
+}

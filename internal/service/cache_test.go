@@ -1,0 +1,303 @@
+package service
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/scenario"
+)
+
+// outcomeHash is the SHA-256 of an outcome's canonical JSON.
+func outcomeHash(t *testing.T, out *scenario.Outcome) [32]byte {
+	t.Helper()
+	b, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sha256.Sum256(b)
+}
+
+// cacheFixture opens a StoreBackend in a fresh directory and returns it
+// with a simulated outcome and a copy of it that differs only in its
+// aggregate, to tell a replaced cell from the original.
+func cacheFixture(t *testing.T) (b *StoreBackend, out, replaced *scenario.Outcome) {
+	t.Helper()
+	b, err := OpenStoreBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = scenario.Run(testSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := *out
+	r.Aggregate = map[string]float64{"replaced": 1}
+	return b, out, &r
+}
+
+// putKey puts a cell and returns its key.
+func putKey(t *testing.T, b Backend, spec scenario.Spec, out *scenario.Outcome) string {
+	t.Helper()
+	if err := b.Put(ctx, spec, out); err != nil {
+		t.Fatal(err)
+	}
+	key, err := scenario.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// age backdates a cell's mtime by d, so a capped GC evicts it before
+// younger cells.
+func age(t *testing.T, b *StoreBackend, key string, d time.Duration) {
+	t.Helper()
+	old := time.Now().Add(-d)
+	if err := os.Chtimes(filepath.Join(b.st.Dir(), key+".json"), old, old); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreBackendCachedHit: the second Get of a key is answered from
+// memory (the same value, even with the cell file gone) and hashes
+// like a fresh decode of the cell.
+func TestStoreBackendCachedHit(t *testing.T) {
+	b, out, _ := cacheFixture(t)
+	key := putKey(t, b, testSpec(24), out)
+	first, ok, err := b.Get(ctx, key)
+	if err != nil || !ok {
+		t.Fatalf("first Get: ok=%v err=%v", ok, err)
+	}
+	second, ok, err := b.Get(ctx, key)
+	if err != nil || !ok {
+		t.Fatalf("second Get: ok=%v err=%v", ok, err)
+	}
+	if second != first {
+		t.Error("second Get decoded the cell again instead of serving the cached outcome")
+	}
+	fresh, ok, err := b.st.GetKey(key)
+	if err != nil || !ok {
+		t.Fatalf("fresh decode: ok=%v err=%v", ok, err)
+	}
+	if outcomeHash(t, second) != outcomeHash(t, fresh) {
+		t.Error("cached outcome hashes differently from a fresh decode")
+	}
+	if err := os.Remove(filepath.Join(b.st.Dir(), key+".json")); err != nil {
+		t.Fatal(err)
+	}
+	if third, ok, err := b.Get(ctx, key); err != nil || !ok || third != first {
+		t.Errorf("cached Get touched the disk: ok=%v err=%v same=%v", ok, err, third == first)
+	}
+}
+
+// TestStoreBackendCacheInvalidation: a Put makes the next Get read the
+// new cell from disk, and a capped GC that evicts a cached key makes it
+// a miss.
+func TestStoreBackendCacheInvalidation(t *testing.T) {
+	b, out, replaced := cacheFixture(t)
+	spec := testSpec(24)
+	key := putKey(t, b, spec, out)
+	if _, ok, err := b.Get(ctx, key); err != nil || !ok {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	putKey(t, b, spec, replaced)
+	got, ok, err := b.Get(ctx, key)
+	if err != nil || !ok {
+		t.Fatalf("Get after Put: ok=%v err=%v", ok, err)
+	}
+	if outcomeHash(t, got) != outcomeHash(t, replaced) {
+		t.Error("Get after Put served the outcome the Put replaced")
+	}
+
+	putKey(t, b, testSpec(25), out)
+	age(t, b, key, time.Hour)
+	res, err := b.GC(ctx, scenario.GCConfig{MaxCells: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.Evicted) != fmt.Sprint([]string{key}) {
+		t.Fatalf("GC evicted %v, want [%s]", res.Evicted, key)
+	}
+	if _, ok, err := b.Get(ctx, key); err != nil || ok {
+		t.Errorf("Get after eviction: ok=%v err=%v, want miss", ok, err)
+	}
+}
+
+// TestStoreBackendCacheStaleInsert: a reader that read a cell before a
+// Put replaced it or a GC evicted it cannot insert what it read once
+// the Put or GC has returned.
+func TestStoreBackendCacheStaleInsert(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(t *testing.T, b *StoreBackend, key string, replaced *scenario.Outcome)
+	}{
+		{"put", func(t *testing.T, b *StoreBackend, _ string, replaced *scenario.Outcome) {
+			putKey(t, b, testSpec(24), replaced)
+		}},
+		{"gc", func(t *testing.T, b *StoreBackend, key string, replaced *scenario.Outcome) {
+			putKey(t, b, testSpec(25), replaced)
+			age(t, b, key, time.Hour)
+			if _, err := b.GC(ctx, scenario.GCConfig{MaxCells: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, out, replaced := cacheFixture(t)
+			key := putKey(t, b, testSpec(24), out)
+			// The reader's half of Get, split around the change.
+			_, gen, ok := b.cache.get(key)
+			if ok {
+				t.Fatal("key cached before any Get")
+			}
+			old, size, ok, err := b.st.GetKeySized(key)
+			if err != nil || !ok {
+				t.Fatalf("reading the cell: ok=%v err=%v", ok, err)
+			}
+			tc.change(t, b, key, replaced)
+			b.cache.add(key, old, size, gen)
+			if _, _, ok := b.cache.get(key); ok {
+				t.Errorf("a read racing %s inserted the cell it read", tc.name)
+			}
+		})
+	}
+}
+
+// TestStoreBackendCacheConcurrent: Gets and encodes of one hot key run
+// beside Puts that alternate its outcome and GC passes that evict it.
+// After each Put the key serves the new outcome and after each
+// evicting GC it misses, whatever the readers had in flight.
+func TestStoreBackendCacheConcurrent(t *testing.T) {
+	b, out, replaced := cacheFixture(t)
+	hotSpec := testSpec(24)
+	hot := putKey(t, b, hotSpec, out)
+	want := [2][32]byte{outcomeHash(t, out), outcomeHash(t, replaced)}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, ok, err := b.Get(ctx, hot)
+				if err != nil {
+					t.Errorf("reader Get: %v", err)
+					return
+				}
+				if ok {
+					if _, err := json.Marshal(got); err != nil {
+						t.Errorf("encoding a shared outcome: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	var filler string
+	for i := 0; i < 100; i++ {
+		putKey(t, b, hotSpec, []*scenario.Outcome{out, replaced}[i%2])
+		got, ok, err := b.Get(ctx, hot)
+		if err != nil || !ok {
+			t.Fatalf("round %d: Get after Put: ok=%v err=%v", i, ok, err)
+		}
+		if outcomeHash(t, got) != want[i%2] {
+			t.Fatalf("round %d: Get after Put served the outcome the Put replaced", i)
+		}
+		// A new filler cell; the cap evicts the previous filler, and every
+		// third round the hot key too.
+		if filler != "" {
+			age(t, b, filler, 2*time.Hour)
+		}
+		filler = putKey(t, b, testSpec(100+float64(i)), out)
+		age(t, b, hot, time.Hour)
+		capCells := 2
+		if i%3 == 0 {
+			capCells = 1
+		}
+		if _, err := b.GC(ctx, scenario.GCConfig{MaxCells: capCells}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := b.Get(ctx, hot); err != nil || ok != (capCells == 2) {
+			t.Fatalf("round %d: Get after GC to %d cells: ok=%v err=%v", i, capCells, ok, err)
+		}
+	}
+}
+
+// TestOutcomeCacheBudget: the cached bytes never exceed cacheBytes, the
+// least recently used entry goes first, and a cell over cacheBytes/16
+// is never cached, in the cache alone and behind a StoreBackend.
+func TestOutcomeCacheBudget(t *testing.T) {
+	var c outcomeCache
+	out := &scenario.Outcome{Kind: scenario.KindSingle}
+	evicted := false
+	for i := 0; i < 200; i++ {
+		if i == 20 {
+			c.get("0") // recently used: outlives "1"
+		}
+		c.add(fmt.Sprint(i), out, cacheBytes/40+i%7, c.gen)
+		sum := 0
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			sum += el.Value.(*cacheEntry).size
+		}
+		if c.bytes > cacheBytes || sum != c.bytes || len(c.items) != c.lru.Len() {
+			t.Fatalf("after %d adds: %d bytes (entries sum to %d) over %d items (%d in the list), budget %d",
+				i+1, c.bytes, sum, len(c.items), c.lru.Len(), cacheBytes)
+		}
+		if !evicted && len(c.items) <= i {
+			evicted = true
+			_, _, ok0 := c.get("0")
+			_, _, ok1 := c.get("1")
+			if !ok0 || ok1 {
+				t.Errorf("first eviction: key 0 cached=%v, key 1 cached=%v; want the least recently used (1) gone", ok0, ok1)
+			}
+		}
+	}
+	if !evicted {
+		t.Fatal("200 adds never filled the budget")
+	}
+	if _, _, ok := c.get("199"); !ok {
+		t.Error("the newest entry was evicted")
+	}
+	c.add("edge", out, cacheBytes/16, c.gen)
+	c.add("oversize", out, cacheBytes/16+1, c.gen)
+	if _, _, ok := c.get("edge"); !ok {
+		t.Error("a cell of exactly cacheBytes/16 was not cached")
+	}
+	if _, _, ok := c.get("oversize"); ok {
+		t.Error("an oversize cell was cached")
+	}
+
+	b, _, _ := cacheFixture(t)
+	big := &scenario.Outcome{Kind: scenario.KindSingle, Units: []scenario.Unit{{
+		Name:   "big",
+		Series: []scenario.Series{{Name: "s", T: make([]float64, cacheBytes/16), V: make([]float64, cacheBytes/16)}},
+	}}}
+	key := putKey(t, b, testSpec(24), big)
+	first, ok, err := b.Get(ctx, key)
+	if err != nil || !ok {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	if second, _, _ := b.Get(ctx, key); second == first {
+		t.Error("an oversize cell was served from the cache")
+	}
+	if b.cache.bytes != 0 {
+		t.Errorf("cache holds %d bytes after reading only an oversize cell", b.cache.bytes)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -708,6 +710,46 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	b, _ := json.Marshal(st2.Outcome)
 	if string(a) != string(b) {
 		t.Error("outcome changed across daemon restart")
+	}
+}
+
+// TestOutcomelessCellIsMiss: a store cell without an outcome is a miss
+// that the daemon simulates and overwrites, never a done job with no
+// outcome, and no backend stores a nil outcome.
+func TestOutcomelessCellIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(32)
+	key, err := scenario.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(`{"version":1,"outcome":null}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, Config{StoreDir: dir})
+	c := NewClient(d.BaseURL())
+	for _, cached := range []bool{false, true} {
+		st, err := c.Submit(ctx, spec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone || st.Outcome == nil || st.Cached != cached {
+			t.Errorf("submit: state %s, outcome %v, cached %v; want done with an outcome, cached %v",
+				st.State, st.Outcome != nil, st.Cached, cached)
+		}
+	}
+
+	disk, err := OpenStoreBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Backend{NewMemBackend(), disk} {
+		if err := b.Put(ctx, spec, nil); err == nil {
+			t.Errorf("%s stored a nil outcome", b.Name())
+		}
+		if n, err := b.Len(ctx); err != nil || n != 0 {
+			t.Errorf("%s holds %d cells (%v) after a rejected Put", b.Name(), n, err)
+		}
 	}
 }
 

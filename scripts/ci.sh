@@ -39,6 +39,12 @@ go test -run TestZeroAllocContracts .
 # any committed testdata/fuzz inputs). Bounded so CI time stays flat.
 go test -run '^$' -fuzz '^FuzzSpecKey$' -fuzztime 15s ./internal/scenario
 
+# Outcome round-trip fuzz smoke: bytes that strictly decode as an Outcome
+# must re-encode to the same bytes. Its seeds run to a few KiB, and the
+# default 60 s minimization of each new input would spend the whole run
+# minimizing, so minimization is capped at 1 s.
+go test -run '^$' -fuzz '^FuzzOutcomeRoundTrip$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario
+
 # Lockstep equivalence smoke: the lockstep engine must stay bit-identical
 # to running each job alone through sim.Run (and the fleet fixed point to
 # its per-pass rebuild reference, the coordinator to its budget/placement
