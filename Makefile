@@ -10,10 +10,13 @@ GO ?= go
 # Benchmarks recorded into the machine-readable perf trajectory
 # (BENCH_*.json via `make bench-json`); keep the hot-path and engine
 # comparison benchmarks here so every PR's baseline is diffable.
-# BenchmarkFleetRun/workers=0 is the one entry that runs more than one
-# engine worker, so a multi-worker slowdown shows up here too.
+# BenchmarkLockstepVsBatch/lockstep-workers=0 is the one entry whose
+# passes split over more than one engine worker (a pass takes one worker
+# per four stepped lanes, so BenchmarkFleetRun/workers=0's five-lane
+# passes stay on one goroutine), so a multi-worker slowdown shows up here
+# too.
 BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkFleetRun|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit|BenchmarkStoragePut$$|BenchmarkStoragePutCapped|BenchmarkStorageGetParallel'
-BENCH_OUT ?= BENCH_PR18.json
+BENCH_OUT ?= BENCH_PR19.json
 
 all: ci
 
@@ -59,7 +62,7 @@ bench-json:
 # >BENCH_THRESHOLD regression in time or allocations per benchmark.
 # scripts/ci.sh runs this target, so the pattern and baseline live here
 # only.
-BENCH_BASELINE ?= BENCH_PR17.json
+BENCH_BASELINE ?= BENCH_PR18.json
 BENCH_THRESHOLD ?= 0.15
 BENCH_COMPARE_TIME ?= 1s
 bench-compare:

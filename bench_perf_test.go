@@ -458,7 +458,10 @@ func lockstepBenchJobs(b *testing.B, n int) []sim.Job {
 // point's steady state — precompiled demand schedules, reused servers,
 // reused recording buffers, zero allocations per pass at one worker.
 // Results are bit-identical between the two (asserted by the sim tests);
-// this benchmark measures what the reuse is worth.
+// this benchmark measures what the reuse is worth. The
+// lockstep-workers=0 entry re-steps 64 lanes at Workers 0, split over up
+// to GOMAXPROCS workers of four lanes or more, so a multi-worker slowdown
+// shows up here too.
 func BenchmarkLockstepVsBatch(b *testing.B) {
 	for _, n := range []int{8, 64} {
 		b.Run("batch/"+unitName("servers", float64(n), ""), func(b *testing.B) {
@@ -481,30 +484,39 @@ func BenchmarkLockstepVsBatch(b *testing.B) {
 			}
 		})
 		b.Run("lockstep/"+unitName("servers", float64(n), ""), func(b *testing.B) {
-			ls, err := sim.NewLockstep(lockstepBenchJobs(b, n), sim.BatchOptions{Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ls.Run(); err != nil { // warm rings and buffers
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ls.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(900*float64(n)*float64(b.N)/sec, "ticks/s")
-			}
+			benchLockstepRestep(b, n, 1)
 		})
+	}
+	b.Run("lockstep-workers=0/"+unitName("servers", 64, ""), func(b *testing.B) {
+		benchLockstepRestep(b, 64, 0)
+	})
+}
+
+// benchLockstepRestep times warm re-steps of an n-lane lockstep batch.
+func benchLockstepRestep(b *testing.B, n, workers int) {
+	ls, err := sim.NewLockstep(lockstepBenchJobs(b, n), sim.BatchOptions{Workers: workers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ls.Run(); err != nil { // warm rings and buffers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ls.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(900*float64(n)*float64(b.N)/sec, "ticks/s")
 	}
 }
 
 // BenchmarkFleetFixedPoint measures the recirculation fixed point on the
 // canonical 8-node rack: every op resolves the full relaxation (two
-// whole-rack passes at the default depth) and aggregates the rack view.
+// passes at the default depth, each stepping the five nodes it can
+// change) and aggregates the rack view.
 // This is the number the lockstep rewrite is gated on — the warm rack
 // instance re-steps with updated inlets instead of rebuilding and
 // re-simulating every node from scratch each pass.
@@ -516,6 +528,10 @@ func BenchmarkFleetFixedPoint(b *testing.B) {
 	cfg.Duration = 900
 	cfg.Recirc = 0.01
 	cfg.Workers = 1
+	res, err := fleet.Run(cfg) // warm-up + lane-tick probe
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -524,8 +540,7 @@ func BenchmarkFleetFixedPoint(b *testing.B) {
 		}
 	}
 	if sec := b.Elapsed().Seconds(); sec > 0 {
-		const ticksPerOp = 900 * 8 * 2 // duration × nodes × passes
-		b.ReportMetric(ticksPerOp*float64(b.N)/sec, "ticks/s")
+		b.ReportMetric(float64(res.LaneTicks)*float64(b.N)/sec, "ticks/s")
 	}
 }
 
@@ -543,11 +558,10 @@ func BenchmarkFleetCoordinator(b *testing.B) {
 	cfg.Recirc = 0.03
 	cfg.Workers = 1
 	cc := fleet.CoordinatorConfig{PowerBudget: 1100}
-	res, err := fleet.RunCoordinated(cfg, cc) // warm-up + pass count probe
+	res, err := fleet.RunCoordinated(cfg, cc) // warm-up + lane-tick probe
 	if err != nil {
 		b.Fatal(err)
 	}
-	passes := res.TotalPasses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -556,14 +570,15 @@ func BenchmarkFleetCoordinator(b *testing.B) {
 		}
 	}
 	if sec := b.Elapsed().Seconds(); sec > 0 {
-		ticksPerOp := 900 * 8 * float64(passes)
-		b.ReportMetric(ticksPerOp*float64(b.N)/sec, "ticks/s")
+		b.ReportMetric(float64(res.LaneTicks)*float64(b.N)/sec, "ticks/s")
 	}
 }
 
 // BenchmarkFleetRun measures a recirculation-coupled 8-node rack (two
-// whole-rack passes) end to end; compare Workers=1 vs Workers=0 for the
-// fleet-level batch speedup on multicore hosts (results bit-identical).
+// relaxation passes) end to end at Workers=1 and Workers=0 (results
+// bit-identical). Each pass steps five lanes, too few to split over two
+// workers, so both run on one goroutine; BenchmarkLockstepVsBatch's
+// lockstep-workers=0 entry is the multi-worker one.
 func BenchmarkFleetRun(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		b.Run(unitName("workers", float64(workers), ""), func(b *testing.B) {

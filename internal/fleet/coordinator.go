@@ -140,9 +140,9 @@ type CoordResult struct {
 	// MigratedShare is the demand-weighted fraction of the rack's load
 	// the best plan moved off its home nodes.
 	MigratedShare float64
-	// TotalPasses counts every whole-rack simulation pass executed
-	// (baseline + all rounds + the recording re-run, if any).
-	TotalPasses int
+	// LaneTicks counts every server-tick stepped: the LaneTicks of the
+	// baseline, every round and the recording re-run, if any.
+	LaneTicks int
 }
 
 // limitedPolicy clamps a node DTM's commands to the coordinator's grants:
@@ -190,35 +190,30 @@ func identityPlan(n int) coordPlan {
 	return coordPlan{shares: shares}
 }
 
+// ceilings returns node i's cap and fan ceilings under the plan, 0 where
+// unconstrained (a cap ceiling of 1 or more constrains nothing).
+func (p coordPlan) ceilings(i int) (units.Utilization, units.RPM) {
+	var capCeil units.Utilization
+	var fanCeil units.RPM
+	if p.capCeils != nil && p.capCeils[i] < 1 {
+		capCeil = p.capCeils[i]
+	}
+	if p.fanCeils != nil {
+		fanCeil = p.fanCeils[i]
+	}
+	return capCeil, fanCeil
+}
+
 // apply installs the plan on the warm rack instance: lane demand scales
-// plus the policy wrap carrying the ceilings.
+// now, and the ceilings as each lane is next re-homed. The next relax
+// re-steps only the lanes whose plan or inlet moved.
 func (r *rack) apply(p coordPlan) error {
 	for i := range r.cfg.Nodes {
 		if err := r.ls.SetDemandScale(i, p.shares[i]); err != nil {
 			return err
 		}
 	}
-	if p.capCeils == nil && p.fanCeils == nil {
-		r.wrap = nil
-		return nil
-	}
-	r.wrap = func(i int, pol sim.Policy) sim.Policy {
-		var capCeil units.Utilization
-		var fanCeil units.RPM
-		if p.capCeils != nil {
-			capCeil = p.capCeils[i]
-			if capCeil >= 1 {
-				capCeil = 0 // unconstrained
-			}
-		}
-		if p.fanCeils != nil {
-			fanCeil = p.fanCeils[i]
-		}
-		if capCeil <= 0 && fanCeil <= 0 {
-			return pol
-		}
-		return &limitedPolicy{inner: pol, capCeil: capCeil, fanCeil: fanCeil}
-	}
+	r.plan = p
 	return nil
 }
 
@@ -416,10 +411,12 @@ func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utili
 // is plain local control (bit-identical to Run); each further round
 // derives a placement + arbitration plan from the previous round's
 // outcome, applies it to the warm rack instance, and re-resolves the
-// recirculation fixed point. The best round under betterResult is the
-// coordinated answer — so the coordinated result never does worse than
-// local control on (time above limit, violations, fan energy), and the
-// whole procedure is bit-identical at any Workers value.
+// recirculation fixed point, re-stepping only the nodes whose plan or
+// inlet moved. The best round under betterResult is the coordinated
+// answer — so the coordinated result never does worse than local control
+// on (time above limit, violations, fan energy), and the whole procedure
+// is bit-identical at any Workers value, and to resolving every round on
+// a freshly built rack.
 //
 // Trace capture (Config.Record) applies to the returned Coordinated
 // result: the best plan is re-applied and re-simulated once with
@@ -433,14 +430,25 @@ func RunCoordinated(c Config, cc CoordinatorConfig) (*CoordResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return coordinate(c, cc, r.ls, func(p coordPlan, record bool) (*Result, error) {
+		if err := r.apply(p); err != nil {
+			return nil, err
+		}
+		return r.relax(record)
+	})
+}
+
+// coordinate runs RunCoordinated's rounds: relax resolves the rack's fixed
+// point under a plan, and ls supplies the nodes' demand schedules.
+func coordinate(c Config, cc CoordinatorConfig, ls *sim.Lockstep, relax func(p coordPlan, record bool) (*Result, error)) (*CoordResult, error) {
 	n := len(c.Nodes)
 
 	meanDemand := make([]float64, n)
 	maxShare := make([]float64, n)
 	for i := 0; i < n; i++ {
-		meanDemand[i] = r.ls.MeanDemand(i)
+		meanDemand[i] = ls.MeanDemand(i)
 		maxShare[i] = cc.MaxShare
-		if peak := r.ls.MaxDemand(i); peak > 0 && cc.PeakTarget/peak < maxShare[i] {
+		if peak := ls.MaxDemand(i); peak > 0 && cc.PeakTarget/peak < maxShare[i] {
 			maxShare[i] = cc.PeakTarget / peak
 			if maxShare[i] < 1 {
 				// A node whose own spikes already exceed the peak target
@@ -450,16 +458,16 @@ func RunCoordinated(c Config, cc CoordinatorConfig) (*CoordResult, error) {
 		}
 	}
 
-	local, err := r.relax(false)
+	plans := []coordPlan{identityPlan(n)}
+	local, err := relax(plans[0], false)
 	if err != nil {
 		return nil, err
 	}
 	out := &CoordResult{
 		Local:       local,
 		Coordinated: local,
-		TotalPasses: local.Passes,
+		LaneTicks:   local.LaneTicks,
 	}
-	plans := []coordPlan{identityPlan(n)}
 	bestPlan := plans[0]
 	cur := local
 
@@ -479,16 +487,13 @@ func RunCoordinated(c Config, cc CoordinatorConfig) (*CoordResult, error) {
 		if reflect.DeepEqual(plan, prev) {
 			break // the plan stopped moving: further rounds change nothing
 		}
-		if err := r.apply(plan); err != nil {
-			return nil, err
-		}
-		res, err := r.relax(false)
+		res, err := relax(plan, false)
 		if err != nil {
 			return nil, err
 		}
 		plans = append(plans, plan)
 		out.Rounds++
-		out.TotalPasses += res.Passes
+		out.LaneTicks += res.LaneTicks
 		cur = res
 		if betterResult(res, out.Coordinated) {
 			out.Coordinated = res
@@ -500,14 +505,11 @@ func RunCoordinated(c Config, cc CoordinatorConfig) (*CoordResult, error) {
 	if c.Record {
 		// Re-run the winning plan once with trace capture; metrics are
 		// bit-identical to the round that won.
-		if err := r.apply(bestPlan); err != nil {
-			return nil, err
-		}
-		res, err := r.relax(true)
+		res, err := relax(bestPlan, true)
 		if err != nil {
 			return nil, err
 		}
-		out.TotalPasses += res.Passes
+		out.LaneTicks += res.LaneTicks
 		out.Coordinated = res
 	}
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -26,20 +27,110 @@ func coordRack(t testing.TB, n int, recirc float64, workers int) Config {
 // TestCoordinatedDeterministicAcrossWorkers mirrors the fixed-point
 // acceptance bar for the coordinator: the whole multi-round procedure —
 // baseline, migration plans, arbitration, best-round selection — must be
-// bit-identical at any Workers value.
+// bit-identical at any Workers value. The 24-node rack's passes step
+// enough lanes to split over two and four workers.
 func TestCoordinatedDeterministicAcrossWorkers(t *testing.T) {
-	cc := CoordinatorConfig{PowerBudget: 700}
-	want, err := RunCoordinated(coordRack(t, 6, 0.03, 1), cc)
+	for _, tc := range []struct {
+		nodes   int
+		budget  units.Watt
+		workers []int
+	}{
+		{6, 700, []int{2, 4, 0}},
+		{24, 2800, []int{2, 4}},
+	} {
+		cc := CoordinatorConfig{PowerBudget: tc.budget}
+		want, err := RunCoordinated(coordRack(t, tc.nodes, 0.03, 1), cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range tc.workers {
+			got, err := RunCoordinated(coordRack(t, tc.nodes, 0.03, workers), cc)
+			if err != nil {
+				t.Fatalf("nodes=%d workers=%d: %v", tc.nodes, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("nodes=%d workers=%d: coordinated result differs from serial run", tc.nodes, workers)
+			}
+		}
+	}
+}
+
+// rebuildCoordinated is RunCoordinated's per-round rebuild reference: the
+// same rounds, but every relaxation runs on a freshly built rack with
+// that round's plan applied, so no lane result carries over from one
+// round to the next.
+func rebuildCoordinated(t *testing.T, c Config, cc CoordinatorConfig) *CoordResult {
+	t.Helper()
+	cc.setDefaults()
+	probe, err := newRack(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 0} {
-		got, err := RunCoordinated(coordRack(t, 6, 0.03, workers), cc)
+	res, err := coordinate(c, cc, probe.ls, func(p coordPlan, record bool) (*Result, error) {
+		r, err := newRack(c)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			return nil, err
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: coordinated result differs from serial run", workers)
+		if err := r.apply(p); err != nil {
+			return nil, err
+		}
+		return r.relax(record)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestCoordinatedMatchesPerRoundRebuild: re-stepping only the lanes whose
+// plan or inlet moved between rounds must leave every CoordResult field
+// as resolving each round on a fresh rack does, with and without trace
+// capture. Only the stepped lane-ticks may differ, and only downwards; on
+// the budgeted 8-node rack some nodes keep their plan and inlet from one
+// round to the next, so the warm rack must step fewer.
+func TestCoordinatedMatchesPerRoundRebuild(t *testing.T) {
+	cases := []struct {
+		nodes  int
+		seed   int64
+		budget units.Watt
+		fewer  bool
+	}{
+		{6, 2, 1100, false}, // a coordination round wins
+		{8, 2, 1100, true},  // local control wins; nodes keep their plan
+		{6, 99, 0, false},   // placement only
+	}
+	for _, tc := range cases {
+		for _, record := range []bool{false, true} {
+			cfg, err := NewRack(tc.nodes, nil, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Duration = 900
+			cfg.Recirc = 0.03
+			cfg.Workers = 1
+			cfg.Record = record
+			cc := CoordinatorConfig{PowerBudget: tc.budget}
+			label := fmt.Sprintf("nodes=%d seed=%d budget=%v record=%v", tc.nodes, tc.seed, tc.budget, record)
+			got, err := RunCoordinated(cfg, cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rebuildCoordinated(t, cfg, cc)
+			if got.LaneTicks > want.LaneTicks || (tc.fewer && got.LaneTicks == want.LaneTicks) {
+				t.Errorf("%s: warm rack stepped %d lane-ticks, rebuild %d", label, got.LaneTicks, want.LaneTicks)
+			}
+			if got.Rounds == 0 {
+				t.Errorf("%s: no coordination round ran", label)
+			}
+			g, w := *got, *want
+			for _, r := range []*CoordResult{&g, &w} {
+				local, coordinated := *r.Local, *r.Coordinated
+				local.LaneTicks, coordinated.LaneTicks = 0, 0
+				r.Local, r.Coordinated, r.LaneTicks = &local, &coordinated, 0
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: coordinated result differs from the per-round rebuild", label)
+			}
 		}
 	}
 }

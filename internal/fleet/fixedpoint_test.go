@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,27 +12,34 @@ import (
 
 // naiveRun reimplements the pre-lockstep relaxation loop — every pass
 // rebuilds every node (server, workload generator, policy) and runs each
-// node alone through sim.Run, recording only on the final pass — as the
-// reference the warm-instance rewrite must match bit for bit.
-func naiveRun(t *testing.T, c Config) *Result {
+// node alone through sim.Run, recording full traces only on the final pass
+// (every pass under a tolerance) — as the reference the warm-instance
+// rewrite must match bit for bit. It returns the rack result, whose
+// LaneTicks counts every node of every pass, and each node's final run.
+func naiveRun(t *testing.T, c Config) (*Result, []*sim.Result) {
 	t.Helper()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	passes := 1
-	if c.Recirc > 0 {
-		if c.RecircPasses > 0 {
-			passes += c.RecircPasses
-		} else {
-			passes += DefaultRecircPasses
-		}
+	tolMode := c.Recirc > 0 && c.RecircTol > 0
+	maxPasses := 1
+	switch {
+	case tolMode && c.MaxRecircPasses > 0:
+		maxPasses = c.MaxRecircPasses
+	case tolMode:
+		maxPasses = DefaultMaxRecircPasses
+	case c.Recirc > 0 && c.RecircPasses > 0:
+		maxPasses += c.RecircPasses
+	case c.Recirc > 0:
+		maxPasses += DefaultRecircPasses
 	}
 	meanPower := make([]units.Watt, len(c.Nodes))
 	results := make([]*sim.Result, len(c.Nodes))
-	var inlets []units.Celsius
-	for p := 0; p < passes; p++ {
-		inlets = c.Inlets(meanPower)
-		final := p == passes-1
+	inlets := c.Inlets(meanPower)
+	passes := 0
+	for {
+		passes++
+		final := tolMode || passes == maxPasses
 		for i, n := range c.Nodes {
 			cfg := n.Config
 			cfg.Ambient = inlets[i]
@@ -68,47 +76,154 @@ func naiveRun(t *testing.T, c Config) *Result {
 			results[i] = r
 			meanPower[i] = units.Watt(float64(r.Metrics.CPUEnergy+r.Metrics.FanEnergy) / float64(c.Duration))
 		}
+		next := c.Inlets(meanPower)
+		if tolMode && maxDelta(next, inlets) <= float64(c.RecircTol) {
+			break
+		}
+		if passes == maxPasses {
+			if tolMode {
+				t.Fatalf("naive relaxation did not converge within %d passes", maxPasses)
+			}
+			break
+		}
+		inlets = next
 	}
-	res, err := c.aggregate(inlets, results, passes)
+	res, err := c.aggregate(inlets, results, passes, c.Record)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	res.LaneTicks = passes * len(c.Nodes) * res.Ticks
+	return res, results
+}
+
+// warmRun resolves the fixed point on one warm rack instance, as Run does,
+// and returns the rack result with every lane's current result (read back
+// through a pass that steps no lane).
+func warmRun(t *testing.T, c Config) (*Result, []*sim.Result) {
+	t.Helper()
+	r, err := newRack(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.relax(c.Record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes, err := r.ls.RunLanes(make([]bool, len(c.Nodes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, lanes
+}
+
+// assertMatchesNaive requires the warm relaxation to reproduce the naive
+// rebuild: pass count, inlets, per-node metrics and traces, rack
+// aggregates and every node's power series, bit for bit. Only the
+// stepped lane-ticks may differ, and only downwards.
+func assertMatchesNaive(t *testing.T, label string, c Config) {
+	t.Helper()
+	want, wantLanes := naiveRun(t, c)
+	got, gotLanes := warmRun(t, c)
+	if got.Passes != want.Passes {
+		t.Fatalf("%s: warm rewrite ran %d passes, naive %d", label, got.Passes, want.Passes)
+	}
+	if got.LaneTicks <= 0 || got.LaneTicks > want.LaneTicks {
+		t.Errorf("%s: warm rewrite stepped %d lane-ticks, naive %d", label, got.LaneTicks, want.LaneTicks)
+	}
+	for i := range want.Nodes {
+		if got.Nodes[i].Inlet != want.Nodes[i].Inlet {
+			t.Errorf("%s node %q: inlet %v != naive %v",
+				label, want.Nodes[i].Name, got.Nodes[i].Inlet, want.Nodes[i].Inlet)
+		}
+		if got.Nodes[i].Metrics != want.Nodes[i].Metrics {
+			t.Errorf("%s node %q: metrics differ from naive rebuild", label, want.Nodes[i].Name)
+		}
+		if !reflect.DeepEqual(gotLanes[i].Traces.Get("total_power"), wantLanes[i].Traces.Get("total_power")) {
+			t.Errorf("%s node %q: power series differs from naive rebuild", label, want.Nodes[i].Name)
+		}
+	}
+	g := *got
+	g.LaneTicks = want.LaneTicks
+	if !reflect.DeepEqual(&g, want) {
+		t.Errorf("%s: rack result differs from naive rebuild", label)
+	}
 }
 
 // TestFixedPointMatchesNaiveRebuild is the warm-instance acceptance bar:
-// the relaxation's pass count, resolved inlet field, per-node metrics and
-// rack aggregates must all be unchanged by holding one warm lockstep
-// instance instead of rebuilding the rack every pass.
+// the relaxation's pass count, resolved inlet field, per-node metrics,
+// power series and rack aggregates must all be unchanged by holding one
+// warm lockstep instance, and by stepping only the lanes a pass can
+// change, instead of rebuilding the rack every pass. The cases cover a
+// one-node aisle, two nodes sharing an aisle slot, a relaxation deep
+// enough that the reach rule skips middle slots (and a whole first pass),
+// full trace capture, and the tolerance mode.
 func TestFixedPointMatchesNaiveRebuild(t *testing.T) {
-	for _, passes := range []int{0, 2} { // default depth and a deeper relaxation
-		cfg := testRack(t, 5, 1)
-		cfg.RecircPasses = passes
-		want := naiveRun(t, cfg)
-		got, err := Run(cfg)
+	rack := func(n int, layout []Aisle) Config {
+		cfg, err := NewRack(n, layout, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Passes != want.Passes {
-			t.Fatalf("RecircPasses=%d: warm rewrite ran %d passes, naive %d", passes, got.Passes, want.Passes)
+		cfg.Duration = 600
+		cfg.Recirc = 0.01
+		cfg.Workers = 1
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"default depth", func() Config { return testRack(t, 5, 1) }},
+		{"RecircPasses=2", func() Config {
+			cfg := testRack(t, 5, 1)
+			cfg.RecircPasses = 2
+			return cfg
+		}},
+		{"one-node aisle", func() Config { return rack(4, []Aisle{Cold, Cold, Cold, Hot}) }},
+		{"shared slot", func() Config {
+			cfg := testRack(t, 5, 1)
+			cfg.Nodes[3].Slot = cfg.Nodes[0].Slot // cold-01 beside cold-00
+			return cfg
+		}},
+		{"RecircPasses=3", func() Config {
+			cfg := rack(6, []Aisle{Cold, Hot}) // three slots per aisle
+			cfg.RecircPasses = 3
+			return cfg
+		}},
+		{"Record", func() Config {
+			cfg := testRack(t, 5, 1)
+			cfg.Record = true
+			return cfg
+		}},
+		{"RecircTol", func() Config {
+			cfg := testRack(t, 5, 1)
+			cfg.RecircTol = 0.05
+			cfg.Record = true
+			return cfg
+		}},
+	}
+	for _, tc := range cases {
+		assertMatchesNaive(t, tc.name, tc.cfg())
+	}
+}
+
+// TestFixedPointLaneTicks pins the work the relaxation skips on the
+// canonical 8-node rack at the default depth: the first pass steps the
+// five nodes below an aisle's top slot, and the second the five above an
+// aisle's bottom slot, whose inlets moved — 10 lanes of 900 ticks, not 16.
+func TestFixedPointLaneTicks(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		cfg, err := NewRack(8, nil, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Nodes {
-			if got.Nodes[i].Inlet != want.Nodes[i].Inlet {
-				t.Errorf("RecircPasses=%d node %q: inlet %v != naive %v",
-					passes, want.Nodes[i].Name, got.Nodes[i].Inlet, want.Nodes[i].Inlet)
-			}
-			if got.Nodes[i].Metrics != want.Nodes[i].Metrics {
-				t.Errorf("RecircPasses=%d node %q: metrics differ from naive rebuild",
-					passes, want.Nodes[i].Name)
-			}
+		cfg.Duration = 900
+		cfg.Recirc = 0.01
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.ViolationFrac != want.ViolationFrac ||
-			got.FanEnergy != want.FanEnergy ||
-			got.CPUEnergy != want.CPUEnergy ||
-			got.PeakRackPower != want.PeakRackPower ||
-			got.MeanRackPower != want.MeanRackPower ||
-			got.MaxJunction != want.MaxJunction {
-			t.Errorf("RecircPasses=%d: rack aggregates differ from naive rebuild", passes)
+		if res.LaneTicks != 9000 {
+			t.Errorf("seed %d: stepped %d lane-ticks, want 9000", seed, res.LaneTicks)
 		}
 	}
 }
@@ -189,26 +304,7 @@ func TestFixedPointFaultedServerMatchesNaiveRebuild(t *testing.T) {
 		}
 		return server, nil
 	}
-	want := naiveRun(t, cfg)
-	got, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Passes != want.Passes {
-		t.Fatalf("warm rewrite ran %d passes, naive %d", got.Passes, want.Passes)
-	}
-	for i := range want.Nodes {
-		if got.Nodes[i].Inlet != want.Nodes[i].Inlet {
-			t.Errorf("node %q: inlet %v != naive %v",
-				want.Nodes[i].Name, got.Nodes[i].Inlet, want.Nodes[i].Inlet)
-		}
-		if got.Nodes[i].Metrics != want.Nodes[i].Metrics {
-			t.Errorf("node %q: metrics differ from naive rebuild", want.Nodes[i].Name)
-		}
-	}
-	if got.ViolationFrac != want.ViolationFrac || got.FanEnergy != want.FanEnergy {
-		t.Errorf("rack aggregates differ from naive rebuild")
-	}
+	assertMatchesNaive(t, "faulted", cfg)
 }
 
 // TestFixedPointConvergence: with a tolerance the relaxation runs until

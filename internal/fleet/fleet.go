@@ -18,11 +18,12 @@
 //
 // Every node of a fleet run is an independent lane of one warm
 // sim.Lockstep batch: servers are constructed and workload schedules
-// precompiled once per Run, and each relaxation pass re-steps the same
-// instance with updated inlets and fresh policies. The rack inherits the
-// batch engine's guarantees — results are order-stable, bit-identical
-// between Workers = 1 and Workers = N (and to rebuilding every node each
-// pass and running it alone through sim.Run), and -race clean.
+// precompiled once per Run, and each relaxation pass re-steps the lanes
+// whose result can still change the outcome, with updated inlets and
+// fresh policies. The rack inherits the batch engine's guarantees —
+// results are order-stable, bit-identical between Workers = 1 and
+// Workers = N (and to rebuilding every node each pass and running it
+// alone through sim.Run), and -race clean.
 package fleet
 
 import (

@@ -118,19 +118,29 @@ func TestInletField(t *testing.T) {
 }
 
 // TestRunParallelMatchesSerial is the fleet acceptance bar: aggregate
-// metrics bit-identical between Workers = 1 and Workers = N.
+// metrics bit-identical between Workers = 1 and Workers = N. A pass takes
+// one worker per four lanes it steps, so only the 24-node rack's passes
+// (21 lanes each) split over two and four workers.
 func TestRunParallelMatchesSerial(t *testing.T) {
-	want, err := Run(testRack(t, 6, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 0} {
-		got, err := Run(testRack(t, 6, workers))
+	for _, tc := range []struct {
+		nodes   int
+		workers []int
+	}{
+		{6, []int{2, 4, 0}},
+		{24, []int{2, 4}},
+	} {
+		want, err := Run(testRack(t, tc.nodes, 1))
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: fleet result differs from serial run", workers)
+		for _, workers := range tc.workers {
+			got, err := Run(testRack(t, tc.nodes, workers))
+			if err != nil {
+				t.Fatalf("nodes=%d workers=%d: %v", tc.nodes, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("nodes=%d workers=%d: fleet result differs from serial run", tc.nodes, workers)
+			}
 		}
 	}
 }

@@ -60,9 +60,14 @@ type Result struct {
 	PeakRackPower units.Watt
 	MeanRackPower units.Watt
 
-	// Passes is how many whole-rack simulation passes resolved the
-	// recirculation fixed point (1 when Recirc is 0).
+	// Passes is how many relaxation passes resolved the recirculation
+	// fixed point (1 when Recirc is 0). A pass steps only the nodes whose
+	// result can still change the outcome (see Run), so it is not a
+	// measure of simulation work; LaneTicks is.
 	Passes int
+	// LaneTicks is the number of server-ticks the relaxation stepped:
+	// Ticks times the nodes each pass stepped, summed over passes.
+	LaneTicks int
 }
 
 // Inlets resolves the shared inlet-temperature field given each node's
@@ -92,7 +97,8 @@ func (c Config) Inlets(meanPower []units.Watt) []units.Celsius {
 // consumes — the lockstep engine's recording buffers are preallocated once
 // and reset per pass, so this costs appends into warm storage and only the
 // final pass's series survives into the result. Full trace capture (when
-// Config.Record asks) is toggled per pass with Lockstep.SetRecord from Run.
+// Config.Record asks) is toggled per pass with Lockstep.SetRecord from
+// prepare.
 func (c Config) buildJobs(inlets []units.Celsius) ([]sim.Job, error) {
 	jobs := make([]sim.Job, len(c.Nodes))
 	for i, n := range c.Nodes {
@@ -132,21 +138,41 @@ func (c Config) buildJobs(inlets []units.Celsius) ([]sim.Job, error) {
 // rack is one warm rack instance: the lockstep batch plus the relaxation
 // bookkeeping, reusable across whole relaxations. Run resolves a single
 // fixed point on one; the coordinator (coordinator.go) re-enters relax
-// once per coordination round, adjusting lane demand scales and wrapping
-// node policies in between.
+// once per coordination round after installing its plan with apply.
 type rack struct {
 	cfg Config
 	ls  *sim.Lockstep
-	// wrap optionally decorates each freshly built node policy (the
-	// coordinator installs its per-node cap/fan limits here); nil is the
-	// identity.
-	wrap func(i int, p sim.Policy) sim.Policy
-	// fresh marks an instance whose lanes still hold buildJobs' pristine
-	// pass-0 policies and inlets: the first relax can skip its initial
-	// rehome (rebuilding identical policies would only cost allocations).
-	fresh bool
+	// plan is the coordinator's actuation the lanes run under: demand
+	// shares and the ceilings that wrap each freshly built node policy.
+	plan coordPlan
+	// reach is, per node, the number of distinct slots above it in its
+	// aisle: the number of later passes its power can still propagate
+	// through.
+	reach []int
+	// last is, per node, the inputs of the lane's last run; active marks
+	// the lanes the current pass steps.
+	last   []laneRun
+	active []bool
 
 	meanPower []units.Watt
+}
+
+// laneInputs is everything a lane's result depends on that changes
+// between relaxation passes and coordinator rounds.
+type laneInputs struct {
+	inlet   units.Celsius
+	share   float64
+	capCeil units.Utilization // 0: unconstrained
+	fanCeil units.RPM         // 0: unconstrained
+	record  bool
+}
+
+// laneRun records what a lane is homed at: the inputs of its last run,
+// or, before its first run (ran false), the pass-0 inlet and the pristine
+// unwrapped policy buildJobs gave it.
+type laneRun struct {
+	laneInputs
+	ran bool
 }
 
 // newRack validates the config and builds the warm instance: servers
@@ -155,7 +181,8 @@ func newRack(c Config) (*rack, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	jobs, err := c.buildJobs(c.Inlets(nil))
+	inlets := c.Inlets(nil)
+	jobs, err := c.buildJobs(inlets)
 	if err != nil {
 		return nil, err
 	}
@@ -163,33 +190,72 @@ func newRack(c Config) (*rack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &rack{cfg: c, ls: ls, fresh: true, meanPower: make([]units.Watt, len(c.Nodes))}, nil
+	n := len(c.Nodes)
+	r := &rack{
+		cfg:       c,
+		ls:        ls,
+		plan:      identityPlan(n),
+		reach:     make([]int, n),
+		last:      make([]laneRun, n),
+		active:    make([]bool, n),
+		meanPower: make([]units.Watt, n),
+	}
+	for i, node := range c.Nodes {
+		above := map[int]bool{}
+		for _, m := range c.Nodes {
+			if m.Aisle == node.Aisle && m.Slot > node.Slot {
+				above[m.Slot] = true
+			}
+		}
+		r.reach[i] = len(above)
+		r.last[i].laneInputs = laneInputs{inlet: inlets[i], share: 1}
+	}
+	return r, nil
 }
 
-// rehome prepares the warm rack instance for the next relaxation pass:
-// every lane is re-homed at its new inlet and given a fresh policy built
-// against that operating point (the DTM's release-speed model reads the
-// ambient), decorated by the wrap hook when one is installed. Servers,
-// schedules and recording buffers are reused.
-func (r *rack) rehome(inlets []units.Celsius) error {
+// prepare decides which lanes the next pass steps and rehomes them. A lane
+// steps when its reach is at least minReach and its inputs differ from its
+// last run; a lane that keeps its inputs would reproduce its last result
+// bit for bit. A stepping lane is re-homed at its inlet with a fresh
+// policy built against that operating point (the DTM's release-speed
+// model reads the ambient) and wrapped in the plan's ceilings — unless it
+// has never run and is already homed there. Servers, schedules and
+// recording buffers are reused. prepare returns the number of lanes to
+// step.
+func (r *rack) prepare(inlets []units.Celsius, record bool, minReach int) (int, error) {
+	stepped := 0
 	for i, n := range r.cfg.Nodes {
-		if err := r.ls.SetAmbient(i, inlets[i]); err != nil {
-			return fmt.Errorf("fleet: node %q at inlet %v: %w", n.Name, inlets[i], err)
+		want := laneInputs{inlet: inlets[i], share: r.plan.shares[i], record: record}
+		want.capCeil, want.fanCeil = r.plan.ceilings(i)
+		last := &r.last[i]
+		r.active[i] = r.reach[i] >= minReach && (!last.ran || last.laneInputs != want)
+		if !r.active[i] {
+			continue
+		}
+		stepped++
+		r.ls.SetRecord(i, want.record, true)
+		pristine := !last.ran && last.inlet == want.inlet && last.capCeil == want.capCeil && last.fanCeil == want.fanCeil
+		*last = laneRun{laneInputs: want, ran: true}
+		if pristine {
+			continue
+		}
+		if err := r.ls.SetAmbient(i, want.inlet); err != nil {
+			return 0, fmt.Errorf("fleet: node %q at inlet %v: %w", n.Name, want.inlet, err)
 		}
 		cfg := n.Config
-		cfg.Ambient = inlets[i]
+		cfg.Ambient = want.inlet
 		pol, err := n.Policy(cfg)
 		if err != nil {
-			return fmt.Errorf("fleet: node %q policy: %w", n.Name, err)
+			return 0, fmt.Errorf("fleet: node %q policy: %w", n.Name, err)
 		}
-		if r.wrap != nil {
-			pol = r.wrap(i, pol)
+		if want.capCeil > 0 || want.fanCeil > 0 {
+			pol = &limitedPolicy{inner: pol, capCeil: want.capCeil, fanCeil: want.fanCeil}
 		}
 		if err := r.ls.SetPolicy(i, pol); err != nil {
-			return fmt.Errorf("fleet: node %q: %w", n.Name, err)
+			return 0, fmt.Errorf("fleet: node %q: %w", n.Name, err)
 		}
 	}
-	return nil
+	return stepped, nil
 }
 
 // passBudget resolves the relaxation schedule: the maximum number of
@@ -234,8 +300,9 @@ func maxDelta(a, b []units.Celsius) float64 {
 // lockstep instance — servers are built and workload schedules compiled
 // once, and each pass re-steps the batch with updated inlets and fresh
 // policies — so extra passes cost simulation time only, no construction.
-// Results are bit-identical to rebuilding and re-running every pass from
-// scratch, and for any Workers value.
+// A pass steps only the nodes whose result can still change the outcome
+// (see relax). Results are bit-identical to rebuilding and re-running
+// every node every pass from scratch, and for any Workers value.
 //
 // With RecircTol > 0 the loop instead runs until the inlet field moves
 // less than the tolerance between passes, and errors if MaxRecircPasses
@@ -251,39 +318,46 @@ func Run(c Config) (*Result, error) {
 }
 
 // relax resolves one whole recirculation fixed point on the warm rack
-// instance, starting from the position-only (pass-0) inlet field: fresh
-// policies are installed against it, every lane's demand scale and wrap
-// hook is honored as currently set, and the relaxation loop of Run
-// executes. record toggles full trace capture on the final pass. relax is
-// re-entrant: the coordinator calls it once per round, and a repeat call
-// with unchanged scales and wrap reproduces the previous result bit for
-// bit.
+// instance, starting from the position-only (pass-0) inlet field under the
+// current plan. record toggles full trace capture on the final pass, and
+// keeps the node traces in the result. relax is re-entrant: the
+// coordinator calls it once per round, and a repeat call with an unchanged
+// plan reproduces the previous result bit for bit.
+//
+// A pass steps a node only when its inputs (inlet, demand share, ceilings,
+// record flag) differ from its last run, which would otherwise reproduce
+// its result. In fixed-pass mode the node must also have a reach of at
+// least P-p on pass p of P: a node's power raises the inlets of higher
+// slots on the next pass, so its pass-p result reaches the final pass only
+// through a chain of P-p higher slots in its aisle. A node skipped by that
+// rule keeps a stale result whose power feeds only nodes the rule skips
+// too. Under a tolerance any pass may be the last, so only the first test
+// applies.
 func (r *rack) relax(record bool) (*Result, error) {
 	c := r.cfg
 	maxPasses, tolMode := c.passBudget()
 	inlets := c.Inlets(nil)
-	if r.fresh {
-		r.fresh = false
-	} else if err := r.rehome(inlets); err != nil {
-		return nil, err
-	}
-	passes := 0
+	passes, laneTicks := 0, 0
 	var results []*sim.Result
 	for {
+		passes++
 		// Full trace capture costs seven extra series per node per
 		// pass; in fixed-pass mode only the known-final pass needs it.
 		// Under a convergence tolerance the final pass is only known
 		// in hindsight, so every pass records (into reused buffers).
-		final := tolMode || passes+1 == maxPasses
-		for i := range c.Nodes {
-			r.ls.SetRecord(i, record && final, true)
+		final := tolMode || passes == maxPasses
+		minReach := 0
+		if !tolMode {
+			minReach = maxPasses - passes
 		}
-		var err error
-		results, err = r.ls.Run()
+		stepped, err := r.prepare(inlets, record && final, minReach)
 		if err != nil {
 			return nil, err
 		}
-		passes++
+		if results, err = r.ls.RunLanes(r.active); err != nil {
+			return nil, err
+		}
+		laneTicks += stepped * r.ls.Ticks()
 		for i, res := range results {
 			r.meanPower[i] = units.Watt(float64(res.Metrics.CPUEnergy+res.Metrics.FanEnergy) / float64(c.Duration))
 		}
@@ -300,15 +374,18 @@ func (r *rack) relax(record bool) (*Result, error) {
 			break
 		}
 		inlets = next
-		if err := r.rehome(inlets); err != nil {
-			return nil, err
-		}
 	}
-	return c.aggregate(inlets, results, passes)
+	out, err := c.aggregate(inlets, results, passes, record)
+	if err != nil {
+		return nil, err
+	}
+	out.LaneTicks = laneTicks
+	return out, nil
 }
 
-// aggregate folds the final pass's per-node results into the rack view.
-func (c Config) aggregate(inlets []units.Celsius, results []*sim.Result, passes int) (*Result, error) {
+// aggregate folds the final pass's per-node results into the rack view,
+// keeping each node's traces when record is set.
+func (c Config) aggregate(inlets []units.Celsius, results []*sim.Result, passes int, record bool) (*Result, error) {
 	out := &Result{
 		Nodes:  make([]NodeResult, len(results)),
 		Passes: passes,
@@ -326,7 +403,7 @@ func (c Config) aggregate(inlets []units.Celsius, results []*sim.Result, passes 
 			Inlet:   inlets[i],
 			Metrics: m,
 		}
-		if c.Record {
+		if record {
 			out.Nodes[i].Traces = r.Traces
 		}
 

@@ -40,7 +40,7 @@ var (
 )
 
 // ProbeSimTicks returns the total number of server-ticks simulated by
-// scenario runners in this process (every lane of every relaxation pass
+// scenario runners in this process (every lane a relaxation pass steps
 // counts).
 func ProbeSimTicks() int64 { return simTicksRun.Load() }
 
@@ -425,7 +425,7 @@ func runFleet(s Spec) (*Outcome, error) {
 		return nil, err
 	}
 	out := &Outcome{Kind: s.Kind, Units: fleetUnits(res), Aggregate: fleetAggregate(res)}
-	AddSimTicks(int64(res.Ticks) * int64(len(res.Nodes)) * int64(res.Passes))
+	AddSimTicks(int64(res.LaneTicks))
 	return out, nil
 }
 
@@ -489,7 +489,7 @@ func runFleetCoord(s Spec) (*Outcome, error) {
 	agg[MetricCoordBudgetW] = float64(res.Budget)
 	agg[MetricCoordMigrated] = res.MigratedShare
 	out.Aggregate = agg
-	AddSimTicks(int64(res.Coordinated.Ticks) * int64(len(res.Coordinated.Nodes)) * int64(res.TotalPasses))
+	AddSimTicks(int64(res.LaneTicks))
 	return out, nil
 }
 

@@ -206,8 +206,10 @@ func NewRedundant(cfg RedundantConfig, chains ...Stage) (*Redundant, error) {
 // Sample feeds the true value through every replica chain and fuses the
 // readings. The fused value is the median of the plausible, non-outlier
 // survivors when a quorum exists; otherwise the last good fused value
-// (hold-last-good), falling back to the median of the raw readings if no
-// good value was ever produced.
+// (hold-last-good), falling back to the median of the finite raw readings
+// if no good value was ever produced, and to RangeMax, the reading that
+// drives the fans up, if no reading is finite. The fused value is always
+// finite.
 func (r *Redundant) Sample(t units.Seconds, v float64) float64 {
 	dt := units.Seconds(0)
 	if r.hasT && t > r.lastT {
@@ -262,7 +264,16 @@ func (r *Redundant) Sample(t units.Seconds, v float64) float64 {
 		return r.lastGood
 	}
 	// Never agreed since Reset: the raw median is the least-bad reading.
-	r.fallback = append(r.fallback[:0], r.readings...)
+	// A NaN would not sort, and the median could land on it.
+	r.fallback = r.fallback[:0]
+	for _, x := range r.readings {
+		if units.IsFinite(x) {
+			r.fallback = append(r.fallback, x)
+		}
+	}
+	if len(r.fallback) == 0 {
+		return r.rangeMax
+	}
 	insertionSort(r.fallback)
 	return medianSorted(r.fallback)
 }
@@ -338,11 +349,12 @@ func insertionSort(a []float64) {
 }
 
 // medianSorted returns the median of an already-sorted, non-empty slice
-// (mean of the two middles for even lengths).
+// (mean of the two middles for even lengths, halved before the sum so two
+// finite middles near the float64 limit cannot overflow).
 func medianSorted(a []float64) float64 {
 	n := len(a)
 	if n%2 == 1 {
 		return a[n/2]
 	}
-	return 0.5 * (a[n/2-1] + a[n/2])
+	return 0.5*a[n/2-1] + 0.5*a[n/2]
 }

@@ -1,6 +1,8 @@
 package sensor
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/units"
@@ -303,4 +305,98 @@ func TestRedundantSampleNoAllocSmoke(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Sample allocates %.2f objects/op, want 0", allocs)
 	}
+}
+
+// scriptStage is a stub replica that returns the next reading from its
+// script, whatever the true value.
+type scriptStage struct {
+	script []float64
+	next   int
+}
+
+func (s *scriptStage) Sample(units.Seconds, float64) float64 {
+	v := s.script[s.next]
+	s.next++
+	return v
+}
+
+func (s *scriptStage) Reset() { s.next = 0 }
+
+// FuzzRedundant feeds three to five stub replicas arbitrary readings, NaN
+// and infinities included, over several ticks. The fused value must always
+// be finite, and health must follow the quorum: OK on a tick with a
+// quorum, Hold for the first HoldTicks consecutive failures, FailSafe
+// from failure HoldTicks+1 on.
+func FuzzRedundant(f *testing.F) {
+	reading := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	// Replicas reading 40, NaN and 60 on the first tick: no quorum and no
+	// good value yet, so the raw-median fallback answers.
+	f.Add(uint8(0), uint8(2), reading(40, math.NaN(), 60))
+	// Four implausible readings near the float64 limit: the fallback's
+	// even median must not overflow.
+	f.Add(uint8(1), uint8(0), reading(1e308, 1e308, 1e308, 1e308, 50, 50, 50, 50, 50, math.Inf(1), 51, 49))
+	f.Add(uint8(2), uint8(1), reading(-1e308, 1e308, 1e308, -1e308, math.Inf(-1), 50, 50, 50, 50, 50))
+	f.Fuzz(func(t *testing.T, replicas, hold uint8, data []byte) {
+		n := 3 + int(replicas%3)
+		holdTicks := 1 + int(hold%8)
+		ticks := min(len(data)/(8*n), 64)
+		if ticks == 0 {
+			return
+		}
+		chains := make([]Stage, n)
+		scripts := make([]*scriptStage, n)
+		for j := range chains {
+			scripts[j] = &scriptStage{script: make([]float64, ticks)}
+			chains[j] = scripts[j]
+		}
+		for k := 0; k < ticks; k++ {
+			for j := range scripts {
+				off := 8 * (k*n + j)
+				scripts[j].script[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+			}
+		}
+		r, err := NewRedundant(RedundantConfig{HoldTicks: holdTicks}, chains...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failures := 0
+		for k := 0; k < ticks; k++ {
+			before := r.quorumFails
+			got := r.Sample(units.Seconds(k), 50)
+			if !units.IsFinite(got) {
+				t.Fatalf("tick %d: fused %v from readings %v", k, got, readingsAt(scripts, k))
+			}
+			if r.quorumFails > before {
+				failures++
+			} else {
+				failures = 0
+			}
+			want := HealthOK
+			switch {
+			case failures > holdTicks:
+				want = HealthFailSafe
+			case failures > 0:
+				want = HealthHold
+			}
+			if r.Health() != want {
+				t.Fatalf("tick %d: health %v after %d consecutive quorum failures (hold %d), want %v",
+					k, r.Health(), failures, holdTicks, want)
+			}
+		}
+	})
+}
+
+// readingsAt returns every replica's reading on tick k.
+func readingsAt(scripts []*scriptStage, k int) []float64 {
+	out := make([]float64, len(scripts))
+	for j, s := range scripts {
+		out[j] = s.script[k]
+	}
+	return out
 }

@@ -53,8 +53,9 @@ type Job struct {
 // BatchOptions tunes batch execution.
 type BatchOptions struct {
 	// Workers caps the number of concurrent jobs. Zero or negative means
-	// GOMAXPROCS. One worker degenerates to a deterministic sequential
-	// run, useful for bit-identical comparisons and benchmarks.
+	// GOMAXPROCS. A lockstep pass takes at most one worker per four lanes
+	// it steps. One worker degenerates to a deterministic sequential run,
+	// useful for bit-identical comparisons and benchmarks.
 	Workers int
 }
 

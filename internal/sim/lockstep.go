@@ -33,16 +33,23 @@ import (
 // DeepEqual against sequential Run across batch sizes, worker counts and
 // mixed clocks.
 //
-// Schedule: lanes are sharded contiguously over the workers, and each
-// worker steps its lanes one at a time, each through its whole horizon
-// (lane-major). Lanes are built one after another, so neighbours share
-// 64-byte cache lines; two workers stepping neighbours at once would
-// bounce those lines between cores every tick. Lane-major order steps a
-// shard's edge lanes at opposite ends of the pass, so neighbours across a
-// shard boundary never run together — except a shard of one lane (fewer
-// than two lanes per worker), which runs beside its neighbour throughout.
-// A worker that finishes its shard takes the rest of another from its far
-// end (see runShared).
+// Schedule: a pass steps the lanes it is given (RunLanes takes a lane
+// mask; Run steps every lane), sharded contiguously over the workers, and
+// each worker steps its lanes one at a time, each through its whole
+// horizon (lane-major). Lanes are built one after another, so lanes close
+// in build order share heap cache lines: on a 2-vCPU guest, two lanes of
+// a warm 64-lane batch stepped at once ran 1.4-2.6x slower when adjacent
+// and as fast as alone four or more apart. A pass therefore takes one
+// worker per minLanesPerWorker stepped lanes (Workers is a cap), so every
+// shard holds at least four lanes and workers in a balanced pass step
+// lanes at least four apart. Smaller passes run on the calling goroutine:
+// a helper goroutine starts tens of microseconds into a warm pass, often
+// after the caller has stepped every lane of a small one. A worker that
+// finishes its shard takes the rest of another from its far end (see
+// runShared).
+
+// minLanesPerWorker is the fewest stepped lanes a pass gives each worker.
+const minLanesPerWorker = 4
 
 // lane is one server's slot in the lockstep batch.
 type lane struct {
@@ -66,7 +73,7 @@ type lane struct {
 
 	// Reused output state: the result, its metrics, and (lazily built,
 	// then retained) the recorded series. Returned results alias these
-	// and stay valid until the next Run.
+	// and stay valid until the lane's next run.
 	result   Result
 	prev     TickResult
 	tsFull   *trace.Set
@@ -94,6 +101,9 @@ type Lockstep struct {
 	workers int
 	lanes   []lane
 	results []*Result
+	// stepped lists the lanes of the current pass in job order; its
+	// storage is reused so a warm pass stays allocation-free.
+	stepped []int
 }
 
 // NewLockstep builds a warm lockstep batch from the jobs: servers are
@@ -135,6 +145,7 @@ func NewLockstep(jobs []Job, opts BatchOptions) (*Lockstep, error) {
 		workers: opts.Workers,
 		lanes:   make([]lane, len(jobs)),
 		results: make([]*Result, len(jobs)),
+		stepped: make([]int, 0, len(jobs)),
 	}
 	schedules := make(map[scheduleKey][]units.Utilization, len(jobs))
 	for i, j := range jobs {
@@ -441,17 +452,18 @@ func (ls *Lockstep) runLane(i int) {
 	}
 }
 
-// runShared steps the lanes on the calling goroutine and workers-1
-// helpers. Worker w runs its shard [next[w], end[w]) front to back, then
-// takes other shards' remaining lanes from their backs, so a worker that
-// starts late or is descheduled holds the pass up by at most the lane it
-// is stepping, not by its whole shard. In a balanced pass nothing is
-// taken, and shard-boundary neighbours still run at opposite ends of it.
-// ParallelFor is not used: it hands lanes out in job order, giving two
-// workers neighbours at once. A panic in any worker is re-raised on the
-// caller once every worker has stopped.
+// runShared steps the pass's lanes on the calling goroutine and workers-1
+// helpers. Worker w runs its shard of the stepped list, positions
+// [next[w], end[w]), front to back, then takes other shards' remaining
+// lanes from their backs, so a worker that starts late or is descheduled
+// holds the pass up by at most the lane it is stepping, not by its whole
+// shard. In a balanced pass nothing is taken, and shard-boundary
+// neighbours still run at opposite ends of it. ParallelFor is not used: it
+// hands lanes out in job order, giving two workers neighbours at once. A
+// panic in any worker is re-raised on the caller once every worker has
+// stopped.
 func (ls *Lockstep) runShared(workers int) {
-	n := len(ls.lanes)
+	n := len(ls.stepped)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex // guards next, end and panicked
@@ -467,12 +479,12 @@ func (ls *Lockstep) runShared(workers int) {
 		defer mu.Unlock()
 		if next[w] < end[w] {
 			next[w]++
-			return next[w] - 1, true
+			return ls.stepped[next[w]-1], true
 		}
 		for v := 1; v < workers; v++ {
 			if s := (w + v) % workers; next[s] < end[s] {
 				end[s]--
-				return end[s], true
+				return ls.stepped[end[s]], true
 			}
 		}
 		return 0, false
@@ -505,41 +517,49 @@ func (ls *Lockstep) runShared(workers int) {
 	}
 }
 
-// Run executes one batch pass: every lane is reset (and warm-started) and
-// run through the horizon, and the per-lane results are returned in job
-// order. Lanes are sharded contiguously across the worker pool; results
-// are bit-identical at any worker count, and to running each job alone
-// through sim.Run.
+// Run executes one batch pass over every lane; see RunLanes.
+func (ls *Lockstep) Run() ([]*Result, error) { return ls.RunLanes(nil) }
+
+// RunLanes executes one batch pass over the lanes active marks (nil marks
+// every lane): each is reset (and warm-started) and run through its
+// horizon, and the per-lane results are returned in job order. A
+// masked-out lane is neither reset nor stepped; its result and recorded
+// series stay those of its last run. The stepped lanes are sharded
+// contiguously across min(Workers, stepped/minLanesPerWorker) workers, at
+// least one; results are bit-identical at any worker count, and to running
+// each job alone through sim.Run.
 //
 // The returned results (and their trace sets) are owned by the Lockstep
-// and remain valid until the next Run — callers that need to retain a pass
-// must copy, the same aliasing contract as the multicore scratch buffers.
-// A warm Run performs zero heap allocations at Workers <= 1.
-func (ls *Lockstep) Run() ([]*Result, error) {
+// and remain valid until the next pass that steps their lane — callers
+// that need to retain a pass must copy, the same aliasing contract as the
+// multicore scratch buffers. A warm pass performs zero heap allocations
+// when it runs on one worker.
+func (ls *Lockstep) RunLanes(active []bool) ([]*Result, error) {
+	if active != nil && len(active) != len(ls.lanes) {
+		return nil, fmt.Errorf("sim: lockstep lane mask has %d entries for %d lanes", len(active), len(ls.lanes))
+	}
+	ls.stepped = ls.stepped[:0]
 	for i := range ls.lanes {
+		if active != nil && !active[i] {
+			continue
+		}
 		if err := ls.reset(&ls.lanes[i]); err != nil {
 			return nil, &BatchError{Index: i, Name: ls.lanes[i].name, Err: err}
 		}
-	}
-	n := len(ls.lanes)
-	if n == 0 {
-		return ls.results, nil
+		ls.stepped = append(ls.stepped, i)
 	}
 	workers := ls.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range ls.lanes {
+	if workers = min(workers, len(ls.stepped)/minLanesPerWorker); workers <= 1 {
+		for _, i := range ls.stepped {
 			ls.runLane(i)
 		}
 	} else {
 		ls.runShared(workers)
 	}
-	for i := range ls.lanes {
+	for _, i := range ls.stepped {
 		ls.finalize(&ls.lanes[i])
 	}
 	return ls.results, nil

@@ -132,9 +132,10 @@ func assertSameResults(t *testing.T, label string, got, want []*Result) {
 
 // TestLockstepMatchesRunBatch: the lockstep engine must reproduce the
 // batch run one job at a time through Run, bit for bit — metrics and
-// traces — across batch sizes and worker counts.
+// traces — across batch sizes and worker counts. A pass takes one worker
+// per four lanes, so 8 lanes split over two workers and 16 over four.
 func TestLockstepMatchesRunBatch(t *testing.T) {
-	for _, n := range []int{1, 3, 8} {
+	for _, n := range []int{1, 3, 8, 16} {
 		want := runAlone(t, lockstepJobs(t, n))
 		for _, workers := range []int{1, 2, 4, 0} {
 			got := runLockstep(t, lockstepJobs(t, n), workers)
@@ -208,18 +209,23 @@ func (p *orderPolicy) Reset() { p.first, p.last = 0, 0 }
 // lane it takes through its whole horizon before it takes another, so no
 // more lanes are ever in progress than there are workers (two workers
 // never keep a row of neighbouring lanes, which share cache lines, in
-// flight together), and a single worker steps the lanes in job order.
+// flight together), and a single worker steps the lanes in job order. A
+// pass gives each worker at least four lanes, so at Workers 2 a 7-lane
+// pass runs on one.
 func TestLockstepStepsLaneMajor(t *testing.T) {
-	const n = 8
-	for _, workers := range []int{1, 2} {
+	for _, tc := range []struct{ n, workers, open int }{
+		{8, 1, 1},
+		{8, 2, 2},
+		{7, 2, 1},
+	} {
 		var clock atomic.Int64
-		jobs := lockstepJobs(t, n)
-		policies := make([]*orderPolicy, n)
+		jobs := lockstepJobs(t, tc.n)
+		policies := make([]*orderPolicy, tc.n)
 		for i := range jobs {
 			policies[i] = &orderPolicy{clock: &clock}
 			jobs[i].Config.Policy = policies[i]
 		}
-		ls, err := NewLockstep(jobs, BatchOptions{Workers: workers})
+		ls, err := NewLockstep(jobs, BatchOptions{Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,18 +241,87 @@ func TestLockstepStepsLaneMajor(t *testing.T) {
 					open++
 				}
 			}
-			if open > workers {
-				t.Errorf("workers=%d: %d lanes in progress when lane %d started (step %d)", workers, open, i, p.first)
+			if open > tc.open {
+				t.Errorf("n=%d workers=%d: %d lanes in progress when lane %d started (step %d)", tc.n, tc.workers, open, i, p.first)
 			}
 		}
-		if workers > 1 {
+		if tc.open > 1 {
 			continue
 		}
-		for i := 0; i+1 < n; i++ {
+		for i := 0; i+1 < tc.n; i++ {
 			if a, b := policies[i], policies[i+1]; a.last >= b.first {
-				t.Errorf("workers=1: lane %d started (step %d) before lane %d finished (step %d)", i+1, b.first, i, a.last)
+				t.Errorf("n=%d workers=%d: lane %d started (step %d) before lane %d finished (step %d)", tc.n, tc.workers, i+1, b.first, i, a.last)
 			}
 		}
+	}
+}
+
+// untouchedPolicy fails the test from any Step or Reset: it marks a lane a
+// pass must leave alone.
+type untouchedPolicy struct{}
+
+func (untouchedPolicy) Name() string             { return "untouched" }
+func (untouchedPolicy) Step(Observation) Command { panic("masked-out lane stepped") }
+func (untouchedPolicy) Reset()                   { panic("masked-out lane reset") }
+
+// TestLockstepRunLanesKeepsMaskedLanes: RunLanes steps only the lanes its
+// mask marks. A masked-out lane is neither reset nor stepped and keeps
+// the result and series of its last run, while the stepped lanes match a
+// rebuild at their new inlets; an all-false mask steps nothing, and a
+// mask of the wrong length is refused.
+func TestLockstepRunLanesKeepsMaskedLanes(t *testing.T) {
+	const n = 5
+	ls, err := NewLockstep(lockstepJobs(t, n), BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ls.Run(); err != nil {
+		t.Fatal(err)
+	}
+	active := []bool{false, true, false, true, false}
+	inlets := []units.Celsius{0, 33.5, 0, 30.25, 0}
+	for i := range active {
+		if !active[i] {
+			if err := ls.SetPolicy(i, untouchedPolicy{}); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := ls.SetAmbient(i, inlets[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.SetPolicy(i, &feedbackPolicy{ref: 70, gain: 15, cap: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := ls.RunLanes(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runAlone(t, lockstepJobs(t, n))
+	moved := lockstepJobs(t, n)
+	for i := range moved {
+		if active[i] {
+			cfg := Default()
+			cfg.Ambient = inlets[i]
+			moved[i].Server = Factory(cfg)
+		}
+	}
+	rebuilt := runAlone(t, moved)
+	for i := range active {
+		if active[i] {
+			want[i] = rebuilt[i]
+		}
+	}
+	assertSameResults(t, "masked pass", got, want)
+
+	again, err := ls.RunLanes(make([]bool, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "empty mask", again, want)
+	if _, err := ls.RunLanes(make([]bool, n-1)); err == nil {
+		t.Error("RunLanes accepted a mask of the wrong length")
 	}
 }
 

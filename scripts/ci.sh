@@ -45,10 +45,20 @@ go test -run '^$' -fuzz '^FuzzSpecKey$' -fuzztime 15s ./internal/scenario
 # minimizing, so minimization is capped at 1 s.
 go test -run '^$' -fuzz '^FuzzOutcomeRoundTrip$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario
 
+# Redundant-voter fuzz smoke: arbitrary replica readings, NaN and
+# infinities included, must fuse to a finite value, and health must track
+# the quorum (FailSafe from failure HoldTicks+1 on).
+go test -run '^$' -fuzz '^FuzzRedundant$' -fuzztime 10s ./internal/sensor
+
+# Parallel-path race smoke: only passes of eight or more stepped lanes
+# split over workers, so the worker-count identity tests are the few that
+# reach the sharded schedule; repeat them under the race detector.
+go test -race -count=5 -run 'TestLockstepMatchesRunBatch|TestLockstepStepsLaneMajor|TestLockstepWorkersTakeOverStalledShard|TestLockstepRepanicsWorkerPanic|TestRunParallelMatchesSerial|TestCoordinatedDeterministicAcrossWorkers' ./internal/sim ./internal/fleet
+
 # Lockstep equivalence smoke: the lockstep engine must stay bit-identical
 # to running each job alone through sim.Run (and the fleet fixed point to
-# its per-pass rebuild reference, the coordinator to its budget/placement
-# invariants) — run those suites explicitly, without the race detector, so
+# its per-pass rebuild reference, the coordinator to its per-round rebuild
+# reference and budget/placement invariants) — run those suites explicitly, without the race detector, so
 # the allocation bars are asserted too.
 go test -run 'Lockstep|FixedPoint|Coordinat|ArbitrateRack|Migrate' ./internal/sim ./internal/fleet ./internal/coord
 
