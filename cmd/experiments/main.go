@@ -379,7 +379,7 @@ func find(name string) *command {
 	return nil
 }
 
-func dumpCSV(dir, name string, ts *trace.Set) error {
+func dumpCSV(dir, name string, ts trace.Set) error {
 	if dir == "" || ts == nil {
 		return nil
 	}
@@ -415,9 +415,7 @@ func fig3(csvDir string) error {
 	}
 	fmt.Printf("Fig. 3 — fixed-gain vs adaptive PID (T_ref = %v)\n\n", res.RefTemp)
 	for _, run := range res.Runs {
-		fan := run.Traces.Get("fan_cmd")
-		one := trace.NewSet()
-		one.Add(fan)
+		one := trace.Set{*run.Traces.Get("fan_cmd")}
 		fmt.Println(one.Plot(trace.PlotOptions{
 			Width: 78, Height: 10,
 			Title: fmt.Sprintf("fan speed — %s", run.Variant),
@@ -439,8 +437,7 @@ func fig4(csvDir string) error {
 	if err != nil {
 		return err
 	}
-	one := trace.NewSet()
-	one.Add(res.Traces.Get("fan_cmd"))
+	one := trace.Set{*res.Traces.Get("fan_cmd")}
 	fmt.Println(one.Plot(trace.PlotOptions{
 		Width: 78, Height: 12,
 		Title: "Fig. 4 — deadzone fan control oscillates under a fixed workload",
@@ -455,9 +452,7 @@ func fig5(csvDir string) error {
 	if err != nil {
 		return err
 	}
-	both := trace.NewSet()
-	both.Add(res.Traces.Get("demand"))
-	both.Add(res.Traces.Get("fan_cmd"))
+	both := trace.Set{*res.Traces.Get("demand"), *res.Traces.Get("fan_cmd")}
 	fmt.Println(both.Plot(trace.PlotOptions{
 		Width: 78, Height: 14,
 		Title: "Fig. 5 — proposed stack under dynamic load with noise (σ = 0.04)",

@@ -76,16 +76,12 @@ func main() {
 	fmt.Printf("delivered/demand:  %.3f / %.3f\n", float64(m.MeanDelivered), float64(m.MeanDemand))
 
 	if *csvPath != "" {
-		ts, err := scenario.ToTraceSet(u.Series)
-		if err != nil {
-			log.Fatal(err)
-		}
 		f, err := os.Create(*csvPath)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		if err := ts.WriteCSV(f); err != nil {
+		if err := u.Series.WriteCSV(f); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("traces:            %s\n", *csvPath)

@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fan := res.Traces.Get("fan_cmd").Window(800, 2400)
-	osc := tuning.Classify(fan.Values(), 300, 0.5)
+	osc := tuning.Classify(fan.V, 300, 0.5)
 	fmt.Printf("closed-loop verification over a 0.1/0.7 square wave:\n")
 	fmt.Printf("  fan trace verdict: %v (amplitude ±%.0f rpm)\n", osc.Verdict, osc.Amplitude)
 	fmt.Printf("  junction max %.1f °C, mean %.1f °C\n",

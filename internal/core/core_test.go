@@ -373,9 +373,9 @@ func TestColdStartNoThrottleLatch(t *testing.T) {
 	// against the sink time constant, delivery is never capped again.
 	caps := res.Traces.Get("cap")
 	const grace = 600
-	for k := 0; k < caps.Len(); k++ {
-		if p := caps.At(k); p.T > grace && p.V < 0.7 {
-			t.Fatalf("cap still %0.2f at t=%.0fs — release path latched", p.V, p.T)
+	for k, v := range caps.V {
+		if tk := caps.T[k]; tk > grace && v < 0.7 {
+			t.Fatalf("cap still %0.2f at t=%.0fs — release path latched", v, tk)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // sensor reading that follows it through the I2C telemetry path, both
 // normalized, demonstrating the ~10 s measurement lag.
 type Fig1Result struct {
-	Traces      *trace.Set
+	Traces      trace.Set
 	MeasuredLag units.Seconds // time for the sensor to cross 50% of the step
 	NominalLag  units.Seconds // the configured transport delay
 }
@@ -89,13 +89,9 @@ func runFig1(s scenario.Spec) (*scenario.Outcome, error) {
 	}
 	pipe := sensor.NewPipeline(quant, delay)
 
-	ts := trace.NewSet()
-	sUtil := trace.NewSeries("cpu_utilization")
-	sSensor := trace.NewSeries("power_sensor")
-	ts.Add(sUtil)
-	ts.Add(sSensor)
-
 	nTicks := int(float64(s.Duration) / float64(cfg.Tick))
+	ts := trace.Set{trace.NewSeries("cpu_utilization", nTicks), trace.NewSeries("power_sensor", nTicks)}
+	sUtil, sSensor := &ts[0], &ts[1]
 	for k := 0; k < nTicks; k++ {
 		t := units.Seconds(float64(k) * float64(cfg.Tick))
 		u := step.At(t)
@@ -122,7 +118,7 @@ func runFig1(s scenario.Spec) (*scenario.Outcome, error) {
 				"measured_lag_s":     float64(lag),
 				"nominal_lag_s":      float64(bus.Lag()),
 			},
-			Series: scenario.FromTraceSet(ts),
+			Series: ts,
 		}},
 	}, nil
 }
@@ -143,12 +139,8 @@ func Fig1FromOutcome(out *scenario.Outcome) (*Fig1Result, error) {
 		return nil, fmt.Errorf("experiments: fig1 outcome has %d units", len(out.Units))
 	}
 	u := &out.Units[0]
-	ts, err := scenario.ToTraceSet(u.Series)
-	if err != nil {
-		return nil, err
-	}
 	return &Fig1Result{
-		Traces:      ts,
+		Traces:      u.Series,
 		MeasuredLag: units.Seconds(u.Metric("measured_lag_s", 0)),
 		NominalLag:  units.Seconds(u.Metric("nominal_lag_s", 0)),
 	}, nil

@@ -23,7 +23,7 @@ const (
 // Fig3Run is one controller's trace and stability summary.
 type Fig3Run struct {
 	Variant Fig3Variant
-	Traces  *trace.Set
+	Traces  trace.Set
 	// SettleAfterStep is the junction settling time (into RefTemp ± 1.5)
 	// measured from the low-to-high workload step; Settled is false when
 	// the loop never settles within the phase (the paper's "very slow
@@ -119,10 +119,7 @@ func Fig3FromOutcome(fc Fig3Config, out *scenario.Outcome) (*Fig3Result, error) 
 	}
 	result := &Fig3Result{RefTemp: fc.RefTemp}
 	for i, v := range variants {
-		ts, err := scenario.ToTraceSet(out.Units[i].Series)
-		if err != nil {
-			return nil, err
-		}
+		ts := out.Units[i].Series
 		run := Fig3Run{Variant: v.Variant, Traces: ts}
 
 		half := float64(fc.Period) / 2
@@ -136,9 +133,9 @@ func Fig3FromOutcome(fc Fig3Config, out *scenario.Outcome) (*Fig3Result, error) 
 
 		fan := ts.Get("fan_cmd")
 		lowWin := fan.Window(float64(fc.Period)+half/2, float64(fc.Period)+half-10)
-		run.LowPhaseAmp = stats.PeakAmplitude(stats.FindPeaks(lowWin.Values(), 200))
+		run.LowPhaseAmp = stats.PeakAmplitude(stats.FindPeaks(lowWin.V, 200))
 		hiWin := fan.Window(float64(fc.Period)+half+half/2, 2*float64(fc.Period)-10)
-		run.HighPhaseAmp = stats.PeakAmplitude(stats.FindPeaks(hiWin.Values(), 200))
+		run.HighPhaseAmp = stats.PeakAmplitude(stats.FindPeaks(hiWin.V, 200))
 
 		result.Runs = append(result.Runs, run)
 	}

@@ -14,7 +14,7 @@ import (
 // workload oscillates indefinitely because of the measurement lag and
 // quantization.
 type Fig4Result struct {
-	Traces      *trace.Set
+	Traces      trace.Set
 	Oscillation tuning.Oscillation // classification of the fan-speed trace
 	// AmplitudeRPM and PeriodSeconds describe the limit cycle.
 	AmplitudeRPM  float64
@@ -76,13 +76,10 @@ func Fig4FromOutcome(fc Fig4Config, out *scenario.Outcome) (*Fig4Result, error) 
 	if len(out.Units) != 1 {
 		return nil, fmt.Errorf("experiments: fig4 outcome has %d units", len(out.Units))
 	}
-	ts, err := scenario.ToTraceSet(out.Units[0].Series)
-	if err != nil {
-		return nil, err
-	}
+	ts := out.Units[0].Series
 	fan := ts.Get("fan_cmd")
 	// Skip the first fan period of transient before classifying.
-	vals := fan.Window(60, float64(fc.Duration)).Values()
+	vals := fan.Window(60, float64(fc.Duration)).V
 	osc := tuning.Classify(vals, 250, 0.5)
 	return &Fig4Result{
 		Traces:        ts,

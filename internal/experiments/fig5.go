@@ -14,7 +14,7 @@ import (
 // coordinated with the CPU load controller) stays stable under a
 // time-varying CPU load with Gaussian noise (σ = 0.04).
 type Fig5Result struct {
-	Traces      *trace.Set
+	Traces      trace.Set
 	Metrics     sim.Metrics
 	Oscillation tuning.Oscillation // classification of the fan trace
 	MaxJunction units.Celsius
@@ -72,17 +72,13 @@ func Fig5FromOutcome(fc Fig5Config, out *scenario.Outcome) (*Fig5Result, error) 
 		return nil, fmt.Errorf("experiments: fig5 outcome has %d units", len(out.Units))
 	}
 	u := &out.Units[0]
-	ts, err := scenario.ToTraceSet(u.Series)
-	if err != nil {
-		return nil, err
-	}
 	m := scenario.SimMetrics(u)
-	fan := ts.Get("fan_cmd")
+	fan := u.Series.Get("fan_cmd")
 	// Classify the late two thirds (skip the cold-ish start transient).
-	vals := fan.Window(float64(fc.Duration)/3, float64(fc.Duration)).Values()
+	vals := fan.Window(float64(fc.Duration)/3, float64(fc.Duration)).V
 	osc := tuning.Classify(vals, 300, 0.5)
 	return &Fig5Result{
-		Traces:      ts,
+		Traces:      u.Series,
 		Metrics:     m,
 		Oscillation: osc,
 		MaxJunction: m.MaxJunction,

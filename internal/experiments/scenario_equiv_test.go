@@ -186,17 +186,17 @@ func TestFig3MatchesLegacyBatch(t *testing.T) {
 		if m := scenario.SimMetrics(u); m != res.Metrics {
 			t.Errorf("unit %d metrics:\nscenario %+v\nlegacy   %+v", i, m, res.Metrics)
 		}
-		for _, name := range res.Traces.Names() {
-			legacySeries := res.Traces.Get(name)
-			s := u.FindSeries(name)
+		for _, legacySeries := range res.Traces {
+			name := legacySeries.Name
+			s := u.Series.Get(name)
 			if s == nil {
 				t.Fatalf("unit %d missing series %q", i, name)
 			}
-			if len(s.V) != legacySeries.Len() {
-				t.Fatalf("unit %d series %q length %d != %d", i, name, len(s.V), legacySeries.Len())
+			if len(s.V) != len(legacySeries.V) {
+				t.Fatalf("unit %d series %q length %d != %d", i, name, len(s.V), len(legacySeries.V))
 			}
 			for k := range s.V {
-				if s.V[k] != legacySeries.At(k).V || s.T[k] != legacySeries.At(k).T {
+				if s.V[k] != legacySeries.V[k] || s.T[k] != legacySeries.T[k] {
 					t.Fatalf("unit %d series %q sample %d differs", i, name, k)
 				}
 			}

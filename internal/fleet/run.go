@@ -20,7 +20,7 @@ type NodeResult struct {
 	Metrics sim.Metrics
 	// Traces is the node's full recorded trace set; nil unless
 	// Config.Record.
-	Traces *trace.Set
+	Traces trace.Set
 }
 
 // AisleMetrics aggregates the nodes of one aisle position.
@@ -412,14 +412,14 @@ func (c Config) aggregate(inlets []units.Celsius, results []*sim.Result, passes 
 			return nil, fmt.Errorf("fleet: node %q recorded no power series", spec.Name)
 		}
 		if rackPower == nil {
-			rackPower = make([]float64, power.Len())
-			out.Ticks = power.Len()
+			rackPower = make([]float64, len(power.V))
+			out.Ticks = len(power.V)
 		}
-		if power.Len() != len(rackPower) {
-			return nil, fmt.Errorf("fleet: node %q power series length %d != %d", spec.Name, power.Len(), len(rackPower))
+		if len(power.V) != len(rackPower) {
+			return nil, fmt.Errorf("fleet: node %q power series length %d != %d", spec.Name, len(power.V), len(rackPower))
 		}
-		for k := 0; k < power.Len(); k++ {
-			rackPower[k] += power.At(k).V
+		for k, v := range power.V {
+			rackPower[k] += v
 		}
 
 		ticks := float64(m.Ticks)

@@ -33,7 +33,7 @@ type RunResult struct {
 	MaxJunction   units.Celsius
 	FanAmplitude  float64 // oscillation amplitude of the fan command, rpm
 	CoreSpread    float64 // mean hot-cold true-temperature gap, °C
-	Traces        *trace.Set
+	Traces        trace.Set
 }
 
 // Run executes the three-controller scenario.
@@ -80,18 +80,6 @@ func Run(rc RunConfig) (*RunResult, error) {
 		assignShare = SplitEven(0.5, n)
 	}
 
-	var ts *trace.Set
-	var sFan, sMax, sSpread *trace.Series
-	if rc.Record {
-		ts = trace.NewSet()
-		sFan = trace.NewSeries("fan_cmd")
-		sMax = trace.NewSeries("max_junction")
-		sSpread = trace.NewSeries("core_spread")
-		ts.Add(sFan)
-		ts.Add(sMax)
-		ts.Add(sSpread)
-	}
-
 	cap := units.Utilization(1)
 	fanCmd := base.FanMinSpeed
 	lastFan := units.Seconds(0)
@@ -109,10 +97,17 @@ func Run(rc RunConfig) (*RunResult, error) {
 		meas[i] = units.Celsius(base.Sensor.InitialValue)
 	}
 
-	// All per-tick state is allocated once here: the loop itself is
-	// allocation-free (trace recording, when enabled, amortizes through
-	// the series' append growth).
+	// All per-tick state is allocated once here, recorded series included:
+	// the loop itself is allocation-free.
 	nTicks := int(float64(rc.Duration) / float64(base.Tick))
+	var ts trace.Set
+	if rc.Record {
+		ts = trace.Set{
+			trace.NewSeries("fan_cmd", nTicks),
+			trace.NewSeries("max_junction", nTicks),
+			trace.NewSeries("core_spread", nTicks),
+		}
+	}
 	fanVals := make([]float64, 0, nTicks)
 	coreUtil := make([]units.Utilization, n)
 	proposal := make([]units.Utilization, 0, n) // scheduler scratch
@@ -201,11 +196,11 @@ func Run(rc RunConfig) (*RunResult, error) {
 		spreadSum += float64(hi - lo)
 		fanVals = append(fanVals, float64(fanCmd))
 		ticks++
-		if rc.Record {
+		if ts != nil {
 			tf := float64(t)
-			sFan.MustAppend(tf, float64(fanCmd))
-			sMax.MustAppend(tf, float64(res.MaxJunc))
-			sSpread.MustAppend(tf, float64(hi-lo))
+			ts[0].MustAppend(tf, float64(fanCmd))
+			ts[1].MustAppend(tf, float64(res.MaxJunc))
+			ts[2].MustAppend(tf, float64(hi-lo))
 		}
 	}
 

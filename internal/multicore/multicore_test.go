@@ -261,7 +261,7 @@ func TestRunRecordsTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fan_cmd", "max_junction", "core_spread"} {
-		if s := res.Traces.Get(name); s == nil || s.Len() != 120 {
+		if s := res.Traces.Get(name); s == nil || len(s.V) != 120 {
 			t.Errorf("trace %q missing or wrong length", name)
 		}
 	}

@@ -130,10 +130,10 @@ func runFaultSweep(s Spec) (*Outcome, error) {
 // latch-signature metrics. cfg is the unit's platform (for the fan
 // ceiling).
 func pathologyMetrics(u *Unit, cfg sim.Config) (maxViolWindow, latchFrac float64, err error) {
-	demand := u.FindSeries("demand")
-	delivered := u.FindSeries("delivered")
-	fan := u.FindSeries("fan_actual")
-	capacity := u.FindSeries("cap")
+	demand := u.Series.Get("demand")
+	delivered := u.Series.Get("delivered")
+	fan := u.Series.Get("fan_actual")
+	capacity := u.Series.Get("cap")
 	if demand == nil || delivered == nil || fan == nil || capacity == nil {
 		return 0, 0, fmt.Errorf("missing recorded series (need demand/delivered/fan_actual/cap, have %d series)", len(u.Series))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -197,8 +198,8 @@ func TestFaultSweepValidate(t *testing.T) {
 func TestPathologyMetrics(t *testing.T) {
 	cfg := sim.Default()
 	n := 400 // 1s ticks
-	mk := func(name string, f func(i int) float64) Series {
-		s := Series{Name: name, T: make([]float64, n), V: make([]float64, n)}
+	mk := func(name string, f func(i int) float64) trace.Series {
+		s := trace.Series{Name: name, T: make([]float64, n), V: make([]float64, n)}
 		for i := 0; i < n; i++ {
 			s.T[i] = float64(i)
 			s.V[i] = f(i)
@@ -207,7 +208,7 @@ func TestPathologyMetrics(t *testing.T) {
 	}
 	u := Unit{
 		Name: "synthetic",
-		Series: []Series{
+		Series: trace.Set{
 			mk("demand", func(i int) float64 { return 0.8 }),
 			// Violations on [100, 160): 60 bad ticks inside any 120 s
 			// window that covers them -> max window fraction 60/121.
@@ -296,7 +297,7 @@ func TestRunFaultSweepMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Units[0].FindSeries("junction") == nil {
+	if rec.Units[0].Series.Get("junction") == nil {
 		t.Error("recording cell lost its series")
 	}
 

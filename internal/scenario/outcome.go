@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -34,15 +32,9 @@ type Unit struct {
 	// Metrics is the normalized metric map (see the sim metric keys in
 	// simMetricsMap).
 	Metrics map[string]float64 `json:"metrics"`
-	// Series are the recorded time series, in engine recording order.
-	Series []Series `json:"series,omitempty"`
-}
-
-// Series is one recorded time series.
-type Series struct {
-	Name string    `json:"name"`
-	T    []float64 `json:"t"`
-	V    []float64 `json:"v"`
+	// Series are the recorded time series, the engine's recording as-is
+	// (in its recording order).
+	Series trace.Set `json:"series,omitempty"`
 }
 
 // Metric returns a unit metric, or def when absent.
@@ -51,16 +43,6 @@ func (u *Unit) Metric(key string, def float64) float64 {
 		return v
 	}
 	return def
-}
-
-// FindSeries returns the named series, or nil.
-func (u *Unit) FindSeries(name string) *Series {
-	for i := range u.Series {
-		if u.Series[i].Name == name {
-			return &u.Series[i]
-		}
-	}
-	return nil
 }
 
 // Unit returns the named unit, or nil.
@@ -122,37 +104,4 @@ func SimMetrics(u *Unit) sim.Metrics {
 		MeanDelivered:  units.Utilization(u.Metric(MetricMeanDelivered, 0)),
 		MeanDemand:     units.Utilization(u.Metric(MetricMeanDemand, 0)),
 	}
-}
-
-// FromTraceSet converts a recorded trace set into outcome series,
-// preserving the engine's recording order.
-func FromTraceSet(ts *trace.Set) []Series {
-	if ts == nil {
-		return nil
-	}
-	out := make([]Series, 0, ts.Len())
-	for _, name := range ts.Names() {
-		s := ts.Get(name)
-		out = append(out, Series{Name: name, T: s.Times(), V: s.Values()})
-	}
-	return out
-}
-
-// ToTraceSet rebuilds a trace.Set from outcome series, preserving order.
-// It is the inverse of FromTraceSet: the rebuilt series hold the same
-// float64 samples, so downstream post-processing (settling times, peak
-// finding, CSV dumps) is bit-identical to operating on the originals.
-func ToTraceSet(series []Series) (*trace.Set, error) {
-	if len(series) == 0 {
-		return nil, nil
-	}
-	ts := trace.NewSet()
-	for _, s := range series {
-		tr, err := trace.FromSlices(s.Name, s.T, s.V)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: series %q: %w", s.Name, err)
-		}
-		ts.Add(tr)
-	}
-	return ts, nil
 }

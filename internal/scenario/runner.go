@@ -180,6 +180,13 @@ func sharedWorkload(cache map[string]workload.Generator, ref FactoryRef, cfg sim
 }
 
 // simOutcome folds batch results into the normalized shape.
+//
+// Outcomes hold the engines' recorded series as-is, not copies: a unit's
+// Series is the lane's (or sim.Run's, fleet's, multicore's) own buffers.
+// That is safe because every kind runner builds its own engine instance
+// (Lockstep, rack, server) per Run and never steps it again after
+// building the Outcome; a runner that reused one across Runs would have
+// to copy the series first.
 func simOutcome(kind string, jobs []sim.Job, polNames []string, results []*sim.Result) *Outcome {
 	out := &Outcome{Kind: kind, Units: make([]Unit, len(results))}
 	var ticks int64
@@ -188,7 +195,7 @@ func simOutcome(kind string, jobs []sim.Job, polNames []string, results []*sim.R
 			Name:    jobs[i].Name,
 			Labels:  map[string]string{"policy": polNames[i]},
 			Metrics: simMetricsMap(r.Metrics),
-			Series:  FromTraceSet(r.Traces),
+			Series:  r.Traces,
 		}
 		ticks += int64(r.Metrics.Ticks)
 	}
@@ -377,7 +384,7 @@ func fleetUnits(res *fleet.Result) []Unit {
 			Name:    n.Name,
 			Labels:  map[string]string{"aisle": n.Aisle.String()},
 			Metrics: m,
-			Series:  FromTraceSet(n.Traces),
+			Series:  n.Traces,
 		}
 	}
 	return units
@@ -553,7 +560,7 @@ func runMulticore(s Spec) (*Outcome, error) {
 				MetricFanAmplitudeRPM: res.FanAmplitude,
 				MetricCoreSpreadC:     res.CoreSpread,
 			},
-			Series: FromTraceSet(res.Traces),
+			Series: res.Traces,
 		}},
 	}, nil
 }

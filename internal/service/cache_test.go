@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // outcomeHash is the SHA-256 of an outcome's canonical JSON.
@@ -287,7 +288,7 @@ func TestOutcomeCacheBudget(t *testing.T) {
 	b, _, _ := cacheFixture(t)
 	big := &scenario.Outcome{Kind: scenario.KindSingle, Units: []scenario.Unit{{
 		Name:   "big",
-		Series: []scenario.Series{{Name: "s", T: make([]float64, cacheBytes/16), V: make([]float64, cacheBytes/16)}},
+		Series: trace.Set{{Name: "s", T: make([]float64, cacheBytes/16), V: make([]float64, cacheBytes/16)}},
 	}}}
 	key := putKey(t, b, testSpec(24), big)
 	first, ok, err := b.Get(ctx, key)

@@ -51,10 +51,43 @@ type Metrics struct {
 // Result bundles the metrics and (optionally) the recorded traces of a run.
 type Result struct {
 	Metrics Metrics
-	// Traces: "demand", "delivered", "cap", "fan_cmd", "fan_actual",
-	// "junction", "measured", "total_power". Nil unless RunConfig.Record
-	// (all series) or RunConfig.RecordPower ("total_power" only).
-	Traces *trace.Set
+	// Traces holds the recorded series in seriesNames order: all of them
+	// under RunConfig.Record, only "total_power" under
+	// RunConfig.RecordPower, nil otherwise.
+	Traces trace.Set
+}
+
+// seriesNames are the recorded series in recording order. "total_power"
+// comes last, so a power-only recording is a full one's last element.
+var seriesNames = [...]string{"demand", "delivered", "cap", "fan_cmd", "fan_actual", "junction", "measured", "total_power"}
+
+// powerSeries indexes "total_power" in seriesNames.
+const powerSeries = len(seriesNames) - 1
+
+// newRecording returns empty series for the given names, each with room
+// for n ticks.
+func newRecording(names []string, n int) trace.Set {
+	ts := make(trace.Set, len(names))
+	for i, name := range names {
+		ts[i] = trace.NewSeries(name, n)
+	}
+	return ts
+}
+
+// record appends one tick's result to ts, which holds either every series
+// of seriesNames or only "total_power".
+func record(ts trace.Set, r *TickResult) {
+	t := float64(r.T)
+	if len(ts) == len(seriesNames) {
+		ts[0].MustAppend(t, float64(r.Demand))
+		ts[1].MustAppend(t, float64(r.Delivered))
+		ts[2].MustAppend(t, float64(r.Cap))
+		ts[3].MustAppend(t, float64(r.FanCmd))
+		ts[4].MustAppend(t, float64(r.FanActual))
+		ts[5].MustAppend(t, float64(r.Junction))
+		ts[6].MustAppend(t, float64(r.Measured))
+	}
+	ts[len(ts)-1].MustAppend(t, float64(r.TotalPower))
 }
 
 // Run executes one simulation.
@@ -76,24 +109,12 @@ func Run(server *PhysicalServer, rc RunConfig) (*Result, error) {
 		}
 	}
 
-	var ts *trace.Set
-	var sDemand, sDelivered, sCap, sFanCmd, sFanAct, sJunction, sMeasured, sPower *trace.Series
-	if rc.Record || rc.RecordPower {
-		ts = trace.NewSet()
-		sPower = trace.NewSeries("total_power")
-		if rc.Record {
-			sDemand = trace.NewSeries("demand")
-			sDelivered = trace.NewSeries("delivered")
-			sCap = trace.NewSeries("cap")
-			sFanCmd = trace.NewSeries("fan_cmd")
-			sFanAct = trace.NewSeries("fan_actual")
-			sJunction = trace.NewSeries("junction")
-			sMeasured = trace.NewSeries("measured")
-			for _, s := range []*trace.Series{sDemand, sDelivered, sCap, sFanCmd, sFanAct, sJunction, sMeasured} {
-				ts.Add(s)
-			}
-		}
-		ts.Add(sPower)
+	nTicks := int(float64(rc.Duration) / float64(server.cfg.Tick))
+	var ts trace.Set
+	if rc.Record {
+		ts = newRecording(seriesNames[:], nTicks)
+	} else if rc.RecordPower {
+		ts = newRecording(seriesNames[powerSeries:], nTicks)
 	}
 
 	var m Metrics
@@ -104,7 +125,6 @@ func Run(server *PhysicalServer, rc RunConfig) (*Result, error) {
 		prev.Measured = server.Junction()
 		prev.Cap = server.Cap()
 	}
-	nTicks := int(float64(rc.Duration) / float64(server.cfg.Tick))
 	for k := 0; k < nTicks; k++ {
 		t := units.Seconds(float64(k) * float64(server.cfg.Tick))
 		demand := rc.Workload.At(t)
@@ -143,17 +163,7 @@ func Run(server *PhysicalServer, rc RunConfig) (*Result, error) {
 		sumDemand += float64(res.Demand)
 
 		if ts != nil {
-			tf := float64(res.T)
-			if rc.Record {
-				sDemand.MustAppend(tf, float64(res.Demand))
-				sDelivered.MustAppend(tf, float64(res.Delivered))
-				sCap.MustAppend(tf, float64(res.Cap))
-				sFanCmd.MustAppend(tf, float64(res.FanCmd))
-				sFanAct.MustAppend(tf, float64(res.FanActual))
-				sJunction.MustAppend(tf, float64(res.Junction))
-				sMeasured.MustAppend(tf, float64(res.Measured))
-			}
-			sPower.MustAppend(tf, float64(res.TotalPower))
+			record(ts, res)
 		}
 	}
 

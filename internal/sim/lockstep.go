@@ -71,21 +71,12 @@ type lane struct {
 	record      bool
 	recordPower bool
 
-	// Reused output state: the result, its metrics, and (lazily built,
-	// then retained) the recorded series. Returned results alias these
-	// and stay valid until the lane's next run.
+	// Reused output state: the result, its metrics, and the recording
+	// (see recording). Returned results alias these and stay valid until
+	// the lane's next run.
 	result   Result
 	prev     TickResult
-	tsFull   *trace.Set
-	tsPower  *trace.Set
-	sDemand  *trace.Series
-	sDeliv   *trace.Series
-	sCap     *trace.Series
-	sFanCmd  *trace.Series
-	sFanAct  *trace.Series
-	sJunc    *trace.Series
-	sMeas    *trace.Series
-	sPower   *trace.Series
+	rec      trace.Set
 	violated int
 	hwThrot  int
 	sumJunc  float64
@@ -296,35 +287,25 @@ func (ls *Lockstep) SetRecord(i int, record, recordPower bool) {
 	ln.recordPower = record || recordPower
 }
 
-// ensureSeries lazily builds (and then retains) the series and sets a
-// lane's current record flags need.
-func (ls *Lockstep) ensureSeries(ln *lane) {
-	if !ln.recordPower {
-		return
+// recording returns the series a lane's current record flags capture,
+// building them on first use and keeping them: rec holds only the power
+// series until the lane first records in full, then the full set, which
+// takes that power series over. A power-only run records into rec's last
+// element, so toggling SetRecord between passes allocates nothing once
+// the full set exists.
+func (ln *lane) recording() trace.Set {
+	switch {
+	case ln.rec == nil && ln.record:
+		ln.rec = newRecording(seriesNames[:], ln.nTicks)
+	case ln.rec == nil:
+		ln.rec = newRecording(seriesNames[powerSeries:], ln.nTicks)
+	case ln.record && len(ln.rec) == 1:
+		ln.rec = append(newRecording(seriesNames[:powerSeries], ln.nTicks), ln.rec[0])
 	}
-	if ln.sPower == nil {
-		ln.sPower = trace.NewSeriesCap("total_power", ln.nTicks)
+	if !ln.record {
+		return ln.rec[len(ln.rec)-1:]
 	}
-	if ln.record && ln.tsFull == nil {
-		ln.sDemand = trace.NewSeriesCap("demand", ln.nTicks)
-		ln.sDeliv = trace.NewSeriesCap("delivered", ln.nTicks)
-		ln.sCap = trace.NewSeriesCap("cap", ln.nTicks)
-		ln.sFanCmd = trace.NewSeriesCap("fan_cmd", ln.nTicks)
-		ln.sFanAct = trace.NewSeriesCap("fan_actual", ln.nTicks)
-		ln.sJunc = trace.NewSeriesCap("junction", ln.nTicks)
-		ln.sMeas = trace.NewSeriesCap("measured", ln.nTicks)
-		ts := trace.NewSet()
-		for _, s := range []*trace.Series{ln.sDemand, ln.sDeliv, ln.sCap, ln.sFanCmd, ln.sFanAct, ln.sJunc, ln.sMeas} {
-			ts.Add(s)
-		}
-		ts.Add(ln.sPower)
-		ln.tsFull = ts
-	}
-	if !ln.record && ln.tsPower == nil {
-		ts := trace.NewSet()
-		ts.Add(ln.sPower)
-		ln.tsPower = ts
-	}
+	return ln.rec
 }
 
 // reset returns a lane to its initial condition for a fresh run, mirroring
@@ -350,16 +331,10 @@ func (ls *Lockstep) reset(ln *lane) error {
 	ln.result = Result{}
 	ln.violated, ln.hwThrot = 0, 0
 	ln.sumJunc, ln.sumFan, ln.sumDeliv, ln.sumDem = 0, 0, 0, 0
-	ls.ensureSeries(ln)
 	if ln.recordPower {
-		ln.sPower.Reset()
-		if ln.record {
-			for _, s := range []*trace.Series{ln.sDemand, ln.sDeliv, ln.sCap, ln.sFanCmd, ln.sFanAct, ln.sJunc, ln.sMeas} {
-				s.Reset()
-			}
-			ln.result.Traces = ln.tsFull
-		} else {
-			ln.result.Traces = ln.tsPower
+		ln.result.Traces = ln.recording()
+		for i := range ln.result.Traces {
+			ln.result.Traces[i].Reset()
 		}
 	}
 	return nil
@@ -412,18 +387,8 @@ func (ls *Lockstep) step(ln *lane, k int) {
 	ln.sumDeliv += float64(res.Delivered)
 	ln.sumDem += float64(res.Demand)
 
-	if ln.recordPower {
-		tf := float64(res.T)
-		if ln.record {
-			ln.sDemand.MustAppend(tf, float64(res.Demand))
-			ln.sDeliv.MustAppend(tf, float64(res.Delivered))
-			ln.sCap.MustAppend(tf, float64(res.Cap))
-			ln.sFanCmd.MustAppend(tf, float64(res.FanCmd))
-			ln.sFanAct.MustAppend(tf, float64(res.FanActual))
-			ln.sJunc.MustAppend(tf, float64(res.Junction))
-			ln.sMeas.MustAppend(tf, float64(res.Measured))
-		}
-		ln.sPower.MustAppend(tf, float64(res.TotalPower))
+	if ln.result.Traces != nil {
+		record(ln.result.Traces, res)
 	}
 }
 
@@ -531,9 +496,11 @@ func (ls *Lockstep) Run() ([]*Result, error) { return ls.RunLanes(nil) }
 //
 // The returned results (and their trace sets) are owned by the Lockstep
 // and remain valid until the next pass that steps their lane — callers
-// that need to retain a pass must copy, the same aliasing contract as the
-// multicore scratch buffers. A warm pass performs zero heap allocations
-// when it runs on one worker.
+// that need to retain a pass must copy, or never step the lane again. The
+// scenario runners take the second way: each builds its own Lockstep per
+// run and stores the final pass's series in the outcome as-is, without a
+// copy, so nothing may step that Lockstep once the outcome exists. A warm
+// pass performs zero heap allocations when it runs on one worker.
 func (ls *Lockstep) RunLanes(active []bool) ([]*Result, error) {
 	if active != nil && len(active) != len(ls.lanes) {
 		return nil, fmt.Errorf("sim: lockstep lane mask has %d entries for %d lanes", len(active), len(ls.lanes))

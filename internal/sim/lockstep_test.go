@@ -460,6 +460,49 @@ func TestLockstepWarmRerunIdentical(t *testing.T) {
 	}
 }
 
+// TestLockstepSetRecordTakesOverPowerSeries: a lane that recorded power
+// only and is then switched to full recording builds its full set around
+// the power series it already has, records exactly what Run records, and
+// returns to power-only recording in the same buffers.
+func TestLockstepSetRecordTakesOverPowerSeries(t *testing.T) {
+	jobs := lockstepJobs(t, 4)
+	for i := range jobs {
+		jobs[i].Config.Record, jobs[i].Config.RecordPower = false, true
+	}
+	ls, err := NewLockstep(jobs, BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ls.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	power := &res[0].Traces[0].V[0]
+
+	want := lockstepJobs(t, 4)
+	for i := range want {
+		want[i].Config.Record, want[i].Config.RecordPower = i == 0, i != 0
+	}
+	ls.SetRecord(0, true, false)
+	if res, err = ls.Run(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "full", res, runAlone(t, want))
+	if got := res[0].Traces; len(got) != len(seriesNames) || &got[powerSeries].V[0] != power {
+		t.Fatal("the full recording did not take the power series over")
+	}
+
+	want[0].Config.Record, want[0].Config.RecordPower = false, true
+	ls.SetRecord(0, false, true)
+	if res, err = ls.Run(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "power again", res, runAlone(t, want))
+	if &res[0].Traces[0].V[0] != power {
+		t.Fatal("power-only recording left the lane's power series")
+	}
+}
+
 // TestLockstepSetAmbientMatchesRebuild: re-homing a warm lane at a new
 // inlet and re-running must equal building the job at that inlet from
 // scratch — the fleet relaxation pass in miniature.

@@ -216,7 +216,7 @@ func TestRunMetricsAndTraces(t *testing.T) {
 	}
 	for _, name := range []string{"demand", "delivered", "cap", "fan_cmd", "fan_actual", "junction", "measured", "total_power"} {
 		s := res.Traces.Get(name)
-		if s == nil || s.Len() != 300 {
+		if s == nil || len(s.T) != 300 || len(s.V) != 300 {
 			t.Errorf("trace %q missing or wrong length", name)
 		}
 	}
@@ -319,7 +319,7 @@ func TestRunRecordPowerOnly(t *testing.T) {
 	if res.Traces == nil {
 		t.Fatal("RecordPower produced no traces")
 	}
-	if s := res.Traces.Get("total_power"); s == nil || s.Len() != 50 {
+	if s := res.Traces.Get("total_power"); s == nil || len(s.V) != 50 {
 		t.Error("total_power series missing or wrong length")
 	}
 	if res.Traces.Get("junction") != nil {

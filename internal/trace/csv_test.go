@@ -6,22 +6,18 @@ import (
 	"testing"
 )
 
-func buildTestSet() *Set {
-	st := NewSet()
-	a, _ := FromSlices("temp", []float64{0, 1, 2}, []float64{70, 71.5, 72})
-	b, _ := FromSlices("fan", []float64{1, 2}, []float64{2000, 2100})
-	st.Add(a)
-	st.Add(b)
-	return st
+func buildTestSet() Set {
+	return Set{
+		{Name: "temp", T: []float64{0, 1, 2}, V: []float64{70, 71.5, 72}},
+		{Name: "fan", T: []float64{1, 2}, V: []float64{2000, 2100}},
+	}
 }
 
 // TestCSVRoundTrip pins WriteCSV's exact output: one row per timestamp
 // of the union, zero-order hold between a series' samples, and empty
 // cells before a series' first sample.
 func TestCSVRoundTrip(t *testing.T) {
-	st := buildTestSet()
-	capped, _ := FromSlices("cap", []float64{0.5}, []float64{1})
-	st.Add(capped)
+	st := append(buildTestSet(), Series{Name: "cap", T: []float64{0.5}, V: []float64{1}})
 	var buf bytes.Buffer
 	if err := st.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -54,12 +50,10 @@ func TestPlotRendersAllSeries(t *testing.T) {
 }
 
 func TestPlotEmptySet(t *testing.T) {
-	if out := NewSet().Plot(PlotOptions{}); out != "" {
+	if out := Set(nil).Plot(PlotOptions{}); out != "" {
 		t.Errorf("empty set plot = %q", out)
 	}
-	st := NewSet()
-	st.Add(NewSeries("empty"))
-	if out := st.Plot(PlotOptions{}); out != "" {
+	if out := (Set{NewSeries("empty", 0)}).Plot(PlotOptions{}); out != "" {
 		t.Errorf("set of empty series plot = %q", out)
 	}
 }

@@ -21,7 +21,7 @@ var plotMarks = []byte{'*', '+', 'o', 'x', '#', '@'}
 // Plot renders the series of the set as an ASCII chart, one mark per
 // series, with a legend. Series are resampled onto the plot's column grid
 // with zero-order hold. It returns "" for a set with no samples.
-func (st *Set) Plot(opt PlotOptions) string {
+func (st Set) Plot(opt PlotOptions) string {
 	if opt.Width <= 0 {
 		opt.Width = 72
 	}
@@ -32,17 +32,17 @@ func (st *Set) Plot(opt PlotOptions) string {
 	t0, t1 := math.Inf(1), math.Inf(-1)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	any := false
-	for _, name := range st.order {
-		s := st.byKey[name]
-		if s.Len() == 0 {
+	for i := range st {
+		s := &st[i]
+		if len(s.T) == 0 {
 			continue
 		}
 		any = true
-		t0 = math.Min(t0, s.points[0].T)
-		t1 = math.Max(t1, s.points[s.Len()-1].T)
-		for _, p := range s.points {
-			lo = math.Min(lo, p.V)
-			hi = math.Max(hi, p.V)
+		t0 = math.Min(t0, s.T[0])
+		t1 = math.Max(t1, s.T[len(s.T)-1])
+		for _, v := range s.V {
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
 		}
 	}
 	if !any {
@@ -62,9 +62,9 @@ func (st *Set) Plot(opt PlotOptions) string {
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", opt.Width))
 	}
-	for si, name := range st.order {
-		s := st.byKey[name]
-		if s.Len() == 0 {
+	for si := range st {
+		s := &st[si]
+		if len(s.T) == 0 {
 			continue
 		}
 		mark := plotMarks[si%len(plotMarks)]
@@ -94,11 +94,11 @@ func (st *Set) Plot(opt PlotOptions) string {
 	fmt.Fprintf(&b, "%10s +%s\n", "", strings.Repeat("-", opt.Width))
 	fmt.Fprintf(&b, "%10s  t=%.0fs%st=%.0fs\n", "", t0,
 		strings.Repeat(" ", maxInt(1, opt.Width-len(fmt.Sprintf("t=%.0fs", t0))-len(fmt.Sprintf("t=%.0fs", t1)))), t1)
-	for si, name := range st.order {
-		if st.byKey[name].Len() == 0 {
+	for si := range st {
+		if len(st[si].T) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%10s  %c %s\n", "", plotMarks[si%len(plotMarks)], name)
+		fmt.Fprintf(&b, "%10s  %c %s\n", "", plotMarks[si%len(plotMarks)], st[si].Name)
 	}
 	return b.String()
 }

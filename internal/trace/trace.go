@@ -1,72 +1,47 @@
-// Package trace provides the time-series container used throughout the
-// simulator for recorded signals (temperatures, fan speeds, utilizations),
-// plus CSV export and terminal plotting so every paper figure can be
-// rendered without external tooling.
+// Package trace provides the one time-series type of the simulator: the
+// engines record into it, scenario outcomes store and serve it as JSON,
+// and its CSV export and terminal plotting render every paper figure
+// without external tooling.
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 )
 
-// ErrMismatch is returned when paired time/value inputs differ in length.
-var ErrMismatch = errors.New("trace: time and value lengths differ")
-
-// Point is one sample of a time series.
-type Point struct {
-	T float64 // simulation time in seconds
-	V float64 // signal value
-}
-
-// Series is an append-only time series with non-decreasing timestamps.
+// Series is an append-only time series with non-decreasing timestamps,
+// held as parallel time and value slices. Its JSON form is the stored
+// outcome format: {"name": ..., "t": [...], "v": [...]}.
 type Series struct {
-	Name   string
-	points []Point
+	Name string    `json:"name"`
+	T    []float64 `json:"t"` // simulation time in seconds
+	V    []float64 `json:"v"` // signal value
 }
 
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
-
-// NewSeriesCap returns an empty named series preallocated for n samples,
-// so recorders with a known horizon (one append per simulated tick) never
-// reallocate mid-run. n <= 0 degenerates to NewSeries.
-func NewSeriesCap(name string, n int) *Series {
-	if n <= 0 {
-		return NewSeries(name)
-	}
-	return &Series{Name: name, points: make([]Point, 0, n)}
+// NewSeries returns an empty named series with room for n samples, so a
+// recorder with a known horizon (one append per simulated tick) never
+// reallocates mid-run. The slices are non-nil even for n = 0, so an empty
+// recording encodes as "t":[],"v":[].
+func NewSeries(name string, n int) Series {
+	return Series{Name: name, T: make([]float64, 0, n), V: make([]float64, 0, n)}
 }
 
 // Reset truncates the series to zero samples while keeping its capacity,
 // so a warm recorder (the lockstep engine re-stepping a batch) reuses its
 // storage run after run with zero steady-state allocations.
-func (s *Series) Reset() { s.points = s.points[:0] }
-
-// FromSlices builds a series from parallel time and value slices.
-func FromSlices(name string, ts, vs []float64) (*Series, error) {
-	if len(ts) != len(vs) {
-		return nil, ErrMismatch
-	}
-	s := NewSeries(name)
-	for i := range ts {
-		if err := s.Append(ts[i], vs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
+func (s *Series) Reset() { s.T, s.V = s.T[:0], s.V[:0] }
 
 // Append adds a sample. Timestamps must be non-decreasing and finite.
 func (s *Series) Append(t, v float64) error {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("trace: non-finite timestamp %v", t)
 	}
-	if n := len(s.points); n > 0 && t < s.points[n-1].T {
-		return fmt.Errorf("trace: timestamp %v precedes %v", t, s.points[n-1].T)
+	if n := len(s.T); n > 0 && t < s.T[n-1] {
+		return fmt.Errorf("trace: timestamp %v precedes %v", t, s.T[n-1])
 	}
-	s.points = append(s.points, Point{T: t, V: v})
+	s.T = append(s.T, t)
+	s.V = append(s.V, v)
 	return nil
 }
 
@@ -78,37 +53,14 @@ func (s *Series) MustAppend(t, v float64) {
 	}
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.points) }
-
-// At returns the i-th sample.
-func (s *Series) At(i int) Point { return s.points[i] }
-
-// Times returns a copy of all timestamps.
-func (s *Series) Times() []float64 {
-	ts := make([]float64, len(s.points))
-	for i, p := range s.points {
-		ts[i] = p.T
-	}
-	return ts
-}
-
-// Values returns a copy of all values.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.points))
-	for i, p := range s.points {
-		vs[i] = p.V
-	}
-	return vs
-}
-
 // Window returns the sub-series with t in [t0, t1]. The returned series
 // shares no storage with s.
-func (s *Series) Window(t0, t1 float64) *Series {
-	out := NewSeries(s.Name)
-	for _, p := range s.points {
-		if p.T >= t0 && p.T <= t1 {
-			out.points = append(out.points, p)
+func (s *Series) Window(t0, t1 float64) Series {
+	out := Series{Name: s.Name}
+	for i, t := range s.T {
+		if t >= t0 && t <= t1 {
+			out.T = append(out.T, t)
+			out.V = append(out.V, s.V[i])
 		}
 	}
 	return out
@@ -118,11 +70,11 @@ func (s *Series) Window(t0, t1 float64) *Series {
 // last sample at or before t). ok is false if t precedes the first sample
 // or the series is empty.
 func (s *Series) ValueAt(t float64) (v float64, ok bool) {
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
+	i := sort.Search(len(s.T), func(i int) bool { return s.T[i] > t })
 	if i == 0 {
 		return 0, false
 	}
-	return s.points[i-1].V, true
+	return s.V[i-1], true
 }
 
 // Crossings returns the times at which the series crosses the given level,
@@ -130,23 +82,22 @@ func (s *Series) ValueAt(t float64) (v float64, ok bool) {
 // counts once.
 func (s *Series) Crossings(level float64) []float64 {
 	var out []float64
-	for i := 1; i < len(s.points); i++ {
-		a, b := s.points[i-1], s.points[i]
-		da, db := a.V-level, b.V-level
+	for i := 1; i < len(s.T); i++ {
+		da, db := s.V[i-1]-level, s.V[i]-level
 		if da == 0 {
-			if i == 1 || s.points[i-2].V-level != 0 {
-				out = append(out, a.T)
+			if i == 1 || s.V[i-2]-level != 0 {
+				out = append(out, s.T[i-1])
 			}
 			continue
 		}
 		if da*db < 0 {
-			frac := da / (a.V - b.V)
-			out = append(out, a.T+frac*(b.T-a.T))
+			frac := da / (s.V[i-1] - s.V[i])
+			out = append(out, s.T[i-1]+frac*(s.T[i]-s.T[i-1]))
 		}
 	}
-	if n := len(s.points); n > 0 && s.points[n-1].V == level {
-		if n == 1 || s.points[n-2].V != level {
-			out = append(out, s.points[n-1].T)
+	if n := len(s.T); n > 0 && s.V[n-1] == level {
+		if n == 1 || s.V[n-2] != level {
+			out = append(out, s.T[n-1])
 		}
 	}
 	return out
@@ -156,47 +107,33 @@ func (s *Series) Crossings(level float64) []float64 {
 // within ±band of target forever (within the recorded horizon). ok is
 // false if the series never settles or is empty.
 func (s *Series) SettlingTime(target, band float64) (t float64, ok bool) {
-	if len(s.points) == 0 {
+	if len(s.T) == 0 {
 		return 0, false
 	}
 	// Walk backward to find the last excursion outside the band.
 	lastOutside := -1
-	for i := len(s.points) - 1; i >= 0; i-- {
-		if math.Abs(s.points[i].V-target) > band {
+	for i := len(s.T) - 1; i >= 0; i-- {
+		if math.Abs(s.V[i]-target) > band {
 			lastOutside = i
 			break
 		}
 	}
-	if lastOutside == len(s.points)-1 {
+	if lastOutside == len(s.T)-1 {
 		return 0, false // still outside at the end
 	}
-	return s.points[lastOutside+1].T, true
+	return s.T[lastOutside+1], true
 }
 
 // Set is an ordered collection of series sharing a time base, e.g. all
-// recorded signals of one simulation run.
-type Set struct {
-	order []string
-	byKey map[string]*Series
-}
+// recorded signals of one simulation run in recording order.
+type Set []Series
 
-// NewSet returns an empty series set.
-func NewSet() *Set { return &Set{byKey: make(map[string]*Series)} }
-
-// Add registers a series under its name, replacing any previous series
-// with the same name while preserving its position.
-func (st *Set) Add(s *Series) {
-	if _, exists := st.byKey[s.Name]; !exists {
-		st.order = append(st.order, s.Name)
+// Get returns the named series, or nil. The result points into the set.
+func (st Set) Get(name string) *Series {
+	for i := range st {
+		if st[i].Name == name {
+			return &st[i]
+		}
 	}
-	st.byKey[s.Name] = s
+	return nil
 }
-
-// Get returns the named series, or nil.
-func (st *Set) Get(name string) *Series { return st.byKey[name] }
-
-// Names returns the series names in insertion order.
-func (st *Set) Names() []string { return append([]string(nil), st.order...) }
-
-// Len returns the number of series.
-func (st *Set) Len() int { return len(st.order) }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAppendMonotonic(t *testing.T) {
-	s := NewSeries("x")
+	s := NewSeries("x", 0)
 	if err := s.Append(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -22,13 +22,13 @@ func TestAppendMonotonic(t *testing.T) {
 	if err := s.Append(math.NaN(), 0); err == nil {
 		t.Error("NaN timestamp accepted")
 	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d, want 3", s.Len())
+	if len(s.T) != 3 || len(s.V) != 3 {
+		t.Errorf("len = %d/%d, want 3", len(s.T), len(s.V))
 	}
 }
 
 func TestMustAppendPanics(t *testing.T) {
-	s := NewSeries("x")
+	s := NewSeries("x", 0)
 	s.MustAppend(5, 1)
 	defer func() {
 		if recover() == nil {
@@ -38,21 +38,8 @@ func TestMustAppendPanics(t *testing.T) {
 	s.MustAppend(4, 1)
 }
 
-func TestFromSlices(t *testing.T) {
-	s, err := FromSlices("u", []float64{0, 1, 2}, []float64{5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 || s.At(1).V != 6 {
-		t.Errorf("bad series: %+v", s)
-	}
-	if _, err := FromSlices("u", []float64{0}, []float64{1, 2}); err != ErrMismatch {
-		t.Errorf("mismatched slices err = %v", err)
-	}
-}
-
 func TestValueAtZeroOrderHold(t *testing.T) {
-	s, _ := FromSlices("x", []float64{10, 20, 30}, []float64{1, 2, 3})
+	s := Series{Name: "x", T: []float64{10, 20, 30}, V: []float64{1, 2, 3}}
 	tests := []struct {
 		t    float64
 		want float64
@@ -75,20 +62,21 @@ func TestValueAtZeroOrderHold(t *testing.T) {
 }
 
 func TestWindow(t *testing.T) {
-	s, _ := FromSlices("x", []float64{0, 1, 2, 3, 4}, []float64{0, 1, 2, 3, 4})
+	s := Series{Name: "x", T: []float64{0, 1, 2, 3, 4}, V: []float64{0, 1, 2, 3, 4}}
 	w := s.Window(1, 3)
-	if w.Len() != 3 || w.At(0).T != 1 || w.At(2).T != 3 {
+	if len(w.T) != 3 || w.T[0] != 1 || w.T[2] != 3 || w.V[2] != 3 {
 		t.Errorf("Window = %+v", w)
 	}
 	// Mutating the window must not affect the original.
 	w.MustAppend(10, 99)
-	if s.Len() != 5 {
+	w.V[0] = -1
+	if len(s.T) != 5 || s.V[1] != 1 {
 		t.Error("window shares storage with parent")
 	}
 }
 
 func TestCrossings(t *testing.T) {
-	s, _ := FromSlices("x", []float64{0, 1, 2, 3, 4}, []float64{0, 2, 0, 2, 0})
+	s := Series{Name: "x", T: []float64{0, 1, 2, 3, 4}, V: []float64{0, 2, 0, 2, 0}}
 	xs := s.Crossings(1)
 	if len(xs) != 4 {
 		t.Fatalf("Crossings = %v, want 4 crossings", xs)
@@ -102,7 +90,7 @@ func TestCrossings(t *testing.T) {
 }
 
 func TestCrossingsTouch(t *testing.T) {
-	s, _ := FromSlices("x", []float64{0, 1, 2}, []float64{0, 1, 0})
+	s := Series{Name: "x", T: []float64{0, 1, 2}, V: []float64{0, 1, 0}}
 	xs := s.Crossings(1)
 	if len(xs) != 1 || xs[0] != 1 {
 		t.Errorf("touch crossing = %v, want [1]", xs)
@@ -111,43 +99,40 @@ func TestCrossingsTouch(t *testing.T) {
 
 func TestSettlingTime(t *testing.T) {
 	// Signal: outside band until t=3, then inside.
-	s, _ := FromSlices("x",
-		[]float64{0, 1, 2, 3, 4, 5},
-		[]float64{10, 8, 6, 5.2, 4.9, 5.1})
+	s := Series{Name: "x",
+		T: []float64{0, 1, 2, 3, 4, 5},
+		V: []float64{10, 8, 6, 5.2, 4.9, 5.1}}
 	got, ok := s.SettlingTime(5, 0.5)
 	if !ok || got != 3 {
 		t.Errorf("SettlingTime = %v, %v, want 3, true", got, ok)
 	}
 	// Never settles.
-	s2, _ := FromSlices("x", []float64{0, 1}, []float64{0, 10})
+	s2 := Series{Name: "x", T: []float64{0, 1}, V: []float64{0, 10}}
 	if _, ok := s2.SettlingTime(5, 0.5); ok {
 		t.Error("non-settling series reported settled")
 	}
 	// Settles immediately.
-	s3, _ := FromSlices("x", []float64{0, 1}, []float64{5, 5})
+	s3 := Series{Name: "x", T: []float64{0, 1}, V: []float64{5, 5}}
 	if got, ok := s3.SettlingTime(5, 0.5); !ok || got != 0 {
 		t.Errorf("immediate settle = %v, %v", got, ok)
 	}
 }
 
-func TestSetOrderAndReplace(t *testing.T) {
-	st := NewSet()
-	st.Add(NewSeries("a"))
-	st.Add(NewSeries("b"))
-	replacement := NewSeries("a")
-	replacement.MustAppend(0, 9)
-	st.Add(replacement)
-	names := st.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v", names)
+// TestSetGet: Get finds a series by name in set order and returns a
+// pointer into the set, so appends through it are the set's own.
+func TestSetGet(t *testing.T) {
+	st := Set{NewSeries("a", 1), NewSeries("b", 1)}
+	st.Get("b").MustAppend(0, 9)
+	if len(st[1].V) != 1 || st[1].V[0] != 9 {
+		t.Errorf("append through Get did not reach the set: %+v", st[1])
 	}
-	if st.Get("a").Len() != 1 {
-		t.Error("replacement did not take effect")
+	if got := st.Get("a"); got != &st[0] {
+		t.Error("Get(a) does not point at the set's first element")
 	}
 	if st.Get("missing") != nil {
 		t.Error("missing series should be nil")
 	}
-	if st.Len() != 2 {
-		t.Errorf("Len = %d", st.Len())
+	if Set(nil).Get("a") != nil {
+		t.Error("nil set should find nothing")
 	}
 }

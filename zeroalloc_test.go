@@ -132,6 +132,29 @@ func TestZeroAllocContracts(t *testing.T) {
 			},
 		},
 		{
+			// Toggling a lane between full and power-only recording once
+			// its full set exists reuses the same buffers.
+			name: "warm-lockstep-record-toggle",
+			runs: 3,
+			setup: func(t *testing.T) func() {
+				ls, err := sim.NewLockstep(lockstepAllocJobs(t), sim.BatchOptions{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				full := false
+				toggle := func() {
+					full = !full
+					ls.SetRecord(0, full, true)
+					if _, err := ls.Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				toggle()
+				toggle()
+				return toggle
+			},
+		},
+		{
 			// The RK4 integrator at the 16-node multicore shape after
 			// the first Step compiles the neighbor list.
 			name: "network-step",
