@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/sim"
-	"repro/internal/thermal"
 	"repro/internal/tuning"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -377,61 +376,6 @@ func TestColdStartNoThrottleLatch(t *testing.T) {
 		if tk := caps.T[k]; tk > grace && v < 0.7 {
 			t.Fatalf("cap still %0.2f at t=%.0fs — release path latched", v, tk)
 		}
-	}
-}
-
-// TestSpeculativeBisectionOnSimPlant: the speculative ultimate-gain
-// search must be bit-identical to serial on the real simulated plant —
-// non-ideal sensing, warm start and all — which also validates the
-// premise that independently spawned sim plants respond identically
-// after Reset. (core.TuneRegions only enables speculation above a core
-// budget; this forces it on regardless.)
-func TestSpeculativeBisectionOnSimPlant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tuning runs in -short mode")
-	}
-	cfg := sim.Default()
-	const v, util = 2000, 0.7
-	cpu, _, err := cfg.Models()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same equilibrium set-point and bracket TuneRegions derives.
-	load := cpu.Power(util)
-	sink := thermal.SteadyState(cfg.Ambient, cfg.HeatSinkLaw.Resistance(v), load)
-	ref := thermal.SteadyState(sink, cfg.DieRes, load)
-	ku := 1 / -cfg.HeatSinkLaw.Sensitivity(v, load)
-	mkPlant := func() (tuning.Plant, error) { return sim.NewPlant(cfg, util, v, 30) }
-	base := tuning.ZNConfig{
-		RefTemp:    ref,
-		RefSpeed:   v,
-		Limits:     control.Limits{Min: cfg.FanMinSpeed, Max: cfg.FanMaxSpeed},
-		KPLo:       ku / 30,
-		KPHi:       ku * 10,
-		Prominence: 1.2,
-		Iterations: 8,
-	}
-	ps, err := mkPlant()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := tuning.FindUltimate(ps, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := base
-	spec.Spawn = mkPlant
-	spec.Parallel = func(n int, fn func(i int)) error { return sim.ParallelFor(n, 0, fn) }
-	pp, err := mkPlant()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tuning.FindUltimate(pp, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != serial {
-		t.Errorf("speculative ultimate %+v != serial %+v", got, serial)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/control"
 	"repro/internal/sim"
@@ -89,21 +88,6 @@ func TuneRegions(cfg sim.Config, speeds []units.RPM, util units.Utilization,
 			// The 1 °C ADC makes sub-degree ripple invisible; classify
 			// with a prominence just above one quantization step.
 			Prominence: 1.2,
-		}
-		// Speculative parallel bisection (tuning.ZNConfig.Spawn): each
-		// round classifies the midpoint and both candidate next midpoints
-		// concurrently, landing two bisection iterations per round with
-		// bit-identical gains. Each region spawns three concurrent trials,
-		// so speculation only pays once the machine has cores beyond the
-		// per-region fan-out this loop already uses; below that it would
-		// trade wall time for redundant work.
-		if runtime.GOMAXPROCS(0) >= 3*len(speeds) {
-			znCfg.Spawn = func() (tuning.Plant, error) {
-				return sim.NewPlant(cfg, util, v, fanPeriod)
-			}
-			znCfg.Parallel = func(n int, fn func(i int)) error {
-				return sim.ParallelFor(n, 0, fn)
-			}
 		}
 		region, ult, err := tuning.TuneRegion(plant, znCfg, rule)
 		if err != nil {

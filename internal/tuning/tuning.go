@@ -122,22 +122,6 @@ type ZNConfig struct {
 	// actuator limit above which the trial is declared unstable even if
 	// the rail-to-rail cycle looks "sustained". Default 0.25.
 	SatFraction float64
-
-	// Spawn builds an additional, independent plant at the same operating
-	// point. When both Spawn and Parallel are set, FindUltimate bisects
-	// speculatively: each round evaluates the current midpoint and both
-	// candidate next midpoints concurrently on three plants, consuming two
-	// bisection iterations per round — about half the wall time on a
-	// multi-core host. The result is bit-identical to the serial search
-	// (the speculative evaluations it consumes are exactly the gains the
-	// serial loop would visit; the rest are discarded), provided Spawn's
-	// plants respond identically to the primary after Reset — true of
-	// deterministic simulated plants.
-	Spawn func() (Plant, error)
-	// Parallel executes fn(0..n-1) concurrently and returns when all
-	// calls finish (sim.ParallelFor adapts directly). Nil disables
-	// speculation.
-	Parallel func(n int, fn func(i int)) error
 }
 
 func (c *ZNConfig) setDefaults() {
@@ -174,55 +158,6 @@ func (c *ZNConfig) setDefaults() {
 type Ultimate struct {
 	Ku units.RPM     // per °C: the proportional gain at the stability boundary
 	Pu units.Seconds // the ultimate oscillation period
-}
-
-// bisectSpeculative advances the ultimate-gain bisection two iterations
-// per concurrent round: the current midpoint and both candidate next
-// midpoints (the gains the serial loop would evaluate next, depending on
-// the midpoint's verdict) are classified in parallel on three independent
-// plants; the round then consumes the midpoint and whichever speculative
-// result the serial loop would have visited, discarding the other. Every
-// consumed (gain, verdict) pair is exactly the serial sequence, so the
-// search result is bit-identical at roughly half the wall time when three
-// evaluations fit the machine.
-func bisectSpeculative(p Plant, cfg ZNConfig,
-	consume func(float64, Oscillation), bracket func() (float64, float64)) error {
-	p2, err := cfg.Spawn()
-	if err != nil {
-		return fmt.Errorf("tuning: spawning speculative plant: %w", err)
-	}
-	p3, err := cfg.Spawn()
-	if err != nil {
-		return fmt.Errorf("tuning: spawning speculative plant: %w", err)
-	}
-	plants := [3]Plant{p, p2, p3}
-	for done := 0; done < cfg.Iterations; {
-		lo, hi := bracket()
-		mid := (lo + hi) / 2
-		// The two futures: hi=mid makes the next midpoint (lo+mid)/2,
-		// lo=mid makes it (mid+hi)/2 — identical expressions to the ones
-		// the serial loop would evaluate, so the consumed sequence is
-		// bit-equal.
-		gains := [3]float64{mid, (lo + mid) / 2, (mid + hi) / 2}
-		var os [3]Oscillation
-		if err := cfg.Parallel(3, func(i int) {
-			os[i] = classifyGain(plants[i], cfg, gains[i])
-		}); err != nil {
-			return err
-		}
-		consume(mid, os[0])
-		done++
-		if done >= cfg.Iterations {
-			break
-		}
-		if os[0].Verdict == Growing {
-			consume(gains[1], os[1])
-		} else {
-			consume(gains[2], os[2])
-		}
-		done++
-	}
-	return nil
 }
 
 // runPOnly drives a proportional-only loop at gain kp: warmup to settle,
@@ -280,10 +215,7 @@ func classifyGain(p Plant, cfg ZNConfig, kp float64) Oscillation {
 // FindUltimate locates the ultimate gain K_u and period P_u by bisection
 // between a stable and an unstable proportional gain (Sec. IV-A: "finding
 // the value of the proportional-only gain that causes the control loop to
-// oscillate indefinitely at steady state"). With ZNConfig.Spawn and
-// ZNConfig.Parallel set it bisects speculatively — both candidate next
-// midpoints are evaluated alongside the current one, so two iterations
-// land per concurrent round — with bit-identical results.
+// oscillate indefinitely at steady state").
 func FindUltimate(p Plant, cfg ZNConfig) (Ultimate, error) {
 	cfg.setDefaults()
 	if err := cfg.Limits.Validate(); err != nil {
@@ -301,31 +233,20 @@ func FindUltimate(p Plant, cfg ZNConfig) (Ultimate, error) {
 	}
 	best := Oscillation{}
 	bestKp := 0.0
-	// consume folds one evaluated gain into the bisection state, the
-	// single transition both search modes share.
-	consume := func(kp float64, o Oscillation) {
-		switch o.Verdict {
+	for i := 0; i < cfg.Iterations; i++ {
+		mid := (lo + hi) / 2
+		switch o := classifyGain(p, cfg, mid); o.Verdict {
 		case Growing:
-			hi = kp
+			hi = mid
 		case Sustained:
 			// Keep the largest sustained gain seen; continue tightening
 			// toward the true boundary from below.
-			if kp > bestKp {
-				best, bestKp = o, kp
+			if mid > bestKp {
+				best, bestKp = o, mid
 			}
-			lo = kp
+			lo = mid
 		default:
-			lo = kp
-		}
-	}
-	if cfg.Spawn != nil && cfg.Parallel != nil {
-		if err := bisectSpeculative(p, cfg, consume, func() (float64, float64) { return lo, hi }); err != nil {
-			return Ultimate{}, err
-		}
-	} else {
-		for i := 0; i < cfg.Iterations; i++ {
-			mid := (lo + hi) / 2
-			consume(mid, classifyGain(p, cfg, mid))
+			lo = mid
 		}
 	}
 	if bestKp == 0 {

@@ -1,9 +1,7 @@
 package tuning
 
 import (
-	"errors"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/control"
@@ -161,58 +159,6 @@ func TestFindUltimateGainScalesWithPlantGain(t *testing.T) {
 	ratio := float64(uHigh.Ku) / float64(uLow.Ku)
 	if ratio < 4 || ratio > 14 {
 		t.Errorf("Ku(6000)/Ku(2000) = %.2f, want ~8 (plant gain ratio)", ratio)
-	}
-}
-
-// goParallel is a real concurrent executor for speculation tests: all n
-// calls run on their own goroutines, so cross-plant interference or
-// ordering assumptions would surface here.
-func goParallel(n int, fn func(i int)) error {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-	return nil
-}
-
-// TestFindUltimateSpeculativeBitIdentical: the speculative parallel
-// bisection must return exactly the serial result — same Ku, same Pu —
-// at even and odd iteration budgets.
-func TestFindUltimateSpeculativeBitIdentical(t *testing.T) {
-	mk := func() *linearPlant { return newLinearPlant(-7.7e-3, 90, 30, 75, 2000, 1) }
-	for _, iters := range []int{0, 7, 24} { // 0 = default
-		cfg := znConfig(50, 4000)
-		cfg.Iterations = iters
-		serial, err := FindUltimate(mk(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := cfg
-		spec.Spawn = func() (Plant, error) { return mk(), nil }
-		spec.Parallel = goParallel
-		got, err := FindUltimate(mk(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != serial {
-			t.Errorf("iterations=%d: speculative %+v != serial %+v", iters, got, serial)
-		}
-	}
-}
-
-// TestFindUltimateSpeculativeSpawnError: a failing plant factory surfaces
-// instead of silently degrading.
-func TestFindUltimateSpeculativeSpawnError(t *testing.T) {
-	cfg := znConfig(50, 4000)
-	cfg.Spawn = func() (Plant, error) { return nil, errors.New("no plant") }
-	cfg.Parallel = goParallel
-	if _, err := FindUltimate(newLinearPlant(-7.7e-3, 90, 30, 75, 2000, 1), cfg); err == nil {
-		t.Fatal("spawn failure not reported")
 	}
 }
 
