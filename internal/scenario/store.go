@@ -169,17 +169,17 @@ func (st *Store) Len() (int, error) {
 // enough to see what a cell is without decoding its outcome payload.
 type CellInfo struct {
 	// Key is the cell's content address (also its filename stem).
-	Key string
+	Key string `json:"key"`
 	// Kind and Name echo the stored spec.
-	Kind string
-	Name string
+	Kind string `json:"kind"`
+	Name string `json:"name"`
 	// Units is the number of per-unit results in the outcome.
-	Units int
+	Units int `json:"units"`
 	// Version is the cell's on-disk format version; 0 for a cell that
 	// does not decode.
-	Version int
+	Version int `json:"version"`
 	// Size is the cell file's size in bytes.
-	Size int64
+	Size int64 `json:"size"`
 }
 
 // List inspects every cell in the store, sorted by key. Cells written by

@@ -114,19 +114,9 @@ type pushRequest struct {
 // ListResponse is the GET /v1/scenarios shape.
 type ListResponse struct {
 	// Cells are the stored outcomes, sorted by key.
-	Cells []CellInfo `json:"cells"`
+	Cells []scenario.CellInfo `json:"cells"`
 	// Inflight are the queued/running/failed jobs, sorted by key.
 	Inflight []JobStatus `json:"inflight"`
-}
-
-// CellInfo mirrors scenario.CellInfo with JSON tags for the API.
-type CellInfo struct {
-	Key     string `json:"key"`
-	Kind    string `json:"kind"`
-	Name    string `json:"name"`
-	Units   int    `json:"units"`
-	Version int    `json:"version"`
-	Size    int64  `json:"size"`
 }
 
 // StatsResponse is the GET /v1/stats shape.
@@ -263,14 +253,10 @@ func (h *HTTPServer) handleList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	resp := ListResponse{Cells: make([]CellInfo, len(infos)), Inflight: h.queue.Inflight()}
-	for i, info := range infos {
-		resp.Cells[i] = CellInfo{
-			Key: info.Key, Kind: info.Kind, Name: info.Name,
-			Units: info.Units, Version: info.Version, Size: info.Size,
-		}
+	if infos == nil {
+		infos = []scenario.CellInfo{} // an empty daemon lists "cells":[]
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ListResponse{Cells: infos, Inflight: h.queue.Inflight()})
 }
 
 // handleStats is GET /v1/stats.

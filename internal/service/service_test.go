@@ -818,11 +818,31 @@ func TestSubmitErrorCodes(t *testing.T) {
 	}
 }
 
+// listCells fetches GET /v1/scenarios and returns its raw "cells" member.
+func listCells(t *testing.T, d *Daemon) json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(d.BaseURL() + "/v1/scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body["cells"]
+}
+
 // TestListAndStats: the listing reflects stored cells, the stats
-// endpoint the engine accounting.
+// endpoint the engine accounting. The raw listing pins the wire format:
+// an empty daemon lists "cells":[], and a cell carries exactly the
+// key/kind/name/units/version/size members.
 func TestListAndStats(t *testing.T) {
 	d := startDaemon(t, Config{})
 	c := NewClient(d.BaseURL())
+	if raw := listCells(t, d); string(raw) != "[]" {
+		t.Errorf("empty daemon lists cells %s, want []", raw)
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := c.Submit(ctx, testSpec(40+float64(i)), true); err != nil {
 			t.Fatal(err)
@@ -839,6 +859,21 @@ func TestListAndStats(t *testing.T) {
 		if lr.Cells[i-1].Key >= lr.Cells[i].Key {
 			t.Error("listing not sorted by key")
 		}
+	}
+	var raw []map[string]json.RawMessage
+	if err := json.Unmarshal(listCells(t, d), &raw); err != nil || len(raw) != 2 {
+		t.Fatalf("raw listing: %d cells (%v), want 2", len(raw), err)
+	}
+	for _, member := range []string{"key", "kind", "name", "units", "version", "size"} {
+		if _, ok := raw[0][member]; !ok {
+			t.Errorf("listed cell lacks %q: %v", member, raw[0])
+		}
+	}
+	if len(raw[0]) != 6 {
+		t.Errorf("listed cell has %d members, want 6: %v", len(raw[0]), raw[0])
+	}
+	if got, want := string(raw[0]["key"]), `"`+lr.Cells[0].Key+`"`; got != want {
+		t.Errorf("listed key = %s, want %s", got, want)
 	}
 	sr, err := c.Stats(ctx)
 	if err != nil {
