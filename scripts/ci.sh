@@ -45,6 +45,12 @@ go test -run '^$' -fuzz '^FuzzSpecKey$' -fuzztime 15s ./internal/scenario
 # minimizing, so minimization is capped at 1 s.
 go test -run '^$' -fuzz '^FuzzOutcomeRoundTrip$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario
 
+# Push-verb fuzz smoke: PUT /v1/scenarios/{key} bodies through the
+# daemon's route table answer 200 or 400 (invalid_spec), and an accepted
+# push is served back as pushed. Its real-cell seed is a few KiB, so
+# minimization is capped at 1 s like the outcome round trip's.
+go test -run '^$' -fuzz '^FuzzPush$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
+
 # Redundant-voter fuzz smoke: arbitrary replica readings, NaN and
 # infinities included, must fuse to a finite value, and health must track
 # the quorum (FailSafe from failure HoldTicks+1 on).
