@@ -1,9 +1,10 @@
 // Benchmarks regenerating every figure and table of the paper's
-// evaluation (one per experiment), plus the ablation sweeps DESIGN.md
-// calls out. Each benchmark reports the experiment's headline quantities
-// via b.ReportMetric so `go test -bench` doubles as a results harness:
-// the *shape* of these metrics against the paper is the reproduction
-// target (see EXPERIMENTS.md).
+// evaluation (one per experiment), plus ablation sweeps over the
+// telemetry lag, the quantization guard, the region count, the fan
+// control period and the bus contention. Each benchmark reports the
+// experiment's headline quantities via b.ReportMetric so `go test -bench`
+// doubles as a results harness: the *shape* of these metrics against the
+// paper is the reproduction target.
 package main
 
 import (

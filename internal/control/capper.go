@@ -15,7 +15,7 @@ import (
 // Note: the paper's prose states the opposite directions (raise when hot,
 // lower when cool), which contradicts both the thermal-capping literature
 // it cites and the cooling semantics its own Table II assigns to cap-down.
-// We implement the physically meaningful direction; see DESIGN.md.
+// We implement the physically meaningful direction.
 type Capper struct {
 	Low, High units.Celsius
 	StepSize  units.Utilization

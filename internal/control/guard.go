@@ -17,8 +17,8 @@ import (
 // the ±1 step of the 8-bit ADC. The hold comparison is inclusive: with a
 // set-point aligned to an ADC code the strict form of Eq. 10 would block
 // only the exact-zero error and the output would keep hunting between the
-// two adjacent codes, the very oscillation Sec. IV-C eliminates (see
-// DESIGN.md). Outside the guard band the wrapped controller runs normally.
+// two adjacent codes, the very oscillation Sec. IV-C eliminates. Outside
+// the guard band the wrapped controller runs normally.
 type QuantGuard struct {
 	inner FanController
 	tq    float64

@@ -121,8 +121,8 @@ func (e *ECoord) scoreCap(st EState) (eff float64, newCap units.Utilization, fea
 	return dT * 1e9, newCap, true
 }
 
-// dieResistance mirrors the DESIGN.md calibration; E-coord only needs it
-// for scoring, and a constant keeps the baseline self-contained.
+// dieResistance mirrors sim.Default's DieRes (0.12 K/W); E-coord only
+// needs it for scoring, and a constant keeps the baseline self-contained.
 const dieResistance = 0.12
 
 // Decide evaluates the E-coord policy for the current state.

@@ -94,9 +94,8 @@ type Options struct {
 	// tick to ride CapBandOffset above the current fan set-point — the
 	// capper's hold band must sit strictly above the quantization
 	// guard's hold band or the system deadlocks with a starved cap and
-	// a held fan (both controllers inside their deadzones; see
-	// DESIGN.md). CapLow/CapHigh seed the initial band and the E-coord
-	// thresholds.
+	// a held fan (both controllers inside their deadzones).
+	// CapLow/CapHigh seed the initial band and the E-coord thresholds.
 	CapLow, CapHigh units.Celsius
 	CapStep         units.Utilization
 	MinCap          units.Utilization

@@ -17,15 +17,15 @@ const DefaultFanInterval units.Seconds = 30
 // two operating regions of Sec. IV-B (2000 and 6000 rpm — "two regions
 // are enough to linearize the relationship within 5% error"), tuned by
 // the Ziegler–Nichols procedure of TuneRegions against the Table I
-// platform at u = 0.7 with the no-overshoot ZN-type rule (see DESIGN.md
-// for why the quarter-decay classic rule is too aggressive at a 30 s
-// control period). Regenerate with cmd/fantune.
+// platform at u = 0.7 with the no-overshoot ZN-type rule: P_u spans only
+// about five to eight 30 s control periods, where the quarter-decay
+// classic rule's gains sit on the discrete loop's stability boundary.
+// Regenerate with cmd/fantune.
 func DefaultRegions() []control.Region {
 	return defaultRegions
 }
 
-// defaultRegions is overwritten by the values cmd/fantune prints; keep in
-// sync with EXPERIMENTS.md.
+// defaultRegions is overwritten by the values cmd/fantune prints.
 var defaultRegions = []control.Region{
 	{RefSpeed: 2000, Gains: control.PIDGains{KP: 259, KI: 66, KD: 676}},
 	{RefSpeed: 6000, Gains: control.PIDGains{KP: 738, KI: 279, KD: 1304}},

@@ -54,7 +54,7 @@ type Fig3Config struct {
 // DefaultFig3 returns the calibrated scenario: T_ref = 68 °C puts the
 // 0.1/0.7 workload's operating fan speeds at ~1460 and ~5820 rpm, one in
 // each gain-scheduling region, so the fixed-gain failure modes and the
-// adaptive controller's advantage all appear (see DESIGN.md §5).
+// adaptive controller's advantage all appear.
 func DefaultFig3() Fig3Config {
 	return Fig3Config{RefTemp: 68, Period: 1200, Cycles: 2}
 }

@@ -46,7 +46,9 @@ type Config struct {
 	FanSlewPerSec units.RPM `json:"FanSlewPerSec"`
 
 	// Thermal model: Table I heat-sink law, 60 s sink time constant at
-	// max air flow, 0.1 s die time constant; R_die per DESIGN.md.
+	// max air flow, 0.1 s die time constant; R_die = 0.12 K/W puts the
+	// steady junction at u = 0.7 near 78.5 °C at 2000 rpm and 67.8 °C at
+	// 6000 rpm.
 	HeatSinkLaw thermal.HeatSinkLaw `json:"HeatSinkLaw"`
 	SinkTau     units.Seconds       `json:"SinkTau"`
 	DieRes      units.KPerW         `json:"DieRes"`
@@ -76,7 +78,9 @@ type Config struct {
 	NSockets int `json:"NSockets"`
 }
 
-// Default returns the Table I configuration with DESIGN.md calibration.
+// Default returns the Table I configuration. Values Table I does not
+// give (R_die, the time constants, the fan slew) are this model's
+// calibration, documented on the Config fields.
 func Default() Config {
 	return Config{
 		CPUIdlePower:  96,

@@ -26,7 +26,7 @@ func TestTableIResistanceValues(t *testing.T) {
 			t.Errorf("R(%v) = %v, want %v", tt.v, got, tt.want)
 		}
 	}
-	// Sanity on magnitudes used throughout DESIGN.md.
+	// Sanity on the magnitudes the model's calibration rests on.
 	if r := law.Resistance(8500); math.Abs(float64(r)-0.172) > 0.002 {
 		t.Errorf("R(8500) = %v, want ~0.172", r)
 	}

@@ -124,7 +124,7 @@ func TestTimeConstantAndCapacitanceFor(t *testing.T) {
 }
 
 func TestTableIDerivedSinkCapacitance(t *testing.T) {
-	// C_hs = 60 s / R_hs(8500 rpm) ~ 348 J/K (DESIGN.md calibration).
+	// C_hs = 60 s / R_hs(8500 rpm) ~ 348 J/K.
 	law := TableIHeatSinkLaw()
 	c, err := CapacitanceFor(60, law.Resistance(8500))
 	if err != nil {

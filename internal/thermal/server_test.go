@@ -7,7 +7,9 @@ import (
 	"repro/internal/units"
 )
 
-// testParams returns the DESIGN.md calibration of the Table I model.
+// testParams returns the Table I model as sim.Default calibrates it: a
+// 60 s sink time constant at 8500 rpm, a 0.1 s die time constant and
+// R_die = 0.12 K/W.
 func testParams(t *testing.T) ServerParams {
 	t.Helper()
 	law := TableIHeatSinkLaw()
@@ -74,7 +76,7 @@ func TestServerConvergesToSteadyJunction(t *testing.T) {
 	if math.Abs(float64(s.Junction()-want)) > 0.01 {
 		t.Errorf("junction = %v, want steady %v", s.Junction(), want)
 	}
-	// DESIGN.md calibration: ~78.5 C at 2000 rpm / u = 0.7.
+	// Calibration anchor: ~78.5 C at 2000 rpm / u = 0.7.
 	if float64(want) < 76 || float64(want) > 81 {
 		t.Errorf("steady junction at 2000rpm/0.7 = %v, want ~78.5", want)
 	}
@@ -92,7 +94,7 @@ func TestServerFanAuthority(t *testing.T) {
 		}
 		prev = cur
 	}
-	// Calibration anchors from DESIGN.md.
+	// Calibration anchor: ~67.8 C at 6000 rpm / u = 0.7.
 	if tj := s.SteadyJunction(p, 6000); math.Abs(float64(tj)-67.8) > 1.5 {
 		t.Errorf("T_j(6000rpm, 0.7) = %v, want ~67.8", tj)
 	}

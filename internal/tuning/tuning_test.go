@@ -249,7 +249,7 @@ func TestTunedGainsStabilizeThePlant(t *testing.T) {
 	// closed loop converges to the set-point without sustained oscillation.
 	// The gentler some-overshoot ZN-type rule is the simulator's default:
 	// with P_u only ~5 control samples, quarter-decay classic gains sit on
-	// the discrete stability boundary (see DESIGN.md).
+	// the discrete stability boundary.
 	p := newLinearPlant(-7.7e-3, 90, 30, 78, 2000, 1)
 	region, u, err := TuneRegion(p, znConfig(50, 4000), SomeOvershoot)
 	if err != nil {
