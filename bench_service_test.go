@@ -1,6 +1,6 @@
 // Service-layer benchmarks: the scenariod HTTP round-trip on a warm key,
-// a tiered read-through, and storage-module Puts (cap-less and capped)
-// and concurrent Gets on a full store.
+// a tiered read-through, and storage-module Puts and concurrent Gets on
+// a full store.
 // BenchmarkScenarioStoreHit prices an in-process store read and decode;
 // the round-trip adds the daemon on top — request encode, loopback HTTP,
 // queue dedup, the storage module (whose backend serves a repeated key
@@ -62,21 +62,10 @@ func BenchmarkServiceStoreHit(b *testing.B) {
 }
 
 // BenchmarkStoragePut prices one fresh Put through the storage module
-// onto a disk store already holding 1000 small cells. A cap-less Put
-// writes its cell and nothing else (the footprint is recounted by
-// Stats, not by Put), so ns/op must not grow with the store.
-func BenchmarkStoragePut(b *testing.B) { benchStoragePut(b, scenario.GCConfig{}) }
-
-// BenchmarkStoragePutCapped is BenchmarkStoragePut with the store capped
-// at its 1000 pre-filled cells: every Put runs Store.GC, which stats
-// every cell and evicts the oldest one (dropping it from the backend's
-// outcome cache).
-func BenchmarkStoragePutCapped(b *testing.B) {
-	benchStoragePut(b, scenario.GCConfig{MaxCells: 1000})
-}
-
-// benchStoragePut times fresh Puts onto a 1000-cell disk store under gc.
-func benchStoragePut(b *testing.B, gc scenario.GCConfig) {
+// onto a disk store already holding 1000 small cells. A Put writes its
+// cell and nothing else (Stats counts the footprint, not Put), so ns/op
+// must not grow with the store.
+func BenchmarkStoragePut(b *testing.B) {
 	const prefill = 1000
 	backend, err := service.OpenStoreBackend(b.TempDir())
 	if err != nil {
@@ -99,7 +88,7 @@ func benchStoragePut(b *testing.B, gc scenario.GCConfig) {
 		}
 	}
 
-	s, err := service.NewStorage(backend, gc)
+	s, err := service.NewStorage(backend)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -145,7 +134,7 @@ func BenchmarkStorageGetParallel(b *testing.B) {
 		}
 	}
 
-	s, err := service.NewStorage(backend, scenario.GCConfig{})
+	s, err := service.NewStorage(backend)
 	if err != nil {
 		b.Fatal(err)
 	}

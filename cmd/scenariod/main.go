@@ -4,7 +4,7 @@
 // instead of each recomputing the same cells. The client verbs talk to
 // a running daemon; the benchmark under bench/ measures one under load.
 //
-//	scenariod serve  -addr 127.0.0.1:0 -store DIR [-shards N] [-maxcells N] [-maxbytes N]
+//	scenariod serve  -addr 127.0.0.1:0 -store DIR [-shards N] [-workers N] [-remote HOST:PORT]
 //	scenariod submit -addr HOST:PORT [-wait] -spec FILE|-
 //	scenariod get    -addr HOST:PORT KEY
 //	scenariod ls     -addr HOST:PORT
@@ -95,8 +95,6 @@ func serveCmd(args []string) error {
 	storeDir := fs.String("store", "", "content-addressed store directory (empty = in-memory cache)")
 	shards := fs.Int("shards", 0, "queue worker count (0 = min(cores, 4))")
 	workers := fs.Int("workers", 0, "per-simulation engine worker cap (0 = all cores)")
-	maxCells := fs.Int("maxcells", 0, "cache cap: max stored cells (0 = unbounded)")
-	maxBytes := fs.Int64("maxbytes", 0, "cache cap: max summed cell bytes (0 = unbounded)")
 	remote := fs.String("remote", "", "shared-tier scenariod to front (host:port; empty = single tier)")
 	remoteTimeout := fs.Duration("remote-timeout", 0, "per-call remote deadline (0 = 5s default)")
 	if err := fs.Parse(args); err != nil {
@@ -114,7 +112,6 @@ func serveCmd(args []string) error {
 		Addr: *addr, StoreDir: *storeDir,
 		Remote: remoteBase, RemoteTimeout: *remoteTimeout,
 		Shards: *shards, EngineWorkers: *workers,
-		MaxCells: *maxCells, MaxBytes: *maxBytes,
 	})
 	if err != nil {
 		return err

@@ -6,8 +6,8 @@ import (
 	"sort"
 )
 
-// Store eviction. A long-running service treats the store as a cache
-// tier, and a cache needs a bounded footprint: GC trims the store to the
+// Store eviction. A store used as a cache tier needs a bounded
+// footprint: GC (`experiments store gc`) trims the store to the
 // configured caps in a deterministic order — oldest modification time
 // first, key as the tiebreaker — so two stores holding the same cells
 // with the same timestamps evict identically. Eviction is just cell
@@ -33,9 +33,6 @@ func (c GCConfig) validate() error {
 	return nil
 }
 
-// Enabled reports whether any cap is set (the zero GCConfig disables GC).
-func (c GCConfig) Enabled() bool { return c.MaxBytes > 0 || c.MaxCells > 0 }
-
 // GCResult accounts one GC pass.
 type GCResult struct {
 	// Evicted lists the removed cell keys in eviction order.
@@ -59,8 +56,7 @@ type gcCandidate struct {
 // first, lexicographically smallest key on ties. The walk tolerates a
 // concurrently deleted cell (another GC, a manual rm) by skipping it;
 // a concurrent Put may land after the snapshot, so a caller that needs
-// a hard bound re-runs GC (the scenariod storage module holds one mutex
-// across each Put and its GC pass, which closes that window).
+// a hard bound re-runs GC.
 func (st *Store) GC(cfg GCConfig) (GCResult, error) {
 	var res GCResult
 	if err := cfg.validate(); err != nil {

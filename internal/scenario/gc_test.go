@@ -54,12 +54,6 @@ func TestGCConfigValidate(t *testing.T) {
 			t.Errorf("%s: GC accepted %+v", name, cfg)
 		}
 	}
-	if (GCConfig{}).Enabled() {
-		t.Error("zero GCConfig reports Enabled")
-	}
-	if !(GCConfig{MaxCells: 1}).Enabled() || !(GCConfig{MaxBytes: 1}).Enabled() {
-		t.Error("capped GCConfig reports disabled")
-	}
 }
 
 // TestStoreGCMaxCells: eviction removes the oldest cells first and

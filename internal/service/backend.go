@@ -19,15 +19,13 @@ import (
 // cancelled instead of hanging its caller.
 //
 // Implementations must be safe for concurrent use: the storage module
-// runs lookups, Lists and Lens concurrently with each other and with
-// one Put (or GC) at a time. The built-in backends are: StoreBackend
-// writes each cell to a temp file and renames it into place, so a
-// concurrent read sees a whole cell or none, a read racing an eviction
-// either opened the file before the unlink or misses, and a List skips
-// a cell evicted under it; its outcome cache is locked, and a read
-// that races a Put or GC cannot cache the cell it replaced or evicted;
-// MemBackend locks its map; RemoteBackend locks its counters and its
-// breaker, and its local tier is one of the other two.
+// runs lookups and Lists concurrently with each other and with one Put
+// at a time. The built-in backends are: StoreBackend writes each cell
+// to a temp file and renames it into place, so a concurrent read sees a
+// whole cell or none; its outcome cache is locked, and a read that
+// races a Put cannot cache the cell it replaced; MemBackend locks its
+// map; RemoteBackend locks its counters and its breaker, and its local
+// tier is one of the other two.
 //
 // An outcome a backend returns is shared, read-only: StoreBackend's
 // cache and MemBackend hand the same value to every caller, so no
@@ -46,13 +44,6 @@ type Backend interface {
 	Len(ctx context.Context) (int, error)
 }
 
-// GCBackend is the optional eviction hook: backends that can trim
-// themselves to a footprint cap implement it, and the storage module
-// runs a pass after every Put when caps are configured.
-type GCBackend interface {
-	GC(ctx context.Context, cfg scenario.GCConfig) (scenario.GCResult, error)
-}
-
 // Fetcher is the optional read-through hook: a backend that can resolve
 // a miss by handing the spec to another tier (RemoteBackend delegates
 // the simulation to its remote daemon) implements it. The queue's
@@ -66,8 +57,8 @@ type Fetcher interface {
 // StoreBackend serves an on-disk content-addressed scenario.Store. It
 // keeps the most recently read outcomes decoded in memory (see
 // cacheBytes), so a repeated hit costs no syscall and no decode. The
-// cache sees only the changes made through this backend: Put and GC
-// drop the keys they replace or evict.
+// cache sees only the changes made through this backend: a Put drops
+// the key it replaces.
 type StoreBackend struct {
 	st    *scenario.Store
 	cache outcomeCache
@@ -118,31 +109,19 @@ func (b *StoreBackend) List(context.Context) ([]scenario.CellInfo, error) { retu
 // Len counts the cells.
 func (b *StoreBackend) Len(context.Context) (int, error) { return b.st.Len() }
 
-// GC trims the store to the caps (oldest mtime first, key tiebreak) and
-// drops the evicted keys from the cache.
-func (b *StoreBackend) GC(_ context.Context, cfg scenario.GCConfig) (scenario.GCResult, error) {
-	res, err := b.st.GC(cfg)
-	b.cache.drop(res.Evicted...)
-	return res, err
-}
-
 // memCell is one in-memory cell: the encoded entry (so List can report a
 // size comparable to the on-disk backend) plus the decoded outcome.
 type memCell struct {
 	spec scenario.Spec
 	out  *scenario.Outcome
 	size int64
-	seq  int64 // insertion order, the in-memory analog of mtime
 }
 
 // MemBackend is the in-memory backend: same contract as StoreBackend,
-// nothing on disk. Eviction order replaces the store's mtime with the
-// insertion sequence (oldest insert first, key tiebreak on re-puts that
-// keep the original sequence), which is deterministic per process.
+// nothing on disk.
 type MemBackend struct {
 	mu    sync.Mutex
 	cells map[string]*memCell
-	seq   int64
 }
 
 // NewMemBackend builds an empty in-memory backend.
@@ -164,10 +143,8 @@ func (b *MemBackend) Get(_ context.Context, key string) (*scenario.Outcome, bool
 	return c.out, true, nil
 }
 
-// Put stores the outcome under the spec's content key. A re-put of an
-// existing key refreshes the payload but keeps the original insertion
-// sequence, mirroring how the disk backend's key identity is stable. A
-// nil outcome is rejected.
+// Put stores the outcome under the spec's content key, replacing any
+// earlier cell. A nil outcome is rejected.
 func (b *MemBackend) Put(_ context.Context, spec scenario.Spec, out *scenario.Outcome) error {
 	key, err := scenario.Key(spec)
 	if err != nil {
@@ -185,13 +162,7 @@ func (b *MemBackend) Put(_ context.Context, spec scenario.Spec, out *scenario.Ou
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	seq := b.seq
-	if old, ok := b.cells[key]; ok {
-		seq = old.seq
-	} else {
-		b.seq++
-	}
-	b.cells[key] = &memCell{spec: spec, out: out, size: int64(len(enc)), seq: seq}
+	b.cells[key] = &memCell{spec: spec, out: out, size: int64(len(enc))}
 	return nil
 }
 
@@ -218,54 +189,4 @@ func (b *MemBackend) Len(context.Context) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.cells), nil
-}
-
-// GC trims the backend to the caps: oldest insertion first, key as the
-// tiebreaker — the same deterministic contract as Store.GC with the
-// insertion sequence standing in for the file mtime.
-func (b *MemBackend) GC(_ context.Context, cfg scenario.GCConfig) (scenario.GCResult, error) {
-	var res scenario.GCResult
-	if !cfg.Enabled() {
-		return res, fmt.Errorf("service: GC needs at least one cap (max_bytes or max_cells)")
-	}
-	if cfg.MaxBytes < 0 || cfg.MaxCells < 0 {
-		return res, fmt.Errorf("service: negative GC cap")
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	type cand struct {
-		key  string
-		size int64
-		seq  int64
-	}
-	cands := make([]cand, 0, len(b.cells))
-	var total int64
-	for key, c := range b.cells {
-		cands = append(cands, cand{key: key, size: c.size, seq: c.seq})
-		total += c.size
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].seq != cands[j].seq {
-			return cands[i].seq < cands[j].seq
-		}
-		return cands[i].key < cands[j].key
-	})
-	remaining := len(cands)
-	over := func() bool {
-		return (cfg.MaxCells > 0 && remaining > cfg.MaxCells) ||
-			(cfg.MaxBytes > 0 && total > cfg.MaxBytes)
-	}
-	for _, c := range cands {
-		if !over() {
-			break
-		}
-		delete(b.cells, c.key)
-		res.Evicted = append(res.Evicted, c.key)
-		res.BytesFreed += c.size
-		total -= c.size
-		remaining--
-	}
-	res.Remaining = remaining
-	res.RemainingBytes = total
-	return res, nil
 }

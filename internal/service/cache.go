@@ -17,11 +17,10 @@ const cacheBytes = 256 << 10
 // key. The values are shared: every hit returns the same pointer, so
 // callers must treat them as read-only (see Backend).
 //
-// A miss reads the cell with no lock held, so a Put or GC can replace
-// or evict it between the read and the insert. The generation closes
-// that window: a reader takes it before its disk read, drop bumps it
-// after the disk change, and add refuses an insert made under an older
-// generation.
+// A miss reads the cell with no lock held, so a Put can replace it
+// between the read and the insert. The generation closes that window: a
+// reader takes it before its disk read, drop bumps it after the disk
+// change, and add refuses an insert made under an older generation.
 type outcomeCache struct {
 	mu    sync.Mutex
 	gen   uint64
@@ -76,16 +75,14 @@ func (c *outcomeCache) add(key string, out *scenario.Outcome, size int, gen uint
 	}
 }
 
-// drop forgets keys whose cells were just replaced or removed and
-// invalidates every read that started before.
-func (c *outcomeCache) drop(keys ...string) {
+// drop forgets a key whose cell was just replaced and invalidates every
+// read that started before.
+func (c *outcomeCache) drop(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen++
-	for _, key := range keys {
-		if el, ok := c.items[key]; ok {
-			c.remove(el)
-		}
+	if el, ok := c.items[key]; ok {
+		c.remove(el)
 	}
 }
 

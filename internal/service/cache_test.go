@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -55,16 +54,6 @@ func putKey(t *testing.T, b Backend, spec scenario.Spec, out *scenario.Outcome) 
 	return key
 }
 
-// age backdates a cell's mtime by d, so a capped GC evicts it before
-// younger cells.
-func age(t *testing.T, b *StoreBackend, key string, d time.Duration) {
-	t.Helper()
-	old := time.Now().Add(-d)
-	if err := os.Chtimes(filepath.Join(b.st.Dir(), key+".json"), old, old); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStoreBackendCachedHit: the second Get of a key is answered from
 // memory (the same value, even with the cell file gone) and hashes
 // like a fresh decode of the cell.
@@ -98,8 +87,7 @@ func TestStoreBackendCachedHit(t *testing.T) {
 }
 
 // TestStoreBackendCacheInvalidation: a Put makes the next Get read the
-// new cell from disk, and a capped GC that evicts a cached key makes it
-// a miss.
+// new cell from disk.
 func TestStoreBackendCacheInvalidation(t *testing.T) {
 	b, out, replaced := cacheFixture(t)
 	spec := testSpec(24)
@@ -115,65 +103,34 @@ func TestStoreBackendCacheInvalidation(t *testing.T) {
 	if outcomeHash(t, got) != outcomeHash(t, replaced) {
 		t.Error("Get after Put served the outcome the Put replaced")
 	}
-
-	putKey(t, b, testSpec(25), out)
-	age(t, b, key, time.Hour)
-	res, err := b.GC(ctx, scenario.GCConfig{MaxCells: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(res.Evicted) != fmt.Sprint([]string{key}) {
-		t.Fatalf("GC evicted %v, want [%s]", res.Evicted, key)
-	}
-	if _, ok, err := b.Get(ctx, key); err != nil || ok {
-		t.Errorf("Get after eviction: ok=%v err=%v, want miss", ok, err)
-	}
 }
 
 // TestStoreBackendCacheStaleInsert: a reader that read a cell before a
-// Put replaced it or a GC evicted it cannot insert what it read once
-// the Put or GC has returned.
+// Put replaced it cannot insert what it read once the Put has returned.
 func TestStoreBackendCacheStaleInsert(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		change func(t *testing.T, b *StoreBackend, key string, replaced *scenario.Outcome)
-	}{
-		{"put", func(t *testing.T, b *StoreBackend, _ string, replaced *scenario.Outcome) {
-			putKey(t, b, testSpec(24), replaced)
-		}},
-		{"gc", func(t *testing.T, b *StoreBackend, key string, replaced *scenario.Outcome) {
-			putKey(t, b, testSpec(25), replaced)
-			age(t, b, key, time.Hour)
-			if _, err := b.GC(ctx, scenario.GCConfig{MaxCells: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b, out, replaced := cacheFixture(t)
-			key := putKey(t, b, testSpec(24), out)
-			// The reader's half of Get, split around the change.
-			_, gen, ok := b.cache.get(key)
-			if ok {
-				t.Fatal("key cached before any Get")
-			}
-			old, size, ok, err := b.st.GetKeySized(key)
-			if err != nil || !ok {
-				t.Fatalf("reading the cell: ok=%v err=%v", ok, err)
-			}
-			tc.change(t, b, key, replaced)
-			b.cache.add(key, old, size, gen)
-			if _, _, ok := b.cache.get(key); ok {
-				t.Errorf("a read racing %s inserted the cell it read", tc.name)
-			}
-		})
-	}
+	t.Run("put", func(t *testing.T) {
+		b, out, replaced := cacheFixture(t)
+		key := putKey(t, b, testSpec(24), out)
+		// The reader's half of Get, split around the Put.
+		_, gen, ok := b.cache.get(key)
+		if ok {
+			t.Fatal("key cached before any Get")
+		}
+		old, size, ok, err := b.st.GetKeySized(key)
+		if err != nil || !ok {
+			t.Fatalf("reading the cell: ok=%v err=%v", ok, err)
+		}
+		putKey(t, b, testSpec(24), replaced)
+		b.cache.add(key, old, size, gen)
+		if _, _, ok := b.cache.get(key); ok {
+			t.Error("a read racing a Put inserted the cell it read")
+		}
+	})
 }
 
 // TestStoreBackendCacheConcurrent: Gets and encodes of one hot key run
-// beside Puts that alternate its outcome and GC passes that evict it.
-// After each Put the key serves the new outcome and after each
-// evicting GC it misses, whatever the readers had in flight.
+// beside Puts that alternate its outcome. After each Put the key serves
+// the new outcome, whatever the readers had in flight.
 func TestStoreBackendCacheConcurrent(t *testing.T) {
 	b, out, replaced := cacheFixture(t)
 	hotSpec := testSpec(24)
@@ -211,7 +168,6 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 		}()
 	}
 
-	var filler string
 	for i := 0; i < 100; i++ {
 		putKey(t, b, hotSpec, []*scenario.Outcome{out, replaced}[i%2])
 		got, ok, err := b.Get(ctx, hot)
@@ -220,23 +176,6 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 		}
 		if outcomeHash(t, got) != want[i%2] {
 			t.Fatalf("round %d: Get after Put served the outcome the Put replaced", i)
-		}
-		// A new filler cell; the cap evicts the previous filler, and every
-		// third round the hot key too.
-		if filler != "" {
-			age(t, b, filler, 2*time.Hour)
-		}
-		filler = putKey(t, b, testSpec(100+float64(i)), out)
-		age(t, b, hot, time.Hour)
-		capCells := 2
-		if i%3 == 0 {
-			capCells = 1
-		}
-		if _, err := b.GC(ctx, scenario.GCConfig{MaxCells: capCells}); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, err := b.Get(ctx, hot); err != nil || ok != (capCells == 2) {
-			t.Fatalf("round %d: Get after GC to %d cells: ok=%v err=%v", i, capCells, ok, err)
 		}
 	}
 }

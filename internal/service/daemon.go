@@ -1,16 +1,16 @@
 // Package service is the scenario layer as a long-running daemon: an
-// HTTP API over a sharded job queue over a pluggable storage backend,
-// with the content-addressed scenario.Store as the cache tier. A
-// repeated spec is a store hit (~tens of µs) instead of a simulation
-// (~hundreds of µs to ms), which is exactly the shape that serves heavy
-// repeated traffic; the singleflight job table makes a thundering herd
-// on one spec run one simulation.
+// HTTP API over a job queue and its worker pool over a pluggable
+// storage backend, with the content-addressed scenario.Store as the
+// cache tier. A repeated spec is a store hit (~tens of µs) instead of
+// a simulation (~hundreds of µs to ms), which is exactly the shape that
+// serves heavy repeated traffic; the singleflight job table makes a
+// thundering herd on one spec run one simulation.
 //
 // Daemon wires three parts in dependency order and stops them in
 // reverse:
 //
-//	storage  — owns the Backend: concurrent lookups, one Put+GC at a time
-//	queue    — N sharded workers, in-flight dedup (singleflight)
+//	storage  — owns the Backend: concurrent lookups, one Put at a time
+//	queue    — N workers on one job channel, in-flight dedup (singleflight)
 //	http     — the /v1/scenarios API surface
 //
 // The storage Backend interface (context-threaded Get/Put/List/Len,
@@ -36,8 +36,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/scenario"
 )
 
 // Config assembles a scenario daemon.
@@ -65,11 +63,6 @@ type Config struct {
 	// EngineWorkers caps each simulation's internal parallelism
 	// (scenario.Spec.Workers; 0 = all cores).
 	EngineWorkers int
-	// MaxCells / MaxBytes cap the cache tier; after every Put the
-	// storage evicts oldest-first (see scenario.Store.GC). Zero means
-	// unbounded.
-	MaxCells int
-	MaxBytes int64
 }
 
 // Daemon is the composed scenario service: storage, queue and API.
@@ -116,7 +109,7 @@ func New(cfg Config) (*Daemon, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	storage, err := NewStorage(backend, scenario.GCConfig{MaxBytes: cfg.MaxBytes, MaxCells: cfg.MaxCells})
+	storage, err := NewStorage(backend)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +167,7 @@ func (d *Daemon) BaseURL() string { return "http://" + d.http.ListenAddr() }
 func (d *Daemon) BackendName() string { return d.backend.Name() }
 
 // Shards reports the queue worker count.
-func (d *Daemon) Shards() int { return d.queue.shards }
+func (d *Daemon) Shards() int { return d.queue.workers }
 
 // String describes the daemon for startup logs.
 func (d *Daemon) String() string {

@@ -142,9 +142,10 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, apiError{Error: msg, Code: code})
 }
 
-// submitErr maps a queue submit error onto status + code: only a spec
-// that failed validation or hashing is the client's fault; a storage
-// fault (an unreadable or undecodable cell) is the server's.
+// submitErr maps a queue submit or wait error onto status + code: only
+// a spec that failed validation or hashing is the client's fault; a
+// storage fault (an unreadable or undecodable cell) or a wait that
+// ended before its job did is the server's.
 func submitErr(w http.ResponseWriter, err error) {
 	var se *specError
 	switch {
@@ -172,7 +173,12 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" && st.State != StateDone {
-		if ws, ok, err := h.queue.Wait(r.Context(), st.Key); err == nil && ok {
+		ws, ok, err := h.queue.Wait(r.Context(), st.Key)
+		if err != nil {
+			submitErr(w, err)
+			return
+		}
+		if ok {
 			st = ws
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 
 	"repro/internal/scenario"
@@ -13,7 +12,7 @@ import (
 
 // Job states reported by the API.
 const (
-	// StateQueued: accepted, waiting for a shard worker.
+	// StateQueued: accepted, waiting for a worker.
 	StateQueued = "queued"
 	// StateRunning: a worker is simulating the spec.
 	StateRunning = "running"
@@ -84,15 +83,16 @@ func (j *job) snapshot() JobStatus {
 }
 
 // Queue is the job-queue module: submitted specs are deduplicated
-// against the store and the in-flight table (singleflight), then fanned
-// over N sharded workers. A spec's key always lands on the same shard
-// (hash sharding), so two submits racing past the dedup window would
-// still serialize; each worker runs the scenario layer, which picks the
-// lockstep engine for eligible specs — the "sharded lockstep workers".
+// against the store and the in-flight table (singleflight), then put on
+// one job channel that a pool of workers drains, so a long job holds up
+// only the worker running it. A submit that races the previous winner's
+// retire window can enqueue a duplicate; whichever worker takes it
+// re-checks the store first (see worker). Each worker runs the
+// scenario layer, which picks the lockstep engine for eligible specs.
 type Queue struct {
 	storage *Storage
-	// shards is the worker count (≥ 1).
-	shards int
+	// workers is the worker count (≥ 1).
+	workers int
 	// engineWorkers caps each run's internal engine parallelism
 	// (scenario.Spec.Workers; 0 = all cores).
 	engineWorkers int
@@ -106,11 +106,11 @@ type Queue struct {
 	accept   bool
 	stopping bool
 	// submitters tracks Submits past the accept check but not yet
-	// enqueued, so Stop never closes a shard channel under a sender.
+	// enqueued, so Stop never closes the job channel under a sender.
 	submitters sync.WaitGroup
 
-	queues []chan *job
-	wg     sync.WaitGroup
+	jobs chan *job
+	wg   sync.WaitGroup
 
 	stats struct {
 		mu                                                 sync.Mutex
@@ -123,34 +123,30 @@ type Queue struct {
 // unknown, and a resubmit still retries it).
 const maxFailedJobs = 64
 
-// NewQueue builds the queue over the storage part: shards workers (at
-// least one), each run capped at engineWorkers engine workers (0 = all
-// cores).
-func NewQueue(storage *Storage, shards, engineWorkers int) (*Queue, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("queue: need at least one shard worker (got %d)", shards)
+// NewQueue builds the queue over the storage part, drained by workers
+// goroutines (at least one), each run capped at engineWorkers engine
+// workers (0 = all cores).
+func NewQueue(storage *Storage, workers, engineWorkers int) (*Queue, error) {
+	if workers < 1 {
+		return nil, fmt.Errorf("queue: need at least one worker (got %d)", workers)
 	}
 	if engineWorkers < 0 {
 		return nil, fmt.Errorf("queue: negative engine worker cap %d", engineWorkers)
 	}
-	q := &Queue{
-		storage: storage, shards: shards, engineWorkers: engineWorkers, run: scenario.Run,
+	return &Queue{
+		storage: storage, workers: workers, engineWorkers: engineWorkers, run: scenario.Run,
 		inflight: make(map[string]*job),
-		queues:   make([]chan *job, shards),
-	}
-	for i := range q.queues {
 		// The buffer absorbs submit bursts without blocking the HTTP
-		// handler; a full shard applies backpressure on the submitter.
-		q.queues[i] = make(chan *job, 256)
-	}
-	return q, nil
+		// handler; a full channel applies backpressure on the submitter.
+		jobs: make(chan *job, 256),
+	}, nil
 }
 
-// Start launches the shard workers and opens the intake.
+// Start launches the workers and opens the intake.
 func (q *Queue) Start() {
-	for i := range q.queues {
+	for i := 0; i < q.workers; i++ {
 		q.wg.Add(1)
-		go q.worker(q.queues[i])
+		go q.worker()
 	}
 	q.mu.Lock()
 	q.accept = true
@@ -167,23 +163,8 @@ func (q *Queue) Stop() {
 	q.stopping = true
 	q.mu.Unlock()
 	q.submitters.Wait()
-	for i := range q.queues {
-		close(q.queues[i])
-	}
+	close(q.jobs)
 	q.wg.Wait()
-}
-
-// shardOf maps a content key to its worker. Keys are SHA-256 hex, so
-// the leading 8 hex digits are already uniformly distributed.
-func (q *Queue) shardOf(key string) int {
-	if len(key) < 8 {
-		return 0
-	}
-	v, err := strconv.ParseUint(key[:8], 16, 64)
-	if err != nil {
-		return 0
-	}
-	return int(v % uint64(q.shards))
 }
 
 // specError marks a Submit failure caused by the spec itself (validation
@@ -195,8 +176,8 @@ func (e *specError) Unwrap() error { return e.err }
 
 // Submit accepts a spec: validate, hash, answer from the store when the
 // cell exists, coalesce onto an in-flight job when one is already
-// queued or running (singleflight), otherwise enqueue on the key's
-// shard. The returned status is the submit-time snapshot; poll Status
+// queued or running (singleflight), otherwise enqueue it for the
+// workers. The returned status is the submit-time snapshot; poll Status
 // (or wait on the HTTP API) for completion. The store check is a Fetch
 // — on a tiered daemon a miss reads through to (and may be simulated
 // by) the shared remote tier, so the key's first simulation happens
@@ -243,7 +224,7 @@ func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, erro
 	q.submitters.Add(1)
 	q.mu.Unlock()
 
-	q.queues[q.shardOf(key)] <- j
+	q.jobs <- j
 	q.submitters.Done()
 	return j.snapshot(), nil
 }
@@ -326,12 +307,12 @@ func (q *Queue) Stats() QueueStats {
 	return s
 }
 
-// worker drains one shard: run, persist, publish, retire. A job is
-// counted and retired before its done channel closes, so a woken waiter
-// already sees it out of the in-flight listing and in the stats.
-func (q *Queue) worker(jobs <-chan *job) {
+// worker drains the job channel: run, persist, publish, retire. A job
+// is counted and retired before its done channel closes, so a woken
+// waiter already sees it out of the in-flight listing and in the stats.
+func (q *Queue) worker() {
 	defer q.wg.Done()
-	for j := range jobs {
+	for j := range q.jobs {
 		q.mu.Lock()
 		stopping := q.stopping
 		q.mu.Unlock()
@@ -347,13 +328,14 @@ func (q *Queue) worker(jobs <-chan *job) {
 
 		// Re-check the store: a submit can race the previous winner's
 		// Put/retire window (store miss observed before the Put, in-flight
-		// check after the retire) and enqueue a duplicate job. The worker
-		// absorbs that race with a store read instead of a simulation, so
-		// "one simulation per unique spec" holds unconditionally. The
-		// re-check is a Fetch: on a tiered daemon it reads through to the
-		// shared tier and may delegate the simulation to the remote —
-		// local engine work is the last resort. Workers run under the
-		// daemon's lifetime context, not any submitter's.
+		// check after the retire) and enqueue a duplicate job. A job is
+		// retired only after its Put, so whichever worker takes the
+		// duplicate finds the cell here and answers with a store read
+		// instead of a simulation: "one simulation per unique spec" holds
+		// unconditionally. The re-check is a Fetch: on a tiered daemon it
+		// reads through to the shared tier and may delegate the simulation
+		// to the remote — local engine work is the last resort. Workers
+		// run under the daemon's lifetime context, not any submitter's.
 		if out, ok, err := q.storage.Fetch(context.Background(), j.spec, j.key); err == nil && ok {
 			j.mu.Lock()
 			j.state = StateDone

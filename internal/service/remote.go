@@ -185,9 +185,8 @@ func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome,
 // Fetch resolves a miss with the spec in hand: local first, then a
 // blocking submit to the remote daemon — the remote simulates (its
 // singleflight dedups across every daemon fetching the same spec) and
-// the outcome is write-backed locally, marking the calling storage
-// module's footprint stale. Remote trouble returns a miss so the local
-// worker runs the simulation itself.
+// the outcome is written back locally. Remote trouble returns a miss so
+// the local worker runs the simulation itself.
 func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
 	out, ok, err := r.local.Get(ctx, key)
 	if err != nil || ok {
@@ -215,9 +214,7 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 	r.count(func(st *TierStats) { st.RemoteHits++ })
 	// Write-back: the next read of this key is a local hit. Failure is
 	// tolerable — the outcome is already in hand and re-fetchable.
-	if r.local.Put(ctx, spec, st.Outcome) == nil {
-		footprintChanged(ctx)
-	}
+	_ = r.local.Put(ctx, spec, st.Outcome)
 	return st.Outcome, true, nil
 }
 
@@ -298,15 +295,6 @@ func (r *RemoteBackend) List(ctx context.Context) ([]scenario.CellInfo, error) {
 
 // Len counts the local tier.
 func (r *RemoteBackend) Len(ctx context.Context) (int, error) { return r.local.Len(ctx) }
-
-// GC trims the local tier (the remote runs its own caps).
-func (r *RemoteBackend) GC(ctx context.Context, cfg scenario.GCConfig) (scenario.GCResult, error) {
-	gcb, ok := r.local.(GCBackend)
-	if !ok {
-		return scenario.GCResult{}, fmt.Errorf("service: local tier %s does not support eviction", r.local.Name())
-	}
-	return gcb.GC(ctx, cfg)
-}
 
 // TierStats snapshots the tier counters plus the breaker's state.
 func (r *RemoteBackend) TierStats() TierStats {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -110,7 +111,7 @@ func TestDaemonStopOrder(t *testing.T) {
 // storage it brought up, so every later call answers ErrStopped and no
 // worker is left running, and leaves the backend open for Stop, which
 // closes it exactly once however often it is called. Configuration
-// errors surface from New.
+// errors surface from New and NewStorage.
 func TestDaemonFailedStart(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -153,82 +154,12 @@ func TestDaemonFailedStart(t *testing.T) {
 		}
 	}
 
-	for _, cfg := range []Config{{Shards: -1}, {EngineWorkers: -1}, {MaxCells: -1}} {
+	for _, cfg := range []Config{{Shards: -1}, {EngineWorkers: -1}} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted an invalid configuration", cfg)
 		}
 	}
-}
-
-// TestMemBackendGC: the in-memory backend evicts oldest insertion
-// first, key tiebreak, and a re-put keeps the original age.
-func TestMemBackendGC(t *testing.T) {
-	b := NewMemBackend()
-	specs := make([]scenario.Spec, 4)
-	keys := make([]string, 4)
-	out, err := scenario.Run(testSpec(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		specs[i] = testSpec(24 + float64(i))
-		keys[i], _ = scenario.Key(specs[i])
-		if err := b.Put(ctx, specs[i], out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Re-put the oldest: it must stay the oldest.
-	if err := b.Put(ctx, specs[0], out); err != nil {
-		t.Fatal(err)
-	}
-	res, err := b.GC(ctx, scenario.GCConfig{MaxCells: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(res.Evicted) != fmt.Sprint(keys[:2]) {
-		t.Errorf("evicted %v, want %v (insertion order, re-put keeps age)", res.Evicted, keys[:2])
-	}
-	if n, _ := b.Len(ctx); n != 2 {
-		t.Errorf("Len = %d after GC, want 2", n)
-	}
-	if _, err := b.GC(ctx, scenario.GCConfig{}); err == nil {
-		t.Error("GC accepted an empty cap set")
-	}
-}
-
-// TestStorageCaps: with caps configured the storage module trims after
-// every Put and accounts the evictions.
-func TestStorageCaps(t *testing.T) {
-	s := startStorage(t, NewMemBackend(), scenario.GCConfig{MaxCells: 2})
-	out, err := scenario.Run(testSpec(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for i := 0; i < 3; i++ {
-		spec := testSpec(24 + float64(i))
-		key, _ := scenario.Key(spec)
-		keys = append(keys, key)
-		if err := s.Put(ctx, spec, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if infos, err := s.List(ctx); err != nil || len(infos) != 2 {
-		t.Fatalf("List = %d cells (%v), want 2 under MaxCells=2", len(infos), err)
-	}
-	if _, ok, err := s.Get(ctx, keys[0]); err != nil || ok {
-		t.Errorf("oldest cell survived the cap: ok=%v err=%v", ok, err)
-	}
-	if st := storageStats(t, s); st.Puts != 3 || st.Evicted != 1 || st.Cells != 2 {
-		t.Errorf("stats = %+v, want 3 puts / 1 evicted / 2 cells", st)
-	}
-
-	// A capped configuration without a GC-capable backend is a
-	// configuration error, not a silent unbounded cache.
-	if _, err := NewStorage(nopBackend{}, scenario.GCConfig{MaxCells: 1}); err == nil {
-		t.Error("NewStorage accepted caps on a backend without GC")
-	}
-	if _, err := NewStorage(nil, scenario.GCConfig{}); err == nil {
+	if _, err := NewStorage(nil); err == nil {
 		t.Error("NewStorage accepted a nil backend")
 	}
 }
@@ -244,23 +175,10 @@ func (b *listCounter) List(ctx context.Context) ([]scenario.CellInfo, error) {
 	return b.MemBackend.List(ctx)
 }
 
-// footprint lists a backend directly, bypassing the counter.
-func (b *listCounter) footprint(t *testing.T) (cells, bytes int64) {
-	t.Helper()
-	infos, err := b.MemBackend.List(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, info := range infos {
-		bytes += info.Size
-	}
-	return int64(len(infos)), bytes
-}
-
 // startStorage builds a storage part, stopping it on cleanup.
-func startStorage(t *testing.T, b Backend, gc scenario.GCConfig) *Storage {
+func startStorage(t *testing.T, b Backend) *Storage {
 	t.Helper()
-	s, err := NewStorage(b, gc)
+	s, err := NewStorage(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,84 +220,6 @@ func fakeLeader(t *testing.T, out *scenario.Outcome) *httptest.Server {
 	return srv
 }
 
-// TestLazyFootprint: a cap-less Put never lists; Stats lists once, and
-// only when a Put or a tiered write-back has landed since the last
-// refresh (or none was taken); a capped Storage takes its footprint from
-// GC without listing at all.
-func TestLazyFootprint(t *testing.T) {
-	out, err := scenario.Run(testSpec(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &listCounter{MemBackend: NewMemBackend()}
-	s := startStorage(t, b, scenario.GCConfig{})
-	for i := 0; i < 3; i++ {
-		if st := storageStats(t, s); st.Cells != 0 || st.Bytes != 0 {
-			t.Fatalf("empty store stats = %+v, want 0 cells / 0 bytes", st)
-		}
-	}
-	if n := b.lists.Load(); n != 1 {
-		t.Errorf("3 Stats on a never-written store listed %d times, want 1", n)
-	}
-
-	const puts = 5
-	for i := 0; i < puts; i++ {
-		if err := s.Put(ctx, testSpec(24+float64(i)), out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := b.lists.Load() - 1; n != 0 {
-		t.Errorf("%d cap-less Puts listed %d times, want 0", puts, n)
-	}
-	wantCells, wantBytes := b.footprint(t)
-	if st := storageStats(t, s); st.Puts != puts || st.Cells != wantCells || st.Bytes != wantBytes || wantCells != puts {
-		t.Errorf("stats after puts = %+v, want %d puts / %d cells / %d bytes", st, puts, wantCells, wantBytes)
-	}
-	if n := b.lists.Load(); n != 2 {
-		t.Errorf("first Stats after puts: %d Lists in total, want 2", n)
-	}
-	if st := storageStats(t, s); st.Cells != wantCells || st.Bytes != wantBytes {
-		t.Errorf("repeat stats = %+v, want %d cells / %d bytes", st, wantCells, wantBytes)
-	}
-	if n := b.lists.Load(); n != 2 {
-		t.Errorf("Stats with no Put between listed again: %d Lists in total, want 2", n)
-	}
-
-	cb := &listCounter{MemBackend: NewMemBackend()}
-	cs := startStorage(t, cb, scenario.GCConfig{MaxCells: 2})
-	for i := 0; i < 3; i++ {
-		if err := cs.Put(ctx, testSpec(24+float64(i)), out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantCells, wantBytes = cb.footprint(t)
-	if st := storageStats(t, cs); st.Cells != 2 || st.Cells != wantCells || st.Bytes != wantBytes {
-		t.Errorf("capped stats = %+v, want %d cells / %d bytes", st, wantCells, wantBytes)
-	}
-	if n := cb.lists.Load(); n != 0 {
-		t.Errorf("capped Storage listed %d times, want 0 (GC reports the footprint)", n)
-	}
-
-	// A follower's remote-hit Fetch writes the outcome back into its
-	// local tier without a Put: the next Stats must count the new cell.
-	rb := NewRemoteBackend(NewMemBackend(), NewClient(fakeLeader(t, out).URL))
-	t.Cleanup(func() {
-		if err := rb.Close(); err != nil {
-			t.Error(err)
-		}
-	})
-	rs := startStorage(t, rb, scenario.GCConfig{})
-	before := storageStats(t, rs).Cells
-	spec := testSpec(40)
-	key, _ := scenario.Key(spec)
-	if _, ok, err := rs.Fetch(ctx, spec, key); err != nil || !ok {
-		t.Fatalf("remote-hit fetch: ok=%v err=%v", ok, err)
-	}
-	if st := storageStats(t, rs); st.Cells != before+1 || st.Tier == nil || st.Tier.RemoteHits != 1 {
-		t.Errorf("stats after a write-back = %+v (tier %+v), want %d cells / 1 remote hit", st, st.Tier, before+1)
-	}
-}
-
 // parkedFetcher is a MemBackend whose Fetch signals entered and then
 // parks until release is closed, like a tiered fetch waiting on a
 // remote simulation.
@@ -404,7 +244,7 @@ func TestParkedFetchBlocksNoOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &parkedFetcher{MemBackend: NewMemBackend(), entered: make(chan struct{}), release: make(chan struct{})}
-	s := startStorage(t, b, scenario.GCConfig{})
+	s := startStorage(t, b)
 	spec := testSpec(25)
 	key, _ := scenario.Key(spec)
 
@@ -447,10 +287,8 @@ func TestParkedFetchBlocksNoOne(t *testing.T) {
 }
 
 // TestStorageConcurrentStress runs Put, Get, Fetch, List and Stats
-// concurrently through Storage over every built-in backend, cap-less and
-// capped, under -race. Afterwards Puts is exact and Cells/Bytes equal a
-// fresh List; a Get or List racing an eviction is a miss, never an
-// error.
+// concurrently through Storage over every built-in backend under -race.
+// Afterwards Puts is exact and Cells/Bytes equal a fresh List.
 func TestStorageConcurrentStress(t *testing.T) {
 	out, err := scenario.Run(testSpec(24))
 	if err != nil {
@@ -479,58 +317,48 @@ func TestStorageConcurrentStress(t *testing.T) {
 			return rb
 		}},
 	}
-	caps := []struct {
-		name string
-		gc   scenario.GCConfig
-	}{{"capless", scenario.GCConfig{}}, {"maxcells", scenario.GCConfig{MaxCells: 3}}}
 
 	const workers, rounds = 4, 8
 	for _, bc := range backends {
-		for _, cc := range caps {
-			t.Run(bc.name+"/"+cc.name, func(t *testing.T) {
-				b := bc.make(t)
-				s := startStorage(t, b, cc.gc)
-				errs := make(chan error, workers)
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						errs <- stressWorker(s, out, w, rounds)
-					}(w)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					if err != nil {
-						t.Error(err)
-					}
-				}
-
-				st := storageStats(t, s)
-				infos, err := b.List(ctx)
+		t.Run(bc.name, func(t *testing.T) {
+			b := bc.make(t)
+			s := startStorage(t, b)
+			errs := make(chan error, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					errs <- stressWorker(s, out, w, rounds)
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
 				if err != nil {
-					t.Fatal(err)
+					t.Error(err)
 				}
-				var bytes int64
-				for _, info := range infos {
-					bytes += info.Size
-				}
-				if st.Puts != workers*rounds || st.Cells != int64(len(infos)) || st.Bytes != bytes {
-					t.Errorf("stats = %+v, want %d puts / %d cells / %d bytes", st, workers*rounds, len(infos), bytes)
-				}
-				if cc.gc.Enabled() && bc.name != "remote" && st.Cells > int64(cc.gc.MaxCells) {
-					t.Errorf("%d cells survived MaxCells=%d", st.Cells, cc.gc.MaxCells)
-				}
-			})
-		}
+			}
+
+			st := storageStats(t, s)
+			infos, err := b.List(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bytes int64
+			for _, info := range infos {
+				bytes += info.Size
+			}
+			if st.Puts != workers*rounds || st.Cells != int64(len(infos)) || st.Bytes != bytes {
+				t.Errorf("stats = %+v, want %d puts / %d cells / %d bytes", st, workers*rounds, len(infos), bytes)
+			}
+		})
 	}
 }
 
 // stressWorker is one TestStorageConcurrentStress client: each round
-// puts a fresh cell, reads it back (a concurrent eviction may already
-// have taken it), fetches a never-put key (a tiered backend writes the
-// leader's answer back), lists and reads the stats.
+// puts a fresh cell, reads it back, fetches a never-put key (a tiered
+// backend writes the leader's answer back), lists and reads the stats.
 func stressWorker(s *Storage, out *scenario.Outcome, w, rounds int) error {
 	for i := 0; i < rounds; i++ {
 		spec := testSpec(20 + float64(w*rounds+i)/100)
@@ -538,8 +366,8 @@ func stressWorker(s *Storage, out *scenario.Outcome, w, rounds int) error {
 		if err := s.Put(ctx, spec, out); err != nil {
 			return err
 		}
-		if _, _, err := s.Get(ctx, key); err != nil {
-			return fmt.Errorf("get racing eviction: %w", err)
+		if _, ok, err := s.Get(ctx, key); err != nil || !ok {
+			return fmt.Errorf("get after put: ok=%v err=%v", ok, err)
 		}
 		other := testSpec(30 + float64(w*rounds+i)/100)
 		okey, _ := scenario.Key(other)
@@ -547,7 +375,7 @@ func stressWorker(s *Storage, out *scenario.Outcome, w, rounds int) error {
 			return fmt.Errorf("fetch: %w", err)
 		}
 		if _, err := s.List(ctx); err != nil {
-			return fmt.Errorf("list racing eviction: %w", err)
+			return fmt.Errorf("list: %w", err)
 		}
 		if _, err := s.Stats(ctx); err != nil {
 			return err
@@ -555,17 +383,6 @@ func stressWorker(s *Storage, out *scenario.Outcome, w, rounds int) error {
 	}
 	return nil
 }
-
-// nopBackend implements Backend but not GCBackend.
-type nopBackend struct{}
-
-func (nopBackend) Name() string { return "nop" }
-func (nopBackend) Get(context.Context, string) (*scenario.Outcome, bool, error) {
-	return nil, false, nil
-}
-func (nopBackend) Put(context.Context, scenario.Spec, *scenario.Outcome) error { return nil }
-func (nopBackend) List(context.Context) ([]scenario.CellInfo, error)           { return nil, nil }
-func (nopBackend) Len(context.Context) (int, error)                            { return 0, nil }
 
 // TestSingleflightAndByteIdentity is the daemon's core contract in one
 // scene: k concurrent clients that each submit every one of n
@@ -784,6 +601,129 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
+// parkedQueue is a daemon whose queue runs a stub in place of the
+// engine: the first run parks until release, every later run returns
+// out at once, and runs counts the stub's calls per content key.
+type parkedQueue struct {
+	d       *Daemon
+	out     *scenario.Outcome
+	parked  chan struct{} // closed once the first run has parked
+	release func()
+
+	mu   sync.Mutex
+	runs map[string]int
+}
+
+// startParked builds a daemon from cfg, sets its queue's run seam
+// before Start, and on cleanup releases the parked run and stops the
+// daemon.
+func startParked(t *testing.T, cfg Config) *parkedQueue {
+	t.Helper()
+	out, err := scenario.Run(testSpec(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &parkedQueue{d: d, out: out, parked: make(chan struct{}), runs: make(map[string]int)}
+	gate := make(chan struct{})
+	var once sync.Once
+	p.release = func() { once.Do(func() { close(gate) }) }
+	d.queue.run = func(spec scenario.Spec) (*scenario.Outcome, error) {
+		key, err := scenario.Key(spec)
+		if err != nil {
+			return nil, err
+		}
+		p.mu.Lock()
+		first := len(p.runs) == 0
+		p.runs[key]++
+		p.mu.Unlock()
+		if first {
+			close(p.parked)
+			<-gate
+		}
+		return out, nil
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		p.release()
+		if err := d.Stop(); err != nil {
+			t.Errorf("stopping daemon: %v", err)
+		}
+	})
+	return p
+}
+
+// park submits spec and returns once its run has parked.
+func (p *parkedQueue) park(t *testing.T, spec scenario.Spec) {
+	t.Helper()
+	if _, err := p.d.queue.Submit(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.parked:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the first run never started")
+	}
+}
+
+// runCount reports how often the stub ran key.
+func (p *parkedQueue) runCount(key string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.runs[key]
+}
+
+// TestParkedJobStallsNoOne: a job parked in its run holds up only the
+// worker running it. With two workers, eight other keys submitted one
+// at a time each reach done on the free worker.
+func TestParkedJobStallsNoOne(t *testing.T) {
+	p := startParked(t, Config{Shards: 2})
+	p.park(t, testSpec(50))
+	for i := 0; i < 8; i++ {
+		st, err := p.d.queue.Submit(ctx, testSpec(51+float64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
+		st, _, err = p.d.queue.Wait(wctx, st.Key)
+		cancel()
+		if err != nil || st.State != StateDone {
+			t.Fatalf("job %d is %s after 20 s (%v), want done beside a parked job", i, st.State, err)
+		}
+	}
+}
+
+// TestWorkerRecheckAbsorbsDuplicate: a queued job whose cell lands in
+// the store before a worker takes it, as a duplicate enqueued in the
+// retire window does, is answered from the store and never run.
+func TestWorkerRecheckAbsorbsDuplicate(t *testing.T) {
+	p := startParked(t, Config{Shards: 1})
+	p.park(t, testSpec(50))
+	spec := testSpec(51)
+	st, err := p.d.queue.Submit(ctx, spec)
+	if err != nil || st.State != StateQueued {
+		t.Fatalf("submit behind the parked job = %+v (%v), want queued", st, err)
+	}
+	if err := p.d.storage.Put(ctx, spec, p.out); err != nil {
+		t.Fatal(err)
+	}
+	p.release()
+	wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
+	defer cancel()
+	st, _, err = p.d.queue.Wait(wctx, st.Key)
+	if err != nil || st.State != StateDone || !st.Cached {
+		t.Fatalf("duplicate finished %+v (%v), want cached done", st, err)
+	}
+	if n := p.runCount(st.Key); n != 0 {
+		t.Errorf("duplicate ran %d times, want 0", n)
+	}
+}
+
 // faultyBackend is a MemBackend whose reads fail, as a disk store's do on
 // an unreadable cell.
 type faultyBackend struct{ *MemBackend }
@@ -793,8 +733,8 @@ func (faultyBackend) Get(context.Context, string) (*scenario.Outcome, bool, erro
 }
 
 // TestSubmitErrorCodes: a submit is blamed on the client (400
-// invalid_spec) only when its spec fails validation; a storage fault is
-// the server's (500 internal).
+// invalid_spec) only when its spec fails validation; a storage fault or
+// a failed wait is the server's (500 internal).
 func TestSubmitErrorCodes(t *testing.T) {
 	d := startDaemon(t, Config{Backend: faultyBackend{NewMemBackend()}})
 	c := NewClient(d.BaseURL())
@@ -815,6 +755,26 @@ func TestSubmitErrorCodes(t *testing.T) {
 		if se.Code != tc.status || se.APICode != tc.code {
 			t.Errorf("%s -> %d/%q, want %d/%q", tc.name, se.Code, se.APICode, tc.status, tc.code)
 		}
+	}
+
+	// A ?wait=1 whose wait fails answers the wait's error, not 202 with
+	// the status from before the wait.
+	p := startParked(t, Config{Shards: 1})
+	body, err := json.Marshal(testSpec(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/scenarios?wait=1", bytes.NewReader(body)).WithContext(cancelled)
+	rec := httptest.NewRecorder()
+	p.d.http.srv.Handler.ServeHTTP(rec, req)
+	var apiErr apiError
+	if err := json.NewDecoder(rec.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusInternalServerError || apiErr.Code != CodeInternal {
+		t.Errorf("failed wait -> %d/%q, want %d/%q", rec.Code, apiErr.Code, http.StatusInternalServerError, CodeInternal)
 	}
 }
 
