@@ -121,6 +121,17 @@ diff "$coord_store/first.norm" "$coord_store/second.norm"
 ls_out=$(go run ./cmd/experiments store ls -store "$coord_store")
 echo "$ls_out" | grep -q "4 cell(s)"
 echo "$ls_out" | grep -q "fleetcoord"
+# Offline eviction smoke: `store gc` is the one eviction path (scenariod
+# keeps no cache caps). Trimming the store to two cells evicts the two
+# oldest; the same sweep then serves the survivors from the store and
+# recomputes the evicted pair into identical rows.
+gc_out=$(go run ./cmd/experiments store gc -maxcells 2 -store "$coord_store")
+echo "$gc_out" | grep -q "evicted 2 cell(s)"
+echo "$gc_out" | grep -q "; 2 cell(s) / [0-9]* bytes remain"
+go run ./cmd/experiments fleetsweep -compare -sizes 2,3 -spreads 0,6 -duration 300 -recirc 0.03 -store "$coord_store" > "$coord_store/third.txt"
+grep -q "2 hits, 2 misses" "$coord_store/third.txt"
+sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$coord_store/third.txt" > "$coord_store/third.norm"
+diff "$coord_store/first.norm" "$coord_store/third.norm"
 
 # Faultsweep store smoke: a small graceful-degradation campaign crossing
 # both sensing stacks (single-chain "full" and the redundant "voting"
