@@ -9,9 +9,10 @@
 //
 // Run without arguments for the figure set, or with a subcommand name;
 // any unknown subcommand prints the generated listing of subcommands,
-// their flags, and the scenario registry (workloads, policies, kinds) —
-// the listing is built from the live flag sets and registry, so it
-// cannot drift from the implementation.
+// their flags, and the scenario vocabulary (kinds, workloads, policies) —
+// the listing is built from the live flag sets and the vocabulary tables
+// Validate checks specs against, so it cannot drift from the
+// implementation.
 package main
 
 import (
@@ -66,7 +67,7 @@ func newCommandArgs(name, summary string, setup func(*flag.FlagSet), run func(ar
 }
 
 // usage prints the generated subcommand/flag listing plus the scenario
-// registry contents.
+// vocabulary.
 func usage(w *os.File) {
 	fmt.Fprintf(w, "usage: experiments [subcommand] [flags]\n\nSubcommands:\n")
 	for _, c := range commands {
@@ -79,7 +80,7 @@ func usage(w *os.File) {
 			fmt.Fprintf(w, "      -%-10s %s%s\n", f.Name, f.Usage, def)
 		})
 	}
-	fmt.Fprintf(w, "\nScenario registry (internal/scenario):\n")
+	fmt.Fprintf(w, "\nScenario vocabulary (internal/scenario):\n")
 	fmt.Fprintf(w, "  kinds:\n")
 	for _, r := range scenario.KindList() {
 		fmt.Fprintf(w, "    %-14s %s\n", r.Name, r.Doc)

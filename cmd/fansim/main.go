@@ -1,7 +1,7 @@
 // Command fansim runs one simulation scenario from the command line:
 // pick a policy, a workload and a horizon, get the paper's metrics and
-// optionally the full traces as CSV. The -policy and -workload names are
-// the scenario registry keys (see internal/scenario): fansim builds a
+// optionally the full traces as CSV. The -policy names are the scenario
+// vocabulary's policies (see internal/scenario): fansim builds a
 // declarative single-run spec and hands it to scenario.Run.
 //
 // Usage:
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -25,7 +26,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fansim: ")
 
-	policy := flag.String("policy", "full", "policy: none|ecoord|rcoord|atref|full|hold")
+	var policies []string
+	for _, e := range scenario.Policies() {
+		policies = append(policies, e.Name)
+	}
+	policy := flag.String("policy", "full", "policy: "+strings.Join(policies, "|"))
 	wl := flag.String("workload", "square", "workload: square|constant|prbs|markov|spiky")
 	duration := flag.Float64("duration", 3600, "simulated seconds")
 	ambient := flag.Float64("ambient", 25, "inlet temperature, °C")
@@ -88,7 +93,7 @@ func main() {
 	}
 }
 
-// workloadRef maps the CLI workload name to a registry reference.
+// workloadRef maps the CLI workload name to a workload reference.
 func workloadRef(kind string, period, noise, util float64, seed int64, duration float64) (scenario.FactoryRef, error) {
 	switch kind {
 	case "square":
@@ -111,9 +116,9 @@ func workloadRef(kind string, period, noise, util float64, seed int64, duration 
 	}
 }
 
-// policyRef maps the CLI policy name to a registry reference; unknown
-// names fall through to scenario.Run's validation, which lists what is
-// registered.
+// policyRef maps the CLI policy name to a policy reference; unknown
+// names fall through to scenario.Run's validation, which lists the
+// known ones.
 func policyRef(kind string, holdFan float64) scenario.FactoryRef {
 	switch kind {
 	case "rcoord":

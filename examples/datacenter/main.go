@@ -3,7 +3,7 @@
 // the hot aisle recirculates upstream exhaust into downstream intakes,
 // and every node runs its own workload mix under its own DTM instance.
 // The whole rack is one declarative fleet spec: nodes name their
-// workloads and policies in the scenario registry, scenario.Run resolves
+// workloads and policies from the scenario vocabulary, scenario.Run resolves
 // the shared inlet field through the fleet engine, and the printed view
 // reads straight off the normalized outcome.
 //

@@ -3,7 +3,7 @@
 // coordination + predictive set-point + single-step scaling) driven by a
 // noisy square wave — run it through the unified scenario layer and
 // print the evaluation metrics. Everything is data: the workload and
-// policy are registry names, the platform is the embedded config, and
+// policy are vocabulary names, the platform is the embedded config, and
 // the same spec could be hashed into a result store or swept over a grid.
 package main
 

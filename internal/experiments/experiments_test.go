@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/tuning"
 	"repro/internal/units"
 )
@@ -42,6 +43,11 @@ func TestFig1TelemetryLag(t *testing.T) {
 	}
 	if v, _ := sensor.ValueAt(105); v > 0.5 {
 		t.Errorf("sensor 5 s after step = %v, want still < 0.5 (lagging)", v)
+	}
+	// Stored fig1 cells are addressed by this key; it must not move.
+	const wantKey = "54c4b2adf7e71e0fb6ddf7f268dc021ebc5b81f1438cfac84c111bf191a616a6"
+	if key, err := scenario.Key(Fig1Spec(DefaultFig1())); err != nil || key != wantKey {
+		t.Errorf("Fig1Spec key = %s (%v), want %s", key, err, wantKey)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // each legacy entry point is re-implemented here exactly as it built its
 // jobs before becoming a scenario adapter, each job is run alone through
 // sim.Run, and the adapter's output must match bit for bit. A drift in the
-// registry factories, the spec construction, or the batch engine fails
+// vocabulary's factories, the spec construction, or the batch engine fails
 // loudly.
 
 // runAlone runs each job alone through sim.Run on a fresh server.

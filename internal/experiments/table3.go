@@ -73,7 +73,7 @@ func table3Base(tc Table3Config) sim.Config {
 }
 
 // table3WorkloadRef names the evaluation demand trace in the scenario
-// registry (the "table3" workload: noisy square wave plus phase-locked
+// vocabulary (the "table3" workload: noisy square wave plus phase-locked
 // full-load spikes).
 func table3WorkloadRef(tc Table3Config) scenario.FactoryRef {
 	return scenario.FactoryRef{
@@ -89,13 +89,13 @@ func table3WorkloadRef(tc Table3Config) scenario.FactoryRef {
 }
 
 // buildWorkload assembles the Table III demand trace — the same
-// construction the scenario registry performs, exposed for tests.
+// construction the scenario vocabulary's factory performs, exposed for tests.
 //
 //lint:ignore testonly differential reference for TestTable3MatchesLegacy
 func buildWorkload(tc Table3Config, tick units.Seconds) (workload.Generator, error) {
 	f, ok := scenario.LookupWorkload("table3")
 	if !ok {
-		return nil, fmt.Errorf("experiments: table3 workload not registered")
+		return nil, fmt.Errorf("experiments: no table3 workload")
 	}
 	cfg := sim.Default()
 	cfg.Tick = tick
@@ -104,7 +104,7 @@ func buildWorkload(tc Table3Config, tick units.Seconds) (workload.Generator, err
 }
 
 // table3PolicyRefs lists the five Table III solutions, in the paper's
-// row order, as registry references.
+// row order, as policy references.
 func table3PolicyRefs() []scenario.FactoryRef {
 	return []scenario.FactoryRef{
 		{Name: "none"},

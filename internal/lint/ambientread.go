@@ -15,8 +15,8 @@ import (
 // the warm-lockstep equivalence tests exist to catch, found here at
 // compile time instead.
 //
-// The check is structural, so it covers named constructors, registry
-// factories and inline closures alike: any function that takes a
+// The check is structural, so it covers named constructors, the scenario
+// vocabulary's factories and inline closures alike: any function that takes a
 // sim.Config and returns a workload.Generator must not read (or write)
 // the config's Ambient field anywhere in its body, including generator
 // closures it returns.

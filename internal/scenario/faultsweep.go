@@ -43,12 +43,6 @@ const (
 	violEps = 1e-9
 )
 
-func init() {
-	RegisterKind(KindFaultSweep,
-		"one non-ideal-sensing campaign cell (faulted target + pathology metrics)",
-		runFaultSweep)
-}
-
 // runFaultSweep executes the cell's target stack with recording forced
 // on, distills the pathology metrics from the traces, and strips the
 // series again unless the spec asked for them. The target engine is the
@@ -57,10 +51,9 @@ func init() {
 func runFaultSweep(s Spec) (*Outcome, error) {
 	inner := s
 	inner.Record = true
+	run := runSimBatch
 	var cfgs []sim.Config
 	if len(s.Jobs) > 0 {
-		inner.Kind = KindBatch
-		inner.Params = nil
 		for _, j := range s.Jobs {
 			cfg := s.base()
 			if j.Config != nil {
@@ -69,22 +62,11 @@ func runFaultSweep(s Spec) (*Outcome, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	} else {
+		// The coordinator reads only its own knobs from Params, so the
+		// "coordinated" selector passes through inert.
+		run = runFleet
 		if _, ok := s.Params["coordinated"]; ok {
-			inner.Kind = KindFleetCoord
-			var p Params
-			for k, v := range s.Params {
-				if k == "coordinated" {
-					continue
-				}
-				if p == nil {
-					p = Params{}
-				}
-				p[k] = v
-			}
-			inner.Params = p
-		} else {
-			inner.Kind = KindFleet
-			inner.Params = nil
+			run = runFleetCoord
 		}
 		for _, n := range s.Fleet.Nodes {
 			cfg := s.base()
@@ -94,11 +76,7 @@ func runFaultSweep(s Spec) (*Outcome, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	runner, ok := kindRunner(inner.Kind)
-	if !ok {
-		return nil, fmt.Errorf("scenario: faultsweep target kind %q not registered", inner.Kind)
-	}
-	out, err := runner(inner)
+	out, err := run(inner)
 	if err != nil {
 		return nil, err
 	}

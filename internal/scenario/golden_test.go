@@ -13,7 +13,8 @@ import (
 // recordedGoldenSpecs are short recorded specs covering every engine path
 // that fills Unit.Series: plain single runs, lockstep batches with full
 // and power-only capture, racks and coordinated racks, multicore, a
-// horizon shorter than one tick, and a voting fault cell.
+// horizon shorter than one tick, a voting fault cell, and the Fig. 1
+// telemetry probe.
 func recordedGoldenSpecs(t *testing.T) map[string]Spec {
 	warm := &sim.WarmPoint{Util: 0.1, Fan: 1200}
 	single := Spec{
@@ -69,6 +70,7 @@ func recordedGoldenSpecs(t *testing.T) map[string]Spec {
 		"fleetcoord":  coord,
 		"multicore":   multicore,
 		"voting-cell": voting,
+		"fig1":        fig1Spec(),
 	}
 }
 
@@ -85,6 +87,7 @@ var recordedGoldenHashes = []struct{ name, hash string }{
 	{"fleetcoord", "37ef4cdccca519ba45560c1cd0d04eb0eb27b6afcb682d5097b8821218472192"},
 	{"multicore", "68e389101bf5b3bfda492ed5dd25c63aed17c758c9f7db00acd64f2ff83652cd"},
 	{"voting-cell", "46c5d6ee92399edc4c37b94b87caeffcb47033475c9c64657f64cecf04dbaf00"},
+	{"fig1", "9f4700d9810a4f2333b1e316561f89493d3a620d3768fb902a60394705c2b15a"},
 }
 
 // TestRecordedOutcomeGolden pins the outcome JSON of recorded specs, and

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/multicore"
+	"repro/internal/sensor"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -16,14 +18,13 @@ import (
 // return the normalized Outcome. Engine selection is the runner's job —
 // multi-job sim scenarios advance through one warm sim.Lockstep instance;
 // fleet scenarios resolve the shared inlet field through fleet.Run;
-// multicore scenarios use multicore.Run. Results are bit-identical at any
-// Workers value.
+// multicore scenarios use multicore.Run, and fig1 specs step the sensing
+// chain open loop. Results are bit-identical at any Workers value.
 func Run(s Spec) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	runner, _ := kindRunner(s.Kind)
-	out, err := runner(s)
+	out, err := kindTable[s.Kind].fn(s)
 	if err != nil {
 		return nil, err
 	}
@@ -47,19 +48,6 @@ func ProbeSimTicks() int64 { return simTicksRun.Load() }
 // ProbeRuns returns how many scenarios have been executed (not served
 // from a store) in this process.
 func ProbeRuns() int64 { return runsExecuted.Load() }
-
-// AddSimTicks feeds the tick probe; custom kind runners call it with the
-// work they performed.
-func AddSimTicks(n int64) { simTicksRun.Add(n) }
-
-func init() {
-	RegisterKind(KindSingle, "one closed-loop run (sim.Run)", runSingle)
-	RegisterKind(KindBatch, "concurrent jobs (sim.Lockstep)", runSimBatch)
-	RegisterKind(KindLockstep, "alias of batch, kept for its store keys", runSimBatch)
-	RegisterKind(KindFleet, "rack with shared inlet field (fleet.Run)", runFleet)
-	RegisterKind(KindFleetCoord, "rack under the global coordinator (fleet.RunCoordinated)", runFleetCoord)
-	RegisterKind(KindMulticore, "three-controller N-core run (multicore.Run)", runMulticore)
-}
 
 // faultServer builds a platform whose sensor path carries the declarative
 // fault chain — silicon-side error sources (placement offset, calibration
@@ -199,7 +187,7 @@ func simOutcome(kind string, jobs []sim.Job, polNames []string, results []*sim.R
 		}
 		ticks += int64(r.Metrics.Ticks)
 	}
-	AddSimTicks(ticks)
+	simTicksRun.Add(ticks)
 	return out
 }
 
@@ -432,7 +420,7 @@ func runFleet(s Spec) (*Outcome, error) {
 		return nil, err
 	}
 	out := &Outcome{Kind: s.Kind, Units: fleetUnits(res), Aggregate: fleetAggregate(res)}
-	AddSimTicks(int64(res.LaneTicks))
+	simTicksRun.Add(int64(res.LaneTicks))
 	return out, nil
 }
 
@@ -496,7 +484,7 @@ func runFleetCoord(s Spec) (*Outcome, error) {
 	agg[MetricCoordBudgetW] = float64(res.Budget)
 	agg[MetricCoordMigrated] = res.MigratedShare
 	out.Aggregate = agg
-	AddSimTicks(int64(res.LaneTicks))
+	simTicksRun.Add(int64(res.LaneTicks))
 	return out, nil
 }
 
@@ -546,7 +534,7 @@ func runMulticore(s Spec) (*Outcome, error) {
 		name = "multicore"
 	}
 	nTicks := int64(float64(s.Duration) / float64(mc.Base.Tick))
-	AddSimTicks(nTicks)
+	simTicksRun.Add(nTicks)
 	return &Outcome{
 		Kind: s.Kind,
 		Units: []Unit{{
@@ -561,6 +549,78 @@ func runMulticore(s Spec) (*Outcome, error) {
 				MetricCoreSpreadC:     res.CoreSpread,
 			},
 			Series: res.Traces,
+		}},
+	}, nil
+}
+
+// The fig1 metric keys.
+const (
+	MetricMeasuredLagS = "measured_lag_s"
+	MetricNominalLagS  = "nominal_lag_s"
+)
+
+// runFig1 executes the Fig. 1 telemetry probe: a 0.1 -> 0.7 utilization
+// step whose CPU power is read, open loop, through the bus-contention
+// delay and the 8-bit acquisition path. Both series are normalized to
+// [0, 1] like the paper's plot; the measured lag is the sensor trace's
+// half-rise crossing relative to the step instant.
+func runFig1(s Spec) (*Outcome, error) {
+	cfg := s.base()
+	cpu, _, err := cfg.Models()
+	if err != nil {
+		return nil, err
+	}
+	bus := sensor.Bus{
+		BaseLatency:  units.Seconds(s.Params.Get("bus_base_latency", 2)),
+		TransferTime: units.Seconds(s.Params.Get("bus_transfer_time", 0.5)),
+		NSensors:     int(s.Params.Get("bus_sensors", 16)),
+	}
+	if err := bus.Validate(); err != nil {
+		return nil, err
+	}
+	stepTime := units.Seconds(s.Params.Get("step_time", 100))
+
+	step := workload.Step{Before: 0.1, After: 0.7, Time: stepTime}
+	idlePower := float64(cpu.Power(0.1))
+	span := float64(cpu.Power(0.7)) - idlePower
+
+	delay, err := bus.DelayLine(idlePower)
+	if err != nil {
+		return nil, err
+	}
+	quant, err := sensor.NewQuantizer(8, 0, 255)
+	if err != nil {
+		return nil, err
+	}
+	pipe := sensor.NewPipeline(quant, delay)
+
+	nTicks := int(float64(s.Duration) / float64(cfg.Tick))
+	ts := trace.Set{trace.NewSeries("cpu_utilization", nTicks), trace.NewSeries("power_sensor", nTicks)}
+	sUtil, sSensor := &ts[0], &ts[1]
+	for k := 0; k < nTicks; k++ {
+		t := units.Seconds(float64(k) * float64(cfg.Tick))
+		u := step.At(t)
+		p := float64(cpu.Power(u))
+		meas := pipe.Sample(t, p)
+		sUtil.MustAppend(float64(t), (p-idlePower)/span)
+		sSensor.MustAppend(float64(t), (meas-idlePower)/span)
+	}
+	simTicksRun.Add(int64(nTicks))
+
+	lag := units.Seconds(0)
+	if xs := sSensor.Crossings(0.5); len(xs) > 0 {
+		lag = units.Seconds(xs[0]) - stepTime
+	}
+	return &Outcome{
+		Kind: s.Kind,
+		Units: []Unit{{
+			Name: "fig1",
+			Metrics: map[string]float64{
+				MetricTicks:        float64(nTicks),
+				MetricMeasuredLagS: float64(lag),
+				MetricNominalLagS:  float64(bus.Lag()),
+			},
+			Series: ts,
 		}},
 	}, nil
 }

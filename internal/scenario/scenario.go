@@ -1,22 +1,21 @@
 // Package scenario is the unified experiment surface of the repository:
 // one declarative Spec describes any simulation the other layers can run —
 // a single closed-loop server, a batch of independent jobs, a rack with a
-// shared inlet field, or the multicore three-controller scenario — and
-// Run executes it on its kind's engine and returns one normalized Outcome.
+// shared inlet field, the multicore three-controller scenario, or the
+// Fig. 1 telemetry probe — and Run executes it on its kind's engine and
+// returns one normalized Outcome.
 //
 // A Spec is plain data: platform configurations are embedded verbatim
-// (sim.Config, fleet parameters), while workloads and policies are named
-// references into a process-wide registry (see registry.go) with scalar
-// parameters and an explicit seed. Plain data buys three things:
+// (sim.Config, fleet parameters), while kinds, workloads and policies are
+// names from a closed vocabulary (see vocab.go) with scalar parameters and
+// an explicit seed. Plain data buys two things:
 //
 //   - every experiment entry point (internal/experiments, cmd/experiments,
-//     cmd/fansim, the examples) shares one shape instead of growing its own
-//     XxxConfig;
+//     cmd/fansim, scenariod, the examples) shares one shape instead of
+//     growing its own XxxConfig;
 //   - a Spec canonicalizes to stable JSON, so its SHA-256 content hash
 //     keys a persistent result store (store.go) and Sweep resumes
-//     incrementally instead of recomputing finished cells;
-//   - new surfaces (a future fleet coordinator, remote execution) plug in
-//     by registering a kind runner, not by inventing another API.
+//     incrementally instead of recomputing finished cells.
 //
 // The legacy internal/experiments entry points remain as thin adapters
 // that build Specs and post-process Outcomes; their results are
@@ -32,8 +31,7 @@ import (
 	"repro/internal/units"
 )
 
-// The built-in scenario kinds. Custom kinds (e.g. the Fig. 1 telemetry
-// probe) register their own runners via RegisterKind.
+// The scenario kinds, the keys of kindTable.
 const (
 	// KindSingle runs exactly one job on the plain engine (sim.Run).
 	KindSingle = "single"
@@ -41,7 +39,7 @@ const (
 	// batch; jobs may differ in platform, engine tick included.
 	KindBatch = "batch"
 	// KindLockstep is an alias of KindBatch. The kind is part of a spec's
-	// store key, so it stays registered for the specs that name it
+	// store key, so it stays in the vocabulary for the specs that name it
 	// (experiments.Table3Spec, Table3MCSpec) to keep their keys.
 	KindLockstep = "lockstep"
 	// KindFleet runs a rack through fleet.Run (shared inlet field,
@@ -52,7 +50,7 @@ const (
 	// plus a Table II-style global budget arbitration layered over the
 	// warm-lockstep fixed point. It reads the Fleet block like KindFleet;
 	// the coordinator's policy knobs travel in Spec.Params (see
-	// FleetCoordParams), so they participate in the store identity hash.
+	// coordParams), so they participate in the store identity hash.
 	KindFleetCoord = "fleetcoord"
 	// KindMulticore runs the three-controller N-core scenario through
 	// multicore.Run.
@@ -67,6 +65,11 @@ const (
 	// for them, so a cell stays store-light. Fault-free baselines are plain
 	// existing-kind specs — their store keys do not change.
 	KindFaultSweep = "faultsweep"
+	// KindFig1 is the paper's Fig. 1 telemetry probe: a CPU-utilization
+	// step read open loop through the I2C power-sensor path, showing the
+	// ~10 s measurement lag. Its step time and bus contention travel in
+	// Params.
+	KindFig1 = "fig1"
 )
 
 // Params carries a factory's scalar parameters. Values are float64 —
@@ -92,11 +95,11 @@ func (p Params) Keys() []string {
 	return keys
 }
 
-// FactoryRef names a registered workload or policy factory plus its
+// FactoryRef names a workload or policy factory plus its
 // parameters. The referenced factory rebuilds the exact generator or
 // policy on every run, so a ref is as deterministic as the code behind it.
 type FactoryRef struct {
-	// Name is the registry key (see Workloads / Policies for the list).
+	// Name is the table key (see Workloads / Policies for the list).
 	Name string `json:"name"`
 	// Seed is the factory's random seed, carried as int64 so mixing-hash
 	// seeds (stats.SubSeed) keep all 64 bits. Zero for seedless factories.
@@ -281,7 +284,7 @@ type MulticoreSpec struct {
 // plain data end to end: marshal it, hash it, store it, rebuild the exact
 // run from it.
 type Spec struct {
-	// Kind selects the runner (see the Kind constants and RegisterKind).
+	// Kind selects the runner (see the Kind constants).
 	Kind string `json:"kind"`
 	// Name labels the scenario in stores and listings (not semantic for
 	// execution, but part of the identity hash: two differently named
@@ -298,7 +301,8 @@ type Spec struct {
 	Fleet *FleetSpec `json:"fleet,omitempty"`
 	// Multicore populates multicore scenarios.
 	Multicore *MulticoreSpec `json:"multicore,omitempty"`
-	// Params parameterizes custom kinds (registered via RegisterKind).
+	// Params carries the kind's scalar knobs (fleetcoord, faultsweep,
+	// fig1); kinds that read none reject any.
 	Params Params `json:"params,omitempty"`
 	// Voting arms redundant sensing on every job/node: each sensor chain
 	// is replicated into independently seeded copies fused by median
@@ -329,49 +333,38 @@ func (s *Spec) base() sim.Config {
 	return sim.Default()
 }
 
-// Validate reports the first structural problem, or nil. Factory names
-// are resolved (but not invoked) so a typo fails before any simulation.
+// Validate reports the first structural problem, or nil. Every name a
+// spec carries and every Params map is checked against its vocabulary
+// entry (see vocab.go) without invoking any factory, so a typo fails
+// before any simulation.
 func (s *Spec) Validate() error {
-	if _, ok := kindRunner(s.Kind); !ok {
-		return fmt.Errorf("scenario: unknown kind %q (registered: %v)", s.Kind, Kinds())
+	k, ok := kindTable[s.Kind]
+	if !ok {
+		return fmt.Errorf("scenario: unknown kind %q (known: %v)", s.Kind, names(kindTable))
+	}
+	if !(s.Duration > 0) {
+		return fmt.Errorf("scenario: non-positive duration %v", s.Duration)
+	}
+	if err := k.checkParams(s.Params); err != nil {
+		return fmt.Errorf("scenario: %s spec: %w", s.Kind, err)
 	}
 	// A populated block the kind never reads would still perturb the
 	// content hash — two semantically identical scenarios would occupy
 	// different store cells — so inert blocks are errors, not noise.
 	switch s.Kind {
 	case KindSingle, KindBatch, KindLockstep:
-		if s.Fleet != nil || s.Multicore != nil || len(s.Params) > 0 {
-			return fmt.Errorf("scenario: %s spec carries blocks its kind ignores (fleet/multicore/params)", s.Kind)
+		if s.Fleet != nil || s.Multicore != nil {
+			return fmt.Errorf("scenario: %s spec carries blocks its kind ignores (fleet/multicore)", s.Kind)
 		}
-	case KindFleet:
-		if len(s.Jobs) > 0 || s.Multicore != nil || len(s.Params) > 0 {
-			return fmt.Errorf("scenario: fleet spec carries blocks its kind ignores (jobs/multicore/params)")
-		}
-	case KindFleetCoord:
+	case KindFleet, KindFleetCoord:
 		if len(s.Jobs) > 0 || s.Multicore != nil {
-			return fmt.Errorf("scenario: fleetcoord spec carries blocks its kind ignores (jobs/multicore)")
-		}
-		// Params hold the coordinator knobs — but only those: an unknown
-		// key would be inert yet still split the store cell. "rounds" is
-		// consumed as an integer, so a fractional value would be another
-		// cell-splitter (truncated at run time, distinct in the hash).
-		for _, k := range s.Params.Keys() {
-			if !fleetCoordParams[k] {
-				return fmt.Errorf("scenario: fleetcoord spec has unknown coordinator param %q (known: %v)", k, FleetCoordParams())
-			}
-		}
-		if rounds, ok := s.Params["rounds"]; ok && rounds != float64(int(rounds)) {
-			return fmt.Errorf("scenario: fleetcoord rounds %v is not an integer", rounds)
+			return fmt.Errorf("scenario: %s spec carries blocks its kind ignores (jobs/multicore)", s.Kind)
 		}
 	case KindMulticore:
-		if len(s.Jobs) > 0 || s.Fleet != nil || len(s.Params) > 0 {
-			return fmt.Errorf("scenario: multicore spec carries blocks its kind ignores (jobs/fleet/params)")
-		}
-		// The multicore engine has its own per-core sensor model and never
-		// reads Voting — an armed block would split the store cell without
-		// shaping the run (same rule as the inert cross-kind blocks above).
-		if s.Voting != nil {
-			return fmt.Errorf("scenario: multicore spec carries a voting block its kind ignores")
+		// The multicore engine has its own per-core sensor model and
+		// never reads Voting.
+		if len(s.Jobs) > 0 || s.Fleet != nil || s.Voting != nil {
+			return fmt.Errorf("scenario: multicore spec carries blocks its kind ignores (jobs/fleet/voting)")
 		}
 	case KindFaultSweep:
 		if s.Multicore != nil {
@@ -379,6 +372,11 @@ func (s *Spec) Validate() error {
 		}
 		if err := s.validateFaultSweepParams(); err != nil {
 			return err
+		}
+	case KindFig1:
+		// The probe is open loop: one power sensor behind the bus.
+		if len(s.Jobs) > 0 || s.Fleet != nil || s.Multicore != nil || s.Voting != nil {
+			return fmt.Errorf("scenario: fig1 spec carries blocks its kind ignores (jobs/fleet/multicore/voting)")
 		}
 	}
 	if s.Voting != nil {
@@ -394,28 +392,15 @@ func (s *Spec) Validate() error {
 		if s.Kind == KindSingle && len(s.Jobs) != 1 {
 			return fmt.Errorf("scenario: single spec has %d jobs", len(s.Jobs))
 		}
-		if s.Duration <= 0 {
-			return fmt.Errorf("scenario: non-positive duration %v", s.Duration)
-		}
-		if err := s.validateJobList(); err != nil {
-			return err
-		}
+		return s.validateJobList()
 	case KindFleet, KindFleetCoord:
 		if s.Fleet == nil {
 			return fmt.Errorf("scenario: %s spec missing Fleet block", s.Kind)
 		}
-		if s.Duration <= 0 {
-			return fmt.Errorf("scenario: non-positive duration %v", s.Duration)
-		}
-		if err := s.validateFleetBlock(); err != nil {
-			return err
-		}
+		return s.validateFleetBlock()
 	case KindFaultSweep:
 		if (len(s.Jobs) > 0) == (s.Fleet != nil) {
 			return fmt.Errorf("scenario: faultsweep spec needs exactly one target block (jobs or fleet)")
-		}
-		if s.Duration <= 0 {
-			return fmt.Errorf("scenario: non-positive duration %v", s.Duration)
 		}
 		if len(s.Jobs) > 0 {
 			if err := s.validateJobList(); err != nil {
@@ -447,10 +432,7 @@ func (s *Spec) Validate() error {
 		if s.Multicore == nil {
 			return fmt.Errorf("scenario: multicore spec missing Multicore block")
 		}
-		if s.Duration <= 0 {
-			return fmt.Errorf("scenario: non-positive duration %v", s.Duration)
-		}
-		if err := checkRef(s.Multicore.Workload, LookupWorkload); err != nil {
+		if err := checkRef(s.Multicore.Workload, workloadTable); err != nil {
 			return fmt.Errorf("scenario: multicore workload: %w", err)
 		}
 	}
@@ -461,10 +443,10 @@ func (s *Spec) Validate() error {
 // kinds and the faultsweep target form.
 func (s *Spec) validateJobList() error {
 	for i, j := range s.Jobs {
-		if err := checkRef(j.Workload, LookupWorkload); err != nil {
+		if err := checkRef(j.Workload, workloadTable); err != nil {
 			return fmt.Errorf("scenario: job %d (%s) workload: %w", i, j.Name, err)
 		}
-		if err := checkRef(j.Policy, LookupPolicy); err != nil {
+		if err := checkRef(j.Policy, policyTable); err != nil {
 			return fmt.Errorf("scenario: job %d (%s) policy: %w", i, j.Name, err)
 		}
 		if j.Faults != nil {
@@ -489,10 +471,10 @@ func (s *Spec) validateFleetBlock() error {
 		if _, err := parseAisle(n.Aisle); err != nil {
 			return fmt.Errorf("scenario: fleet node %d (%s): %w", i, n.Name, err)
 		}
-		if err := checkRef(n.Workload, LookupWorkload); err != nil {
+		if err := checkRef(n.Workload, workloadTable); err != nil {
 			return fmt.Errorf("scenario: fleet node %d (%s) workload: %w", i, n.Name, err)
 		}
-		if err := checkRef(n.Policy, LookupPolicy); err != nil {
+		if err := checkRef(n.Policy, policyTable); err != nil {
 			return fmt.Errorf("scenario: fleet node %d (%s) policy: %w", i, n.Name, err)
 		}
 		if n.Faults != nil {
@@ -512,47 +494,20 @@ func (s *Spec) validateFleetBlock() error {
 	return nil
 }
 
-// validateFaultSweepParams enforces the closed faultsweep knob set:
+// validateFaultSweepParams checks what the kind's params entry cannot:
 // "coordinated" (exactly 1; omit it for uncoordinated targets — 0 would
 // split the store cell without changing the run) selects the coordinator
-// engine and unlocks the fleetcoord knobs, which are meaningless — hence
-// rejected — for job targets and uncoordinated racks.
+// engine and needs a fleet target, and the fleetcoord knobs are
+// meaningless — hence rejected — without it.
 func (s *Spec) validateFaultSweepParams() error {
-	coordinated := false
-	if v, ok := s.Params["coordinated"]; ok {
-		if v != 1 {
-			return fmt.Errorf("scenario: faultsweep coordinated = %v (must be 1; omit the key for an uncoordinated target)", v)
-		}
-		coordinated = true
-		if s.Fleet == nil {
-			return fmt.Errorf("scenario: coordinated faultsweep needs a fleet target")
-		}
-	}
-	for _, k := range s.Params.Keys() {
-		if k == "coordinated" {
-			continue
-		}
-		if !fleetCoordParams[k] {
-			return fmt.Errorf("scenario: faultsweep spec has unknown param %q (known: coordinated + %v)", k, FleetCoordParams())
-		}
-		if !coordinated {
-			return fmt.Errorf("scenario: faultsweep param %q needs coordinated = 1 (inert otherwise, and it would split the store cell)", k)
-		}
-	}
-	if rounds, ok := s.Params["rounds"]; ok && rounds != float64(int(rounds)) {
-		return fmt.Errorf("scenario: faultsweep rounds %v is not an integer", rounds)
-	}
-	return nil
-}
-
-// checkRef resolves a factory reference against a lookup, without
-// invoking the factory.
-func checkRef[T any](ref FactoryRef, lookup func(string) (T, bool)) error {
-	if ref.Name == "" {
-		return fmt.Errorf("empty factory name")
-	}
-	if _, ok := lookup(ref.Name); !ok {
-		return fmt.Errorf("unregistered factory %q", ref.Name)
+	v, coordinated := s.Params["coordinated"]
+	switch {
+	case coordinated && v != 1:
+		return fmt.Errorf("scenario: faultsweep coordinated = %v (must be 1; omit the key for an uncoordinated target)", v)
+	case coordinated && s.Fleet == nil:
+		return fmt.Errorf("scenario: coordinated faultsweep needs a fleet target")
+	case !coordinated && len(s.Params) > 0:
+		return fmt.Errorf("scenario: faultsweep param %q needs coordinated = 1 (inert otherwise, and it would split the store cell)", s.Params.Keys()[0])
 	}
 	return nil
 }
@@ -568,29 +523,4 @@ func parseAisle(s string) (fleet.Aisle, error) {
 		return fleet.Hot, nil
 	}
 	return 0, fmt.Errorf("unknown aisle %q (want cold|mid|hot)", s)
-}
-
-// fleetCoordParams is the closed set of coordinator policy knobs a
-// fleetcoord spec may carry in Params. Every knob is semantic (it shapes
-// the run), so all of them participate in the store identity hash; zero
-// or absent values select fleet.CoordinatorConfig's defaults.
-var fleetCoordParams = map[string]bool{
-	"power_budget_w": true, // global rack power budget (W); 0 = off
-	"migration_gain": true, // share moved per round at the spread extreme
-	"max_share":      true, // per-node demand share ceiling
-	"min_share":      true, // per-node demand share floor
-	"peak_target":    true, // scaled-peak demand bound for receivers
-	"rounds":         true, // coordination rounds after the baseline
-	"cap_floor":      true, // utilization floor the arbitration guarantees
-	"fan_trim":       true, // fan ceiling margin for savings-class nodes
-}
-
-// FleetCoordParams returns the recognized fleetcoord knob names, sorted.
-func FleetCoordParams() []string {
-	names := make([]string, 0, len(fleetCoordParams))
-	for k := range fleetCoordParams {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -29,7 +29,21 @@ func cheapSpec(ambient float64) Spec {
 	}
 }
 
+// fig1Spec is experiments.Fig1Spec(experiments.DefaultFig1()) spelled
+// out, since experiments imports this package.
+func fig1Spec() Spec {
+	return Spec{
+		Kind: KindFig1, Name: "fig1", Duration: 700, Record: true,
+		Params: Params{"step_time": 100, "bus_base_latency": 2, "bus_transfer_time": 0.5, "bus_sensors": 16},
+	}
+}
+
 func TestValidateRejectsBadSpecs(t *testing.T) {
+	withFig1 := func(edit func(*Spec)) Spec {
+		s := fig1Spec()
+		edit(&s)
+		return s
+	}
 	cases := []struct {
 		name string
 		spec Spec
@@ -46,17 +60,17 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 			s.Duration = 0
 			return s
 		}()},
-		{"unregistered workload", func() Spec {
+		{"unknown workload", func() Spec {
 			s := cheapSpec(25)
 			s.Jobs[0].Workload.Name = "nope"
 			return s
 		}()},
-		{"unregistered policy", func() Spec {
+		{"unknown policy", func() Spec {
 			s := cheapSpec(25)
 			s.Jobs[0].Policy.Name = "nope"
 			return s
 		}()},
-		{"fleet without block", Spec{Kind: KindFleet}},
+		{"fleet without block", Spec{Kind: KindFleet, Duration: 10}},
 		{"fleet with size and nodes", Spec{Kind: KindFleet, Duration: 10, Fleet: &FleetSpec{
 			Size:  2,
 			Nodes: []FleetNode{{Name: "a", Aisle: "cold"}},
@@ -87,15 +101,83 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"multicore with inert fleet", Spec{Kind: KindMulticore, Duration: 10,
 			Multicore: &MulticoreSpec{Workload: FactoryRef{Name: "constant"}},
 			Fleet:     &FleetSpec{Size: 2}}},
+		{"typo'd workload param", func() Spec {
+			s := cheapSpec(25)
+			s.Jobs[0].Workload = FactoryRef{Name: "square", Params: Params{"perod": 300}}
+			return s
+		}()},
+		{"seed on square", func() Spec {
+			s := cheapSpec(25)
+			s.Jobs[0].Workload = FactoryRef{Name: "square", Seed: 7}
+			return s
+		}()},
+		{"seed on a policy", func() Spec {
+			s := cheapSpec(25)
+			s.Jobs[0].Policy.Seed = 7
+			return s
+		}()},
+		{"pid-fixed fractional region", func() Spec {
+			s := cheapSpec(25)
+			s.Jobs[0].Policy = FactoryRef{Name: "pid-fixed", Params: Params{"region": 0.5}}
+			return s
+		}()},
+		{"spiky-batch fractional count", func() Spec {
+			s := cheapSpec(25)
+			s.Jobs[0].Workload = FactoryRef{Name: "spiky-batch", Seed: 1, Params: Params{"count": 2.5}}
+			return s
+		}()},
+		{"fig1 with jobs", withFig1(func(s *Spec) { s.Jobs = cheapSpec(25).Jobs })},
+		{"fig1 with voting", withFig1(func(s *Spec) { s.Voting = DefaultVoting() })},
+		{"fig1 unknown param", withFig1(func(s *Spec) { s.Params["step_tme"] = 100 })},
+		{"fig1 fractional bus_sensors", withFig1(func(s *Spec) { s.Params["bus_sensors"] = 1.5 })},
+		{"fig1 no duration", withFig1(func(s *Spec) { s.Duration = 0 })},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	good := cheapSpec(25)
-	if err := good.Validate(); err != nil {
-		t.Errorf("good spec rejected: %v", err)
+	for _, good := range []Spec{cheapSpec(25), fig1Spec()} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("good %s spec rejected: %v", good.Kind, err)
+		}
+	}
+}
+
+// TestEveryKindRejectsZeroDuration walks the kinds table: every kind has
+// a valid fixture here, and each fixture fails Validate at duration 0, so
+// a kind added later cannot skip the duration check.
+func TestEveryKindRejectsZeroDuration(t *testing.T) {
+	withKind := func(s Spec, kind string) Spec {
+		s.Kind = kind
+		return s
+	}
+	fault := faultJobTarget(60).Spec
+	fault.Kind = KindFaultSweep
+	fault.Jobs[0].Faults = &FaultSpec{StuckAt: 10, StuckLen: 20}
+	valid := map[string]Spec{
+		KindSingle:     cheapSpec(25),
+		KindBatch:      withKind(cheapSpec(25), KindBatch),
+		KindLockstep:   withKind(cheapSpec(25), KindLockstep),
+		KindFleet:      {Kind: KindFleet, Duration: 60, Fleet: &FleetSpec{Size: 2, Seed: 1}},
+		KindFleetCoord: goldenFleetCoordSpec(),
+		KindMulticore:  {Kind: KindMulticore, Duration: 60, Multicore: &MulticoreSpec{Workload: FactoryRef{Name: "constant"}}},
+		KindFaultSweep: fault,
+		KindFig1:       fig1Spec(),
+	}
+	for _, kind := range names(kindTable) {
+		s, ok := valid[kind]
+		if !ok {
+			t.Errorf("kind %q has no fixture", kind)
+			continue
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s fixture rejected: %v", kind, err)
+		}
+		s.Duration = 0
+		if s.Validate() == nil {
+			t.Errorf("%s accepts duration 0", kind)
+		}
 	}
 }
 
@@ -252,8 +334,8 @@ func (stepCounter) Step(sim.Observation) sim.Command {
 func (stepCounter) Reset() {}
 
 func init() {
-	RegisterPolicy("test-step-counter", "fan hold that counts its steps (tests)",
-		func(sim.Config, int64, Params) (sim.Policy, error) { return stepCounter{}, nil })
+	policyTable["test-step-counter"] = def[PolicyFactory]{doc: "fan hold that counts its steps (tests)",
+		fn: func(sim.Config, int64, Params) (sim.Policy, error) { return stepCounter{}, nil }}
 }
 
 // TestBatchBadJobFailsBeforeAnyStep: a batch whose last job cannot build

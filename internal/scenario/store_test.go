@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -482,6 +483,32 @@ func TestSweepResume(t *testing.T) {
 		if string(a) != string(b) {
 			t.Errorf("warm cell %d outcome differs", i)
 		}
+	}
+}
+
+// TestSweepRefusesStoredInvalidSpec: a cell stored for a spec Validate
+// refuses (written before the check existed) is not served; the sweep
+// returns the validation error, as Run and scenariod would.
+func TestSweepRefusesStoredInvalidSpec(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cheapSpec(25)
+	out, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Duration = 0
+	if err := st.Put(spec, out); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Sweep([]Spec{spec}, st)
+	if err == nil || !strings.Contains(err.Error(), "duration") {
+		t.Fatalf("sweep of a stored invalid spec: err = %v, want the duration error", err)
+	}
+	if res.Hits != 0 || len(res.Cells) != 0 {
+		t.Errorf("sweep served %d hits / %d cells, want none", res.Hits, len(res.Cells))
 	}
 }
 

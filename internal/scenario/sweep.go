@@ -36,6 +36,11 @@ type SweepResult struct {
 func Sweep(specs []Spec, store *Store) (*SweepResult, error) {
 	res := &SweepResult{Cells: make([]SweepCell, 0, len(specs))}
 	for i, spec := range specs {
+		// Validate before the lookup: a stored cell of a spec the
+		// vocabulary now refuses is never served.
+		if err := spec.Validate(); err != nil {
+			return res, fmt.Errorf("scenario: sweep cell %d: %w", i, err)
+		}
 		key, err := Key(spec)
 		if err != nil {
 			return res, fmt.Errorf("scenario: sweep cell %d: %w", i, err)

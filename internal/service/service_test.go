@@ -43,6 +43,15 @@ func testSpec(ambient float64) scenario.Spec {
 	}
 }
 
+// fig1Spec is the Fig. 1 telemetry probe at the paper's setting
+// (experiments.Fig1Spec of experiments.DefaultFig1).
+func fig1Spec() scenario.Spec {
+	return scenario.Spec{
+		Kind: scenario.KindFig1, Name: "fig1", Duration: 700, Record: true,
+		Params: scenario.Params{"step_time": 100, "bus_base_latency": 2, "bus_transfer_time": 0.5, "bus_sensors": 16},
+	}
+}
+
 // startDaemon builds and starts a daemon, failing the test on error and
 // stopping it on cleanup.
 func startDaemon(t *testing.T, cfg Config) *Daemon {
@@ -738,6 +747,10 @@ func (faultyBackend) Get(context.Context, string) (*scenario.Outcome, bool, erro
 func TestSubmitErrorCodes(t *testing.T) {
 	d := startDaemon(t, Config{Backend: faultyBackend{NewMemBackend()}})
 	c := NewClient(d.BaseURL())
+	negative := fig1Spec()
+	negative.Duration = -5
+	typo := testSpec(30)
+	typo.Jobs[0].Workload.Params = scenario.Params{"uu": 0.6}
 	for _, tc := range []struct {
 		name   string
 		spec   scenario.Spec
@@ -746,6 +759,8 @@ func TestSubmitErrorCodes(t *testing.T) {
 	}{
 		{"storage fault", testSpec(30), http.StatusInternalServerError, CodeInternal},
 		{"invalid spec", scenario.Spec{Kind: "warp"}, http.StatusBadRequest, CodeInvalidSpec},
+		{"fig1 negative duration", negative, http.StatusBadRequest, CodeInvalidSpec},
+		{"typo'd param", typo, http.StatusBadRequest, CodeInvalidSpec},
 	} {
 		_, err := c.Submit(ctx, tc.spec, false)
 		var se *StatusError
@@ -775,6 +790,22 @@ func TestSubmitErrorCodes(t *testing.T) {
 	}
 	if rec.Code != http.StatusInternalServerError || apiErr.Code != CodeInternal {
 		t.Errorf("failed wait -> %d/%q, want %d/%q", rec.Code, apiErr.Code, http.StatusInternalServerError, CodeInternal)
+	}
+}
+
+// TestSubmitFig1: the Fig. 1 probe is a kind like any other, so a daemon
+// that links only the scenario layer simulates it.
+func TestSubmitFig1(t *testing.T) {
+	d := startDaemon(t, Config{})
+	st, err := NewClient(d.BaseURL()).Submit(ctx, fig1Spec(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Outcome == nil || len(st.Outcome.Units) != 1 {
+		t.Fatalf("fig1 submit -> %s, want done with one unit", st.State)
+	}
+	if lag := st.Outcome.Units[0].Metric(scenario.MetricMeasuredLagS, 0); lag <= 0 {
+		t.Errorf("fig1 measured lag = %v, want > 0", lag)
 	}
 }
 
