@@ -192,6 +192,29 @@ test -n "$svc_key"
 "$svc_dir/scenariod" get -addr "$svc_addr" "$svc_key" > "$svc_dir/get.json"
 grep -q '"state": "done"' "$svc_dir/get.json"
 
+# The Fig. 1 telemetry probe is a kind of the closed vocabulary, so the
+# daemon simulates it like any other spec.
+cat > "$svc_dir/fig1.json" <<'EOF'
+{
+  "kind": "fig1",
+  "name": "fig1",
+  "duration": 700,
+  "params": {"step_time": 100, "bus_base_latency": 2, "bus_transfer_time": 0.5, "bus_sensors": 16},
+  "record": true
+}
+EOF
+"$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec "$svc_dir/fig1.json" > "$svc_dir/fig1.out"
+grep -q '"state": "done"' "$svc_dir/fig1.out"
+
+# A param its workload never reads is refused as invalid_spec, not run
+# with the defaults and stored under a new key.
+sed 's/"period"/"perod"/' "$svc_dir/spec.json" > "$svc_dir/typo.json"
+if "$svc_dir/scenariod" submit -addr "$svc_addr" -spec "$svc_dir/typo.json" > "$svc_dir/typo.out" 2>&1; then
+    echo "scenariod accepted a spec with a typo'd param" >&2
+    exit 1
+fi
+grep -q "invalid_spec" "$svc_dir/typo.out"
+
 ticks_before=$("$svc_dir/scenariod" stats -addr "$svc_addr" | sed -n 's/.*"sim_ticks": \([0-9]*\).*/\1/p')
 "$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec "$svc_dir/spec.json" > "$svc_dir/second.json"
 grep -q '"cached": true' "$svc_dir/second.json"
