@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"maps"
 	"testing"
 
 	"repro/internal/sim"
@@ -92,8 +93,8 @@ var recordedGoldenHashes = []struct{ name, hash string }{
 
 // TestRecordedOutcomeGolden pins the outcome JSON of recorded specs, and
 // checks that later Runs — the same spec again, then the spec 1 °C
-// warmer, which records different values — leave the first
-// outcome's bytes unchanged: an outcome must not alias engine state that a
+// warmer (fig1: its step 1 s later), which records different values —
+// leave the first outcome's bytes unchanged: an outcome must not alias engine state that a
 // later run writes into.
 func TestRecordedOutcomeGolden(t *testing.T) {
 	specs := recordedGoldenSpecs(t)
@@ -119,9 +120,14 @@ func TestRecordedOutcomeGolden(t *testing.T) {
 				t.Errorf("outcome hash = %s, want %s", got, g.hash)
 			}
 			warmer := spec
-			cfg := spec.base()
-			cfg.Ambient++
-			warmer.Base = &cfg
+			if spec.Kind == KindFig1 { // the probe runs on the default platform
+				warmer.Params = maps.Clone(spec.Params)
+				warmer.Params["step_time"]++
+			} else {
+				cfg := spec.base()
+				cfg.Ambient++
+				warmer.Base = &cfg
+			}
 			if spec.Fleet != nil { // a rack's inlets come from its supply
 				fl := *spec.Fleet
 				fl.Supply = 25 // the default is 24 °C

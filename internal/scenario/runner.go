@@ -561,11 +561,12 @@ const (
 
 // runFig1 executes the Fig. 1 telemetry probe: a 0.1 -> 0.7 utilization
 // step whose CPU power is read, open loop, through the bus-contention
-// delay and the 8-bit acquisition path. Both series are normalized to
-// [0, 1] like the paper's plot; the measured lag is the sensor trace's
-// half-rise crossing relative to the step instant.
+// delay and the 8-bit acquisition path, on the default platform. Both
+// series are normalized to [0, 1] like the paper's plot and kept only if
+// the spec records; the measured lag is the sensor trace's half-rise
+// crossing relative to the step instant.
 func runFig1(s Spec) (*Outcome, error) {
-	cfg := s.base()
+	cfg := sim.Default()
 	cpu, _, err := cfg.Models()
 	if err != nil {
 		return nil, err
@@ -610,6 +611,9 @@ func runFig1(s Spec) (*Outcome, error) {
 	lag := units.Seconds(0)
 	if xs := sSensor.Crossings(0.5); len(xs) > 0 {
 		lag = units.Seconds(xs[0]) - stepTime
+	}
+	if !s.Record {
+		ts = nil
 	}
 	return &Outcome{
 		Kind: s.Kind,

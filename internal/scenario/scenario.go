@@ -374,9 +374,10 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	case KindFig1:
-		// The probe is open loop: one power sensor behind the bus.
-		if len(s.Jobs) > 0 || s.Fleet != nil || s.Multicore != nil || s.Voting != nil {
-			return fmt.Errorf("scenario: fig1 spec carries blocks its kind ignores (jobs/fleet/multicore/voting)")
+		// The probe is open loop on the default platform: one power
+		// sensor behind the bus, recorded whole or not at all.
+		if len(s.Jobs) > 0 || s.Fleet != nil || s.Multicore != nil || s.Voting != nil || s.Base != nil || s.RecordPower {
+			return fmt.Errorf("scenario: fig1 spec carries fields its kind ignores (jobs/fleet/multicore/voting/base/record_power)")
 		}
 	}
 	if s.Voting != nil {

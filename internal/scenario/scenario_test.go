@@ -131,6 +131,12 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"fig1 unknown param", withFig1(func(s *Spec) { s.Params["step_tme"] = 100 })},
 		{"fig1 fractional bus_sensors", withFig1(func(s *Spec) { s.Params["bus_sensors"] = 1.5 })},
 		{"fig1 no duration", withFig1(func(s *Spec) { s.Duration = 0 })},
+		{"fig1 with a base", withFig1(func(s *Spec) { s.Base = &sim.Config{} })},
+		{"fig1 with the default base", withFig1(func(s *Spec) {
+			cfg := sim.Default()
+			s.Base = &cfg
+		})},
+		{"fig1 record_power", withFig1(func(s *Spec) { s.RecordPower = true })},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); err == nil {
@@ -177,6 +183,30 @@ func TestEveryKindRejectsZeroDuration(t *testing.T) {
 		s.Duration = 0
 		if s.Validate() == nil {
 			t.Errorf("%s accepts duration 0", kind)
+		}
+	}
+}
+
+// TestFig1RecordKeepsSeries: record is the one fig1 flag that reaches
+// the outcome. Without it the probe returns the same metrics and no
+// series, so the two specs' distinct store keys hold distinct cells.
+func TestFig1RecordKeepsSeries(t *testing.T) {
+	rec, err := Run(fig1Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := fig1Spec()
+	bare.Record = false
+	out, err := Run(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Units[0].Series) != 2 || out.Units[0].Series != nil {
+		t.Fatalf("series: record %d, bare %d; want 2 and none", len(rec.Units[0].Series), len(out.Units[0].Series))
+	}
+	for k, v := range rec.Units[0].Metrics {
+		if got := out.Units[0].Metrics[k]; got != v {
+			t.Errorf("bare %s = %v, recorded %v", k, got, v)
 		}
 	}
 }

@@ -195,7 +195,7 @@ var kindTable = map[string]def[func(Spec) (*Outcome, error)]{
 	KindMulticore: {doc: "three-controller N-core run (multicore.Run)", fn: runMulticore},
 	KindFaultSweep: {doc: "one non-ideal-sensing campaign cell (faulted target + pathology metrics)",
 		params: append([]string{"coordinated"}, coordParams...), ints: []string{"rounds"}, fn: runFaultSweep},
-	KindFig1: {doc: "Fig. 1 telemetry-lag probe (open-loop power sensor)",
+	KindFig1: {doc: "Fig. 1 telemetry-lag probe (open-loop power sensor, default platform)",
 		params: []string{"step_time", "bus_base_latency", "bus_transfer_time", "bus_sensors"},
 		ints:   []string{"bus_sensors"}, fn: runFig1},
 }
