@@ -307,6 +307,17 @@ func (q *Queue) Stats() QueueStats {
 	return s
 }
 
+// runJob runs one spec, failing the job on a runner panic (a recorded
+// horizon too long to allocate) so one submit cannot kill the daemon.
+func (q *Queue) runJob(spec scenario.Spec) (out *scenario.Outcome, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("scenario run panicked: %v", r)
+		}
+	}()
+	return q.run(spec)
+}
+
 // worker drains the job channel: run, persist, publish, retire. A job
 // is counted and retired before its done channel closes, so a woken
 // waiter already sees it out of the in-flight listing and in the stats.
@@ -350,7 +361,7 @@ func (q *Queue) worker() {
 			continue
 		}
 
-		out, err := q.run(j.spec)
+		out, err := q.runJob(j.spec)
 		if err == nil {
 			// Persist before publishing: once the job leaves the
 			// in-flight table, pollers must find the cell in the store.

@@ -749,6 +749,8 @@ func TestSubmitErrorCodes(t *testing.T) {
 	c := NewClient(d.BaseURL())
 	negative := fig1Spec()
 	negative.Duration = -5
+	zeroTick := fig1Spec()
+	zeroTick.Base = &sim.Config{}
 	typo := testSpec(30)
 	typo.Jobs[0].Workload.Params = scenario.Params{"uu": 0.6}
 	for _, tc := range []struct {
@@ -760,6 +762,7 @@ func TestSubmitErrorCodes(t *testing.T) {
 		{"storage fault", testSpec(30), http.StatusInternalServerError, CodeInternal},
 		{"invalid spec", scenario.Spec{Kind: "warp"}, http.StatusBadRequest, CodeInvalidSpec},
 		{"fig1 negative duration", negative, http.StatusBadRequest, CodeInvalidSpec},
+		{"fig1 base with tick 0", zeroTick, http.StatusBadRequest, CodeInvalidSpec},
 		{"typo'd param", typo, http.StatusBadRequest, CodeInvalidSpec},
 	} {
 		_, err := c.Submit(ctx, tc.spec, false)
@@ -971,6 +974,27 @@ func TestFailedJobsBounded(t *testing.T) {
 		t.Errorf("%d runs failed, want %d (the resubmit retries)", n, maxFailedJobs+2)
 	}
 	assertFailedKept("after the resubmit")
+}
+
+// TestRunPanicFailsItsJob: a runner panic fails that job with the
+// panic's message, and the worker goes on to run the next spec. The
+// spec validates and panics the engine for real: one recorded horizon
+// of 1e15 ticks is past what make can allocate.
+func TestRunPanicFailsItsJob(t *testing.T) {
+	d := startDaemon(t, Config{Shards: 1})
+	c := NewClient(d.BaseURL())
+	huge := testSpec(24)
+	huge.Duration, huge.Record = 1e15, true
+	st, err := c.Submit(ctx, huge, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "panicked") {
+		t.Fatalf("huge horizon -> %+v, want failed with the panic", st)
+	}
+	if st, err := c.Submit(ctx, testSpec(24), true); err != nil || st.State != StateDone {
+		t.Fatalf("next submit -> %+v (%v), want done", st, err)
+	}
 }
 
 // TestWireValues pins the literal strings clients see in error envelopes
