@@ -4,13 +4,15 @@
 // BenchmarkScenarioStoreHit prices an in-process store read and decode;
 // the round-trip adds the daemon on top — request encode, loopback HTTP,
 // queue dedup, the storage module (whose backend serves a repeated key
-// from its decoded-outcome cache), response encode and client decode —
-// which is what a sweep script pays per cell when it shares the cache
-// through scenariod instead of opening the store directly.
+// from its cache of encoded outcomes), the reply with those bytes spliced
+// in, and the client decode — which is what a sweep script pays per cell
+// when it shares the cache through scenariod instead of opening the
+// store directly.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -88,6 +90,10 @@ func BenchmarkStoragePut(b *testing.B) {
 		}
 	}
 
+	enc, err := json.Marshal(out)
+	if err != nil {
+		b.Fatal(err)
+	}
 	s, err := service.NewStorage(backend)
 	if err != nil {
 		b.Fatal(err)
@@ -97,19 +103,20 @@ func BenchmarkStoragePut(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Put(ctx, cell(prefill+i), out); err != nil {
+		if err := s.Put(ctx, cell(prefill+i), enc); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkStorageGetParallel prices warm Storage.Get calls from
-// GOMAXPROCS goroutines at once over a disk store holding 1000 cells.
-// Lookups take no storage lock, so ns/op should fall as cores are
-// added instead of queueing behind one another. Each goroutine reads
-// its own share of the keys round and round, so a key comes back only
-// after every other key of that share, more cells than the backend's
-// outcome cache holds: every Get reads and decodes its cell.
+// BenchmarkStorageGetParallel prices warm Storage.Get calls, the
+// encoded read the queue makes, from GOMAXPROCS goroutines at once over
+// a disk store holding 1000 cells. Lookups take no storage lock, so
+// ns/op should fall as cores are added instead of queueing behind one
+// another. Each goroutine reads its own share of the keys round and
+// round, so a key comes back only after every other key of that share,
+// more cells than the backend's outcome cache holds: every Get reads its
+// cell, decodes the outcome to check it and compacts it.
 func BenchmarkStorageGetParallel(b *testing.B) {
 	const prefill = 1000
 	backend, err := service.OpenStoreBackend(b.TempDir())

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Store is the content-addressed result cache: outcomes persisted as JSON
@@ -25,13 +26,15 @@ type Store struct {
 	dir string
 }
 
-// storeEntry is the on-disk cell format.
+// storeEntry is the on-disk cell format. The outcome is held as its
+// JSON: MarshalIndent indents the embedded bytes exactly as it indents
+// the outcome they encode, so PutEncoded and Put write the same file.
 type storeEntry struct {
 	// Version guards the format; bump on incompatible changes.
-	Version int      `json:"version"`
-	Key     string   `json:"key"`
-	Spec    Spec     `json:"spec"`
-	Outcome *Outcome `json:"outcome"`
+	Version int             `json:"version"`
+	Key     string          `json:"key"`
+	Spec    Spec            `json:"spec"`
+	Outcome json.RawMessage `json:"outcome"`
 }
 
 // storeVersion is the current cell format.
@@ -48,8 +51,14 @@ func Key(s Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return KeyOf(canon), nil
+}
+
+// KeyOf returns the content address of a spec's canonical JSON (the bytes
+// CanonicalJSON returns), for callers that need those bytes as well.
+func KeyOf(canon []byte) string {
 	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // CanonicalJSON returns the spec's canonical serialized form (the bytes
@@ -85,19 +94,9 @@ func (st *Store) path(key string) string {
 // the stored outcome, bit-identical to the run that produced it (float64
 // survives the JSON round trip exactly).
 func (st *Store) GetKey(key string) (*Outcome, bool, error) {
-	out, _, ok, err := st.GetKeySized(key)
-	return out, ok, err
-}
-
-// GetKeySized is GetKey that also reports the cell's encoded size in
-// bytes, for callers that budget memory by it.
-func (st *Store) GetKeySized(key string) (*Outcome, int, bool, error) {
-	b, err := os.ReadFile(st.path(key))
-	if os.IsNotExist(err) {
-		return nil, 0, false, nil
-	}
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("scenario: reading store cell %s: %w", key, err)
+	b, ok, err := st.read(key)
+	if !ok {
+		return nil, false, err
 	}
 	// Decode only what a hit needs: the stored spec is provenance for
 	// humans and re-runs, not for the hot lookup path.
@@ -109,9 +108,95 @@ func (st *Store) GetKeySized(key string) (*Outcome, int, bool, error) {
 		// A corrupt, old-format or outcome-less cell is a miss, not an
 		// error: the caller recomputes and Put's atomic rename overwrites
 		// it.
-		return nil, 0, false, nil
+		return nil, false, nil
 	}
-	return entry.Outcome, len(b), true, nil
+	return entry.Outcome, true, nil
+}
+
+// GetEncoded is GetKey returning the outcome as its compact JSON, which
+// for a cell Put wrote is the json.Marshal output of the outcome it
+// stored. Its misses are GetKey's, so the outcome is decoded once, to
+// check it, and a cell whose outcome does not decode as an Outcome is a
+// miss.
+func (st *Store) GetEncoded(key string) ([]byte, bool, error) {
+	b, ok, err := st.read(key)
+	if !ok {
+		return nil, false, err
+	}
+	var entry struct {
+		Version int         `json:"version"`
+		Outcome compactJSON `json:"outcome"`
+	}
+	if err := json.Unmarshal(b, &entry); err != nil || entry.Version != storeVersion || entry.Outcome == nil ||
+		!decodesAsOutcome(entry.Outcome) {
+		return nil, false, nil
+	}
+	return entry.Outcome, true, nil
+}
+
+// checkOutcomes recycles the values GetEncoded decodes into only to check
+// an outcome. Whether a decode fails depends on the JSON and the type
+// alone, never on what the value already holds, so a recycled value is
+// not reset, and decoding into its maps and slices allocates less than
+// decoding into a new one.
+var checkOutcomes = sync.Pool{New: func() any { return new(Outcome) }}
+
+// decodesAsOutcome reports whether enc decodes as an Outcome.
+func decodesAsOutcome(enc []byte) bool {
+	o := checkOutcomes.Get().(*Outcome)
+	defer checkOutcomes.Put(o)
+	return json.Unmarshal(enc, o) == nil
+}
+
+// read returns a cell file's bytes; ok is false when there is no cell.
+func (st *Store) read(key string) ([]byte, bool, error) {
+	b, err := os.ReadFile(st.path(key))
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("scenario: reading store cell %s: %w", key, err)
+	}
+	return b, true, nil
+}
+
+// compactJSON is a JSON value kept compact: decoding one copies the value
+// without the whitespace outside its strings, which is json.Compact's
+// output (Unmarshal has checked the whole input is valid JSON by then),
+// into a slice of exactly that length. A null leaves it nil.
+type compactJSON []byte
+
+// UnmarshalJSON copies data compacted.
+func (c *compactJSON) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	*c = make([]byte, stripSpace(nil, data))
+	stripSpace(*c, data)
+	return nil
+}
+
+// stripSpace copies valid JSON into dst without the whitespace outside
+// its strings and returns the length of that copy; a nil dst only
+// counts.
+func stripSpace(dst, data []byte) int {
+	n := 0
+	var inString, escaped bool
+	for _, c := range data {
+		switch {
+		case inString:
+			inString, escaped = escaped || c != '"', !escaped && c == '\\'
+		case c == '"':
+			inString = true
+		case c == ' ', c == '\n', c == '\t', c == '\r':
+			continue
+		}
+		if dst != nil {
+			dst[n] = c
+		}
+		n++
+	}
+	return n
 }
 
 // Put persists a spec's outcome. The write is atomic (temp file + rename)
@@ -119,14 +204,25 @@ func (st *Store) GetKeySized(key string) (*Outcome, int, bool, error) {
 // cell either exists complete or reads as a miss. A nil outcome is
 // rejected: it would read back as a miss forever.
 func (st *Store) Put(s Spec, out *Outcome) error {
+	enc, err := json.Marshal(out) // null for a nil outcome, which PutEncoded rejects
+	if err != nil {
+		return fmt.Errorf("scenario: encoding outcome: %w", err)
+	}
+	return st.PutEncoded(s, enc)
+}
+
+// PutEncoded is Put for an outcome already encoded as JSON (json.Marshal's
+// output), writing the cell Put would write for the decoded outcome. A
+// missing or null outcome is rejected.
+func (st *Store) PutEncoded(s Spec, enc []byte) error {
 	key, err := Key(s)
 	if err != nil {
 		return err
 	}
-	if out == nil {
+	if len(enc) == 0 || string(enc) == "null" {
 		return fmt.Errorf("scenario: store cell %s: nil outcome", key)
 	}
-	entry := storeEntry{Version: storeVersion, Key: key, Spec: s, Outcome: out}
+	entry := storeEntry{Version: storeVersion, Key: key, Spec: s, Outcome: enc}
 	b, err := json.MarshalIndent(entry, "", " ")
 	if err != nil {
 		return fmt.Errorf("scenario: encoding store cell %s: %w", key, err)
@@ -135,15 +231,19 @@ func (st *Store) Put(s Spec, out *Outcome) error {
 	if err != nil {
 		return fmt.Errorf("scenario: writing store cell %s: %w", key, err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return fmt.Errorf("scenario: writing store cell %s: %w", key, err)
+	// Only the failure paths remove the temp file: a rename moves it, and
+	// removing it after one costs two failing syscalls. A failed remove
+	// leaves a dot file, which listings and GC skip.
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
+		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("scenario: writing store cell %s: %w", key, err)
 	}
 	if err := os.Rename(tmp.Name(), st.path(key)); err != nil {
+		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("scenario: committing store cell %s: %w", key, err)
 	}
 	return nil

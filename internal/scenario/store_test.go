@@ -355,9 +355,10 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreVersionMismatchIsMiss: a cell written by a different format
-// version, one that does not decode (torn or corrupt), or one without an
-// outcome reads as a miss, not an error, and the next Put overwrites it.
-// Put refuses to write an outcome-less cell.
+// version, one that does not decode (torn or corrupt), one without an
+// outcome or one whose outcome does not decode as an Outcome reads as a
+// miss, not an error, through GetKey and GetEncoded alike, and the next
+// Put overwrites it. Put refuses to write an outcome-less cell.
 func TestStoreVersionMismatchIsMiss(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -391,6 +392,8 @@ func TestStoreVersionMismatchIsMiss(t *testing.T) {
 		{"corrupt", b[:len(b)/2]},
 		{"no-outcome", []byte(`{"version":1}`)},
 		{"null-outcome", []byte(`{"version":1,"outcome":null}`)},
+		{"number-outcome", []byte(`{"version":1,"outcome":5}`)},
+		{"wrong-shaped-outcome", []byte(`{"version":1,"outcome":{"units":"x"}}`)},
 	} {
 		if err := os.WriteFile(path, tc.cell, 0o644); err != nil {
 			t.Fatal(err)
@@ -398,15 +401,150 @@ func TestStoreVersionMismatchIsMiss(t *testing.T) {
 		if _, ok, err := st.GetKey(key); err != nil || ok {
 			t.Errorf("%s cell: ok=%v err=%v, want miss without error", tc.name, ok, err)
 		}
+		if _, ok, err := st.GetEncoded(key); err != nil || ok {
+			t.Errorf("%s cell, encoded read: ok=%v err=%v, want miss without error", tc.name, ok, err)
+		}
 		if err := st.Put(spec, out); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok, err := st.GetKey(key); err != nil || !ok {
 			t.Errorf("%s cell after Put: ok=%v err=%v, want hit", tc.name, ok, err)
 		}
+		if _, ok, err := st.GetEncoded(key); err != nil || !ok {
+			t.Errorf("%s cell after Put, encoded read: ok=%v err=%v, want hit", tc.name, ok, err)
+		}
 	}
 	if err := st.Put(spec, nil); err == nil {
 		t.Error("Put stored a nil outcome")
+	}
+}
+
+// TestStoreCellBytes: Put writes the cell the MarshalIndent of the
+// decoded entry gives, as the store always has, PutEncoded of the
+// outcome's json.Marshal output writes the same file, and GetEncoded
+// reads that output back. The outcomes cover recorded series, several
+// units, aggregates, and strings holding whitespace, quotes, escapes
+// and characters encoding/json escapes for HTML.
+func TestStoreCellBytes(t *testing.T) {
+	recorded := cheapSpec(26)
+	recorded.Record = true
+	batch := cheapSpec(27)
+	batch.Kind = KindBatch
+	batch.Jobs = append(batch.Jobs, JobSpec{
+		Workload: FactoryRef{Name: "square", Params: Params{"period": 60}},
+		Policy:   FactoryRef{Name: "full"},
+	})
+	fleet := Spec{Kind: KindFleet, Name: "fleet", Duration: 60, Fleet: &FleetSpec{Size: 2, Seed: 1}}
+	var outs []*Outcome
+	for _, s := range []Spec{recorded, batch, fleet} {
+		out, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	odd := *outs[0]
+	odd.Units = append([]Unit{{
+		Name:    "a \"quoted\" <b> & \\ name\twith\nspace \u2028 é",
+		Labels:  map[string]string{" key ": "{ \"v\": [1, 2] }"},
+		Metrics: map[string]float64{"x y": -0.0, "big": 1e21, "small": 1e-7},
+	}}, odd.Units...)
+	outs = append(outs, &odd)
+	specs := []Spec{recorded, batch, fleet, cheapSpec(28)}
+
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range outs {
+		spec := specs[i]
+		key, err := Key(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := json.MarshalIndent(struct {
+			Version int      `json:"version"`
+			Key     string   `json:"key"`
+			Spec    Spec     `json:"spec"`
+			Outcome *Outcome `json:"outcome"`
+		}{storeVersion, key, spec, out}, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(st.Dir(), key+".json")
+		for _, put := range []func() error{
+			func() error { return st.Put(spec, out) },
+			func() error { return st.PutEncoded(spec, enc) },
+		} {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			if err := put(); err != nil {
+				t.Fatal(err)
+			}
+			cell, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(cell) != string(legacy) {
+				t.Errorf("outcome %d: cell file differs from the MarshalIndent of the entry", i)
+			}
+			got, ok, err := st.GetEncoded(key)
+			if err != nil || !ok || string(got) != string(enc) {
+				t.Errorf("outcome %d: GetEncoded = ok %v err %v, %d bytes; want json.Marshal's %d", i, ok, err, len(got), len(enc))
+			}
+			if len(got) != cap(got) {
+				t.Errorf("outcome %d: GetEncoded holds %d spare bytes", i, cap(got)-len(got))
+			}
+		}
+	}
+}
+
+// TestPutLeavesNoTempFile: neither a Put that commits its cell nor one
+// whose rename fails (the cell's path is a directory) leaves its temp
+// file behind.
+func TestPutLeavesNoTempFile(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cheapSpec(26)
+	out, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tempFiles := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(st.Dir(), ".*.tmp-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	if err := st.Put(spec, out); err != nil {
+		t.Fatal(err)
+	}
+	if names := tempFiles(); len(names) != 0 {
+		t.Errorf("a committed Put left %v", names)
+	}
+
+	blocked := cheapSpec(27)
+	key, err := Key(blocked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(st.Dir(), key+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(blocked, out); err == nil {
+		t.Fatal("Put renamed its cell onto a directory")
+	}
+	if names := tempFiles(); len(names) != 0 {
+		t.Errorf("a Put whose rename failed left %v", names)
 	}
 }
 

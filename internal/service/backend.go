@@ -27,14 +27,15 @@ import (
 // map; RemoteBackend locks its counters and its breaker, and its local
 // tier is one of the other two.
 //
-// An outcome a backend returns is shared, read-only: StoreBackend's
-// cache and MemBackend hand the same value to every caller, so no
-// caller may modify it.
+// The storage module moves outcomes encoded (see EncodedBackend), which
+// every built-in backend offers; Get and Put are the decoded form, and
+// a decoded Get on a built-in backend returns an outcome the caller
+// owns.
 type Backend interface {
 	// Name identifies the backend in listings and stats.
 	Name() string
 	// Get returns the outcome stored under a content key (ok=false on a
-	// miss). The outcome is shared and must not be modified.
+	// miss).
 	Get(ctx context.Context, key string) (*scenario.Outcome, bool, error)
 	// Put persists a spec's outcome under its content key.
 	Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error
@@ -42,6 +43,21 @@ type Backend interface {
 	List(ctx context.Context) ([]scenario.CellInfo, error)
 	// Len reports the number of stored cells.
 	Len(ctx context.Context) (int, error)
+}
+
+// EncodedBackend is the encoded path a Backend may offer beside its
+// decoded Get and Put: each outcome travels as its compact JSON, the
+// bytes json.Marshal gives for it, which is what every reply carries.
+// The storage module takes this path when a backend offers it, and
+// otherwise encodes a decoded Get once and decodes an encoded Put. The
+// bytes GetEncoded returns are shared and must not be modified.
+type EncodedBackend interface {
+	// GetEncoded is Get returning the outcome encoded.
+	GetEncoded(ctx context.Context, key string) ([]byte, bool, error)
+	// PutEncoded is Put taking the outcome encoded; enc must be the
+	// json.Marshal output of an outcome, and the backend may keep it, so
+	// the caller must not modify it afterwards.
+	PutEncoded(ctx context.Context, spec scenario.Spec, enc []byte) error
 }
 
 // Fetcher is the optional read-through hook: a backend that can resolve
@@ -54,8 +70,87 @@ type Fetcher interface {
 	Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error)
 }
 
+// EncodedFetcher is Fetcher returning the outcome encoded, as
+// EncodedBackend's GetEncoded does; a backend offers it beside Fetch.
+type EncodedFetcher interface {
+	FetchEncoded(ctx context.Context, spec scenario.Spec, key string) ([]byte, bool, error)
+}
+
+// getEncoded reads a key from b encoded: through b's encoded path when
+// it offers one, otherwise by encoding its decoded Get once.
+func getEncoded(ctx context.Context, b Backend, key string) ([]byte, bool, error) {
+	if eb, ok := b.(EncodedBackend); ok {
+		return eb.GetEncoded(ctx, key)
+	}
+	return encoded(b.Get(ctx, key))
+}
+
+// putEncoded stores an encoded outcome in b: through b's encoded path
+// when it offers one, otherwise by decoding it for b's Put.
+func putEncoded(ctx context.Context, b Backend, spec scenario.Spec, enc []byte) error {
+	if eb, ok := b.(EncodedBackend); ok {
+		return eb.PutEncoded(ctx, spec, enc)
+	}
+	out, err := decodeOutcome(enc)
+	if err != nil {
+		return err
+	}
+	return b.Put(ctx, spec, out)
+}
+
+// putDecoded is an encoded backend's Put: it encodes the outcome once
+// for PutEncoded. A nil outcome encodes as null, which PutEncoded
+// rejects.
+func putDecoded(ctx context.Context, b EncodedBackend, spec scenario.Spec, out *scenario.Outcome) error {
+	enc, err := encodeOutcome(out)
+	if err != nil {
+		return err
+	}
+	return b.PutEncoded(ctx, spec, enc)
+}
+
+// encoded is a decoded lookup's encoded form, encoding the outcome once.
+func encoded(out *scenario.Outcome, ok bool, err error) ([]byte, bool, error) {
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	enc, err := encodeOutcome(out)
+	return enc, err == nil, err
+}
+
+// getDecoded is an encoded lookup's decoded form: the outcome it
+// returns is a fresh value the caller owns.
+func getDecoded(enc []byte, ok bool, err error) (*scenario.Outcome, bool, error) {
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	out, err := decodeOutcome(enc)
+	if err != nil {
+		return nil, false, err
+	}
+	return out, true, nil
+}
+
+// encodeOutcome encodes an outcome as every reply carries it.
+func encodeOutcome(out *scenario.Outcome) ([]byte, error) {
+	enc, err := json.Marshal(out)
+	if err != nil {
+		return nil, fmt.Errorf("service: encoding outcome: %w", err)
+	}
+	return enc, nil
+}
+
+// decodeOutcome decodes an encoded outcome into a fresh value.
+func decodeOutcome(enc []byte) (*scenario.Outcome, error) {
+	out := new(scenario.Outcome)
+	if err := json.Unmarshal(enc, out); err != nil {
+		return nil, fmt.Errorf("service: decoding outcome: %w", err)
+	}
+	return out, nil
+}
+
 // StoreBackend serves an on-disk content-addressed scenario.Store. It
-// keeps the most recently read outcomes decoded in memory (see
+// keeps the most recently read outcomes encoded in memory (see
 // cacheBytes), so a repeated hit costs no syscall and no decode. The
 // cache sees only the changes made through this backend: a Put drops
 // the key it replaces.
@@ -77,30 +172,41 @@ func OpenStoreBackend(dir string) (*StoreBackend, error) {
 // Name identifies the backend as the store directory.
 func (b *StoreBackend) Name() string { return "store:" + b.st.Dir() }
 
-// Get answers a cached key from memory, or reads the cell and caches
-// its outcome.
-func (b *StoreBackend) Get(_ context.Context, key string) (*scenario.Outcome, bool, error) {
-	out, gen, ok := b.cache.get(key)
+// GetEncoded answers a cached key from memory, or reads the cell and
+// caches its encoded outcome.
+func (b *StoreBackend) GetEncoded(_ context.Context, key string) ([]byte, bool, error) {
+	enc, gen, ok := b.cache.get(key)
 	if ok {
-		return out, true, nil
+		return enc, true, nil
 	}
-	out, size, ok, err := b.st.GetKeySized(key)
+	enc, ok, err := b.st.GetEncoded(key)
 	if ok {
-		b.cache.add(key, out, size, gen)
+		b.cache.add(key, enc, gen)
 	}
-	return out, ok, err
+	return enc, ok, err
 }
 
-// Put persists a cell (atomic temp-file + rename, see scenario.Store)
-// and then drops the key from the cache, so the next Get reads the new
-// cell. The drop must follow the rename (see outcomeCache).
-func (b *StoreBackend) Put(_ context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+// Get decodes GetEncoded's outcome.
+func (b *StoreBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
+	return getDecoded(b.GetEncoded(ctx, key))
+}
+
+// PutEncoded persists a cell (atomic temp-file + rename, see
+// scenario.Store) and then drops the key from the cache, so the next
+// Get reads the new cell. The drop must follow the rename (see
+// outcomeCache).
+func (b *StoreBackend) PutEncoded(_ context.Context, spec scenario.Spec, enc []byte) error {
 	key, err := scenario.Key(spec)
 	if err != nil {
 		return err
 	}
 	defer b.cache.drop(key)
-	return b.st.Put(spec, out)
+	return b.st.PutEncoded(spec, enc)
+}
+
+// Put encodes the outcome for PutEncoded.
+func (b *StoreBackend) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+	return putDecoded(ctx, b, spec, out)
 }
 
 // List inspects the store.
@@ -109,16 +215,22 @@ func (b *StoreBackend) List(context.Context) ([]scenario.CellInfo, error) { retu
 // Len counts the cells.
 func (b *StoreBackend) Len(context.Context) (int, error) { return b.st.Len() }
 
-// memCell is one in-memory cell: the encoded entry (so List can report a
-// size comparable to the on-disk backend) plus the decoded outcome.
+// memCell is one in-memory cell: the encoded outcome plus the facts
+// List reports, its size counted as the on-disk backend's JSON of the
+// spec and outcome would be.
 type memCell struct {
-	spec scenario.Spec
-	out  *scenario.Outcome
-	size int64
+	kind, name string
+	units      int
+	size       int64
+	enc        []byte
 }
 
+// memCellFraming is the JSON around a memCell's spec and outcome that
+// its size counts: {"spec":…,"outcome":…}.
+const memCellFraming = len(`{"spec":,"outcome":}`)
+
 // MemBackend is the in-memory backend: same contract as StoreBackend,
-// nothing on disk.
+// nothing on disk. It holds each outcome encoded.
 type MemBackend struct {
 	mu    sync.Mutex
 	cells map[string]*memCell
@@ -132,38 +244,52 @@ func NewMemBackend() *MemBackend {
 // Name identifies the backend.
 func (b *MemBackend) Name() string { return "mem" }
 
-// Get returns the outcome stored under key.
-func (b *MemBackend) Get(_ context.Context, key string) (*scenario.Outcome, bool, error) {
+// GetEncoded returns the encoded outcome stored under key.
+func (b *MemBackend) GetEncoded(_ context.Context, key string) ([]byte, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c, ok := b.cells[key]
 	if !ok {
 		return nil, false, nil
 	}
-	return c.out, true, nil
+	return c.enc, true, nil
 }
 
-// Put stores the outcome under the spec's content key, replacing any
-// earlier cell. A nil outcome is rejected.
-func (b *MemBackend) Put(_ context.Context, spec scenario.Spec, out *scenario.Outcome) error {
-	key, err := scenario.Key(spec)
+// Get decodes GetEncoded's outcome.
+func (b *MemBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
+	return getDecoded(b.GetEncoded(ctx, key))
+}
+
+// PutEncoded stores the encoded outcome under the spec's content key,
+// replacing any earlier cell. A missing or null outcome is rejected.
+func (b *MemBackend) PutEncoded(_ context.Context, spec scenario.Spec, enc []byte) error {
+	canon, err := scenario.CanonicalJSON(spec)
 	if err != nil {
 		return err
 	}
-	if out == nil {
+	key := scenario.KeyOf(canon)
+	if len(enc) == 0 || string(enc) == "null" {
 		return fmt.Errorf("service: mem cell %s: nil outcome", key)
 	}
-	enc, err := json.Marshal(struct {
-		Spec    scenario.Spec     `json:"spec"`
-		Outcome *scenario.Outcome `json:"outcome"`
-	}{spec, out})
-	if err != nil {
-		return fmt.Errorf("service: encoding mem cell %s: %w", key, err)
+	var probe struct {
+		Units []struct{} `json:"units"`
+	}
+	if err := json.Unmarshal(enc, &probe); err != nil {
+		return fmt.Errorf("service: mem cell %s: %w", key, err)
+	}
+	c := &memCell{
+		kind: spec.Kind, name: spec.Name, units: len(probe.Units),
+		size: int64(len(canon) + len(enc) + memCellFraming), enc: enc,
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.cells[key] = &memCell{spec: spec, out: out, size: int64(len(enc))}
+	b.cells[key] = c
 	return nil
+}
+
+// Put encodes the outcome for PutEncoded.
+func (b *MemBackend) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+	return putDecoded(ctx, b, spec, out)
 }
 
 // List inspects the cells, sorted by key.
@@ -174,9 +300,9 @@ func (b *MemBackend) List(context.Context) ([]scenario.CellInfo, error) {
 	for key, c := range b.cells {
 		infos = append(infos, scenario.CellInfo{
 			Key:   key,
-			Kind:  c.spec.Kind,
-			Name:  c.spec.Name,
-			Units: len(c.out.Units),
+			Kind:  c.kind,
+			Name:  c.name,
+			Units: c.units,
 			Size:  c.size,
 		})
 	}

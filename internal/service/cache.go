@@ -3,19 +3,17 @@ package service
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/scenario"
 )
 
 // cacheBytes bounds StoreBackend's in-memory outcome cache, counted in
-// encoded cell bytes (the cell file's size). A cell larger than
-// cacheBytes/16 is never cached, so one long recorded run cannot flush
-// the small, hot cells a sweep re-reads.
+// encoded outcome bytes. An outcome larger than cacheBytes/16 is never
+// cached, so one long recorded run cannot flush the small, hot cells a
+// sweep re-reads.
 const cacheBytes = 256 << 10
 
-// outcomeCache is a bounded LRU of decoded outcomes keyed by content
-// key. The values are shared: every hit returns the same pointer, so
-// callers must treat them as read-only (see Backend).
+// outcomeCache is a bounded LRU of encoded outcomes keyed by content
+// key. The bytes are shared: every hit returns the same slice, so
+// callers must treat them as read-only (see EncodedBackend).
 //
 // A miss reads the cell with no lock held, so a Put can replace it
 // between the read and the insert. The generation closes that window: a
@@ -30,28 +28,27 @@ type outcomeCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	out  *scenario.Outcome
-	size int
+	key string
+	enc []byte
 }
 
 // get returns a cached outcome, or on a miss the generation a later add
 // of the cell must present.
-func (c *outcomeCache) get(key string) (*scenario.Outcome, uint64, bool) {
+func (c *outcomeCache) get(key string) ([]byte, uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).out, c.gen, true
+		return el.Value.(*cacheEntry).enc, c.gen, true
 	}
 	return nil, c.gen, false
 }
 
-// add caches an outcome read from a cell of size bytes, unless a drop
-// ran since gen was taken or the cell is oversize, then evicts the
-// least recently used entries down to the budget.
-func (c *outcomeCache) add(key string, out *scenario.Outcome, size int, gen uint64) {
-	if size > cacheBytes/16 {
+// add caches an encoded outcome, unless a drop ran since gen was taken
+// or the outcome is oversize, then evicts the least recently used
+// entries down to the budget.
+func (c *outcomeCache) add(key string, enc []byte, gen uint64) {
+	if len(enc) > cacheBytes/16 {
 		return
 	}
 	c.mu.Lock()
@@ -60,16 +57,16 @@ func (c *outcomeCache) add(key string, out *scenario.Outcome, size int, gen uint
 		return
 	}
 	if el, ok := c.items[key]; ok {
-		// Another reader of the same generation got here first; its
-		// outcome decodes from the same bytes.
+		// Another reader of the same generation got here first; it read
+		// the same bytes.
 		c.lru.MoveToFront(el)
 		return
 	}
 	if c.items == nil {
 		c.items = make(map[string]*list.Element)
 	}
-	c.items[key] = c.lru.PushFront(&cacheEntry{key: key, out: out, size: size})
-	c.bytes += size
+	c.items[key] = c.lru.PushFront(&cacheEntry{key: key, enc: enc})
+	c.bytes += len(enc)
 	for c.bytes > cacheBytes {
 		c.remove(c.lru.Back())
 	}
@@ -90,5 +87,5 @@ func (c *outcomeCache) drop(key string) {
 func (c *outcomeCache) remove(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry)
 	delete(c.items, e.key)
-	c.bytes -= e.size
+	c.bytes -= len(e.enc)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -54,35 +55,56 @@ func putKey(t *testing.T, b Backend, spec scenario.Spec, out *scenario.Outcome) 
 	return key
 }
 
-// TestStoreBackendCachedHit: the second Get of a key is answered from
-// memory (the same value, even with the cell file gone) and hashes
-// like a fresh decode of the cell.
+// encode is json.Marshal of an outcome, failing the test on error.
+func encode(t testing.TB, out *scenario.Outcome) []byte {
+	t.Helper()
+	b, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sameBytes reports whether two slices share their first byte: the same
+// cached bytes, not an equal copy.
+func sameBytes(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// TestStoreBackendCachedHit: the second read of a key is answered from
+// memory (the same bytes, even with the cell file gone), and the bytes
+// are the outcome's json.Marshal output, as a fresh read of the cell
+// gives them.
 func TestStoreBackendCachedHit(t *testing.T) {
 	b, out, _ := cacheFixture(t)
 	key := putKey(t, b, testSpec(24), out)
-	first, ok, err := b.Get(ctx, key)
+	first, ok, err := b.GetEncoded(ctx, key)
 	if err != nil || !ok {
 		t.Fatalf("first Get: ok=%v err=%v", ok, err)
 	}
-	second, ok, err := b.Get(ctx, key)
+	second, ok, err := b.GetEncoded(ctx, key)
 	if err != nil || !ok {
 		t.Fatalf("second Get: ok=%v err=%v", ok, err)
 	}
-	if second != first {
-		t.Error("second Get decoded the cell again instead of serving the cached outcome")
+	if !sameBytes(first, second) {
+		t.Error("second Get read the cell again instead of serving the cached outcome")
 	}
-	fresh, ok, err := b.st.GetKey(key)
+	fresh, ok, err := b.st.GetEncoded(key)
 	if err != nil || !ok {
-		t.Fatalf("fresh decode: ok=%v err=%v", ok, err)
+		t.Fatalf("fresh read: ok=%v err=%v", ok, err)
 	}
-	if outcomeHash(t, second) != outcomeHash(t, fresh) {
-		t.Error("cached outcome hashes differently from a fresh decode")
+	if want := encode(t, out); !bytes.Equal(second, want) || !bytes.Equal(fresh, want) {
+		t.Errorf("cached outcome %d bytes, fresh read %d bytes, want json.Marshal's %d", len(second), len(fresh), len(want))
 	}
 	if err := os.Remove(filepath.Join(b.st.Dir(), key+".json")); err != nil {
 		t.Fatal(err)
 	}
-	if third, ok, err := b.Get(ctx, key); err != nil || !ok || third != first {
-		t.Errorf("cached Get touched the disk: ok=%v err=%v same=%v", ok, err, third == first)
+	if third, ok, err := b.GetEncoded(ctx, key); err != nil || !ok || !sameBytes(third, first) {
+		t.Errorf("cached Get touched the disk: ok=%v err=%v", ok, err)
+	}
+	// A decoded Get is the caller's own value, never shared.
+	a, _, _ := b.Get(ctx, key)
+	c, _, _ := b.Get(ctx, key)
+	if a == nil || a == c || outcomeHash(t, a) != outcomeHash(t, out) {
+		t.Error("decoded Gets share one outcome or differ from the stored one")
 	}
 }
 
@@ -92,15 +114,15 @@ func TestStoreBackendCacheInvalidation(t *testing.T) {
 	b, out, replaced := cacheFixture(t)
 	spec := testSpec(24)
 	key := putKey(t, b, spec, out)
-	if _, ok, err := b.Get(ctx, key); err != nil || !ok {
+	if _, ok, err := b.GetEncoded(ctx, key); err != nil || !ok {
 		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
 	putKey(t, b, spec, replaced)
-	got, ok, err := b.Get(ctx, key)
+	got, ok, err := b.GetEncoded(ctx, key)
 	if err != nil || !ok {
 		t.Fatalf("Get after Put: ok=%v err=%v", ok, err)
 	}
-	if outcomeHash(t, got) != outcomeHash(t, replaced) {
+	if !bytes.Equal(got, encode(t, replaced)) {
 		t.Error("Get after Put served the outcome the Put replaced")
 	}
 }
@@ -116,26 +138,27 @@ func TestStoreBackendCacheStaleInsert(t *testing.T) {
 		if ok {
 			t.Fatal("key cached before any Get")
 		}
-		old, size, ok, err := b.st.GetKeySized(key)
+		old, ok, err := b.st.GetEncoded(key)
 		if err != nil || !ok {
 			t.Fatalf("reading the cell: ok=%v err=%v", ok, err)
 		}
 		putKey(t, b, testSpec(24), replaced)
-		b.cache.add(key, old, size, gen)
+		b.cache.add(key, old, gen)
 		if _, _, ok := b.cache.get(key); ok {
 			t.Error("a read racing a Put inserted the cell it read")
 		}
 	})
 }
 
-// TestStoreBackendCacheConcurrent: Gets and encodes of one hot key run
-// beside Puts that alternate its outcome. After each Put the key serves
-// the new outcome, whatever the readers had in flight.
+// TestStoreBackendCacheConcurrent: reads of one hot key, which also read
+// every byte they are served, run beside Puts that alternate its
+// outcome. After each Put the key serves the new outcome, whatever the
+// readers had in flight.
 func TestStoreBackendCacheConcurrent(t *testing.T) {
 	b, out, replaced := cacheFixture(t)
 	hotSpec := testSpec(24)
 	hot := putKey(t, b, hotSpec, out)
-	want := [2][32]byte{outcomeHash(t, out), outcomeHash(t, replaced)}
+	want := [2][]byte{encode(t, out), encode(t, replaced)}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -153,16 +176,14 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				got, ok, err := b.Get(ctx, hot)
+				got, ok, err := b.GetEncoded(ctx, hot)
 				if err != nil {
 					t.Errorf("reader Get: %v", err)
 					return
 				}
-				if ok {
-					if _, err := json.Marshal(got); err != nil {
-						t.Errorf("encoding a shared outcome: %v", err)
-						return
-					}
+				if ok && !bytes.Equal(got, want[0]) && !bytes.Equal(got, want[1]) {
+					t.Error("reader served bytes of neither outcome")
+					return
 				}
 			}
 		}()
@@ -170,31 +191,31 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 
 	for i := 0; i < 100; i++ {
 		putKey(t, b, hotSpec, []*scenario.Outcome{out, replaced}[i%2])
-		got, ok, err := b.Get(ctx, hot)
+		got, ok, err := b.GetEncoded(ctx, hot)
 		if err != nil || !ok {
 			t.Fatalf("round %d: Get after Put: ok=%v err=%v", i, ok, err)
 		}
-		if outcomeHash(t, got) != want[i%2] {
+		if !bytes.Equal(got, want[i%2]) {
 			t.Fatalf("round %d: Get after Put served the outcome the Put replaced", i)
 		}
 	}
 }
 
 // TestOutcomeCacheBudget: the cached bytes never exceed cacheBytes, the
-// least recently used entry goes first, and a cell over cacheBytes/16
-// is never cached, in the cache alone and behind a StoreBackend.
+// least recently used entry goes first, and an outcome over
+// cacheBytes/16 is never cached, in the cache alone and behind a
+// StoreBackend.
 func TestOutcomeCacheBudget(t *testing.T) {
 	var c outcomeCache
-	out := &scenario.Outcome{Kind: scenario.KindSingle}
 	evicted := false
 	for i := 0; i < 200; i++ {
 		if i == 20 {
 			c.get("0") // recently used: outlives "1"
 		}
-		c.add(fmt.Sprint(i), out, cacheBytes/40+i%7, c.gen)
+		c.add(fmt.Sprint(i), make([]byte, cacheBytes/40+i%7), c.gen)
 		sum := 0
 		for el := c.lru.Front(); el != nil; el = el.Next() {
-			sum += el.Value.(*cacheEntry).size
+			sum += len(el.Value.(*cacheEntry).enc)
 		}
 		if c.bytes > cacheBytes || sum != c.bytes || len(c.items) != c.lru.Len() {
 			t.Fatalf("after %d adds: %d bytes (entries sum to %d) over %d items (%d in the list), budget %d",
@@ -215,13 +236,13 @@ func TestOutcomeCacheBudget(t *testing.T) {
 	if _, _, ok := c.get("199"); !ok {
 		t.Error("the newest entry was evicted")
 	}
-	c.add("edge", out, cacheBytes/16, c.gen)
-	c.add("oversize", out, cacheBytes/16+1, c.gen)
+	c.add("edge", make([]byte, cacheBytes/16), c.gen)
+	c.add("oversize", make([]byte, cacheBytes/16+1), c.gen)
 	if _, _, ok := c.get("edge"); !ok {
-		t.Error("a cell of exactly cacheBytes/16 was not cached")
+		t.Error("an outcome of exactly cacheBytes/16 was not cached")
 	}
 	if _, _, ok := c.get("oversize"); ok {
-		t.Error("an oversize cell was cached")
+		t.Error("an oversize outcome was cached")
 	}
 
 	b, _, _ := cacheFixture(t)
@@ -230,14 +251,14 @@ func TestOutcomeCacheBudget(t *testing.T) {
 		Series: trace.Set{{Name: "s", T: make([]float64, cacheBytes/16), V: make([]float64, cacheBytes/16)}},
 	}}}
 	key := putKey(t, b, testSpec(24), big)
-	first, ok, err := b.Get(ctx, key)
+	first, ok, err := b.GetEncoded(ctx, key)
 	if err != nil || !ok {
 		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
-	if second, _, _ := b.Get(ctx, key); second == first {
-		t.Error("an oversize cell was served from the cache")
+	if second, _, _ := b.GetEncoded(ctx, key); sameBytes(second, first) {
+		t.Error("an oversize outcome was served from the cache")
 	}
 	if b.cache.bytes != 0 {
-		t.Errorf("cache holds %d bytes after reading only an oversize cell", b.cache.bytes)
+		t.Errorf("cache holds %d bytes after reading only an oversize outcome", b.cache.bytes)
 	}
 }

@@ -14,8 +14,10 @@
 //	http     — the /v1/scenarios API surface
 //
 // The storage Backend interface (context-threaded Get/Put/List/Len,
-// plus the optional Fetcher read-through hook) is the pluggability
-// point: the on-disk scenario.Store is the canonical backend, an
+// plus the optional Fetcher read-through hook and the encoded path,
+// EncodedBackend and EncodedFetcher, over which outcomes travel as the
+// JSON every reply carries) is the pluggability point: the on-disk
+// scenario.Store is the canonical backend, an
 // in-memory backend ships for tests and ephemeral daemons, and
 // RemoteBackend tiers either onto another scenariod — local tier first,
 // read-through to the shared tier on a miss, write-through on puts,

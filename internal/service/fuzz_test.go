@@ -14,13 +14,16 @@ import (
 const wrongKey = "0123abcd"
 
 // FuzzPush fuzzes the push verb's trust boundary, PUT
-// /v1/scenarios/{key}, through the daemon's route table in process (a
-// handler panic would otherwise be recovered by net/http and hidden).
-// The URL key is the body's content key whenever the body decodes and its
-// spec validates, so the fuzzer reaches the accepting path, unless
-// useWrongKey asks for a key no spec hashes to. Every push answers 200 or
-// 400, a 400 says invalid_spec, and after a 200 a GET of the key answers
-// done and cached with the pushed outcome.
+// /v1/scenarios/{key}, through the route tables of a disk daemon and an
+// in-memory daemon in process (a handler panic would otherwise be
+// recovered by net/http and hidden). The URL key is the body's content
+// key whenever the body decodes and its spec validates, so the fuzzer
+// reaches the accepting path, unless useWrongKey asks for a key no spec
+// hashes to. Every push answers 200 or 400, a 400 says invalid_spec, and
+// after a 200 a GET of the key answers done and cached with the pushed
+// outcome's canonical bytes: the json.Marshal output of the decoded
+// body's outcome, which differs from the pushed bytes when, for
+// example, a series is null.
 func FuzzPush(f *testing.F) {
 	spec := testSpec(24)
 	spec.Duration, spec.Record = 10, true
@@ -45,13 +48,16 @@ func FuzzPush(f *testing.F) {
 	f.Add(specOnly, false)
 	f.Add(nullSeries, false)
 
-	// The daemon is never started: a push and a poll of a stored key
+	// The daemons are never started: a push and a poll of a stored key
 	// reach storage directly, without queue workers or a socket.
-	d, err := New(Config{StoreDir: f.TempDir()})
-	if err != nil {
-		f.Fatal(err)
+	var muxes []http.Handler
+	for _, cfg := range []Config{{StoreDir: f.TempDir()}, {}} {
+		d, err := New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		muxes = append(muxes, d.http.srv.Handler)
 	}
-	mux := d.http.srv.Handler
 
 	f.Fuzz(func(t *testing.T, body []byte, useWrongKey bool) {
 		key := wrongKey
@@ -62,42 +68,43 @@ func FuzzPush(f *testing.F) {
 				key = k
 			}
 		}
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/scenarios/"+key, bytes.NewReader(body)))
-		switch rec.Code {
-		case http.StatusBadRequest:
-			var ae apiError
-			if err := json.Unmarshal(rec.Body.Bytes(), &ae); err != nil || ae.Code != CodeInvalidSpec {
-				t.Fatalf("400 body %q, want code %s", rec.Body, CodeInvalidSpec)
+		for _, mux := range muxes {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/scenarios/"+key, bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusBadRequest:
+				var ae apiError
+				if err := json.Unmarshal(rec.Body.Bytes(), &ae); err != nil || ae.Code != CodeInvalidSpec {
+					t.Fatalf("400 body %q, want code %s", rec.Body, CodeInvalidSpec)
+				}
+				continue
+			case http.StatusOK:
+			default:
+				t.Fatalf("push answered %d: %s", rec.Code, rec.Body)
 			}
-			return
-		case http.StatusOK:
-		default:
-			t.Fatalf("push answered %d: %s", rec.Code, rec.Body)
-		}
-		if key == wrongKey {
-			t.Fatalf("push under a wrong key accepted: %s", rec.Body)
-		}
+			if key == wrongKey {
+				t.Fatalf("push under a wrong key accepted: %s", rec.Body)
+			}
 
-		rec = httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/scenarios/"+key, nil))
-		var st JobStatus
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
-			t.Fatalf("GET after push = %d %q (%v)", rec.Code, rec.Body, err)
-		}
-		if st.Key != key || st.State != StateDone || !st.Cached || st.Outcome == nil {
-			t.Fatalf("GET after push = %+v, want done and cached with an outcome", st)
-		}
-		pushed, err := json.Marshal(pr.Outcome)
-		if err != nil {
-			t.Fatal(err)
-		}
-		served, err := json.Marshal(st.Outcome)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pushed, served) {
-			t.Fatalf("served outcome differs from the pushed one:\npushed %s\nserved %s", pushed, served)
+			rec = httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/scenarios/"+key, nil))
+			var st struct {
+				JobStatus
+				Outcome json.RawMessage `json:"outcome"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("GET after push = %d %q (%v)", rec.Code, rec.Body, err)
+			}
+			if st.Key != key || st.State != StateDone || !st.Cached || st.Outcome == nil {
+				t.Fatalf("GET after push = %s, want done and cached with an outcome", rec.Body)
+			}
+			pushed, err := json.Marshal(pr.Outcome)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pushed, st.Outcome) {
+				t.Fatalf("served outcome differs from the pushed one:\npushed %s\nserved %s", pushed, st.Outcome)
+			}
 		}
 	})
 }

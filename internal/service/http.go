@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"time"
@@ -137,6 +138,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeReply emits a job status with its encoded outcome spliced in:
+// the bytes writeJSON gives for the JobStatus with the decoded outcome
+// attached, without decoding or re-encoding it. Outcome is JobStatus's
+// last member, so it goes in just before the closing brace.
+func writeReply(w http.ResponseWriter, code int, r reply) {
+	if r.outcome == nil {
+		writeJSON(w, code, r.JobStatus)
+		return
+	}
+	head, _ := json.Marshal(r.JobStatus) // strings and a bool: cannot fail
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	// As in writeJSON, a write fails only once the client has gone.
+	_, _ = w.Write(head[:len(head)-1])
+	_, _ = io.WriteString(w, `,"outcome":`)
+	_, _ = w.Write(r.outcome)
+	_, _ = io.WriteString(w, "}\n")
+}
+
 // writeError emits one error envelope with its stable code.
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, apiError{Error: msg, Code: code})
@@ -186,13 +206,16 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.State == StateQueued || st.State == StateRunning {
 		code = http.StatusAccepted
 	}
-	writeJSON(w, code, st)
+	writeReply(w, code, st)
 }
 
 // handlePush is PUT /v1/scenarios/{key}: store an already-computed cell
 // (tiered daemons replicating into the shared tier). The key in the URL
 // must match the spec's content hash — content addressing makes pushes
-// self-validating.
+// self-validating. The outcome is stored as the encoding of the decoded
+// body, not as the request's bytes: the two differ (a null series, an
+// empty aggregate), and every stored outcome must be the bytes
+// json.Marshal gives.
 func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
@@ -219,7 +242,12 @@ func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("pushed key %q does not match spec content key %q", got, key))
 		return
 	}
-	if err := h.storage.Put(r.Context(), pr.Spec, pr.Outcome); err != nil {
+	enc, err := encodeOutcome(pr.Outcome)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return
+	}
+	if err := h.storage.Put(r.Context(), pr.Spec, enc); err != nil {
 		if err == ErrStopped {
 			writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
 			return
@@ -249,7 +277,7 @@ func (h *HTTPServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, code, fmt.Sprintf("unknown scenario key %q", key))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeReply(w, http.StatusOK, st)
 }
 
 // handleList is GET /v1/scenarios.

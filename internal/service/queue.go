@@ -40,6 +40,14 @@ type JobStatus struct {
 	Outcome *scenario.Outcome `json:"outcome,omitempty"`
 }
 
+// reply is a JobStatus as the queue hands it to the API: the outcome
+// stays encoded (Outcome is unset), the bytes the store holds and every
+// waiter of a fresh job shares, for the API to splice into the body.
+type reply struct {
+	JobStatus
+	outcome []byte
+}
+
 // QueueStats accounts the queue's traffic.
 type QueueStats struct {
 	// Submitted counts every accepted submit (including duplicates).
@@ -67,19 +75,19 @@ type job struct {
 	state   string
 	cached  bool
 	err     string
-	outcome *scenario.Outcome
+	outcome []byte        // encoded, set when the job is done
 	done    chan struct{} // closed when the job leaves queued/running
 }
 
 // snapshot returns the job's status under its lock.
-func (j *job) snapshot() JobStatus {
+func (j *job) snapshot() reply {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{Key: j.key, State: j.state, Cached: j.cached, Error: j.err}
+	r := reply{JobStatus: JobStatus{Key: j.key, State: j.state, Cached: j.cached, Error: j.err}}
 	if j.state == StateDone {
-		st.Outcome = j.outcome
+		r.outcome = j.outcome
 	}
-	return st
+	return r
 }
 
 // Queue is the job-queue module: submitted specs are deduplicated
@@ -182,29 +190,29 @@ func (e *specError) Unwrap() error { return e.err }
 // — on a tiered daemon a miss reads through to (and may be simulated
 // by) the shared remote tier, so the key's first simulation happens
 // once fleet-wide, wherever the singleflight that owns it runs.
-func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, error) {
+func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (reply, error) {
 	if err := spec.Validate(); err != nil {
-		return JobStatus{}, &specError{err}
+		return reply{}, &specError{err}
 	}
 	spec.Workers = q.engineWorkers
 	key, err := scenario.Key(spec)
 	if err != nil {
-		return JobStatus{}, &specError{err}
+		return reply{}, &specError{err}
 	}
 	q.addStat(&q.stats.submitted)
 
 	// Store first: a finished cell answers immediately, no job needed.
-	if out, ok, err := q.storage.Fetch(ctx, spec, key); err != nil {
-		return JobStatus{}, err
+	if enc, ok, err := q.storage.Fetch(ctx, spec, key); err != nil {
+		return reply{}, err
 	} else if ok {
 		q.addStat(&q.stats.cacheHits)
-		return JobStatus{Key: key, State: StateDone, Cached: true, Outcome: out}, nil
+		return storedReply(key, enc), nil
 	}
 
 	q.mu.Lock()
 	if !q.accept {
 		q.mu.Unlock()
-		return JobStatus{}, ErrStopped
+		return reply{}, ErrStopped
 	}
 	if j, ok := q.inflight[key]; ok {
 		// Singleflight: identical spec already queued or running —
@@ -233,27 +241,29 @@ func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (JobStatus, erro
 // failures held for inspection), then the store. ok=false means the key
 // is neither in flight nor stored (on a tiered daemon the lookup reads
 // through to the remote, so a leader-owned key polls as done here too).
-func (q *Queue) Status(ctx context.Context, key string) (JobStatus, bool, error) {
+func (q *Queue) Status(ctx context.Context, key string) (reply, bool, error) {
 	q.mu.Lock()
 	j, inflight := q.inflight[key]
 	q.mu.Unlock()
 	if inflight {
 		return j.snapshot(), true, nil
 	}
-	out, ok, err := q.storage.Get(ctx, key)
-	if err != nil {
-		return JobStatus{}, false, err
+	enc, ok, err := q.storage.Get(ctx, key)
+	if err != nil || !ok {
+		return reply{}, false, err
 	}
-	if !ok {
-		return JobStatus{}, false, nil
-	}
-	return JobStatus{Key: key, State: StateDone, Cached: true, Outcome: out}, true, nil
+	return storedReply(key, enc), true, nil
+}
+
+// storedReply answers a key from its stored outcome.
+func storedReply(key string, enc []byte) reply {
+	return reply{JobStatus: JobStatus{Key: key, State: StateDone, Cached: true}, outcome: enc}
 }
 
 // Wait blocks until the key's in-flight job completes, the context is
 // cancelled, or returns the stored status immediately. ok=false when
 // the key is unknown.
-func (q *Queue) Wait(ctx context.Context, key string) (JobStatus, bool, error) {
+func (q *Queue) Wait(ctx context.Context, key string) (reply, bool, error) {
 	q.mu.Lock()
 	j, inflight := q.inflight[key]
 	q.mu.Unlock()
@@ -274,9 +284,7 @@ func (q *Queue) Inflight() []JobStatus {
 	q.mu.Lock()
 	statuses := make([]JobStatus, 0, len(q.inflight))
 	for _, j := range q.inflight {
-		st := j.snapshot()
-		st.Outcome = nil
-		statuses = append(statuses, st)
+		statuses = append(statuses, j.snapshot().JobStatus)
 	}
 	q.mu.Unlock()
 	// Sort after collection so map order never reaches the API.
@@ -318,6 +326,16 @@ func (q *Queue) runJob(spec scenario.Spec) (out *scenario.Outcome, err error) {
 	return q.run(spec)
 }
 
+// runEncoded runs one spec and encodes its outcome once, for the Put
+// and for every waiter.
+func (q *Queue) runEncoded(spec scenario.Spec) ([]byte, error) {
+	out, err := q.runJob(spec)
+	if err != nil {
+		return nil, err
+	}
+	return encodeOutcome(out)
+}
+
 // worker drains the job channel: run, persist, publish, retire. A job
 // is counted and retired before its done channel closes, so a woken
 // waiter already sees it out of the in-flight listing and in the stats.
@@ -347,11 +365,11 @@ func (q *Queue) worker() {
 		// reads through to the shared tier and may delegate the simulation
 		// to the remote — local engine work is the last resort. Workers
 		// run under the daemon's lifetime context, not any submitter's.
-		if out, ok, err := q.storage.Fetch(context.Background(), j.spec, j.key); err == nil && ok {
+		if enc, ok, err := q.storage.Fetch(context.Background(), j.spec, j.key); err == nil && ok {
 			j.mu.Lock()
 			j.state = StateDone
 			j.cached = true
-			j.outcome = out
+			j.outcome = enc
 			j.mu.Unlock()
 			q.addStat(&q.stats.cacheHits)
 			q.mu.Lock()
@@ -361,11 +379,11 @@ func (q *Queue) worker() {
 			continue
 		}
 
-		out, err := q.runJob(j.spec)
+		enc, err := q.runEncoded(j.spec)
 		if err == nil {
 			// Persist before publishing: once the job leaves the
 			// in-flight table, pollers must find the cell in the store.
-			err = q.storage.Put(context.Background(), j.spec, out)
+			err = q.storage.Put(context.Background(), j.spec, enc)
 		}
 
 		if err != nil {
@@ -374,7 +392,7 @@ func (q *Queue) worker() {
 		}
 		j.mu.Lock()
 		j.state = StateDone
-		j.outcome = out
+		j.outcome = enc
 		j.mu.Unlock()
 		q.addStat(&q.stats.simulated)
 		q.mu.Lock()

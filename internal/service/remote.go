@@ -54,7 +54,7 @@ type RemoteBackend struct {
 // writeThrough is one queued write-through.
 type writeThrough struct {
 	spec scenario.Spec
-	out  *scenario.Outcome
+	enc  []byte
 }
 
 // TierStats is the tier split a tiered backend reports into
@@ -141,18 +141,15 @@ func (r *RemoteBackend) Close() error {
 	return nil
 }
 
-// Get checks the local tier, then reads through to the remote on a
-// miss. Key-only reads cannot write back (the local tiers key by spec,
+// GetEncoded checks the local tier, then reads through to the remote on
+// a miss. Key-only reads cannot write back (the local tiers key by spec,
 // and an Outcome does not carry its spec) — the Fetch path, which has
-// the spec in hand, is the one that populates the local tier. Remote
-// trouble degrades to a plain miss.
-func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
-	out, ok, err := r.local.Get(ctx, key)
-	if err != nil || ok {
-		if ok {
-			r.count(func(st *TierStats) { st.LocalHits++ })
-		}
-		return out, ok, err
+// the spec in hand, is the one that populates the local tier. A local
+// hit is the local tier's bytes; a remote hit decodes the remote's reply
+// and encodes its outcome once. Remote trouble degrades to a plain miss.
+func (r *RemoteBackend) GetEncoded(ctx context.Context, key string) ([]byte, bool, error) {
+	if enc, ok, err := getEncoded(ctx, r.local, key); r.answeredLocally(ok, err) {
+		return enc, ok, err
 	}
 	if !r.br.allow() {
 		r.count(func(st *TierStats) { st.DegradedSkips++ })
@@ -172,29 +169,48 @@ func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome,
 		return nil, false, nil
 	}
 	r.br.success()
-	if st.State != StateDone || st.Outcome == nil {
-		// In flight on the remote: not an error, not a hit either — the
-		// local queue will fetch (and coalesce on the remote's job).
-		r.count(func(st *TierStats) { st.RemoteMisses++ })
-		return nil, false, nil
-	}
-	r.count(func(st *TierStats) { st.RemoteHits++ })
-	return st.Outcome, true, nil
+	return encoded(r.remoteOutcome(st))
 }
 
-// Fetch resolves a miss with the spec in hand: local first, then a
-// blocking submit to the remote daemon — the remote simulates (its
+// Get is GetEncoded with the outcome decoded.
+func (r *RemoteBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
+	return getDecoded(r.GetEncoded(ctx, key))
+}
+
+// FetchEncoded resolves a miss with the spec in hand: local first, then
+// a blocking submit to the remote daemon — the remote simulates (its
 // singleflight dedups across every daemon fetching the same spec) and
-// the outcome is written back locally. Remote trouble returns a miss so
-// the local worker runs the simulation itself.
+// the outcome, encoded once, is written back locally. Remote trouble
+// returns a miss so the local worker runs the simulation itself.
+func (r *RemoteBackend) FetchEncoded(ctx context.Context, spec scenario.Spec, key string) ([]byte, bool, error) {
+	if enc, ok, err := getEncoded(ctx, r.local, key); r.answeredLocally(ok, err) {
+		return enc, ok, err
+	}
+	enc, ok, err := encoded(r.fetchRemote(ctx, spec))
+	if ok {
+		// Write-back: the next read of this key is a local hit. Failure
+		// is tolerable — the outcome is already in hand and re-fetchable.
+		_ = putEncoded(ctx, r.local, spec, enc)
+	}
+	return enc, ok, err
+}
+
+// Fetch is FetchEncoded for callers of the decoded Fetcher: the local
+// tier's decoded Get first, then the same remote submit, whose outcome
+// is written back through the local tier's Put.
 func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
-	out, ok, err := r.local.Get(ctx, key)
-	if err != nil || ok {
-		if ok {
-			r.count(func(st *TierStats) { st.LocalHits++ })
-		}
+	if out, ok, err := r.local.Get(ctx, key); r.answeredLocally(ok, err) {
 		return out, ok, err
 	}
+	out, ok, err := r.fetchRemote(ctx, spec)
+	if ok {
+		_ = r.local.Put(ctx, spec, out)
+	}
+	return out, ok, err
+}
+
+// fetchRemote submits a spec to the remote and waits for its outcome.
+func (r *RemoteBackend) fetchRemote(ctx context.Context, spec scenario.Spec) (*scenario.Outcome, bool, error) {
 	if !r.br.allow() {
 		r.count(func(st *TierStats) { st.DegradedSkips++ })
 		return nil, false, nil
@@ -207,27 +223,41 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 		return nil, false, nil
 	}
 	r.br.success()
-	if st.State != StateDone || st.Outcome == nil {
+	return r.remoteOutcome(st)
+}
+
+// answeredLocally counts a local-tier hit and reports whether the local
+// lookup answers the read: a hit or an error.
+func (r *RemoteBackend) answeredLocally(ok bool, err error) bool {
+	if ok {
+		r.count(func(st *TierStats) { st.LocalHits++ })
+	}
+	return ok || err != nil
+}
+
+// remoteOutcome counts a healthy remote reply as a hit when it carries a
+// finished outcome and as a miss otherwise: in flight on the remote is
+// not an error, not a hit either — the local queue will fetch (and
+// coalesce on the remote's job).
+func (r *RemoteBackend) remoteOutcome(js JobStatus) (*scenario.Outcome, bool, error) {
+	if js.State != StateDone || js.Outcome == nil {
 		r.count(func(st *TierStats) { st.RemoteMisses++ })
 		return nil, false, nil
 	}
 	r.count(func(st *TierStats) { st.RemoteHits++ })
-	// Write-back: the next read of this key is a local hit. Failure is
-	// tolerable — the outcome is already in hand and re-fetchable.
-	_ = r.local.Put(ctx, spec, st.Outcome)
-	return st.Outcome, true, nil
+	return js.Outcome, true, nil
 }
 
-// Put lands the outcome in the local tier (errors here are real — the
-// local store is the daemon's correctness tier) and then queues the
-// write-through to the background writer, which retries it. Write-through
-// failure never fails the Put.
-func (r *RemoteBackend) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
-	if err := r.local.Put(ctx, spec, out); err != nil {
+// PutEncoded lands the outcome in the local tier (errors here are real —
+// the local store is the daemon's correctness tier) and then queues the
+// write-through to the background writer, which retries it.
+// Write-through failure never fails the Put.
+func (r *RemoteBackend) PutEncoded(ctx context.Context, spec scenario.Spec, enc []byte) error {
+	if err := putEncoded(ctx, r.local, spec, enc); err != nil {
 		return err
 	}
 	select {
-	case r.writes <- writeThrough{spec: spec, out: out}:
+	case r.writes <- writeThrough{spec: spec, enc: enc}:
 	default:
 		// Full queue: drop rather than block the Put, which holds the
 		// storage module's Put lock. The cell is safe locally; only the
@@ -235,6 +265,11 @@ func (r *RemoteBackend) Put(ctx context.Context, spec scenario.Spec, out *scenar
 		r.count(func(st *TierStats) { st.WriteDropped++ })
 	}
 	return nil
+}
+
+// Put encodes the outcome for PutEncoded.
+func (r *RemoteBackend) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+	return putDecoded(ctx, r, spec, out)
 }
 
 // writer drains the write-through queue.
@@ -247,14 +282,20 @@ func (r *RemoteBackend) writer() {
 			continue // drain the queue, counting drops
 		default:
 		}
-		r.pushRetry(r.root, wt.spec, wt.out)
+		r.pushRetry(r.root, wt.spec, wt.enc)
 	}
 }
 
 // pushRetry attempts the remote write up to retries times with jittered
 // exponential backoff, honoring the breaker. Terminal failure is
-// counted, never returned.
-func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) {
+// counted, never returned. Client.Push takes the decoded outcome, so the
+// writer decodes it here, off the request path.
+func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, enc []byte) {
+	out, err := decodeOutcome(enc)
+	if err != nil {
+		r.count(func(st *TierStats) { st.WriteDropped++ })
+		return
+	}
 	delay := r.backoff
 	for attempt := 0; attempt < r.retries; attempt++ {
 		if ctx.Err() != nil {

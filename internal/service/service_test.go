@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -173,6 +174,10 @@ func TestDaemonFailedStart(t *testing.T) {
 	}
 }
 
+// decodedBackend hides a backend's encoded path, as a tracing wrapper
+// that implements only Backend does, so storage takes its adapters.
+type decodedBackend struct{ Backend }
+
 // listCounter is a MemBackend that counts its List calls.
 type listCounter struct {
 	*MemBackend
@@ -264,9 +269,10 @@ func TestParkedFetchBlocksNoOne(t *testing.T) {
 	}()
 	<-b.entered
 
+	enc := encode(t, out)
 	others := make(chan error, 1)
 	go func() {
-		if err := s.Put(ctx, spec, out); err != nil {
+		if err := s.Put(ctx, spec, enc); err != nil {
 			others <- err
 			return
 		}
@@ -316,6 +322,7 @@ func TestStorageConcurrentStress(t *testing.T) {
 			return b
 		}},
 		{"mem", func(*testing.T) Backend { return NewMemBackend() }},
+		{"decoded", func(*testing.T) Backend { return decodedBackend{NewMemBackend()} }},
 		{"remote", func(t *testing.T) Backend {
 			rb := NewRemoteBackend(NewMemBackend(), NewClient(leader.URL))
 			t.Cleanup(func() {
@@ -327,6 +334,7 @@ func TestStorageConcurrentStress(t *testing.T) {
 		}},
 	}
 
+	enc := encode(t, out)
 	const workers, rounds = 4, 8
 	for _, bc := range backends {
 		t.Run(bc.name, func(t *testing.T) {
@@ -338,7 +346,7 @@ func TestStorageConcurrentStress(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					errs <- stressWorker(s, out, w, rounds)
+					errs <- stressWorker(s, enc, w, rounds)
 				}(w)
 			}
 			wg.Wait()
@@ -368,11 +376,11 @@ func TestStorageConcurrentStress(t *testing.T) {
 // stressWorker is one TestStorageConcurrentStress client: each round
 // puts a fresh cell, reads it back, fetches a never-put key (a tiered
 // backend writes the leader's answer back), lists and reads the stats.
-func stressWorker(s *Storage, out *scenario.Outcome, w, rounds int) error {
+func stressWorker(s *Storage, enc []byte, w, rounds int) error {
 	for i := 0; i < rounds; i++ {
 		spec := testSpec(20 + float64(w*rounds+i)/100)
 		key, _ := scenario.Key(spec)
-		if err := s.Put(ctx, spec, out); err != nil {
+		if err := s.Put(ctx, spec, enc); err != nil {
 			return err
 		}
 		if _, ok, err := s.Get(ctx, key); err != nil || !ok {
@@ -491,6 +499,92 @@ func TestSingleflightAndByteIdentity(t *testing.T) {
 	}
 }
 
+// TestReplyBytes pins the reply bodies to what json.NewEncoder writes
+// for the JobStatus with the decoded outcome attached: a fresh ?wait=1
+// submit, a cached submit and a poll of the stored key, on a disk
+// daemon, an in-memory daemon, a follower whose local tier holds the
+// key after its first submit, and a disk daemon whose backend offers
+// only the decoded methods. The spec records its series, so a body runs
+// past the net/http buffer and is sent chunked.
+func TestReplyBytes(t *testing.T) {
+	spec := testSpec(75)
+	spec.Duration, spec.Record = 60, true
+	out, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := scenario.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodeStatus := func(st JobStatus) string {
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	leader := startDaemon(t, Config{})
+	disk, err := OpenStoreBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// firstCached: a follower's first submit is a remote hit.
+		firstCached bool
+	}{
+		{"disk", Config{StoreDir: t.TempDir()}, false},
+		{"mem", Config{}, false},
+		{"follower", Config{StoreDir: t.TempDir(), Remote: leader.BaseURL()}, true},
+		{"decoded", Config{Backend: decodedBackend{disk}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := startDaemon(t, tc.cfg)
+			for _, call := range []struct {
+				method, path string
+				cached       bool
+			}{
+				{http.MethodPost, "/v1/scenarios?wait=1", tc.firstCached},
+				{http.MethodPost, "/v1/scenarios", true},
+				{http.MethodGet, "/v1/scenarios/" + key, true},
+			} {
+				var rd io.Reader
+				if call.method == http.MethodPost {
+					rd = bytes.NewReader(body)
+				}
+				req, err := http.NewRequest(call.method, d.BaseURL()+call.path, rd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s: %d (%v): %s", call.method, call.path, resp.StatusCode, err, got)
+				}
+				var st JobStatus
+				if err := json.Unmarshal(got, &st); err != nil {
+					t.Fatal(err)
+				}
+				want := encodeStatus(JobStatus{Key: key, State: StateDone, Cached: call.cached, Outcome: out})
+				if string(got) != encodeStatus(st) || string(got) != want {
+					t.Errorf("%s %s answered\n%.300s\nwant\n%.300s", call.method, call.path, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestWarmRestartServesFromStore: a second daemon over the same store
 // directory answers a known spec from disk with zero simulation.
 func TestWarmRestartServesFromStore(t *testing.T) {
@@ -539,39 +633,59 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	}
 }
 
-// TestOutcomelessCellIsMiss: a store cell without an outcome is a miss
-// that the daemon simulates and overwrites, never a done job with no
-// outcome, and no backend stores a nil outcome.
+// TestOutcomelessCellIsMiss: a store cell without an outcome, or with
+// one that does not decode as an Outcome, is a miss that the daemon
+// simulates and overwrites, never a done job whose outcome is missing
+// or one the client cannot decode; and no backend stores a nil outcome.
 func TestOutcomelessCellIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	spec := testSpec(32)
-	key, err := scenario.Key(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(`{"version":1,"outcome":null}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	d := startDaemon(t, Config{StoreDir: dir})
 	c := NewClient(d.BaseURL())
-	for _, cached := range []bool{false, true} {
-		st, err := c.Submit(ctx, spec, true)
+	cells := []string{
+		`{"version":1,"outcome":null}`,
+		`{"version":1,"outcome":5}`,
+		`{"version":1,"outcome":{"units":"x"}}`,
+	}
+	for i, cell := range cells {
+		spec := testSpec(32 + float64(i)/10)
+		key, err := scenario.Key(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateDone || st.Outcome == nil || st.Cached != cached {
-			t.Errorf("submit: state %s, outcome %v, cached %v; want done with an outcome, cached %v",
-				st.State, st.Outcome != nil, st.Cached, cached)
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(cell), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		for _, cached := range []bool{false, true} {
+			st, err := c.Submit(ctx, spec, true)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
+			}
+			if st.State != StateDone || st.Outcome == nil || st.Cached != cached {
+				t.Errorf("%s: submit: state %s, outcome %v, cached %v; want done with an outcome, cached %v",
+					cell, st.State, st.Outcome != nil, st.Cached, cached)
+			}
+		}
+	}
+	if n := d.queue.Stats().Simulated; n != int64(len(cells)) {
+		t.Errorf("simulated %d runs for %d unusable cells, want one each", n, len(cells))
 	}
 
 	disk, err := OpenStoreBackend(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []Backend{NewMemBackend(), disk} {
+	spec := testSpec(32)
+	for _, b := range []interface {
+		Backend
+		EncodedBackend
+	}{NewMemBackend(), disk} {
 		if err := b.Put(ctx, spec, nil); err == nil {
 			t.Errorf("%s stored a nil outcome", b.Name())
+		}
+		for _, enc := range [][]byte{nil, []byte("null")} {
+			if err := b.PutEncoded(ctx, spec, enc); err == nil {
+				t.Errorf("%s stored the encoded outcome %q", b.Name(), enc)
+			}
 		}
 		if n, err := b.Len(ctx); err != nil || n != 0 {
 			t.Errorf("%s holds %d cells (%v) after a rejected Put", b.Name(), n, err)
@@ -718,7 +832,7 @@ func TestWorkerRecheckAbsorbsDuplicate(t *testing.T) {
 	if err != nil || st.State != StateQueued {
 		t.Fatalf("submit behind the parked job = %+v (%v), want queued", st, err)
 	}
-	if err := p.d.storage.Put(ctx, spec, p.out); err != nil {
+	if err := p.d.storage.Put(ctx, spec, encode(t, p.out)); err != nil {
 		t.Fatal(err)
 	}
 	p.release()
@@ -734,10 +848,10 @@ func TestWorkerRecheckAbsorbsDuplicate(t *testing.T) {
 }
 
 // faultyBackend is a MemBackend whose reads fail, as a disk store's do on
-// an unreadable cell.
+// an unreadable cell. The storage module reads through GetEncoded.
 type faultyBackend struct{ *MemBackend }
 
-func (faultyBackend) Get(context.Context, string) (*scenario.Outcome, bool, error) {
+func (faultyBackend) GetEncoded(context.Context, string) ([]byte, bool, error) {
 	return nil, false, errors.New("reading cell: unexpected end of JSON input")
 }
 
@@ -879,6 +993,31 @@ func TestListAndStats(t *testing.T) {
 	if sr.Storage.Puts != 2 || sr.Storage.Cells != 2 {
 		t.Errorf("storage stats = %+v, want 2 puts / 2 cells", sr.Storage)
 	}
+
+	// The in-memory backend sizes a cell as the JSON of its spec and
+	// outcome together, and counts its units from the outcome bytes.
+	b := NewMemBackend()
+	spec := testSpec(40)
+	out, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Units = append(out.Units, out.Units[0])
+	putKey(t, b, spec, out)
+	whole, err := json.Marshal(struct {
+		Spec    scenario.Spec     `json:"spec"`
+		Outcome *scenario.Outcome `json:"outcome"`
+	}{spec, out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := b.List(ctx)
+	if err != nil || len(infos) != 1 {
+		t.Fatalf("mem listing: %d cells (%v), want 1", len(infos), err)
+	}
+	if got := infos[0]; got.Size != int64(len(whole)) || got.Units != 2 || got.Kind != spec.Kind || got.Name != spec.Name {
+		t.Errorf("mem cell listed as %+v, want size %d, 2 units, kind %s, name %s", got, len(whole), spec.Kind, spec.Name)
+	}
 }
 
 // TestStoppedQueueRejectsSubmits: after Stop the queue answers
@@ -914,7 +1053,7 @@ func assertStorageStopped(t *testing.T, s *Storage) {
 		op  string
 		err error
 	}{
-		{"get", getErr}, {"fetch", fetchErr}, {"put", s.Put(ctx, spec, &scenario.Outcome{})},
+		{"get", getErr}, {"fetch", fetchErr}, {"put", s.Put(ctx, spec, []byte(`{"kind":"single","units":null}`))},
 		{"list", listErr}, {"stats", statsErr},
 	} {
 		if c.err != ErrStopped {

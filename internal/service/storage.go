@@ -88,21 +88,23 @@ func (s *Storage) begin(ctx context.Context) (context.Context, context.CancelFun
 	return ctx, cancel, nil
 }
 
-// Get looks a content key up in the backend.
-func (s *Storage) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
+// Get looks a content key up in the backend and returns its outcome
+// encoded (see EncodedBackend). The bytes are shared and must not be
+// modified.
+func (s *Storage) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	ctx, cancel, err := s.begin(ctx)
 	if err != nil {
 		return nil, false, err
 	}
 	defer cancel()
-	return s.count(s.backend.Get(ctx, key))
+	return s.count(getEncoded(ctx, s.backend, key))
 }
 
 // Fetch looks a key up with the spec available, letting a tiered
 // backend resolve the miss remotely (the queue's workers use this so a
 // miss costs the fleet one simulation, wherever it runs). Plain
 // backends fall back to Get.
-func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
+func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) ([]byte, bool, error) {
 	f, ok := s.backend.(Fetcher)
 	if !ok {
 		return s.Get(ctx, key)
@@ -112,20 +114,24 @@ func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) (*s
 		return nil, false, err
 	}
 	defer cancel()
-	return s.count(f.Fetch(ctx, spec, key))
+	if ef, ok := f.(EncodedFetcher); ok {
+		return s.count(ef.FetchEncoded(ctx, spec, key))
+	}
+	return s.count(encoded(f.Fetch(ctx, spec, key)))
 }
 
 // count accounts one lookup and passes its result through.
-func (s *Storage) count(out *scenario.Outcome, ok bool, err error) (*scenario.Outcome, bool, error) {
+func (s *Storage) count(enc []byte, ok bool, err error) ([]byte, bool, error) {
 	s.gets.Add(1)
 	if ok {
 		s.hits.Add(1)
 	}
-	return out, ok, err
+	return enc, ok, err
 }
 
-// Put persists an outcome.
-func (s *Storage) Put(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+// Put persists an encoded outcome (json.Marshal's output, which the
+// backend may keep: the caller must not modify it afterwards).
+func (s *Storage) Put(ctx context.Context, spec scenario.Spec, enc []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ctx, cancel, err := s.begin(ctx)
@@ -133,7 +139,7 @@ func (s *Storage) Put(ctx context.Context, spec scenario.Spec, out *scenario.Out
 		return err
 	}
 	defer cancel()
-	if err := s.backend.Put(ctx, spec, out); err != nil {
+	if err := putEncoded(ctx, s.backend, spec, enc); err != nil {
 		return err
 	}
 	s.puts.Add(1)
