@@ -225,6 +225,27 @@ kill -TERM "$svc_pid"
 wait "$svc_pid"
 grep -q "clean shutdown" "$svc_dir/serve.log"
 
+# In-memory daemon smoke: without -store the daemon holds its cells in
+# memory, as the outcome bytes its replies splice in. The second submit
+# of the same spec must be answered from them ("cached": true) with the
+# outcome the first submit carried: the two replies differ only in the
+# cached line.
+"$svc_dir/scenariod" serve -addr 127.0.0.1:0 > "$svc_dir/mem.log" 2>&1 &
+mem_pid=$!
+for _ in $(seq 1 50); do
+    grep -q "scenariod listening on " "$svc_dir/mem.log" && break
+    sleep 0.2
+done
+mem_addr=$(sed -n 's/^scenariod listening on \([^ ]*\).*/\1/p' "$svc_dir/mem.log")
+test -n "$mem_addr"
+"$svc_dir/scenariod" submit -addr "$mem_addr" -wait -spec "$svc_dir/spec.json" > "$svc_dir/mem-first.json"
+"$svc_dir/scenariod" submit -addr "$mem_addr" -wait -spec "$svc_dir/spec.json" > "$svc_dir/mem-second.json"
+grep -q '"cached": true' "$svc_dir/mem-second.json"
+grep -v '"cached": true' "$svc_dir/mem-second.json" | diff "$svc_dir/mem-first.json" -
+kill -TERM "$mem_pid"
+wait "$mem_pid"
+grep -q "clean shutdown" "$svc_dir/mem.log"
+
 # Two-tier smoke: a leader daemon plus a follower serving the same spec
 # through `-remote`. The follower must delegate the simulation to the
 # leader (its own sim_ticks stay 0), answer the resubmit from its local
