@@ -27,7 +27,7 @@ import (
 // map; RemoteBackend locks its counters and its breaker, and its local
 // tier is one of the other two.
 //
-// The storage module moves outcomes encoded (see EncodedBackend), which
+// The storage module moves outcomes encoded (see encodedBackend), which
 // every built-in backend offers; Get and Put are the decoded form, and
 // a decoded Get on a built-in backend returns an outcome the caller
 // owns.
@@ -45,13 +45,14 @@ type Backend interface {
 	Len(ctx context.Context) (int, error)
 }
 
-// EncodedBackend is the encoded path a Backend may offer beside its
+// encodedBackend is the encoded path a Backend may offer beside its
 // decoded Get and Put: each outcome travels as its compact JSON, the
 // bytes json.Marshal gives for it, which is what every reply carries.
-// The storage module takes this path when a backend offers it, and
-// otherwise encodes a decoded Get once and decodes an encoded Put. The
-// bytes GetEncoded returns are shared and must not be modified.
-type EncodedBackend interface {
+// The storage module takes this path when a backend offers it (a type
+// outside the package offers it by having these methods), and otherwise
+// encodes a decoded Get once and decodes an encoded Put. The bytes
+// GetEncoded returns are shared and must not be modified.
+type encodedBackend interface {
 	// GetEncoded is Get returning the outcome encoded.
 	GetEncoded(ctx context.Context, key string) ([]byte, bool, error)
 	// PutEncoded is Put taking the outcome encoded; enc must be the
@@ -70,16 +71,16 @@ type Fetcher interface {
 	Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error)
 }
 
-// EncodedFetcher is Fetcher returning the outcome encoded, as
-// EncodedBackend's GetEncoded does; a backend offers it beside Fetch.
-type EncodedFetcher interface {
+// encodedFetcher is Fetcher returning the outcome encoded, as
+// encodedBackend's GetEncoded does; a backend offers it beside Fetch.
+type encodedFetcher interface {
 	FetchEncoded(ctx context.Context, spec scenario.Spec, key string) ([]byte, bool, error)
 }
 
 // getEncoded reads a key from b encoded: through b's encoded path when
 // it offers one, otherwise by encoding its decoded Get once.
 func getEncoded(ctx context.Context, b Backend, key string) ([]byte, bool, error) {
-	if eb, ok := b.(EncodedBackend); ok {
+	if eb, ok := b.(encodedBackend); ok {
 		return eb.GetEncoded(ctx, key)
 	}
 	return encoded(b.Get(ctx, key))
@@ -88,7 +89,7 @@ func getEncoded(ctx context.Context, b Backend, key string) ([]byte, bool, error
 // putEncoded stores an encoded outcome in b: through b's encoded path
 // when it offers one, otherwise by decoding it for b's Put.
 func putEncoded(ctx context.Context, b Backend, spec scenario.Spec, enc []byte) error {
-	if eb, ok := b.(EncodedBackend); ok {
+	if eb, ok := b.(encodedBackend); ok {
 		return eb.PutEncoded(ctx, spec, enc)
 	}
 	out, err := decodeOutcome(enc)
@@ -101,7 +102,7 @@ func putEncoded(ctx context.Context, b Backend, spec scenario.Spec, enc []byte) 
 // putDecoded is an encoded backend's Put: it encodes the outcome once
 // for PutEncoded. A nil outcome encodes as null, which PutEncoded
 // rejects.
-func putDecoded(ctx context.Context, b EncodedBackend, spec scenario.Spec, out *scenario.Outcome) error {
+func putDecoded(ctx context.Context, b encodedBackend, spec scenario.Spec, out *scenario.Outcome) error {
 	enc, err := encodeOutcome(out)
 	if err != nil {
 		return err

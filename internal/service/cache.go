@@ -13,7 +13,7 @@ const cacheBytes = 256 << 10
 
 // outcomeCache is a bounded LRU of encoded outcomes keyed by content
 // key. The bytes are shared: every hit returns the same slice, so
-// callers must treat them as read-only (see EncodedBackend).
+// callers must treat them as read-only (see encodedBackend).
 //
 // A miss reads the cell with no lock held, so a Put can replace it
 // between the read and the insert. The generation closes that window: a

@@ -15,7 +15,7 @@
 //
 // The storage Backend interface (context-threaded Get/Put/List/Len,
 // plus the optional Fetcher read-through hook and the encoded path,
-// EncodedBackend and EncodedFetcher, over which outcomes travel as the
+// encodedBackend and encodedFetcher, over which outcomes travel as the
 // JSON every reply carries) is the pluggability point: the on-disk
 // scenario.Store is the canonical backend, an
 // in-memory backend ships for tests and ephemeral daemons, and

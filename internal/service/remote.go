@@ -186,31 +186,6 @@ func (r *RemoteBackend) FetchEncoded(ctx context.Context, spec scenario.Spec, ke
 	if enc, ok, err := getEncoded(ctx, r.local, key); r.answeredLocally(ok, err) {
 		return enc, ok, err
 	}
-	enc, ok, err := encoded(r.fetchRemote(ctx, spec))
-	if ok {
-		// Write-back: the next read of this key is a local hit. Failure
-		// is tolerable — the outcome is already in hand and re-fetchable.
-		_ = putEncoded(ctx, r.local, spec, enc)
-	}
-	return enc, ok, err
-}
-
-// Fetch is FetchEncoded for callers of the decoded Fetcher: the local
-// tier's decoded Get first, then the same remote submit, whose outcome
-// is written back through the local tier's Put.
-func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
-	if out, ok, err := r.local.Get(ctx, key); r.answeredLocally(ok, err) {
-		return out, ok, err
-	}
-	out, ok, err := r.fetchRemote(ctx, spec)
-	if ok {
-		_ = r.local.Put(ctx, spec, out)
-	}
-	return out, ok, err
-}
-
-// fetchRemote submits a spec to the remote and waits for its outcome.
-func (r *RemoteBackend) fetchRemote(ctx context.Context, spec scenario.Spec) (*scenario.Outcome, bool, error) {
 	if !r.br.allow() {
 		r.count(func(st *TierStats) { st.DegradedSkips++ })
 		return nil, false, nil
@@ -223,7 +198,18 @@ func (r *RemoteBackend) fetchRemote(ctx context.Context, spec scenario.Spec) (*s
 		return nil, false, nil
 	}
 	r.br.success()
-	return r.remoteOutcome(st)
+	enc, ok, err := encoded(r.remoteOutcome(st))
+	if ok {
+		// Write-back: the next read of this key is a local hit. Failure
+		// is tolerable — the outcome is already in hand and re-fetchable.
+		_ = putEncoded(ctx, r.local, spec, enc)
+	}
+	return enc, ok, err
+}
+
+// Fetch is FetchEncoded with the outcome decoded.
+func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key string) (*scenario.Outcome, bool, error) {
+	return getDecoded(r.FetchEncoded(ctx, spec, key))
 }
 
 // answeredLocally counts a local-tier hit and reports whether the local

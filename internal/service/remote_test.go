@@ -367,6 +367,46 @@ func TestTwoTierByteIdentity(t *testing.T) {
 	}
 }
 
+// TestRemoteFetchDecodes: the decoded Fetch, which traced benchmark runs
+// take, is FetchEncoded decoded: a remote hit writes back to the local
+// tier, a local hit follows, and each call returns a value the caller
+// owns.
+func TestRemoteFetchDecodes(t *testing.T) {
+	spec := testSpec(74)
+	key, err := scenario.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := startDaemon(t, Config{})
+	local := NewMemBackend()
+	r := NewRemoteBackend(local, NewClient(leader.BaseURL()))
+	defer r.Close()
+
+	first, ok, err := r.Fetch(ctx, spec, key)
+	if err != nil || !ok {
+		t.Fatalf("remote fetch: ok=%v err=%v", ok, err)
+	}
+	second, ok, err := r.Fetch(ctx, spec, key)
+	if err != nil || !ok {
+		t.Fatalf("local fetch: ok=%v err=%v", ok, err)
+	}
+	if first == second {
+		t.Error("two fetches returned one shared outcome")
+	}
+	enc, ok, err := local.GetEncoded(ctx, key)
+	if err != nil || !ok {
+		t.Fatalf("no write-back: ok=%v err=%v", ok, err)
+	}
+	for _, out := range []*scenario.Outcome{first, second} {
+		if got, err := json.Marshal(out); err != nil || string(got) != string(enc) {
+			t.Errorf("fetched outcome encodes differently from the written-back bytes (%v)", err)
+		}
+	}
+	if st := r.TierStats(); st.RemoteHits != 1 || st.LocalHits != 1 {
+		t.Errorf("tier stats = %+v, want one remote and one local hit", st)
+	}
+}
+
 // TestErrorEnvelopeCodes: the stable machine-readable codes on the
 // error envelope, and IsNotFound's code-first matching.
 func TestErrorEnvelopeCodes(t *testing.T) {

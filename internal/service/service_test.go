@@ -677,7 +677,7 @@ func TestOutcomelessCellIsMiss(t *testing.T) {
 	spec := testSpec(32)
 	for _, b := range []interface {
 		Backend
-		EncodedBackend
+		encodedBackend
 	}{NewMemBackend(), disk} {
 		if err := b.Put(ctx, spec, nil); err == nil {
 			t.Errorf("%s stored a nil outcome", b.Name())

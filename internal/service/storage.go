@@ -89,7 +89,7 @@ func (s *Storage) begin(ctx context.Context) (context.Context, context.CancelFun
 }
 
 // Get looks a content key up in the backend and returns its outcome
-// encoded (see EncodedBackend). The bytes are shared and must not be
+// encoded (see encodedBackend). The bytes are shared and must not be
 // modified.
 func (s *Storage) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	ctx, cancel, err := s.begin(ctx)
@@ -114,7 +114,7 @@ func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) ([]
 		return nil, false, err
 	}
 	defer cancel()
-	if ef, ok := f.(EncodedFetcher); ok {
+	if ef, ok := f.(encodedFetcher); ok {
 		return s.count(ef.FetchEncoded(ctx, spec, key))
 	}
 	return s.count(encoded(f.Fetch(ctx, spec, key)))
