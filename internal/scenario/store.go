@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -160,10 +161,9 @@ func (st *Store) read(key string) ([]byte, bool, error) {
 	return b, true, nil
 }
 
-// compactJSON is a JSON value kept compact: decoding one copies the value
-// without the whitespace outside its strings, which is json.Compact's
-// output (Unmarshal has checked the whole input is valid JSON by then),
-// into a slice of exactly that length. A null leaves it nil.
+// compactJSON is a JSON value kept compact: decoding one copies the
+// value's json.Compact form into a slice of exactly its length. A null
+// leaves it nil.
 type compactJSON []byte
 
 // UnmarshalJSON copies data compacted.
@@ -171,32 +171,13 @@ func (c *compactJSON) UnmarshalJSON(data []byte) error {
 	if string(data) == "null" {
 		return nil
 	}
-	*c = make([]byte, stripSpace(nil, data))
-	stripSpace(*c, data)
-	return nil
-}
-
-// stripSpace copies valid JSON into dst without the whitespace outside
-// its strings and returns the length of that copy; a nil dst only
-// counts.
-func stripSpace(dst, data []byte) int {
-	n := 0
-	var inString, escaped bool
-	for _, c := range data {
-		switch {
-		case inString:
-			inString, escaped = escaped || c != '"', !escaped && c == '\\'
-		case c == '"':
-			inString = true
-		case c == ' ', c == '\n', c == '\t', c == '\r':
-			continue
-		}
-		if dst != nil {
-			dst[n] = c
-		}
-		n++
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, data); err != nil {
+		return err
 	}
-	return n
+	*c = make([]byte, buf.Len())
+	copy(*c, buf.Bytes())
+	return nil
 }
 
 // Put persists a spec's outcome. The write is atomic (temp file + rename)
