@@ -63,10 +63,11 @@ func BenchmarkServiceStoreHit(b *testing.B) {
 	}
 }
 
-// BenchmarkStoragePut prices one fresh Put through the storage module
-// onto a disk store already holding 1000 small cells. A Put writes its
-// cell and nothing else (Stats counts the footprint, not Put), so ns/op
-// must not grow with the store.
+// BenchmarkStoragePut prices one fresh job's store write: the outcome's
+// encode, which the queue makes once per job, and the Put through the
+// storage module onto a disk store already holding 1000 small cells. A
+// Put writes its cell and nothing else (Stats counts the footprint, not
+// Put), so ns/op must not grow with the store.
 func BenchmarkStoragePut(b *testing.B) {
 	const prefill = 1000
 	backend, err := service.OpenStoreBackend(b.TempDir())
@@ -90,10 +91,6 @@ func BenchmarkStoragePut(b *testing.B) {
 		}
 	}
 
-	enc, err := json.Marshal(out)
-	if err != nil {
-		b.Fatal(err)
-	}
 	s, err := service.NewStorage(backend)
 	if err != nil {
 		b.Fatal(err)
@@ -103,6 +100,10 @@ func BenchmarkStoragePut(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		enc, err := json.Marshal(out)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := s.Put(ctx, cell(prefill+i), enc); err != nil {
 			b.Fatal(err)
 		}
@@ -164,22 +165,30 @@ func BenchmarkStorageGetParallel(b *testing.B) {
 }
 
 // discardBackend is a local tier that never hits and never retains, so
-// every RemoteBackend fetch pays the full remote round trip.
+// every RemoteBackend fetch pays the full remote round trip. It offers
+// the encoded methods too, as the daemon's local tiers do, so a fetch
+// takes the daemon's encoded path.
 type discardBackend struct{}
 
 func (discardBackend) Name() string { return "discard" }
 func (discardBackend) Get(context.Context, string) (*scenario.Outcome, bool, error) {
 	return nil, false, nil
 }
+func (discardBackend) GetEncoded(context.Context, string) ([]byte, bool, error) {
+	return nil, false, nil
+}
 func (discardBackend) Put(context.Context, scenario.Spec, *scenario.Outcome) error { return nil }
+func (discardBackend) PutEncoded(context.Context, scenario.Spec, []byte) error     { return nil }
 func (discardBackend) List(context.Context) ([]scenario.CellInfo, error)           { return nil, nil }
 func (discardBackend) Len(context.Context) (int, error)                            { return 0, nil }
 
 // BenchmarkRemoteBackendHit prices a tiered read-through that misses
-// the local tier: RemoteBackend delegates to a warm leader daemon over
-// loopback HTTP and decodes the cached outcome. The local tier discards
-// write-backs so the remote hop is paid on every iteration — this is
-// the cold-follower latency a fleet worker sees joining a warm sweep.
+// the local tier, as a queue worker's fetch makes it: RemoteBackend
+// delegates to a warm leader daemon over loopback HTTP, decodes the
+// cached outcome and encodes it once for the write-back and the reply.
+// The local tier discards write-backs so the remote hop is paid on
+// every iteration — this is the cold-follower latency a fleet worker
+// sees joining a warm sweep.
 func BenchmarkRemoteBackendHit(b *testing.B) {
 	d, err := service.New(service.Config{})
 	if err != nil {
@@ -215,11 +224,11 @@ func BenchmarkRemoteBackendHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, ok, err := r.Fetch(ctx, spec, key)
+		enc, ok, err := r.FetchEncoded(ctx, spec, key)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !ok || out == nil {
+		if !ok || len(enc) == 0 {
 			b.Fatal("warm remote key missed")
 		}
 	}
