@@ -14,9 +14,11 @@ import (
 // on-disk content-addressed scenario.Store is the canonical backend; an
 // in-memory backend ships for tests and ephemeral daemons; RemoteBackend
 // fronts either with a shared tier on another scenariod. Every method
-// takes a context: the storage module derives a per-request deadline
-// before each call, so a backend that does I/O (disk, network) can be
-// cancelled instead of hanging its caller.
+// takes the caller's context, which the storage module passes on as it
+// is: it ends when an HTTP client goes away and never for a queue
+// worker, so a backend whose calls can block must bound them itself, as
+// RemoteBackend bounds each remote call by RemoteTimeout. The disk and
+// memory backends ignore it.
 //
 // Implementations must be safe for concurrent use: the storage module
 // runs lookups and Lists concurrently with each other and with one Put

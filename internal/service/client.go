@@ -39,31 +39,11 @@ type Client struct {
 	hc   *http.Client
 }
 
-// ClientOption shapes a Client.
-type ClientOption func(*Client)
-
-// WithTimeout bounds each HTTP round trip (the whole call when no
-// per-call context deadline is tighter). The default is 5 minutes —
-// byte-identical to the pre-option client.
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.hc.Timeout = d
-		}
-	}
-}
-
 // NewClient builds a client for a daemon base URL ("http://host:port").
-// Without options the timeout is 5 minutes.
-func NewClient(base string, opts ...ClientOption) *Client {
-	c := &Client{
-		base: base,
-		hc:   &http.Client{Timeout: 5 * time.Minute},
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
+// Each call is bounded by its context and, as a backstop for callers
+// whose context never ends, by a 5-minute HTTP timeout.
+func NewClient(base string) *Client {
+	return &Client{base: base, hc: &http.Client{Timeout: 5 * time.Minute}}
 }
 
 // Base returns the daemon base URL the client points at.
@@ -124,11 +104,25 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte, v any)
 	return decode(resp, v)
 }
 
+// maxSizedReply is the largest Content-Length decode reads into one
+// buffer of that length. A longer or unsized reply is read through a
+// bounded ReadAll, which grows its buffer only as bytes arrive, so a
+// hostile Content-Length never makes the client allocate more than it
+// reads.
+const maxSizedReply = 1 << 20
+
 // decode reads one JSON response, mapping API error envelopes onto Go
 // errors.
 func decode(resp *http.Response, v any) error {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	var body []byte
+	var err error
+	if n := resp.ContentLength; n >= 0 && n <= maxSizedReply {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	}
 	if err != nil {
 		return err
 	}

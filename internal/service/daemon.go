@@ -97,8 +97,7 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	if cfg.Remote != "" {
-		rc := NewClient(cfg.Remote, WithTimeout(cfg.RemoteTimeout))
-		backend = NewRemoteBackend(backend, rc, RemoteTimeout(cfg.RemoteTimeout))
+		backend = NewRemoteBackend(backend, NewClient(cfg.Remote), RemoteTimeout(cfg.RemoteTimeout))
 	}
 	shards := cfg.Shards
 	if shards == 0 {

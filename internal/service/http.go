@@ -162,11 +162,12 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, apiError{Error: msg, Code: code})
 }
 
-// submitErr maps a queue submit or wait error onto status + code: only
+// answerErr maps a failed submit, wait or push onto status + code: only
 // a spec that failed validation or hashing is the client's fault; a
-// storage fault (an unreadable or undecodable cell) or a wait that
-// ended before its job did is the server's.
-func submitErr(w http.ResponseWriter, err error) {
+// stopped module means the daemon is shutting down; a storage fault (an
+// unreadable or undecodable cell) or a wait that ended before its job
+// did is the server's.
+func answerErr(w http.ResponseWriter, err error) {
 	var se *specError
 	switch {
 	case errors.As(err, &se):
@@ -189,13 +190,13 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := h.queue.Submit(r.Context(), spec)
 	if err != nil {
-		submitErr(w, err)
+		answerErr(w, err)
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" && st.State != StateDone {
 		ws, ok, err := h.queue.Wait(r.Context(), st.Key)
 		if err != nil {
-			submitErr(w, err)
+			answerErr(w, err)
 			return
 		}
 		if ok {
@@ -248,11 +249,7 @@ func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := h.storage.Put(r.Context(), pr.Spec, enc); err != nil {
-		if err == ErrStopped {
-			writeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		answerErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, JobStatus{Key: key, State: StateDone, Cached: true})

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -151,25 +152,15 @@ func (r *RemoteBackend) GetEncoded(ctx context.Context, key string) ([]byte, boo
 	if enc, ok, err := getEncoded(ctx, r.local, key); r.answeredLocally(ok, err) {
 		return enc, ok, err
 	}
-	if !r.br.allow() {
-		r.count(func(st *TierStats) { st.DegradedSkips++ })
-		return nil, false, nil
-	}
-	rctx, cancel := context.WithTimeout(ctx, r.timeout)
-	st, err := r.client.Get(rctx, key)
-	cancel()
-	if err != nil {
+	return r.remoteRead(ctx, func(ctx context.Context) (JobStatus, error) {
+		js, err := r.client.Get(ctx, key)
 		if IsNotFound(err) {
-			// A 404 is a healthy remote that simply doesn't have the key.
-			r.br.success()
-			r.count(func(st *TierStats) { st.RemoteMisses++ })
-			return nil, false, nil
+			// A 404 is a healthy remote that simply doesn't have the key:
+			// an empty status, which remoteRead counts as a miss.
+			return JobStatus{}, nil
 		}
-		r.remoteFailure()
-		return nil, false, nil
-	}
-	r.br.success()
-	return encoded(r.remoteOutcome(st))
+		return js, err
+	})
 }
 
 // Get is GetEncoded with the outcome decoded.
@@ -186,19 +177,9 @@ func (r *RemoteBackend) FetchEncoded(ctx context.Context, spec scenario.Spec, ke
 	if enc, ok, err := getEncoded(ctx, r.local, key); r.answeredLocally(ok, err) {
 		return enc, ok, err
 	}
-	if !r.br.allow() {
-		r.count(func(st *TierStats) { st.DegradedSkips++ })
-		return nil, false, nil
-	}
-	rctx, cancel := context.WithTimeout(ctx, r.timeout)
-	st, err := r.client.Submit(rctx, spec, true)
-	cancel()
-	if err != nil {
-		r.remoteFailure()
-		return nil, false, nil
-	}
-	r.br.success()
-	enc, ok, err := encoded(r.remoteOutcome(st))
+	enc, ok, err := r.remoteRead(ctx, func(ctx context.Context) (JobStatus, error) {
+		return r.client.Submit(ctx, spec, true)
+	})
 	if ok {
 		// Write-back: the next read of this key is a local hit. Failure
 		// is tolerable — the outcome is already in hand and re-fetchable.
@@ -221,17 +202,49 @@ func (r *RemoteBackend) answeredLocally(ok bool, err error) bool {
 	return ok || err != nil
 }
 
-// remoteOutcome counts a healthy remote reply as a hit when it carries a
-// finished outcome and as a miss otherwise: in flight on the remote is
-// not an error, not a hit either — the local queue will fetch (and
+// remoteRead answers a local miss with one remote call (see call) and
+// returns the reply's outcome encoded. A failed call is a miss, and so
+// is a healthy reply without a finished outcome: in flight on the remote
+// is not an error, not a hit either — the local queue will fetch (and
 // coalesce on the remote's job).
-func (r *RemoteBackend) remoteOutcome(js JobStatus) (*scenario.Outcome, bool, error) {
+func (r *RemoteBackend) remoteRead(ctx context.Context, read func(context.Context) (JobStatus, error)) ([]byte, bool, error) {
+	var js JobStatus
+	if err := r.call(ctx, func(ctx context.Context) (err error) {
+		js, err = read(ctx)
+		return err
+	}); err != nil {
+		return nil, false, nil
+	}
 	if js.State != StateDone || js.Outcome == nil {
 		r.count(func(st *TierStats) { st.RemoteMisses++ })
 		return nil, false, nil
 	}
 	r.count(func(st *TierStats) { st.RemoteHits++ })
-	return js.Outcome, true, nil
+	return encoded(js.Outcome, true, nil)
+}
+
+// errDegraded is call's error when the open breaker refused the call.
+var errDegraded = errors.New("service: remote tier degraded")
+
+// call makes one remote call, the only way RemoteBackend reaches its
+// remote: it is refused with errDegraded while the breaker is open,
+// bounded by the per-call timeout, and its result counts against the
+// breaker.
+func (r *RemoteBackend) call(ctx context.Context, f func(context.Context) error) error {
+	if !r.br.allow() {
+		r.count(func(st *TierStats) { st.DegradedSkips++ })
+		return errDegraded
+	}
+	rctx, cancel := context.WithTimeout(ctx, r.timeout)
+	err := f(rctx)
+	cancel()
+	if err != nil {
+		r.br.failure()
+		r.count(func(st *TierStats) { st.RemoteErrors++ })
+		return err
+	}
+	r.br.success()
+	return nil
 }
 
 // PutEncoded lands the outcome in the local tier (errors here are real —
@@ -283,23 +296,15 @@ func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, enc [
 		return
 	}
 	delay := r.backoff
-	for attempt := 0; attempt < r.retries; attempt++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if !r.br.allow() {
-			r.count(func(st *TierStats) { st.DegradedSkips++ })
-			break
-		}
-		rctx, cancel := context.WithTimeout(ctx, r.timeout)
-		err := r.client.Push(rctx, spec, out)
-		cancel()
+	for attempt := 0; attempt < r.retries && ctx.Err() == nil; attempt++ {
+		err := r.call(ctx, func(ctx context.Context) error { return r.client.Push(ctx, spec, out) })
 		if err == nil {
-			r.br.success()
 			r.count(func(st *TierStats) { st.WriteThroughs++ })
 			return
 		}
-		r.remoteFailure()
+		if errors.Is(err, errDegraded) {
+			break
+		}
 		if attempt < r.retries-1 {
 			// Jitter the backoff off the wall clock's low bits so
 			// synchronized retry storms decorrelate.
@@ -339,12 +344,6 @@ func (r *RemoteBackend) count(f func(*TierStats)) {
 	r.mu.Lock()
 	f(&r.st)
 	r.mu.Unlock()
-}
-
-// remoteFailure records one failed remote call.
-func (r *RemoteBackend) remoteFailure() {
-	r.br.failure()
-	r.count(func(st *TierStats) { st.RemoteErrors++ })
 }
 
 // breakerState enumerates the circuit breaker's states.

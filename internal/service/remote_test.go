@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -230,6 +233,55 @@ func TestLeaderDiesMidRun(t *testing.T) {
 	}
 	if sr.Storage.Tier == nil || sr.Storage.Tier.RemoteErrors == 0 {
 		t.Errorf("follower tier stats show no remote errors after leader death: %+v", sr.Storage.Tier)
+	}
+}
+
+// TestSlowLeader: a leader that holds every request until the caller
+// hangs up costs a follower's cold submit only its remote deadlines.
+// Each remote call is cut at RemoteTimeout on the wire and counted as a
+// remote error, and the follower simulates the spec itself. A cold
+// submit makes two remote attempts, Submit's and the worker's re-check,
+// so it returns within a few deadlines.
+func TestSlowLeader(t *testing.T) {
+	cancelled := make(chan struct{})
+	var once sync.Once
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The server sees the caller hang up only once the body is read.
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+		once.Do(func() { close(cancelled) })
+	}))
+	// Registered before the follower's cleanup, so it runs after the
+	// follower's Stop has cancelled its write-throughs.
+	t.Cleanup(leader.Close)
+	follower := startDaemon(t, Config{Remote: leader.URL, RemoteTimeout: 100 * time.Millisecond})
+	fc := NewClient(follower.BaseURL())
+
+	start := time.Now()
+	st, err := fc.Submit(ctx, testSpec(76), true)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("submit against a slow leader took %v, want well under 5s", elapsed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("submit state = %s: %s", st.State, st.Error)
+	}
+	if sims := follower.queue.Stats().Simulated; sims != 1 {
+		t.Errorf("follower simulated %d, want 1", sims)
+	}
+	sr, err := fc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Storage.Tier == nil || sr.Storage.Tier.RemoteErrors < 1 {
+		t.Errorf("slow leader counted no remote errors: %+v", sr.Storage.Tier)
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(5 * time.Second):
+		t.Error("the leader never saw a request cancelled")
 	}
 }
 

@@ -1039,6 +1039,38 @@ func TestStoppedQueueRejectsSubmits(t *testing.T) {
 	assertStorageStopped(t, d.storage)
 }
 
+// TestPushAfterStop: a push that reaches a stopped storage answers 503
+// shutting_down, as a submit does.
+func TestPushAfterStop(t *testing.T) {
+	d, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.storage.Stop()
+	spec := testSpec(24)
+	out, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := scenario.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(pushRequest{Spec: spec, Outcome: out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	d.http.srv.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/scenarios/"+key, bytes.NewReader(body)))
+	var apiErr apiError
+	if err := json.NewDecoder(rec.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || apiErr.Code != CodeShuttingDown {
+		t.Errorf("push after stop -> %d/%q, want %d/%q", rec.Code, apiErr.Code, http.StatusServiceUnavailable, CodeShuttingDown)
+	}
+}
+
 // assertStorageStopped checks that every storage method answers
 // ErrStopped (not a panic).
 func assertStorageStopped(t *testing.T, s *Storage) {

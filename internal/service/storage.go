@@ -5,28 +5,19 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/scenario"
 )
 
-// defaultReqTimeout bounds one backend call made by the storage module.
-// Local backends finish in microseconds; the bound exists for tiered
-// backends whose Get/Fetch may cross the network (those also apply
-// their own, tighter remote deadline).
-const defaultReqTimeout = 30 * time.Second
-
 // Storage is the storage module: it owns the Backend and calls it from
-// the caller's goroutine. Lookups (Get, Fetch, List) and Stats run
-// concurrently with no lock held, so a tiered Fetch waiting on its
-// remote stalls no one; this relies on backends being safe for
-// concurrent use (see Backend). Puts run one at a time under a mutex,
-// so Stop can wait out the last one before the daemon closes a tiered
-// backend's write-through queue under it.
-//
-// Every public method takes the caller's context and derives a deadline
-// (defaultReqTimeout) under it before touching the backend, so a stuck
-// backend call is cancelled instead of hanging its caller.
+// the caller's goroutine, on the caller's context (the HTTP request's,
+// or context.Background() for the queue's workers). It adds no deadline
+// of its own: a backend whose calls can block bounds them itself (see
+// Backend). Lookups (Get, Fetch, List) and Stats run concurrently with
+// no lock held, so a tiered Fetch waiting on its remote stalls no one;
+// this relies on backends being safe for concurrent use. Puts run one
+// at a time under a mutex, so Stop can wait out the last one before the
+// daemon closes a tiered backend's write-through queue under it.
 type Storage struct {
 	backend Backend
 
@@ -74,29 +65,13 @@ func (s *Storage) Stop() {
 // ErrStopped reports a request against a stopped queue or storage.
 var ErrStopped = fmt.Errorf("service: module stopped")
 
-// begin rejects calls on a stopped module and derives the per-call
-// deadline: the caller's context (already cancelled if the client went
-// away) capped by the module bound.
-func (s *Storage) begin(ctx context.Context) (context.Context, context.CancelFunc, error) {
-	if s.stopped.Load() {
-		return nil, nil, ErrStopped
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(ctx, defaultReqTimeout)
-	return ctx, cancel, nil
-}
-
 // Get looks a content key up in the backend and returns its outcome
 // encoded (see encodedBackend). The bytes are shared and must not be
 // modified.
 func (s *Storage) Get(ctx context.Context, key string) ([]byte, bool, error) {
-	ctx, cancel, err := s.begin(ctx)
-	if err != nil {
-		return nil, false, err
+	if s.stopped.Load() {
+		return nil, false, ErrStopped
 	}
-	defer cancel()
 	return s.count(getEncoded(ctx, s.backend, key))
 }
 
@@ -109,11 +84,9 @@ func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) ([]
 	if !ok {
 		return s.Get(ctx, key)
 	}
-	ctx, cancel, err := s.begin(ctx)
-	if err != nil {
-		return nil, false, err
+	if s.stopped.Load() {
+		return nil, false, ErrStopped
 	}
-	defer cancel()
 	if ef, ok := f.(encodedFetcher); ok {
 		return s.count(ef.FetchEncoded(ctx, spec, key))
 	}
@@ -134,11 +107,9 @@ func (s *Storage) count(enc []byte, ok bool, err error) ([]byte, bool, error) {
 func (s *Storage) Put(ctx context.Context, spec scenario.Spec, enc []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ctx, cancel, err := s.begin(ctx)
-	if err != nil {
-		return err
+	if s.stopped.Load() {
+		return ErrStopped
 	}
-	defer cancel()
 	if err := putEncoded(ctx, s.backend, spec, enc); err != nil {
 		return err
 	}
@@ -148,11 +119,9 @@ func (s *Storage) Put(ctx context.Context, spec scenario.Spec, enc []byte) error
 
 // List inspects the backend's cells.
 func (s *Storage) List(ctx context.Context) ([]scenario.CellInfo, error) {
-	ctx, cancel, err := s.begin(ctx)
-	if err != nil {
-		return nil, err
+	if s.stopped.Load() {
+		return nil, ErrStopped
 	}
-	defer cancel()
 	return s.backend.List(ctx)
 }
 

@@ -61,6 +61,12 @@ go test -run '^$' -fuzz '^FuzzRedundant$' -fuzztime 10s ./internal/sensor
 # reach the sharded schedule; repeat them under the race detector.
 go test -race -count=5 -run 'TestLockstepMatchesRunBatch|TestLockstepStepsLaneMajor|TestLockstepWorkersTakeOverStalledShard|TestLockstepRepanicsWorkerPanic|TestRunParallelMatchesSerial|TestCoordinatedDeterministicAcrossWorkers' ./internal/sim ./internal/fleet
 
+# Service race smoke: the storage, queue, outcome-cache and tier tests
+# run goroutines over shared state (parked fetches and jobs, coalesced
+# submits, a leader that dies or stalls mid-run); repeat them under the
+# race detector.
+go test -race -count=5 -run 'Concurrent|Parked|Singleflight|Recheck|Cache|TwoTier|LeaderDies|SlowLeader' ./internal/service
+
 # Lockstep equivalence smoke: the lockstep engine must stay bit-identical
 # to running each job alone through sim.Run (and the fleet fixed point to
 # its per-pass rebuild reference, the coordinator to its per-round rebuild
