@@ -2,17 +2,20 @@
 // holding one content-addressed result store behind a deduplicating job
 // queue, so many clients (sweep scripts, CI, notebooks) share one cache
 // instead of each recomputing the same cells. The client verbs talk to
-// a running daemon; the benchmark under bench/ measures one under load.
+// a running daemon, and run needs none; the benchmark under bench/
+// measures a daemon under load.
 //
 //	scenariod serve  -addr 127.0.0.1:0 -store DIR [-shards N] [-workers N] [-remote HOST:PORT]
 //	scenariod submit -addr HOST:PORT [-wait] -spec FILE|-
+//	scenariod run    -spec FILE|-
 //	scenariod get    -addr HOST:PORT KEY
 //	scenariod ls     -addr HOST:PORT
 //	scenariod stats  -addr HOST:PORT
 //
 // serve prints "scenariod listening on ADDR" once the socket is bound
 // (scripts parse it to learn the ephemeral port) and shuts down cleanly
-// on SIGINT/SIGTERM.
+// on SIGINT/SIGTERM. run simulates one spec in process and prints the
+// bytes a fresh daemon's first `submit -wait` of it prints.
 package main
 
 import (
@@ -45,6 +48,8 @@ func main() {
 		err = serveCmd(args)
 	case "submit":
 		err = submitCmd(args)
+	case "run":
+		err = runCmd(args, os.Stdout)
 	case "get":
 		err = getCmd(args)
 	case "ls":
@@ -69,6 +74,7 @@ func usage(w *os.File) {
 verbs:
   serve   run the daemon (HTTP API + job queue + store)
   submit  POST a spec file (or - for stdin) to a daemon
+  run     simulate a spec file (or - for stdin) in process, no daemon
   get     poll one scenario key
   ls      list stored cells and in-flight jobs
   stats   print queue/storage/engine accounting
@@ -155,8 +161,8 @@ func readSpec(path string) (scenario.Spec, error) {
 }
 
 // printJSON pretty-prints one API response.
-func printJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func printJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
@@ -181,7 +187,31 @@ func submitCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	return printJSON(st)
+	return printJSON(os.Stdout, st)
+}
+
+// runCmd runs one spec through scenario.Run, which validates it, and
+// prints the status a daemon's fresh job answers: the spec's key, state
+// done and the outcome.
+func runCmd(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	specPath := fs.String("spec", "-", "spec JSON file (- for stdin)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	spec, err := readSpec(*specPath)
+	if err != nil {
+		return err
+	}
+	out, err := scenario.Run(spec)
+	if err != nil {
+		return err
+	}
+	key, err := scenario.Key(spec)
+	if err != nil {
+		return err
+	}
+	return printJSON(w, service.JobStatus{Key: key, State: service.StateDone, Outcome: out})
 }
 
 func getCmd(args []string) error {
@@ -201,7 +231,7 @@ func getCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	return printJSON(st)
+	return printJSON(os.Stdout, st)
 }
 
 func lsCmd(args []string) error {
@@ -246,5 +276,5 @@ func statsCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	return printJSON(sr)
+	return printJSON(os.Stdout, sr)
 }

@@ -25,6 +25,17 @@ type Table3Result struct {
 	Rows []Table3Row
 }
 
+// PaperTable3 is the published Table III, row for row with Table3Spec:
+// deadline violations (% of 1 s intervals) and fan energy normalized to
+// the uncoordinated baseline.
+var PaperTable3 = [...]struct{ ViolationPct, NormFanEnergy float64 }{
+	{26.12, 1.000},
+	{44.44, 0.703},
+	{14.14, 1.075},
+	{11.42, 0.801},
+	{6.92, 0.804},
+}
+
 // Table3Config parameterizes the coordination comparison.
 type Table3Config struct {
 	Period     units.Seconds // base square-wave period

@@ -264,8 +264,8 @@ var workloadTable = map[string]def[WorkloadFactory]{
 				units.Utilization(p.Get("level", 1.0)),
 				int(p.Get("count", 6))))
 		}},
-	// The cmd/fansim "spiky" workload: a noisy square wave with two
-	// full-load bursts per period, sized from the horizon.
+	// A noisy square wave with two full-load bursts per period, sized
+	// from the horizon.
 	"spiky-square": {doc: "noisy square wave with two bursts per period", params: []string{"period", "sigma", "duration"}, seeded: true,
 		fn: func(cfg sim.Config, seed int64, p Params) (workload.Generator, error) {
 			period := p.Get("period", 600)
@@ -314,10 +314,10 @@ var workloadTable = map[string]def[WorkloadFactory]{
 		}},
 }
 
-// policyTable holds the five Table III solutions under the cmd/fansim
-// names ("rcoord" takes the set-point as a parameter; Table III uses
-// 75 °C), a fixed fan, and the stability experiments' fan-only policies
-// (Figs. 3 and 4): a bare fan controller with the cap held open.
+// policyTable holds the five Table III solutions ("rcoord" takes the
+// set-point as a parameter; Table III uses 75 °C), a fixed fan, and the
+// stability experiments' fan-only policies (Figs. 3 and 4): a bare fan
+// controller with the cap held open.
 var policyTable = map[string]def[PolicyFactory]{
 	"none": {doc: "w/o coordination baseline",
 		fn: func(cfg sim.Config, seed int64, p Params) (sim.Policy, error) {

@@ -154,15 +154,19 @@ func (c *Client) Submit(ctx context.Context, spec scenario.Spec, wait bool) (Job
 	return st, nil
 }
 
-// Push uploads an already-computed outcome under its spec's content key
-// — the write-through verb tiered daemons use to replicate cells into
-// the shared tier without re-simulating.
-func (c *Client) Push(ctx context.Context, spec scenario.Spec, out *scenario.Outcome) error {
+// Push uploads an already-computed outcome, encoded as the store holds
+// it, under its spec's content key — the write-through verb tiered
+// daemons use to replicate cells into the shared tier without
+// re-simulating. The body carries enc as its outcome member.
+func (c *Client) Push(ctx context.Context, spec scenario.Spec, enc []byte) error {
 	key, err := scenario.Key(spec)
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(pushRequest{Spec: spec, Outcome: out})
+	body, err := json.Marshal(struct {
+		Spec    scenario.Spec   `json:"spec"`
+		Outcome json.RawMessage `json:"outcome"`
+	}{spec, enc})
 	if err != nil {
 		return err
 	}

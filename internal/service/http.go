@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/scenario"
@@ -130,13 +131,28 @@ type StatsResponse struct {
 	SimRuns  int64 `json:"sim_runs"`
 }
 
-// writeJSON emits one response.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeHeader sends a JSON reply's status with its length, so net/http
+// never chunks the body and a client can read it into one buffer.
+func writeHeader(w http.ResponseWriter, code, length int) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(length))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
+
+// writeJSON emits one response: v's JSON and a newline, the bytes
+// json.NewEncoder writes for it.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	// No shape written here holds an outcome, and the one float in them
+	// (degraded_ms) is finite, so encoding cannot fail.
+	body, _ := json.Marshal(v)
+	body = append(body, '\n')
+	writeHeader(w, code, len(body))
+	// A write fails only once the client has gone.
+	_, _ = w.Write(body)
+}
+
+// outcomeMember opens the outcome member writeReply splices in.
+const outcomeMember = `,"outcome":`
 
 // writeReply emits a job status with its encoded outcome spliced in:
 // the bytes writeJSON gives for the JobStatus with the decoded outcome
@@ -148,11 +164,10 @@ func writeReply(w http.ResponseWriter, code int, r reply) {
 		return
 	}
 	head, _ := json.Marshal(r.JobStatus) // strings and a bool: cannot fail
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
+	writeHeader(w, code, len(head)-1+len(outcomeMember)+len(r.outcome)+len("}\n"))
 	// As in writeJSON, a write fails only once the client has gone.
 	_, _ = w.Write(head[:len(head)-1])
-	_, _ = io.WriteString(w, `,"outcome":`)
+	_, _ = io.WriteString(w, outcomeMember)
 	_, _ = w.Write(r.outcome)
 	_, _ = io.WriteString(w, "}\n")
 }

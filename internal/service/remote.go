@@ -229,7 +229,10 @@ var errDegraded = errors.New("service: remote tier degraded")
 // call makes one remote call, the only way RemoteBackend reaches its
 // remote: it is refused with errDegraded while the breaker is open,
 // bounded by the per-call timeout, and its result counts against the
-// breaker.
+// breaker. An error that arrives once the caller's own context is done
+// (a client hung up, the backend closed) says nothing about the remote:
+// it counts as neither a failure nor a remote error, and only frees the
+// breaker's probe slot if the call held it.
 func (r *RemoteBackend) call(ctx context.Context, f func(context.Context) error) error {
 	if !r.br.allow() {
 		r.count(func(st *TierStats) { st.DegradedSkips++ })
@@ -238,13 +241,16 @@ func (r *RemoteBackend) call(ctx context.Context, f func(context.Context) error)
 	rctx, cancel := context.WithTimeout(ctx, r.timeout)
 	err := f(rctx)
 	cancel()
-	if err != nil {
+	switch {
+	case err == nil:
+		r.br.success()
+	case ctx.Err() != nil:
+		r.br.release()
+	default:
 		r.br.failure()
 		r.count(func(st *TierStats) { st.RemoteErrors++ })
-		return err
 	}
-	r.br.success()
-	return nil
+	return err
 }
 
 // PutEncoded lands the outcome in the local tier (errors here are real —
@@ -287,17 +293,11 @@ func (r *RemoteBackend) writer() {
 
 // pushRetry attempts the remote write up to retries times with jittered
 // exponential backoff, honoring the breaker. Terminal failure is
-// counted, never returned. Client.Push takes the decoded outcome, so the
-// writer decodes it here, off the request path.
+// counted, never returned.
 func (r *RemoteBackend) pushRetry(ctx context.Context, spec scenario.Spec, enc []byte) {
-	out, err := decodeOutcome(enc)
-	if err != nil {
-		r.count(func(st *TierStats) { st.WriteDropped++ })
-		return
-	}
 	delay := r.backoff
 	for attempt := 0; attempt < r.retries && ctx.Err() == nil; attempt++ {
-		err := r.call(ctx, func(ctx context.Context) error { return r.client.Push(ctx, spec, out) })
+		err := r.call(ctx, func(ctx context.Context) error { return r.client.Push(ctx, spec, enc) })
 		if err == nil {
 			r.count(func(st *TierStats) { st.WriteThroughs++ })
 			return
@@ -427,6 +427,16 @@ func (b *breaker) success() {
 		b.degradedTotal += b.now().Sub(b.degradedSince)
 		b.cur = breakerClosed
 	}
+}
+
+// release ends a call whose caller gave up before the remote answered:
+// the state and the failure count stay, and a half-open probe's slot is
+// freed, so the next call probes instead of the breaker staying
+// half-open for good.
+func (b *breaker) release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }
 
 // failure records a failed remote call: threshold consecutive failures

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -55,7 +57,8 @@ func TestBreakerTrip(t *testing.T) {
 }
 
 // TestBreakerHalfOpenProbe: after the cooldown exactly one probe is
-// admitted; its failure re-opens the breaker, its success closes it.
+// admitted; a probe whose caller gave up frees the slot for the next,
+// its failure re-opens the breaker, its success closes it.
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	clk := newFakeClock()
 	b := newBreaker(1, 5*time.Second, clk.now)
@@ -77,6 +80,19 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 	if b.allow() {
 		t.Error("second concurrent call admitted during the single probe")
+	}
+
+	// The probe's caller gives up: the breaker stays half-open and
+	// admits the next probe.
+	b.release()
+	if b.state() != breakerHalfOpen {
+		t.Fatalf("state after a released probe = %s, want half-open", b.state())
+	}
+	if !b.allow() {
+		t.Fatal("breaker refused a probe after the last one was released")
+	}
+	if b.allow() {
+		t.Error("second concurrent call admitted during the new probe")
 	}
 
 	// Probe fails: straight back to open for another full cooldown.
@@ -282,6 +298,53 @@ func TestSlowLeader(t *testing.T) {
 	case <-cancelled:
 	case <-time.After(5 * time.Second):
 		t.Error("the leader never saw a request cancelled")
+	}
+}
+
+// TestClientHangUpsSpareBreaker: clients that give up on their submits
+// while a healthy leader is still answering charge the follower's
+// breaker nothing. Three clients hang up after 100 ms on a leader that
+// answers each submit in 1 s; the follower's workers then fetch the
+// three specs from the leader, and it ends with no remote error and its
+// breaker closed.
+func TestClientHangUpsSpareBreaker(t *testing.T) {
+	leader := startDaemon(t, Config{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			time.Sleep(time.Second)
+		}
+		leader.http.srv.Handler.ServeHTTP(w, r)
+	}))
+	// Registered before the follower's cleanup, so it runs after the
+	// follower's Stop.
+	t.Cleanup(slow.Close)
+	follower := startDaemon(t, Config{Remote: slow.URL, RemoteTimeout: 5 * time.Second})
+	fc := NewClient(follower.BaseURL())
+
+	for i := 0; i < 3; i++ {
+		cctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+		_, err := fc.Submit(cctx, testSpec(45+float64(i)), true)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("submit %d against a leader answering in 1 s = %v, want the client's deadline", i, err)
+		}
+	}
+	// Each spec's job finishes: a patient submit answers done.
+	for i := 0; i < 3; i++ {
+		st, err := fc.Submit(ctx, testSpec(45+float64(i)), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone {
+			t.Fatalf("submit %d state = %s: %s", i, st.State, st.Error)
+		}
+	}
+	sr, err := fc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier := sr.Storage.Tier; tier == nil || tier.RemoteErrors != 0 || tier.BreakerOpens != 0 || tier.BreakerState != "closed" {
+		t.Errorf("client hang-ups charged the breaker: %+v", tier)
 	}
 }
 
@@ -545,7 +608,11 @@ func TestPushEndpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Push(ctx, spec, out); err != nil {
+	enc, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Push(ctx, spec, enc); err != nil {
 		t.Fatal(err)
 	}
 	key, err := scenario.Key(spec)

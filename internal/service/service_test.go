@@ -505,7 +505,8 @@ func TestSingleflightAndByteIdentity(t *testing.T) {
 // daemon, an in-memory daemon, a follower whose local tier holds the
 // key after its first submit, and a disk daemon whose backend offers
 // only the decoded methods. The spec records its series, so a body runs
-// past the net/http buffer and is sent chunked.
+// past net/http's 2 KiB buffer, beyond which a reply without a
+// Content-Length is sent chunked: each reply must carry its length.
 func TestReplyBytes(t *testing.T) {
 	spec := testSpec(75)
 	spec.Duration, spec.Record = 60, true
@@ -571,6 +572,10 @@ func TestReplyBytes(t *testing.T) {
 				resp.Body.Close()
 				if err != nil || resp.StatusCode != http.StatusOK {
 					t.Fatalf("%s %s: %d (%v): %s", call.method, call.path, resp.StatusCode, err, got)
+				}
+				if len(got) <= 2048 || resp.ContentLength != int64(len(got)) {
+					t.Errorf("%s %s: Content-Length %d for a %d-byte body, want its length past 2 KiB",
+						call.method, call.path, resp.ContentLength, len(got))
 				}
 				var st JobStatus
 				if err := json.Unmarshal(got, &st); err != nil {

@@ -179,19 +179,7 @@ done
 svc_addr=$(sed -n 's/^scenariod listening on \([^ ]*\).*/\1/p' "$svc_dir/serve.log")
 test -n "$svc_addr"
 
-cat > "$svc_dir/spec.json" <<'EOF'
-{
-  "kind": "single",
-  "name": "ci-smoke",
-  "duration": 300,
-  "jobs": [{
-    "workload": {"name": "noisy-square", "seed": 7, "params": {"period": 300, "sigma": 0.05}},
-    "policy": {"name": "full"}
-  }]
-}
-EOF
-
-"$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec "$svc_dir/spec.json" > "$svc_dir/first.json"
+"$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec specs/ci-smoke.json > "$svc_dir/first.json"
 grep -q '"state": "done"' "$svc_dir/first.json"
 svc_key=$(sed -n 's/.*"key": "\([0-9a-f]*\)".*/\1/p' "$svc_dir/first.json" | head -n 1)
 test -n "$svc_key"
@@ -200,29 +188,25 @@ grep -q '"state": "done"' "$svc_dir/get.json"
 
 # The Fig. 1 telemetry probe is a kind of the closed vocabulary, so the
 # daemon simulates it like any other spec.
-cat > "$svc_dir/fig1.json" <<'EOF'
-{
-  "kind": "fig1",
-  "name": "fig1",
-  "duration": 700,
-  "params": {"step_time": 100, "bus_base_latency": 2, "bus_transfer_time": 0.5, "bus_sensors": 16},
-  "record": true
-}
-EOF
-"$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec "$svc_dir/fig1.json" > "$svc_dir/fig1.out"
+"$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec specs/fig1.json > "$svc_dir/fig1.out"
 grep -q '"state": "done"' "$svc_dir/fig1.out"
 
 # A param its workload never reads is refused as invalid_spec, not run
-# with the defaults and stored under a new key.
-sed 's/"period"/"perod"/' "$svc_dir/spec.json" > "$svc_dir/typo.json"
+# with the defaults and stored under a new key; `run` refuses it too.
+sed 's/"period"/"perod"/' specs/ci-smoke.json > "$svc_dir/typo.json"
 if "$svc_dir/scenariod" submit -addr "$svc_addr" -spec "$svc_dir/typo.json" > "$svc_dir/typo.out" 2>&1; then
     echo "scenariod accepted a spec with a typo'd param" >&2
     exit 1
 fi
 grep -q "invalid_spec" "$svc_dir/typo.out"
+if "$svc_dir/scenariod" run -spec "$svc_dir/typo.json" > "$svc_dir/typo-run.out" 2>&1; then
+    echo "scenariod run accepted a spec with a typo'd param" >&2
+    exit 1
+fi
+grep -q 'unknown param "perod"' "$svc_dir/typo-run.out"
 
 ticks_before=$("$svc_dir/scenariod" stats -addr "$svc_addr" | sed -n 's/.*"sim_ticks": \([0-9]*\).*/\1/p')
-"$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec "$svc_dir/spec.json" > "$svc_dir/second.json"
+"$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec specs/ci-smoke.json > "$svc_dir/second.json"
 grep -q '"cached": true' "$svc_dir/second.json"
 ticks_after=$("$svc_dir/scenariod" stats -addr "$svc_addr" | sed -n 's/.*"sim_ticks": \([0-9]*\).*/\1/p')
 test "$ticks_before" = "$ticks_after"
@@ -235,7 +219,8 @@ grep -q "clean shutdown" "$svc_dir/serve.log"
 # memory, as the outcome bytes its replies splice in. The second submit
 # of the same spec must be answered from them ("cached": true) with the
 # outcome the first submit carried: the two replies differ only in the
-# cached line.
+# cached line. `run` simulates a spec in process and must print exactly
+# what the fresh daemon's first `submit -wait` printed, for both files.
 "$svc_dir/scenariod" serve -addr 127.0.0.1:0 > "$svc_dir/mem.log" 2>&1 &
 mem_pid=$!
 for _ in $(seq 1 50); do
@@ -244,10 +229,15 @@ for _ in $(seq 1 50); do
 done
 mem_addr=$(sed -n 's/^scenariod listening on \([^ ]*\).*/\1/p' "$svc_dir/mem.log")
 test -n "$mem_addr"
-"$svc_dir/scenariod" submit -addr "$mem_addr" -wait -spec "$svc_dir/spec.json" > "$svc_dir/mem-first.json"
-"$svc_dir/scenariod" submit -addr "$mem_addr" -wait -spec "$svc_dir/spec.json" > "$svc_dir/mem-second.json"
+"$svc_dir/scenariod" submit -addr "$mem_addr" -wait -spec specs/ci-smoke.json > "$svc_dir/mem-first.json"
+"$svc_dir/scenariod" submit -addr "$mem_addr" -wait -spec specs/ci-smoke.json > "$svc_dir/mem-second.json"
 grep -q '"cached": true' "$svc_dir/mem-second.json"
 grep -v '"cached": true' "$svc_dir/mem-second.json" | diff "$svc_dir/mem-first.json" -
+"$svc_dir/scenariod" submit -addr "$mem_addr" -wait -spec specs/fig1.json > "$svc_dir/mem-fig1.json"
+"$svc_dir/scenariod" run -spec specs/ci-smoke.json > "$svc_dir/run-first.json"
+diff "$svc_dir/mem-first.json" "$svc_dir/run-first.json"
+"$svc_dir/scenariod" run -spec specs/fig1.json > "$svc_dir/run-fig1.json"
+diff "$svc_dir/mem-fig1.json" "$svc_dir/run-fig1.json"
 kill -TERM "$mem_pid"
 wait "$mem_pid"
 grep -q "clean shutdown" "$svc_dir/mem.log"
@@ -280,7 +270,7 @@ follower_addr=$(sed -n 's/^scenariod listening on \([^ ]*\).*/\1/p' "$tier_dir/f
 test -n "$follower_addr"
 
 # Submit via the follower: the leader simulates, the follower doesn't.
-"$svc_dir/scenariod" submit -addr "$follower_addr" -wait -spec "$svc_dir/spec.json" > "$tier_dir/first.json"
+"$svc_dir/scenariod" submit -addr "$follower_addr" -wait -spec specs/ci-smoke.json > "$tier_dir/first.json"
 grep -q '"state": "done"' "$tier_dir/first.json"
 follower_ticks=$("$svc_dir/scenariod" stats -addr "$follower_addr" | sed -n 's/.*"sim_ticks": \([0-9]*\).*/\1/p')
 test "$follower_ticks" = "0"
@@ -289,7 +279,7 @@ test "$leader_ticks" != "0"
 
 # Resubmit: the write-back made it a follower-local hit; the leader's
 # tick probe must not move again.
-"$svc_dir/scenariod" submit -addr "$follower_addr" -wait -spec "$svc_dir/spec.json" > "$tier_dir/second.json"
+"$svc_dir/scenariod" submit -addr "$follower_addr" -wait -spec specs/ci-smoke.json > "$tier_dir/second.json"
 grep -q '"cached": true' "$tier_dir/second.json"
 leader_ticks2=$("$svc_dir/scenariod" stats -addr "$leader_addr" | sed -n 's/.*"sim_ticks": \([0-9]*\).*/\1/p')
 test "$leader_ticks" = "$leader_ticks2"
@@ -299,7 +289,7 @@ test "$leader_ticks" = "$leader_ticks2"
 # simulated locally, and the degraded counters show the breaker at work.
 kill -TERM "$leader_pid"
 wait "$leader_pid"
-sed 's/"ci-smoke"/"ci-smoke-degraded"/' "$svc_dir/spec.json" > "$tier_dir/spec2.json"
+sed 's/"ci-smoke"/"ci-smoke-degraded"/' specs/ci-smoke.json > "$tier_dir/spec2.json"
 "$svc_dir/scenariod" submit -addr "$follower_addr" -wait -spec "$tier_dir/spec2.json" > "$tier_dir/degraded.json"
 grep -q '"state": "done"' "$tier_dir/degraded.json"
 "$svc_dir/scenariod" stats -addr "$follower_addr" > "$tier_dir/stats.json"
