@@ -17,7 +17,7 @@ import (
 // the faulted node is always the first one — a single bad sensor in an
 // otherwise healthy stack — and the hot aisle (n2, n3) shares one
 // telemetry bus, the segment that dies in segment-type cells.
-func builtinFaultTargets(duration float64, workers int) map[string]scenario.FaultTarget {
+func builtinFaultTargets(duration float64) map[string]scenario.FaultTarget {
 	rackNodes := func() []scenario.FleetNode {
 		return []scenario.FleetNode{
 			{
@@ -54,7 +54,6 @@ func builtinFaultTargets(duration float64, workers int) map[string]scenario.Faul
 					Workload: scenario.FactoryRef{Name: "square", Params: scenario.Params{"period": 600}},
 					Policy:   scenario.FactoryRef{Name: "full"},
 				}},
-				Workers: workers,
 			},
 		},
 		"fleet": {
@@ -64,7 +63,6 @@ func builtinFaultTargets(duration float64, workers int) map[string]scenario.Faul
 				Name:     "faultsweep/fleet",
 				Duration: units.Seconds(duration),
 				Fleet:    &scenario.FleetSpec{Nodes: rackNodes()},
-				Workers:  workers,
 			},
 			Segment: []string{"n2", "n3"},
 		},
@@ -75,7 +73,6 @@ func builtinFaultTargets(duration float64, workers int) map[string]scenario.Faul
 				Name:     "faultsweep/fleetcoord",
 				Duration: units.Seconds(duration),
 				Fleet:    &scenario.FleetSpec{Nodes: rackNodes()},
-				Workers:  workers,
 			},
 			Segment: []string{"n2", "n3"},
 		},
@@ -87,8 +84,8 @@ func builtinFaultTargets(duration float64, workers int) map[string]scenario.Faul
 // are crossed, it also prints the dominance verdict — the robustness
 // claim that redundant voting degrades no worse than the single chain
 // anywhere while costing nothing when healthy.
-func faultSweepCampaign(targetsStr, typesStr, sevsStr, stacksStr string, duration float64, seed int64, storeDir string, workers int) error {
-	builtin := builtinFaultTargets(duration, workers)
+func faultSweepCampaign(targetsStr, typesStr, sevsStr, stacksStr string, duration float64, seed int64, storeDir string) error {
+	builtin := builtinFaultTargets(duration)
 	var targets []scenario.FaultTarget
 	segmentable := false
 	for _, name := range strings.Split(targetsStr, ",") {

@@ -1,18 +1,23 @@
 // Command experiments regenerates every figure and table of the paper's
 // evaluation section (Sec. VI) from the simulator: ASCII plots for the
 // figures, aligned text tables for Table III, and optional CSV dumps for
-// external plotting. Every subcommand routes through the unified
-// scenario layer (internal/scenario): it builds a declarative spec,
-// scenario.Run selects the fastest eligible engine, and the sweep
-// subcommands can persist results in a content-addressed store so
-// repeated grids resume instead of recomputing.
+// external plotting. It also runs the grids that span many specs: the
+// rack and Table III sweeps and the fault campaign, which can persist
+// their cells in a content-addressed store so repeated grids resume
+// instead of recomputing, and the store's own ls and gc. Every
+// subcommand routes through the unified scenario layer
+// (internal/scenario). A single spec, such as one rack under fleet or
+// fleetcoord, is a file under specs/ that `scenariod run -spec F` runs.
 //
-// Run without arguments for the figure set, or with a subcommand name;
-// any unknown subcommand prints the generated listing of subcommands,
-// their flags, and the scenario vocabulary (kinds, workloads, policies) —
-// the listing is built from the live flag sets and the vocabulary tables
-// Validate checks specs against, so it cannot drift from the
-// implementation.
+//	experiments [flags]                the figure set (fig1, fig3-5, table3)
+//	experiments SUBCOMMAND [flags]
+//	experiments store ls|gc [flags]
+//
+// The subcommand comes first. Any unknown subcommand prints the
+// generated listing of subcommands, their flags, and the scenario
+// vocabulary (kinds, workloads, policies) — the listing is built from
+// the live flag sets and the vocabulary tables Validate checks specs
+// against, so it cannot drift from the implementation.
 package main
 
 import (
@@ -39,10 +44,9 @@ type command struct {
 	summary string
 	flags   *flag.FlagSet
 	run     func() error
-	// runArgs, when set instead of run, receives the positional words
-	// left after flag parsing (the store subcommand's action verb);
-	// commands without it reject stray arguments.
-	runArgs func(args []string) error
+	// runAction, when set instead of run, receives the action word that
+	// comes right after the subcommand's name (store's ls or gc).
+	runAction func(action string) error
 }
 
 // commands is populated in main (fixed order for the usage listing).
@@ -59,17 +63,10 @@ func newCommand(name, summary string, setup func(*flag.FlagSet), run func() erro
 	return c
 }
 
-// newCommandArgs registers a subcommand that consumes positional words.
-func newCommandArgs(name, summary string, setup func(*flag.FlagSet), run func(args []string) error) *command {
-	c := newCommand(name, summary, setup, nil)
-	c.runArgs = run
-	return c
-}
-
 // usage prints the generated subcommand/flag listing plus the scenario
 // vocabulary.
 func usage(w *os.File) {
-	fmt.Fprintf(w, "usage: experiments [subcommand] [flags]\n\nSubcommands:\n")
+	fmt.Fprintf(w, "usage: experiments [subcommand] [flags]\n       experiments store ls|gc [flags]\n\nSubcommands:\n")
 	for _, c := range commands {
 		fmt.Fprintf(w, "  %-12s %s\n", c.name, c.summary)
 		c.flags.VisitAll(func(f *flag.Flag) {
@@ -108,12 +105,9 @@ func main() {
 		faultDropout                               float64
 		faultSeed                                  int64
 
-		fleetNodes    int
 		fleetLayout   string
 		fleetSeed     int64
-		fleetWorkers  int
 		fleetRecirc   float64
-		fleetSpread   float64
 		fleetDuration float64
 		storeDir      string
 		sweepSizes    string
@@ -140,7 +134,6 @@ func main() {
 		fsStacks     string
 		fsDuration   float64
 		fsSeed       int64
-		fsWorkers    int
 
 		gcMaxBytes int64
 		gcMaxCells int
@@ -152,7 +145,6 @@ func main() {
 	fleetFlags := func(fs *flag.FlagSet) {
 		fs.StringVar(&fleetLayout, "layout", "cold,mid,hot", "aisle assignment pattern, cycled over nodes")
 		fs.Int64Var(&fleetSeed, "seed", 1, "root seed for per-node workload streams")
-		fs.IntVar(&fleetWorkers, "workers", 0, "batch worker cap (0 = all cores; results identical)")
 		fs.Float64Var(&fleetRecirc, "recirc", 0.01, "inlet rise per watt of upstream mean power (K/W)")
 		fs.Float64Var(&fleetDuration, "duration", 3600, "per-node horizon in seconds")
 	}
@@ -217,21 +209,6 @@ func main() {
 			Seed:        faultSeed,
 		})
 	})
-	newCommand("fleet", "heterogeneous rack with shared inlet field", func(fs *flag.FlagSet) {
-		fs.IntVar(&fleetNodes, "nodes", 6, "rack size")
-		fs.Float64Var(&fleetSpread, "spread", 8, "hot-aisle inlet offset over supply (mid = half)")
-		fleetFlags(fs)
-	}, func() error {
-		return fleetRack(fleetNodes, fleetSpread, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, fleetWorkers)
-	})
-	newCommand("fleetcoord", "rack under the global coordinator vs per-node control", func(fs *flag.FlagSet) {
-		fs.IntVar(&fleetNodes, "nodes", 6, "rack size")
-		fs.Float64Var(&fleetSpread, "spread", 8, "hot-aisle inlet offset over supply (mid = half)")
-		fleetFlags(fs)
-		coordFlags(fs)
-	}, func() error {
-		return fleetCoord(fleetNodes, fleetSpread, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, fleetWorkers, coordParams())
-	})
 	newCommand("fleetsweep", "rack size x inlet spread grid (resumable with -store)", func(fs *flag.FlagSet) {
 		fs.StringVar(&sweepSizes, "sizes", "2,4,8", "rack sizes")
 		fs.StringVar(&sweepSpreads, "spreads", "0,4,8", "hot-aisle inlet spreads (degC)")
@@ -240,7 +217,7 @@ func main() {
 		fleetFlags(fs)
 		coordFlags(fs)
 	}, func() error {
-		return fleetSweep(sweepSizes, sweepSpreads, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, fleetWorkers, storeDir, sweepCompare, coordParams())
+		return fleetSweep(sweepSizes, sweepSpreads, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, storeDir, sweepCompare, coordParams())
 	})
 	newCommand("sweep", "Table III scenario grid over ambient x seed (resumable with -store)", func(fs *flag.FlagSet) {
 		fs.StringVar(&scAmbients, "ambients", "30,33", "inlet temperatures (degC)")
@@ -259,115 +236,73 @@ func main() {
 		fs.Float64Var(&fsDuration, "duration", 600, "per-cell horizon in seconds")
 		fs.Int64Var(&fsSeed, "seed", 42, "campaign seed for the seeded fault stages")
 		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (optional)")
-		fs.IntVar(&fsWorkers, "workers", 0, "engine worker cap (0 = all cores; results identical)")
 	}, func() error {
-		return faultSweepCampaign(fsTargets, fsTypes, fsSeverities, fsStacks, fsDuration, fsSeed, storeDir, fsWorkers)
+		return faultSweepCampaign(fsTargets, fsTypes, fsSeverities, fsStacks, fsDuration, fsSeed, storeDir)
 	})
-	var storeCmd *command
-	storeCmd = newCommandArgs("store", "inspect or trim a result store (actions: ls, gc)", func(fs *flag.FlagSet) {
+	newCommand("store", "inspect or trim a result store (actions: ls, gc)", func(fs *flag.FlagSet) {
 		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (required)")
 		fs.Int64Var(&gcMaxBytes, "maxbytes", 0, "gc: cap on summed cell bytes (0 = no byte cap)")
 		fs.IntVar(&gcMaxCells, "maxcells", 0, "gc: cap on cell count (0 = no cell cap)")
-	}, func(args []string) error {
-		// The action verb may sit before or after the flags ("store ls
-		// -store DIR" and "store -store DIR ls" both work): flags before
-		// the verb were consumed by the main parse; whatever follows it
-		// is re-parsed here.
-		action := ""
-		if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-			action = args[0]
-			if err := storeCmd.flags.Parse(args[1:]); err != nil {
-				return err
-			}
-			if stray := storeCmd.flags.Args(); len(stray) > 0 {
-				return fmt.Errorf("store: stray argument %q", stray[0])
-			}
-		} else if len(args) > 0 {
-			return fmt.Errorf("store: stray argument %q", args[0])
-		}
+	}, nil).runAction = func(action string) error {
 		switch action {
 		case "ls":
 			return storeLs(storeDir)
 		case "gc":
 			return storeGC(storeDir, gcMaxBytes, gcMaxCells)
 		case "":
-			return fmt.Errorf("store: missing action (want: ls, gc)")
+			return fmt.Errorf("missing action (want: ls, gc)")
 		default:
-			return fmt.Errorf("store: unknown action %q (want: ls, gc)", action)
+			return fmt.Errorf("unknown action %q (want: ls, gc)", action)
 		}
-	})
-
-	// The subcommand word may sit before, between or after flags
-	// ("experiments -csv dir fig4" worked historically): scan the args
-	// for the first bare word that is not a flag's value, hand
-	// everything else to that command's flag set. Every flag of this
-	// tool takes a value — except the booleans, which are derived from
-	// the registered flag sets below so the scanner cannot drift from
-	// the implementation — so a bare word immediately after a "-flag"
-	// token (with no "=value") is that flag's value, never a
-	// subcommand. A help request anywhere wins first.
-	boolFlags := make(map[string]bool)
-	for _, c := range commands {
-		c.flags.VisitAll(func(f *flag.Flag) {
-			if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
-				boolFlags["-"+f.Name] = true
-				boolFlags["--"+f.Name] = true
-			}
-		})
 	}
+
+	// The subcommand is the first word; flags alone run the figure set.
 	args := os.Args[1:]
-	chosen := ""
-	rest := make([]string, 0, len(args))
-	prevWantsValue := false
-	for _, a := range args {
-		// A flag name cannot start with a digit, so "-3" / "-.5" are
-		// negative values (e.g. "-seed -3"), not flags.
-		isFlag := len(a) > 1 && a[0] == '-' &&
-			!(a[1] >= '0' && a[1] <= '9') && a[1] != '.'
-		switch {
-		case a == "help" || a == "-h" || a == "-help" || a == "--help":
-			usage(os.Stdout)
-			return
-		case !isFlag && !prevWantsValue && chosen == "":
-			if find(a) == nil && a != "all" {
-				log.Printf("unknown subcommand %q", a)
-				usage(os.Stderr)
-				os.Exit(2)
-			}
-			chosen = a
-		default:
-			rest = append(rest, a)
-		}
-		prevWantsValue = isFlag && !strings.Contains(a, "=") && !boolFlags[a]
+	if len(args) > 0 && (args[0] == "help" || args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
+		usage(os.Stdout)
+		return
 	}
-
-	dispatch := func(name string) {
-		c := find(name)
-		if err := c.flags.Parse(rest); err != nil {
-			log.Fatal(err)
-		}
-		if c.runArgs != nil {
-			if err := c.runArgs(c.flags.Args()); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-			return
-		}
-		if stray := c.flags.Args(); len(stray) > 0 {
-			log.Printf("stray argument %q (one subcommand per invocation)", stray[0])
-			usage(os.Stderr)
-			os.Exit(2)
-		}
-		if err := c.run(); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
+	name := "all"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
-	if chosen == "" || chosen == "all" {
-		for _, name := range []string{"fig1", "fig3", "fig4", "fig5", "table3"} {
-			dispatch(name)
+	if name == "all" {
+		for _, fig := range []string{"fig1", "fig3", "fig4", "fig5", "table3"} {
+			dispatch(find(fig), args)
 		}
 		return
 	}
-	dispatch(chosen)
+	c := find(name)
+	if c == nil {
+		log.Printf("unknown subcommand %q", name)
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	dispatch(c, args)
+}
+
+// dispatch parses a subcommand's flags, after its action word if it
+// takes one, and runs it.
+func dispatch(c *command, args []string) {
+	action := ""
+	if c.runAction != nil && len(args) > 0 {
+		action, args = args[0], args[1:]
+	}
+	if err := c.flags.Parse(args); err != nil {
+		log.Fatal(err)
+	}
+	if stray := c.flags.Args(); len(stray) > 0 {
+		log.Printf("stray argument %q (one subcommand per invocation)", stray[0])
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	run := c.run
+	if c.runAction != nil {
+		run = func() error { return c.runAction(action) }
+	}
+	if err := run(); err != nil {
+		log.Fatalf("%s: %v", c.name, err)
+	}
 }
 
 // find returns the named command, or nil.
@@ -558,7 +493,7 @@ func parseFloats(s string) ([]float64, error) {
 
 // fleetSpec assembles the generated-rack scenario at the given size and
 // hot-aisle spread.
-func fleetSpec(n int, spread float64, layoutStr string, seed int64, recirc, duration float64, workers int) (scenario.Spec, error) {
+func fleetSpec(n int, spread float64, layoutStr string, seed int64, recirc, duration float64) (scenario.Spec, error) {
 	layout, err := parseLayout(layoutStr)
 	if err != nil {
 		return scenario.Spec{}, err
@@ -574,93 +509,7 @@ func fleetSpec(n int, spread float64, layoutStr string, seed int64, recirc, dura
 			AisleOffsets: &[3]units.Celsius{0, units.Celsius(spread / 2), units.Celsius(spread)},
 			Recirc:       units.KPerW(recirc),
 		},
-		Workers: workers,
 	}, nil
-}
-
-func fleetRack(n int, spread float64, layoutStr string, seed int64, recirc, duration float64, workers int) error {
-	spec, err := fleetSpec(n, spread, layoutStr, seed, recirc, duration, workers)
-	if err != nil {
-		return err
-	}
-	out, err := scenario.Run(spec)
-	if err != nil {
-		return err
-	}
-	agg := out.Aggregate
-	fmt.Printf("Fleet — %d-node rack, %.0f s horizon, shared inlet field (spread %.1f °C, recirc %.3f K/W, %d pass(es))\n\n",
-		len(out.Units), duration, spread, recirc, int(agg[scenario.MetricPasses]))
-	fmt.Printf("%-10s %6s %4s %9s %12s %12s %10s %8s\n",
-		"node", "aisle", "slot", "inlet(°C)", "violation(%)", "fanE(kJ)", "meanFan", "Tmax")
-	for i := range out.Units {
-		u := &out.Units[i]
-		fmt.Printf("%-10s %6s %4d %9.1f %12.2f %12.2f %10.0f %8.1f\n",
-			u.Name, u.Labels["aisle"], int(u.Metric(scenario.MetricSlot, 0)),
-			u.Metric(scenario.MetricInletC, 0),
-			u.Metric(scenario.MetricViolationFrac, 0)*100,
-			u.Metric(scenario.MetricFanEnergyJ, 0)/1000,
-			u.Metric(scenario.MetricMeanFanRPM, 0),
-			u.Metric(scenario.MetricMaxJunctionC, 0))
-	}
-	fmt.Printf("\nper aisle:\n")
-	for _, aisle := range []string{"cold", "mid", "hot"} {
-		prefix := "aisle_" + aisle + "_"
-		n, ok := agg[prefix+"nodes"]
-		if !ok || n == 0 {
-			continue
-		}
-		fmt.Printf("  %-5s %d node(s): mean inlet %.1f °C, %.2f%% violations, %.1f kJ fan, Tmax %.1f °C\n",
-			aisle, int(n), agg[prefix+"mean_inlet_c"], agg[prefix+scenario.MetricViolationFrac]*100,
-			agg[prefix+scenario.MetricFanEnergyJ]/1000, agg[prefix+scenario.MetricMaxJunctionC])
-	}
-	fmt.Printf("\nrack: %.2f%% violations, fan %.1f kJ (%.2f%% of %.1f kJ total), Tmax %.1f °C\n",
-		agg[scenario.MetricViolationFrac]*100, agg[scenario.MetricFanEnergyJ]/1000,
-		agg[scenario.MetricFanEnergyShare]*100, agg[scenario.MetricTotalEnergyJ]/1000,
-		agg[scenario.MetricMaxJunctionC])
-	fmt.Printf("rack power: peak %.0f W, mean %.0f W\n\n",
-		agg[scenario.MetricPeakRackPowerW], agg[scenario.MetricMeanRackPowerW])
-	return nil
-}
-
-// fleetCoord runs one rack under the global coordinator and prints the
-// coordinated-vs-local comparison.
-func fleetCoord(n int, spread float64, layoutStr string, seed int64, recirc, duration float64, workers int, params scenario.Params) error {
-	spec, err := fleetSpec(n, spread, layoutStr, seed, recirc, duration, workers)
-	if err != nil {
-		return err
-	}
-	spec.Kind = scenario.KindFleetCoord
-	spec.Name = "fleetcoord"
-	spec.Params = params
-	out, err := scenario.Run(spec)
-	if err != nil {
-		return err
-	}
-	agg := out.Aggregate
-	fmt.Printf("Fleet coordinator — %d-node rack, %.0f s horizon (spread %.1f °C, recirc %.3f K/W, budget %.0f W, %d round(s), best round %d)\n\n",
-		len(out.Units), duration, spread, recirc,
-		agg[scenario.MetricCoordBudgetW], int(agg[scenario.MetricCoordRounds]), int(agg[scenario.MetricCoordBestRound]))
-	fmt.Printf("%-10s %6s %4s %9s %7s %12s %12s %10s %8s\n",
-		"node", "aisle", "slot", "inlet(°C)", "share", "violation(%)", "fanE(kJ)", "meanFan", "Tmax")
-	for i := range out.Units {
-		u := &out.Units[i]
-		fmt.Printf("%-10s %6s %4d %9.1f %7.3f %12.2f %12.2f %10.0f %8.1f\n",
-			u.Name, u.Labels["aisle"], int(u.Metric(scenario.MetricSlot, 0)),
-			u.Metric(scenario.MetricInletC, 0),
-			u.Metric(scenario.MetricShare, 1),
-			u.Metric(scenario.MetricViolationFrac, 0)*100,
-			u.Metric(scenario.MetricFanEnergyJ, 0)/1000,
-			u.Metric(scenario.MetricMeanFanRPM, 0),
-			u.Metric(scenario.MetricMaxJunctionC, 0))
-	}
-	localViol := agg[scenario.LocalMetricPrefix+scenario.MetricViolationFrac]
-	coordViol := agg[scenario.MetricViolationFrac]
-	fmt.Printf("\nrack summary: local %.2f%% violations / %.1f kJ fan -> coordinated %.2f%% violations / %.1f kJ fan (migrated share %.1f%%)\n",
-		localViol*100, agg[scenario.LocalMetricPrefix+scenario.MetricFanEnergyJ]/1000,
-		coordViol*100, agg[scenario.MetricFanEnergyJ]/1000,
-		agg[scenario.MetricCoordMigrated]*100)
-	fmt.Printf("verdict: coordinated beats-or-ties local violations: %v\n\n", coordViol <= localViol)
-	return nil
 }
 
 // openStore opens the optional result store.
@@ -719,7 +568,7 @@ func storeGC(dir string, maxBytes int64, maxCells int) error {
 	return nil
 }
 
-func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, duration float64, workers int, storeDir string, compare bool, params scenario.Params) error {
+func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, duration float64, storeDir string, compare bool, params scenario.Params) error {
 	if !compare && params != nil {
 		return fmt.Errorf("coordinator flags only apply with -compare (add -compare, or drop the coordinator flags)")
 	}
@@ -748,7 +597,7 @@ func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, dura
 	var specs []scenario.Spec
 	for _, size := range sizes {
 		for _, spread := range spreads {
-			spec, err := fleetSpec(size, spread, layoutStr, stats.SubSeed(seed, int64(size)), recirc, duration, workers)
+			spec, err := fleetSpec(size, spread, layoutStr, stats.SubSeed(seed, int64(size)), recirc, duration)
 			if err != nil {
 				return err
 			}

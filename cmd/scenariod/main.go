@@ -139,22 +139,20 @@ func serveCmd(args []string) error {
 	return nil
 }
 
-// readSpec loads a spec from a file or stdin ("-").
+// readSpec loads one spec, decoded as strictly as the daemon decodes a
+// submit, from a file or stdin ("-").
 func readSpec(path string) (scenario.Spec, error) {
 	var spec scenario.Spec
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
+	in := os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return spec, err
+		}
+		defer f.Close()
+		in = f
 	}
-	if err != nil {
-		return spec, err
-	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := scenario.DecodeStrict(in, &spec); err != nil {
 		return spec, fmt.Errorf("decoding spec %s: %w", path, err)
 	}
 	return spec, nil

@@ -276,8 +276,8 @@ func NewRack(n int, layout []Aisle, seed int64) (Config, error) {
 }
 
 // FullStack is the PolicyFactory for the paper's complete proposal
-// (R-coord + A-T_ref + SS_fan) — the default DTM for fleet nodes, shared
-// by NewRack and the examples.
+// (R-coord + A-T_ref + SS_fan) — the default DTM that NewRack gives every
+// node.
 func FullStack(cfg sim.Config) (sim.Policy, error) {
 	d, err := core.NewFullStack(cfg)
 	if err != nil {

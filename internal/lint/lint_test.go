@@ -68,10 +68,10 @@ func TestLoaderCoverage(t *testing.T) {
 		"repro/internal/lint",
 		"repro/internal/service",
 		"repro/cmd/experiments",
+		"repro/cmd/fantune",
 		"repro/cmd/repolint",
 		"repro/cmd/scenariod",
 		"repro/bench",
-		"repro/examples/datacenter",
 	} {
 		if !got[want] {
 			t.Errorf("loader missed package %s", want)

@@ -10,13 +10,13 @@ import (
 // TestOnly enforces "code whose only callers are its own tests goes": a
 // package-level func, type, var, const or method in a non-test file under
 // internal/ that no non-test file of the loaded program references is a
-// finding. References count from every type-checked package, cmd/,
-// examples/ and the nested bench/ module included. A declaration's
-// mentions of itself do not count, nor do a type's mentions in its own
-// methods' receivers; a use of a generic instantiation counts against its
-// origin. A method is exempt when its receiver type or pointer implements
-// an interface with a method of that name that appears anywhere in the
-// program's types, or when fmt, errors or encoding/json call it by name.
+// finding. References count from every type-checked package, cmd/ and
+// the nested bench/ module included. A declaration's mentions of itself
+// do not count, nor do a type's mentions in its own methods' receivers;
+// a use of a generic instantiation counts against its origin. A method
+// is exempt when its receiver type or pointer implements an interface
+// with a method of that name that appears anywhere in the program's
+// types, or when fmt, errors or encoding/json call it by name.
 // Struct fields are out of scope: encoding/json reads them by reflection.
 //
 // The analyzer does not iterate to a fixpoint: deleting a finding may

@@ -21,10 +21,8 @@ const ciSmokeSpec = `{
 // decodeSpec decodes a submit body the way scenariod's POST handler
 // does: one JSON value, with unknown fields rejected.
 func decodeSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	err := dec.Decode(&s)
+	err := DecodeStrict(bytes.NewReader(data), &s)
 	return s, err
 }
 

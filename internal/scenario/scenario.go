@@ -11,8 +11,8 @@
 // an explicit seed. Plain data buys two things:
 //
 //   - every experiment entry point (internal/experiments, cmd/experiments,
-//     scenariod, the examples) shares one shape instead of growing its
-//     own XxxConfig;
+//     scenariod and the spec files under specs/) shares one shape
+//     instead of growing its own XxxConfig;
 //   - a Spec canonicalizes to stable JSON, so its SHA-256 content hash
 //     keys a persistent result store (store.go) and Sweep resumes
 //     incrementally instead of recomputing finished cells.

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,6 +72,26 @@ func CanonicalJSON(s Spec) ([]byte, error) {
 		return nil, fmt.Errorf("scenario: canonicalizing spec: %w", err)
 	}
 	return b, nil
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v, the way a
+// spec or a pushed cell crosses a trust boundary: a field v does not
+// declare is an error, since it would drop out of the content hash and
+// alias another cell, and so is anything after the value but whitespace.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("after the JSON value: %w", err)
+	default:
+		return errors.New("trailing data after the JSON value")
+	}
 }
 
 // OpenStore opens (creating if needed) a result store rooted at dir.

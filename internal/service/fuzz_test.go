@@ -19,11 +19,12 @@ const wrongKey = "0123abcd"
 // recovered by net/http and hidden). The URL key is the body's content
 // key whenever the body decodes and its spec validates, so the fuzzer
 // reaches the accepting path, unless useWrongKey asks for a key no spec
-// hashes to. Every push answers 200 or 400, a 400 says invalid_spec, and
-// after a 200 a GET of the key answers done and cached with the pushed
-// outcome's canonical bytes: the json.Marshal output of the decoded
-// body's outcome, which differs from the pushed bytes when, for
-// example, a series is null.
+// hashes to. Every push answers 200 or 400, a 400 says invalid_spec, a
+// body that is not exactly one JSON value (a valid cell with data after
+// it, say) is never accepted, and after a 200 a GET of the key answers
+// done and cached with the pushed outcome's canonical bytes: the
+// json.Marshal output of the decoded body's outcome, which differs from
+// the pushed bytes when, for example, a series is null.
 func FuzzPush(f *testing.F) {
 	spec := testSpec(24)
 	spec.Duration, spec.Record = 10, true
@@ -47,6 +48,7 @@ func FuzzPush(f *testing.F) {
 	f.Add(cell, true)
 	f.Add(specOnly, false)
 	f.Add(nullSeries, false)
+	f.Add(append(cell[:len(cell):len(cell)], ` {"kind":"fleet"} trailing garbage`...), false)
 
 	// The daemons are never started: a push and a poll of a stored key
 	// reach storage directly, without queue workers or a socket.
@@ -84,6 +86,9 @@ func FuzzPush(f *testing.F) {
 			}
 			if key == wrongKey {
 				t.Fatalf("push under a wrong key accepted: %s", rec.Body)
+			}
+			if !json.Valid(body) {
+				t.Fatalf("push of a body that is not one JSON value accepted: %s", rec.Body)
 			}
 
 			rec = httptest.NewRecorder()

@@ -34,9 +34,10 @@ import (
 // string (unchanged since PR 9, so old clients keep working) plus a
 // stable machine-readable `code` (the Code* constants).
 //
-// Spec bodies are decoded strictly (unknown fields are a 400): a typoed
-// field would otherwise silently drop out of the content hash and alias
-// a different cell.
+// Spec and push bodies are decoded strictly (scenario.DecodeStrict): an
+// unknown field or data after the one JSON value is a 400, since a
+// typoed field would otherwise silently drop out of the content hash and
+// alias a different cell.
 type HTTPServer struct {
 	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
@@ -196,10 +197,8 @@ func answerErr(w http.ResponseWriter, err error) {
 
 // handleSubmit is POST /v1/scenarios.
 func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
 	var spec scenario.Spec
-	if err := dec.Decode(&spec); err != nil {
+	if err := scenario.DecodeStrict(http.MaxBytesReader(w, r.Body, 16<<20), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("decoding spec: %v", err))
 		return
 	}
@@ -233,10 +232,8 @@ func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // empty aggregate), and every stored outcome must be the bytes
 // json.Marshal gives.
 func (h *HTTPServer) handlePush(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
 	var pr pushRequest
-	if err := dec.Decode(&pr); err != nil {
+	if err := scenario.DecodeStrict(http.MaxBytesReader(w, r.Body, 64<<20), &pr); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("decoding push: %v", err))
 		return
 	}

@@ -727,6 +727,50 @@ func TestHTTPValidation(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
 	}
+
+	// A body is exactly one JSON value: a valid spec or cell with data
+	// after it is refused as invalid_spec on submit and on push, and
+	// nothing is queued or stored under its key.
+	spec := testSpec(31)
+	key, err := scenario.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specBody, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellBody, err := json.Marshal(pushRequest{Spec: spec, Outcome: &scenario.Outcome{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodPost, "/v1/scenarios", specBody},
+		{http.MethodPut, "/v1/scenarios/" + key, cellBody},
+	} {
+		req, err := http.NewRequest(tc.method, d.BaseURL()+tc.path,
+			bytes.NewReader(append(tc.body, ` {"kind":"fleet"} trailing garbage`...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ae apiError
+		err = json.NewDecoder(resp.Body).Decode(&ae)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || ae.Code != CodeInvalidSpec {
+			t.Errorf("%s with trailing data: HTTP %d, code %q (%v), want 400 %s",
+				tc.method, resp.StatusCode, ae.Code, err, CodeInvalidSpec)
+		}
+	}
+	if _, err := c.Get(ctx, key); !IsNotFound(err) {
+		t.Errorf("refused bodies left key %s behind: %v", key, err)
+	}
 }
 
 // parkedQueue is a daemon whose queue runs a stub in place of the

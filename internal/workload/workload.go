@@ -3,8 +3,8 @@
 // alternate between 0.1 and 0.7 with additive Gaussian noise (σ = 0.04);
 // this package provides that construction plus the spike patterns that
 // motivate the single-step fan scaler (Sec. V-C, citing [20]), and several
-// generic generators (constant, step, PRBS, Markov-modulated) used by
-// tests and examples.
+// generic generators (constant, step, PRBS, Markov-modulated) that
+// specs name from the scenario vocabulary.
 //
 // A Generator maps simulation time to the utilization the workload demands.
 // Generators are deterministic: the same generator asked at the same time

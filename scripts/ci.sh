@@ -74,27 +74,27 @@ go test -race -count=5 -run 'Concurrent|Parked|Singleflight|Recheck|Cache|TwoTie
 # the allocation bars are asserted too.
 go test -run 'Lockstep|FixedPoint|Coordinat|ArbitrateRack|Migrate' ./internal/sim ./internal/fleet ./internal/coord
 
-# Fleet-layer smoke: build and run the rack subcommand and the datacenter
-# example with fixed seeds on short horizons, and fail if either produces
-# no output. This gates the fleet topology layer end to end (CLI wiring,
-# shared inlet field, aggregation) alongside the unit tests above.
-fleet_out=$(go run ./cmd/experiments fleet -nodes 4 -seed 1 -duration 600)
-test -n "$fleet_out"
-echo "$fleet_out" | grep -q "rack:"
+# Spec-file smokes: the rack specs under specs/ run in process through
+# `scenariod run` on fixed seeds and short horizons. Each must finish
+# done and carry its rack aggregates: the fleet rack its peak rack
+# power, the coordinated datacenter and fleetcoord racks their local
+# baseline and winning round. This gates the fleet layer end to end
+# (spec decode, shared inlet field, coordinator, aggregation) alongside
+# the unit tests above; TestFleetCoordSpecVerdict (cmd/scenariod)
+# asserts the coordinator's verdict on the fleetcoord rack.
+fleet_out=$(go run ./cmd/scenariod run -spec specs/fleet.json)
+echo "$fleet_out" | grep -q '"state": "done"'
+echo "$fleet_out" | grep -q '"peak_rack_power_w"'
 
-dc_out=$(go run ./examples/datacenter)
-test -n "$dc_out"
-echo "$dc_out" | grep -q "fleet:"
-echo "$dc_out" | grep -q "coordinated:"
+dc_out=$(go run ./cmd/scenariod run -spec specs/datacenter.json)
+echo "$dc_out" | grep -q '"state": "done"'
+echo "$dc_out" | grep -q '"local_violation_frac"'
+echo "$dc_out" | grep -q '"coord_best_round"'
 
-# Coordinator smoke: a seeded fleetcoord run on a recirculation-heavy
-# rack must emit the rack summary and beat-or-tie local control's
-# violation metric (the subcommand computes the verdict from the same
-# outcome the table prints; the best-round fallback makes anything but
-# "true" a bug).
-coord_out=$(go run ./cmd/experiments fleetcoord -nodes 6 -seed 99 -duration 900 -recirc 0.03)
-echo "$coord_out" | grep -q "rack summary:"
-echo "$coord_out" | grep -q "verdict: coordinated beats-or-ties local violations: true"
+coord_out=$(go run ./cmd/scenariod run -spec specs/fleetcoord.json)
+echo "$coord_out" | grep -q '"state": "done"'
+echo "$coord_out" | grep -q '"local_violation_frac"'
+echo "$coord_out" | grep -q '"coord_best_round"'
 
 # Scenario-store smoke: the same seeded sweep twice into a temp store.
 # The first pass computes every cell; the second must be served entirely
