@@ -1,10 +1,9 @@
 // Micro-benchmarks for the simulation hot paths. Unlike bench_test.go
 // (which reports experiment *results*), these measure engine *speed* and
 // allocation behavior: thermal.Network.Step and the per-tick server loop
-// must be zero-allocation after warm-up, and the Table III batch must
-// scale with worker count. Run with
+// must be zero-allocation after warm-up. Run with
 //
-//	go test -bench 'NetworkStep|ServerTick|EngineThroughput|Table3Serial|Table3Parallel' -benchmem
+//	go test -bench 'NetworkStep|ServerTick|EngineThroughput|Table3Serial' -benchmem
 package main
 
 import (
@@ -321,27 +320,24 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// benchTable3 runs the Table III comparison at the given worker count.
-func benchTable3(b *testing.B, workers int) {
+// BenchmarkTable3Serial runs the Table III comparison (build the spec,
+// run it, fold the rows) on one engine worker. Five lanes take one worker
+// at any worker count (a pass takes one per four stepped lanes), so this
+// is the batch engine's whole cost for the table.
+func BenchmarkTable3Serial(b *testing.B) {
 	tc := experiments.DefaultTable3()
-	tc.Workers = workers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table3(tc); err != nil {
+		spec := experiments.Table3Spec(tc)
+		spec.Workers = 1
+		out, err := scenario.Run(spec)
+		if err != nil {
 			b.Fatal(err)
 		}
+		experiments.Table3FromOutcome(out)
 	}
 }
-
-// BenchmarkTable3Serial pins the batch engine to one worker: the
-// sequential reference for the parallel speedup.
-func BenchmarkTable3Serial(b *testing.B) { benchTable3(b, 1) }
-
-// BenchmarkTable3Parallel lets the batch engine use every core. On an
-// m-core machine the five solutions land on five workers; compare against
-// BenchmarkTable3Serial for the speedup (results are bit-identical).
-func BenchmarkTable3Parallel(b *testing.B) { benchTable3(b, 0) }
 
 // newMulticoreHarness returns a warm four-core platform and a balanced
 // utilization vector for per-tick measurement.

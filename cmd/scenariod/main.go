@@ -83,6 +83,19 @@ run "scenariod <verb> -h" for the verb's flags.
 `)
 }
 
+// parseFlags parses a verb's flags and refuses any positional argument:
+// ignored, a spec path given without -spec would leave run and submit
+// decoding stdin instead of the file.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("stray argument %q (flags only; see -h)", fs.Arg(0))
+	}
+	return nil
+}
+
 // baseURL normalizes an -addr value into the client base URL.
 func baseURL(addr string) (string, error) {
 	if addr == "" {
@@ -103,7 +116,7 @@ func serveCmd(args []string) error {
 	workers := fs.Int("workers", 0, "per-simulation engine worker cap (0 = all cores)")
 	remote := fs.String("remote", "", "shared-tier scenariod to front (host:port; empty = single tier)")
 	remoteTimeout := fs.Duration("remote-timeout", 0, "per-call remote deadline (0 = 5s default)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	remoteBase := ""
@@ -170,7 +183,7 @@ func submitCmd(args []string) error {
 	addr := fs.String("addr", "", "daemon address (host:port)")
 	specPath := fs.String("spec", "-", "spec JSON file (- for stdin)")
 	wait := fs.Bool("wait", false, "block until the job completes")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	base, err := baseURL(*addr)
@@ -194,7 +207,7 @@ func submitCmd(args []string) error {
 func runCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	specPath := fs.String("spec", "-", "spec JSON file (- for stdin)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	spec, err := readSpec(*specPath)
@@ -235,7 +248,7 @@ func getCmd(args []string) error {
 func lsCmd(args []string) error {
 	fs := flag.NewFlagSet("ls", flag.ExitOnError)
 	addr := fs.String("addr", "", "daemon address (host:port)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	base, err := baseURL(*addr)
@@ -263,7 +276,7 @@ func lsCmd(args []string) error {
 func statsCmd(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	addr := fs.String("addr", "", "daemon address (host:port)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	base, err := baseURL(*addr)

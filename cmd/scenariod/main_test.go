@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,16 +15,31 @@ import (
 	"repro/internal/service"
 )
 
+// specOutcomes pins the SHA-256 of the bytes `run -spec F` prints for
+// every file under specs/: the key, the state and the outcome, so a
+// change that moves any file's outcome, not only its key, fails here.
+var specOutcomes = map[string]string{
+	"ci-smoke.json":       "5faca756c55bf3703276f4b13c10d78535a62c5e17dd3fa4851ba02e94b43dff",
+	"datacenter.json":     "632177733a9a207ccd06e0c6601071f8bbd5cdf1581b24a11db06e75aba6544a",
+	"fig1.json":           "0f35d31b5bf003ff4a1c9e5d3e7158bc9812d533e3648804e1fbaf69561c551c",
+	"fleet.json":          "95f53b65a09e35a1fd36469bbe870cf430549966772702665c510a7180d4e758",
+	"fleetcoord.json":     "8da1120861a512fac525d5384f36f8f4557bac6118aacdd28f3738ba51384caf",
+	"multicore.json":      "29fa6ef8efa5ecb04ad1cf56083ece617a7d0ebc5583db2435c805d35bcbcb76",
+	"multicore-free.json": "e4e61a6f2e322de900f56ea1c16a958c9e862b33760e9d55671b005ddb8f67a5",
+	"quickstart.json":     "62d00aca42c220c51c595162770e0cbf22d5c150c39902f0396c82a3e5e013cd",
+}
+
 // TestRunMatchesSubmit: for every spec file under specs/, `run -spec F`
 // prints the bytes `submit -wait -spec F` prints for a fresh in-process
-// daemon's first submit of it.
+// daemon's first submit of it, and those bytes hash to the file's entry
+// in specOutcomes.
 func TestRunMatchesSubmit(t *testing.T) {
 	files, err := filepath.Glob("../../specs/*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) == 0 {
-		t.Fatal("no spec files under specs/")
+	if len(files) != len(specOutcomes) {
+		t.Errorf("%d spec files under specs/, %d in specOutcomes", len(files), len(specOutcomes))
 	}
 	d, err := service.New(service.Config{})
 	if err != nil {
@@ -58,7 +75,26 @@ func TestRunMatchesSubmit(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Errorf("run printed\n%.400s\nsubmit -wait printed\n%.400s", got.Bytes(), want.Bytes())
 			}
+			sum := sha256.Sum256(got.Bytes())
+			if hash, want := hex.EncodeToString(sum[:]), specOutcomes[filepath.Base(file)]; hash != want {
+				t.Errorf("run printed bytes hashing to %s, want %q", hash, want)
+			}
 		})
+	}
+}
+
+// TestRunRefusesStrayArgument: a spec path given without -spec is
+// refused by name, before run reads stdin in its place, and nothing is
+// printed.
+func TestRunRefusesStrayArgument(t *testing.T) {
+	const path = "../../specs/ci-smoke.json"
+	var out bytes.Buffer
+	err := runCmd([]string{path}, &out)
+	if err == nil || !strings.Contains(err.Error(), `stray argument "`+path+`"`) {
+		t.Errorf("run %s = %v, want a stray argument error naming it", path, err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run %s printed %q", path, out.Bytes())
 	}
 }
 

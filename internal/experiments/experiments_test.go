@@ -291,17 +291,18 @@ func TestFaultRobustness(t *testing.T) {
 func TestTable3ParallelMatchesSequential(t *testing.T) {
 	tc := DefaultTable3()
 	tc.Duration = 1200
-	tc.Workers = 1
-	seq, err := Table3(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 5} {
-		tc.Workers = workers
-		par, err := Table3(tc)
+	run := func(workers int) *Table3Result {
+		spec := Table3Spec(tc)
+		spec.Workers = workers
+		out, err := scenario.Run(spec)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		return Table3FromOutcome(out)
+	}
+	seq := run(1)
+	for _, workers := range []int{0, 2, 5} {
+		par := run(workers)
 		for i := range seq.Rows {
 			if par.Rows[i] != seq.Rows[i] {
 				t.Errorf("workers=%d row %d: parallel %+v != sequential %+v",
@@ -379,17 +380,22 @@ func TestFaultsDeterministicAcrossWorkers(t *testing.T) {
 	fc := DefaultFaults()
 	fc.Duration = 900
 	fc.StuckAt = 400
-	fc.Workers = 1
-	want, err := Faults(fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 0} {
-		fc.Workers = workers
-		got, err := Faults(fc)
+	run := func(workers int) *FaultResult {
+		spec := FaultsSpec(fc)
+		spec.Workers = workers
+		out, err := scenario.Run(spec)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		res, err := FaultsFromOutcome(out)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	want := run(1)
+	for _, workers := range []int{1, 2, 0} {
+		got := run(workers)
 		// Metrics is a struct of comparable scalars: bit-identical or bust.
 		if got.Clean != want.Clean {
 			t.Errorf("workers=%d: clean metrics drifted:\n%+v\n!=\n%+v", workers, got.Clean, want.Clean)

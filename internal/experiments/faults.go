@@ -24,9 +24,6 @@ type FaultConfig struct {
 	StuckLen    units.Seconds
 	DropoutRate float64
 	Seed        int64
-	// Workers caps the batch engine's concurrency for the clean/faulted
-	// pair; zero means GOMAXPROCS. Results are bit-identical at any value.
-	Workers int
 }
 
 // DefaultFaults returns the standard robustness scenario: a 2-minute
@@ -64,7 +61,6 @@ func FaultsSpec(fc FaultConfig) scenario.Spec {
 					DropoutSeed: fc.Seed,
 				}},
 		},
-		Workers: fc.Workers,
 	}
 }
 

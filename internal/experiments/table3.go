@@ -54,10 +54,6 @@ type Table3Config struct {
 	// capper stays a real actor for every scheme. At a cold inlet the
 	// fan pegs at its floor and the comparison degenerates.
 	Ambient units.Celsius
-	// Workers caps the batch engine's concurrency when running the five
-	// solutions (0 = GOMAXPROCS, 1 = sequential). Results are identical
-	// at any setting; only wall time changes.
-	Workers int
 }
 
 // DefaultTable3 returns the calibrated evaluation scenario: a 600 s
@@ -148,7 +144,6 @@ func Table3Spec(tc Table3Config) scenario.Spec {
 		Base:     &base,
 		Duration: tc.Duration,
 		Jobs:     jobs,
-		Workers:  tc.Workers,
 	}
 }
 

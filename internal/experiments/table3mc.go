@@ -88,7 +88,6 @@ func Table3MCSpec(tc Table3Config, nSeeds int) scenario.Spec {
 		Base:     &base,
 		Duration: tc.Duration,
 		Jobs:     jobs,
-		Workers:  tc.Workers,
 	}
 }
 

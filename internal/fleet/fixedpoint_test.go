@@ -228,6 +228,23 @@ func TestFixedPointLaneTicks(t *testing.T) {
 	}
 }
 
+// runCounter is a pass-through sensor stage that counts the runs its
+// chain makes: the first Sample after a Reset starts a new one.
+type runCounter struct {
+	runs  int
+	fresh bool
+}
+
+func (c *runCounter) Sample(_ units.Seconds, v float64) float64 {
+	if c.fresh {
+		c.runs++
+		c.fresh = false
+	}
+	return v
+}
+
+func (c *runCounter) Reset() { c.fresh = true }
+
 // TestFixedPointFaultedServerMatchesNaiveRebuild: a node whose sensor
 // chain carries stateful non-ideal stages (power-tracking placement
 // offset, slew limiter, dropout) must relax identically whether the rack
@@ -237,11 +254,28 @@ func TestFixedPointLaneTicks(t *testing.T) {
 // node fuses three replica chains through a sensor.Redundant voter, the
 // deepest stateful stack the scenario layer builds (per-replica fault
 // state plus the voter's hold/disagree counters), so the voter's Reset
-// contract is exercised through the rack relaxation too.
+// contract is exercised through the rack relaxation too. Both chains sit
+// on middle slots (cold-01 and hot-01 of a three-slot-deep rack), the
+// only lanes both passes of the default depth step: a chain that runs
+// once per relaxation never calls Reset between runs, and a leaky Reset
+// would pass unseen. Each chain ends in a runCounter that pins the two
+// warm runs.
 func TestFixedPointFaultedServerMatchesNaiveRebuild(t *testing.T) {
-	cfg := testRack(t, 4, 3)
-	cfg.RecircPasses = 2
-	cfg.Nodes[0].Server = func(c sim.Config) (*sim.PhysicalServer, error) {
+	cfg, err := NewRack(6, []Aisle{Cold, Hot}, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Duration = 600
+	cfg.Recirc = 0.01
+	cfg.Workers = 1
+	const coldMid, hotMid = 2, 3
+	if cfg.Nodes[coldMid].Name != "cold-01" || cfg.Nodes[hotMid].Name != "hot-01" {
+		t.Fatalf("faulted nodes are %q and %q, want cold-01 and hot-01", cfg.Nodes[coldMid].Name, cfg.Nodes[hotMid].Name)
+	}
+	// counters holds each faulted node's latest chain counter: after the
+	// naive rebuild and then the warm run, the warm lane's.
+	counters := map[int]*runCounter{}
+	cfg.Nodes[coldMid].Server = func(c sim.Config) (*sim.PhysicalServer, error) {
 		server, err := sim.NewPhysicalServer(c)
 		if err != nil {
 			return nil, err
@@ -262,12 +296,13 @@ func TestFixedPointFaultedServerMatchesNaiveRebuild(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if err := server.ReplaceSensor(sensor.NewPipeline(place, slew, base, drop)); err != nil {
+		counters[coldMid] = &runCounter{}
+		if err := server.ReplaceSensor(sensor.NewPipeline(place, slew, base, drop, counters[coldMid])); err != nil {
 			return nil, err
 		}
 		return server, nil
 	}
-	cfg.Nodes[1].Server = func(c sim.Config) (*sim.PhysicalServer, error) {
+	cfg.Nodes[hotMid].Server = func(c sim.Config) (*sim.PhysicalServer, error) {
 		server, err := sim.NewPhysicalServer(c)
 		if err != nil {
 			return nil, err
@@ -299,12 +334,18 @@ func TestFixedPointFaultedServerMatchesNaiveRebuild(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if err := server.ReplaceSensor(sensor.NewPipeline(red)); err != nil {
+		counters[hotMid] = &runCounter{}
+		if err := server.ReplaceSensor(sensor.NewPipeline(red, counters[hotMid])); err != nil {
 			return nil, err
 		}
 		return server, nil
 	}
 	assertMatchesNaive(t, "faulted", cfg)
+	for _, i := range []int{coldMid, hotMid} {
+		if n := counters[i].runs; n != 2 {
+			t.Errorf("node %q: warm chain ran %d times, want 2 (once per pass)", cfg.Nodes[i].Name, n)
+		}
+	}
 }
 
 // TestFixedPointConvergence: with a tolerance the relaxation runs until

@@ -52,28 +52,12 @@ func runFaultSweep(s Spec) (*Outcome, error) {
 	inner := s
 	inner.Record = true
 	run := runSimBatch
-	var cfgs []sim.Config
-	if len(s.Jobs) > 0 {
-		for _, j := range s.Jobs {
-			cfg := s.base()
-			if j.Config != nil {
-				cfg = *j.Config
-			}
-			cfgs = append(cfgs, cfg)
-		}
-	} else {
+	if len(s.Jobs) == 0 {
 		// The coordinator reads only its own knobs from Params, so the
 		// "coordinated" selector passes through inert.
 		run = runFleet
 		if _, ok := s.Params["coordinated"]; ok {
 			run = runFleetCoord
-		}
-		for _, n := range s.Fleet.Nodes {
-			cfg := s.base()
-			if n.Config != nil {
-				cfg = *n.Config
-			}
-			cfgs = append(cfgs, cfg)
 		}
 	}
 	out, err := run(inner)
@@ -85,9 +69,10 @@ func runFaultSweep(s Spec) (*Outcome, error) {
 		out.Aggregate = make(map[string]float64)
 	}
 	var maxWindow, maxLatch float64
+	cfg := s.base()
 	for i := range out.Units {
 		u := &out.Units[i]
-		window, latch, err := pathologyMetrics(u, cfgs[i])
+		window, latch, err := pathologyMetrics(u, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: faultsweep unit %q: %w", u.Name, err)
 		}
@@ -105,7 +90,7 @@ func runFaultSweep(s Spec) (*Outcome, error) {
 }
 
 // pathologyMetrics distills one unit's recorded traces into the two
-// latch-signature metrics. cfg is the unit's platform (for the fan
+// latch-signature metrics. cfg is the spec's platform (for the fan
 // ceiling).
 func pathologyMetrics(u *Unit, cfg sim.Config) (maxViolWindow, latchFrac float64, err error) {
 	demand := u.Series.Get("demand")
@@ -272,7 +257,7 @@ const (
 // FaultStacks returns the stack variant names a campaign can cross.
 func FaultStacks() []string { return []string{StackFull, StackVoting} }
 
-// DefaultVoting is the voting block campaigns arm when none is given:
+// DefaultVoting is the voting block a campaign's voting stack arms:
 // triple-redundant sensing with the sensor-package fusion defaults.
 func DefaultVoting() *VotingSpec { return &VotingSpec{Sensors: 3} }
 
@@ -284,10 +269,8 @@ type FaultCampaign struct {
 	Types      []string
 	Severities []float64
 	// Stacks selects the sensing variants (StackFull / StackVoting); nil
-	// means {full}.
+	// means {full}. The voting stack arms DefaultVoting().
 	Stacks []string
-	// Voting parameterizes the voting stack; nil means DefaultVoting().
-	Voting *VotingSpec
 	// Seed decorrelates the seeded fault stages between campaigns.
 	Seed int64
 }
@@ -457,16 +440,12 @@ func FaultCellSpec(t FaultTarget, faultType string, severity float64, seed int64
 }
 
 // stackVoting resolves a stack name to the voting block armed on its
-// specs: nil for the full stack, the campaign's (or default) block for
-// the voting stack.
-func (c *FaultCampaign) stackVoting(stack string) (*VotingSpec, error) {
+// specs: nil for the full stack, DefaultVoting() for the voting stack.
+func stackVoting(stack string) (*VotingSpec, error) {
 	switch stack {
 	case StackFull:
 		return nil, nil
 	case StackVoting:
-		if c.Voting != nil {
-			return c.Voting, nil
-		}
 		return DefaultVoting(), nil
 	}
 	return nil, fmt.Errorf("scenario: unknown fault stack %q (known: %v)", stack, FaultStacks())
@@ -488,14 +467,12 @@ func FaultSweep(c FaultCampaign, store *Store) (*FaultSweepResult, error) {
 	if len(stacks) == 0 {
 		stacks = []string{StackFull}
 	}
-	seen := make(map[string]bool, len(stacks))
 	votingFor := make(map[string]*VotingSpec, len(stacks))
 	for _, st := range stacks {
-		if seen[st] {
+		if _, dup := votingFor[st]; dup {
 			return nil, fmt.Errorf("scenario: fault campaign lists stack %q twice", st)
 		}
-		seen[st] = true
-		v, err := c.stackVoting(st)
+		v, err := stackVoting(st)
 		if err != nil {
 			return nil, err
 		}

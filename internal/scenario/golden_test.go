@@ -12,10 +12,9 @@ import (
 )
 
 // recordedGoldenSpecs are short recorded specs covering every engine path
-// that fills Unit.Series: plain single runs, lockstep batches with full
-// and power-only capture, racks and coordinated racks, multicore, a
-// horizon shorter than one tick, a voting fault cell, and the Fig. 1
-// telemetry probe.
+// that fills Unit.Series: plain single runs, lockstep batches, racks and
+// coordinated racks, multicore, a horizon shorter than one tick, a voting
+// fault cell, and the Fig. 1 telemetry probe.
 func recordedGoldenSpecs(t *testing.T) map[string]Spec {
 	warm := &sim.WarmPoint{Util: 0.1, Fan: 1200}
 	single := Spec{
@@ -37,8 +36,6 @@ func recordedGoldenSpecs(t *testing.T) map[string]Spec {
 		jobs = append(jobs, JobSpec{Workload: table3, Policy: p, WarmStart: warm})
 	}
 	batch := Spec{Kind: KindBatch, Name: "golden-batch", Base: &base, Duration: 300, Jobs: jobs, Record: true}
-	batchPower := batch
-	batchPower.Name, batchPower.Record, batchPower.RecordPower = "golden-batch-power", false, true
 
 	fleet := Spec{
 		Kind: KindFleet, Name: "golden-fleet", Duration: 300, Record: true,
@@ -66,7 +63,6 @@ func recordedGoldenSpecs(t *testing.T) map[string]Spec {
 		"single":      single,
 		"half-tick":   half,
 		"batch":       batch,
-		"batch-power": batchPower,
 		"fleet":       fleet,
 		"fleetcoord":  coord,
 		"multicore":   multicore,
@@ -83,7 +79,6 @@ var recordedGoldenHashes = []struct{ name, hash string }{
 	{"single", "79ea1ebd7210c8d357811bab4ce66735f1519bec15192e4664a1aa008caec592"},
 	{"half-tick", "1afa4ef3f265b41ce1a73c04c285e8dc7cdc7c42088b6768122e309f5b8c86d7"},
 	{"batch", "12946b130f91807ac4f46fc17cb81e197644ea41b3134d693b37c08ec4741909"},
-	{"batch-power", "828450bde6ab2a8a1022dcc5429db2e10326b92a030d7f2fb5aaead9a1a1aeb9"},
 	{"fleet", "367acbe499f7feae57234c2b14978f9b8aefb07c67cf71236d66223a3c0b0d54"},
 	{"fleetcoord", "37ef4cdccca519ba45560c1cd0d04eb0eb27b6afcb682d5097b8821218472192"},
 	{"multicore", "68e389101bf5b3bfda492ed5dd25c63aed17c758c9f7db00acd64f2ff83652cd"},

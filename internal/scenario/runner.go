@@ -92,22 +92,19 @@ func serverFactory(cfg sim.Config, f *FaultSpec, v *VotingSpec, h *votingHandle)
 	}
 }
 
-// buildSimJobs materializes the spec's jobs for the batch engines. Jobs
-// whose (workload ref, platform) pairs are identical share one generator
-// instance — generators are read-only during a run, and the sharing lets
-// the lockstep engine compile the demand schedule once per distinct trace
-// (Table III's five solutions, a Monte Carlo seed's cohort) instead of
-// once per job. The returned policies slice lets callers label units with
-// the built policies' names.
+// buildSimJobs materializes the spec's jobs for the batch engines, every
+// one on the spec's Base platform. Jobs whose workload refs are identical
+// share one generator instance — generators are read-only during a run,
+// and the sharing lets the lockstep engine compile the demand schedule
+// once per distinct trace (Table III's five solutions, a Monte Carlo
+// seed's cohort) instead of once per job. The returned policies slice
+// lets callers label units with the built policies' names.
 func (s *Spec) buildSimJobs() ([]sim.Job, []string, error) {
 	jobs := make([]sim.Job, len(s.Jobs))
 	polNames := make([]string, len(s.Jobs))
 	genCache := make(map[string]workload.Generator)
+	cfg := s.base()
 	for i, j := range s.Jobs {
-		cfg := s.base()
-		if j.Config != nil {
-			cfg = *j.Config
-		}
 		gen, err := sharedWorkload(genCache, j.Workload, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario: job %d (%s): %w", i, j.Name, err)
@@ -119,7 +116,7 @@ func (s *Spec) buildSimJobs() ([]sim.Job, []string, error) {
 		var h *votingHandle
 		if s.Voting != nil {
 			h = &votingHandle{}
-			pol = &failSafePolicy{inner: pol, h: h, floor: fanFloor(cfg, s.Voting)}
+			pol = &failSafePolicy{inner: pol, h: h, floor: cfg.FanMaxSpeed}
 		}
 		polNames[i] = pol.Name()
 		name := j.Name
@@ -130,32 +127,27 @@ func (s *Spec) buildSimJobs() ([]sim.Job, []string, error) {
 			Name:   name,
 			Server: serverFactory(cfg, j.Faults, s.Voting, h),
 			Config: sim.RunConfig{
-				Duration:    s.Duration,
-				Workload:    gen,
-				Policy:      pol,
-				Record:      s.Record,
-				RecordPower: s.RecordPower,
-				WarmStart:   j.WarmStart,
+				Duration:  s.Duration,
+				Workload:  gen,
+				Policy:    pol,
+				Record:    s.Record,
+				WarmStart: j.WarmStart,
 			},
 		}
 	}
 	return jobs, polNames, nil
 }
 
-// sharedWorkload builds (or reuses) the generator for a (ref, platform)
-// pair. The cache key is the canonical JSON of both, so only genuinely
-// identical constructions alias — the safe direction, since a stale share
-// would corrupt determinism while a missed share only costs a rebuild.
+// sharedWorkload builds (or reuses) the generator for a workload ref. The
+// cache key is the ref's canonical JSON, so only identical refs alias —
+// the safe direction, since a stale share would corrupt determinism while
+// a missed share only costs a rebuild.
 func sharedWorkload(cache map[string]workload.Generator, ref FactoryRef, cfg sim.Config) (workload.Generator, error) {
 	refJSON, err := json.Marshal(ref)
 	if err != nil {
 		return nil, err
 	}
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, err
-	}
-	key := string(refJSON) + "|" + string(cfgJSON)
+	key := string(refJSON)
 	if gen, ok := cache[key]; ok {
 		return gen, nil
 	}
@@ -230,6 +222,7 @@ func runSimBatch(s Spec) (*Outcome, error) {
 // fleetConfig materializes the spec's rack as a fleet.Config.
 func (s *Spec) fleetConfig() (fleet.Config, error) {
 	fs := s.Fleet
+	base := s.base()
 	var cfg fleet.Config
 	if fs.Size > 0 {
 		layout := make([]fleet.Aisle, len(fs.Layout))
@@ -244,13 +237,10 @@ func (s *Spec) fleetConfig() (fleet.Config, error) {
 		if err != nil {
 			return fleet.Config{}, err
 		}
-		// NewRack populates nodes with the Table I platform; a declared
-		// Base replaces it on every generated node (Base is part of the
-		// spec's identity hash, so it must also shape the run).
-		if s.Base != nil {
-			for i := range rack.Nodes {
-				rack.Nodes[i].Config = *s.Base
-			}
+		// Every generated node runs on the spec's Base, as explicit
+		// nodes do (NewRack's Table I platform is the nil Base).
+		for i := range rack.Nodes {
+			rack.Nodes[i].Config = base
 		}
 		cfg = rack
 	} else {
@@ -260,16 +250,12 @@ func (s *Spec) fleetConfig() (fleet.Config, error) {
 			if err != nil {
 				return fleet.Config{}, err
 			}
-			nodeCfg := s.base()
-			if n.Config != nil {
-				nodeCfg = *n.Config
-			}
 			wref, pref := n.Workload, n.Policy
 			cfg.Nodes[i] = fleet.NodeSpec{
 				Name:   n.Name,
 				Aisle:  aisle,
 				Slot:   n.Slot,
-				Config: nodeCfg,
+				Config: base,
 				Workload: func(c sim.Config) (workload.Generator, error) {
 					return buildWorkload(wref, c)
 				},
@@ -323,7 +309,7 @@ func (s *Spec) fleetConfig() (fleet.Config, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &failSafePolicy{inner: pol, h: h, floor: fanFloor(c, voting)}, nil
+				return &failSafePolicy{inner: pol, h: h, floor: c.FanMaxSpeed}, nil
 			}
 		}
 		cfg.Nodes[i].Server = func(c sim.Config) (*sim.PhysicalServer, error) {
@@ -500,19 +486,9 @@ func runMulticore(s Spec) (*Outcome, error) {
 	ms := s.Multicore
 	mc := multicore.DefaultConfig()
 	mc.Base = s.base()
-	if ms.NCore > 0 {
-		mc.NCore = ms.NCore
-	}
-	if ms.CoreRes != 0 {
-		mc.CoreRes = ms.CoreRes
-	} else {
-		// Keep the balanced-load equivalence with the single-socket
-		// model: N cores in parallel must reproduce DieRes.
-		mc.CoreRes = mc.Base.DieRes * units.KPerW(mc.NCore)
-	}
-	if ms.LateralRes != 0 {
-		mc.LateralRes = ms.LateralRes
-	}
+	// Keep the balanced-load equivalence with the single-socket model: N
+	// cores in parallel must reproduce DieRes.
+	mc.CoreRes = mc.Base.DieRes * units.KPerW(mc.NCore)
 	gen, err := buildWorkload(ms.Workload, mc.Base)
 	if err != nil {
 		return nil, err
@@ -521,7 +497,6 @@ func runMulticore(s Spec) (*Outcome, error) {
 		Config:     mc,
 		Duration:   s.Duration,
 		Workload:   gen,
-		RefTemp:    ms.RefTemp,
 		Skewed:     ms.Skewed,
 		Coordinate: ms.Coordinate,
 		Record:     s.Record,

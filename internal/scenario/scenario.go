@@ -36,7 +36,7 @@ const (
 	// KindSingle runs exactly one job on the plain engine (sim.Run).
 	KindSingle = "single"
 	// KindBatch runs the jobs concurrently as one warm sim.Lockstep
-	// batch; jobs may differ in platform, engine tick included.
+	// batch; every job runs on the spec's Base platform.
 	KindBatch = "batch"
 	// KindLockstep is an alias of KindBatch. The kind is part of a spec's
 	// store key, so it stays in the vocabulary for the specs that name it
@@ -204,8 +204,6 @@ type JobSpec struct {
 	// Name labels the job's unit in the Outcome (defaults to the built
 	// policy's name).
 	Name string `json:"name,omitempty"`
-	// Config overrides the spec's Base platform for this job only.
-	Config *sim.Config `json:"config,omitempty"`
 	// Workload names the demand generator. Required.
 	Workload FactoryRef `json:"workload"`
 	// Policy names the DTM under test. Required.
@@ -216,15 +214,14 @@ type JobSpec struct {
 	Faults *FaultSpec `json:"faults,omitempty"`
 }
 
-// FleetNode is one explicit rack position in a fleet scenario.
+// FleetNode is one explicit rack position in a fleet scenario. It runs
+// on the spec's Base platform with its inlet as the ambient.
 type FleetNode struct {
 	Name string `json:"name"`
 	// Aisle is "cold", "mid" or "hot".
 	Aisle string `json:"aisle"`
 	// Slot is the node's depth along its aisle's airflow path.
 	Slot int `json:"slot"`
-	// Config overrides the spec's Base platform for this node.
-	Config *sim.Config `json:"config,omitempty"`
 	// Workload and Policy name the node's generators. Required.
 	Workload FactoryRef `json:"workload"`
 	Policy   FactoryRef `json:"policy"`
@@ -267,17 +264,13 @@ type FleetSpec struct {
 	MaxRecircPasses int           `json:"max_recirc_passes,omitempty"`
 }
 
-// MulticoreSpec describes the three-controller N-core scenario.
+// MulticoreSpec describes the three-controller N-core scenario. It runs
+// on multicore.DefaultConfig's geometry, scaled to the Base platform,
+// at multicore.Run's default set-point.
 type MulticoreSpec struct {
-	// NCore / CoreRes / LateralRes mirror multicore.Config; zero values
-	// take multicore.DefaultConfig defaults (scaled to the Base config).
-	NCore      int           `json:"ncore,omitempty"`
-	CoreRes    units.KPerW   `json:"core_res,omitempty"`
-	LateralRes units.KPerW   `json:"lateral_res,omitempty"`
-	Workload   FactoryRef    `json:"workload"`
-	RefTemp    units.Celsius `json:"ref_temp,omitempty"`
-	Skewed     bool          `json:"skewed,omitempty"`
-	Coordinate bool          `json:"coordinate,omitempty"`
+	Workload   FactoryRef `json:"workload"`
+	Skewed     bool       `json:"skewed,omitempty"`
+	Coordinate bool       `json:"coordinate,omitempty"`
 }
 
 // Spec is the declarative description of one experiment scenario. It is
@@ -290,8 +283,8 @@ type Spec struct {
 	// execution, but part of the identity hash: two differently named
 	// scenarios are different cells).
 	Name string `json:"name,omitempty"`
-	// Base is the platform configuration shared by jobs/nodes that do not
-	// override it; nil means sim.Default().
+	// Base is the platform configuration every job and node runs on;
+	// nil means sim.Default().
 	Base *sim.Config `json:"base,omitempty"`
 	// Duration is the simulated horizon, shared by every job/node.
 	Duration units.Seconds `json:"duration,omitempty"`
@@ -312,11 +305,9 @@ type Spec struct {
 	// in the identity hash; kinds that ignore it reject it (Validate).
 	Voting *VotingSpec `json:"voting,omitempty"`
 	// Record captures full per-tick series into the Outcome (memory- and
-	// store-heavy for long runs); RecordPower captures only the
-	// "total_power" series. Both are semantic: they change the Outcome's
-	// content, so they participate in the identity hash.
-	Record      bool `json:"record,omitempty"`
-	RecordPower bool `json:"record_power,omitempty"`
+	// store-heavy for long runs). It is semantic: it changes the Outcome's
+	// content, so it participates in the identity hash.
+	Record bool `json:"record,omitempty"`
 
 	// Workers caps engine concurrency (0 = GOMAXPROCS). Results are
 	// bit-identical at any value, so Workers is an execution knob, not
@@ -376,8 +367,8 @@ func (s *Spec) Validate() error {
 	case KindFig1:
 		// The probe is open loop on the default platform: one power
 		// sensor behind the bus, recorded whole or not at all.
-		if len(s.Jobs) > 0 || s.Fleet != nil || s.Multicore != nil || s.Voting != nil || s.Base != nil || s.RecordPower {
-			return fmt.Errorf("scenario: fig1 spec carries fields its kind ignores (jobs/fleet/multicore/voting/base/record_power)")
+		if len(s.Jobs) > 0 || s.Fleet != nil || s.Multicore != nil || s.Voting != nil || s.Base != nil {
+			return fmt.Errorf("scenario: fig1 spec carries fields its kind ignores (jobs/fleet/multicore/voting/base)")
 		}
 	}
 	if s.Voting != nil {

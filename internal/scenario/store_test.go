@@ -261,7 +261,6 @@ func TestKeyChangesOnSemanticEdits(t *testing.T) {
 		"name":            func(s *Spec) { s.Name = "other" },
 		"duration":        func(s *Spec) { s.Duration = 1201 },
 		"record":          func(s *Spec) { s.Record = true },
-		"record_power":    func(s *Spec) { s.RecordPower = true },
 		"base ambient":    func(s *Spec) { s.Base.Ambient = 31 },
 		"base tick":       func(s *Spec) { s.Base.Tick = 2 },
 		"job name":        func(s *Spec) { s.Jobs[0].Name = "z" },
@@ -281,10 +280,8 @@ func TestKeyChangesOnSemanticEdits(t *testing.T) {
 		"fault added lag": func(s *Spec) { s.Jobs[1].Faults.AddedLagS = 5 },
 		"voting armed":    func(s *Spec) { s.Voting = &VotingSpec{Sensors: 3} },
 		"voting replicas": func(s *Spec) { s.Voting = &VotingSpec{Sensors: 5} },
-		"voting knob":     func(s *Spec) { s.Voting = &VotingSpec{Sensors: 3, OutlierC: 2} },
 		"job order":       func(s *Spec) { s.Jobs[0], s.Jobs[1] = s.Jobs[1], s.Jobs[0] },
 		"extra job":       func(s *Spec) { s.Jobs = append(s.Jobs, s.Jobs[0]) },
-		"job config":      func(s *Spec) { c := sim.Default(); s.Jobs[0].Config = &c },
 	}
 	for name, edit := range edits {
 		s := goldenSpec()

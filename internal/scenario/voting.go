@@ -23,56 +23,19 @@ import (
 	"repro/internal/units"
 )
 
-// VotingSpec arms redundant sensing. All knobs except Sensors are
-// optional: zero selects the sensor-package default and, being omitted
-// from the canonical JSON, hashes identically to an absent field.
+// VotingSpec arms redundant sensing. The voter runs on the sensor
+// package's fusion defaults, and its fail-safe fan floor is the
+// platform's FanMaxSpeed.
 type VotingSpec struct {
 	// Sensors is the replica count (>= 3; median voting cannot outvote a
 	// wedged replica with fewer).
 	Sensors int `json:"sensors"`
-	// OutlierC is the max distance (degC) from the replica median before
-	// a reading is voted out. 0 = sensor.DefaultOutlierC.
-	OutlierC float64 `json:"outlier_c,omitempty"`
-	// Quorum is the minimum surviving replica count for a good fused
-	// reading. 0 = strict majority.
-	Quorum int `json:"quorum,omitempty"`
-	// HoldTicks is the hold-last-good budget before FailSafe latches.
-	// 0 = sensor.DefaultHoldTicks.
-	HoldTicks int `json:"hold_ticks,omitempty"`
-	// MaxSlewCPerS is the per-replica plausibility slew bound.
-	// 0 = sensor.DefaultMaxSlewCPerS.
-	MaxSlewCPerS float64 `json:"max_slew_c_per_s,omitempty"`
-	// FanFloorRPM is the fail-safe fan floor. 0 = the platform's
-	// FanMaxSpeed (full open-loop cooling).
-	FanFloorRPM units.RPM `json:"fan_floor_rpm,omitempty"`
 }
 
-// validate rejects voting blocks that would simulate garbage or hash
-// without shaping the run.
+// validate rejects voting blocks that would simulate garbage.
 func (v *VotingSpec) validate() error {
 	if v.Sensors < 3 {
 		return fmt.Errorf("sensors %d (voting needs >= 3 replicas)", v.Sensors)
-	}
-	for _, c := range []struct {
-		name string
-		v    float64
-	}{
-		{"outlier_c", v.OutlierC},
-		{"max_slew_c_per_s", v.MaxSlewCPerS},
-		{"fan_floor_rpm", float64(v.FanFloorRPM)},
-	} {
-		if !units.IsFinite(c.v) {
-			return fmt.Errorf("non-finite %s %v", c.name, c.v)
-		}
-		if c.v < 0 {
-			return fmt.Errorf("negative %s %v", c.name, c.v)
-		}
-	}
-	if v.Quorum < 0 || v.Quorum > v.Sensors {
-		return fmt.Errorf("quorum %d outside [0, %d]", v.Quorum, v.Sensors)
-	}
-	if v.HoldTicks < 0 {
-		return fmt.Errorf("negative hold_ticks %d", v.HoldTicks)
 	}
 	return nil
 }
@@ -252,21 +215,14 @@ func replicaStages(cfg sim.Config, f *FaultSpec, segs []*FaultSpec, replica int)
 	return stages, nil
 }
 
-// redundantConfig maps the voting block onto the fusion stage's knobs,
-// with the plausibility range taken from the unit's ADC configuration.
-func redundantConfig(cfg sim.Config, v *VotingSpec) sensor.RedundantConfig {
-	min, max := cfg.Sensor.RangeMin, cfg.Sensor.RangeMax
+// redundantConfig takes the fusion stage's plausibility range from the
+// unit's ADC configuration; the other knobs keep their defaults.
+func redundantConfig(sc sensor.Config) sensor.RedundantConfig {
+	min, max := sc.RangeMin, sc.RangeMax
 	if !(max > min) {
 		min, max = 0, 255
 	}
-	return sensor.RedundantConfig{
-		RangeMin:     min,
-		RangeMax:     max,
-		MaxSlewCPerS: v.MaxSlewCPerS,
-		OutlierC:     v.OutlierC,
-		Quorum:       v.Quorum,
-		HoldTicks:    v.HoldTicks,
-	}
+	return sensor.RedundantConfig{RangeMin: min, RangeMax: max}
 }
 
 // sensorPipeline builds a unit's full measurement pipeline: the plain
@@ -290,7 +246,7 @@ func sensorPipeline(cfg sim.Config, f *FaultSpec, segs []*FaultSpec, v *VotingSp
 		}
 		chains[j] = sensor.NewPipeline(stages...)
 	}
-	red, err := sensor.NewRedundant(redundantConfig(cfg, v), chains...)
+	red, err := sensor.NewRedundant(redundantConfig(cfg.Sensor), chains...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -332,12 +288,3 @@ func (p *failSafePolicy) Step(o sim.Observation) sim.Command {
 }
 
 func (p *failSafePolicy) Reset() { p.inner.Reset() }
-
-// fanFloor resolves the fail-safe floor: the declared RPM, or the
-// platform's full fan speed.
-func fanFloor(cfg sim.Config, v *VotingSpec) units.RPM {
-	if v.FanFloorRPM > 0 {
-		return v.FanFloorRPM
-	}
-	return cfg.FanMaxSpeed
-}

@@ -51,21 +51,6 @@ func TestVotingAndSegmentValidation(t *testing.T) {
 			s.Voting = &VotingSpec{Sensors: 2}
 			return s
 		}},
-		{"negative outlier bound", func() Spec {
-			s := faultJobTarget(120).Spec
-			s.Voting = &VotingSpec{Sensors: 3, OutlierC: -1}
-			return s
-		}},
-		{"quorum above replicas", func() Spec {
-			s := faultJobTarget(120).Spec
-			s.Voting = &VotingSpec{Sensors: 3, Quorum: 4}
-			return s
-		}},
-		{"negative hold budget", func() Spec {
-			s := faultJobTarget(120).Spec
-			s.Voting = &VotingSpec{Sensors: 3, HoldTicks: -1}
-			return s
-		}},
 		{"segment names unknown node", func() Spec {
 			return mkSeg(func(s *Spec) { s.Fleet.Segments[0].Nodes = []string{"ghost"} })
 		}},

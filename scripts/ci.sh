@@ -204,6 +204,13 @@ if "$svc_dir/scenariod" run -spec "$svc_dir/typo.json" > "$svc_dir/typo-run.out"
     exit 1
 fi
 grep -q 'unknown param "perod"' "$svc_dir/typo-run.out"
+# A spec path given without -spec is a stray argument: refused by name,
+# not ignored while run decodes stdin in its place.
+if "$svc_dir/scenariod" run specs/ci-smoke.json < /dev/null > "$svc_dir/stray-run.out" 2>&1; then
+    echo "scenariod run accepted a stray argument" >&2
+    exit 1
+fi
+grep -q 'stray argument "specs/ci-smoke.json"' "$svc_dir/stray-run.out"
 
 ticks_before=$("$svc_dir/scenariod" stats -addr "$svc_addr" | sed -n 's/.*"sim_ticks": \([0-9]*\).*/\1/p')
 "$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec specs/ci-smoke.json > "$svc_dir/second.json"
