@@ -162,7 +162,7 @@ func (h *tickHarness) step() {
 	})
 	h.server.CommandFan(cmd.Fan)
 	h.server.SetCap(cmd.Cap)
-	h.prev = h.server.Tick(demand)
+	h.server.TickInto(demand, &h.prev)
 	h.k++
 }
 

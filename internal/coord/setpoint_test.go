@@ -2,6 +2,7 @@ package coord
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -174,5 +175,56 @@ func TestSingleStepReset(t *testing.T) {
 	// Window must refill from scratch.
 	if s.Observe(true, 85, 75) {
 		t.Error("boost immediately after reset")
+	}
+}
+
+// TestSingleStepMatchesRecount runs the scaler's violation ring against a
+// recount of the last Window ticks on every observation, across many
+// wraps, boosts, releases and a Reset: the window's violation count and
+// the boost decision must match a scaler that recounts from scratch.
+func TestSingleStepMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, window := range []int{1, 2, 5, 16} {
+		s, err := NewSingleStepScaler(0.3, window, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []bool
+		boosted, flips := false, 0
+		for k := 0; k < 600; k++ {
+			if k == 400 {
+				s.Reset()
+				seen, boosted = seen[:0], false
+			}
+			// Bursts of violations, so the window fills past the
+			// threshold and clears again.
+			violated := rng.Float64() < 0.1+0.6*float64((k/40)%2)
+			meas := units.Celsius(70 + rng.Float64()*10)
+			seen = append(seen, violated)
+			last := seen[max(0, len(seen)-window):]
+			viols := 0
+			for _, v := range last {
+				if v {
+					viols++
+				}
+			}
+			was := boosted
+			switch {
+			case !boosted && len(last) == window && float64(viols)/float64(len(last)) > s.Threshold:
+				boosted = true
+			case boosted && viols == 0 && meas <= 75-s.ReleaseMargin:
+				boosted = false
+			}
+			if got := s.Observe(violated, meas, 75); got != boosted || s.viols != viols {
+				t.Fatalf("window %d tick %d: boosted %v with %d violations, recount %v with %d",
+					window, k, got, s.viols, boosted, viols)
+			}
+			if boosted != was {
+				flips++
+			}
+		}
+		if flips < 4 {
+			t.Errorf("window %d: the boost flipped %d times, want several boosts and releases", window, flips)
+		}
 	}
 }

@@ -63,7 +63,9 @@ func (s *SingleStepScaler) Observe(violated bool, meas, ref units.Celsius) bool 
 	if violated {
 		s.viols++
 	}
-	s.next = (s.next + 1) % s.Window
+	if s.next++; s.next == s.Window {
+		s.next = 0
+	}
 
 	degradation := float64(s.viols) / float64(s.count)
 	if !s.boosted {

@@ -32,7 +32,9 @@ func (m *MovingAverage) Update(x float64) float64 {
 	}
 	m.window[m.next] = x
 	m.sum += x
-	m.next = (m.next + 1) % len(m.window)
+	if m.next++; m.next == len(m.window) {
+		m.next = 0
+	}
 	return m.sum / float64(m.count)
 }
 

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -32,6 +33,36 @@ func TestMovingAverageReset(t *testing.T) {
 	m.Reset()
 	if got := m.Update(42); got != 42 {
 		t.Errorf("after reset first sample = %v, want 42", got)
+	}
+}
+
+// TestMovingAverageMatchesRecount runs the ring against a recount of the
+// last n samples on every update, across several wraps and a Reset. The
+// samples are small integers, so every sum is exact in float64 and the
+// running sum must equal the recount bit for bit: any slip in which
+// sample the ring evicts shows up as an inequality.
+func TestMovingAverageMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 7, 16} {
+		m := NewMovingAverage(n)
+		var seen []float64
+		for k := 0; k < 400; k++ {
+			if k == 250 {
+				m.Reset()
+				seen = seen[:0]
+			}
+			x := float64(rng.Intn(2001) - 1000)
+			seen = append(seen, x)
+			last := seen[max(0, len(seen)-n):]
+			sum := 0.0
+			for _, v := range last {
+				sum += v
+			}
+			want := sum / float64(len(last))
+			if got := m.Update(x); got != want {
+				t.Fatalf("n=%d update %d: Update(%v) = %v, recount %v", n, k, x, got, want)
+			}
+		}
 	}
 }
 

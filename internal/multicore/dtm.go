@@ -19,11 +19,13 @@ type RunConfig struct {
 	Config     Config
 	Duration   units.Seconds
 	Workload   workload.Generator // socket-level demand in [0, 1]
-	RefTemp    units.Celsius      // fan set-point (default 75)
 	Skewed     bool               // start from a consolidated assignment
 	Coordinate bool               // serialize actions (one per epoch)
 	Record     bool
 }
+
+// refTemp is the fan set-point T_ref^fan, which the capper's band follows.
+const refTemp units.Celsius = 75
 
 // RunResult is the outcome of one three-controller run.
 type RunResult struct {
@@ -44,16 +46,13 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if rc.Duration <= 0 {
 		return nil, fmt.Errorf("multicore: non-positive duration %v", rc.Duration)
 	}
-	if rc.RefTemp == 0 {
-		rc.RefTemp = 75
-	}
 	server, err := NewServer(rc.Config)
 	if err != nil {
 		return nil, err
 	}
 	base := rc.Config.Base
 
-	adaptive, err := control.NewAdaptivePID(core.DefaultRegions(), rc.RefTemp,
+	adaptive, err := control.NewAdaptivePID(core.DefaultRegions(), refTemp,
 		control.Limits{Min: base.FanMinSpeed, Max: base.FanMaxSpeed})
 	if err != nil {
 		return nil, err
@@ -63,7 +62,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	capper, err := control.NewCapper(rc.RefTemp+1.5, rc.RefTemp+4, 0.05, 0.5)
+	capper, err := control.NewCapper(refTemp+1.5, refTemp+4, 0.05, 0.5)
 	if err != nil {
 		return nil, err
 	}

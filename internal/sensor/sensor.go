@@ -117,7 +117,13 @@ func (d *DelayLine) push(s timedSample) {
 		d.ring = grown
 		d.head = 0
 	}
-	d.ring[(d.head+d.count)%len(d.ring)] = s
+	// head and count are both below len(ring) here, so one subtraction
+	// wraps the tail index.
+	tail := d.head + d.count
+	if tail >= len(d.ring) {
+		tail -= len(d.ring)
+	}
+	d.ring[tail] = s
 	d.count++
 }
 
@@ -130,7 +136,9 @@ func (d *DelayLine) Sample(t units.Seconds, v float64) float64 {
 	for d.count > 0 && d.ring[d.head].t <= cutoff {
 		d.cur = d.ring[d.head].v
 		d.curSet = true
-		d.head = (d.head + 1) % len(d.ring)
+		if d.head++; d.head == len(d.ring) {
+			d.head = 0
+		}
 		d.count--
 	}
 	if !d.curSet {

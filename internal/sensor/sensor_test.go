@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,56 @@ func TestDelayLineBufferTrimming(t *testing.T) {
 	}
 	if d.count > 50 {
 		t.Errorf("ring retained %d queued entries, trim failed", d.count)
+	}
+}
+
+// TestDelayLineMatchesPlainSlice runs the ring against a plain-slice
+// delay that keeps every sample and answers with the newest one at least
+// Delay old. Random delays and random tick lengths (some zero) make the
+// queue grow and shrink, so the ring grows mid-run and wraps at every
+// size; a Reset halfway restarts both. Every output must be equal.
+func TestDelayLineMatchesPlainSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type sample struct {
+		t units.Seconds
+		v float64
+	}
+	for trial := 0; trial < 20; trial++ {
+		delay := units.Seconds(rng.Float64() * 20)
+		d, err := NewDelayLine(delay, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []sample
+		var tm units.Seconds
+		grown := 0
+		for k := 0; k < 2000; k++ {
+			if k == 1000 {
+				d.Reset()
+				seen, tm = seen[:0], 0
+			}
+			// Short ticks in some stretches, long ones in others.
+			scale := []float64{0.05, 0.5, 3}[(k/150)%3]
+			tm += units.Seconds(float64(rng.Intn(4)) * scale)
+			v := rng.Float64() * 100
+			seen = append(seen, sample{tm, v})
+			want := -1.0
+			for _, s := range seen {
+				if s.t <= tm-delay {
+					want = s.v
+				}
+			}
+			size := len(d.ring)
+			if got := d.Sample(tm, v); got != want {
+				t.Fatalf("trial %d (delay %v) sample %d at t=%v: got %v, want %v", trial, delay, k, tm, got, want)
+			}
+			if len(d.ring) != size {
+				grown++
+			}
+		}
+		if grown < 3 {
+			t.Errorf("trial %d: the ring grew %d times, want a run across several sizes", trial, grown)
+		}
 	}
 }
 

@@ -64,30 +64,45 @@ var seriesNames = [...]string{"demand", "delivered", "cap", "fan_cmd", "fan_actu
 // powerSeries indexes "total_power" in seriesNames.
 const powerSeries = len(seriesNames) - 1
 
-// newRecording returns empty series for the given names, each with room
-// for n ticks.
-func newRecording(names []string, n int) trace.Set {
-	ts := make(trace.Set, len(names))
-	for i, name := range names {
-		ts[i] = trace.NewSeries(name, n)
+// newRecording returns the recording around the "total_power" series
+// power: power alone, or, if full, every series of seriesNames, the
+// others with room for n values. A full recording keeps one time axis,
+// power's: record appends each timestamp to it once, and the run ends by
+// pointing the other series' T at it (shareTime).
+func newRecording(power trace.Series, full bool, n int) trace.Set {
+	if !full {
+		return trace.Set{power}
 	}
+	ts := make(trace.Set, len(seriesNames))
+	for i, name := range seriesNames[:powerSeries] {
+		ts[i] = trace.Series{Name: name, V: make([]float64, 0, n)}
+	}
+	ts[powerSeries] = power
 	return ts
 }
 
 // record appends one tick's result to ts, which holds either every series
-// of seriesNames or only "total_power".
+// of seriesNames or only "total_power". Only "total_power" takes the
+// timestamp, so the monotone check runs once per tick.
 func record(ts trace.Set, r *TickResult) {
-	t := float64(r.T)
 	if len(ts) == len(seriesNames) {
-		ts[0].MustAppend(t, float64(r.Demand))
-		ts[1].MustAppend(t, float64(r.Delivered))
-		ts[2].MustAppend(t, float64(r.Cap))
-		ts[3].MustAppend(t, float64(r.FanCmd))
-		ts[4].MustAppend(t, float64(r.FanActual))
-		ts[5].MustAppend(t, float64(r.Junction))
-		ts[6].MustAppend(t, float64(r.Measured))
+		ts[0].V = append(ts[0].V, float64(r.Demand))
+		ts[1].V = append(ts[1].V, float64(r.Delivered))
+		ts[2].V = append(ts[2].V, float64(r.Cap))
+		ts[3].V = append(ts[3].V, float64(r.FanCmd))
+		ts[4].V = append(ts[4].V, float64(r.FanActual))
+		ts[5].V = append(ts[5].V, float64(r.Junction))
+		ts[6].V = append(ts[6].V, float64(r.Measured))
 	}
-	ts[len(ts)-1].MustAppend(t, float64(r.TotalPower))
+	ts[len(ts)-1].MustAppend(float64(r.T), float64(r.TotalPower))
+}
+
+// shareTime gives every series of a finished recording the time axis of
+// its last series, "total_power".
+func shareTime(ts trace.Set) {
+	for i := range ts {
+		ts[i].T = ts[len(ts)-1].T
+	}
 }
 
 // Run executes one simulation.
@@ -111,10 +126,8 @@ func Run(server *PhysicalServer, rc RunConfig) (*Result, error) {
 
 	nTicks := int(float64(rc.Duration) / float64(server.cfg.Tick))
 	var ts trace.Set
-	if rc.Record {
-		ts = newRecording(seriesNames[:], nTicks)
-	} else if rc.RecordPower {
-		ts = newRecording(seriesNames[powerSeries:], nTicks)
+	if rc.Record || rc.RecordPower {
+		ts = newRecording(trace.NewSeries(seriesNames[powerSeries], nTicks), rc.Record, nTicks)
 	}
 
 	var m Metrics
@@ -167,6 +180,7 @@ func Run(server *PhysicalServer, rc RunConfig) (*Result, error) {
 		}
 	}
 
+	shareTime(ts)
 	m.Ticks = nTicks
 	if nTicks > 0 {
 		m.ViolationFrac = float64(violations) / float64(nTicks)

@@ -295,12 +295,10 @@ func (ls *Lockstep) SetRecord(i int, record, recordPower bool) {
 // the full set exists.
 func (ln *lane) recording() trace.Set {
 	switch {
-	case ln.rec == nil && ln.record:
-		ln.rec = newRecording(seriesNames[:], ln.nTicks)
 	case ln.rec == nil:
-		ln.rec = newRecording(seriesNames[powerSeries:], ln.nTicks)
+		ln.rec = newRecording(trace.NewSeries(seriesNames[powerSeries], ln.nTicks), ln.record, ln.nTicks)
 	case ln.record && len(ln.rec) == 1:
-		ln.rec = append(newRecording(seriesNames[:powerSeries], ln.nTicks), ln.rec[0])
+		ln.rec = newRecording(ln.rec[0], true, ln.nTicks)
 	}
 	if !ln.record {
 		return ln.rec[len(ln.rec)-1:]
@@ -395,6 +393,7 @@ func (ls *Lockstep) step(ln *lane, k int) {
 // finalize folds a lane's accumulators into its metrics, exactly as
 // sim.Run does after its loop.
 func (ls *Lockstep) finalize(ln *lane) {
+	shareTime(ln.result.Traces)
 	m := &ln.result.Metrics
 	m.Ticks = ln.nTicks
 	if ln.nTicks > 0 {

@@ -462,8 +462,9 @@ func TestLockstepWarmRerunIdentical(t *testing.T) {
 
 // TestLockstepSetRecordTakesOverPowerSeries: a lane that recorded power
 // only and is then switched to full recording builds its full set around
-// the power series it already has, records exactly what Run records, and
-// returns to power-only recording in the same buffers.
+// the power series it already has, on that series' time axis, records
+// exactly what Run records, and returns to power-only recording in the
+// same buffers. Once the full set exists, toggling allocates nothing.
 func TestLockstepSetRecordTakesOverPowerSeries(t *testing.T) {
 	jobs := lockstepJobs(t, 4)
 	for i := range jobs {
@@ -491,6 +492,7 @@ func TestLockstepSetRecordTakesOverPowerSeries(t *testing.T) {
 	if got := res[0].Traces; len(got) != len(seriesNames) || &got[powerSeries].V[0] != power {
 		t.Fatal("the full recording did not take the power series over")
 	}
+	assertOneTimeAxis(t, "full", res[0].Traces, 600)
 
 	want[0].Config.Record, want[0].Config.RecordPower = false, true
 	ls.SetRecord(0, false, true)
@@ -501,6 +503,22 @@ func TestLockstepSetRecordTakesOverPowerSeries(t *testing.T) {
 	if &res[0].Traces[0].V[0] != power {
 		t.Fatal("power-only recording left the lane's power series")
 	}
+
+	full := false
+	if allocs := testing.AllocsPerRun(3, func() {
+		full = !full
+		ls.SetRecord(0, full, true)
+		if res, err = ls.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm record toggle allocates %.2f objects/op, want 0", allocs)
+	}
+	ls.SetRecord(0, true, false)
+	if res, err = ls.Run(); err != nil {
+		t.Fatal(err)
+	}
+	assertOneTimeAxis(t, "full again", res[0].Traces, 600)
 }
 
 // TestLockstepSetAmbientMatchesRebuild: re-homing a warm lane at a new

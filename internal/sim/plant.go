@@ -59,7 +59,7 @@ func (p *Plant) Step(s units.RPM) units.Celsius {
 	ticks := int(float64(p.fanPeriod) / float64(p.server.cfg.Tick))
 	var last TickResult
 	for i := 0; i < ticks; i++ {
-		last = p.server.Tick(p.util)
+		p.server.TickInto(p.util, &last)
 	}
 	return last.Measured
 }

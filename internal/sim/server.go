@@ -104,19 +104,13 @@ type TickResult struct {
 	CPUEnergyJ  units.Joule
 }
 
-// Tick advances the platform by one engine step under the given demanded
-// utilization: slews the fan, computes delivered utilization under the cap
-// and the hardware throttle, steps the thermal model, and samples the
-// measurement chain. Time must advance by exactly cfg.Tick per call.
-func (s *PhysicalServer) Tick(demand units.Utilization) TickResult {
-	var out TickResult
-	s.TickInto(demand, &out)
-	return out
-}
-
-// TickInto is Tick writing into out instead of returning by value: the
-// engine and lockstep loops tick millions of times per run, and the
-// ~140-byte result copy is measurable there.
+// TickInto advances the platform by one engine step under the given
+// demanded utilization: slews the fan, computes delivered utilization
+// under the cap and the hardware throttle, steps the thermal model, and
+// samples the measurement chain. Time must advance by exactly cfg.Tick
+// per call. It writes out field by field, not as one TickResult value,
+// which the compiler would build in a temporary and block-copy into out:
+// the engine and lockstep loops tick millions of times per run.
 func (s *PhysicalServer) TickInto(demand units.Utilization, out *TickResult) {
 	dt := s.cfg.Tick
 	t := s.lastT
@@ -161,23 +155,21 @@ func (s *PhysicalServer) TickInto(demand units.Utilization, out *TickResult) {
 	}
 	meas := s.pipe.Sample(t, float64(s.therm.Junction()))
 
-	*out = TickResult{
-		T:           t,
-		Demand:      demand,
-		Delivered:   delivered,
-		Violated:    delivered < demand-1e-9,
-		HWThrottled: hw,
-		Junction:    s.therm.Junction(),
-		Measured:    units.Celsius(meas),
-		FanActual:   s.fanAct,
-		FanCmd:      s.fanCmd,
-		Cap:         s.cap,
-		CPUPower:    cpuP,
-		FanPower:    fanP,
-		TotalPower:  units.Watt(float64(s.cfg.NSockets)) * (cpuP + fanP),
-		FanEnergyJ:  units.Joule(float64(fanP) * float64(dt) * float64(s.cfg.NSockets)),
-		CPUEnergyJ:  units.Joule(float64(cpuP) * float64(dt) * float64(s.cfg.NSockets)),
-	}
+	out.T = t
+	out.Demand = demand
+	out.Delivered = delivered
+	out.Violated = delivered < demand-1e-9
+	out.HWThrottled = hw
+	out.Junction = s.therm.Junction()
+	out.Measured = units.Celsius(meas)
+	out.FanActual = s.fanAct
+	out.FanCmd = s.fanCmd
+	out.Cap = s.cap
+	out.CPUPower = cpuP
+	out.FanPower = fanP
+	out.TotalPower = units.Watt(float64(s.cfg.NSockets)) * (cpuP + fanP)
+	out.FanEnergyJ = units.Joule(float64(fanP) * float64(dt) * float64(s.cfg.NSockets))
+	out.CPUEnergyJ = units.Joule(float64(cpuP) * float64(dt) * float64(s.cfg.NSockets))
 }
 
 // ReplaceSensor swaps the measurement chain, e.g. to inject faults

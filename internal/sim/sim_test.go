@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -77,7 +81,7 @@ func TestServerTickPhysics(t *testing.T) {
 	server.SetCap(1)
 	var last TickResult
 	for i := 0; i < 2000; i++ {
-		last = server.Tick(0.7)
+		server.TickInto(0.7, &last)
 	}
 	// Converges to the analytic steady junction at u = 0.7, 3000 rpm.
 	want := server.Thermal().SteadyJunction(last.CPUPower, 3000)
@@ -97,16 +101,70 @@ func TestServerTickPhysics(t *testing.T) {
 	}
 }
 
+// poison sets every field of r to a value TickInto never writes: NaN for
+// floats, true for flags, -1 for integers. A field kind it does not know
+// fails the test, so a new TickResult field gets a poison value too.
+func poison(t *testing.T, r *TickResult) {
+	t.Helper()
+	v := reflect.ValueOf(r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(math.NaN())
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(-1)
+		default:
+			t.Fatalf("TickResult.%s: no poison value for kind %v", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestTickIntoWritesEveryField: TickInto assigns its result field by
+// field, so a field it forgets would keep the caller's stale value. Two
+// twin servers tick the same inputs, one into a zeroed result and one
+// into a poisoned one, and the results must be equal after every tick.
+func TestTickIntoWritesEveryField(t *testing.T) {
+	var twins [2]*PhysicalServer
+	for i := range twins {
+		s, err := NewPhysicalServer(Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[i] = s
+	}
+	var zeroed, poisoned TickResult
+	for k := 0; k < 400; k++ {
+		for _, s := range twins {
+			s.CommandFan(units.RPM(1000 + 500*(k%13)))
+			s.SetCap(units.Utilization(0.3 + 0.1*float64(k%8)))
+			if k == 200 { // over TProtect: the hardware throttle engages
+				s.Thermal().SetState(91, 95)
+			}
+		}
+		demand := units.Utilization(0.1 * float64(k%11))
+		zeroed = TickResult{}
+		poison(t, &poisoned)
+		twins[0].TickInto(demand, &zeroed)
+		twins[1].TickInto(demand, &poisoned)
+		if !reflect.DeepEqual(zeroed, poisoned) {
+			t.Fatalf("tick %d: TickInto left a field unwritten:\nzeroed   %+v\npoisoned %+v", k, zeroed, poisoned)
+		}
+	}
+}
+
 func TestServerFanSlew(t *testing.T) {
 	cfg := Default()
 	cfg.FanSlewPerSec = 500
 	server, _ := NewPhysicalServer(cfg)
 	server.CommandFan(8500)
-	res := server.Tick(0.1)
+	var res TickResult
+	server.TickInto(0.1, &res)
 	if res.FanActual != 1500 {
 		t.Errorf("after 1 tick fan = %v, want 1000+500", res.FanActual)
 	}
-	res = server.Tick(0.1)
+	server.TickInto(0.1, &res)
 	if res.FanActual != 2000 {
 		t.Errorf("after 2 ticks fan = %v, want 2000", res.FanActual)
 	}
@@ -115,11 +173,12 @@ func TestServerFanSlew(t *testing.T) {
 func TestServerCapBindsDelivery(t *testing.T) {
 	server, _ := NewPhysicalServer(Default())
 	server.SetCap(0.4)
-	res := server.Tick(0.9)
+	var res TickResult
+	server.TickInto(0.9, &res)
 	if res.Delivered != 0.4 || !res.Violated {
 		t.Errorf("capped tick = %+v", res)
 	}
-	res = server.Tick(0.3)
+	server.TickInto(0.3, &res)
 	if res.Delivered != 0.3 || res.Violated {
 		t.Errorf("uncapped tick = %+v", res)
 	}
@@ -130,7 +189,8 @@ func TestServerProtectionClamp(t *testing.T) {
 	server, _ := NewPhysicalServer(cfg)
 	// Force the die above TProtect.
 	server.Thermal().SetState(91, 95)
-	res := server.Tick(1.0)
+	var res TickResult
+	server.TickInto(1.0, &res)
 	if !res.HWThrottled || res.Delivered != cfg.EmergencyCap {
 		t.Errorf("protection did not clamp: %+v", res)
 	}
@@ -163,7 +223,8 @@ func TestWarmStart(t *testing.T) {
 	}
 	// First tick's measurement reflects the warm temperature, not the
 	// cold initial value, despite the 10 s sensor lag.
-	res := server.Tick(0.7)
+	var res TickResult
+	server.TickInto(0.7, &res)
 	if math.Abs(float64(res.Measured-want)) > 1.5 {
 		t.Errorf("first measured = %v, want ~%v (primed delay line)", res.Measured, want)
 	}
@@ -324,5 +385,88 @@ func TestRunRecordPowerOnly(t *testing.T) {
 	}
 	if res.Traces.Get("junction") != nil {
 		t.Error("full series recorded under power-only mode")
+	}
+}
+
+// assertOneTimeAxis requires a full recording's series to share
+// "total_power"'s time axis: equal timestamps on one backing array.
+func assertOneTimeAxis(t *testing.T, label string, ts trace.Set, n int) {
+	t.Helper()
+	if len(ts) != len(seriesNames) {
+		t.Fatalf("%s: %d series, want a full recording", label, len(ts))
+	}
+	power := ts.Get("total_power")
+	if len(power.T) != n || len(power.V) != n {
+		t.Fatalf("%s: total_power holds %d timestamps and %d values, want %d", label, len(power.T), len(power.V), n)
+	}
+	for i := range ts {
+		s := &ts[i]
+		if len(s.V) != n || !reflect.DeepEqual(s.T, power.T) || &s.T[0] != &power.T[0] {
+			t.Errorf("%s: series %q does not share total_power's time axis", label, s.Name)
+		}
+	}
+}
+
+// TestRecordingSharesOneTimeAxis: a full recording stores its timestamps
+// once, in "total_power", from sim.Run and from a lockstep lane alike, and
+// still encodes every series with its "t" array.
+func TestRecordingSharesOneTimeAxis(t *testing.T) {
+	rc := RunConfig{Duration: 120, Workload: workload.Constant{U: 0.6}, Policy: HoldPolicy{Fan: 3000}, Record: true}
+	server, err := NewPhysicalServer(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(server, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOneTimeAxis(t, "Run", res.Traces, 120)
+
+	jobs := lockstepJobs(t, 3)
+	for i := range jobs {
+		jobs[i].Config.Record = true
+	}
+	lane, err := runBatch(jobs, BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range lane {
+		assertOneTimeAxis(t, jobs[i].Name, r.Traces, 600)
+	}
+
+	out, err := json.Marshal(res.Traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(out), `"t":[0,1,2,`); got != len(seriesNames) {
+		t.Errorf("encoded recording holds %d time axes, want one per series (%d)", got, len(seriesNames))
+	}
+}
+
+// TestZeroTickRecordingEncodesEmptyTime: a run shorter than one tick
+// records nothing, and every series still encodes "t":[] — from Run and
+// from a lockstep lane.
+func TestZeroTickRecordingEncodesEmptyTime(t *testing.T) {
+	rc := RunConfig{Duration: 0.5, Workload: workload.Constant{U: 0.6}, Policy: HoldPolicy{Fan: 3000}, Record: true}
+	server, err := NewPhysicalServer(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(server, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane, err := runBatch([]Job{{Name: "short", Server: Factory(Default()), Config: rc}}, BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, ts := range map[string]trace.Set{"Run": res.Traces, "lockstep": lane[0].Traces} {
+		out, err := json.Marshal(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(string(out), `"t":[],"v":[]`); got != len(seriesNames) {
+			t.Errorf("%s: %d of %d series encode empty, in %s", label, got, len(seriesNames), out)
+		}
 	}
 }

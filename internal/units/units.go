@@ -57,7 +57,7 @@ func (u Utilization) String() string { return fmt.Sprintf("%.1f%%", float64(u)*1
 // site, never a data condition.
 func Clamp(v, lo, hi float64) float64 {
 	if lo > hi {
-		panic(fmt.Sprintf("units.Clamp: reversed interval [%g, %g]", lo, hi))
+		panic(reversedInterval{lo, hi})
 	}
 	switch {
 	case v < lo:
@@ -67,6 +67,15 @@ func Clamp(v, lo, hi float64) float64 {
 	default:
 		return v
 	}
+}
+
+// reversedInterval is Clamp's panic value. Formatting the message only
+// when the panic is printed keeps fmt out of Clamp's body, so Clamp fits
+// the inliner's budget and inlines into every hot-path caller.
+type reversedInterval struct{ lo, hi float64 }
+
+func (r reversedInterval) Error() string {
+	return fmt.Sprintf("units.Clamp: reversed interval [%g, %g]", r.lo, r.hi)
 }
 
 // ClampRPM limits a fan speed to [lo, hi].

@@ -26,8 +26,16 @@ func TestClamp(t *testing.T) {
 
 func TestClampPanicsOnReversedInterval(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("Clamp(0, 10, 0) did not panic")
+		}
+		err, ok := r.(error)
+		if !ok {
+			t.Fatalf("Clamp panicked with %T, want an error", r)
+		}
+		if got, want := err.Error(), "units.Clamp: reversed interval [10, 0]"; got != want {
+			t.Errorf("panic message = %q, want %q", got, want)
 		}
 	}()
 	Clamp(0, 10, 0)

@@ -34,6 +34,33 @@ go test -run xxx -bench . -benchtime 1x -benchmem .
 # unreliable under the race detector), so assert it explicitly here.
 go test -run TestZeroAllocContracts .
 
+# Hot-path codegen guard: the compiler's own listings show that the
+# per-tick code keeps the shape that makes it cheap. TickInto writes its
+# result field by field, with no block copy or zeroing through
+# runtime.duffcopy/duffzero; units.Clamp inlines, because its panic
+# message is formatted out of line; and the rings of the moving average,
+# the single-step scaler and the sensor delay line wrap their indices
+# without an integer divide (IDIVQ). asm prints one function's -S text.
+asm() { # asm <package> <method>
+    go build -gcflags=-S "./internal/$1" 2>&1 |
+        awk -v f=".$2 STEXT" '/^[^ \t]/ { on = index($0, f) > 0 } on'
+}
+tick_asm=$(asm sim '(*PhysicalServer).TickInto')
+test -n "$tick_asm"
+if echo "$tick_asm" | grep -q 'runtime\.duff'; then
+    echo "codegen: (*PhysicalServer).TickInto calls runtime.duffcopy or runtime.duffzero" >&2
+    exit 1
+fi
+go build -gcflags=-m ./internal/units 2>&1 | grep -q ': can inline Clamp$'
+for ring in 'filter:(*MovingAverage).Update' 'coord:(*SingleStepScaler).Observe' 'sensor:(*DelayLine).Sample'; do
+    ring_asm=$(asm "${ring%%:*}" "${ring#*:}")
+    test -n "$ring_asm"
+    if echo "$ring_asm" | grep -q IDIVQ; then
+        echo "codegen: $ring divides to wrap its ring index" >&2
+        exit 1
+    fi
+done
+
 # Submit-path fuzz smoke: a short native fuzz run over spec decode,
 # Validate and Key (plain `go test` above only replays the seeds and
 # any committed testdata/fuzz inputs). Bounded so CI time stays flat.
