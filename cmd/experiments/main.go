@@ -114,15 +114,6 @@ func main() {
 		sweepSpreads  string
 		sweepCompare  bool
 
-		coordBudget   float64
-		coordGain     float64
-		coordRounds   int
-		coordMaxShare float64
-		coordMinShare float64
-		coordPeak     float64
-		coordFanTrim  float64
-		coordCapFloor float64
-
 		scAmbients string
 		scSeeds    int
 		scSeed0    int64
@@ -148,37 +139,6 @@ func main() {
 		fs.Float64Var(&fleetRecirc, "recirc", 0.01, "inlet rise per watt of upstream mean power (K/W)")
 		fs.Float64Var(&fleetDuration, "duration", 3600, "per-node horizon in seconds")
 	}
-	coordFlags := func(fs *flag.FlagSet) {
-		fs.Float64Var(&coordBudget, "budget", 0, "global rack power budget in W (0 = cap arbitration off)")
-		fs.Float64Var(&coordGain, "gain", 0, "migration gain per round (0 = default 0.5)")
-		fs.IntVar(&coordRounds, "rounds", 0, "coordination rounds (0 = default 2)")
-		fs.Float64Var(&coordMaxShare, "maxshare", 0, "per-node demand share ceiling (0 = default 1.25)")
-		fs.Float64Var(&coordMinShare, "minshare", 0, "per-node demand share floor (0 = default 0.5)")
-		fs.Float64Var(&coordPeak, "peaktarget", 0, "scaled-peak demand bound for receivers (0 = default 0.9)")
-		fs.Float64Var(&coordFanTrim, "fantrim", 0, "fan ceiling margin for savings-class nodes (0 = off)")
-		fs.Float64Var(&coordCapFloor, "capfloor", 0, "arbitration cap floor (0 = default 0.5)")
-	}
-	coordParams := func() scenario.Params {
-		p := scenario.Params{}
-		set := func(k string, v float64) {
-			if v != 0 {
-				p[k] = v
-			}
-		}
-		set("power_budget_w", coordBudget)
-		set("migration_gain", coordGain)
-		set("rounds", float64(coordRounds))
-		set("max_share", coordMaxShare)
-		set("min_share", coordMinShare)
-		set("peak_target", coordPeak)
-		set("fan_trim", coordFanTrim)
-		set("cap_floor", coordCapFloor)
-		if len(p) == 0 {
-			return nil
-		}
-		return p
-	}
-
 	newCommand("fig1", "telemetry lag of the I2C power-sensor path", csvFlag,
 		func() error { return fig1(csvDir) })
 	newCommand("fig3", "fixed-gain vs adaptive PID fan control", csvFlag,
@@ -213,11 +173,10 @@ func main() {
 		fs.StringVar(&sweepSizes, "sizes", "2,4,8", "rack sizes")
 		fs.StringVar(&sweepSpreads, "spreads", "0,4,8", "hot-aisle inlet spreads (degC)")
 		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (optional)")
-		fs.BoolVar(&sweepCompare, "compare", false, "run every point under the global coordinator and print coordinated vs local columns")
+		fs.BoolVar(&sweepCompare, "compare", false, "run every point under the global coordinator at its default knobs and print coordinated vs local columns")
 		fleetFlags(fs)
-		coordFlags(fs)
 	}, func() error {
-		return fleetSweep(sweepSizes, sweepSpreads, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, storeDir, sweepCompare, coordParams())
+		return fleetSweep(sweepSizes, sweepSpreads, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, storeDir, sweepCompare)
 	})
 	newCommand("sweep", "Table III scenario grid over ambient x seed (resumable with -store)", func(fs *flag.FlagSet) {
 		fs.StringVar(&scAmbients, "ambients", "30,33", "inlet temperatures (degC)")
@@ -568,10 +527,7 @@ func storeGC(dir string, maxBytes int64, maxCells int) error {
 	return nil
 }
 
-func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, duration float64, storeDir string, compare bool, params scenario.Params) error {
-	if !compare && params != nil {
-		return fmt.Errorf("coordinator flags only apply with -compare (add -compare, or drop the coordinator flags)")
-	}
+func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, duration float64, storeDir string, compare bool) error {
 	var sizes []int
 	for _, part := range strings.Split(sizesStr, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
@@ -593,7 +549,9 @@ func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, dura
 	// inner), mirroring fleet.Sweep: the sub-seed is keyed on the rack
 	// size itself so a size reruns the same workloads at every spread.
 	// With -compare every point runs as a fleetcoord cell, which carries
-	// the local baseline alongside the coordinated result.
+	// the local baseline alongside the coordinated result. The cells run
+	// the coordinator's defaults; a tuned coordinator is a fleetcoord spec
+	// with its knobs in params.
 	var specs []scenario.Spec
 	for _, size := range sizes {
 		for _, spread := range spreads {
@@ -605,7 +563,6 @@ func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, dura
 			if compare {
 				spec.Kind = scenario.KindFleetCoord
 				spec.Name = fmt.Sprintf("fleetcoordsweep/size=%d/spread=%g", size, spread)
-				spec.Params = params
 			}
 			specs = append(specs, spec)
 		}

@@ -114,8 +114,8 @@ var specKeys = map[string]string{
 // TestRunSpecFiles: every file under specs/ keys to its entry in
 // specKeys, and specs/fig1.json is the Fig. 1 probe cmd/experiments
 // runs. run refuses a spec whose param its workload never reads with the
-// error Validate gives, and a file with data after its spec, and prints
-// nothing for either.
+// error Validate gives, a file with data after its spec, and a spec with
+// a field or param the format no longer has, and prints nothing for any.
 func TestRunSpecFiles(t *testing.T) {
 	files, err := filepath.Glob("../../specs/*.json")
 	if err != nil {
@@ -178,6 +178,24 @@ func TestRunSpecFiles(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("run of a spec with data after it printed %q", out.Bytes())
+	}
+
+	rack := `"duration":600,"fleet":{"size":4,"seed":1,"recirc":0.03`
+	for _, tc := range []struct{ body, want string }{
+		{`{"kind":"fleet",` + rack + `,"recirc_tol":0.001}}`, `unknown field "recirc_tol"`},
+		{`{"kind":"fleet",` + rack + `,"max_recirc_passes":25}}`, `unknown field "max_recirc_passes"`},
+		{`{"kind":"fleetcoord",` + rack + `},"params":{"fan_trim":0.1}}`, `unknown param "fan_trim"`},
+	} {
+		removed := filepath.Join(t.TempDir(), "removed.json")
+		if err := os.WriteFile(removed, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runCmd([]string{"-spec", removed}, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run of %s = %v, want an error naming %s", tc.body, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run of %s printed %q", tc.body, out.Bytes())
+		}
 	}
 }
 

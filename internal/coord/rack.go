@@ -36,15 +36,6 @@ type RackProposal struct {
 	Urgency float64
 }
 
-// RackGrant is the arbitration's answer for one node.
-type RackGrant struct {
-	// Action is the node's Table II action class, Rule(CapDir, FanDir).
-	Action Action
-	// Alloc is the granted power allocation:
-	// Floor <= Alloc <= max(Floor, Need).
-	Alloc float64
-}
-
 // rackRank orders the Table II action classes for budget distribution,
 // mirroring the matrix's performance bias: nodes whose fans are spinning
 // up are thermal emergencies and must not be starved while the fan works
@@ -61,18 +52,19 @@ func rackRank(p RackProposal) int {
 	}
 }
 
-// ArbitrateRack selects each node's Table II action class and splits the
-// rack power budget across the nodes. Every node is granted its Floor
+// ArbitrateRack splits the rack power budget across the nodes and returns
+// each node's granted power allocation in watts, with
+// Floor <= alloc <= max(Floor, Need). Every node is granted its Floor
 // first (local constraints always win); the surplus budget is then handed
-// out in rank order — fan-up emergencies, cap-up performance recovery,
-// savings — and by descending Urgency (index ascending on ties) within a
-// rank, each node taking at most Need - Floor. The result is
-// deterministic in the inputs.
+// out in the rank order of the nodes' Table II action classes — fan-up
+// emergencies, cap-up performance recovery, savings — and by descending
+// Urgency (index ascending on ties) within a rank, each node taking at
+// most Need - Floor. The result is deterministic in the inputs.
 //
 // The budget must cover the floors: a budget below their sum is
 // infeasible (some node would have to run past its local constraint) and
 // is an error — callers clamp the budget up before arbitrating.
-func ArbitrateRack(budget float64, nodes []RackProposal) ([]RackGrant, error) {
+func ArbitrateRack(budget float64, nodes []RackProposal) ([]float64, error) {
 	sumFloor := 0.0
 	for i, p := range nodes {
 		if p.Floor < 0 || math.IsNaN(p.Floor) || math.IsInf(p.Floor, 0) {
@@ -93,10 +85,10 @@ func ArbitrateRack(budget float64, nodes []RackProposal) ([]RackGrant, error) {
 		return nil, fmt.Errorf("coord: budget %.6g W below the %.6g W the node floors require", budget, sumFloor)
 	}
 
-	grants := make([]RackGrant, len(nodes))
+	allocs := make([]float64, len(nodes))
 	order := make([]int, len(nodes))
 	for i, p := range nodes {
-		grants[i] = RackGrant{Action: Rule(p.CapDir, p.FanDir), Alloc: p.Floor}
+		allocs[i] = p.Floor
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
@@ -123,8 +115,8 @@ func ArbitrateRack(budget float64, nodes []RackProposal) ([]RackGrant, error) {
 		if take > surplus {
 			take = surplus
 		}
-		grants[i].Alloc += take
+		allocs[i] += take
 		surplus -= take
 	}
-	return grants, nil
+	return allocs, nil
 }

@@ -54,11 +54,6 @@ type CoordinatorConfig struct {
 	// CapFloor is the utilization floor the arbitration guarantees every
 	// node (the local DTM's own MinCap). Default 0.5.
 	CapFloor units.Utilization
-	// FanTrim, when positive, caps the fan command of nodes the selector
-	// marks for fan-down savings at meanFan*(1+FanTrim). Default 0
-	// (disabled): trimming trades thermal headroom for energy, and the
-	// best-round objective already discards rounds that lose the trade.
-	FanTrim float64
 }
 
 func (cc *CoordinatorConfig) setDefaults() {
@@ -105,9 +100,6 @@ func (cc CoordinatorConfig) validate() error {
 	if cc.CapFloor <= 0 || cc.CapFloor > 1 {
 		return fmt.Errorf("fleet: cap floor %v outside (0, 1]", cc.CapFloor)
 	}
-	if cc.FanTrim < 0 || !units.IsFinite(cc.FanTrim) {
-		return fmt.Errorf("fleet: negative fan trim %v", cc.FanTrim)
-	}
 	return nil
 }
 
@@ -134,9 +126,6 @@ type CoordResult struct {
 	// CapCeils is the best round's arbitrated per-node cap ceiling
 	// (1 = unconstrained); nil when cap arbitration is off.
 	CapCeils []units.Utilization
-	// FanCeils is the best round's per-node fan command ceiling
-	// (0 = unconstrained); nil when fan trimming is off.
-	FanCeils []units.RPM
 	// MigratedShare is the demand-weighted fraction of the rack's load
 	// the best plan moved off its home nodes.
 	MigratedShare float64
@@ -145,14 +134,13 @@ type CoordResult struct {
 	LaneTicks int
 }
 
-// limitedPolicy clamps a node DTM's commands to the coordinator's grants:
-// the cap never rises above the arbitrated ceiling and the fan command
-// never above the trim ceiling. Everything else — timing, set-points,
-// boosts — stays the inner policy's business.
+// limitedPolicy clamps a node DTM's cap command to the coordinator's
+// grant: the cap never rises above the arbitrated ceiling. Everything
+// else — fan, timing, set-points, boosts — stays the inner policy's
+// business.
 type limitedPolicy struct {
 	inner   sim.Policy
 	capCeil units.Utilization // <= 0 disables
-	fanCeil units.RPM         // <= 0 disables
 }
 
 // Name implements sim.Policy.
@@ -164,9 +152,6 @@ func (p *limitedPolicy) Step(obs sim.Observation) sim.Command {
 	if p.capCeil > 0 && cmd.Cap > p.capCeil {
 		cmd.Cap = p.capCeil
 	}
-	if p.fanCeil > 0 && cmd.Fan > p.fanCeil {
-		cmd.Fan = p.fanCeil
-	}
 	return cmd
 }
 
@@ -174,11 +159,10 @@ func (p *limitedPolicy) Step(obs sim.Observation) sim.Command {
 func (p *limitedPolicy) Reset() { p.inner.Reset() }
 
 // coordPlan is one round's actuation: per-node demand shares plus the
-// arbitration's per-node ceilings.
+// arbitration's per-node cap ceilings.
 type coordPlan struct {
 	shares   []float64
 	capCeils []units.Utilization // nil: no cap arbitration
-	fanCeils []units.RPM         // nil: no fan trimming
 }
 
 // identityPlan is the do-nothing plan (round 0: pure local control).
@@ -190,22 +174,17 @@ func identityPlan(n int) coordPlan {
 	return coordPlan{shares: shares}
 }
 
-// ceilings returns node i's cap and fan ceilings under the plan, 0 where
-// unconstrained (a cap ceiling of 1 or more constrains nothing).
-func (p coordPlan) ceilings(i int) (units.Utilization, units.RPM) {
-	var capCeil units.Utilization
-	var fanCeil units.RPM
+// capCeil returns node i's cap ceiling under the plan, 0 where
+// unconstrained (a ceiling of 1 or more constrains nothing).
+func (p coordPlan) capCeil(i int) units.Utilization {
 	if p.capCeils != nil && p.capCeils[i] < 1 {
-		capCeil = p.capCeils[i]
+		return p.capCeils[i]
 	}
-	if p.fanCeils != nil {
-		fanCeil = p.fanCeils[i]
-	}
-	return capCeil, fanCeil
+	return 0
 }
 
 // apply installs the plan on the warm rack instance: lane demand scales
-// now, and the ceilings as each lane is next re-homed. The next relax
+// now, and the cap ceilings as each lane is next re-homed. The next relax
 // re-steps only the lanes whose plan or inlet moved.
 func (r *rack) apply(p coordPlan) error {
 	for i := range r.cfg.Nodes {
@@ -324,16 +303,16 @@ func migrate(cc CoordinatorConfig, inlets []units.Celsius, meanDemand, maxShare,
 // proposals, runs the rack-level selector against the global budget, and
 // maps the granted power allocations back to cap ceilings. Returns nil
 // ceilings when the budget knob is off.
-func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utilization, fans []units.RPM, budget units.Watt, err error) {
-	if cc.PowerBudget <= 0 && cc.FanTrim <= 0 {
-		return nil, nil, 0, nil
+func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utilization, budget units.Watt, err error) {
+	if cc.PowerBudget <= 0 {
+		return nil, 0, nil
 	}
 	proposals := make([]coord.RackProposal, len(c.Nodes))
 	sumFloor := 0.0
 	for i, node := range c.Nodes {
 		cpu, _, err := node.Config.Models()
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("fleet: node %q: %w", node.Name, err)
+			return nil, 0, fmt.Errorf("fleet: node %q: %w", node.Name, err)
 		}
 		m := res.Nodes[i].Metrics
 		capDir := coord.Hold
@@ -364,47 +343,24 @@ func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utili
 			Urgency: m.ViolationFrac*1e6 + float64(res.Nodes[i].Inlet),
 		}
 	}
-	var effBudget float64
-	if cc.PowerBudget > 0 {
-		budget = cc.PowerBudget
-		if float64(budget) < sumFloor {
-			budget = units.Watt(sumFloor) // floors outrank the budget
-		}
-		effBudget = float64(budget)
-	} else {
-		// Fan trimming without a budget: an unconstrained arbitration
-		// (everyone granted their full ask) still selects the actions.
-		for _, p := range proposals {
-			effBudget += math.Max(p.Floor, p.Need)
-		}
+	budget = cc.PowerBudget
+	if float64(budget) < sumFloor {
+		budget = units.Watt(sumFloor) // floors outrank the budget
 	}
-	grants, err := coord.ArbitrateRack(effBudget, proposals)
+	allocs, err := coord.ArbitrateRack(float64(budget), proposals)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	if cc.PowerBudget > 0 {
-		ceils = make([]units.Utilization, len(c.Nodes))
-		for i, node := range c.Nodes {
-			cpu, _, _ := node.Config.Models()
-			u := cpu.UtilizationFor(units.Watt(grants[i].Alloc))
-			if u < cc.CapFloor {
-				u = cc.CapFloor
-			}
-			ceils[i] = u
+	ceils = make([]units.Utilization, len(c.Nodes))
+	for i, node := range c.Nodes {
+		cpu, _, _ := node.Config.Models()
+		u := cpu.UtilizationFor(units.Watt(allocs[i]))
+		if u < cc.CapFloor {
+			u = cc.CapFloor
 		}
+		ceils[i] = u
 	}
-	if cc.FanTrim > 0 {
-		fans = make([]units.RPM, len(c.Nodes))
-		for i, node := range c.Nodes {
-			m := res.Nodes[i].Metrics
-			if grants[i].Action == coord.ApplyFan && proposals[i].FanDir == coord.Down {
-				fans[i] = units.ClampRPM(
-					units.RPM(float64(m.MeanFanSpeed)*(1+cc.FanTrim)),
-					node.Config.FanMinSpeed, node.Config.FanMaxSpeed)
-			}
-		}
-	}
-	return ceils, fans, budget, nil
+	return ceils, budget, nil
 }
 
 // RunCoordinated simulates the rack under the global coordinator. Round 0
@@ -478,12 +434,12 @@ func coordinate(c Config, cc CoordinatorConfig, ls *sim.Lockstep, relax func(p c
 			inlets[i] = node.Inlet
 		}
 		shares := migrate(cc, inlets, meanDemand, maxShare, prev.shares)
-		capCeils, fanCeils, budget, err := arbitrate(c, cc, cur)
+		capCeils, budget, err := arbitrate(c, cc, cur)
 		if err != nil {
 			return nil, err
 		}
 		out.Budget = budget
-		plan := coordPlan{shares: shares, capCeils: capCeils, fanCeils: fanCeils}
+		plan := coordPlan{shares: shares, capCeils: capCeils}
 		if reflect.DeepEqual(plan, prev) {
 			break // the plan stopped moving: further rounds change nothing
 		}
@@ -515,7 +471,6 @@ func coordinate(c Config, cc CoordinatorConfig, ls *sim.Lockstep, relax func(p c
 
 	out.Shares = bestPlan.shares
 	out.CapCeils = bestPlan.capCeils
-	out.FanCeils = bestPlan.fanCeils
 	moved, totalDemand := 0.0, 0.0
 	for i := 0; i < n; i++ {
 		totalDemand += meanDemand[i]

@@ -259,7 +259,7 @@ func TestCoordinatorBudgetInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
-			ceils, _, resolved, err := arbitrate(cfg, cc, local)
+			ceils, resolved, err := arbitrate(cfg, cc, local)
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -338,7 +338,6 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 		{PeakTarget: 1.5},
 		{Rounds: -1},
 		{CapFloor: 1.5},
-		{FanTrim: -0.2},
 	}
 	for i, cc := range bad {
 		if _, err := RunCoordinated(cfg, cc); err == nil {
@@ -347,14 +346,14 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 	}
 }
 
-// TestLimitedPolicyClamps: the wrapper applies the coordinator's ceilings
-// and nothing else.
+// TestLimitedPolicyClamps: the wrapper applies the coordinator's cap
+// ceiling and nothing else.
 func TestLimitedPolicyClamps(t *testing.T) {
 	inner := sim.HoldPolicy{Fan: 6000}
-	p := &limitedPolicy{inner: inner, capCeil: 0.8, fanCeil: 5000}
+	p := &limitedPolicy{inner: inner, capCeil: 0.8}
 	cmd := p.Step(sim.Observation{})
-	if cmd.Fan != 5000 {
-		t.Errorf("fan %v, want ceiling 5000", cmd.Fan)
+	if cmd.Fan != 6000 {
+		t.Errorf("fan %v, want the inner command 6000", cmd.Fan)
 	}
 	if cmd.Cap != 0.8 {
 		t.Errorf("cap %v, want ceiling 0.8", cmd.Cap)

@@ -121,20 +121,10 @@ type Config struct {
 	// RecircPasses is the number of fixed-point relaxation passes resolving
 	// the recirculation coupling (each pass re-simulates the rack with the
 	// inlet field computed from the previous pass's mean node powers).
-	// Zero means DefaultRecircPasses when Recirc > 0.
+	// Zero means DefaultRecircPasses when Recirc > 0. A node's inlet
+	// depends only on the lower slots of its aisle, so the deepest aisle's
+	// slot levels − 1 resolves the field exactly.
 	RecircPasses int
-	// RecircTol, when positive, switches the relaxation from a fixed pass
-	// count to convergence: passes repeat until the inlet field moves
-	// less than RecircTol between consecutive passes. Run errors if
-	// MaxRecircPasses whole-rack passes cannot reach the tolerance — the
-	// divergence guard for recirculation coefficients so strong the fixed
-	// point runs away instead of settling. With Recirc == 0 there is no
-	// coupling to relax: the position-only inlet field is exact after the
-	// single pass, so any tolerance is trivially met (Passes reports 1).
-	RecircTol units.Celsius
-	// MaxRecircPasses bounds the RecircTol relaxation (default
-	// DefaultMaxRecircPasses). Ignored in fixed-pass mode.
-	MaxRecircPasses int
 	// Duration is the simulated horizon per node.
 	Duration units.Seconds
 	// Workers caps batch concurrency; zero means GOMAXPROCS; results are
@@ -150,16 +140,9 @@ type Config struct {
 // on the lower slots of its aisle, so two passes are exact only while
 // every aisle holds at most two slot levels, as on every rack under
 // specs/. Deeper aisles are left short: on 900 s NewRack racks at Recirc
-// 0.03, inlets sit 0.09-0.12 °C from the converged field (RecircTol
-// 0.001) at 8 nodes, 1.26-1.40 °C at 16 and 3.1-3.7 °C at 32.
+// 0.03, inlets sit 0.09-0.12 °C from the exact schedule (RecircPasses =
+// slot levels − 1) at 8 nodes, 1.26-1.40 °C at 16 and 3.1-3.7 °C at 32.
 const DefaultRecircPasses = 1
-
-// DefaultMaxRecircPasses bounds the RecircTol convergence loop when
-// Config.MaxRecircPasses is unset. A physically sensible rack converges in
-// a handful of passes; hitting this bound means the recirculation gain is
-// strong enough that each pass amplifies the inlet field instead of
-// settling it, and Run reports the divergence instead of looping silently.
-const DefaultMaxRecircPasses = 25
 
 // DefaultOffsets returns a typical containment gradient: cold-aisle faces
 // at supply temperature, mid positions +4 °C, hot-aisle positions +8 °C.
@@ -191,12 +174,6 @@ func (c Config) Validate() error {
 	}
 	if c.RecircPasses < 0 {
 		return fmt.Errorf("fleet: negative recirculation passes %d", c.RecircPasses)
-	}
-	if c.RecircTol < 0 || !units.IsFinite(float64(c.RecircTol)) {
-		return fmt.Errorf("fleet: bad recirculation tolerance %v", c.RecircTol)
-	}
-	if c.MaxRecircPasses < 0 {
-		return fmt.Errorf("fleet: negative max recirculation passes %d", c.MaxRecircPasses)
 	}
 	names := make(map[string]int, len(c.Nodes))
 	tick := c.Nodes[0].Config.Tick

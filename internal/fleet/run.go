@@ -143,7 +143,7 @@ type rack struct {
 	cfg Config
 	ls  *sim.Lockstep
 	// plan is the coordinator's actuation the lanes run under: demand
-	// shares and the ceilings that wrap each freshly built node policy.
+	// shares and the cap ceilings that wrap each freshly built node policy.
 	plan coordPlan
 	// reach is, per node, the number of distinct slots above it in its
 	// aisle: the number of later passes its power can still propagate
@@ -163,7 +163,6 @@ type laneInputs struct {
 	inlet   units.Celsius
 	share   float64
 	capCeil units.Utilization // 0: unconstrained
-	fanCeil units.RPM         // 0: unconstrained
 	record  bool
 }
 
@@ -218,15 +217,14 @@ func newRack(c Config) (*rack, error) {
 // last run; a lane that keeps its inputs would reproduce its last result
 // bit for bit. A stepping lane is re-homed at its inlet with a fresh
 // policy built against that operating point (the DTM's release-speed
-// model reads the ambient) and wrapped in the plan's ceilings — unless it
+// model reads the ambient) and wrapped in the plan's cap ceiling — unless it
 // has never run and is already homed there. Servers, schedules and
 // recording buffers are reused. prepare returns the number of lanes to
 // step.
 func (r *rack) prepare(inlets []units.Celsius, record bool, minReach int) (int, error) {
 	stepped := 0
 	for i, n := range r.cfg.Nodes {
-		want := laneInputs{inlet: inlets[i], share: r.plan.shares[i], record: record}
-		want.capCeil, want.fanCeil = r.plan.ceilings(i)
+		want := laneInputs{inlet: inlets[i], share: r.plan.shares[i], capCeil: r.plan.capCeil(i), record: record}
 		last := &r.last[i]
 		r.active[i] = r.reach[i] >= minReach && (!last.ran || last.laneInputs != want)
 		if !r.active[i] {
@@ -234,7 +232,7 @@ func (r *rack) prepare(inlets []units.Celsius, record bool, minReach int) (int, 
 		}
 		stepped++
 		r.ls.SetRecord(i, want.record, true)
-		pristine := !last.ran && last.inlet == want.inlet && last.capCeil == want.capCeil && last.fanCeil == want.fanCeil
+		pristine := !last.ran && last.inlet == want.inlet && last.capCeil == want.capCeil
 		*last = laneRun{laneInputs: want, ran: true}
 		if pristine {
 			continue
@@ -248,8 +246,8 @@ func (r *rack) prepare(inlets []units.Celsius, record bool, minReach int) (int, 
 		if err != nil {
 			return 0, fmt.Errorf("fleet: node %q policy: %w", n.Name, err)
 		}
-		if want.capCeil > 0 || want.fanCeil > 0 {
-			pol = &limitedPolicy{inner: pol, capCeil: want.capCeil, fanCeil: want.fanCeil}
+		if want.capCeil > 0 {
+			pol = &limitedPolicy{inner: pol, capCeil: want.capCeil}
 		}
 		if err := r.ls.SetPolicy(i, pol); err != nil {
 			return 0, fmt.Errorf("fleet: node %q: %w", n.Name, err)
@@ -258,17 +256,9 @@ func (r *rack) prepare(inlets []units.Celsius, record bool, minReach int) (int, 
 	return stepped, nil
 }
 
-// passBudget resolves the relaxation schedule: the maximum number of
-// whole-rack passes and whether the loop runs to tolerance (true) or for a
-// fixed pass count (false).
-func (c Config) passBudget() (int, bool) {
-	if c.Recirc > 0 && c.RecircTol > 0 {
-		max := c.MaxRecircPasses
-		if max == 0 {
-			max = DefaultMaxRecircPasses
-		}
-		return max, true
-	}
+// passBudget resolves the relaxation schedule: the number of whole-rack
+// passes.
+func (c Config) passBudget() int {
 	passes := 1
 	if c.Recirc > 0 {
 		if c.RecircPasses > 0 {
@@ -277,20 +267,7 @@ func (c Config) passBudget() (int, bool) {
 			passes += DefaultRecircPasses
 		}
 	}
-	return passes, false
-}
-
-// maxDelta returns the largest absolute inlet movement between two fields.
-func maxDelta(a, b []units.Celsius) float64 {
-	d := 0.0
-	for i := range a {
-		if m := float64(a[i] - b[i]); m > d {
-			d = m
-		} else if -m > d {
-			d = -m
-		}
-	}
-	return d
+	return passes
 }
 
 // Run simulates the rack. With Recirc > 0 it relaxes the recirculation
@@ -303,12 +280,6 @@ func maxDelta(a, b []units.Celsius) float64 {
 // A pass steps only the nodes whose result can still change the outcome
 // (see relax). Results are bit-identical to rebuilding and re-running
 // every node every pass from scratch, and for any Workers value.
-//
-// With RecircTol > 0 the loop instead runs until the inlet field moves
-// less than the tolerance between passes, and errors if MaxRecircPasses
-// (default DefaultMaxRecircPasses) whole-rack passes cannot reach it —
-// a divergence guard for recirculation coefficients strong enough that
-// the fixed point runs away instead of settling.
 func Run(c Config) (*Result, error) {
 	r, err := newRack(c)
 	if err != nil {
@@ -324,33 +295,23 @@ func Run(c Config) (*Result, error) {
 // coordinator calls it once per round, and a repeat call with an unchanged
 // plan reproduces the previous result bit for bit.
 //
-// A pass steps a node only when its inputs (inlet, demand share, ceilings,
-// record flag) differ from its last run, which would otherwise reproduce
-// its result. In fixed-pass mode the node must also have a reach of at
-// least P-p on pass p of P: a node's power raises the inlets of higher
-// slots on the next pass, so its pass-p result reaches the final pass only
-// through a chain of P-p higher slots in its aisle. A node skipped by that
-// rule keeps a stale result whose power feeds only nodes the rule skips
-// too. Under a tolerance any pass may be the last, so only the first test
-// applies.
+// A pass steps a node only when its inputs (inlet, demand share, cap
+// ceiling, record flag) differ from its last run, which would otherwise
+// reproduce its result, and when its reach is at least P-p on pass p of
+// P: a node's power raises the inlets of higher slots on the next pass,
+// so its pass-p result reaches the final pass only through a chain of P-p
+// higher slots in its aisle. A node skipped by that rule keeps a stale
+// result whose power feeds only nodes the rule skips too.
 func (r *rack) relax(record bool) (*Result, error) {
 	c := r.cfg
-	maxPasses, tolMode := c.passBudget()
+	passes := c.passBudget()
 	inlets := c.Inlets(nil)
-	passes, laneTicks := 0, 0
+	laneTicks := 0
 	var results []*sim.Result
-	for {
-		passes++
+	for p := 1; ; p++ {
 		// Full trace capture costs seven extra series per node per
-		// pass; in fixed-pass mode only the known-final pass needs it.
-		// Under a convergence tolerance the final pass is only known
-		// in hindsight, so every pass records (into reused buffers).
-		final := tolMode || passes == maxPasses
-		minReach := 0
-		if !tolMode {
-			minReach = maxPasses - passes
-		}
-		stepped, err := r.prepare(inlets, record && final, minReach)
+		// pass; only the final pass needs it.
+		stepped, err := r.prepare(inlets, record && p == passes, passes-p)
 		if err != nil {
 			return nil, err
 		}
@@ -358,22 +319,13 @@ func (r *rack) relax(record bool) (*Result, error) {
 			return nil, err
 		}
 		laneTicks += stepped * r.ls.Ticks()
+		if p == passes {
+			break
+		}
 		for i, res := range results {
 			r.meanPower[i] = units.Watt(float64(res.Metrics.CPUEnergy+res.Metrics.FanEnergy) / float64(c.Duration))
 		}
-		next := c.Inlets(r.meanPower)
-		if tolMode {
-			if maxDelta(next, inlets) <= float64(c.RecircTol) {
-				break
-			}
-			if passes >= maxPasses {
-				return nil, fmt.Errorf("fleet: recirculation fixed point did not converge within %d passes (inlet field still moving %.3g degC > tol %v)",
-					maxPasses, maxDelta(next, inlets), c.RecircTol)
-			}
-		} else if passes >= maxPasses {
-			break
-		}
-		inlets = next
+		inlets = c.Inlets(r.meanPower)
 	}
 	out, err := c.aggregate(inlets, results, passes, record)
 	if err != nil {

@@ -97,13 +97,15 @@ func Run(rc RunConfig) (*RunResult, error) {
 	}
 
 	// All per-tick state is allocated once here, recorded series included:
-	// the loop itself is allocation-free.
+	// the loop itself is allocation-free. The recording keeps one time
+	// axis: only its last series takes the timestamps, and the run ends by
+	// pointing the others' T at them (trace.Set.ShareTime).
 	nTicks := int(float64(rc.Duration) / float64(base.Tick))
 	var ts trace.Set
 	if rc.Record {
 		ts = trace.Set{
-			trace.NewSeries("fan_cmd", nTicks),
-			trace.NewSeries("max_junction", nTicks),
+			{Name: "fan_cmd", V: make([]float64, 0, nTicks)},
+			{Name: "max_junction", V: make([]float64, 0, nTicks)},
 			trace.NewSeries("core_spread", nTicks),
 		}
 	}
@@ -196,12 +198,12 @@ func Run(rc RunConfig) (*RunResult, error) {
 		fanVals = append(fanVals, float64(fanCmd))
 		ticks++
 		if ts != nil {
-			tf := float64(t)
-			ts[0].MustAppend(tf, float64(fanCmd))
-			ts[1].MustAppend(tf, float64(res.MaxJunc))
-			ts[2].MustAppend(tf, float64(hi-lo))
+			ts[0].V = append(ts[0].V, float64(fanCmd))
+			ts[1].V = append(ts[1].V, float64(res.MaxJunc))
+			ts[2].MustAppend(float64(t), float64(hi-lo))
 		}
 	}
+	ts.ShareTime()
 
 	out := &RunResult{
 		Migrations:  sched.Migrations,

@@ -1,7 +1,9 @@
 package multicore
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -264,6 +266,43 @@ func TestRunRecordsTraces(t *testing.T) {
 		if s := res.Traces.Get(name); s == nil || len(s.V) != 120 {
 			t.Errorf("trace %q missing or wrong length", name)
 		}
+	}
+}
+
+// TestRunRecordingSharesOneTimeAxis: the three recorded series store
+// their timestamps once, on one backing array, and still encode every
+// series with its "t" array.
+func TestRunRecordingSharesOneTimeAxis(t *testing.T) {
+	res, err := Run(RunConfig{
+		Config:   DefaultConfig(),
+		Duration: 120,
+		Workload: workload.Constant{U: 0.5},
+		Record:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := res.Traces
+	if len(ts) != 3 {
+		t.Fatalf("%d series, want 3", len(ts))
+	}
+	axis := ts[len(ts)-1].T
+	for k, tk := range axis {
+		if tk != float64(k) {
+			t.Fatalf("timestamp %d = %v, want %d", k, tk, k)
+		}
+	}
+	for _, s := range ts {
+		if len(s.T) != 120 || len(s.V) != 120 || &s.T[0] != &axis[0] {
+			t.Errorf("series %q (%d timestamps, %d values) does not share the one time axis", s.Name, len(s.T), len(s.V))
+		}
+	}
+	out, err := json.Marshal(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(out), `"t":[0,1,2,`); got != len(ts) {
+		t.Errorf("encoded recording holds %d time axes, want one per series (%d)", got, len(ts))
 	}
 }
 

@@ -128,14 +128,14 @@ func pathologyMetrics(u *Unit, cfg sim.Config) (maxViolWindow, latchFrac float64
 
 	// Latched-state fraction over the final quarter: fan pinned at the
 	// ceiling while the cap never releases.
-	fanCeil := float64(cfg.FanMaxSpeed) - latchFanEpsRPM
+	fanTop := float64(cfg.FanMaxSpeed) - latchFanEpsRPM
 	start := n - n/4
 	if start >= n {
 		start = n - 1
 	}
 	latched := 0
 	for k := start; k < n; k++ {
-		if fan.V[k] >= fanCeil && capacity.V[k] < 1-latchCapEps {
+		if fan.V[k] >= fanTop && capacity.V[k] < 1-latchCapEps {
 			latched++
 		}
 	}

@@ -328,8 +328,6 @@ func (s *Spec) fleetConfig() (fleet.Config, error) {
 	}
 	cfg.Recirc = fs.Recirc
 	cfg.RecircPasses = fs.RecircPasses
-	cfg.RecircTol = fs.RecircTol
-	cfg.MaxRecircPasses = fs.MaxRecircPasses
 	cfg.Duration = s.Duration // Validate guarantees > 0
 	cfg.Workers = s.Workers
 	cfg.Record = s.Record
@@ -413,11 +411,10 @@ func runFleet(s Spec) (*Outcome, error) {
 // The fleetcoord metric keys: the coordinated rack carries the usual
 // fleet aggregates, the local (per-node control) baseline rides along
 // under the "local_" prefix, and the per-node units expose the winning
-// plan (demand share, arbitrated ceilings).
+// plan (demand share, arbitrated cap ceiling).
 const (
 	MetricShare          = "share"
 	MetricCapCeil        = "cap_ceil"
-	MetricFanCeilRPM     = "fan_ceil_rpm"
 	MetricCoordRounds    = "coord_rounds"
 	MetricCoordBestRound = "coord_best_round"
 	MetricCoordBudgetW   = "coord_budget_w"
@@ -436,7 +433,6 @@ func coordinatorConfig(p Params) fleet.CoordinatorConfig {
 		PeakTarget:    p.Get("peak_target", 0),
 		Rounds:        int(p.Get("rounds", 0)),
 		CapFloor:      units.Utilization(p.Get("cap_floor", 0)),
-		FanTrim:       p.Get("fan_trim", 0),
 	}
 }
 
@@ -456,9 +452,6 @@ func runFleetCoord(s Spec) (*Outcome, error) {
 		out.Units[i].Metrics[MetricShare] = res.Shares[i]
 		if res.CapCeils != nil {
 			out.Units[i].Metrics[MetricCapCeil] = float64(res.CapCeils[i])
-		}
-		if res.FanCeils != nil {
-			out.Units[i].Metrics[MetricFanCeilRPM] = float64(res.FanCeils[i])
 		}
 	}
 	agg := fleetAggregate(res.Coordinated)

@@ -256,12 +256,9 @@ type FleetSpec struct {
 	// AisleOffsets is added to Supply per aisle position (cold, mid,
 	// hot); nil means fleet.DefaultOffsets.
 	AisleOffsets *[3]units.Celsius `json:"aisle_offsets,omitempty"`
-	// Recirc / RecircPasses / RecircTol / MaxRecircPasses mirror
-	// fleet.Config's recirculation controls.
-	Recirc          units.KPerW   `json:"recirc,omitempty"`
-	RecircPasses    int           `json:"recirc_passes,omitempty"`
-	RecircTol       units.Celsius `json:"recirc_tol,omitempty"`
-	MaxRecircPasses int           `json:"max_recirc_passes,omitempty"`
+	// Recirc / RecircPasses mirror fleet.Config's recirculation controls.
+	Recirc       units.KPerW `json:"recirc,omitempty"`
+	RecircPasses int         `json:"recirc_passes,omitempty"`
 }
 
 // MulticoreSpec describes the three-controller N-core scenario. It runs

@@ -125,6 +125,11 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 			s.Jobs[0].Workload = FactoryRef{Name: "spiky-batch", Seed: 1, Params: Params{"count": 2.5}}
 			return s
 		}()},
+		{"fleetcoord with fan_trim", func() Spec {
+			s := goldenFleetCoordSpec()
+			s.Params["fan_trim"] = 0.1
+			return s
+		}()},
 		{"fig1 with jobs", withFig1(func(s *Spec) { s.Jobs = cheapSpec(25).Jobs })},
 		{"fig1 with voting", withFig1(func(s *Spec) { s.Voting = DefaultVoting() })},
 		{"fig1 unknown param", withFig1(func(s *Spec) { s.Params["step_tme"] = 100 })},

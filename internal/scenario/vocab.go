@@ -181,7 +181,6 @@ var coordParams = []string{
 	"peak_target",    // scaled-peak demand bound for receivers
 	"rounds",         // coordination rounds after the baseline
 	"cap_floor",      // utilization floor the arbitration guarantees
-	"fan_trim",       // fan ceiling margin for savings-class nodes
 }
 
 // kindTable holds the scenario kinds and their runners.

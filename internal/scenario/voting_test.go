@@ -223,11 +223,11 @@ func TestSegmentFaultedFleetDeterministicAcrossWorkers(t *testing.T) {
 
 // TestFailSafePolicyEscalates: while the voter reports FailSafe the
 // wrapped policy's command is overridden to open-loop safe cooling (fan
-// floor, cap released); in any other health state it passes through.
+// floor, cap released); in any other health state it passes through. The
+// voter holds through its 30-tick budget before it latches.
 func TestFailSafePolicyEscalates(t *testing.T) {
 	lo, hi := &sensor.CalibrationBias{}, &sensor.CalibrationBias{}
-	red, err := sensor.NewRedundant(
-		sensor.RedundantConfig{OutlierC: 2, HoldTicks: 1},
+	red, err := sensor.NewRedundant(sensor.RedundantConfig{},
 		sensor.NewPipeline(lo), sensor.NewPipeline(), sensor.NewPipeline(hi))
 	if err != nil {
 		t.Fatal(err)
@@ -245,11 +245,20 @@ func TestFailSafePolicyEscalates(t *testing.T) {
 	if cmd.Fan != 2000 {
 		t.Errorf("healthy voter: fan %v, want inner command 2000", cmd.Fan)
 	}
-	// Spread the replicas past the outlier bound: hold for one tick, then
+	// Spread the replicas past the outlier bound: hold for 30 ticks, then
 	// FailSafe.
 	lo.Offset, hi.Offset = -10, 10
-	red.Sample(1, 50)
-	red.Sample(2, 50)
+	const hold = 30
+	for k := 1; k <= hold; k++ {
+		red.Sample(units.Seconds(k), 50)
+		if red.Health() != sensor.HealthHold {
+			t.Fatalf("tick %d: health %v, want hold", k, red.Health())
+		}
+		if cmd := pol.Step(sim.Observation{}); cmd.Fan != 2000 {
+			t.Fatalf("tick %d: holding voter: fan %v, want inner command 2000", k, cmd.Fan)
+		}
+	}
+	red.Sample(hold+1, 50)
 	if red.Health() != sensor.HealthFailSafe {
 		t.Fatalf("health %v, want failsafe", red.Health())
 	}
@@ -259,7 +268,7 @@ func TestFailSafePolicyEscalates(t *testing.T) {
 	}
 	// Recovery passes through again.
 	lo.Offset, hi.Offset = 0, 0
-	red.Sample(3, 50)
+	red.Sample(hold+2, 50)
 	if cmd := pol.Step(sim.Observation{}); cmd.Fan != 2000 {
 		t.Errorf("recovered voter: fan %v, want inner command 2000", cmd.Fan)
 	}

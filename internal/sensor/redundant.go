@@ -33,45 +33,34 @@ func (h Health) String() string {
 	}
 }
 
-// Defaults for the optional RedundantConfig knobs (zero selects them).
+// The voter's fixed parameters. A fused reading counts as good when a
+// strict majority of the replicas survives the plausibility checks and
+// outlier rejection.
 const (
-	// DefaultOutlierC is the maximum distance (°C) from the replica
-	// median before a reading is voted out as an outlier.
-	DefaultOutlierC = 3.0
-	// DefaultMaxSlewCPerS is the plausibility bound on per-replica
-	// reading movement. Real silicon junctions move a few °C/s at most
-	// (Table I thermal time constants); a reading jumping faster than
-	// this is a transport glitch, not physics. Deliberately generous so
-	// a frozen replica (slew 0) passes plausibility and is caught by
-	// outlier rejection instead.
-	DefaultMaxSlewCPerS = 20.0
-	// DefaultHoldTicks is how many consecutive quorum failures are
-	// bridged by hold-last-good before the voter latches FailSafe.
-	DefaultHoldTicks = 30
+	// maxSlewCPerS is the plausibility bound on per-replica reading
+	// movement. Real silicon junctions move a few °C/s at most (Table I
+	// thermal time constants); a reading jumping faster than this is a
+	// transport glitch, not physics. Deliberately generous so a frozen
+	// replica (slew 0) passes plausibility and is caught by outlier
+	// rejection instead.
+	maxSlewCPerS = 20.0
+	// outlierBoundC is the maximum distance (°C) from the replica median
+	// before a plausible reading is voted out as an outlier.
+	outlierBoundC = 3.0
+	// holdBudgetTicks is how many consecutive quorum failures are bridged
+	// by hold-last-good before the voter latches FailSafe.
+	holdBudgetTicks = 30
 )
 
-// RedundantConfig parameterizes the fusion stage. Zero values select the
-// documented defaults except the plausibility range, which callers take
-// from the ADC configuration of the chains being fused.
+// RedundantConfig parameterizes the fusion stage: its plausibility range,
+// which callers take from the ADC configuration of the chains being
+// fused.
 type RedundantConfig struct {
 	// RangeMin/RangeMax bound plausible readings (°C); anything outside
 	// is rejected before voting. Both zero selects 0..255 (the Table I
 	// 8-bit ADC span).
 	RangeMin float64
 	RangeMax float64
-	// MaxSlewCPerS rejects a replica whose reading moved faster than
-	// physically possible since its previous sample. Zero selects
-	// DefaultMaxSlewCPerS.
-	MaxSlewCPerS float64
-	// OutlierC is the max distance from the replica median before a
-	// plausible reading is voted out. Zero selects DefaultOutlierC.
-	OutlierC float64
-	// Quorum is the minimum number of surviving replicas for a fused
-	// reading to count as good. Zero selects a strict majority (N/2+1).
-	Quorum int
-	// HoldTicks is the hold-last-good budget. Zero selects
-	// DefaultHoldTicks.
-	HoldTicks int
 }
 
 // Redundant fuses N independently built measurement chains observing the
@@ -90,6 +79,8 @@ type Redundant struct {
 	chains  []Stage
 	powered []PowerAware
 
+	// rangeMin and rangeMax come from the config; the rest start at the
+	// fixed parameters (tests shorten them after construction).
 	rangeMin  float64
 	rangeMax  float64
 	maxSlew   float64
@@ -140,42 +131,14 @@ func NewRedundant(cfg RedundantConfig, chains ...Stage) (*Redundant, error) {
 	if !(max > min) {
 		return nil, fmt.Errorf("sensor: redundant plausibility range [%g, %g] is empty", min, max)
 	}
-	slew := cfg.MaxSlewCPerS
-	if slew == 0 {
-		slew = DefaultMaxSlewCPerS
-	}
-	if slew < 0 {
-		return nil, fmt.Errorf("sensor: negative max slew %g", slew)
-	}
-	outlier := cfg.OutlierC
-	if outlier == 0 {
-		outlier = DefaultOutlierC
-	}
-	if outlier < 0 {
-		return nil, fmt.Errorf("sensor: negative outlier bound %g", outlier)
-	}
-	quorum := cfg.Quorum
-	if quorum == 0 {
-		quorum = n/2 + 1
-	}
-	if quorum < 1 || quorum > n {
-		return nil, fmt.Errorf("sensor: quorum %d outside [1, %d]", quorum, n)
-	}
-	hold := cfg.HoldTicks
-	if hold == 0 {
-		hold = DefaultHoldTicks
-	}
-	if hold < 0 {
-		return nil, fmt.Errorf("sensor: negative hold budget %d", hold)
-	}
 	r := &Redundant{
 		chains:    chains,
 		rangeMin:  min,
 		rangeMax:  max,
-		maxSlew:   slew,
-		outlierC:  outlier,
-		quorum:    quorum,
-		holdTicks: hold,
+		maxSlew:   maxSlewCPerS,
+		outlierC:  outlierBoundC,
+		quorum:    n/2 + 1,
+		holdTicks: holdBudgetTicks,
 		readings:  make([]float64, n),
 		plausible: make([]float64, 0, n),
 		survivors: make([]float64, 0, n),

@@ -30,11 +30,6 @@ func TestRedundantValidation(t *testing.T) {
 	bad := []RedundantConfig{
 		{RangeMin: 10, RangeMax: 10},
 		{RangeMin: 50, RangeMax: 0},
-		{MaxSlewCPerS: -1},
-		{OutlierC: -0.5},
-		{Quorum: 4},
-		{Quorum: -1},
-		{HoldTicks: -2},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRedundant(cfg, identity(), identity(), identity()); err == nil {
@@ -107,8 +102,9 @@ func TestRedundantRangePlausibility(t *testing.T) {
 // even through a rejection).
 func TestRedundantSlewPlausibility(t *testing.T) {
 	jumpy := &CalibrationBias{}
-	r := newTestRedundant(t, RedundantConfig{MaxSlewCPerS: 5, Quorum: 3},
+	r := newTestRedundant(t, RedundantConfig{},
 		NewPipeline(jumpy), identity(), identity())
+	r.maxSlew, r.quorum = 5, 3
 	r.Sample(0, 40)
 	r.Sample(1, 40)
 	if r.Health() != HealthOK {
@@ -135,13 +131,14 @@ func TestRedundantSlewPlausibility(t *testing.T) {
 }
 
 // Three replicas that disagree beyond the outlier bound can't form a
-// quorum: the voter holds the last good value for HoldTicks, then
-// latches FailSafe.
+// quorum: the voter holds the last good value for its hold budget (three
+// ticks here), then latches FailSafe.
 func TestRedundantHoldThenFailSafe(t *testing.T) {
 	lo := &CalibrationBias{}
 	hi := &CalibrationBias{}
-	r := newTestRedundant(t, RedundantConfig{OutlierC: 2, HoldTicks: 3},
+	r := newTestRedundant(t, RedundantConfig{},
 		NewPipeline(lo), identity(), NewPipeline(hi))
+	r.outlierC, r.holdTicks = 2, 3
 	if got := r.Sample(0, 50); got != 50 {
 		t.Fatalf("clean fused %v, want 50", got)
 	}
@@ -174,10 +171,11 @@ func TestRedundantHoldThenFailSafe(t *testing.T) {
 // With no good value ever produced, the fallback is the median of the
 // raw readings.
 func TestRedundantFallbackIsRawMedian(t *testing.T) {
-	r := newTestRedundant(t, RedundantConfig{OutlierC: 1},
+	r := newTestRedundant(t, RedundantConfig{},
 		NewPipeline(&CalibrationBias{Offset: -20}),
 		identity(),
 		NewPipeline(&CalibrationBias{Offset: 20}))
+	r.outlierC = 1
 	if got := r.Sample(0, 50); got != 50 {
 		t.Errorf("fallback fused %v, want raw median 50", got)
 	}
@@ -188,10 +186,11 @@ func TestRedundantFallbackIsRawMedian(t *testing.T) {
 
 // Even replica counts average the two middle survivors.
 func TestRedundantEvenMedian(t *testing.T) {
-	r := newTestRedundant(t, RedundantConfig{OutlierC: 10},
+	r := newTestRedundant(t, RedundantConfig{},
 		identity(), identity(),
 		NewPipeline(&CalibrationBias{Offset: 2}),
 		NewPipeline(&CalibrationBias{Offset: 4}))
+	r.outlierC = 10
 	if got := r.Sample(0, 50); got != 51 {
 		t.Errorf("fused %v, want mean of middles 51", got)
 	}
@@ -226,10 +225,12 @@ func TestRedundantResetReplaysBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newTestRedundant(t, RedundantConfig{HoldTicks: 2},
+		r := newTestRedundant(t, RedundantConfig{},
 			NewPipeline(drop, base1),
 			NewPipeline(slew, base2),
 			NewPipeline(base3, stuck))
+		r.holdTicks = 2
+		return r
 	}
 	input := func(i int) float64 { return 40 + 15*float64(i%13)/13 }
 	r := build()
@@ -325,8 +326,9 @@ func (s *scriptStage) Reset() { s.next = 0 }
 // FuzzRedundant feeds three to five stub replicas arbitrary readings, NaN
 // and infinities included, over several ticks. The fused value must always
 // be finite, and health must follow the quorum: OK on a tick with a
-// quorum, Hold for the first HoldTicks consecutive failures, FailSafe
-// from failure HoldTicks+1 on.
+// quorum, Hold for the first holdTicks consecutive failures, FailSafe
+// from failure holdTicks+1 on. The hold budget is shortened to 1-8
+// ticks so that short inputs reach FailSafe.
 func FuzzRedundant(f *testing.F) {
 	reading := func(vs ...float64) []byte {
 		var b []byte
@@ -361,10 +363,11 @@ func FuzzRedundant(f *testing.F) {
 				scripts[j].script[k] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 			}
 		}
-		r, err := NewRedundant(RedundantConfig{HoldTicks: holdTicks}, chains...)
+		r, err := NewRedundant(RedundantConfig{}, chains...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.holdTicks = holdTicks
 		failures := 0
 		for k := 0; k < ticks; k++ {
 			before := r.quorumFails

@@ -717,15 +717,26 @@ func TestHTTPValidation(t *testing.T) {
 	}
 
 	// A typoed field must be rejected, not silently dropped from the
-	// content hash (strict decoding).
-	resp, err := c.hc.Post(d.BaseURL()+"/v1/scenarios", "application/json",
-		strings.NewReader(`{"kind":"single","durration":600}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
+	// content hash (strict decoding), and so must a field or param the
+	// format no longer has: the rack's tolerance relaxation and the
+	// coordinator's fan trimming.
+	rack := `"duration":600,"fleet":{"size":4,"seed":1,"recirc":0.03`
+	for _, body := range []string{
+		`{"kind":"single","durration":600}`,
+		`{"kind":"fleet",` + rack + `,"recirc_tol":0.001}}`,
+		`{"kind":"fleet",` + rack + `,"max_recirc_passes":25}}`,
+		`{"kind":"fleetcoord",` + rack + `},"params":{"fan_trim":0.1}}`,
+	} {
+		resp, err := c.hc.Post(d.BaseURL()+"/v1/scenarios", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ae apiError
+		err = json.NewDecoder(resp.Body).Decode(&ae)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || ae.Code != CodeInvalidSpec {
+			t.Errorf("%s: HTTP %d, code %q (%v), want 400 %s", body, resp.StatusCode, ae.Code, err, CodeInvalidSpec)
+		}
 	}
 
 	// A body is exactly one JSON value: a valid spec or cell with data

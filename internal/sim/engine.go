@@ -68,7 +68,7 @@ const powerSeries = len(seriesNames) - 1
 // power: power alone, or, if full, every series of seriesNames, the
 // others with room for n values. A full recording keeps one time axis,
 // power's: record appends each timestamp to it once, and the run ends by
-// pointing the other series' T at it (shareTime).
+// pointing the other series' T at it (trace.Set.ShareTime).
 func newRecording(power trace.Series, full bool, n int) trace.Set {
 	if !full {
 		return trace.Set{power}
@@ -95,14 +95,6 @@ func record(ts trace.Set, r *TickResult) {
 		ts[6].V = append(ts[6].V, float64(r.Measured))
 	}
 	ts[len(ts)-1].MustAppend(float64(r.T), float64(r.TotalPower))
-}
-
-// shareTime gives every series of a finished recording the time axis of
-// its last series, "total_power".
-func shareTime(ts trace.Set) {
-	for i := range ts {
-		ts[i].T = ts[len(ts)-1].T
-	}
 }
 
 // Run executes one simulation.
@@ -180,7 +172,7 @@ func Run(server *PhysicalServer, rc RunConfig) (*Result, error) {
 		}
 	}
 
-	shareTime(ts)
+	ts.ShareTime()
 	m.Ticks = nTicks
 	if nTicks > 0 {
 		m.ViolationFrac = float64(violations) / float64(nTicks)

@@ -393,7 +393,7 @@ func (ls *Lockstep) step(ln *lane, k int) {
 // finalize folds a lane's accumulators into its metrics, exactly as
 // sim.Run does after its loop.
 func (ls *Lockstep) finalize(ln *lane) {
-	shareTime(ln.result.Traces)
+	ln.result.Traces.ShareTime()
 	m := &ln.result.Metrics
 	m.Ticks = ln.nTicks
 	if ln.nTicks > 0 {

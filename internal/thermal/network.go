@@ -280,7 +280,7 @@ func (net *Network) SteadyState() ([]units.Celsius, error) {
 	const maxIter = 200000
 	const tol = 1e-10
 	for iter := 0; iter < maxIter; iter++ {
-		maxDelta := 0.0
+		maxStep := 0.0
 		for i := 0; i < net.n; i++ {
 			g := net.ambCond[i] + net.rowG[i]
 			rhs := float64(net.loads[i]) + net.ambCond[i]*float64(net.ambient)
@@ -294,14 +294,14 @@ func (net *Network) SteadyState() ([]units.Celsius, error) {
 				continue
 			}
 			nv := rhs / g
-			if d := nv - x[i]; d > maxDelta {
-				maxDelta = d
-			} else if -d > maxDelta {
-				maxDelta = -d
+			if d := nv - x[i]; d > maxStep {
+				maxStep = d
+			} else if -d > maxStep {
+				maxStep = -d
 			}
 			x[i] = nv
 		}
-		if maxDelta < tol {
+		if maxStep < tol {
 			out := make([]units.Celsius, net.n)
 			for i := range out {
 				out[i] = units.Celsius(x[i])

@@ -128,6 +128,17 @@ func (s *Series) SettlingTime(target, band float64) (t float64, ok bool) {
 // recorded signals of one simulation run in recording order.
 type Set []Series
 
+// ShareTime gives every series of a finished recording the time axis of
+// its last series. A recorder whose samples share one clock appends each
+// timestamp to the last series alone, values only to the others, and
+// calls ShareTime when it is done: the set then stores one time axis,
+// yet every series still carries (and encodes) its own T.
+func (st Set) ShareTime() {
+	for i := range st {
+		st[i].T = st[len(st)-1].T
+	}
+}
+
 // Get returns the named series, or nil. The result points into the set.
 func (st Set) Get(name string) *Series {
 	for i := range st {

@@ -24,10 +24,12 @@ go build ./...
 go test -race ./...
 go test -run xxx -bench . -benchtime 1x -benchmem .
 
-# The benchmark under bench/ is its own module, so the root `go test
-# ./...` never reaches it; its TestEngineGoldens is the check that every
-# engine kind still produces bit-identical outcomes.
-(cd bench && go test ./...)
+# The benchmark under bench/ is its own module, so the root `go vet
+# ./...` and `go test ./...` never reach it (and `go test` runs only a
+# small default set of vet checks); vet it in full here. Its
+# TestEngineGoldens is the check that every engine kind still produces
+# bit-identical outcomes.
+(cd bench && go vet ./... && go test ./...)
 
 # Zero-allocation contracts: the consolidated table (zeroalloc_test.go)
 # is built out of the -race run by its build tag (AllocsPerRun is
@@ -80,7 +82,7 @@ go test -run '^$' -fuzz '^FuzzPush$' -fuzztime 10s -fuzzminimizetime 1s ./intern
 
 # Redundant-voter fuzz smoke: arbitrary replica readings, NaN and
 # infinities included, must fuse to a finite value, and health must track
-# the quorum (FailSafe from failure HoldTicks+1 on).
+# the quorum (FailSafe once consecutive failures outlast the hold budget).
 go test -run '^$' -fuzz '^FuzzRedundant$' -fuzztime 10s ./internal/sensor
 
 # Parallel-path race smoke: only passes of eight or more stepped lanes
@@ -337,9 +339,9 @@ grep -q "clean shutdown" "$tier_dir/follower.log"
 # baseline via benchjson -compare (the gate ratchets: each PR appends
 # BENCH_PR<n>.json and the next gates against it). The Makefile's
 # bench-compare target holds the one copy of the benchmark pattern and
-# the baseline file. The threshold is deliberately wide (60%): this 1-core shared container
-# drifts 15-35% between sessions on bit-identical hot paths (measured
-# PR3 -> PR4), so a tight gate would be noise; the wide one still
+# the baseline file. The threshold is deliberately wide (60%): a shared
+# host drifts 15-35% between sessions on bit-identical hot paths
+# (measured PR3 -> PR4), so a tight gate would be noise; the wide one still
 # catches real blowups, and allocs/op regressions — which are
 # deterministic — are judged by the same factor against integer counts,
 # so any alloc creep on a 0-alloc path fails regardless.
