@@ -21,6 +21,7 @@ import (
 	"repro/internal/thermal"
 	"repro/internal/units"
 	"repro/internal/workload"
+	"repro/specs"
 )
 
 // buildNetwork constructs an n-node star network (n-1 loaded nodes around
@@ -320,17 +321,20 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3Serial runs the Table III comparison (build the spec,
-// run it, fold the rows) on one engine worker. Five lanes take one worker
-// at any worker count (a pass takes one per four stepped lanes), so this
-// is the batch engine's whole cost for the table.
+// BenchmarkTable3Serial runs the Table III comparison (specs/table3.json,
+// decoded once before the timer: run it, fold the rows) on one engine
+// worker. Five lanes take one worker at any worker count (a pass takes
+// one per four stepped lanes), so this is the batch engine's whole cost
+// for the table.
 func BenchmarkTable3Serial(b *testing.B) {
-	tc := experiments.DefaultTable3()
+	spec, err := specs.Load("table3.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec := experiments.Table3Spec(tc)
-		spec.Workers = 1
 		out, err := scenario.Run(spec)
 		if err != nil {
 			b.Fatal(err)

@@ -2,8 +2,10 @@
 // region count, the fan control period and the bus contention: the full
 // stack on the noisy square wave under a modified platform, each
 // reporting its violations or fan energy via b.ReportMetric. The paper's
-// figures and tables themselves are regenerated by cmd/experiments and
-// pinned by the tests in internal/experiments.
+// figures and tables themselves are spec files under specs/, run by
+// cmd/experiments and `scenariod run`, with each file's key and printed
+// outcome pinned by cmd/scenariod's TestRunSpecFiles and
+// TestRunMatchesSubmit.
 package main
 
 import (
@@ -12,7 +14,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/core"
-	"repro/internal/experiments"
+	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/tuning"
 	"repro/internal/units"
@@ -154,7 +156,7 @@ func BenchmarkAblationFanPeriod(b *testing.B) {
 func BenchmarkAblationBusContention(b *testing.B) {
 	for _, sensors := range []int{8, 16, 32, 64} {
 		b.Run(unitName("sensors", float64(sensors), ""), func(b *testing.B) {
-			bus := experiments.DefaultFig1().Bus
+			bus := sensor.DefaultBus()
 			bus.NSensors = sensors
 			cfg := sim.Default()
 			cfg.Ambient = 30

@@ -6,8 +6,10 @@
 // their cells in a content-addressed store so repeated grids resume
 // instead of recomputing, and the store's own ls and gc. Every
 // subcommand routes through the unified scenario layer
-// (internal/scenario). A single spec, such as one rack under fleet or
-// fleetcoord, is a file under specs/ that `scenariod run -spec F` runs.
+// (internal/scenario). Every paper run is a file under specs/ (fig1,
+// fig3, fig4, fig5, table3 and faults .json) that the subcommand loads
+// and `scenariod run -spec F` runs as well; so is any other single spec,
+// such as one rack under fleet or fleetcoord.
 //
 //	experiments [flags]                the figure set (fig1, fig3-5, table3)
 //	experiments SUBCOMMAND [flags]
@@ -35,6 +37,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/units"
+	"repro/specs"
 )
 
 // command is one subcommand: its flag set carries exactly the flags the
@@ -101,10 +104,6 @@ func main() {
 
 		mcSeeds int
 
-		faultDuration, faultStuckAt, faultStuckLen float64
-		faultDropout                               float64
-		faultSeed                                  int64
-
 		fleetLayout   string
 		fleetSeed     int64
 		fleetRecirc   float64
@@ -153,22 +152,7 @@ func main() {
 	newCommand("table3mc", "Table III across Monte Carlo seeds", func(fs *flag.FlagSet) {
 		fs.IntVar(&mcSeeds, "seeds", 8, "Monte Carlo seed count")
 	}, func() error { return table3mc(mcSeeds) })
-	faultDefaults := experiments.DefaultFaults()
-	newCommand("faults", "full stack through a stuck sensor + dropout", func(fs *flag.FlagSet) {
-		fs.Float64Var(&faultDuration, "duration", float64(faultDefaults.Duration), "horizon in seconds")
-		fs.Float64Var(&faultStuckAt, "stuckat", float64(faultDefaults.StuckAt), "stuck-sensor onset (s)")
-		fs.Float64Var(&faultStuckLen, "stucklen", float64(faultDefaults.StuckLen), "stuck-sensor duration (s)")
-		fs.Float64Var(&faultDropout, "dropout", faultDefaults.DropoutRate, "sample dropout rate")
-		fs.Int64Var(&faultSeed, "seed", faultDefaults.Seed, "noise/dropout seed")
-	}, func() error {
-		return faults(experiments.FaultConfig{
-			Duration:    units.Seconds(faultDuration),
-			StuckAt:     units.Seconds(faultStuckAt),
-			StuckLen:    units.Seconds(faultStuckLen),
-			DropoutRate: faultDropout,
-			Seed:        faultSeed,
-		})
-	})
+	newCommand("faults", "full stack through a stuck sensor + dropout", nil, faults)
 	newCommand("fleetsweep", "rack size x inlet spread grid (resumable with -store)", func(fs *flag.FlagSet) {
 		fs.StringVar(&sweepSizes, "sizes", "2,4,8", "rack sizes")
 		fs.StringVar(&sweepSpreads, "spreads", "0,4,8", "hot-aisle inlet spreads (degC)")
@@ -289,8 +273,22 @@ func dumpCSV(dir, name string, ts trace.Set) error {
 	return ts.WriteCSV(f)
 }
 
+// runSpec loads the named file under specs/ and runs it.
+func runSpec(name string) (scenario.Spec, *scenario.Outcome, error) {
+	spec, err := specs.Load(name)
+	if err != nil {
+		return scenario.Spec{}, nil, err
+	}
+	out, err := scenario.Run(spec)
+	return spec, out, err
+}
+
 func fig1(csvDir string) error {
-	res, err := experiments.Fig1(experiments.DefaultFig1())
+	_, out, err := runSpec("fig1.json")
+	if err != nil {
+		return err
+	}
+	res, err := experiments.Fig1FromOutcome(out)
 	if err != nil {
 		return err
 	}
@@ -304,7 +302,11 @@ func fig1(csvDir string) error {
 }
 
 func fig3(csvDir string) error {
-	res, err := experiments.Fig3(experiments.DefaultFig3())
+	spec, out, err := runSpec("fig3.json")
+	if err != nil {
+		return err
+	}
+	res, err := experiments.Fig3FromOutcome(spec, out)
 	if err != nil {
 		return err
 	}
@@ -320,7 +322,7 @@ func fig3(csvDir string) error {
 			settle = fmt.Sprintf("settles %.0f s after the step", float64(run.SettleAfterStep))
 		}
 		fmt.Printf("  %-14s %s; low-phase oscillation ±%.0f rpm\n\n", run.Variant, settle, run.LowPhaseAmp)
-		if err := dumpCSV(csvDir, "fig3_"+string(run.Variant), run.Traces); err != nil {
+		if err := dumpCSV(csvDir, "fig3_"+run.Variant, run.Traces); err != nil {
 			return err
 		}
 	}
@@ -328,7 +330,11 @@ func fig3(csvDir string) error {
 }
 
 func fig4(csvDir string) error {
-	res, err := experiments.Fig4(experiments.DefaultFig4())
+	spec, out, err := runSpec("fig4.json")
+	if err != nil {
+		return err
+	}
+	res, err := experiments.Fig4FromOutcome(spec, out)
 	if err != nil {
 		return err
 	}
@@ -343,7 +349,11 @@ func fig4(csvDir string) error {
 }
 
 func fig5(csvDir string) error {
-	res, err := experiments.Fig5(experiments.DefaultFig5())
+	spec, out, err := runSpec("fig5.json")
+	if err != nil {
+		return err
+	}
+	res, err := experiments.Fig5FromOutcome(spec, out)
 	if err != nil {
 		return err
 	}
@@ -358,10 +368,11 @@ func fig5(csvDir string) error {
 }
 
 func table3() error {
-	res, err := experiments.Table3(experiments.DefaultTable3())
+	_, out, err := runSpec("table3.json")
 	if err != nil {
 		return err
 	}
+	res := experiments.Table3FromOutcome(out)
 	fmt.Println("Table III — performance and fan energy of the five solutions, the paper's beside ours")
 	fmt.Printf("%-24s %12s %7s %12s %7s %10s %8s\n", "Solution", "Violation(%)", "paper", "Norm.energy", "paper", "MeanFan", "Tmax")
 	for i, r := range res.Rows {
@@ -374,7 +385,18 @@ func table3() error {
 }
 
 func table3mc(nSeeds int) error {
-	res, err := experiments.Table3MC(experiments.DefaultTable3(), nSeeds)
+	if nSeeds < 1 {
+		return fmt.Errorf("-seeds %d, want at least 1", nSeeds)
+	}
+	table3, err := specs.Load("table3.json")
+	if err != nil {
+		return err
+	}
+	out, err := scenario.Run(experiments.Table3MCSpec(table3, nSeeds))
+	if err != nil {
+		return err
+	}
+	res, err := experiments.Table3MCFromOutcome(table3, nSeeds, out)
 	if err != nil {
 		return err
 	}
@@ -394,13 +416,23 @@ func table3mc(nSeeds int) error {
 	return nil
 }
 
-func faults(fc experiments.FaultConfig) error {
-	res, err := experiments.Faults(fc)
+func faults() error {
+	spec, out, err := runSpec("faults.json")
 	if err != nil {
 		return err
 	}
+	res, err := experiments.FaultsFromOutcome(out)
+	if err != nil {
+		return err
+	}
+	var fault scenario.FaultSpec
+	for _, j := range spec.Jobs {
+		if j.Faults != nil {
+			fault = *j.Faults
+		}
+	}
 	fmt.Printf("Faults — full stack through a %.0f s stuck sensor at t=%.0f s plus %.0f%% dropout (%.0f s horizon)\n\n",
-		float64(fc.StuckLen), float64(fc.StuckAt), fc.DropoutRate*100, float64(fc.Duration))
+		float64(fault.StuckLen), float64(fault.StuckAt), fault.DropoutRate*100, float64(spec.Duration))
 	fmt.Printf("%-10s %12s %12s %12s %10s %14s\n",
 		"run", "violation(%)", "fanE(kJ)", "Tmax(°C)", "meanFan", "hwThrottle(%)")
 	for _, row := range []struct {
@@ -546,8 +578,9 @@ func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, dura
 	}
 
 	// One scenario per grid point, row-major (sizes outer, spreads
-	// inner), mirroring fleet.Sweep: the sub-seed is keyed on the rack
-	// size itself so a size reruns the same workloads at every spread.
+	// inner): the sub-seed is keyed on the rack size itself so a size
+	// reruns the same workloads at every spread, and the spread axis
+	// isolates the inlet field's effect.
 	// With -compare every point runs as a fleetcoord cell, which carries
 	// the local baseline alongside the coordinated result. The cells run
 	// the coordinator's defaults; a tuned coordinator is a fleetcoord spec
@@ -621,9 +654,9 @@ func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, dura
 	return nil
 }
 
-// scenarioSweep runs the Table III comparison over an ambient × seed
-// grid through the scenario sweep, demonstrating store-backed resume on
-// the sim engines.
+// scenarioSweep runs the Table III comparison (specs/table3.json) over
+// an ambient × seed grid through the scenario sweep, demonstrating
+// store-backed resume on the sim engines.
 func scenarioSweep(ambientsStr string, nSeeds int, seed0 int64, duration float64, storeDir string) error {
 	ambients, err := parseFloats(ambientsStr)
 	if err != nil {
@@ -632,25 +665,29 @@ func scenarioSweep(ambientsStr string, nSeeds int, seed0 int64, duration float64
 	if nSeeds < 1 {
 		return fmt.Errorf("need at least one seed")
 	}
+	table3, err := specs.Load("table3.json")
+	if err != nil {
+		return err
+	}
 	store, err := openStore(storeDir)
 	if err != nil {
 		return err
 	}
-	var specs []scenario.Spec
+	var cells []scenario.Spec
 	var labels []string
 	for _, ambient := range ambients {
 		for s := 0; s < nSeeds; s++ {
-			tc := experiments.DefaultTable3()
-			tc.Ambient = units.Celsius(ambient)
-			tc.Seed = seed0 + int64(s)
-			tc.Duration = units.Seconds(duration)
-			spec := experiments.Table3Spec(tc)
-			spec.Name = fmt.Sprintf("table3/ambient=%g/seed=%d", ambient, tc.Seed)
-			specs = append(specs, spec)
-			labels = append(labels, fmt.Sprintf("%6.1f %6d", ambient, tc.Seed))
+			seed := seed0 + int64(s)
+			spec := experiments.ReseedTable3(table3, seed, units.Seconds(duration))
+			base := *spec.Base
+			base.Ambient = units.Celsius(ambient)
+			spec.Base = &base
+			spec.Name = fmt.Sprintf("table3/ambient=%g/seed=%d", ambient, seed)
+			cells = append(cells, spec)
+			labels = append(labels, fmt.Sprintf("%6.1f %6d", ambient, seed))
 		}
 	}
-	res, err := scenario.Sweep(specs, store)
+	res, err := scenario.Sweep(cells, store)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/service"
 )
@@ -21,12 +20,17 @@ import (
 var specOutcomes = map[string]string{
 	"ci-smoke.json":       "5faca756c55bf3703276f4b13c10d78535a62c5e17dd3fa4851ba02e94b43dff",
 	"datacenter.json":     "632177733a9a207ccd06e0c6601071f8bbd5cdf1581b24a11db06e75aba6544a",
+	"faults.json":         "f05af5bc83c085d18f6dac77fece621cab2d44c9a7902d2c5f1f51f0c8723e09",
 	"fig1.json":           "0f35d31b5bf003ff4a1c9e5d3e7158bc9812d533e3648804e1fbaf69561c551c",
+	"fig3.json":           "dea486c09713fc64f2e2fe16a86de54f768746f17c33ea2c1ac8ac2c669a9630",
+	"fig4.json":           "4ca86975cd0c8f04134238e1318bafc520c06da456b3ec96392622ec76811afc",
+	"fig5.json":           "e80d31f56cf4cd81b8b2d694b640bf9b7b8ebbdf72ddac3c242b797dc913dc3c",
 	"fleet.json":          "95f53b65a09e35a1fd36469bbe870cf430549966772702665c510a7180d4e758",
 	"fleetcoord.json":     "8da1120861a512fac525d5384f36f8f4557bac6118aacdd28f3738ba51384caf",
 	"multicore.json":      "29fa6ef8efa5ecb04ad1cf56083ece617a7d0ebc5583db2435c805d35bcbcb76",
 	"multicore-free.json": "e4e61a6f2e322de900f56ea1c16a958c9e862b33760e9d55671b005ddb8f67a5",
 	"quickstart.json":     "62d00aca42c220c51c595162770e0cbf22d5c150c39902f0396c82a3e5e013cd",
+	"table3.json":         "f8e69f81ccfce9b47ecda85a7597cf5488b30dae202d4c1155f024e88bda2572",
 }
 
 // TestRunMatchesSubmit: for every spec file under specs/, `run -spec F`
@@ -103,19 +107,24 @@ func TestRunRefusesStrayArgument(t *testing.T) {
 var specKeys = map[string]string{
 	"ci-smoke.json":       "1fc65e50e369ab290e0c819eed6e227e0d3c49053f56ec1dfd2ca81662afc62b",
 	"datacenter.json":     "817547e1cd203e712264f1efd2b8c84d9b5de266bf5197fea0726ecc173ffe9c",
+	"faults.json":         "53fef886109d151e3b10cd7cfd8483ad49f4f09a3143a3ea4e5bb938bdca12ef",
 	"fig1.json":           "54c4b2adf7e71e0fb6ddf7f268dc021ebc5b81f1438cfac84c111bf191a616a6",
+	"fig3.json":           "06a5560d125928dd0bf0b899762dc525db75545728e14caea46d5bc52d679755",
+	"fig4.json":           "0e67fc7119d826a3684533a18e27d9065ed8955dfb4639c117a95f79af6fae55",
+	"fig5.json":           "1f2a16543095faa3b05118d05412ef34e11c0d4a888d2c058be929ca1a2d030f",
 	"fleet.json":          "994744b3ae6b9b671f0c4e51555411ed770dce6cda57bba8c373830b27cb3822",
 	"fleetcoord.json":     "f710f8fb5df7b7fec08974b4f03b3a8a084ea67ad70424b7681411e3bc117357",
 	"multicore.json":      "c4f9349665536fff7c0edc4be245bec2fec46bd73eb3ca7acea5df26f707dbd2",
 	"multicore-free.json": "f94b751431523a870f9ea1cf12542d0a1f46e565c6d3a5112d2e6743198c81b6",
 	"quickstart.json":     "9778d2d3e8155aba4333b24e08951e6aa264771edf152290e8e84f8be03593b4",
+	"table3.json":         "1c5955dca9aa786a92eb1c704e74f5a389f46213fddf2a1706f8e4f22ab66c94",
 }
 
 // TestRunSpecFiles: every file under specs/ keys to its entry in
-// specKeys, and specs/fig1.json is the Fig. 1 probe cmd/experiments
-// runs. run refuses a spec whose param its workload never reads with the
-// error Validate gives, a file with data after its spec, and a spec with
-// a field or param the format no longer has, and prints nothing for any.
+// specKeys. run refuses a spec whose param its workload never reads with
+// the error Validate gives, a file with data after its spec, a spec with
+// a field or param the format no longer has and a rack with more
+// recirc_passes than nodes, and prints nothing for any.
 func TestRunSpecFiles(t *testing.T) {
 	files, err := filepath.Glob("../../specs/*.json")
 	if err != nil {
@@ -136,13 +145,6 @@ func TestRunSpecFiles(t *testing.T) {
 		if want := specKeys[filepath.Base(file)]; got != want {
 			t.Errorf("%s keys to %s, want %q", file, got, want)
 		}
-	}
-	fig1, err := scenario.Key(experiments.Fig1Spec(experiments.DefaultFig1()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig1 != specKeys["fig1.json"] {
-		t.Errorf("experiments.Fig1Spec keys to %s, specs/fig1.json to %s", fig1, specKeys["fig1.json"])
 	}
 
 	data, err := os.ReadFile("../../specs/ci-smoke.json")
@@ -185,12 +187,13 @@ func TestRunSpecFiles(t *testing.T) {
 		{`{"kind":"fleet",` + rack + `,"recirc_tol":0.001}}`, `unknown field "recirc_tol"`},
 		{`{"kind":"fleet",` + rack + `,"max_recirc_passes":25}}`, `unknown field "max_recirc_passes"`},
 		{`{"kind":"fleetcoord",` + rack + `},"params":{"fan_trim":0.1}}`, `unknown param "fan_trim"`},
+		{`{"kind":"fleet",` + rack + `,"recirc_passes":5}}`, `recirc_passes 5 outside [0, 4]`},
 	} {
-		removed := filepath.Join(t.TempDir(), "removed.json")
-		if err := os.WriteFile(removed, []byte(tc.body), 0o644); err != nil {
+		refused := filepath.Join(t.TempDir(), "refused.json")
+		if err := os.WriteFile(refused, []byte(tc.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := runCmd([]string{"-spec", removed}, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := runCmd([]string{"-spec", refused}, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run of %s = %v, want an error naming %s", tc.body, err, tc.want)
 		}
 		if out.Len() != 0 {

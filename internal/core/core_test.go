@@ -34,25 +34,6 @@ func TestNewDTMValidation(t *testing.T) {
 	}
 }
 
-func TestTableIIISolutionsConstruct(t *testing.T) {
-	policies, err := TableIIISolutions(sim.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(policies) != 5 {
-		t.Fatalf("solutions = %d, want 5", len(policies))
-	}
-	wantNames := []string{
-		"w/o coordination", "E-coord", "R-coord(@Tref=75C)",
-		"R-coord+A-Tref", "R-coord+A-Tref+SSfan",
-	}
-	for i, p := range policies {
-		if p.Name() != wantNames[i] {
-			t.Errorf("solution %d name = %q, want %q", i, p.Name(), wantNames[i])
-		}
-	}
-}
-
 func TestDTMFanDecisionCadence(t *testing.T) {
 	cfg := sim.Default()
 	d, err := NewDTM("t", Options{Config: cfg, Mode: NoCoordination})

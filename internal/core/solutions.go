@@ -49,29 +49,6 @@ func NewFullStack(cfg sim.Config) (*DTM, error) {
 	})
 }
 
-// TableIIISolutions returns the five evaluated policies in the paper's
-// row order.
-//
-//lint:ignore testonly differential reference for experiments.TestTable3MatchesLegacy
-func TableIIISolutions(cfg sim.Config) ([]*DTM, error) {
-	builders := []func(sim.Config) (*DTM, error){
-		NewUncoordinated,
-		NewECoordPolicy,
-		func(c sim.Config) (*DTM, error) { return NewRuleCoord(c, 75) },
-		NewRuleCoordAdaptiveRef,
-		NewFullStack,
-	}
-	out := make([]*DTM, 0, len(builders))
-	for _, b := range builders {
-		d, err := b(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
 // FanOnlyPolicy drives a bare fan controller with the cap held open: the
 // configuration used in the stability experiments (Fig. 3 and Fig. 4),
 // where only the fan loop is under study.

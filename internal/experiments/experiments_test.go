@@ -1,19 +1,47 @@
 package experiments
 
 import (
+	"maps"
 	"math"
 	"testing"
 
 	"repro/internal/scenario"
 	"repro/internal/tuning"
-	"repro/internal/units"
+	"repro/specs"
 )
+
+// load decodes the named spec file under specs/.
+func load(t *testing.T, name string) scenario.Spec {
+	t.Helper()
+	spec, err := specs.Load(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// run runs a spec, failing the test on error.
+func run(t *testing.T, spec scenario.Spec) *scenario.Outcome {
+	t.Helper()
+	out, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// shortTable3 is specs/table3.json at its own seed, cut to 1200 s.
+func shortTable3(t *testing.T) scenario.Spec {
+	t.Helper()
+	t3 := load(t, "table3.json")
+	return ReseedTable3(t3, t3.Jobs[0].Workload.Seed, 1200)
+}
 
 // TestFig1TelemetryLag asserts the paper's Fig. 1 claim: the power-sensor
 // reading follows the utilization step with a ~10 s lag caused by the I2C
 // path.
 func TestFig1TelemetryLag(t *testing.T) {
-	res, err := Fig1(DefaultFig1())
+	res, err := Fig1FromOutcome(run(t, load(t, "fig1.json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,28 +72,22 @@ func TestFig1TelemetryLag(t *testing.T) {
 	if v, _ := sensor.ValueAt(105); v > 0.5 {
 		t.Errorf("sensor 5 s after step = %v, want still < 0.5 (lagging)", v)
 	}
-	// Stored fig1 cells are addressed by this key; it must not move.
-	const wantKey = "54c4b2adf7e71e0fb6ddf7f268dc021ebc5b81f1438cfac84c111bf191a616a6"
-	if key, err := scenario.Key(Fig1Spec(DefaultFig1())); err != nil || key != wantKey {
-		t.Errorf("Fig1Spec key = %s (%v), want %s", key, err, wantKey)
-	}
 }
 
 // TestFig1LagGrowsWithSensors asserts the bus-contention claim: more
 // sensors per platform generation, longer lag.
 func TestFig1LagGrowsWithSensors(t *testing.T) {
-	small := DefaultFig1()
-	small.Bus.NSensors = 8
-	big := DefaultFig1()
-	big.Bus.NSensors = 32
-	rs, err := Fig1(small)
-	if err != nil {
-		t.Fatal(err)
+	withSensors := func(n float64) *Fig1Result {
+		spec := load(t, "fig1.json")
+		spec.Params = maps.Clone(spec.Params)
+		spec.Params["bus_sensors"] = n
+		res, err := Fig1FromOutcome(run(t, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	rb, err := Fig1(big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs, rb := withSensors(8), withSensors(32)
 	if rb.MeasuredLag <= rs.MeasuredLag {
 		t.Errorf("32-sensor lag %v not above 8-sensor lag %v", rb.MeasuredLag, rs.MeasuredLag)
 	}
@@ -76,16 +98,20 @@ func TestFig1LagGrowsWithSensors(t *testing.T) {
 // at 6000 rpm oscillate, especially at low fan speeds; the adaptive
 // controller is stable and converges fastest.
 func TestFig3Phenomenology(t *testing.T) {
-	res, err := Fig3(DefaultFig3())
+	spec := load(t, "fig3.json")
+	res, err := Fig3FromOutcome(spec, run(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byVariant := map[Fig3Variant]Fig3Run{}
+	if res.RefTemp != 68 {
+		t.Errorf("T_ref = %v, want the spec's 68 °C", res.RefTemp)
+	}
+	byVariant := map[string]Fig3Run{}
 	for _, r := range res.Runs {
 		byVariant[r.Variant] = r
 	}
 
-	f2000, f6000, ad := byVariant[Fixed2000], byVariant[Fixed6000], byVariant[Adaptive]
+	f2000, f6000, ad := byVariant["pid@2000rpm"], byVariant["pid@6000rpm"], byVariant["adaptive-pid"]
 
 	// 2000 rpm gains: no significant low-phase oscillation, but slow
 	// convergence after the step — the paper measures 210 s and calls
@@ -124,7 +150,8 @@ func TestFig3Phenomenology(t *testing.T) {
 // TestFig4DeadzoneOscillates asserts Fig. 4: the deadzone controller
 // limit-cycles under a fixed workload.
 func TestFig4DeadzoneOscillates(t *testing.T) {
-	res, err := Fig4(DefaultFig4())
+	spec := load(t, "fig4.json")
+	res, err := Fig4FromOutcome(spec, run(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +169,8 @@ func TestFig4DeadzoneOscillates(t *testing.T) {
 // TestFig5DynamicStability asserts Fig. 5: the proposed stack under a
 // noisy dynamic load neither oscillates unstably nor overheats.
 func TestFig5DynamicStability(t *testing.T) {
-	res, err := Fig5(DefaultFig5())
+	spec := load(t, "fig5.json")
+	res, err := Fig5FromOutcome(spec, run(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +196,7 @@ func TestFig5DynamicStability(t *testing.T) {
 //	fan energy: E-coord lowest; R-coord above baseline; the adaptive
 //	            set-point cuts R-coord's energy; SS_fan stays close.
 func TestTable3Shape(t *testing.T) {
-	res, err := Table3(DefaultTable3())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Table3FromOutcome(run(t, load(t, "table3.json")))
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
@@ -228,16 +253,9 @@ func TestTable3Shape(t *testing.T) {
 
 // TestTable3Deterministic verifies the whole evaluation is reproducible.
 func TestTable3Deterministic(t *testing.T) {
-	cfg := DefaultTable3()
-	cfg.Duration = 1200
-	a, err := Table3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Table3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := shortTable3(t)
+	a := Table3FromOutcome(run(t, spec))
+	b := Table3FromOutcome(run(t, spec))
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {
 			t.Errorf("row %d differs between identical runs:\n%+v\n%+v", i, a.Rows[i], b.Rows[i])
@@ -245,29 +263,11 @@ func TestTable3Deterministic(t *testing.T) {
 	}
 }
 
-// TestBuildWorkloadSpikes sanity-checks the Table III workload.
-func TestBuildWorkloadSpikes(t *testing.T) {
-	tc := DefaultTable3()
-	gen, err := buildWorkload(tc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A spike instant demands full load even during the low phase.
-	spikeT := units.Seconds(0.15 * float64(tc.Period))
-	if u := gen.At(spikeT); u != 1.0 {
-		t.Errorf("demand at spike = %v, want 1.0", u)
-	}
-	// Outside spikes the low phase stays near 0.1.
-	if u := gen.At(10); u > 0.3 {
-		t.Errorf("low-phase demand = %v, want ~0.1", u)
-	}
-}
-
 // TestFaultRobustness: the full stack must ride through a stuck sensor
 // and sustained sample dropout without melting down or collapsing
 // delivery — the whole point of designing for non-ideal measurements.
 func TestFaultRobustness(t *testing.T) {
-	res, err := Faults(DefaultFaults())
+	res, err := FaultsFromOutcome(run(t, load(t, "faults.json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,20 +289,14 @@ func TestFaultRobustness(t *testing.T) {
 // TestTable3ParallelMatchesSequential: the batch engine must not perturb
 // the table — any worker count produces bit-identical rows.
 func TestTable3ParallelMatchesSequential(t *testing.T) {
-	tc := DefaultTable3()
-	tc.Duration = 1200
-	run := func(workers int) *Table3Result {
-		spec := Table3Spec(tc)
+	spec := shortTable3(t)
+	table := func(workers int) *Table3Result {
 		spec.Workers = workers
-		out, err := scenario.Run(spec)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return Table3FromOutcome(out)
+		return Table3FromOutcome(run(t, spec))
 	}
-	seq := run(1)
+	seq := table(1)
 	for _, workers := range []int{0, 2, 5} {
-		par := run(workers)
+		par := table(workers)
 		for i := range seq.Rows {
 			if par.Rows[i] != seq.Rows[i] {
 				t.Errorf("workers=%d row %d: parallel %+v != sequential %+v",
@@ -317,23 +311,20 @@ func TestTable3ParallelMatchesSequential(t *testing.T) {
 // qualitative ordering must hold on the means, and a multi-seed run must
 // show nonzero spread somewhere (the draws genuinely differ).
 func TestTable3MC(t *testing.T) {
-	tc := DefaultTable3()
-	tc.Duration = 1200
-	res, err := Table3MC(tc, 3)
+	spec := shortTable3(t)
+	res, err := Table3MCFromOutcome(spec, 3, run(t, Table3MCSpec(spec, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 5 || len(res.PerSeed) != 3 || len(res.Seeds) != 3 {
 		t.Fatalf("shape: %d rows, %d per-seed, %d seeds", len(res.Rows), len(res.PerSeed), len(res.Seeds))
 	}
-	if res.Seeds[0] != tc.Seed || res.Seeds[2] != tc.Seed+2 {
-		t.Errorf("seeds = %v, want consecutive from %d", res.Seeds, tc.Seed)
+	seed := spec.Jobs[0].Workload.Seed
+	if res.Seeds[0] != seed || res.Seeds[2] != seed+2 {
+		t.Errorf("seeds = %v, want consecutive from %d", res.Seeds, seed)
 	}
 
-	single, err := Table3(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := Table3FromOutcome(run(t, spec))
 	for i := range single.Rows {
 		if res.PerSeed[0].Rows[i] != single.Rows[i] {
 			t.Errorf("per-seed[0] row %d %+v != single-seed row %+v",
@@ -361,15 +352,23 @@ func TestTable3MC(t *testing.T) {
 	}
 }
 
-// TestTable3MCValidation covers the error paths.
+// TestTable3MCValidation covers the error paths: a table of no seeds or
+// of a negative horizon does not run, and an outcome whose unit count
+// is not seeds × solutions does not fold.
 func TestTable3MCValidation(t *testing.T) {
-	if _, err := Table3MC(DefaultTable3(), 0); err == nil {
+	t3 := load(t, "table3.json")
+	if _, err := scenario.Run(Table3MCSpec(t3, 0)); err == nil {
 		t.Error("0 seeds accepted")
 	}
-	tc := DefaultTable3()
-	tc.Duration = -5
-	if _, err := Table3MC(tc, 2); err == nil {
+	if _, err := scenario.Run(Table3MCSpec(ReseedTable3(t3, 42, -5), 2)); err == nil {
 		t.Error("negative duration accepted")
+	}
+	spec := shortTable3(t)
+	out := run(t, spec)
+	for _, nSeeds := range []int{0, 2} {
+		if _, err := Table3MCFromOutcome(spec, nSeeds, out); err == nil {
+			t.Errorf("a one-seed outcome folded as %d seeds", nSeeds)
+		}
 	}
 }
 
@@ -377,25 +376,24 @@ func TestTable3MCValidation(t *testing.T) {
 // fault-injection experiment: the same seed must reproduce bit-identical
 // clean and faulted metrics on every repetition and at any worker count.
 func TestFaultsDeterministicAcrossWorkers(t *testing.T) {
-	fc := DefaultFaults()
-	fc.Duration = 900
-	fc.StuckAt = 400
-	run := func(workers int) *FaultResult {
-		spec := FaultsSpec(fc)
-		spec.Workers = workers
-		out, err := scenario.Run(spec)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	spec := load(t, "faults.json")
+	spec.Duration = 900
+	for _, j := range spec.Jobs {
+		if j.Faults != nil {
+			j.Faults.StuckAt = 400
 		}
-		res, err := FaultsFromOutcome(out)
+	}
+	faults := func(workers int) *FaultResult {
+		spec.Workers = workers
+		res, err := FaultsFromOutcome(run(t, spec))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return res
 	}
-	want := run(1)
+	want := faults(1)
 	for _, workers := range []int{1, 2, 0} {
-		got := run(workers)
+		got := faults(workers)
 		// Metrics is a struct of comparable scalars: bit-identical or bust.
 		if got.Clean != want.Clean {
 			t.Errorf("workers=%d: clean metrics drifted:\n%+v\n!=\n%+v", workers, got.Clean, want.Clean)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/scenario"
-	"repro/internal/sensor"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -16,44 +15,6 @@ type Fig1Result struct {
 	Traces      trace.Set
 	MeasuredLag units.Seconds // time for the sensor to cross 50% of the step
 	NominalLag  units.Seconds // the configured transport delay
-}
-
-// Fig1Config parameterizes the telemetry-lag demonstration.
-type Fig1Config struct {
-	StepTime units.Seconds // utilization step instant (paper trace: mid-run)
-	Duration units.Seconds // horizon (paper plot: 700 s)
-	Bus      sensor.Bus    // contention model producing the lag
-}
-
-// DefaultFig1 returns the paper's setting: a 16-sensor bus (10 s lag)
-// over a 700 s window.
-func DefaultFig1() Fig1Config {
-	return Fig1Config{StepTime: 100, Duration: 700, Bus: sensor.DefaultBus()}
-}
-
-// Fig1Spec builds the declarative scenario for the telemetry probe.
-func Fig1Spec(fc Fig1Config) scenario.Spec {
-	return scenario.Spec{
-		Kind:     scenario.KindFig1,
-		Name:     "fig1",
-		Duration: fc.Duration,
-		Params: scenario.Params{
-			"step_time":         float64(fc.StepTime),
-			"bus_base_latency":  float64(fc.Bus.BaseLatency),
-			"bus_transfer_time": float64(fc.Bus.TransferTime),
-			"bus_sensors":       float64(fc.Bus.NSensors),
-		},
-		Record: true,
-	}
-}
-
-// Fig1 runs the telemetry-lag experiment through the scenario runner.
-func Fig1(fc Fig1Config) (*Fig1Result, error) {
-	out, err := scenario.Run(Fig1Spec(fc))
-	if err != nil {
-		return nil, err
-	}
-	return Fig1FromOutcome(out)
 }
 
 // Fig1FromOutcome rebuilds the experiment result from a (possibly

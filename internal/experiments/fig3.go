@@ -4,25 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
 
-// Fig3Variant identifies one of the three compared fan controllers.
-type Fig3Variant string
-
-// The Fig. 3 controller variants.
-const (
-	Fixed2000 Fig3Variant = "pid@2000rpm"
-	Fixed6000 Fig3Variant = "pid@6000rpm"
-	Adaptive  Fig3Variant = "adaptive-pid"
-)
-
 // Fig3Run is one controller's trace and stability summary.
 type Fig3Run struct {
-	Variant Fig3Variant
+	// Variant is the controller's job name in the spec (specs/fig3.json:
+	// pid@2000rpm, pid@6000rpm and adaptive-pid).
+	Variant string
 	Traces  trace.Set
 	// SettleAfterStep is the junction settling time (into RefTemp ± 1.5)
 	// measured from the low-to-high workload step; Settled is false when
@@ -38,103 +29,52 @@ type Fig3Run struct {
 	HighPhaseAmp float64
 }
 
-// Fig3Result bundles the three runs.
+// Fig3Result bundles the three runs. specs/fig3.json sets T_ref = 68 °C,
+// which puts the 0.1/0.7 workload's operating fan speeds at ~1460 and
+// ~5820 rpm, one in each gain-scheduling region, so the fixed-gain
+// failure modes and the adaptive controller's advantage all appear.
 type Fig3Result struct {
 	RefTemp units.Celsius
 	Runs    []Fig3Run
 }
 
-// Fig3Config parameterizes the adaptive-vs-fixed-gain comparison.
-type Fig3Config struct {
-	RefTemp units.Celsius // fan set-point; 68 °C spans both gain regions
-	Period  units.Seconds // square-wave period (low phase first)
-	Cycles  int           // number of full periods to simulate
-}
-
-// DefaultFig3 returns the calibrated scenario: T_ref = 68 °C puts the
-// 0.1/0.7 workload's operating fan speeds at ~1460 and ~5820 rpm, one in
-// each gain-scheduling region, so the fixed-gain failure modes and the
-// adaptive controller's advantage all appear.
-func DefaultFig3() Fig3Config {
-	return Fig3Config{RefTemp: 68, Period: 1200, Cycles: 2}
-}
-
-// fig3Variants lists the compared controllers with their policy refs.
-func fig3Variants(fc Fig3Config) []struct {
-	Variant Fig3Variant
-	Policy  scenario.FactoryRef
-} {
-	ref := float64(fc.RefTemp)
-	return []struct {
-		Variant Fig3Variant
-		Policy  scenario.FactoryRef
-	}{
-		{Fixed2000, scenario.FactoryRef{Name: "pid-fixed", Params: scenario.Params{"region": 0, "ref_temp": ref}}},
-		{Fixed6000, scenario.FactoryRef{Name: "pid-fixed", Params: scenario.Params{"region": 1, "ref_temp": ref}}},
-		{Adaptive, scenario.FactoryRef{Name: "adaptive-pid", Params: scenario.Params{"ref_temp": ref}}},
+// Fig3FromOutcome post-processes a (possibly store-cached) outcome of
+// the fig3 spec into the paper's stability summaries. Each job's
+// square-wave period and fan set-point come from the spec: the settling
+// window follows the first low-to-high step, half a period in, and the
+// oscillation windows sit in the second period's late low and high
+// phases.
+func Fig3FromOutcome(spec scenario.Spec, out *scenario.Outcome) (*Fig3Result, error) {
+	if len(out.Units) != len(spec.Jobs) {
+		return nil, fmt.Errorf("experiments: fig3 outcome has %d units, want %d", len(out.Units), len(spec.Jobs))
 	}
-}
-
-// Fig3Spec builds the declarative three-controller comparison: the
-// variants are independent recorded closed-loop runs sharing one clock,
-// so the runner advances them as one warm lockstep batch.
-func Fig3Spec(fc Fig3Config) scenario.Spec {
-	variants := fig3Variants(fc)
-	jobs := make([]scenario.JobSpec, len(variants))
-	for i, v := range variants {
-		jobs[i] = scenario.JobSpec{
-			Name:      string(v.Variant),
-			Workload:  scenario.FactoryRef{Name: "square", Params: scenario.Params{"period": float64(fc.Period)}},
-			Policy:    v.Policy,
-			WarmStart: &sim.WarmPoint{Util: 0.1, Fan: 1200},
+	result := &Fig3Result{}
+	for i, job := range spec.Jobs {
+		period, okPeriod := job.Workload.Params["period"]
+		ref, okRef := job.Policy.Params["ref_temp"]
+		if !okPeriod || !okRef {
+			return nil, fmt.Errorf("experiments: fig3 job %q sets no period or ref_temp", job.Name)
 		}
-	}
-	return scenario.Spec{
-		Kind:     scenario.KindBatch,
-		Name:     "fig3",
-		Duration: units.Seconds(float64(fc.Period) * float64(fc.Cycles)),
-		Jobs:     jobs,
-		Record:   true,
-	}
-}
+		if i == 0 {
+			result.RefTemp = units.Celsius(ref)
+		}
+		u := &out.Units[i]
+		ts := u.Series
+		run := Fig3Run{Variant: u.Name, Traces: ts}
 
-// Fig3 runs the three-controller comparison through the scenario runner.
-func Fig3(fc Fig3Config) (*Fig3Result, error) {
-	if fc.Cycles < 1 {
-		return nil, fmt.Errorf("experiments: fig3 needs at least one cycle")
-	}
-	out, err := scenario.Run(Fig3Spec(fc))
-	if err != nil {
-		return nil, err
-	}
-	return Fig3FromOutcome(fc, out)
-}
-
-// Fig3FromOutcome post-processes a (possibly store-cached) outcome into
-// the paper's stability summaries.
-func Fig3FromOutcome(fc Fig3Config, out *scenario.Outcome) (*Fig3Result, error) {
-	variants := fig3Variants(fc)
-	if len(out.Units) != len(variants) {
-		return nil, fmt.Errorf("experiments: fig3 outcome has %d units, want %d", len(out.Units), len(variants))
-	}
-	result := &Fig3Result{RefTemp: fc.RefTemp}
-	for i, v := range variants {
-		ts := out.Units[i].Series
-		run := Fig3Run{Variant: v.Variant, Traces: ts}
-
-		half := float64(fc.Period) / 2
+		half := period / 2
 		junc := ts.Get("junction")
 		stepAt := half // low-to-high transition of the first period
-		window := junc.Window(stepAt+5, float64(fc.Period)-10)
-		if st, ok := window.SettlingTime(float64(fc.RefTemp), 1.5); ok {
+		window := junc.Window(stepAt+5, period-10)
+		if st, ok := window.SettlingTime(ref, 1.5); ok {
 			run.SettleAfterStep = units.Seconds(st - stepAt)
 			run.Settled = true
 		}
 
 		fan := ts.Get("fan_cmd")
-		lowWin := fan.Window(float64(fc.Period)+half/2, float64(fc.Period)+half-10)
+		lowWin := fan.Window(period+half/2, period+half-10)
 		run.LowPhaseAmp = stats.PeakAmplitude(stats.FindPeaks(lowWin.V, 200))
-		hiWin := fan.Window(float64(fc.Period)+half+half/2, 2*float64(fc.Period)-10)
+		hiWin := fan.Window(period+half+half/2, 2*period-10)
 		run.HighPhaseAmp = stats.PeakAmplitude(stats.FindPeaks(hiWin.V, 200))
 
 		result.Runs = append(result.Runs, run)

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
+	"maps"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // Table3Row is one solution's result in the paper's Table III format.
@@ -25,9 +23,9 @@ type Table3Result struct {
 	Rows []Table3Row
 }
 
-// PaperTable3 is the published Table III, row for row with Table3Spec:
-// deadline violations (% of 1 s intervals) and fan energy normalized to
-// the uncoordinated baseline.
+// PaperTable3 is the published Table III, row for row with the jobs of
+// specs/table3.json: deadline violations (% of 1 s intervals) and fan
+// energy normalized to the uncoordinated baseline.
 var PaperTable3 = [...]struct{ ViolationPct, NormFanEnergy float64 }{
 	{26.12, 1.000},
 	{44.44, 0.703},
@@ -36,115 +34,31 @@ var PaperTable3 = [...]struct{ ViolationPct, NormFanEnergy float64 }{
 	{6.92, 0.804},
 }
 
-// Table3Config parameterizes the coordination comparison.
-type Table3Config struct {
-	Period     units.Seconds // base square-wave period
-	NoiseSigma float64       // utilization noise (paper: 0.04)
-	Duration   units.Seconds // simulated horizon
-	Seed       int64
-	// Spikes: abrupt full-load bursts on top of the square wave, the
-	// load pattern of [20] that motivates Sec. V-C. One spike lands in
-	// each phase per period.
-	SpikeLen units.Seconds
-	// Ambient is the inlet temperature. The comparison runs at 33 °C —
-	// a warm-aisle operating point where the 0.1/0.7 workload exercises
-	// the fan across the 2000–7000 rpm mid-band (the paper's measured
-	// traces live in 2000–5000 rpm) and full-load spikes genuinely
-	// exceed what the fan alone can cool below the comfort zone, so the
-	// capper stays a real actor for every scheme. At a cold inlet the
-	// fan pegs at its floor and the comparison degenerates.
-	Ambient units.Celsius
-}
-
-// DefaultTable3 returns the calibrated evaluation scenario: a 600 s
-// 0.1/0.7 square wave with σ = 0.04 noise and 30 s full-load spikes,
-// run for two simulated hours at a 33 °C inlet.
-func DefaultTable3() Table3Config {
-	return Table3Config{
-		Period:     600,
-		NoiseSigma: 0.04,
-		Duration:   7200,
-		Seed:       42,
-		SpikeLen:   30,
-		Ambient:    33,
-	}
-}
-
-// table3Base is the platform configuration the comparison runs on.
-func table3Base(tc Table3Config) sim.Config {
-	cfg := DefaultConfig()
-	if tc.Ambient != 0 {
-		cfg.Ambient = tc.Ambient
-	}
-	return cfg
-}
-
-// table3WorkloadRef names the evaluation demand trace in the scenario
-// vocabulary (the "table3" workload: noisy square wave plus phase-locked
-// full-load spikes).
-func table3WorkloadRef(tc Table3Config) scenario.FactoryRef {
-	return scenario.FactoryRef{
-		Name: "table3",
-		Seed: tc.Seed,
-		Params: scenario.Params{
-			"period":    float64(tc.Period),
-			"sigma":     tc.NoiseSigma,
-			"spike_len": float64(tc.SpikeLen),
-			"duration":  float64(tc.Duration),
-		},
-	}
-}
-
-// buildWorkload assembles the Table III demand trace — the same
-// construction the scenario vocabulary's factory performs, exposed for tests.
-//
-//lint:ignore testonly differential reference for TestTable3MatchesLegacy
-func buildWorkload(tc Table3Config, tick units.Seconds) (workload.Generator, error) {
-	f, ok := scenario.LookupWorkload("table3")
-	if !ok {
-		return nil, fmt.Errorf("experiments: no table3 workload")
-	}
-	cfg := sim.Default()
-	cfg.Tick = tick
-	ref := table3WorkloadRef(tc)
-	return f(cfg, ref.Seed, ref.Params)
-}
-
-// table3PolicyRefs lists the five Table III solutions, in the paper's
-// row order, as policy references.
-func table3PolicyRefs() []scenario.FactoryRef {
-	return []scenario.FactoryRef{
-		{Name: "none"},
-		{Name: "ecoord"},
-		{Name: "rcoord", Params: scenario.Params{"ref_temp": 75}},
-		{Name: "atref"},
-		{Name: "full"},
-	}
-}
-
-// Table3Spec builds the declarative comparison: the five solutions share
-// one demand trace, which the runner compiles once for all of them. The
-// kind stays KindLockstep, an alias of KindBatch, so the store key does
-// not move.
-func Table3Spec(tc Table3Config) scenario.Spec {
-	wref := table3WorkloadRef(tc)
-	prefs := table3PolicyRefs()
-	jobs := make([]scenario.JobSpec, len(prefs))
-	for i, pref := range prefs {
-		jobs[i] = scenario.JobSpec{
-			Workload:  wref,
-			Policy:    pref,
-			WarmStart: &sim.WarmPoint{Util: 0.1, Fan: 1200},
+// ReseedTable3 returns a copy of the Table III spec whose jobs all draw
+// their demand from seed and whose horizon, the spec's and its table3
+// workload's, is duration. The ambient × seed sweep, the Monte Carlo
+// table and the short tables of the tests are built this way from
+// specs/table3.json. That file runs the five solutions for two simulated
+// hours at a 33 °C inlet on a 600 s 0.1/0.7 square wave with σ = 0.04
+// noise and 30 s full-load spikes (the load pattern of [20] that
+// motivates Sec. V-C). The warm aisle makes the workload exercise the fan
+// across the 2000–7000 rpm mid-band (the paper's measured traces live in
+// 2000–5000 rpm), and the spikes exceed what the fan alone can cool, so
+// the capper stays a real actor for every scheme; at a cold inlet the fan
+// pegs at its floor and the comparison degenerates.
+func ReseedTable3(spec scenario.Spec, seed int64, duration units.Seconds) scenario.Spec {
+	jobs := make([]scenario.JobSpec, len(spec.Jobs))
+	for i, j := range spec.Jobs {
+		j.Workload.Seed = seed
+		j.Workload.Params = maps.Clone(j.Workload.Params)
+		if _, ok := j.Workload.Params["duration"]; ok {
+			j.Workload.Params["duration"] = float64(duration)
 		}
+		jobs[i] = j
 	}
-	base := table3Base(tc)
-	return scenario.Spec{
-		Kind:     scenario.KindLockstep,
-		Name:     "table3",
-		Base:     &base,
-		Duration: tc.Duration,
-		Jobs:     jobs,
-	}
+	spec.Jobs = jobs
+	spec.Duration = duration
+	return spec
 }
 
 // table3RowsFromUnits folds outcome units into the paper's table rows,
@@ -179,23 +93,9 @@ func table3RowsFromUnits(unitRows []scenario.Unit) []Table3Row {
 	return rows
 }
 
-// Table3 runs the five Table III solutions through the scenario runner
-// (one warm lockstep batch, bit-identical to running each solution alone
-// through sim.Run) and normalizes fan energy to the uncoordinated
-// baseline (row 1).
-func Table3(tc Table3Config) (*Table3Result, error) {
-	if tc.Duration <= 0 {
-		return nil, fmt.Errorf("experiments: non-positive duration %v", tc.Duration)
-	}
-	out, err := scenario.Run(Table3Spec(tc))
-	if err != nil {
-		return nil, err
-	}
-	return Table3FromOutcome(out), nil
-}
-
 // Table3FromOutcome folds a (possibly store-cached) outcome into the
-// paper's table.
+// paper's table, normalizing fan energy to the uncoordinated baseline
+// (row 1).
 func Table3FromOutcome(out *scenario.Outcome) *Table3Result {
 	return &Table3Result{Rows: table3RowsFromUnits(out.Units)}
 }

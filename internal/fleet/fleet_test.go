@@ -248,6 +248,21 @@ func TestRunPhysics(t *testing.T) {
 	if res.Nodes[0].Traces != nil {
 		t.Error("traces retained without Record")
 	}
+
+	// A wider hot-aisle spread costs fan energy at the same rack and
+	// workloads: the mid and hot aisles breathe hotter air.
+	fanEnergy := func(spread units.Celsius) units.Joule {
+		cfg := testRack(t, 4, 1)
+		cfg.AisleOffsets = [NumAisles]units.Celsius{Cold: 0, Mid: spread / 2, Hot: spread}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.FanEnergy
+	}
+	if narrow, wide := fanEnergy(0), fanEnergy(8); wide <= narrow {
+		t.Errorf("spread 8 fan energy %v not above spread 0 %v", wide, narrow)
+	}
 }
 
 func TestRunRecordKeepsTraces(t *testing.T) {
@@ -261,108 +276,6 @@ func TestRunRecordKeepsTraces(t *testing.T) {
 	for _, n := range res.Nodes {
 		if n.Traces == nil || n.Traces.Get("total_power") == nil {
 			t.Fatalf("node %q missing recorded traces", n.Name)
-		}
-	}
-}
-
-func TestSweepGridOrderAndDeterminism(t *testing.T) {
-	sc := SweepConfig{
-		RackSizes: []int{2, 4},
-		Spreads:   []units.Celsius{0, 8},
-		Seed:      7,
-		Duration:  300,
-	}
-	points, err := Sweep(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("%d points", len(points))
-	}
-	wantSize := []int{2, 2, 4, 4}
-	wantSpread := []units.Celsius{0, 8, 0, 8}
-	for i, p := range points {
-		if p.RackSize != wantSize[i] || p.Spread != wantSpread[i] {
-			t.Errorf("point %d = (size %d, spread %v), want (%d, %v)",
-				i, p.RackSize, p.Spread, wantSize[i], wantSpread[i])
-		}
-		if len(p.Result.Nodes) != p.RackSize {
-			t.Errorf("point %d has %d nodes", i, len(p.Result.Nodes))
-		}
-	}
-	// Wider inlet spread at equal size and identical workloads (the size
-	// sub-seed is reused across spreads) must cost fan energy.
-	if points[1].Result.FanEnergy <= points[0].Result.FanEnergy {
-		t.Errorf("spread 8 fan energy %v not above spread 0 %v",
-			points[1].Result.FanEnergy, points[0].Result.FanEnergy)
-	}
-
-	// The whole grid repeats bit-identically, including under different
-	// per-point parallelism.
-	sc.Workers = 3
-	again, err := Sweep(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range points {
-		if !reflect.DeepEqual(again[i].Result, points[i].Result) {
-			t.Fatalf("sweep point %d drifted across workers", i)
-		}
-	}
-	if _, err := Sweep(SweepConfig{Spreads: []units.Celsius{1}}); err == nil {
-		t.Error("sweep without sizes accepted")
-	}
-	if _, err := Sweep(SweepConfig{RackSizes: []int{2}}); err == nil {
-		t.Error("sweep without spreads accepted")
-	}
-	if _, err := Sweep(SweepConfig{RackSizes: []int{2}, Spreads: []units.Celsius{-1}}); err == nil {
-		t.Error("negative spread accepted")
-	}
-}
-
-// TestSweepCoordinatorColumn: with a Coordinator the sweep carries the
-// coordinated-vs-local comparison per point — the baseline stays exactly
-// the storeless local result, the coordinated side never does worse, and
-// the whole grid stays bit-identical across Workers counts.
-func TestSweepCoordinatorColumn(t *testing.T) {
-	sc := SweepConfig{
-		RackSizes:   []int{2, 4},
-		Spreads:     []units.Celsius{0, 8},
-		Seed:        7,
-		Duration:    300,
-		Recirc:      0.02,
-		Coordinator: &CoordinatorConfig{},
-	}
-	points, err := Sweep(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := sc
-	plain.Coordinator = nil
-	base, err := Sweep(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range points {
-		if p.Coord == nil {
-			t.Fatalf("point %d missing coordinated column", i)
-		}
-		if !reflect.DeepEqual(p.Result, base[i].Result) {
-			t.Errorf("point %d: coordinated sweep perturbed the local baseline", i)
-		}
-		if p.Coord.Coordinated.ViolationFrac > p.Result.ViolationFrac {
-			t.Errorf("point %d: coordinated violations above local", i)
-		}
-	}
-
-	sc.Workers = 3
-	again, err := Sweep(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range points {
-		if !reflect.DeepEqual(again[i], points[i]) {
-			t.Fatalf("coordinated sweep point %d drifted across workers", i)
 		}
 	}
 }

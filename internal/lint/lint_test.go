@@ -71,6 +71,7 @@ func TestLoaderCoverage(t *testing.T) {
 		"repro/cmd/fantune",
 		"repro/cmd/repolint",
 		"repro/cmd/scenariod",
+		"repro/specs",
 		"repro/bench",
 	} {
 		if !got[want] {

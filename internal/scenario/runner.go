@@ -532,17 +532,19 @@ const (
 // delay and the 8-bit acquisition path, on the default platform. Both
 // series are normalized to [0, 1] like the paper's plot and kept only if
 // the spec records; the measured lag is the sensor trace's half-rise
-// crossing relative to the step instant.
+// crossing relative to the step instant. A bus param the spec leaves out
+// takes sensor.DefaultBus's calibration.
 func runFig1(s Spec) (*Outcome, error) {
 	cfg := sim.Default()
 	cpu, _, err := cfg.Models()
 	if err != nil {
 		return nil, err
 	}
+	def := sensor.DefaultBus()
 	bus := sensor.Bus{
-		BaseLatency:  units.Seconds(s.Params.Get("bus_base_latency", 2)),
-		TransferTime: units.Seconds(s.Params.Get("bus_transfer_time", 0.5)),
-		NSensors:     int(s.Params.Get("bus_sensors", 16)),
+		BaseLatency:  units.Seconds(s.Params.Get("bus_base_latency", float64(def.BaseLatency))),
+		TransferTime: units.Seconds(s.Params.Get("bus_transfer_time", float64(def.TransferTime))),
+		NSensors:     int(s.Params.Get("bus_sensors", float64(def.NSensors))),
 	}
 	if err := bus.Validate(); err != nil {
 		return nil, err

@@ -10,16 +10,16 @@
 // names from a closed vocabulary (see vocab.go) with scalar parameters and
 // an explicit seed. Plain data buys two things:
 //
-//   - every experiment entry point (internal/experiments, cmd/experiments,
-//     scenariod and the spec files under specs/) shares one shape
-//     instead of growing its own XxxConfig;
+//   - every experiment entry point (cmd/experiments, scenariod and the
+//     spec files under specs/) shares one shape instead of growing its
+//     own XxxConfig;
 //   - a Spec canonicalizes to stable JSON, so its SHA-256 content hash
 //     keys a persistent result store (store.go) and Sweep resumes
 //     incrementally instead of recomputing finished cells.
 //
-// The legacy internal/experiments entry points remain as thin adapters
-// that build Specs and post-process Outcomes; their results are
-// bit-identical to the pre-scenario implementations (asserted by tests).
+// The paper's runs (Table III, Figs. 1 and 3–5, the fault run) are spec
+// files under specs/; internal/experiments only folds their Outcomes
+// into the paper's numbers.
 package scenario
 
 import (
@@ -40,7 +40,8 @@ const (
 	KindBatch = "batch"
 	// KindLockstep is an alias of KindBatch. The kind is part of a spec's
 	// store key, so it stays in the vocabulary for the specs that name it
-	// (experiments.Table3Spec, Table3MCSpec) to keep their keys.
+	// (specs/table3.json, and the sweep and Monte Carlo tables built from
+	// it) to keep their keys.
 	KindLockstep = "lockstep"
 	// KindFleet runs a rack through fleet.Run (shared inlet field,
 	// recirculation fixed point).
@@ -251,12 +252,15 @@ type FleetSpec struct {
 	Segments []BusSegment `json:"segments,omitempty"`
 
 	// Supply is the CRAC supply temperature; zero means 24 °C (the
-	// fleet.Sweep convention).
+	// supply fleet.NewRack sets).
 	Supply units.Celsius `json:"supply,omitempty"`
 	// AisleOffsets is added to Supply per aisle position (cold, mid,
 	// hot); nil means fleet.DefaultOffsets.
 	AisleOffsets *[3]units.Celsius `json:"aisle_offsets,omitempty"`
 	// Recirc / RecircPasses mirror fleet.Config's recirculation controls.
+	// RecircPasses may not exceed the rack's node count: a rack never has
+	// more slot levels than nodes, and a pass past the deepest aisle's
+	// slot levels - 1 steps no lane.
 	Recirc       units.KPerW `json:"recirc,omitempty"`
 	RecircPasses int         `json:"recirc_passes,omitempty"`
 }
@@ -476,6 +480,12 @@ func (s *Spec) validateFleetBlock() error {
 		if _, err := parseAisle(a); err != nil {
 			return fmt.Errorf("scenario: fleet layout: %w", err)
 		}
+	}
+	// Every pass runs the whole pass loop, stepped lanes or not, so an
+	// unbounded count would hold a worker for as long as it loops.
+	nodes := s.Fleet.Size + len(s.Fleet.Nodes)
+	if p := s.Fleet.RecircPasses; p < 0 || p > nodes {
+		return fmt.Errorf("scenario: fleet recirc_passes %d outside [0, %d] (the rack's node count)", p, nodes)
 	}
 	if err := s.validateSegments(); err != nil {
 		return err

@@ -28,8 +28,8 @@ func cheapSpec(ambient float64) Spec {
 	}
 }
 
-// fig1Spec is experiments.Fig1Spec(experiments.DefaultFig1()) spelled
-// out, since experiments imports this package.
+// fig1Spec is specs/fig1.json spelled out, since the specs package
+// imports this one.
 func fig1Spec() Spec {
 	return Spec{
 		Kind: KindFig1, Name: "fig1", Duration: 700, Record: true,
@@ -84,6 +84,21 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"multicore without block", Spec{Kind: KindMulticore, Duration: 10}},
 		{"fleet without duration", Spec{Kind: KindFleet, Fleet: &FleetSpec{Size: 2}}},
 		{"fleet negative duration", Spec{Kind: KindFleet, Duration: -5, Fleet: &FleetSpec{Size: 2}}},
+		{"fleet negative recirc_passes", Spec{Kind: KindFleet, Duration: 10, Fleet: &FleetSpec{Size: 2, RecircPasses: -1}}},
+		{"fleet recirc_passes above its size", Spec{Kind: KindFleet, Duration: 10, Fleet: &FleetSpec{Size: 4, RecircPasses: 5}}},
+		{"fleetcoord recirc_passes above its size", func() Spec {
+			s := goldenFleetCoordSpec()
+			s.Fleet.RecircPasses = 5
+			return s
+		}()},
+		{"fleet recirc_passes above its explicit nodes", Spec{Kind: KindFleet, Duration: 10, Fleet: &FleetSpec{
+			Nodes: []FleetNode{{
+				Name: "a", Aisle: "cold",
+				Workload: FactoryRef{Name: "constant"},
+				Policy:   FactoryRef{Name: "full"},
+			}},
+			RecircPasses: 2,
+		}}},
 		{"sim kind with inert fleet block", func() Spec {
 			s := cheapSpec(25)
 			s.Fleet = &FleetSpec{Size: 2}
@@ -301,6 +316,27 @@ func TestRunSingleMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestBuildWorkloadSpikes sanity-checks the Table III workload at the
+// params of specs/table3.json: a spike instant demands full load even
+// in the low phase, and outside the spikes the low phase stays near 0.1.
+func TestBuildWorkloadSpikes(t *testing.T) {
+	f, ok := LookupWorkload("table3")
+	if !ok {
+		t.Fatal("no table3 workload")
+	}
+	const period = 600
+	gen, err := f(sim.Default(), 42, Params{"period": period, "sigma": 0.04, "spike_len": 30, "duration": 7200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := gen.At(0.15 * period); u != 1.0 {
+		t.Errorf("demand at spike = %v, want 1.0", u)
+	}
+	if u := gen.At(10); u > 0.3 {
+		t.Errorf("low-phase demand = %v, want ~0.1", u)
+	}
+}
+
 func mustWorkload(t *testing.T, ref FactoryRef, cfg sim.Config) workload.Generator {
 	t.Helper()
 	g, err := buildWorkload(ref, cfg)
@@ -339,6 +375,39 @@ func TestBatchKindsBitIdentical(t *testing.T) {
 				if got := SimMetrics(&out.Units[i]); got != want[i] {
 					t.Errorf("%s workers=%d unit %d metrics differ:\n%+v\n%+v", kind, workers, i, got, want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestFleetRecircPassesAtNodeCount: recirc_passes may equal the rack's
+// node count, generated or explicit, and such a rack runs to the result
+// of its exact depth, since the passes past the deepest aisle's slot
+// levels - 1 step no lane. One pass more is invalid_spec
+// (TestValidateRejectsBadSpecs).
+func TestFleetRecircPassesAtNodeCount(t *testing.T) {
+	generated := Spec{Kind: KindFleet, Duration: 120, Fleet: &FleetSpec{Size: 4, Seed: 1, Recirc: 0.03}}
+	explicit := Spec{Kind: KindFleet, Duration: 120, Fleet: &FleetSpec{Recirc: 0.03, Nodes: []FleetNode{
+		{Name: "a", Aisle: "hot", Slot: 0, Workload: FactoryRef{Name: "constant", Params: Params{"u": 0.6}}, Policy: FactoryRef{Name: "full"}},
+		{Name: "b", Aisle: "hot", Slot: 1, Workload: FactoryRef{Name: "constant", Params: Params{"u": 0.4}}, Policy: FactoryRef{Name: "full"}},
+	}}}
+	for _, spec := range []Spec{generated, explicit} {
+		nodes := spec.Fleet.Size + len(spec.Fleet.Nodes)
+		fleetAt := func(passes int) *Outcome {
+			s := spec
+			fs := *spec.Fleet
+			fs.RecircPasses = passes
+			s.Fleet = &fs
+			out, err := Run(s)
+			if err != nil {
+				t.Fatalf("%d nodes, recirc_passes %d: %v", nodes, passes, err)
+			}
+			return out
+		}
+		exact, full := fleetAt(1), fleetAt(nodes)
+		for _, m := range []string{MetricViolationFrac, MetricFanEnergyJ, MetricPeakRackPowerW, MetricMaxJunctionC} {
+			if exact.Aggregate[m] != full.Aggregate[m] {
+				t.Errorf("%d nodes: %s %v at recirc_passes %d, %v at 1", nodes, m, full.Aggregate[m], nodes, exact.Aggregate[m])
 			}
 		}
 	}
@@ -403,61 +472,6 @@ func TestFleetGeneratedMatchesDirect(t *testing.T) {
 	}
 	if got := out.Aggregate[MetricPasses]; got != float64(res.Passes) {
 		t.Errorf("passes %v != %v", got, res.Passes)
-	}
-}
-
-// TestFleetGridMatchesFleetSweep pins the spec-per-cell grid (what the
-// fleetsweep subcommand builds) to fleet.Sweep: same sub-seed keying on
-// rack size, same spread-to-offsets mapping, bit-identical rack metrics.
-func TestFleetGridMatchesFleetSweep(t *testing.T) {
-	sizes := []int{2, 3}
-	spreads := []float64{0, 4}
-	const seed, recirc, duration = 1, 0.01, 400.0
-
-	ref, err := fleet.Sweep(fleet.SweepConfig{
-		RackSizes: sizes,
-		Spreads:   []units.Celsius{0, 4},
-		Seed:      seed,
-		Recirc:    recirc,
-		Duration:  duration,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var specs []Spec
-	for _, size := range sizes {
-		for _, spread := range spreads {
-			specs = append(specs, Spec{
-				Kind:     KindFleet,
-				Duration: duration,
-				Fleet: &FleetSpec{
-					Size:         size,
-					Seed:         stats.SubSeed(seed, int64(size)),
-					AisleOffsets: &[3]units.Celsius{0, units.Celsius(spread / 2), units.Celsius(spread)},
-					Recirc:       recirc,
-				},
-			})
-		}
-	}
-	res, err := Sweep(specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != len(ref) {
-		t.Fatalf("cells = %d, want %d", len(res.Cells), len(ref))
-	}
-	for i, cell := range res.Cells {
-		want := ref[i].Result
-		agg := cell.Outcome.Aggregate
-		if agg[MetricViolationFrac] != want.ViolationFrac ||
-			agg[MetricFanEnergyJ] != float64(want.FanEnergy) ||
-			agg[MetricFanEnergyShare] != want.FanEnergyShare ||
-			agg[MetricPeakRackPowerW] != float64(want.PeakRackPower) ||
-			agg[MetricMaxJunctionC] != float64(want.MaxJunction) {
-			t.Errorf("cell %d (size %d, spread %g) aggregates differ from fleet.Sweep",
-				i, ref[i].RackSize, float64(ref[i].Spread))
-		}
 	}
 }
 

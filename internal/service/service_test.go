@@ -44,8 +44,8 @@ func testSpec(ambient float64) scenario.Spec {
 	}
 }
 
-// fig1Spec is the Fig. 1 telemetry probe at the paper's setting
-// (experiments.Fig1Spec of experiments.DefaultFig1).
+// fig1Spec is the Fig. 1 telemetry probe at the paper's setting,
+// specs/fig1.json.
 func fig1Spec() scenario.Spec {
 	return scenario.Spec{
 		Kind: scenario.KindFig1, Name: "fig1", Duration: 700, Record: true,
@@ -927,6 +927,8 @@ func TestSubmitErrorCodes(t *testing.T) {
 	zeroTick.Base = &sim.Config{}
 	typo := testSpec(30)
 	typo.Jobs[0].Workload.Params = scenario.Params{"uu": 0.6}
+	deepRack := scenario.Spec{Kind: scenario.KindFleet, Duration: 60,
+		Fleet: &scenario.FleetSpec{Size: 4, Seed: 1, Recirc: 0.01, RecircPasses: 5}}
 	for _, tc := range []struct {
 		name   string
 		spec   scenario.Spec
@@ -938,6 +940,7 @@ func TestSubmitErrorCodes(t *testing.T) {
 		{"fig1 negative duration", negative, http.StatusBadRequest, CodeInvalidSpec},
 		{"fig1 base with tick 0", zeroTick, http.StatusBadRequest, CodeInvalidSpec},
 		{"typo'd param", typo, http.StatusBadRequest, CodeInvalidSpec},
+		{"recirc_passes above the node count", deepRack, http.StatusBadRequest, CodeInvalidSpec},
 	} {
 		_, err := c.Submit(ctx, tc.spec, false)
 		var se *StatusError

@@ -110,7 +110,10 @@ go test -run 'Lockstep|FixedPoint|Coordinat|ArbitrateRack|Migrate' ./internal/si
 # baseline and winning round. This gates the fleet layer end to end
 # (spec decode, shared inlet field, coordinator, aggregation) alongside
 # the unit tests above; TestFleetCoordSpecVerdict (cmd/scenariod)
-# asserts the coordinator's verdict on the fleetcoord rack.
+# asserts the coordinator's verdict on the fleetcoord rack. Every paper
+# run (table3, fig1, fig3-5 and faults) is a file under specs/ as well,
+# and TestRunMatchesSubmit, in the test pass above, pins the bytes
+# `scenariod run` prints for every file there.
 fleet_out=$(go run ./cmd/scenariod run -spec specs/fleet.json)
 echo "$fleet_out" | grep -q '"state": "done"'
 echo "$fleet_out" | grep -q '"peak_rack_power_w"'
