@@ -150,11 +150,41 @@ func (st *Store) GetEncoded(key string) ([]byte, bool, error) {
 		Version int         `json:"version"`
 		Outcome compactJSON `json:"outcome"`
 	}
-	if err := json.Unmarshal(b, &entry); err != nil || entry.Version != storeVersion || entry.Outcome == nil ||
-		!decodesAsOutcome(entry.Outcome) {
+	if err := json.Unmarshal(b, &entry); err != nil || !usable(entry.Version, entry.Outcome) {
 		return nil, false, nil
 	}
 	return entry.Outcome, true, nil
+}
+
+// GetAdmitted is GetEncoded for a caller that answers the cell for the
+// bytes that hash to its key without decoding them, as a daemon answers
+// a spec's canonical JSON. The cell must also hold a spec that passes
+// Validate and whose canonical JSON hashes to the key, so those bytes
+// are that spec's canonical JSON. A cell written by older code, under a
+// spec format or checks that have changed since, is a miss.
+func (st *Store) GetAdmitted(key string) ([]byte, bool, error) {
+	b, ok, err := st.read(key)
+	if !ok {
+		return nil, false, err
+	}
+	var entry struct {
+		Version int         `json:"version"`
+		Spec    Spec        `json:"spec"`
+		Outcome compactJSON `json:"outcome"`
+	}
+	if err := json.Unmarshal(b, &entry); err != nil || !usable(entry.Version, entry.Outcome) || entry.Spec.Validate() != nil {
+		return nil, false, nil
+	}
+	if k, err := Key(entry.Spec); err != nil || k != key {
+		return nil, false, nil
+	}
+	return entry.Outcome, true, nil
+}
+
+// usable reports whether a cell's version and outcome make it a hit: the
+// current format, and an outcome that decodes as an Outcome.
+func usable(version int, outcome compactJSON) bool {
+	return version == storeVersion && outcome != nil && decodesAsOutcome(outcome)
 }
 
 // checkOutcomes recycles the values GetEncoded decodes into only to check

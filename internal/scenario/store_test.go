@@ -501,6 +501,72 @@ func TestStoreCellBytes(t *testing.T) {
 	}
 }
 
+// TestStoreGetAdmitted: GetAdmitted answers what GetEncoded answers, but
+// only for a cell whose spec passes Validate and hashes to the cell's
+// key. Cells for a spec Validate refuses, for a spec with a member the
+// format lacks and for a spec that hashes to another key read back
+// through GetEncoded and miss through GetAdmitted.
+func TestStoreGetAdmitted(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cheapSpec(29)
+	out, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutEncoded(spec, enc); err != nil {
+		t.Fatal(err)
+	}
+	key, _ := Key(spec)
+	if got, ok, err := st.GetAdmitted(key); err != nil || !ok || string(got) != string(enc) {
+		t.Errorf("admitted cell: ok %v err %v, %d bytes; want json.Marshal's %d", ok, err, len(got), len(enc))
+	}
+
+	refused := spec
+	refused.Duration = -1
+	if err := st.PutEncoded(refused, enc); err != nil {
+		t.Fatal(err)
+	}
+	canon, _ := CanonicalJSON(spec)
+	unknown := append([]byte(`{"retired":1,`), canon[1:]...)
+	moved := []byte(strings.Replace(string(canon), `"Ambient":29,`, "", 1))
+	if string(moved) == string(canon) {
+		t.Fatal("the canonical spec holds no Ambient member")
+	}
+	refusedKey, _ := Key(refused)
+	keys := []string{refusedKey}
+	for _, spec := range [][]byte{unknown, moved} {
+		key := KeyOf(spec)
+		cell, err := json.MarshalIndent(struct {
+			Version int             `json:"version"`
+			Key     string          `json:"key"`
+			Spec    json.RawMessage `json:"spec"`
+			Outcome json.RawMessage `json:"outcome"`
+		}{storeVersion, key, spec, enc}, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.path(key), cell, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	for i, key := range keys {
+		if _, ok, err := st.GetEncoded(key); err != nil || !ok {
+			t.Errorf("cell %d: GetEncoded ok %v err %v, want a hit", i, ok, err)
+		}
+		if _, ok, err := st.GetAdmitted(key); err != nil || ok {
+			t.Errorf("cell %d: GetAdmitted ok %v err %v, want a miss without error", i, ok, err)
+		}
+	}
+}
+
 // TestPutLeavesNoTempFile: neither a Put that commits its cell nor one
 // whose rename fails (the cell's path is a directory) leaves its temp
 // file behind.

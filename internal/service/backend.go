@@ -88,6 +88,24 @@ func getEncoded(ctx context.Context, b Backend, key string) ([]byte, bool, error
 	return encoded(b.Get(ctx, key))
 }
 
+// getAdmitted is the submit fast path's lookup (see
+// Storage.getCanonical): it reads b's local tiers alone, never a remote
+// one, and answers only a cell whose spec passes Validate and hashes to
+// the key under this code, which a disk cell written by older code may
+// not. The built-in backends offer it; any other backend, whose cells
+// nothing here vouches for, misses.
+func getAdmitted(ctx context.Context, b Backend, key string) ([]byte, bool, error) {
+	switch b := b.(type) {
+	case *StoreBackend:
+		return b.getAdmitted(key)
+	case *MemBackend:
+		return b.getAdmitted(key)
+	case *RemoteBackend:
+		return b.getLocal(ctx, key)
+	}
+	return nil, false, nil
+}
+
 // putEncoded stores an encoded outcome in b: through b's encoded path
 // when it offers one, otherwise by decoding it for b's Put.
 func putEncoded(ctx context.Context, b Backend, spec scenario.Spec, enc []byte) error {
@@ -189,6 +207,20 @@ func (b *StoreBackend) GetEncoded(_ context.Context, key string) ([]byte, bool, 
 	return enc, ok, err
 }
 
+// getAdmitted is GetEncoded answering only a cell read with
+// scenario.Store.GetAdmitted, here or when it was cached.
+func (b *StoreBackend) getAdmitted(key string) ([]byte, bool, error) {
+	enc, gen, ok := b.cache.getAdmitted(key)
+	if ok {
+		return enc, true, nil
+	}
+	enc, ok, err := b.st.GetAdmitted(key)
+	if ok {
+		b.cache.admit(key, enc, gen)
+	}
+	return enc, ok, err
+}
+
 // Get decodes GetEncoded's outcome.
 func (b *StoreBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
 	return getDecoded(b.GetEncoded(ctx, key))
@@ -226,6 +258,8 @@ type memCell struct {
 	units      int
 	size       int64
 	enc        []byte
+	// admitted: the spec passed Validate when the cell was put.
+	admitted bool
 }
 
 // memCellFraming is the JSON around a memCell's spec and outcome that
@@ -258,6 +292,18 @@ func (b *MemBackend) GetEncoded(_ context.Context, key string) ([]byte, bool, er
 	return c.enc, true, nil
 }
 
+// getAdmitted is GetEncoded answering only a cell whose spec passed
+// Validate.
+func (b *MemBackend) getAdmitted(key string) ([]byte, bool, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	c, ok := b.cells[key]
+	if !ok || !c.admitted {
+		return nil, false, nil
+	}
+	return c.enc, true, nil
+}
+
 // Get decodes GetEncoded's outcome.
 func (b *MemBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
 	return getDecoded(b.GetEncoded(ctx, key))
@@ -283,6 +329,7 @@ func (b *MemBackend) PutEncoded(_ context.Context, spec scenario.Spec, enc []byt
 	c := &memCell{
 		kind: spec.Kind, name: spec.Name, units: len(probe.Units),
 		size: int64(len(canon) + len(enc) + memCellFraming), enc: enc,
+		admitted: spec.Validate() == nil,
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

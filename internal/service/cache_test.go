@@ -152,8 +152,9 @@ func TestStoreBackendCacheStaleInsert(t *testing.T) {
 
 // TestStoreBackendCacheConcurrent: reads of one hot key, which also read
 // every byte they are served, run beside Puts that alternate its
-// outcome. After each Put the key serves the new outcome, whatever the
-// readers had in flight.
+// outcome; half the readers take the submit fast path's admitted
+// lookup. After each Put the key serves the new outcome through either
+// lookup, whatever the readers had in flight.
 func TestStoreBackendCacheConcurrent(t *testing.T) {
 	b, out, replaced := cacheFixture(t)
 	hotSpec := testSpec(24)
@@ -167,6 +168,10 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 		wg.Wait()
 	}()
 	for r := 0; r < 4; r++ {
+		get := func() ([]byte, bool, error) { return b.GetEncoded(ctx, hot) }
+		if r%2 == 1 {
+			get = func() ([]byte, bool, error) { return b.getAdmitted(hot) }
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -176,7 +181,7 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				got, ok, err := b.GetEncoded(ctx, hot)
+				got, ok, err := get()
 				if err != nil {
 					t.Errorf("reader Get: %v", err)
 					return
@@ -191,12 +196,17 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 
 	for i := 0; i < 100; i++ {
 		putKey(t, b, hotSpec, []*scenario.Outcome{out, replaced}[i%2])
-		got, ok, err := b.GetEncoded(ctx, hot)
-		if err != nil || !ok {
-			t.Fatalf("round %d: Get after Put: ok=%v err=%v", i, ok, err)
-		}
-		if !bytes.Equal(got, want[i%2]) {
-			t.Fatalf("round %d: Get after Put served the outcome the Put replaced", i)
+		for _, get := range []func() ([]byte, bool, error){
+			func() ([]byte, bool, error) { return b.GetEncoded(ctx, hot) },
+			func() ([]byte, bool, error) { return b.getAdmitted(hot) },
+		} {
+			got, ok, err := get()
+			if err != nil || !ok {
+				t.Fatalf("round %d: Get after Put: ok=%v err=%v", i, ok, err)
+			}
+			if !bytes.Equal(got, want[i%2]) {
+				t.Fatalf("round %d: Get after Put served the outcome the Put replaced", i)
+			}
 		}
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 
 	"repro/internal/scenario"
@@ -112,4 +115,177 @@ func FuzzPush(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSubmitBody fuzzes the submit verb's trust boundary, POST
+// /v1/scenarios, where a body whose hash names a stored cell is answered
+// from the cell without a decode. It drives the route tables of a disk
+// daemon and an in-memory daemon, never started (so a miss answers 503
+// from the stopped queue), each holding the same few cells, and the
+// disk daemon also the cells of staleBodies. Every body must get the
+// status and the reply bytes, API code included, that submitReference
+// computes for it by the decoding path. The seeds are the stored specs'
+// canonical bodies, answered from their cells; the same specs
+// re-indented or with their fields reordered, which decode to stored
+// specs; trailing data and an unknown field, which are 400s; the
+// canonical body of a spec no daemon holds, a miss; and the bodies that
+// hash to cells this code would not compute: a stored spec that
+// Validate refuses and the stale bodies.
+func FuzzSubmitBody(f *testing.F) {
+	recorded := testSpec(25)
+	recorded.Duration, recorded.Record = 10, true
+	short := testSpec(26)
+	short.Duration = 10
+	unstored := testSpec(27)
+	unstored.Duration = 10
+	refused := short
+	refused.Duration = -1
+
+	dir := f.TempDir()
+	var muxes []http.Handler
+	var daemons []*Daemon
+	for _, cfg := range []Config{{StoreDir: dir}, {}} {
+		d, err := New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		muxes = append(muxes, d.http.srv.Handler)
+		daemons = append(daemons, d)
+	}
+	cells := make(map[string][]byte)
+	for _, spec := range []scenario.Spec{recorded, short} {
+		out, err := scenario.Run(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		enc := encode(f, out)
+		for _, d := range daemons {
+			if err := d.storage.Put(ctx, spec, enc); err != nil {
+				f.Fatal(err)
+			}
+		}
+		canon := mustCanonical(f, spec)
+		cells[scenario.KeyOf(canon)] = enc
+
+		var members map[string]json.RawMessage
+		if err := json.Unmarshal(canon, &members); err != nil {
+			f.Fatal(err)
+		}
+		reordered, err := json.Marshal(members) // members sorted by name
+		if err != nil {
+			f.Fatal(err)
+		}
+		if bytes.Equal(reordered, canon) {
+			f.Fatal("sorting the members left the canonical body as it was")
+		}
+		f.Add(canon)
+		f.Add(indentBody(f, canon))
+		f.Add(reordered)
+		f.Add(append(canon[:len(canon):len(canon)], ` {}`...))
+		f.Add(append([]byte(`{"bogus":1,`), canon[1:]...))
+	}
+	enc := cells[mustKey(f, short)]
+	for _, d := range daemons {
+		if err := d.storage.Put(ctx, refused, enc); err != nil {
+			f.Fatal(err)
+		}
+	}
+	// The reference looks these cells up too, though no body that
+	// decodes and validates hashes to their keys.
+	for _, body := range append(staleBodies(f, dir, short, enc), mustCanonical(f, refused)) {
+		cells[scenario.KeyOf(body)] = enc
+		f.Add(body)
+	}
+	f.Add(mustCanonical(f, unstored))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		status, want := submitReference(body, cells)
+		for _, mux := range muxes {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/scenarios", bytes.NewReader(body)))
+			if rec.Code != status || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("submit of %q answered %d\n%.300s\nwant %d\n%.300s", body, rec.Code, rec.Body, status, want)
+			}
+		}
+	})
+}
+
+// mustCanonical is spec's canonical JSON.
+func mustCanonical(t testing.TB, spec scenario.Spec) []byte {
+	t.Helper()
+	canon, err := scenario.CanonicalJSON(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canon
+}
+
+// mustKey is spec's content key.
+func mustKey(t testing.TB, spec scenario.Spec) string {
+	t.Helper()
+	return scenario.KeyOf(mustCanonical(t, spec))
+}
+
+// staleBodies writes into the disk store at dir two cells for spec's
+// outcome that older code could have written under a spec format that
+// has changed since, and returns the bodies that hash to their keys:
+// spec's canonical JSON with a member the format lacks, which this code
+// refuses to decode, and without the base's Ambient member, which
+// decodes to a spec that hashes to another key. Each cell reads back by
+// its key, and the submit fast path must answer neither body from it.
+func staleBodies(t testing.TB, dir string, spec scenario.Spec, enc []byte) [][]byte {
+	t.Helper()
+	canon := mustCanonical(t, spec)
+	moved := regexp.MustCompile(`"Ambient":[^,]*,`).ReplaceAll(canon, nil)
+	if bytes.Equal(moved, canon) {
+		t.Fatal("the canonical body holds no Ambient member")
+	}
+	bodies := [][]byte{append([]byte(`{"retired":1,`), canon[1:]...), moved}
+	for _, body := range bodies {
+		key := scenario.KeyOf(body)
+		cell, err := json.MarshalIndent(struct {
+			Version int             `json:"version"` // the store's cell format
+			Key     string          `json:"key"`
+			Spec    json.RawMessage `json:"spec"`
+			Outcome json.RawMessage `json:"outcome"`
+		}{1, key, body, enc}, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), cell, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bodies
+}
+
+// submitReference is the reply a submit body gets by the decoding path,
+// DecodeStrict, Validate, Key and a lookup of the stored cells (encoded
+// outcomes by key), on a daemon whose queue never started: its status
+// and its bytes.
+func submitReference(body []byte, cells map[string][]byte) (int, []byte) {
+	fail := func(status int, code, msg string) (int, []byte) {
+		b, _ := json.Marshal(apiError{Error: msg, Code: code}) // strings: cannot fail
+		return status, append(b, '\n')
+	}
+	var spec scenario.Spec
+	if err := scenario.DecodeStrict(bytes.NewReader(body), &spec); err != nil {
+		return fail(http.StatusBadRequest, CodeInvalidSpec, "decoding spec: "+err.Error())
+	}
+	if err := spec.Validate(); err != nil {
+		return fail(http.StatusBadRequest, CodeInvalidSpec, err.Error())
+	}
+	key, err := scenario.Key(spec)
+	if err != nil {
+		return fail(http.StatusBadRequest, CodeInvalidSpec, err.Error())
+	}
+	enc, ok := cells[key]
+	if !ok {
+		return fail(http.StatusServiceUnavailable, CodeShuttingDown, ErrStopped.Error())
+	}
+	b, _ := json.Marshal(struct { // an encoded outcome is valid JSON: cannot fail
+		JobStatus
+		Outcome json.RawMessage `json:"outcome"`
+	}{JobStatus{Key: key, State: StateDone, Cached: true}, enc})
+	return http.StatusOK, append(b, '\n')
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,7 +38,10 @@ import (
 // Spec and push bodies are decoded strictly (scenario.DecodeStrict): an
 // unknown field or data after the one JSON value is a 400, since a
 // typoed field would otherwise silently drop out of the content hash and
-// alias a different cell.
+// alias a different cell. The one exception is a submit body whose
+// SHA-256 names a cell in the local tiers that holds a spec this code
+// validates and hashes to the cell's key: the body is that spec in
+// canonical form, and the cell answers it without a decode.
 type HTTPServer struct {
 	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
@@ -195,10 +199,22 @@ func answerErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// handleSubmit is POST /v1/scenarios.
+// handleSubmit is POST /v1/scenarios. The body is read whole first: a
+// stored spec's canonical JSON, the body Client.Submit sends, is
+// answered from its cell (Queue.submitCanonical); any other body is
+// decoded strictly and submitted.
 func (h *HTTPServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("decoding spec: %v", err))
+		return
+	}
+	if st, ok := h.queue.submitCanonical(r.Context(), body); ok {
+		writeReply(w, http.StatusOK, st)
+		return
+	}
 	var spec scenario.Spec
-	if err := scenario.DecodeStrict(http.MaxBytesReader(w, r.Body, 16<<20), &spec); err != nil {
+	if err := scenario.DecodeStrict(bytes.NewReader(body), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, fmt.Sprintf("decoding spec: %v", err))
 		return
 	}

@@ -237,6 +237,25 @@ func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (reply, error) {
 	return j.snapshot(), nil
 }
 
+// submitCanonical answers a submit whose body is a stored spec's
+// canonical JSON straight from the local tiers, counted as Submit
+// counts a store hit. The lookup answers only a cell whose spec passes
+// Validate and hashes to the cell's key under this code, and a body
+// that hashes to that key is that spec's canonical JSON: decoding,
+// validating and hashing the body again would re-prove what the lookup
+// proved. ok=false, with nothing counted, leaves the body to the decode
+// and Submit: a body that is not canonical, a miss, a cell the lookup
+// does not admit, a lookup error or a stopped storage module.
+func (q *Queue) submitCanonical(ctx context.Context, body []byte) (reply, bool) {
+	key, enc, ok := q.storage.getCanonical(ctx, body)
+	if !ok {
+		return reply{}, false
+	}
+	q.addStat(&q.stats.submitted)
+	q.addStat(&q.stats.cacheHits)
+	return storedReply(key, enc), true
+}
+
 // Status reports a key's progress: in-flight jobs first (including
 // failures held for inspection), then the store. ok=false means the key
 // is neither in flight nor stored (on a tiered daemon the lookup reads

@@ -973,6 +973,223 @@ func TestSubmitErrorCodes(t *testing.T) {
 	}
 }
 
+// indentBody re-indents a JSON body, so it no longer hashes to its
+// spec's key and the daemon decodes it.
+func indentBody(t testing.TB, body []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Indent(&b, body, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// serve makes one request through a daemon's route table, which works
+// after Stop too, and returns its status and body.
+func serve(d *Daemon, method, path string, body []byte) (int, string) {
+	rec := httptest.NewRecorder()
+	d.http.srv.Handler.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec.Code, rec.Body.String()
+}
+
+// TestCanonicalSubmitCounts: a submit answered from its canonical body
+// counts as a decoded one does, and a follower answers it without
+// calling its leader. One sequence of submits (a fresh spec, its
+// canonical body, its re-indented body, an invalid spec, a second fresh
+// spec and its canonical body, then the first spec's canonical body once
+// the daemon has stopped) runs on a disk daemon and on a follower of an
+// in-memory leader, each twice from scratch: with the bodies as listed,
+// and with every body re-indented, which sends every submit down the
+// decoding path that every body took before canonical bodies were
+// answered from their cells. After each step both runs must read the
+// same submit reply, the same /v1/stats (tier split included), and the
+// same calls from the follower to its leader.
+func TestCanonicalSubmitCounts(t *testing.T) {
+	fresh, second := testSpec(61), testSpec(62)
+	steps := []struct {
+		name     string
+		spec     scenario.Spec
+		indented bool
+		// canonicalHit: answered from the follower's local tier alone.
+		canonicalHit bool
+		stop         bool
+	}{
+		{"fresh", fresh, false, false, false},
+		{"canonical hit", fresh, false, true, false},
+		{"re-indented hit", fresh, true, false, false},
+		{"invalid", scenario.Spec{Kind: "warp"}, false, false, false},
+		{"second fresh", second, false, false, false},
+		{"second canonical hit", second, false, true, false},
+		{"stopped", fresh, false, false, true},
+	}
+	// step is what one submit left behind.
+	type step struct {
+		status      int
+		reply       string
+		statsStatus int
+		stats       string
+		calls       []string
+	}
+	run := func(t *testing.T, tiered, indentAll bool) []step {
+		var mu sync.Mutex
+		var calls []string
+		cfg := Config{StoreDir: t.TempDir()}
+		if tiered {
+			leader := startDaemon(t, Config{})
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				calls = append(calls, r.Method+" "+r.URL.RequestURI())
+				mu.Unlock()
+				leader.http.srv.Handler.ServeHTTP(w, r)
+			}))
+			t.Cleanup(srv.Close)
+			cfg = Config{Remote: srv.URL}
+		}
+		d := startDaemon(t, cfg)
+		var out []step
+		for _, s := range steps {
+			body, err := scenario.CanonicalJSON(s.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.indented || indentAll {
+				body = indentBody(t, body)
+			}
+			if s.stop {
+				if err := d.Stop(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mu.Lock()
+			calls = nil
+			mu.Unlock()
+			var st step
+			st.status, st.reply = serve(d, http.MethodPost, "/v1/scenarios?wait=1", body)
+			mu.Lock()
+			st.calls = calls
+			mu.Unlock()
+			var sr StatsResponse
+			st.statsStatus, st.stats = serve(d, http.MethodGet, "/v1/stats", nil)
+			if st.statsStatus == http.StatusOK {
+				if err := json.Unmarshal([]byte(st.stats), &sr); err != nil {
+					t.Fatal(err)
+				}
+				// The engine probes are process-wide, and degraded time is
+				// wall time: neither is a count of this daemon's.
+				sr.SimTicks, sr.SimRuns = 0, 0
+				if sr.Storage.Tier != nil {
+					sr.Storage.Tier.DegradedMS = 0
+				}
+				b, err := json.Marshal(sr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.stats = string(b)
+			}
+			out = append(out, st)
+		}
+		return out
+	}
+	for _, tiered := range []bool{false, true} {
+		name := map[bool]string{false: "disk", true: "follower"}[tiered]
+		t.Run(name, func(t *testing.T) {
+			got, want := run(t, tiered, false), run(t, tiered, true)
+			for i, s := range steps {
+				g, w := got[i], want[i]
+				if g.status != w.status || g.statsStatus != w.statsStatus || g.stats != w.stats ||
+					fmt.Sprint(g.calls) != fmt.Sprint(w.calls) {
+					t.Errorf("%s: submit %d, stats %d %s, leader calls %q\nwant submit %d, stats %d %s, leader calls %q",
+						s.name, g.status, g.statsStatus, g.stats, g.calls, w.status, w.statsStatus, w.stats, w.calls)
+				}
+				if g.reply != w.reply {
+					t.Errorf("%s: replied %.200s\nwant %.200s", s.name, g.reply, w.reply)
+				}
+				if s.canonicalHit && len(g.calls) != 0 {
+					t.Errorf("%s: a canonical local hit called the leader: %q", s.name, g.calls)
+				}
+			}
+			if !strings.Contains(got[0].reply, `"state":"done"`) {
+				t.Errorf("fresh spec answered %.200s, want done", got[0].reply)
+			}
+			if tiered && len(got[0].calls) != 1 {
+				t.Errorf("fresh spec on a follower called the leader %q, want once", got[0].calls)
+			}
+		})
+	}
+}
+
+// TestCanonicalSubmitRefusedCells: the submit fast path answers a
+// cell only for a spec this code would compute under the cell's key.
+// Cells that older code could have written, for a spec Validate now
+// refuses (on a disk and an in-memory daemon) and for the stale bodies
+// of staleBodies (on disk), read back by their keys, yet each body that
+// hashes to one gets what the decoding path gives the same body
+// re-indented: 400 invalid_spec, or, for the key that moved, the
+// never-started queue's 503. An admitted cell answers its canonical
+// body, and on disk the answer leaves the cell's cache entry marked
+// admitted, which a re-indented submit's lookup had not.
+func TestCanonicalSubmitRefusedCells(t *testing.T) {
+	valid := testSpec(63)
+	valid.Duration = 10
+	out, err := scenario.Run(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := encode(t, out)
+	refused := valid
+	refused.Duration = -1
+	for _, onDisk := range []bool{true, false} {
+		dir := t.TempDir()
+		cfg := Config{}
+		if onDisk {
+			cfg.StoreDir = dir
+		}
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []scenario.Spec{valid, refused} {
+			if err := d.storage.Put(ctx, spec, enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bodies := [][]byte{mustCanonical(t, refused)}
+		if onDisk {
+			bodies = append(bodies, staleBodies(t, dir, valid, enc)...)
+		}
+		for _, body := range bodies {
+			if code, reply := serve(d, http.MethodGet, "/v1/scenarios/"+scenario.KeyOf(body), nil); code != http.StatusOK {
+				t.Fatalf("disk %v: GET of the cell for %.80s answered %d: %.200s", onDisk, body, code, reply)
+			}
+			code, reply := serve(d, http.MethodPost, "/v1/scenarios", body)
+			wantCode, wantReply := serve(d, http.MethodPost, "/v1/scenarios", indentBody(t, body))
+			if code != wantCode || reply != wantReply || code == http.StatusOK {
+				t.Errorf("disk %v: submit of %.80s answered %d %.200s\nwant %d %.200s", onDisk, body, code, reply, wantCode, wantReply)
+			}
+		}
+
+		body := mustCanonical(t, valid)
+		key := scenario.KeyOf(body)
+		if code, reply := serve(d, http.MethodPost, "/v1/scenarios", indentBody(t, body)); code != http.StatusOK {
+			t.Fatalf("disk %v: re-indented submit answered %d: %.200s", onDisk, code, reply)
+		}
+		sb, _ := d.storage.backend.(*StoreBackend)
+		if sb != nil {
+			if _, _, ok := sb.cache.getAdmitted(key); ok {
+				t.Error("a re-indented submit's lookup marked the cell admitted")
+			}
+		}
+		if code, reply := serve(d, http.MethodPost, "/v1/scenarios", body); code != http.StatusOK || !strings.Contains(reply, `"cached":true`) {
+			t.Errorf("disk %v: canonical body of an admitted cell answered %d: %.200s", onDisk, code, reply)
+		}
+		if sb != nil {
+			if _, _, ok := sb.cache.getAdmitted(key); !ok {
+				t.Error("a canonical submit left the cell's cache entry unadmitted")
+			}
+		}
+	}
+}
+
 // TestSubmitFig1: the Fig. 1 probe is a kind like any other, so a daemon
 // that links only the scenario layer simulates it.
 func TestSubmitFig1(t *testing.T) {

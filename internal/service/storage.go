@@ -13,11 +13,12 @@ import (
 // the caller's goroutine, on the caller's context (the HTTP request's,
 // or context.Background() for the queue's workers). It adds no deadline
 // of its own: a backend whose calls can block bounds them itself (see
-// Backend). Lookups (Get, Fetch, List) and Stats run concurrently with
-// no lock held, so a tiered Fetch waiting on its remote stalls no one;
-// this relies on backends being safe for concurrent use. Puts run one
-// at a time under a mutex, so Stop can wait out the last one before the
-// daemon closes a tiered backend's write-through queue under it.
+// Backend). Lookups (Get, Fetch, getCanonical, List) and Stats run
+// concurrently with no lock held, so a tiered Fetch waiting on its
+// remote stalls no one; this relies on backends being safe for
+// concurrent use. Puts run one at a time under a mutex, so Stop can
+// wait out the last one before the daemon closes a tiered backend's
+// write-through queue under it.
 type Storage struct {
 	backend Backend
 
@@ -91,6 +92,29 @@ func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) ([]
 		return s.count(ef.FetchEncoded(ctx, spec, key))
 	}
 	return s.count(encoded(f.Fetch(ctx, spec, key)))
+}
+
+// getCanonical answers a submit body that is a stored spec's canonical
+// JSON (the bytes scenario.CanonicalJSON returns, which Client.Submit
+// sends) from the backend's local tiers, without decoding it: it hashes
+// the body into the spec's content key and returns the key and the
+// cell's encoded outcome, counting the lookup as Fetch counts a hit.
+// getAdmitted answers only a cell whose spec passes Validate and hashes
+// to the key under this code, so the cell is the one the decoding path
+// would answer for the body. Any other result, a miss, a lookup
+// error or a stopped module, is ok=false and counts nothing, so the
+// caller can take the decoding path as if it had not looked.
+func (s *Storage) getCanonical(ctx context.Context, body []byte) (string, []byte, bool) {
+	if s.stopped.Load() {
+		return "", nil, false
+	}
+	key := scenario.KeyOf(body)
+	enc, ok, err := getAdmitted(ctx, s.backend, key)
+	if err != nil || !ok {
+		return "", nil, false
+	}
+	s.count(enc, true, nil)
+	return key, enc, true
 }
 
 // count accounts one lookup and passes its result through.

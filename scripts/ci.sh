@@ -80,6 +80,15 @@ go test -run '^$' -fuzz '^FuzzOutcomeRoundTrip$' -fuzztime 10s -fuzzminimizetime
 # minimization is capped at 1 s like the outcome round trip's.
 go test -run '^$' -fuzz '^FuzzPush$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
 
+# Submit-body fuzz smoke: POST /v1/scenarios bodies through the same two
+# daemons' route tables answer exactly as decoding, validating, hashing
+# and looking the key up would (status, code and reply bytes), though a
+# stored spec's canonical body is answered from its cell without a
+# decode, and cells whose stored spec this code refuses are never
+# answered that way. Minimization is capped at 1 s, as the push fuzz's
+# is.
+go test -run '^$' -fuzz '^FuzzSubmitBody$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
+
 # Redundant-voter fuzz smoke: arbitrary replica readings, NaN and
 # infinities included, must fuse to a finite value, and health must track
 # the quorum (FailSafe once consecutive failures outlast the hold budget).
