@@ -1,15 +1,16 @@
 // Command experiments regenerates every figure and table of the paper's
 // evaluation section (Sec. VI) from the simulator: ASCII plots for the
 // figures, aligned text tables for Table III, and optional CSV dumps for
-// external plotting. It also runs the grids that span many specs: the
-// rack and Table III sweeps and the fault campaign, which can persist
-// their cells in a content-addressed store so repeated grids resume
-// instead of recomputing, and the store's own ls and gc. Every
-// subcommand routes through the unified scenario layer
-// (internal/scenario). Every paper run is a file under specs/ (fig1,
-// fig3, fig4, fig5, table3 and faults .json) that the subcommand loads
-// and `scenariod run -spec F` runs as well; so is any other single spec,
-// such as one rack under fleet or fleetcoord.
+// external plotting. It also runs the campaigns that span many specs,
+// each a file: a grid (specs/grids/, run by `sweep -grid F`) or a fault
+// campaign (specs/campaigns/, run by `faultsweep -campaign F`). Both can
+// persist their cells in a content-addressed store, so a repeated
+// campaign resumes instead of recomputing; `store ls|gc` inspects and
+// trims that store. Every subcommand routes through the unified scenario
+// layer (internal/scenario). Every paper run is a file under specs/
+// (fig1, fig3, fig4, fig5, table3 and faults .json) that the subcommand
+// loads and `scenariod run -spec F` runs as well; so is any other single
+// spec, such as one rack under fleet or fleetcoord.
 //
 //	experiments [flags]                the figure set (fig1, fig3-5, table3)
 //	experiments SUBCOMMAND [flags]
@@ -28,15 +29,12 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/units"
 	"repro/specs"
 )
 
@@ -104,26 +102,9 @@ func main() {
 
 		mcSeeds int
 
-		fleetLayout   string
-		fleetSeed     int64
-		fleetRecirc   float64
-		fleetDuration float64
-		storeDir      string
-		sweepSizes    string
-		sweepSpreads  string
-		sweepCompare  bool
-
-		scAmbients string
-		scSeeds    int
-		scSeed0    int64
-		scDuration float64
-
-		fsTargets    string
-		fsTypes      string
-		fsSeverities string
-		fsStacks     string
-		fsDuration   float64
-		fsSeed       int64
+		storeDir     string
+		gridFile     string
+		campaignFile string
 
 		gcMaxBytes int64
 		gcMaxCells int
@@ -132,11 +113,8 @@ func main() {
 	csvFlag := func(fs *flag.FlagSet) {
 		fs.StringVar(&csvDir, "csv", "", "directory to write trace CSVs into (optional)")
 	}
-	fleetFlags := func(fs *flag.FlagSet) {
-		fs.StringVar(&fleetLayout, "layout", "cold,mid,hot", "aisle assignment pattern, cycled over nodes")
-		fs.Int64Var(&fleetSeed, "seed", 1, "root seed for per-node workload streams")
-		fs.Float64Var(&fleetRecirc, "recirc", 0.01, "inlet rise per watt of upstream mean power (K/W)")
-		fs.Float64Var(&fleetDuration, "duration", 3600, "per-node horizon in seconds")
+	storeFlag := func(fs *flag.FlagSet) {
+		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (optional)")
 	}
 	newCommand("fig1", "telemetry lag of the I2C power-sensor path", csvFlag,
 		func() error { return fig1(csvDir) })
@@ -153,35 +131,14 @@ func main() {
 		fs.IntVar(&mcSeeds, "seeds", 8, "Monte Carlo seed count")
 	}, func() error { return table3mc(mcSeeds) })
 	newCommand("faults", "full stack through a stuck sensor + dropout", nil, faults)
-	newCommand("fleetsweep", "rack size x inlet spread grid (resumable with -store)", func(fs *flag.FlagSet) {
-		fs.StringVar(&sweepSizes, "sizes", "2,4,8", "rack sizes")
-		fs.StringVar(&sweepSpreads, "spreads", "0,4,8", "hot-aisle inlet spreads (degC)")
-		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (optional)")
-		fs.BoolVar(&sweepCompare, "compare", false, "run every point under the global coordinator at its default knobs and print coordinated vs local columns")
-		fleetFlags(fs)
-	}, func() error {
-		return fleetSweep(sweepSizes, sweepSpreads, fleetLayout, fleetSeed, fleetRecirc, fleetDuration, storeDir, sweepCompare)
-	})
-	newCommand("sweep", "Table III scenario grid over ambient x seed (resumable with -store)", func(fs *flag.FlagSet) {
-		fs.StringVar(&scAmbients, "ambients", "30,33", "inlet temperatures (degC)")
-		fs.IntVar(&scSeeds, "nseeds", 2, "seeds per ambient (seed0..seed0+n-1)")
-		fs.Int64Var(&scSeed0, "seed0", 42, "first workload seed")
-		fs.Float64Var(&scDuration, "duration", 1200, "horizon in seconds")
-		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (optional)")
-	}, func() error {
-		return scenarioSweep(scAmbients, scSeeds, scSeed0, scDuration, storeDir)
-	})
-	newCommand("faultsweep", "graceful-degradation campaign: fault type × severity × target stack (resumable with -store)", func(fs *flag.FlagSet) {
-		fs.StringVar(&fsTargets, "targets", "single,fleet,fleetcoord", "target control stacks")
-		fs.StringVar(&fsTypes, "types", strings.Join(scenario.FaultTypes(), ","), "fault types")
-		fs.StringVar(&fsSeverities, "severities", "0.25,0.5,1", "fault severities in (0, 1]")
-		fs.StringVar(&fsStacks, "stacks", "full", "sensing stacks to cross (full,voting)")
-		fs.Float64Var(&fsDuration, "duration", 600, "per-cell horizon in seconds")
-		fs.Int64Var(&fsSeed, "seed", 42, "campaign seed for the seeded fault stages")
-		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (optional)")
-	}, func() error {
-		return faultSweepCampaign(fsTargets, fsTypes, fsSeverities, fsStacks, fsDuration, fsSeed, storeDir)
-	})
+	newCommand("sweep", "run a grid file's cells, one row each (resumable with -store)", func(fs *flag.FlagSet) {
+		fs.StringVar(&gridFile, "grid", "", "grid file: a base spec and axes of merge patches (required)")
+		storeFlag(fs)
+	}, func() error { return gridSweep(gridFile, storeDir) })
+	newCommand("faultsweep", "graceful-degradation campaign file: fault type × severity × target stack (resumable with -store)", func(fs *flag.FlagSet) {
+		fs.StringVar(&campaignFile, "campaign", "", "fault campaign file (required)")
+		storeFlag(fs)
+	}, func() error { return faultSweep(campaignFile, storeDir) })
 	newCommand("store", "inspect or trim a result store (actions: ls, gc)", func(fs *flag.FlagSet) {
 		fs.StringVar(&storeDir, "store", "", "content-addressed result store directory (required)")
 		fs.Int64Var(&gcMaxBytes, "maxbytes", 0, "gc: cap on summed cell bytes (0 = no byte cap)")
@@ -447,68 +404,28 @@ func faults() error {
 	return nil
 }
 
-// parseLayout maps a comma-separated aisle pattern ("cold,mid,hot") to
-// the scenario layout cycled over rack positions.
-func parseLayout(s string) ([]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var layout []string
-	for _, part := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(part)) {
-		case "cold", "c":
-			layout = append(layout, "cold")
-		case "mid", "m":
-			layout = append(layout, "mid")
-		case "hot", "h":
-			layout = append(layout, "hot")
-		default:
-			return nil, fmt.Errorf("unknown aisle %q in layout (want cold|mid|hot)", part)
-		}
-	}
-	return layout, nil
-}
-
-// parseFloats maps a comma-separated list to floats.
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// fleetSpec assembles the generated-rack scenario at the given size and
-// hot-aisle spread.
-func fleetSpec(n int, spread float64, layoutStr string, seed int64, recirc, duration float64) (scenario.Spec, error) {
-	layout, err := parseLayout(layoutStr)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	return scenario.Spec{
-		Kind:     scenario.KindFleet,
-		Name:     "fleet",
-		Duration: units.Seconds(duration),
-		Fleet: &scenario.FleetSpec{
-			Size:         n,
-			Layout:       layout,
-			Seed:         seed,
-			AisleOffsets: &[3]units.Celsius{0, units.Celsius(spread / 2), units.Celsius(spread)},
-			Recirc:       units.KPerW(recirc),
-		},
-	}, nil
-}
-
 // openStore opens the optional result store.
 func openStore(dir string) (*scenario.Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
 	return scenario.OpenStore(dir)
+}
+
+// readFile decodes a campaign file as strictly as a spec file.
+func readFile(path string, v any) error {
+	if path == "" {
+		return fmt.Errorf("no file given")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := scenario.DecodeStrict(f, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // storeLs prints the store's cell inventory (the `store ls` action).
@@ -559,150 +476,87 @@ func storeGC(dir string, maxBytes int64, maxCells int) error {
 	return nil
 }
 
-func fleetSweep(sizesStr, spreadsStr, layoutStr string, seed int64, recirc, duration float64, storeDir string, compare bool) error {
-	var sizes []int
-	for _, part := range strings.Split(sizesStr, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fmt.Errorf("bad -sizes: %w", err)
-		}
-		sizes = append(sizes, v)
-	}
-	spreads, err := parseFloats(spreadsStr)
-	if err != nil {
-		return fmt.Errorf("bad -spreads: %w", err)
-	}
-	store, err := openStore(storeDir)
-	if err != nil {
-		return err
-	}
-
-	// One scenario per grid point, row-major (sizes outer, spreads
-	// inner): the sub-seed is keyed on the rack size itself so a size
-	// reruns the same workloads at every spread, and the spread axis
-	// isolates the inlet field's effect.
-	// With -compare every point runs as a fleetcoord cell, which carries
-	// the local baseline alongside the coordinated result. The cells run
-	// the coordinator's defaults; a tuned coordinator is a fleetcoord spec
-	// with its knobs in params.
-	var specs []scenario.Spec
-	for _, size := range sizes {
-		for _, spread := range spreads {
-			spec, err := fleetSpec(size, spread, layoutStr, stats.SubSeed(seed, int64(size)), recirc, duration)
-			if err != nil {
-				return err
-			}
-			spec.Name = fmt.Sprintf("fleetsweep/size=%d/spread=%g", size, spread)
-			if compare {
-				spec.Kind = scenario.KindFleetCoord
-				spec.Name = fmt.Sprintf("fleetcoordsweep/size=%d/spread=%g", size, spread)
-			}
-			specs = append(specs, spec)
-		}
-	}
-	res, err := scenario.Sweep(specs, store)
-	if err != nil {
-		return err
-	}
-
-	if compare {
-		fmt.Printf("Fleet sweep — coordinated vs per-node control over rack size × inlet spread (%.0f s horizon, recirc %.3f K/W)\n\n",
-			duration, recirc)
-		fmt.Printf("%6s %10s %13s %13s %12s %12s %8s %6s\n",
-			"nodes", "spread(°C)", "localViol(%)", "coordViol(%)", "localFan(kJ)", "coordFan(kJ)", "migr(%)", "cache")
-	} else {
-		fmt.Printf("Fleet sweep — rack size × hot-aisle inlet spread (%.0f s horizon, recirc %.3f K/W)\n\n",
-			duration, recirc)
-		fmt.Printf("%6s %10s %12s %12s %12s %10s %8s %6s\n",
-			"nodes", "spread(°C)", "violation(%)", "fanE(kJ)", "fanShare(%)", "peakP(W)", "Tmax", "cache")
-	}
-	i := 0
-	for _, size := range sizes {
-		for _, spread := range spreads {
-			cell := res.Cells[i]
-			agg := cell.Outcome.Aggregate
-			cached := "miss"
-			if cell.Cached {
-				cached = "hit"
-			}
-			if compare {
-				fmt.Printf("%6d %10.1f %13.2f %13.2f %12.2f %12.2f %8.1f %6s\n",
-					size, spread,
-					agg[scenario.LocalMetricPrefix+scenario.MetricViolationFrac]*100,
-					agg[scenario.MetricViolationFrac]*100,
-					agg[scenario.LocalMetricPrefix+scenario.MetricFanEnergyJ]/1000,
-					agg[scenario.MetricFanEnergyJ]/1000,
-					agg[scenario.MetricCoordMigrated]*100,
-					cached)
-			} else {
-				fmt.Printf("%6d %10.1f %12.2f %12.2f %12.2f %10.0f %8.1f %6s\n",
-					size, spread,
+// sweepColumns returns the result columns `sweep` prints for cells of
+// one kind, as a header and a row per outcome: Table III's baseline and
+// full-stack rows for a batch, the rack aggregates for a fleet, and
+// local beside coordinated control for a coordinated fleet.
+func sweepColumns(kind string) (string, func(*scenario.Outcome) string, error) {
+	switch kind {
+	case scenario.KindLockstep, scenario.KindBatch:
+		return fmt.Sprintf("%16s %16s %12s", "baselineViol(%)", "fullViol(%)", "fullEnergy"),
+			func(out *scenario.Outcome) string {
+				rows := experiments.Table3FromOutcome(out).Rows
+				base, full := rows[0], rows[len(rows)-1]
+				return fmt.Sprintf("%16.2f %16.2f %12.3f", base.ViolationPct, full.ViolationPct, full.NormFanEnergy)
+			}, nil
+	case scenario.KindFleet:
+		return fmt.Sprintf("%12s %12s %12s %10s %8s", "violation(%)", "fanE(kJ)", "fanShare(%)", "peakP(W)", "Tmax"),
+			func(out *scenario.Outcome) string {
+				agg := out.Aggregate
+				return fmt.Sprintf("%12.2f %12.2f %12.2f %10.0f %8.1f",
 					agg[scenario.MetricViolationFrac]*100,
 					agg[scenario.MetricFanEnergyJ]/1000,
 					agg[scenario.MetricFanEnergyShare]*100,
 					agg[scenario.MetricPeakRackPowerW],
-					agg[scenario.MetricMaxJunctionC],
-					cached)
-			}
-			i++
-		}
+					agg[scenario.MetricMaxJunctionC])
+			}, nil
+	case scenario.KindFleetCoord:
+		return fmt.Sprintf("%13s %13s %12s %12s %8s", "localViol(%)", "coordViol(%)", "localFan(kJ)", "coordFan(kJ)", "migr(%)"),
+			func(out *scenario.Outcome) string {
+				agg := out.Aggregate
+				return fmt.Sprintf("%13.2f %13.2f %12.2f %12.2f %8.1f",
+					agg[scenario.LocalMetricPrefix+scenario.MetricViolationFrac]*100,
+					agg[scenario.MetricViolationFrac]*100,
+					agg[scenario.LocalMetricPrefix+scenario.MetricFanEnergyJ]/1000,
+					agg[scenario.MetricFanEnergyJ]/1000,
+					agg[scenario.MetricCoordMigrated]*100)
+			}, nil
 	}
-	if store != nil {
-		fmt.Printf("\nstore %s: %d hits, %d misses\n", store.Dir(), res.Hits, res.Misses)
-	}
-	fmt.Println()
-	return nil
+	return "", nil, fmt.Errorf("grid cells of kind %q have no sweep columns (want lockstep, batch, fleet or fleetcoord)", kind)
 }
 
-// scenarioSweep runs the Table III comparison (specs/table3.json) over
-// an ambient × seed grid through the scenario sweep, demonstrating
-// store-backed resume on the sim engines.
-func scenarioSweep(ambientsStr string, nSeeds int, seed0 int64, duration float64, storeDir string) error {
-	ambients, err := parseFloats(ambientsStr)
-	if err != nil {
-		return fmt.Errorf("bad -ambients: %w", err)
-	}
-	if nSeeds < 1 {
-		return fmt.Errorf("need at least one seed")
-	}
-	table3, err := specs.Load("table3.json")
-	if err != nil {
+// gridSweep runs a grid file's cells in order through the optional store
+// and prints one row per cell: its labels, the result columns of its
+// kind and whether the store served it. Every cell must be of one kind,
+// and every cell is checked before the first runs.
+func gridSweep(path, storeDir string) error {
+	var grid scenario.Grid
+	if err := readFile(path, &grid); err != nil {
 		return err
+	}
+	cells, err := grid.Specs()
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	kind := cells[0].Kind
+	for _, cell := range cells {
+		if cell.Kind != kind {
+			return fmt.Errorf("%s: cell %s is a %s spec where the first is a %s spec (a grid prints one kind's columns)", path, cell.Name, cell.Kind, kind)
+		}
+	}
+	header, row, err := sweepColumns(kind)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	store, err := openStore(storeDir)
 	if err != nil {
 		return err
-	}
-	var cells []scenario.Spec
-	var labels []string
-	for _, ambient := range ambients {
-		for s := 0; s < nSeeds; s++ {
-			seed := seed0 + int64(s)
-			spec := experiments.ReseedTable3(table3, seed, units.Seconds(duration))
-			base := *spec.Base
-			base.Ambient = units.Celsius(ambient)
-			spec.Base = &base
-			spec.Name = fmt.Sprintf("table3/ambient=%g/seed=%d", ambient, seed)
-			cells = append(cells, spec)
-			labels = append(labels, fmt.Sprintf("%6.1f %6d", ambient, seed))
-		}
 	}
 	res, err := scenario.Sweep(cells, store)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Scenario sweep — Table III (%.0f s horizon) over ambient × seed\n\n", duration)
-	fmt.Printf("%6s %6s %16s %16s %12s %6s\n",
-		"amb", "seed", "baselineViol(%)", "fullViol(%)", "fullEnergy", "cache")
+
+	labels := make([]string, len(cells))
+	width := len("cell")
+	for i, l := range grid.Labels() {
+		labels[i] = strings.Join(l, "/")
+		width = max(width, len(labels[i]))
+	}
+	fmt.Printf("Sweep — %s: %d %s cell(s)\n\n", path, len(cells), kind)
+	fmt.Printf("%-*s %s %6s\n", width, "cell", header, "cache")
 	for i, cell := range res.Cells {
-		table := experiments.Table3FromOutcome(cell.Outcome)
-		base, full := table.Rows[0], table.Rows[len(table.Rows)-1]
-		cached := "miss"
-		if cell.Cached {
-			cached = "hit"
-		}
-		fmt.Printf("%s %16.2f %16.2f %12.3f %6s\n",
-			labels[i], base.ViolationPct, full.ViolationPct, full.NormFanEnergy, cached)
+		fmt.Printf("%-*s %s %6s\n", width, labels[i], row(cell.Outcome), cacheWord(cell.Cached))
 	}
 	if store != nil {
 		fmt.Printf("\nstore %s: %d hits, %d misses\n", store.Dir(), res.Hits, res.Misses)

@@ -36,12 +36,13 @@ var PaperTable3 = [...]struct{ ViolationPct, NormFanEnergy float64 }{
 
 // ReseedTable3 returns a copy of the Table III spec whose jobs all draw
 // their demand from seed and whose horizon, the spec's and its table3
-// workload's, is duration. The ambient × seed sweep, the Monte Carlo
-// table and the short tables of the tests are built this way from
-// specs/table3.json. That file runs the five solutions for two simulated
-// hours at a 33 °C inlet on a 600 s 0.1/0.7 square wave with σ = 0.04
-// noise and 30 s full-load spikes (the load pattern of [20] that
-// motivates Sec. V-C). The warm aisle makes the workload exercise the fan
+// workload's, is duration. The Monte Carlo table and the short tables
+// of the tests are built this way from specs/table3.json; the ambient ×
+// seed grids under specs/grids write the same patch out as data.
+// specs/table3.json runs the five solutions for two simulated hours at a
+// 33 °C inlet on a 600 s 0.1/0.7 square wave with σ = 0.04 noise and
+// 30 s full-load spikes (the load pattern of [20] that motivates
+// Sec. V-C). The warm aisle makes the workload exercise the fan
 // across the 2000–7000 rpm mid-band (the paper's measured traces live in
 // 2000–5000 rpm), and the spikes exceed what the fan alone can cool, so
 // the capper stays a real actor for every scheme; at a cold inlet the fan

@@ -238,12 +238,12 @@ func FaultSpecFor(faultType string, severity float64, duration units.Seconds, se
 // baseline spec of an existing kind (single/batch/lockstep jobs, or an
 // explicit-node fleet/fleetcoord rack).
 type FaultTarget struct {
-	Name string
-	Spec Spec
+	Name string `json:"name"`
+	Spec Spec   `json:"spec"`
 	// Segment names the explicit fleet nodes sharing one telemetry bus
 	// for FaultSegment cells. Empty opts the target out of segment-type
 	// cells; non-empty requires a fleet-kind spec.
-	Segment []string
+	Segment []string `json:"segment,omitempty"`
 }
 
 // The campaign control-stack (sensing) variants: the ordinary
@@ -263,16 +263,17 @@ func DefaultVoting() *VotingSpec { return &VotingSpec{Sensors: 3} }
 
 // FaultCampaign crosses fault types x severities x targets x stacks into
 // a grid of faultsweep cells plus one fault-free baseline per
-// (target, stack).
+// (target, stack). A campaign file is its JSON (`experiments faultsweep
+// -campaign F`).
 type FaultCampaign struct {
-	Targets    []FaultTarget
-	Types      []string
-	Severities []float64
+	Targets    []FaultTarget `json:"targets"`
+	Types      []string      `json:"types"`
+	Severities []float64     `json:"severities"`
 	// Stacks selects the sensing variants (StackFull / StackVoting); nil
 	// means {full}. The voting stack arms DefaultVoting().
-	Stacks []string
+	Stacks []string `json:"stacks,omitempty"`
 	// Seed decorrelates the seeded fault stages between campaigns.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 }
 
 // Verdict is the graceful-degradation classification of one cell.
@@ -458,7 +459,9 @@ func stackVoting(stack string) (*VotingSpec, error) {
 // Every cell is then compared against its (target, stack) baseline and
 // classified. Segment-type cells run only on targets declaring Segment
 // nodes; a campaign whose Types include FaultSegment with no such target
-// is an error rather than a silently empty column.
+// is an error rather than a silently empty column. So is a target name,
+// type, severity or stack listed twice: a cell finds its baseline by
+// target name and stack.
 func FaultSweep(c FaultCampaign, store *Store) (*FaultSweepResult, error) {
 	if len(c.Targets) == 0 || len(c.Types) == 0 || len(c.Severities) == 0 {
 		return nil, fmt.Errorf("scenario: fault campaign needs targets, types and severities")
@@ -467,11 +470,24 @@ func FaultSweep(c FaultCampaign, store *Store) (*FaultSweepResult, error) {
 	if len(stacks) == 0 {
 		stacks = []string{StackFull}
 	}
+	names := make([]string, len(c.Targets))
+	for i, t := range c.Targets {
+		names[i] = t.Name
+	}
+	if name, ok := repeated(names); ok {
+		return nil, fmt.Errorf("scenario: fault campaign lists target %q twice", name)
+	}
+	if typ, ok := repeated(c.Types); ok {
+		return nil, fmt.Errorf("scenario: fault campaign lists type %q twice", typ)
+	}
+	if sev, ok := repeated(c.Severities); ok {
+		return nil, fmt.Errorf("scenario: fault campaign lists severity %g twice", sev)
+	}
+	if st, ok := repeated(stacks); ok {
+		return nil, fmt.Errorf("scenario: fault campaign lists stack %q twice", st)
+	}
 	votingFor := make(map[string]*VotingSpec, len(stacks))
 	for _, st := range stacks {
-		if _, dup := votingFor[st]; dup {
-			return nil, fmt.Errorf("scenario: fault campaign lists stack %q twice", st)
-		}
 		v, err := stackVoting(st)
 		if err != nil {
 			return nil, err
@@ -586,6 +602,19 @@ func FaultSweep(c FaultCampaign, store *Store) (*FaultSweepResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// repeated returns the first value xs holds twice, if any.
+func repeated[T comparable](xs []T) (T, bool) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // verdictRank orders verdicts for dominance comparison.

@@ -449,10 +449,15 @@ func TestFaultedFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultSweepRejectsBadCampaigns: empty axes and pre-faulted
-// baselines are campaign-construction errors.
+// TestFaultSweepRejectsBadCampaigns: empty axes, pre-faulted baselines
+// and a target name, type or severity listed twice are
+// campaign-construction errors. A second target of the same name would
+// take the first one's baseline slot, and its cells would be compared
+// against the other target's baseline.
 func TestFaultSweepRejectsBadCampaigns(t *testing.T) {
 	target := faultJobTarget(120)
+	other := faultJobTarget(120)
+	other.Spec.Jobs[0].Workload = FactoryRef{Name: "constant", Params: Params{"u": 0.6}}
 	for _, tc := range []struct {
 		name string
 		c    FaultCampaign
@@ -473,6 +478,9 @@ func TestFaultSweepRejectsBadCampaigns(t *testing.T) {
 			}}},
 			Types: []string{FaultStuck}, Severities: []float64{0.5},
 		}},
+		{"repeated target", FaultCampaign{Targets: []FaultTarget{target, other}, Types: []string{FaultPlacement}, Severities: []float64{0.5}}},
+		{"repeated type", FaultCampaign{Targets: []FaultTarget{target}, Types: []string{FaultStuck, FaultStuck}, Severities: []float64{0.5}}},
+		{"repeated severity", FaultCampaign{Targets: []FaultTarget{target}, Types: []string{FaultStuck}, Severities: []float64{0.5, 0.5}}},
 	} {
 		if _, err := FaultSweep(tc.c, nil); err == nil {
 			t.Errorf("%s: accepted", tc.name)

@@ -7,8 +7,11 @@ import "fmt"
 // persisted as soon as it finishes. Killing a sweep halfway therefore
 // loses at most the in-flight cell; the rerun recomputes only what is
 // missing (assert with ProbeSimTicks — a fully warm sweep simulates zero
-// ticks). Cells execute in spec order, one at a time: the parallelism
-// lives inside each cell's engine, which already saturates the cores.
+// ticks). Cells execute in spec order, one at a time. A cell's engine
+// takes one worker per four lanes a pass steps (sim's minLanesPerWorker),
+// so a Table III cell or a 4-node rack runs on one goroutine and a sweep
+// of them uses one core; running cells concurrently is left to a change
+// of its own.
 
 // SweepCell is one grid point's result.
 type SweepCell struct {

@@ -137,30 +137,31 @@ echo "$coord_out" | grep -q '"state": "done"'
 echo "$coord_out" | grep -q '"local_violation_frac"'
 echo "$coord_out" | grep -q '"coord_best_round"'
 
-# Scenario-store smoke: the same seeded sweep twice into a temp store.
-# The first pass computes every cell; the second must be served entirely
-# from the content-addressed store (all hits, zero misses) with the
-# result rows bit-identical (only the cache column may differ).
+# Scenario-store smoke: the same grid file (specs/grids/) twice into a
+# temp store. The first pass computes every cell; the second must be
+# served entirely from the content-addressed store (all hits, zero
+# misses) with the result rows bit-identical (only the cache column may
+# differ).
 store_dir=$(mktemp -d)
 trap 'rm -rf "$store_dir"' EXIT
-go run ./cmd/experiments sweep -ambients 30,33 -nseeds 1 -duration 300 -store "$store_dir" > "$store_dir/first.txt"
+go run ./cmd/experiments sweep -grid specs/grids/ci-sweep.json -store "$store_dir" > "$store_dir/first.txt"
 grep -q "0 hits, 2 misses" "$store_dir/first.txt"
-go run ./cmd/experiments sweep -ambients 30,33 -nseeds 1 -duration 300 -store "$store_dir" > "$store_dir/second.txt"
+go run ./cmd/experiments sweep -grid specs/grids/ci-sweep.json -store "$store_dir" > "$store_dir/second.txt"
 grep -q "2 hits, 0 misses" "$store_dir/second.txt"
 # (two plain substitutions — BRE alternation is GNU-only)
 sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$store_dir/first.txt" > "$store_dir/first.norm"
 sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$store_dir/second.txt" > "$store_dir/second.norm"
 diff "$store_dir/first.norm" "$store_dir/second.norm"
 
-# Coordinator store smoke: the comparison sweep twice into its own store
-# — the second pass must serve every coordinator cell from the store
-# (all hits) with identical comparison rows, and `store ls` must list
-# the cells it left behind.
+# Coordinator store smoke: the comparison grid (a grid of fleetcoord
+# cells) twice into its own store — the second pass must serve every
+# coordinator cell from the store (all hits) with identical comparison
+# rows, and `store ls` must list the cells it left behind.
 coord_store=$(mktemp -d)
 trap 'rm -rf "$store_dir" "$coord_store"' EXIT
-go run ./cmd/experiments fleetsweep -compare -sizes 2,3 -spreads 0,6 -duration 300 -recirc 0.03 -store "$coord_store" > "$coord_store/first.txt"
+go run ./cmd/experiments sweep -grid specs/grids/ci-fleetcoord.json -store "$coord_store" > "$coord_store/first.txt"
 grep -q "0 hits, 4 misses" "$coord_store/first.txt"
-go run ./cmd/experiments fleetsweep -compare -sizes 2,3 -spreads 0,6 -duration 300 -recirc 0.03 -store "$coord_store" > "$coord_store/second.txt"
+go run ./cmd/experiments sweep -grid specs/grids/ci-fleetcoord.json -store "$coord_store" > "$coord_store/second.txt"
 grep -q "4 hits, 0 misses" "$coord_store/second.txt"
 sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$coord_store/first.txt" > "$coord_store/first.norm"
 sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$coord_store/second.txt" > "$coord_store/second.norm"
@@ -175,27 +176,28 @@ echo "$ls_out" | grep -q "fleetcoord"
 gc_out=$(go run ./cmd/experiments store gc -maxcells 2 -store "$coord_store")
 echo "$gc_out" | grep -q "evicted 2 cell(s)"
 echo "$gc_out" | grep -q "; 2 cell(s) / [0-9]* bytes remain"
-go run ./cmd/experiments fleetsweep -compare -sizes 2,3 -spreads 0,6 -duration 300 -recirc 0.03 -store "$coord_store" > "$coord_store/third.txt"
+go run ./cmd/experiments sweep -grid specs/grids/ci-fleetcoord.json -store "$coord_store" > "$coord_store/third.txt"
 grep -q "2 hits, 2 misses" "$coord_store/third.txt"
 sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//' "$coord_store/third.txt" > "$coord_store/third.norm"
 diff "$coord_store/first.norm" "$coord_store/third.norm"
 
-# Faultsweep store smoke: a small graceful-degradation campaign crossing
-# both sensing stacks (single-chain "full" and the redundant "voting"
-# array) twice into its own store. The first pass simulates every
-# baseline and cell — 2 targets x 2 stacks baselines, plus
-# (placement,dropout on both targets + segment on the fleetcoord target,
-# which declares a bus segment) x 2 stacks = 10 cells; the second must be
-# served entirely from the store — all hits, zero misses, and (the
-# stronger claim, asserted via the engine tick probe) zero re-simulated
-# ticks — with identical verdict tables. The dominance verdict is the
-# robustness gate: voting may never degrade worse than the single chain.
+# Faultsweep store smoke: a small graceful-degradation campaign file
+# (specs/campaigns/) crossing both sensing stacks (single-chain "full"
+# and the redundant "voting" array) twice into its own store. The first
+# pass simulates every baseline and cell — 2 targets x 2 stacks
+# baselines, plus (placement,dropout on both targets + segment on the
+# fleetcoord target, which declares a bus segment) x 2 stacks = 10
+# cells; the second must be served entirely from the store — all hits,
+# zero misses, and (the stronger claim, asserted via the engine tick
+# probe) zero re-simulated ticks — with identical verdict tables. The
+# dominance verdict is the robustness gate: voting may never degrade
+# worse than the single chain.
 fault_store=$(mktemp -d)
 trap 'rm -rf "$store_dir" "$coord_store" "$fault_store"' EXIT
-go run ./cmd/experiments faultsweep -targets single,fleetcoord -types placement,dropout,segment -severities 0.5 -stacks full,voting -duration 300 -store "$fault_store" > "$fault_store/first.txt"
+go run ./cmd/experiments faultsweep -campaign specs/campaigns/ci-faults.json -store "$fault_store" > "$fault_store/first.txt"
 grep -q "0 hits, 14 misses" "$fault_store/first.txt"
 grep -q "verdict: voting dominates full: true" "$fault_store/first.txt"
-go run ./cmd/experiments faultsweep -targets single,fleetcoord -types placement,dropout,segment -severities 0.5 -stacks full,voting -duration 300 -store "$fault_store" > "$fault_store/second.txt"
+go run ./cmd/experiments faultsweep -campaign specs/campaigns/ci-faults.json -store "$fault_store" > "$fault_store/second.txt"
 grep -q "14 hits, 0 misses" "$fault_store/second.txt"
 grep -q "simulated 0 ticks" "$fault_store/second.txt"
 sed 's/ *hit$//; s/ *miss$//; s/[0-9]* hits, [0-9]* misses//; s/simulated [0-9]* ticks//' "$fault_store/first.txt" > "$fault_store/first.norm"
