@@ -16,7 +16,7 @@ GO ?= go
 # passes stay on one goroutine), so a multi-worker slowdown shows up here
 # too.
 BENCH_JSON_PATTERN = 'BenchmarkNetworkStep$$|BenchmarkServerTick|BenchmarkFaultChain|BenchmarkVotingChain|BenchmarkEngineThroughput|BenchmarkMulticoreTick|BenchmarkTable3Serial|BenchmarkLockstepVsBatch|BenchmarkFleetFixedPoint|BenchmarkFleetCoordinator|BenchmarkFleetRun|BenchmarkScenarioStoreHit|BenchmarkScenarioRerun|BenchmarkServiceStoreHit|BenchmarkRemoteBackendHit|BenchmarkStoragePut$$|BenchmarkStorageGetParallel'
-BENCH_OUT ?= BENCH_PR33.json
+BENCH_OUT ?= BENCH_PR36.json
 
 all: ci
 
@@ -61,7 +61,7 @@ bench-json:
 # >BENCH_THRESHOLD regression in time or allocations per benchmark.
 # scripts/ci.sh runs this target, so the pattern and baseline live here
 # only.
-BENCH_BASELINE ?= BENCH_PR32.json
+BENCH_BASELINE ?= BENCH_PR33.json
 BENCH_THRESHOLD ?= 0.15
 BENCH_COMPARE_TIME ?= 1s
 bench-compare:

@@ -1,6 +1,6 @@
 // Service-layer benchmarks: the scenariod HTTP round-trip on a warm key,
-// a tiered read-through, and storage-module Puts and concurrent Gets on
-// a full store.
+// a tiered read-through, and storage-module Puts and concurrent cold
+// Gets on a full store.
 // BenchmarkScenarioStoreHit prices an in-process store read and decode;
 // the round-trip adds the daemon on top — request encode, loopback HTTP,
 // queue dedup, the storage module (whose backend serves a repeated key
@@ -110,16 +110,16 @@ func BenchmarkStoragePut(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageGetParallel prices warm Storage.Get calls, the
-// encoded read the queue makes, from GOMAXPROCS goroutines at once over
-// a disk store holding 1000 cells. Lookups take no storage lock, so
-// ns/op should fall as cores are added instead of queueing behind one
-// another. Each goroutine reads its own share of the keys round and
-// round, so a key comes back only after every other key of that share,
-// more cells than the backend's outcome cache holds: every Get reads its
-// cell, decodes the outcome to check it and compacts it.
+// BenchmarkStorageGetParallel prices Storage.Get calls that miss the
+// backend's outcome cache, the encoded read the queue makes of a cell
+// not read lately, from GOMAXPROCS goroutines at once over a disk store.
+// Lookups take no storage lock, so ns/op should fall as cores are added
+// instead of queueing behind one another. Each goroutine reads its own
+// share of the keys round and round, and a share holds at least twice
+// service.CacheBytes of outcomes, so a key comes back only after the
+// cache has evicted it: every Get reads its cell, decodes the outcome to
+// check it and compacts it. A share is about 9800 cells of 430 B each.
 func BenchmarkStorageGetParallel(b *testing.B) {
-	const prefill = 1000
 	backend, err := service.OpenStoreBackend(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -129,12 +129,18 @@ func BenchmarkStorageGetParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	enc, err := json.Marshal(out)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ctx := context.Background()
-	keys := make([]string, prefill)
+	procs := runtime.GOMAXPROCS(0)
+	share := 2*service.CacheBytes/len(enc) + 1
+	keys := make([]string, procs*share)
 	for i := range keys {
 		s := spec
 		s.Name = fmt.Sprintf("bench-get-%d", i)
-		if err := backend.Put(ctx, s, out); err != nil {
+		if err := backend.PutEncoded(ctx, s, enc); err != nil {
 			b.Fatal(err)
 		}
 		if keys[i], err = scenario.Key(s); err != nil {
@@ -148,16 +154,15 @@ func BenchmarkStorageGetParallel(b *testing.B) {
 	}
 	defer s.Stop()
 
-	procs := runtime.GOMAXPROCS(0)
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		g := int(next.Add(1)-1) % procs
-		share := keys[g*prefill/procs : (g+1)*prefill/procs]
+		mine := keys[g*share : (g+1)*share]
 		for i := 0; pb.Next(); i++ {
-			if _, ok, err := s.Get(ctx, share[i%len(share)]); err != nil || !ok {
-				b.Errorf("warm get: ok=%v err=%v", ok, err)
+			if _, ok, err := s.Get(ctx, mine[i%len(mine)]); err != nil || !ok {
+				b.Errorf("cold get: ok=%v err=%v", ok, err)
 				return
 			}
 		}

@@ -19,6 +19,21 @@
 // any benchmark regressed by more than -threshold (default 15%) in wall
 // time or allocations. Benchmarks present on only one side are listed but
 // never fail the comparison (patterns evolve across PRs).
+//
+// With -ab, stdin and the named file are both raw `go test -bench`
+// output of several rounds, the change's and its base's, as
+// scripts/benchab.sh writes them: a benchmark's i-th line on one side
+// pairs with its i-th line on the other. Each benchmark prints the
+// median of its paired ns/op ratios (change/base), how many pairs the
+// change ran faster, the ratios' interquartile range and the fewest
+// allocs/op of each side. The exit is non-zero if a benchmark is
+// slower, its median ratio past 1+threshold with the change slower in
+// at least nine pairs of ten (the mirror of the rule a claimed gain
+// meets), or if the change's fewest allocs/op exceed the base's at all.
+// The fewest, since a benchmark that serves HTTP also counts the
+// allocations of the server's own goroutines, one more in some rounds.
+//
+//	go run ./cmd/benchjson -ab base.out -threshold 0.08 < head.out
 package main
 
 import (
@@ -26,7 +41,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -142,6 +159,131 @@ func compare(old, fresh Document, threshold float64) (regressed bool) {
 	return regressed
 }
 
+// abCompare pairs the base's and the head's results by round (a
+// benchmark's i-th result on each side) and prints one line per
+// benchmark in the base's order: the median of the paired head/base
+// ns/op ratios, the pairs the head won, the ratios' interquartile range
+// and each side's fewest allocs/op. It reports whether any benchmark is
+// slower (a median ratio past 1+threshold, the head slower in at least
+// nine tenths of the pairs) or allocates more (a higher fewest
+// allocs/op). Benchmarks present on only one side are listed but never
+// fail.
+func abCompare(base, head Document, threshold float64) (failed bool) {
+	baseRounds, order := byRound(base)
+	headRounds, headOrder := byRound(head)
+	fmt.Printf("%-56s %5s %8s %6s %6s %12s\n", "benchmark", "pairs", "ratio", "wins", "IQR", "allocs")
+	for _, name := range order {
+		b, h := baseRounds[name], headRounds[name]
+		n := min(len(b), len(h))
+		if n == 0 {
+			fmt.Printf("%-56s %5s\n", name, "(base only)")
+			continue
+		}
+		ratios := make([]float64, n)
+		wins, losses := 0, 0
+		for i := range ratios {
+			ratios[i] = h[i].NsPerOp / b[i].NsPerOp
+			switch {
+			case ratios[i] < 1:
+				wins++
+			case ratios[i] > 1:
+				losses++
+			}
+		}
+		q1, med, q3 := quartiles(ratios)
+		mark := ""
+		if med > 1+threshold && 10*losses >= 9*n {
+			mark = "  SLOWER"
+			failed = true
+		}
+		ba, ha := fewestAllocs(b[:n]), fewestAllocs(h[:n])
+		if ba != nil && ha != nil && *ha > *ba {
+			mark += "  ALLOCS"
+			failed = true
+		}
+		fmt.Printf("%-56s %5d %8.3f %3d/%-2d %6.3f %12s%s\n",
+			name, n, med, wins, n, q3-q1, allocsCell(ba, ha), mark)
+	}
+	for _, name := range headOrder {
+		if len(baseRounds[name]) == 0 {
+			fmt.Printf("%-56s %5s\n", name, "(head only)")
+		}
+	}
+	return failed
+}
+
+// byRound groups a document's results by benchmark name, in input order,
+// and lists the names in order of first appearance.
+func byRound(doc Document) (map[string][]Result, []string) {
+	rounds := make(map[string][]Result)
+	var order []string
+	for _, r := range doc.Benchmarks {
+		if len(rounds[r.Name]) == 0 {
+			order = append(order, r.Name)
+		}
+		rounds[r.Name] = append(rounds[r.Name], r)
+	}
+	return rounds, order
+}
+
+// quartiles returns the first quartile, the median and the third
+// quartile of xs, interpolating linearly between order statistics.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if i+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+// fewestAllocs is the lowest allocs/op over a benchmark's rounds, or nil
+// when a round lacks it (no -benchmem).
+func fewestAllocs(rs []Result) *float64 {
+	var fewest *float64
+	for _, r := range rs {
+		if r.AllocsPerOp == nil {
+			return nil
+		}
+		if fewest == nil || *r.AllocsPerOp < *fewest {
+			fewest = r.AllocsPerOp
+		}
+	}
+	return fewest
+}
+
+// parse reads `go test -bench` output: the benchmark lines, and the
+// goos/goarch/pkg/cpu header into the environment block.
+func parse(r io.Reader) (Document, error) {
+	doc := Document{Env: make(map[string]string)}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		if r, ok := parseLine(line); ok {
+			doc.Benchmarks = append(doc.Benchmarks, r)
+			continue
+		}
+		for _, key := range []string{"goos", "goarch", "pkg", "cpu"} {
+			if rest, ok := strings.CutPrefix(line, key+":"); ok {
+				doc.Env[key] = strings.TrimSpace(rest)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return Document{}, err
+	}
+	if len(doc.Benchmarks) == 0 {
+		return Document{}, fmt.Errorf("no benchmark results")
+	}
+	return doc, nil
+}
+
 // allocsCell renders an old->new allocs/op pair.
 func allocsCell(prev, cur *float64) string {
 	switch {
@@ -159,31 +301,33 @@ func allocsCell(prev, cur *float64) string {
 func main() {
 	out := flag.String("out", "", "output path (default stdout)")
 	comparePath := flag.String("compare", "", "baseline JSON to diff against; exits non-zero on regression")
-	threshold := flag.Float64("threshold", 0.15, "regression threshold for -compare (fraction of the baseline)")
+	abPath := flag.String("ab", "", "the base's raw rounds of bench output to pair stdin's with; exits non-zero on a slowdown or more allocations")
+	threshold := flag.Float64("threshold", 0.15, "regression threshold for -compare and -ab (fraction of the baseline)")
 	flag.Parse()
 
-	doc := Document{Env: make(map[string]string)}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if r, ok := parseLine(line); ok {
-			doc.Benchmarks = append(doc.Benchmarks, r)
-			continue
-		}
-		for _, key := range []string{"goos", "goarch", "pkg", "cpu"} {
-			if rest, ok := strings.CutPrefix(line, key+":"); ok {
-				doc.Env[key] = strings.TrimSpace(rest)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
+	doc, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: stdin:", err)
 		os.Exit(1)
 	}
-	if len(doc.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
-		os.Exit(1)
+	if *abPath != "" {
+		f, err := os.Open(*abPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		base, err := parse(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *abPath, err)
+			os.Exit(1)
+		}
+		if abCompare(base, doc, *threshold) {
+			fmt.Fprintf(os.Stderr, "benchjson: slower beyond %.0f%% or more allocations against %s\n",
+				*threshold*100, *abPath)
+			os.Exit(1)
+		}
+		return
 	}
 	if *comparePath != "" {
 		b, err := os.ReadFile(*comparePath)

@@ -106,6 +106,30 @@ func getAdmitted(ctx context.Context, b Backend, key string) ([]byte, bool, erro
 	return nil, false, nil
 }
 
+// footprint counts b's cells and sums their sizes, the two numbers
+// List's infos give: the built-in backends count them without opening a
+// cell (a tiered backend counts its local tier, as its List lists it),
+// and any other backend is counted with one List.
+func footprint(ctx context.Context, b Backend) (cells, size int64, err error) {
+	switch b := b.(type) {
+	case *StoreBackend:
+		n, size, err := b.st.Footprint()
+		return int64(n), size, err
+	case *MemBackend:
+		return b.footprint()
+	case *RemoteBackend:
+		return footprint(ctx, b.local)
+	}
+	infos, err := b.List(ctx)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, info := range infos {
+		size += info.Size
+	}
+	return int64(len(infos)), size, nil
+}
+
 // putEncoded stores an encoded outcome in b: through b's encoded path
 // when it offers one, otherwise by decoding it for b's Put.
 func putEncoded(ctx context.Context, b Backend, spec scenario.Spec, enc []byte) error {
@@ -171,10 +195,13 @@ func decodeOutcome(enc []byte) (*scenario.Outcome, error) {
 }
 
 // StoreBackend serves an on-disk content-addressed scenario.Store. It
-// keeps the most recently read outcomes encoded in memory (see
-// cacheBytes), so a repeated hit costs no syscall and no decode. The
-// cache sees only the changes made through this backend: a Put drops
-// the key it replaces.
+// keeps the most recently read outcomes encoded in memory, up to
+// CacheBytes of them, so a repeated hit costs no syscall and no decode.
+// The cache sees only the changes made through this backend: a Put
+// drops the key it replaces, but a cell another process rewrites or
+// deletes on disk is served from memory until the cache evicts it. A
+// content-addressed outcome stays the answer for its key, so that is
+// stale only when the engine code behind the key has changed.
 type StoreBackend struct {
 	st    *scenario.Store
 	cache outcomeCache
@@ -358,6 +385,16 @@ func (b *MemBackend) List(context.Context) ([]scenario.CellInfo, error) {
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Key < infos[j].Key })
 	return infos, nil
+}
+
+// footprint counts the cells and sums their recorded sizes.
+func (b *MemBackend) footprint() (cells, size int64, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, c := range b.cells {
+		size += c.size
+	}
+	return int64(len(b.cells)), size, nil
 }
 
 // Len counts the cells.

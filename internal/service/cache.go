@@ -5,11 +5,16 @@ import (
 	"sync"
 )
 
-// cacheBytes bounds StoreBackend's in-memory outcome cache, counted in
-// encoded outcome bytes. An outcome larger than cacheBytes/16 is never
-// cached, so one long recorded run cannot flush the small, hot cells a
-// sweep re-reads.
-const cacheBytes = 256 << 10
+// CacheBytes bounds StoreBackend's in-memory outcome cache, counted in
+// the compact JSON bytes of the outcomes it holds. 2 MiB is the smallest
+// power of two that holds a campaign's working set of 1024 small cells,
+// as bench/'s hit workload re-reads them: single-server hours, Table III
+// cells and four-node racks, 1.29 MiB of outcomes (mean 1317 B, max
+// 2631 B). Below that, a skewed re-read evicts cells before they come
+// back, and each miss re-reads and re-checks its cell. An outcome larger
+// than CacheBytes/16 is never cached, so one long recorded run cannot
+// flush the small, hot cells a sweep re-reads.
+const CacheBytes = 2 << 20
 
 // outcomeCache is a bounded LRU of encoded outcomes keyed by content
 // key. The bytes are shared: every hit returns the same slice, so
@@ -72,7 +77,7 @@ func (c *outcomeCache) admit(key string, enc []byte, gen uint64) {
 
 // insert is add, or admit when admitted is set.
 func (c *outcomeCache) insert(key string, enc []byte, gen uint64, admitted bool) {
-	if len(enc) > cacheBytes/16 {
+	if len(enc) > CacheBytes/16 {
 		return
 	}
 	c.mu.Lock()
@@ -92,7 +97,7 @@ func (c *outcomeCache) insert(key string, enc []byte, gen uint64, admitted bool)
 	}
 	c.items[key] = c.lru.PushFront(&cacheEntry{key: key, enc: enc, admitted: admitted})
 	c.bytes += len(enc)
-	for c.bytes > cacheBytes {
+	for c.bytes > CacheBytes {
 		c.remove(c.lru.Back())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -211,9 +212,68 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestOutcomeCacheBudget: the cached bytes never exceed cacheBytes, the
+// sizedOutcome is an outcome whose compact JSON is n bytes long.
+func sizedOutcome(t *testing.T, n int) *scenario.Outcome {
+	t.Helper()
+	out := &scenario.Outcome{Kind: scenario.KindSingle, Units: []scenario.Unit{{}}}
+	out.Units[0].Name = strings.Repeat("x", n-len(encode(t, out)))
+	return out
+}
+
+// TestOutcomeCacheHoldsWorkingSet: a campaign's working set that a daemon
+// serves again stays in memory once each cell has been read. The set is
+// 1024 cells holding about 1.3 MiB of outcomes, in the shape of bench/'s
+// hit workload: 512 single-server hours of 430 B, 384 Table III cells
+// of 2.6 KB and 128 four-node racks of 1 KB. Each is read once through
+// the submit fast path; with every cell file then removed, each is
+// served again, as the bytes the first read returned.
+func TestOutcomeCacheHoldsWorkingSet(t *testing.T) {
+	b, err := OpenStoreBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 1024)
+	total := 0
+	for i := range keys {
+		n := 430
+		switch {
+		case i >= 896:
+			n = 1000
+		case i >= 512:
+			n = 2600
+		}
+		spec := testSpec(24)
+		spec.Name = fmt.Sprintf("cell-%04d", i)
+		keys[i] = putKey(t, b, spec, sizedOutcome(t, n))
+		total += n
+	}
+	first := make([][]byte, len(keys))
+	for i, key := range keys {
+		enc, ok, err := b.getAdmitted(key)
+		if err != nil || !ok {
+			t.Fatalf("first read of cell %d: ok=%v err=%v", i, ok, err)
+		}
+		first[i] = enc
+	}
+	for _, key := range keys {
+		if err := os.Remove(filepath.Join(b.st.Dir(), key+".json")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missed := 0
+	for i, key := range keys {
+		if enc, ok, err := b.getAdmitted(key); err != nil || !ok || !sameBytes(enc, first[i]) {
+			missed++
+		}
+	}
+	if missed > 0 {
+		t.Errorf("%d of %d cells (%d outcome bytes in all) were not served from memory", missed, len(keys), total)
+	}
+}
+
+// TestOutcomeCacheBudget: the cached bytes never exceed CacheBytes, the
 // least recently used entry goes first, and an outcome over
-// cacheBytes/16 is never cached, in the cache alone and behind a
+// CacheBytes/16 is never cached, in the cache alone and behind a
 // StoreBackend.
 func TestOutcomeCacheBudget(t *testing.T) {
 	var c outcomeCache
@@ -222,14 +282,14 @@ func TestOutcomeCacheBudget(t *testing.T) {
 		if i == 20 {
 			c.get("0") // recently used: outlives "1"
 		}
-		c.add(fmt.Sprint(i), make([]byte, cacheBytes/40+i%7), c.gen)
+		c.add(fmt.Sprint(i), make([]byte, CacheBytes/40+i%7), c.gen)
 		sum := 0
 		for el := c.lru.Front(); el != nil; el = el.Next() {
 			sum += len(el.Value.(*cacheEntry).enc)
 		}
-		if c.bytes > cacheBytes || sum != c.bytes || len(c.items) != c.lru.Len() {
+		if c.bytes > CacheBytes || sum != c.bytes || len(c.items) != c.lru.Len() {
 			t.Fatalf("after %d adds: %d bytes (entries sum to %d) over %d items (%d in the list), budget %d",
-				i+1, c.bytes, sum, len(c.items), c.lru.Len(), cacheBytes)
+				i+1, c.bytes, sum, len(c.items), c.lru.Len(), CacheBytes)
 		}
 		if !evicted && len(c.items) <= i {
 			evicted = true
@@ -246,10 +306,10 @@ func TestOutcomeCacheBudget(t *testing.T) {
 	if _, _, ok := c.get("199"); !ok {
 		t.Error("the newest entry was evicted")
 	}
-	c.add("edge", make([]byte, cacheBytes/16), c.gen)
-	c.add("oversize", make([]byte, cacheBytes/16+1), c.gen)
+	c.add("edge", make([]byte, CacheBytes/16), c.gen)
+	c.add("oversize", make([]byte, CacheBytes/16+1), c.gen)
 	if _, _, ok := c.get("edge"); !ok {
-		t.Error("an outcome of exactly cacheBytes/16 was not cached")
+		t.Error("an outcome of exactly CacheBytes/16 was not cached")
 	}
 	if _, _, ok := c.get("oversize"); ok {
 		t.Error("an oversize outcome was cached")
@@ -258,7 +318,7 @@ func TestOutcomeCacheBudget(t *testing.T) {
 	b, _, _ := cacheFixture(t)
 	big := &scenario.Outcome{Kind: scenario.KindSingle, Units: []scenario.Unit{{
 		Name:   "big",
-		Series: trace.Set{{Name: "s", T: make([]float64, cacheBytes/16), V: make([]float64, cacheBytes/16)}},
+		Series: trace.Set{{Name: "s", T: make([]float64, CacheBytes/16), V: make([]float64, CacheBytes/16)}},
 	}}}
 	key := putKey(t, b, testSpec(24), big)
 	first, ok, err := b.GetEncoded(ctx, key)
