@@ -14,7 +14,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -114,11 +113,13 @@ func BenchmarkStoragePut(b *testing.B) {
 // backend's outcome cache, the encoded read the queue makes of a cell
 // not read lately, from GOMAXPROCS goroutines at once over a disk store.
 // Lookups take no storage lock, so ns/op should fall as cores are added
-// instead of queueing behind one another. Each goroutine reads its own
-// share of the keys round and round, and a share holds at least twice
-// service.CacheBytes of outcomes, so a key comes back only after the
-// cache has evicted it: every Get reads its cell, decodes the outcome to
-// check it and compacts it. A share is about 9800 cells of 430 B each.
+// instead of queueing behind one another. The goroutines take their keys
+// in turn from one ring holding twice service.CacheBytes of outcomes
+// (about 9800 cells of 430 B), so a key comes back only after the cache
+// has evicted it, however many goroutines run: every Get reads its
+// cell, decodes the outcome to check it and compacts it. Go calls the
+// function once per b.N it tries, and each call writes the ring afresh:
+// 1-3 s of disk writes on a 2-vCPU guest.
 func BenchmarkStorageGetParallel(b *testing.B) {
 	backend, err := service.OpenStoreBackend(b.TempDir())
 	if err != nil {
@@ -134,9 +135,7 @@ func BenchmarkStorageGetParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	procs := runtime.GOMAXPROCS(0)
-	share := 2*service.CacheBytes/len(enc) + 1
-	keys := make([]string, procs*share)
+	keys := make([]string, 2*service.CacheBytes/len(enc)+1)
 	for i := range keys {
 		s := spec
 		s.Name = fmt.Sprintf("bench-get-%d", i)
@@ -158,10 +157,9 @@ func BenchmarkStorageGetParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		g := int(next.Add(1)-1) % procs
-		mine := keys[g*share : (g+1)*share]
-		for i := 0; pb.Next(); i++ {
-			if _, ok, err := s.Get(ctx, mine[i%len(mine)]); err != nil || !ok {
+		for pb.Next() {
+			key := keys[(next.Add(1)-1)%int64(len(keys))]
+			if _, ok, err := s.Get(ctx, key); err != nil || !ok {
 				b.Errorf("cold get: ok=%v err=%v", ok, err)
 				return
 			}

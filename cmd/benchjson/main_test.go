@@ -22,13 +22,12 @@ func rounds(t *testing.T, allocs int, ns ...float64) Document {
 }
 
 // TestABCompare: pairs fail on a median slowdown past the threshold in
-// nine pairs of ten or more, or on more allocations, and pass within
-// the threshold, with fewer slow pairs, or with fewer allocations.
+// nine pairs of ten or more, or on one more allocation per op in most
+// rounds, and pass within the threshold, with fewer slow pairs, with one
+// round reading an allocation more, or with fewer allocations.
 func TestABCompare(t *testing.T) {
 	base := rounds(t, 5, 100, 110, 90, 100, 105, 100, 110, 90, 100, 105)
-	noisy := withAllocs(base, 6)
-	noisy.Benchmarks[3].AllocsPerOp = new(float64)
-	*noisy.Benchmarks[3].AllocsPerOp = 5
+	jittered := withAllocs(base, 5, 3, 7)
 	for _, tc := range []struct {
 		name string
 		head Document
@@ -41,20 +40,39 @@ func TestABCompare(t *testing.T) {
 		{"slower in eight", rounds(t, 5, 115, 125, 104, 116, 121, 115, 125, 104, 90, 100), false},
 		{"one slow pair", rounds(t, 5, 100, 110, 90, 100, 300, 100, 110, 90, 100, 105), false},
 		{"more allocs", withAllocs(base, 6), true},
-		{"more allocs in some rounds", noisy, false},
+		{"more allocs in nine rounds", withAllocs(base, 5, 0, 1, 2, 4, 5, 6, 7, 8, 9), true},
+		{"more allocs in one round", withAllocs(base, 5, 3), false},
 		{"fewer allocs", withAllocs(base, 4), false},
 	} {
 		if got := abCompare(base, tc.head, 0.1); got != tc.fail {
 			t.Errorf("%s: failed = %v, want %v", tc.name, got, tc.fail)
 		}
 	}
+	// Both sides jitter by one allocation in some rounds.
+	for _, tc := range []struct {
+		name string
+		head Document
+		fail bool
+	}{
+		{"same jitter", withAllocs(base, 5, 1, 4, 8), false},
+		{"more allocs", withAllocs(base, 6, 2, 5), true},
+	} {
+		if got := abCompare(jittered, tc.head, 0.1); got != tc.fail {
+			t.Errorf("jittered base, %s: failed = %v, want %v", tc.name, got, tc.fail)
+		}
+	}
 }
 
-// withAllocs is a copy of doc with every result's allocs/op set to n.
-func withAllocs(doc Document, n float64) Document {
+// withAllocs is a copy of doc with every result's allocs/op set to n, but
+// for the listed rounds, which read one more.
+func withAllocs(doc Document, n float64, plusOne ...int) Document {
 	out := Document{Benchmarks: append([]Result(nil), doc.Benchmarks...)}
 	for i := range out.Benchmarks {
 		out.Benchmarks[i].AllocsPerOp = &n
+	}
+	more := n + 1
+	for _, i := range plusOne {
+		out.Benchmarks[i].AllocsPerOp = &more
 	}
 	return out
 }

@@ -284,30 +284,18 @@ func (st *Store) PutEncoded(s Spec, enc []byte) error {
 
 // Len reports how many cells the store currently holds.
 func (st *Store) Len() (int, error) {
-	cells, err := st.cellFiles()
-	return len(cells), err
-}
-
-// Footprint counts the cells List would list and sums their file sizes,
-// with one scan of the directory and no cell opened, read or decoded. A
-// cell evicted while the scan runs is left out, as List leaves it out.
-func (st *Store) Footprint() (cells int, size int64, err error) {
-	files, err := st.cellFiles()
+	entries, err := os.ReadDir(st.dir)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	for _, f := range files {
-		info, err := f.Info()
-		if os.IsNotExist(err) {
-			continue // raced with a concurrent eviction; already gone
+	n := 0
+	for _, e := range entries {
+		name := e.Name()
+		if !e.IsDir() && strings.HasSuffix(name, ".json") && !strings.HasPrefix(name, ".") {
+			n++
 		}
-		if err != nil {
-			return 0, 0, fmt.Errorf("scenario: inspecting store cell %s: %w", f.Name(), err)
-		}
-		cells++
-		size += info.Size()
 	}
-	return cells, size, nil
+	return n, nil
 }
 
 // CellInfo describes one stored cell for inspection listings (store ls):
@@ -368,32 +356,17 @@ func (st *Store) List() ([]CellInfo, error) {
 
 // Keys returns the stored cell keys, sorted.
 func (st *Store) Keys() ([]string, error) {
-	files, err := st.cellFiles()
-	if err != nil {
-		return nil, err
-	}
-	var keys []string
-	for _, f := range files {
-		keys = append(keys, strings.TrimSuffix(f.Name(), ".json"))
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// cellFiles scans the store directory once for its cell files: the
-// *.json files, leaving out directories and the dot-prefixed temp files
-// a Put renames into place.
-func (st *Store) cellFiles() ([]os.DirEntry, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		return nil, err
 	}
-	cells := entries[:0]
+	var keys []string
 	for _, e := range entries {
 		name := e.Name()
 		if !e.IsDir() && strings.HasSuffix(name, ".json") && !strings.HasPrefix(name, ".") {
-			cells = append(cells, e)
+			keys = append(keys, strings.TrimSuffix(name, ".json"))
 		}
 	}
-	return cells, nil
+	sort.Strings(keys)
+	return keys, nil
 }

@@ -106,30 +106,6 @@ func getAdmitted(ctx context.Context, b Backend, key string) ([]byte, bool, erro
 	return nil, false, nil
 }
 
-// footprint counts b's cells and sums their sizes, the two numbers
-// List's infos give: the built-in backends count them without opening a
-// cell (a tiered backend counts its local tier, as its List lists it),
-// and any other backend is counted with one List.
-func footprint(ctx context.Context, b Backend) (cells, size int64, err error) {
-	switch b := b.(type) {
-	case *StoreBackend:
-		n, size, err := b.st.Footprint()
-		return int64(n), size, err
-	case *MemBackend:
-		return b.footprint()
-	case *RemoteBackend:
-		return footprint(ctx, b.local)
-	}
-	infos, err := b.List(ctx)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, info := range infos {
-		size += info.Size
-	}
-	return int64(len(infos)), size, nil
-}
-
 // putEncoded stores an encoded outcome in b: through b's encoded path
 // when it offers one, otherwise by decoding it for b's Put.
 func putEncoded(ctx context.Context, b Backend, spec scenario.Spec, enc []byte) error {
@@ -385,16 +361,6 @@ func (b *MemBackend) List(context.Context) ([]scenario.CellInfo, error) {
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Key < infos[j].Key })
 	return infos, nil
-}
-
-// footprint counts the cells and sums their recorded sizes.
-func (b *MemBackend) footprint() (cells, size int64, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, c := range b.cells {
-		size += c.size
-	}
-	return int64(len(b.cells)), size, nil
 }
 
 // Len counts the cells.

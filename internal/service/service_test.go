@@ -1300,89 +1300,6 @@ func TestListAndStats(t *testing.T) {
 	}
 }
 
-// listOnly is a backend that offers List alone for its footprint, as a
-// wrapper outside this package does.
-type listOnly struct{ Backend }
-
-// TestStatsFootprint: Stats reports the cell count and summed sizes List
-// gives, on the disk and memory backends, on tiered backends over each,
-// and on a backend that only lists, with cells that do not decode or are
-// of another format version beside good ones on disk, and a cell whose
-// spec fails Validate in memory.
-func TestStatsFootprint(t *testing.T) {
-	out, err := scenario.Run(testSpec(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk := func(t *testing.T) Backend {
-		b, err := OpenStoreBackend(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		putKey(t, b, testSpec(41), out)
-		// A torn cell and an older format's cell, which List lists, and
-		// files no listing counts: a temp file a Put would rename into
-		// place and a file that is not a cell.
-		for _, f := range [][2]string{
-			{"torn.json", `{"version": 1, "spec": {"kind": "sin`},
-			{"old.json", `{"version":0,"spec":{"kind":"single","name":"old"},"outcome":{"units":[{}]}}`},
-			{".cell.tmp-1", `{}`},
-			{"not-a-cell.txt", `{}`},
-		} {
-			if err := os.WriteFile(filepath.Join(b.st.Dir(), f[0]), []byte(f[1]), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b
-	}
-	mem := func(t *testing.T) Backend {
-		b := NewMemBackend()
-		putKey(t, b, testSpec(41), out)
-		invalid := testSpec(42)
-		invalid.Duration = -1
-		putKey(t, b, invalid, out)
-		return b
-	}
-	tiered := func(local func(*testing.T) Backend) func(*testing.T) Backend {
-		return func(t *testing.T) Backend {
-			r := NewRemoteBackend(local(t), NewClient(deadRemote))
-			t.Cleanup(func() { r.Close() })
-			return r
-		}
-	}
-	listing := func(local func(*testing.T) Backend) func(*testing.T) Backend {
-		return func(t *testing.T) Backend { return listOnly{local(t)} }
-	}
-	for _, tc := range []struct {
-		name    string
-		backend func(*testing.T) Backend
-		cells   int64
-	}{
-		{"disk", disk, 3},
-		{"mem", mem, 2},
-		{"tiered-disk", tiered(disk), 3},
-		{"tiered-mem", tiered(mem), 2},
-		{"list-only", listing(disk), 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := tc.backend(t)
-			infos, err := b.List(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var size int64
-			for _, info := range infos {
-				size += info.Size
-			}
-			st := storageStats(t, startStorage(t, b))
-			if st.Cells != int64(len(infos)) || st.Bytes != size || st.Cells != tc.cells {
-				t.Errorf("Stats counts %d cells of %d bytes; List lists %d of %d, want %d cells",
-					st.Cells, st.Bytes, len(infos), size, tc.cells)
-			}
-		})
-	}
-}
-
 // TestStoppedQueueRejectsSubmits: after Stop the queue answers
 // ErrStopped instead of queueing into a dead worker set.
 func TestStoppedQueueRejectsSubmits(t *testing.T) {

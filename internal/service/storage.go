@@ -37,8 +37,8 @@ type StorageStats struct {
 	Gets int64 `json:"gets"`
 	Hits int64 `json:"hits"`
 	Puts int64 `json:"puts"`
-	// Cells / Bytes are the backend footprint, the count and summed
-	// sizes List reports, counted per Stats call (see footprint).
+	// Cells / Bytes are the backend footprint, counted by one List per
+	// Stats call.
 	Cells int64 `json:"cells"`
 	Bytes int64 `json:"bytes"`
 	// Tier is present when the backend is tiered (RemoteBackend): the
@@ -149,17 +149,17 @@ func (s *Storage) List(ctx context.Context) ([]scenario.CellInfo, error) {
 	return s.backend.List(ctx)
 }
 
-// Stats snapshots the module's accounting, counts the footprint (see
-// footprint), and attaches the tier split when the backend keeps one.
+// Stats snapshots the module's accounting, counts the footprint with
+// one List, and attaches the tier split when the backend keeps one.
 func (s *Storage) Stats(ctx context.Context) (StorageStats, error) {
-	if s.stopped.Load() {
-		return StorageStats{}, ErrStopped
-	}
-	cells, size, err := footprint(ctx, s.backend)
+	infos, err := s.List(ctx)
 	if err != nil {
 		return StorageStats{}, err
 	}
-	st := StorageStats{Gets: s.gets.Load(), Hits: s.hits.Load(), Puts: s.puts.Load(), Cells: cells, Bytes: size}
+	st := StorageStats{Gets: s.gets.Load(), Hits: s.hits.Load(), Puts: s.puts.Load(), Cells: int64(len(infos))}
+	for _, info := range infos {
+		st.Bytes += info.Size
+	}
 	if ts, ok := s.backend.(TierStatter); ok {
 		tier := ts.TierStats()
 		st.Tier = &tier
