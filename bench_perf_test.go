@@ -347,13 +347,12 @@ func BenchmarkTable3Serial(b *testing.B) {
 // utilization vector for per-tick measurement.
 func newMulticoreHarness(b *testing.B) (*multicore.Server, []units.Utilization) {
 	b.Helper()
-	cfg := multicore.DefaultConfig()
-	server, err := multicore.NewServer(cfg)
+	server, err := multicore.NewServer(sim.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
 	server.CommandFan(4000)
-	util := multicore.SplitEven(0.6, cfg.NCore)
+	util := multicore.SplitEven(0.6, multicore.NCore)
 	for i := 0; i < 200; i++ { // grow the per-core sensor rings
 		if _, err := server.Tick(util); err != nil {
 			b.Fatal(err)
@@ -362,7 +361,7 @@ func newMulticoreHarness(b *testing.B) (*multicore.Server, []units.Utilization) 
 	return server, util
 }
 
-// BenchmarkMulticoreTick measures one N-core platform tick (thermal
+// BenchmarkMulticoreTick measures one four-core platform tick (thermal
 // network step, per-core measurement chains, fan slew) after warm-up. The
 // acceptance bar is zero allocs/op: TickResult reuses per-server scratch.
 func BenchmarkMulticoreTick(b *testing.B) {
@@ -381,9 +380,9 @@ func BenchmarkMulticoreTick(b *testing.B) {
 // controllers, result) plus nothing per tick — the loop's bookkeeping
 // (scheduler proposals, fan history, core splits) is preallocated.
 func BenchmarkMulticoreRunHour(b *testing.B) {
-	cfg := multicore.DefaultConfig()
-	cfg.Base.Ambient = 30
-	noisy, err := workload.NewNoisy(workload.PaperSquare(600), 0.04, cfg.Base.Tick, 7)
+	cfg := sim.Default()
+	cfg.Ambient = 30
+	noisy, err := workload.NewNoisy(workload.PaperSquare(600), 0.04, cfg.Tick, 7)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -81,10 +81,9 @@ func BenchmarkAblationQuantGuard(b *testing.B) {
 				cfg := sim.Default()
 				cfg.Ambient = 30
 				cfg.Sensor.ADCBits = bits
-				g := guard
 				build := func(c sim.Config) (*core.DTM, error) {
 					return core.NewDTM("ablation", core.Options{
-						Config: c, Mode: core.RuleBased, QuantGuard: &g,
+						Config: c, Mode: core.RuleBased, NoQuantGuard: !guard,
 					})
 				}
 				var fanE float64

@@ -250,8 +250,8 @@ func fig1(csvDir string) error {
 		return err
 	}
 	fmt.Println(res.Traces.Plot(trace.PlotOptions{
-		Width: 78, Height: 14,
-		Title: "Fig. 1 — power sensor lags the CPU utilization step (I2C path)",
+		Height: 14,
+		Title:  "Fig. 1 — power sensor lags the CPU utilization step (I2C path)",
 	}))
 	fmt.Printf("nominal transport lag: %v   measured half-rise lag: %.1f s\n\n",
 		res.NominalLag, float64(res.MeasuredLag))
@@ -271,8 +271,8 @@ func fig3(csvDir string) error {
 	for _, run := range res.Runs {
 		one := trace.Set{*run.Traces.Get("fan_cmd")}
 		fmt.Println(one.Plot(trace.PlotOptions{
-			Width: 78, Height: 10,
-			Title: fmt.Sprintf("fan speed — %s", run.Variant),
+			Height: 10,
+			Title:  fmt.Sprintf("fan speed — %s", run.Variant),
 		}))
 		settle := "never settles (too slow)"
 		if run.Settled {
@@ -297,8 +297,8 @@ func fig4(csvDir string) error {
 	}
 	one := trace.Set{*res.Traces.Get("fan_cmd")}
 	fmt.Println(one.Plot(trace.PlotOptions{
-		Width: 78, Height: 12,
-		Title: "Fig. 4 — deadzone fan control oscillates under a fixed workload",
+		Height: 12,
+		Title:  "Fig. 4 — deadzone fan control oscillates under a fixed workload",
 	}))
 	fmt.Printf("verdict: %v; amplitude ±%.0f rpm; period %.0f s\n\n",
 		res.Oscillation.Verdict, res.AmplitudeRPM, res.PeriodSeconds)
@@ -316,8 +316,8 @@ func fig5(csvDir string) error {
 	}
 	both := trace.Set{*res.Traces.Get("demand"), *res.Traces.Get("fan_cmd")}
 	fmt.Println(both.Plot(trace.PlotOptions{
-		Width: 78, Height: 14,
-		Title: "Fig. 5 — proposed stack under dynamic load with noise (σ = 0.04)",
+		Height: 14,
+		Title:  "Fig. 5 — proposed stack under dynamic load with noise (σ = 0.04)",
 	}))
 	fmt.Printf("fan verdict: %v; max junction %.1f °C; violations %.2f%%\n\n",
 		res.Oscillation.Verdict, float64(res.MaxJunction), res.Metrics.ViolationFrac*100)

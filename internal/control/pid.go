@@ -21,9 +21,6 @@ type PIDConfig struct {
 	RefSpeed units.RPM     // s_ref^fan, the linearization offset of Eq. 4
 	RefTemp  units.Celsius // T_ref^fan, the tracked junction temperature
 	Limits   Limits        // actuator bounds
-	// WindupLimit bounds |Σ ΔT| for anti-windup. Zero selects a default
-	// sized so the integral term alone can just saturate the actuator.
-	WindupLimit float64
 	// SlewPerStep bounds how far one decision may move the command from
 	// the currently applied speed, in rpm per decision period. Zero
 	// means unlimited. The paper's platform takes N_trans^fan decision
@@ -48,7 +45,12 @@ type PIDConfig struct {
 // with ΔT(k) = T_meas(k) − T_ref. The error sign convention makes all
 // gains positive: hotter than the set-point drives the fan faster.
 type PID struct {
-	cfg     PIDConfig
+	cfg PIDConfig
+	// windup bounds |Σ ΔT| for anti-windup, sized from the gains the
+	// controller is built with so KI·|Σ ΔT| can just cover the full
+	// actuator span: larger sums could only deepen saturation. Later
+	// SetGains calls keep it.
+	windup  float64
 	errSum  float64
 	prevErr float64
 	primed  bool
@@ -62,9 +64,6 @@ func NewPID(cfg PIDConfig) (*PID, error) {
 	if cfg.Gains.KP < 0 || cfg.Gains.KI < 0 || cfg.Gains.KD < 0 {
 		return nil, fmt.Errorf("control: negative PID gains %+v", cfg.Gains)
 	}
-	if cfg.WindupLimit < 0 {
-		return nil, fmt.Errorf("control: negative windup limit %v", cfg.WindupLimit)
-	}
 	if cfg.SlewPerStep < 0 {
 		return nil, fmt.Errorf("control: negative slew %v", cfg.SlewPerStep)
 	}
@@ -74,26 +73,18 @@ func NewPID(cfg PIDConfig) (*PID, error) {
 	if cfg.SlewFloor < 0 {
 		return nil, fmt.Errorf("control: negative slew floor %v", cfg.SlewFloor)
 	}
-	if cfg.WindupLimit == 0 {
-		cfg.WindupLimit = defaultWindup(cfg)
-	}
-	return &PID{cfg: cfg}, nil
-}
-
-// defaultWindup sizes the anti-windup clamp so KI * |Σ ΔT| can just cover
-// the full actuator span: larger sums could only deepen saturation.
-func defaultWindup(cfg PIDConfig) float64 {
-	span := float64(cfg.Limits.Max - cfg.Limits.Min)
+	// Without KI the bound is unused; the span keeps it finite.
+	windup := float64(cfg.Limits.Max - cfg.Limits.Min)
 	if cfg.Gains.KI > 0 {
-		return span / cfg.Gains.KI
+		windup /= cfg.Gains.KI
 	}
-	return span // unused when KI == 0, but keep it finite
+	return &PID{cfg: cfg, windup: windup}, nil
 }
 
 // Decide implements FanController.
 func (p *PID) Decide(in FanInputs) units.RPM {
 	e := float64(in.Meas - p.cfg.RefTemp)
-	p.errSum = units.Clamp(p.errSum+e, -p.cfg.WindupLimit, p.cfg.WindupLimit)
+	p.errSum = units.Clamp(p.errSum+e, -p.windup, p.windup)
 	var de float64
 	if p.primed {
 		de = e - p.prevErr

@@ -31,9 +31,6 @@ func TestPIDValidation(t *testing.T) {
 	if _, err := NewPID(PIDConfig{Limits: Limits{Min: 5000, Max: 1000}}); err == nil {
 		t.Error("reversed limits accepted")
 	}
-	if _, err := NewPID(PIDConfig{Limits: testLimits, WindupLimit: -1}); err == nil {
-		t.Error("negative windup accepted")
-	}
 }
 
 func TestPIDProportionalOnly(t *testing.T) {
@@ -135,23 +132,15 @@ func TestPIDOutputClamped(t *testing.T) {
 
 func TestPIDAntiWindup(t *testing.T) {
 	// Long saturation must not wind the integral so far that recovery
-	// takes longer than the windup bound allows.
-	p, err := NewPID(PIDConfig{
-		Gains:       PIDGains{KI: 1},
-		RefSpeed:    2000,
-		RefTemp:     75,
-		Limits:      testLimits,
-		WindupLimit: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// takes longer than the windup bound allows. KI = 75 makes the bound
+	// span / KI = 7500/75 = 100.
+	p := newTestPID(t, PIDGains{KI: 75})
 	for i := 0; i < 1000; i++ {
 		p.Decide(FanInputs{Meas: 85}) // +10 error, saturates quickly
 	}
-	// errSum is clamped at +100 -> output 2100 once unsaturated... then
-	// a -10 C error must pull the output below ref within ~20 steps, not
-	// the ~1000 an unbounded sum would need.
+	// errSum is clamped at +100, so a -10 C error must pull the output
+	// below ref within ~10 steps, not the ~1000 an unbounded sum would
+	// need.
 	var got units.RPM
 	for i := 0; i < 25; i++ {
 		got = p.Decide(FanInputs{Meas: 65})

@@ -49,13 +49,13 @@ func (m CoordMode) String() string {
 }
 
 // Options configures a DTM policy. NewDTM applies the documented defaults
-// to zero fields.
+// to zero fields; the paper's fixed parameters are the constants below.
 type Options struct {
 	// Platform the DTM manages; used for actuator limits and the models
 	// E-coord scores actions with. Required.
 	Config sim.Config
 
-	// FanInterval is Δt_fan^control (default 30 s, Sec. VI-A).
+	// FanInterval is Δt_fan^control (default DefaultFanInterval).
 	FanInterval units.Seconds
 	// RefTemp is the fan controller set-point T_ref^fan (default 75 °C).
 	RefTemp units.Celsius
@@ -64,122 +64,91 @@ type Options struct {
 	Mode CoordMode
 
 	// AdaptiveRef enables the predictive T_ref scheduler of Sec. V-B
-	// over [RefLo, RefHi] (defaults 70 / 80 °C) with a moving-average
-	// predictor of PredictorWindow CPU ticks (default 30).
-	AdaptiveRef     bool
-	RefLo, RefHi    units.Celsius
-	PredictorWindow int
+	// over [refLo, refHi] with a predictorWindow-tick moving average.
+	AdaptiveRef bool
 
 	// SingleStep enables the Sec. V-C fan boost: when the violated-tick
-	// fraction over BoostWindow ticks (default 10) exceeds
-	// BoostThreshold (default 0.3), the fan pins to maximum.
-	SingleStep     bool
-	BoostThreshold float64
-	BoostWindow    int
+	// fraction over boostWindow ticks exceeds boostThreshold, the fan
+	// pins to maximum.
+	SingleStep bool
 
 	// Regions is the adaptive PID gain schedule (default DefaultRegions).
 	Regions []control.Region
-	// QuantGuard applies Eq. 10 with the sensor's quantization step
-	// (default true).
-	QuantGuard *bool
-	// FanSlewPerDecision bounds how far one fan decision may move the
-	// command (default 1500 rpm; negative disables). Sec. V-C's
-	// N_trans^fan — multiple decision periods to traverse the range —
-	// presumes exactly such a bound, and it caps the overshoot a
-	// quantized error can command.
-	FanSlewPerDecision units.RPM
-
-	// CPU capper band and step (defaults 76 / 79 °C, 0.05, floor 0.5).
-	// Under NoCoordination and RuleBased the band is re-derived every
-	// tick to ride CapBandOffset above the current fan set-point — the
-	// capper's hold band must sit strictly above the quantization
-	// guard's hold band or the system deadlocks with a starved cap and
-	// a held fan (both controllers inside their deadzones).
-	// CapLow/CapHigh seed the initial band and the E-coord thresholds.
-	CapLow, CapHigh units.Celsius
-	CapStep         units.Utilization
-	MinCap          units.Utilization
-	// CapBandOffset is how far above the fan set-point (plus one
-	// quantization step) the capper release threshold sits; the band is
-	// CapBandWidth wide and clamped below TLimit. Defaults 0.5 / 2.5 °C.
-	CapBandOffset units.Celsius
-	CapBandWidth  units.Celsius
-	// CoordEpoch is the global coordinator's action period (default
-	// 5 s): performance-harming actions (cap cuts, E-coord escalations)
-	// are serialized to at most one per epoch — "only one control
-	// action at a time" (Sec. V-A) — while performance-restoring ones
-	// (cap releases) pass freely, implementing the table's performance
-	// bias.
-	CoordEpoch units.Seconds
-
-	// Emergency is the E-coord emergency threshold (default CapHigh).
-	Emergency units.Celsius
+	// NoQuantGuard drops Eq. 10's guard, which otherwise holds the fan
+	// inside the sensor's quantization step.
+	NoQuantGuard bool
 }
 
 func (o *Options) setDefaults() {
 	if o.FanInterval == 0 {
-		o.FanInterval = 30
+		o.FanInterval = DefaultFanInterval
 	}
 	if o.RefTemp == 0 {
 		o.RefTemp = 75
 	}
-	if o.RefLo == 0 {
-		o.RefLo = 70
-	}
-	if o.RefHi == 0 {
-		// The paper scales T_ref up to 80 °C; with the 80 °C hardware
-		// limit, 1 °C quantization and the 10 s lag, a set-point above
-		// 78 leaves the capper no band to operate in, so the shipped
-		// default stops there.
-		o.RefHi = 78
-	}
-	if o.PredictorWindow == 0 {
-		o.PredictorWindow = 30
-	}
-	if o.BoostThreshold == 0 {
-		o.BoostThreshold = 0.3
-	}
-	if o.BoostWindow == 0 {
-		o.BoostWindow = 10
-	}
 	if o.Regions == nil {
 		o.Regions = DefaultRegions()
 	}
-	if o.FanSlewPerDecision == 0 {
-		o.FanSlewPerDecision = 1500
-	}
-	if o.QuantGuard == nil {
-		t := true
-		o.QuantGuard = &t
-	}
-	if o.CapLow == 0 {
-		o.CapLow = 76
-	}
-	if o.CapHigh == 0 {
-		o.CapHigh = 79
-	}
-	if o.CapStep == 0 {
-		o.CapStep = 0.05
-	}
-	if o.MinCap == 0 {
-		// Real platforms floor the P-state cap near half throttle;
-		// deeper caps would let a scheme "save" fan energy by starving
-		// the machine outright.
-		o.MinCap = 0.5
-	}
-	if o.CapBandOffset == 0 {
-		o.CapBandOffset = 0.5
-	}
-	if o.CapBandWidth == 0 {
-		o.CapBandWidth = 2.5
-	}
-	if o.CoordEpoch == 0 {
-		o.CoordEpoch = 5
-	}
-	if o.Emergency == 0 {
-		o.Emergency = o.CapHigh
-	}
 }
+
+// The DTM's fixed parameters.
+const (
+	// refLo and refHi bound the predictive T_ref scheduler (Sec. V-B).
+	// The paper scales T_ref up to 80 °C; with the 80 °C hardware limit,
+	// 1 °C quantization and the 10 s lag, a set-point above 78 leaves the
+	// capper no band to operate in, so the band stops there.
+	refLo units.Celsius = 70
+	refHi units.Celsius = 78
+	// predictorWindow is the T_ref predictor's moving-average window in
+	// CPU ticks.
+	predictorWindow = 30
+
+	// boostThreshold and boostWindow trigger the Sec. V-C fan boost.
+	boostThreshold = 0.3
+	boostWindow    = 10
+
+	// fanSlewPerDecision bounds how far one fan decision may move the
+	// command. Sec. V-C's N_trans^fan — multiple decision periods to
+	// traverse the range — presumes exactly such a bound, and it caps the
+	// overshoot a quantized error can command.
+	fanSlewPerDecision units.RPM = 1500
+
+	// CPU capper band and step. Under NoCoordination and RuleBased the
+	// band is re-derived every tick to ride capBandOffset above the
+	// current fan set-point — the capper's hold band must sit strictly
+	// above the quantization guard's hold band or the system deadlocks
+	// with a starved cap and a held fan (both controllers inside their
+	// deadzones). capLow/capHigh seed the initial band and the E-coord
+	// thresholds.
+	capLow, capHigh units.Celsius     = 76, 79
+	capStep         units.Utilization = 0.05
+	// capBandOffset is how far above the fan set-point (plus one
+	// quantization step) the capper release threshold sits; the band is
+	// capBandWidth wide and clamped below TLimit.
+	capBandOffset units.Celsius = 0.5
+	capBandWidth  units.Celsius = 2.5
+
+	// minCap is the cap floor. Real platforms floor the P-state cap near
+	// half throttle; deeper caps would let a scheme "save" fan energy by
+	// starving the machine outright.
+	minCap units.Utilization = 0.5
+	// eCoordMinCap is EnergyAware's floor: the energy-greedy scheme
+	// happily starves the machine — capping both cools and saves power,
+	// so by its own objective there is no reason to stop early. That
+	// asymmetry against the rule-based schemes' floor is exactly the
+	// performance blindness the paper criticizes.
+	eCoordMinCap units.Utilization = 0.1
+
+	// coordEpoch is the global coordinator's action period:
+	// performance-harming actions (cap cuts, E-coord escalations) are
+	// serialized to at most one per epoch — "only one control action at
+	// a time" (Sec. V-A) — while performance-restoring ones (cap
+	// releases) pass freely, implementing the table's performance bias.
+	coordEpoch units.Seconds = 5
+
+	// emergency is the E-coord emergency threshold.
+	emergency = capHigh
+)
 
 // DTM is the global controller of Fig. 2 as a sim.Policy.
 type DTM struct {
@@ -208,7 +177,7 @@ type DTM struct {
 	// persisting until its next decision.
 	standingFanDir coord.Direction
 	// lastCut is the last performance-harming action instant; such
-	// actions are serialized to one per CoordEpoch.
+	// actions are serialized to one per coordEpoch.
 	lastCut units.Seconds
 	everCut bool
 	// lastRelease is the E-coord lazy cap-release instant.
@@ -226,29 +195,27 @@ func NewDTM(name string, opt Options) (*DTM, error) {
 	}
 	limits := control.Limits{Min: opt.Config.FanMinSpeed, Max: opt.Config.FanMaxSpeed}
 
-	refTemp := opt.RefTemp
+	refTemp, floor := opt.RefTemp, minCap
 	if opt.Mode == EnergyAware {
 		// The energy-greedy scheme runs the fan as lazily as the
-		// hardware limit allows; cooling beyond that wastes energy by
-		// its own objective.
-		refTemp = opt.Emergency
+		// hardware limit allows, since cooling beyond that wastes energy
+		// by its own objective, and throttles deeper.
+		refTemp, floor = emergency, eCoordMinCap
 	}
 	adaptive, err := control.NewAdaptivePID(opt.Regions, refTemp, limits)
 	if err != nil {
 		return nil, err
 	}
-	if opt.FanSlewPerDecision > 0 {
-		adaptive.SetSlewPerStep(opt.FanSlewPerDecision)
-	}
+	adaptive.SetSlewPerStep(fanSlewPerDecision)
 	var fan control.FanController = adaptive
-	if *opt.QuantGuard {
+	if !opt.NoQuantGuard {
 		guard, err := control.NewQuantGuard(adaptive, quantStep(opt.Config))
 		if err != nil {
 			return nil, err
 		}
 		fan = guard
 	}
-	capper, err := control.NewCapper(opt.CapLow, opt.CapHigh, opt.CapStep, opt.MinCap)
+	capper, err := control.NewCapper(capLow, capHigh, capStep, floor)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +233,7 @@ func NewDTM(name string, opt Options) (*DTM, error) {
 		if err != nil {
 			return nil, err
 		}
-		ec, err := coord.NewECoord(opt.Emergency, opt.CapLow, 500, opt.CapStep, opt.MinCap,
+		ec, err := coord.NewECoord(emergency, capLow, 500, capStep, floor,
 			opt.Config.HeatSinkLaw, cpu, fanModel)
 		if err != nil {
 			return nil, err
@@ -274,14 +241,14 @@ func NewDTM(name string, opt Options) (*DTM, error) {
 		d.ecoord = ec
 	}
 	if opt.AdaptiveRef {
-		sp, err := coord.NewSetpointScheduler(opt.RefLo, opt.RefHi, opt.PredictorWindow)
+		sp, err := coord.NewSetpointScheduler(refLo, refHi, predictorWindow)
 		if err != nil {
 			return nil, err
 		}
 		d.setpoint = sp
 	}
 	if opt.SingleStep {
-		sc, err := coord.NewSingleStepScaler(opt.BoostThreshold, opt.BoostWindow, 1)
+		sc, err := coord.NewSingleStepScaler(boostThreshold, boostWindow, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -292,13 +259,12 @@ func NewDTM(name string, opt Options) (*DTM, error) {
 }
 
 // quantStep returns the temperature quantization step of the platform's
-// ADC, or 1 °C when quantization is disabled in the config.
+// ADC, or 1 °C for a sensor chain without an ADC.
 func quantStep(cfg sim.Config) float64 {
 	if cfg.Sensor.ADCBits <= 0 {
 		return 1
 	}
-	levels := (1 << uint(cfg.Sensor.ADCBits)) - 1
-	return (cfg.Sensor.RangeMax - cfg.Sensor.RangeMin) / float64(levels)
+	return cfg.Sensor.ADCStep()
 }
 
 // Name implements sim.Policy.
@@ -321,7 +287,7 @@ func (d *DTM) Reset() {
 	d.lastCut = 0
 	d.everCut = false
 	d.lastRelease = 0
-	d.capper.Low, d.capper.High = d.opt.CapLow, d.opt.CapHigh
+	d.capper.Low, d.capper.High = capLow, capHigh
 }
 
 // fanTick reports whether a fan decision is due at time t.
@@ -336,10 +302,10 @@ func (d *DTM) fanTick(t units.Seconds) bool {
 // fan set-point: release below ref + T_Q + offset, throttle above that
 // plus the band width, clamped below the hardware limit. This keeps the
 // capper's hold band disjoint from the quantization guard's hold band —
-// overlapping bands deadlock the platform at a starved cap (see Options).
+// overlapping bands deadlock the platform at a starved cap (see capLow).
 func (d *DTM) retuneCapperBand() {
-	lo := d.fan.Reference() + d.tq + d.opt.CapBandOffset
-	hi := lo + d.opt.CapBandWidth
+	lo := d.fan.Reference() + d.tq + capBandOffset
+	hi := lo + capBandWidth
 	if max := d.opt.Config.TLimit - 0.5; hi > max {
 		hi = max
 	}
@@ -411,7 +377,7 @@ func (d *DTM) Step(obs sim.Observation) sim.Command {
 	}
 	fanDir := d.standingFanDir
 
-	cutAllowed := !d.everCut || obs.T-d.lastCut >= d.opt.CoordEpoch-1e-9
+	cutAllowed := !d.everCut || obs.T-d.lastCut >= coordEpoch-1e-9
 
 	cmd := sim.Command{Fan: obs.FanCmd, Cap: obs.Cap}
 	switch d.opt.Mode {
@@ -439,7 +405,7 @@ func (d *DTM) Step(obs sim.Observation) sim.Command {
 		}
 	case EnergyAware:
 		switch {
-		case obs.Measured > d.opt.Emergency:
+		case obs.Measured > emergency:
 			dec := d.ecoord.Decide(coord.EState{
 				Measured: obs.Measured,
 				Fan:      obs.FanCmd,
@@ -454,7 +420,7 @@ func (d *DTM) Step(obs sim.Observation) sim.Command {
 			case coord.ApplyFan:
 				cmd.Fan = dec.Fan
 			}
-		case obs.Measured < d.opt.CapLow:
+		case obs.Measured < capLow:
 			// Cold: restore performance, but lazily — every release
 			// step costs energy, so the greedy scheme takes at most one
 			// per fan interval (the paper's critique: performance is

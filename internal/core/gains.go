@@ -13,6 +13,17 @@ import (
 // DefaultFanInterval is Δt_fan^control from Sec. VI-A.
 const DefaultFanInterval units.Seconds = 30
 
+// The fan-only loops — the stability experiments' PID policies and the
+// multi-core platform's fan controller — bound each decision to
+// FanOnlySlewFrac of the operating speed, at least FanOnlySlewFloor (see
+// control.PIDConfig.SlewFrac), and guard with a FanOnlyGuardStep (°C)
+// quantization step whatever ADC the platform declares.
+const (
+	FanOnlySlewFrac            = 0.6
+	FanOnlySlewFloor units.RPM = 400
+	FanOnlyGuardStep           = 1.0
+)
+
 // DefaultRegions returns the gain schedule shipped with the library: the
 // two operating regions of Sec. IV-B (2000 and 6000 rpm — "two regions
 // are enough to linearize the relationship within 5% error"), tuned by

@@ -18,13 +18,9 @@ func NewUncoordinated(cfg sim.Config) (*DTM, error) {
 }
 
 // NewECoordPolicy returns the energy-aware coordination baseline of [6].
-// Its cap floor is deep (0.1): the energy-greedy scheme happily starves
-// the machine — capping both cools and saves power, so by its own
-// objective there is no reason to stop early. That asymmetry against the
-// rule-based schemes' half-throttle floor is exactly the performance
-// blindness the paper criticizes.
+// Its cap floor is deep (0.1, see eCoordMinCap).
 func NewECoordPolicy(cfg sim.Config) (*DTM, error) {
-	return NewDTM("E-coord", Options{Config: cfg, Mode: EnergyAware, MinCap: 0.1})
+	return NewDTM("E-coord", Options{Config: cfg, Mode: EnergyAware})
 }
 
 // NewRuleCoord returns R-coord with a fixed T_ref (Table III uses 75 °C).

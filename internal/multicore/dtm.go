@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -13,10 +14,11 @@ import (
 
 // RunConfig describes a three-controller experiment: the fan controller,
 // the CPU capper and the thermal-aware scheduler all manage the same
-// N-core platform, either free-running (the paper's instability warning)
-// or serialized through the performance-biased coordination of Sec. V.
+// four-core platform built on Config, either free-running (the paper's
+// instability warning) or serialized through the performance-biased
+// coordination of Sec. V.
 type RunConfig struct {
-	Config     Config
+	Config     sim.Config
 	Duration   units.Seconds
 	Workload   workload.Generator // socket-level demand in [0, 1]
 	Skewed     bool               // start from a consolidated assignment
@@ -50,15 +52,15 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := rc.Config.Base
+	base := rc.Config
 
 	adaptive, err := control.NewAdaptivePID(core.DefaultRegions(), refTemp,
 		control.Limits{Min: base.FanMinSpeed, Max: base.FanMaxSpeed})
 	if err != nil {
 		return nil, err
 	}
-	adaptive.SetSlewFrac(0.6, 400)
-	fan, err := control.NewQuantGuard(adaptive, 1)
+	adaptive.SetSlewFrac(core.FanOnlySlewFrac, core.FanOnlySlewFloor)
+	fan, err := control.NewQuantGuard(adaptive, core.FanOnlyGuardStep)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +73,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 
-	n := rc.Config.NCore
+	const n = NCore
 	var assignShare []units.Utilization // per-core share of demand, sums to ~1*n scale
 	if rc.Skewed {
 		assignShare = SplitSkewed(0.5, n)
@@ -125,7 +127,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 		}
 		capProposal := capper.Decide(control.CapInputs{T: t, Meas: maxMeas, Actual: cap})
 		fanProposal := fanCmd
-		fanDue := !fanEver || t-lastFan >= 30-1e-9
+		fanDue := !fanEver || t-lastFan >= core.DefaultFanInterval-1e-9
 		if fanDue {
 			fanProposal = fan.Decide(control.FanInputs{T: t, Meas: maxMeas, Actual: fanCmd})
 			lastFan = t

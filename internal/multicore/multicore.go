@@ -1,9 +1,10 @@
 // Package multicore extends the paper's single-socket model to the
 // N-core system its Sec. III-A describes ("a server consisting of N_core
-// cores") without the balanced-workload simplification: each core has its
-// own RC node on the shared heat sink (general network of [18]), its own
-// 8-bit/10 s measurement chain, and its own utilization share. On top of
-// it sits the *third* local controller of the paper's introduction — the
+// cores"), with four cores and without the balanced-workload
+// simplification: each core has its own RC node on the shared heat sink
+// (general network of [18]), ringed to its neighbours, its own 8-bit/10 s
+// measurement chain, and its own utilization share. On top of it sits the
+// *third* local controller of the paper's introduction — the
 // temperature-aware workload scheduler of the OS ([13], [14]) — whose
 // interaction with the fan controller and the CPU capper is exactly the
 // "two or all three of these local controllers active simultaneously"
@@ -22,56 +23,19 @@ import (
 	"repro/internal/units"
 )
 
-// Config parameterizes the multi-core platform. It reuses the single-
-// socket sim.Config for everything shared (fan, sink, sensing, power per
-// socket) and adds the core-level structure.
-type Config struct {
-	Base sim.Config
+// The core-level structure on top of the single-socket sim.Config, which
+// supplies everything shared (fan, sink, sensing, power per socket).
+const (
 	// NCore is the number of cores (paper: N_core).
-	NCore int
-	// CoreRes is the per-core junction-to-sink resistance. With N cores
-	// in parallel the effective die resistance is CoreRes / NCore; the
-	// default scales the single-socket DieRes so a balanced load matches
-	// the two-node model.
-	CoreRes units.KPerW
-	// LateralRes couples ring neighbours (silicon spreading). Zero
-	// disables lateral coupling.
-	LateralRes units.KPerW
-}
+	NCore = 4
+	// lateralRes couples ring neighbours (silicon spreading).
+	lateralRes units.KPerW = 1.5
+)
 
-// DefaultConfig returns a four-core platform equivalent, under balanced
-// load, to the Table I single-socket model.
-func DefaultConfig() Config {
-	base := sim.Default()
-	return Config{
-		Base:       base,
-		NCore:      4,
-		CoreRes:    base.DieRes * 4, // 4 in parallel = DieRes
-		LateralRes: 1.5,
-	}
-}
-
-// Validate reports the first invalid parameter, or nil.
-func (c Config) Validate() error {
-	if err := c.Base.Validate(); err != nil {
-		return err
-	}
-	if c.NCore < 1 {
-		return fmt.Errorf("multicore: %d cores", c.NCore)
-	}
-	if c.CoreRes <= 0 || !units.IsFinite(float64(c.CoreRes)) {
-		return fmt.Errorf("multicore: bad core resistance %v", c.CoreRes)
-	}
-	if c.LateralRes < 0 || !units.IsFinite(float64(c.LateralRes)) {
-		return fmt.Errorf("multicore: bad lateral resistance %v", c.LateralRes)
-	}
-	return nil
-}
-
-// Server is the N-core platform: a thermal network of NCore die nodes on
+// Server is the four-core platform: a thermal network of NCore die nodes on
 // one heat-sink node, per-core measurement pipelines, one shared fan.
 type Server struct {
-	cfg     Config
+	cfg     sim.Config
 	net     *thermal.Network
 	cpu     power.CPUModel
 	fan     power.FanModel
@@ -88,20 +52,20 @@ type Server struct {
 	measBuf []units.Celsius
 }
 
-// NewServer builds the platform with all nodes at ambient and the fan at
-// its floor.
-func NewServer(cfg Config) (*Server, error) {
+// NewServer builds the platform on cfg with all nodes at ambient and the
+// fan at its floor.
+func NewServer(cfg sim.Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.NCore
-	net, err := thermal.NewNetwork(n+1, cfg.Base.Ambient)
+	const n = NCore
+	net, err := thermal.NewNetwork(n+1, cfg.Ambient)
 	if err != nil {
 		return nil, err
 	}
 	sinkIdx := n
 	net.SetName(sinkIdx, "sink")
-	sinkCap, err := thermal.CapacitanceFor(cfg.Base.SinkTau, cfg.Base.HeatSinkLaw.Resistance(cfg.Base.FanMaxSpeed))
+	sinkCap, err := thermal.CapacitanceFor(cfg.SinkTau, cfg.HeatSinkLaw.Resistance(cfg.FanMaxSpeed))
 	if err != nil {
 		return nil, err
 	}
@@ -109,12 +73,15 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	// Sink-to-ambient resistance is fan-speed dependent; set per tick.
-	if err := net.ConnectAmbient(sinkIdx, cfg.Base.HeatSinkLaw.Resistance(cfg.Base.FanMinSpeed)); err != nil {
+	if err := net.ConnectAmbient(sinkIdx, cfg.HeatSinkLaw.Resistance(cfg.FanMinSpeed)); err != nil {
 		return nil, err
 	}
-	// Per-core nodes: the core time constant matches the single-socket
+	// Per-core nodes: with NCore cores in parallel the effective die
+	// resistance is coreRes / NCore, so a balanced load matches the
+	// two-node model; the core time constant matches the single-socket
 	// die (DieTau) at the per-core resistance.
-	coreCap, err := thermal.CapacitanceFor(cfg.Base.DieTau, cfg.CoreRes)
+	coreRes := cfg.DieRes * NCore
+	coreCap, err := thermal.CapacitanceFor(cfg.DieTau, coreRes)
 	if err != nil {
 		return nil, err
 	}
@@ -123,30 +90,23 @@ func NewServer(cfg Config) (*Server, error) {
 		if err := net.SetCapacitance(c, coreCap); err != nil {
 			return nil, err
 		}
-		if err := net.Connect(c, sinkIdx, cfg.CoreRes); err != nil {
+		if err := net.Connect(c, sinkIdx, coreRes); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.LateralRes > 0 && n > 2 {
-		for c := 0; c < n; c++ {
-			if err := net.Connect(c, (c+1)%n, cfg.LateralRes); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if cfg.LateralRes > 0 && n == 2 {
-		if err := net.Connect(0, 1, cfg.LateralRes); err != nil {
+	for c := 0; c < n; c++ {
+		if err := net.Connect(c, (c+1)%n, lateralRes); err != nil {
 			return nil, err
 		}
 	}
 
-	cpu, fanModel, err := cfg.Base.Models()
+	cpu, fanModel, err := cfg.Models()
 	if err != nil {
 		return nil, err
 	}
 	pipes := make([]*sensor.Pipeline, n)
 	for c := 0; c < n; c++ {
-		sc := cfg.Base.Sensor
+		sc := cfg.Sensor
 		// Decorrelate per-core transducer noise through the mixing hash:
 		// additive sub-seeds (seed + c) put sibling cores on consecutive
 		// generator starting points, which correlate across a fleet whose
@@ -165,8 +125,8 @@ func NewServer(cfg Config) (*Server, error) {
 		fan:     fanModel,
 		pipes:   pipes,
 		sinkIdx: sinkIdx,
-		fanCmd:  cfg.Base.FanMinSpeed,
-		fanAct:  cfg.Base.FanMinSpeed,
+		fanCmd:  cfg.FanMinSpeed,
+		fanAct:  cfg.FanMinSpeed,
 		juncBuf: make([]units.Celsius, n),
 		measBuf: make([]units.Celsius, n),
 	}, nil
@@ -174,7 +134,7 @@ func NewServer(cfg Config) (*Server, error) {
 
 // CommandFan sets the shared fan command, clamped to the platform range.
 func (s *Server) CommandFan(v units.RPM) {
-	s.fanCmd = units.ClampRPM(v, s.cfg.Base.FanMinSpeed, s.cfg.Base.FanMaxSpeed)
+	s.fanCmd = units.ClampRPM(v, s.cfg.FanMinSpeed, s.cfg.FanMaxSpeed)
 }
 
 // TickResult reports one multi-core engine step.
@@ -198,17 +158,17 @@ type TickResult struct {
 // fraction of the core's share of the socket's dynamic power). The
 // returned Junctions/Measured slices are overwritten by the next Tick.
 func (s *Server) Tick(coreUtil []units.Utilization) (TickResult, error) {
-	if len(coreUtil) != s.cfg.NCore {
-		return TickResult{}, fmt.Errorf("multicore: %d utilizations for %d cores", len(coreUtil), s.cfg.NCore)
+	if len(coreUtil) != NCore {
+		return TickResult{}, fmt.Errorf("multicore: %d utilizations for %d cores", len(coreUtil), NCore)
 	}
-	dt := s.cfg.Base.Tick
+	dt := s.cfg.Tick
 	if s.started {
 		s.clock += dt
 	}
 	s.started = true
 
 	// Fan slew.
-	maxStep := units.RPM(float64(s.cfg.Base.FanSlewPerSec) * float64(dt))
+	maxStep := units.RPM(float64(s.cfg.FanSlewPerSec) * float64(dt))
 	switch d := s.fanCmd - s.fanAct; {
 	case d > maxStep:
 		s.fanAct += maxStep
@@ -218,15 +178,14 @@ func (s *Server) Tick(coreUtil []units.Utilization) (TickResult, error) {
 		s.fanAct = s.fanCmd
 	}
 	// Update the fan-speed-dependent sink resistance, then step.
-	if err := s.net.ConnectAmbient(s.sinkIdx, s.cfg.Base.HeatSinkLaw.Resistance(s.fanAct)); err != nil {
+	if err := s.net.ConnectAmbient(s.sinkIdx, s.cfg.HeatSinkLaw.Resistance(s.fanAct)); err != nil {
 		return TickResult{}, err
 	}
 
 	// Power split: the socket's static power spreads evenly; each core
 	// adds its share of the dynamic power.
-	n := float64(s.cfg.NCore)
-	staticPer := s.cfg.Base.CPUIdlePower / units.Watt(n)
-	dynSpan := (s.cfg.Base.CPUMaxPower - s.cfg.Base.CPUIdlePower) / units.Watt(n)
+	staticPer := s.cfg.CPUIdlePower / NCore
+	dynSpan := (s.cfg.CPUMaxPower - s.cfg.CPUIdlePower) / NCore
 	var totalCPU units.Watt
 	for c, u := range coreUtil {
 		u = units.ClampUtil(u)
@@ -248,7 +207,7 @@ func (s *Server) Tick(coreUtil []units.Utilization) (TickResult, error) {
 		MaxJunc:   units.Celsius(math.Inf(-1)),
 		MaxMeas:   units.Celsius(math.Inf(-1)),
 	}
-	for c := 0; c < s.cfg.NCore; c++ {
+	for c := 0; c < NCore; c++ {
 		j := s.net.Temperature(c)
 		m := units.Celsius(s.pipes[c].Sample(s.clock, float64(j)))
 		res.Junctions[c] = j

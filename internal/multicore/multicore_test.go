@@ -12,25 +12,10 @@ import (
 )
 
 func TestConfigValidation(t *testing.T) {
-	good := DefaultConfig()
-	if err := good.Validate(); err != nil {
-		t.Fatalf("default invalid: %v", err)
-	}
-	cases := []func(*Config){
-		func(c *Config) { c.NCore = 0 },
-		func(c *Config) { c.CoreRes = 0 },
-		func(c *Config) { c.LateralRes = -1 },
-		func(c *Config) { c.Base.Tick = 0 },
-	}
-	for i, mutate := range cases {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
-		if _, err := NewServer(cfg); err == nil {
-			t.Errorf("case %d: NewServer accepted invalid config", i)
-		}
+	cfg := sim.Default()
+	cfg.Tick = 0
+	if _, err := NewServer(cfg); err == nil {
+		t.Error("NewServer accepted an invalid platform")
 	}
 }
 
@@ -39,7 +24,7 @@ func TestConfigValidation(t *testing.T) {
 // two-node model — the paper's balanced-workload assumption is then
 // exactly recovered.
 func TestBalancedMatchesSingleSocket(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.Default()
 	server, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,12 +33,12 @@ func TestBalancedMatchesSingleSocket(t *testing.T) {
 	var last TickResult
 	for i := 0; i < 2500; i++ {
 		var err error
-		last, err = server.Tick(SplitEven(0.7, cfg.NCore))
+		last, err = server.Tick(SplitEven(0.7, NCore))
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	single, err := sim.NewPhysicalServer(cfg.Base)
+	single, err := sim.NewPhysicalServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +57,13 @@ func TestBalancedMatchesSingleSocket(t *testing.T) {
 // TestSkewedLoadCreatesHotspot: consolidating the load on one core must
 // heat it well above its idle siblings.
 func TestSkewedLoadCreatesHotspot(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.Default()
 	server, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	server.CommandFan(3000)
-	util := make([]units.Utilization, cfg.NCore)
+	util := make([]units.Utilization, NCore)
 	util[0] = 1.0
 	var last TickResult
 	for i := 0; i < 2000; i++ {
@@ -99,7 +84,7 @@ func TestSkewedLoadCreatesHotspot(t *testing.T) {
 }
 
 func TestTickValidatesArity(t *testing.T) {
-	server, err := NewServer(DefaultConfig())
+	server, err := NewServer(sim.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +192,8 @@ func TestSplits(t *testing.T) {
 // performance-biased coordination slashes the deadline violations of the
 // free-running configuration.
 func TestThreeControllerCoordination(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Base.Ambient = 30
+	cfg := sim.Default()
+	cfg.Ambient = 30
 	noisy, err := workload.NewNoisy(workload.PaperSquare(600), 0.04, 1, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +227,7 @@ func TestThreeControllerCoordination(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.Default()
 	if _, err := Run(RunConfig{Config: cfg, Duration: 10}); err == nil {
 		t.Error("nil workload accepted")
 	}
@@ -252,7 +237,7 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestRunRecordsTraces(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.Default()
 	res, err := Run(RunConfig{
 		Config:   cfg,
 		Duration: 120,
@@ -274,7 +259,7 @@ func TestRunRecordsTraces(t *testing.T) {
 // series with its "t" array.
 func TestRunRecordingSharesOneTimeAxis(t *testing.T) {
 	res, err := Run(RunConfig{
-		Config:   DefaultConfig(),
+		Config:   sim.Default(),
 		Duration: 120,
 		Workload: workload.Constant{U: 0.5},
 		Record:   true,
@@ -309,12 +294,12 @@ func TestRunRecordingSharesOneTimeAxis(t *testing.T) {
 // TestTickResultAliasesScratch pins the documented aliasing contract:
 // the slices returned by consecutive Ticks share backing storage.
 func TestTickResultAliasesScratch(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := sim.Default()
 	server, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	util := SplitEven(0.5, cfg.NCore)
+	util := SplitEven(0.5, NCore)
 	a, err := server.Tick(util)
 	if err != nil {
 		t.Fatal(err)

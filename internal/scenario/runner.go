@@ -477,17 +477,13 @@ const (
 // runMulticore executes the three-controller scenario.
 func runMulticore(s Spec) (*Outcome, error) {
 	ms := s.Multicore
-	mc := multicore.DefaultConfig()
-	mc.Base = s.base()
-	// Keep the balanced-load equivalence with the single-socket model: N
-	// cores in parallel must reproduce DieRes.
-	mc.CoreRes = mc.Base.DieRes * units.KPerW(mc.NCore)
-	gen, err := buildWorkload(ms.Workload, mc.Base)
+	base := s.base()
+	gen, err := buildWorkload(ms.Workload, base)
 	if err != nil {
 		return nil, err
 	}
 	res, err := multicore.Run(multicore.RunConfig{
-		Config:     mc,
+		Config:     base,
 		Duration:   s.Duration,
 		Workload:   gen,
 		Skewed:     ms.Skewed,
@@ -501,7 +497,7 @@ func runMulticore(s Spec) (*Outcome, error) {
 	if name == "" {
 		name = "multicore"
 	}
-	nTicks := int64(float64(s.Duration) / float64(mc.Base.Tick))
+	nTicks := int64(float64(s.Duration) / float64(base.Tick))
 	simTicksRun.Add(nTicks)
 	return &Outcome{
 		Kind: s.Kind,

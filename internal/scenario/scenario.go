@@ -265,9 +265,9 @@ type FleetSpec struct {
 	RecircPasses int         `json:"recirc_passes,omitempty"`
 }
 
-// MulticoreSpec describes the three-controller N-core scenario. It runs
-// on multicore.DefaultConfig's geometry, scaled to the Base platform,
-// at multicore.Run's default set-point.
+// MulticoreSpec describes the three-controller four-core scenario. It
+// runs on multicore's geometry, scaled to the Base platform, at
+// multicore.Run's set-point.
 type MulticoreSpec struct {
 	Workload   FactoryRef `json:"workload"`
 	Skewed     bool       `json:"skewed,omitempty"`

@@ -354,12 +354,12 @@ var policyTable = map[string]def[PolicyFactory]{
 				Gains: r.Gains, RefSpeed: r.RefSpeed,
 				RefTemp:  units.Celsius(p.Get("ref_temp", 68)),
 				Limits:   control.Limits{Min: cfg.FanMinSpeed, Max: cfg.FanMaxSpeed},
-				SlewFrac: 0.6, SlewFloor: 400,
+				SlewFrac: core.FanOnlySlewFrac, SlewFloor: core.FanOnlySlewFloor,
 			})
 			if err != nil {
 				return nil, err
 			}
-			fan, err := control.NewQuantGuard(pid, 1)
+			fan, err := control.NewQuantGuard(pid, core.FanOnlyGuardStep)
 			if err != nil {
 				return nil, err
 			}
@@ -374,8 +374,8 @@ var policyTable = map[string]def[PolicyFactory]{
 			if err != nil {
 				return nil, err
 			}
-			a.SetSlewFrac(0.6, 400)
-			fan, err := control.NewQuantGuard(a, 1)
+			a.SetSlewFrac(core.FanOnlySlewFrac, core.FanOnlySlewFloor)
+			fan, err := control.NewQuantGuard(a, core.FanOnlyGuardStep)
 			if err != nil {
 				return nil, err
 			}

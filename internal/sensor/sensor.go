@@ -33,7 +33,6 @@ type Stage interface {
 type Quantizer struct {
 	Min, Max float64
 	step     float64
-	levels   int
 }
 
 // NewQuantizer builds an n-bit quantizer over [min, max].
@@ -44,13 +43,18 @@ func NewQuantizer(bits int, min, max float64) (*Quantizer, error) {
 	if max <= min {
 		return nil, fmt.Errorf("sensor: bad quantizer range [%v, %v]", min, max)
 	}
-	levels := 1 << uint(bits)
 	return &Quantizer{
-		Min:    min,
-		Max:    max,
-		step:   (max - min) / float64(levels-1),
-		levels: levels,
+		Min:  min,
+		Max:  max,
+		step: adcStep(bits, min, max),
 	}, nil
+}
+
+// adcStep is the step of an n-bit converter over [min, max]: the range
+// split into 2^n − 1 intervals.
+func adcStep(bits int, min, max float64) float64 {
+	levels := 1 << uint(bits)
+	return (max - min) / float64(levels-1)
 }
 
 // TableIQuantizer returns the paper's measurement quantizer: an 8-bit ADC
@@ -270,6 +274,10 @@ func TableIConfig() Config {
 		InitialValue: 25,
 	}
 }
+
+// ADCStep returns the quantization step of c's ADC. It is meaningful only
+// when ADCBits > 0; New builds no quantizer otherwise.
+func (c Config) ADCStep() float64 { return adcStep(c.ADCBits, c.RangeMin, c.RangeMax) }
 
 // New builds the standard measurement pipeline from c:
 // noise -> ADC quantizer -> I2C delay.

@@ -34,7 +34,7 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestPlotRendersAllSeries(t *testing.T) {
 	st := buildTestSet()
-	out := st.Plot(PlotOptions{Width: 40, Height: 8, Title: "test plot"})
+	out := st.Plot(PlotOptions{Height: 8, Title: "test plot"})
 	if out == "" {
 		t.Fatal("empty plot")
 	}
@@ -55,13 +55,5 @@ func TestPlotEmptySet(t *testing.T) {
 	}
 	if out := (Set{NewSeries("empty", 0)}).Plot(PlotOptions{}); out != "" {
 		t.Errorf("set of empty series plot = %q", out)
-	}
-}
-
-func TestPlotFixedYRange(t *testing.T) {
-	st := buildTestSet()
-	out := st.Plot(PlotOptions{Width: 30, Height: 6, YFixed: true, YMin: 0, YMax: 100})
-	if !strings.Contains(out, "100.00") || !strings.Contains(out, "0.00") {
-		t.Errorf("fixed range labels missing:\n%s", out)
 	}
 }

@@ -8,23 +8,20 @@ import (
 
 // PlotOptions configures terminal rendering of a series set.
 type PlotOptions struct {
-	Width  int     // plot columns, excluding the axis gutter (default 72)
-	Height int     // plot rows (default 16)
-	YMin   float64 // fixed y-axis minimum; used when YFixed is true
-	YMax   float64 // fixed y-axis maximum; used when YFixed is true
-	YFixed bool    // if false, the y range is fitted to the data
-	Title  string  // optional title line
+	Height int    // plot rows (default 16)
+	Title  string // optional title line
 }
+
+// plotWidth is the plot's column count, excluding the axis gutter.
+const plotWidth = 78
 
 var plotMarks = []byte{'*', '+', 'o', 'x', '#', '@'}
 
 // Plot renders the series of the set as an ASCII chart, one mark per
 // series, with a legend. Series are resampled onto the plot's column grid
-// with zero-order hold. It returns "" for a set with no samples.
+// with zero-order hold, and the y range is fitted to the data. It returns
+// "" for a set with no samples.
 func (st Set) Plot(opt PlotOptions) string {
-	if opt.Width <= 0 {
-		opt.Width = 72
-	}
 	if opt.Height <= 0 {
 		opt.Height = 16
 	}
@@ -48,9 +45,6 @@ func (st Set) Plot(opt PlotOptions) string {
 	if !any {
 		return ""
 	}
-	if opt.YFixed {
-		lo, hi = opt.YMin, opt.YMax
-	}
 	if hi == lo {
 		hi = lo + 1
 	}
@@ -60,7 +54,7 @@ func (st Set) Plot(opt PlotOptions) string {
 
 	grid := make([][]byte, opt.Height)
 	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", opt.Width))
+		grid[r] = []byte(strings.Repeat(" ", plotWidth))
 	}
 	for si := range st {
 		s := &st[si]
@@ -68,16 +62,13 @@ func (st Set) Plot(opt PlotOptions) string {
 			continue
 		}
 		mark := plotMarks[si%len(plotMarks)]
-		for c := 0; c < opt.Width; c++ {
-			t := t0 + (t1-t0)*float64(c)/float64(opt.Width-1)
+		for c := 0; c < plotWidth; c++ {
+			t := t0 + (t1-t0)*float64(c)/float64(plotWidth-1)
 			v, ok := s.ValueAt(t)
 			if !ok {
 				continue
 			}
 			frac := (v - lo) / (hi - lo)
-			if frac < 0 || frac > 1 {
-				continue
-			}
 			r := int(math.Round(float64(opt.Height-1) * (1 - frac)))
 			grid[r][c] = mark
 		}
@@ -91,9 +82,9 @@ func (st Set) Plot(opt PlotOptions) string {
 		y := hi - (hi-lo)*float64(r)/float64(opt.Height-1)
 		fmt.Fprintf(&b, "%10.2f |%s\n", y, string(grid[r]))
 	}
-	fmt.Fprintf(&b, "%10s +%s\n", "", strings.Repeat("-", opt.Width))
+	fmt.Fprintf(&b, "%10s +%s\n", "", strings.Repeat("-", plotWidth))
 	fmt.Fprintf(&b, "%10s  t=%.0fs%st=%.0fs\n", "", t0,
-		strings.Repeat(" ", maxInt(1, opt.Width-len(fmt.Sprintf("t=%.0fs", t0))-len(fmt.Sprintf("t=%.0fs", t1)))), t1)
+		strings.Repeat(" ", maxInt(1, plotWidth-len(fmt.Sprintf("t=%.0fs", t0))-len(fmt.Sprintf("t=%.0fs", t1)))), t1)
 	for si := range st {
 		if len(st[si].T) == 0 {
 			continue

@@ -17,37 +17,32 @@ type RelayConfig struct {
 	RefTemp   units.Celsius // set-point the relay switches around
 	RefSpeed  units.RPM     // operating fan speed the relay straddles
 	Amplitude units.RPM     // relay half-amplitude d
-	Steps     int           // total closed-loop steps (default 200)
-	Warmup    int           // steps discarded before measuring (default 60)
 	// Prominence for peak detection in °C. Default 0.1.
 	Prominence float64
 }
 
-func (c *RelayConfig) setDefaults() {
-	if c.Steps == 0 {
-		c.Steps = 200
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 60
-	}
-	if c.Prominence == 0 {
-		c.Prominence = 0.1
-	}
-}
+// The relay experiment runs relayWarmup discarded steps, then measures
+// relaySteps closed-loop steps.
+const (
+	relaySteps  = 200
+	relayWarmup = 60
+)
 
 // RelayTune runs the relay experiment against the plant and returns the
 // estimated ultimate point.
 func RelayTune(p Plant, cfg RelayConfig) (Ultimate, error) {
-	cfg.setDefaults()
+	if cfg.Prominence == 0 {
+		cfg.Prominence = 0.1
+	}
 	if cfg.Amplitude <= 0 {
 		return Ultimate{}, fmt.Errorf("tuning: non-positive relay amplitude %v", cfg.Amplitude)
 	}
 	p.Reset()
 	s := cfg.RefSpeed
-	meas := make([]float64, 0, cfg.Steps)
-	for k := 0; k < cfg.Warmup+cfg.Steps; k++ {
+	meas := make([]float64, 0, relaySteps)
+	for k := 0; k < relayWarmup+relaySteps; k++ {
 		m := p.Step(s)
-		if k >= cfg.Warmup {
+		if k >= relayWarmup {
 			meas = append(meas, float64(m))
 		}
 		// Hotter than the set-point: push the fan up; cooler: down.

@@ -103,55 +103,37 @@ type ZNConfig struct {
 	// KPLo and KPHi bracket the search. KPLo must be stable (decaying)
 	// and KPHi unstable (growing); FindUltimate verifies both.
 	KPLo, KPHi float64
-	// Steps per trial run and warmup steps run before the perturbation.
-	Steps, Warmup int
-	// PulseRPM and PulseSteps define the excitation: after warmup the
-	// commanded speed is offset by PulseRPM for PulseSteps decisions,
-	// then the loop is observed. Defaults: 20% of RefSpeed, 4 steps.
-	// Without excitation a noiseless stable loop sits at exactly zero
-	// error and every gain would classify as quiet.
-	PulseRPM   units.RPM
-	PulseSteps int
 	// Prominence for peak detection in °C (noise floor). Default 0.1.
 	Prominence float64
-	// SustainedTol brackets the sustained verdict. Default 0.35.
-	SustainedTol float64
-	// Iterations bounds the bisection. Default 24.
-	Iterations int
-	// SatFraction is the fraction of post-pulse steps pinned at an
-	// actuator limit above which the trial is declared unstable even if
-	// the rail-to-rail cycle looks "sustained". Default 0.25.
-	SatFraction float64
 }
 
-func (c *ZNConfig) setDefaults() {
-	if c.Steps == 0 {
-		c.Steps = 160
+// The ultimate-gain search's fixed schedule.
+const (
+	// Each trial runs znWarmup steps to settle, then offsets the
+	// commanded speed by pulseRPM for znPulseSteps decisions, then
+	// observes znSteps steps. Without excitation a noiseless stable loop
+	// sits at exactly zero error and every gain would classify as quiet.
+	znSteps      = 160
+	znWarmup     = 40
+	znPulseSteps = 4
+	// znSustainedTol brackets the sustained verdict (see Classify).
+	znSustainedTol = 0.35
+	// znIterations bounds the bisection.
+	znIterations = 24
+	// znSatFraction is the fraction of post-pulse steps pinned at an
+	// actuator limit above which the trial is declared unstable even if
+	// the rail-to-rail cycle looks "sustained".
+	znSatFraction = 0.25
+)
+
+// pulseRPM is the excitation's speed offset at operating speed s: 20% of
+// s, at least 100 rpm.
+func pulseRPM(s units.RPM) units.RPM {
+	p := s / 5
+	if p < 100 {
+		p = 100
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 40
-	}
-	if c.PulseRPM == 0 {
-		c.PulseRPM = c.RefSpeed / 5
-		if c.PulseRPM < 100 {
-			c.PulseRPM = 100
-		}
-	}
-	if c.PulseSteps == 0 {
-		c.PulseSteps = 4
-	}
-	if c.Prominence == 0 {
-		c.Prominence = 0.1
-	}
-	if c.SustainedTol == 0 {
-		c.SustainedTol = 0.35
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 24
-	}
-	if c.SatFraction == 0 {
-		c.SatFraction = 0.25
-	}
+	return p
 }
 
 // Ultimate is the result of an ultimate-gain experiment.
@@ -176,16 +158,16 @@ func runPOnly(p Plant, cfg ZNConfig, kp float64) (trace []float64, satFrac float
 		panic(err) // gains >= 0 and validated limits by FindUltimate
 	}
 	s := cfg.RefSpeed
-	total := cfg.Warmup + cfg.PulseSteps + cfg.Steps
-	trace = make([]float64, 0, cfg.Steps)
+	pulse := pulseRPM(cfg.RefSpeed)
+	trace = make([]float64, 0, znSteps)
 	saturated := 0
-	for k := 0; k < total; k++ {
+	for k := 0; k < znWarmup+znPulseSteps+znSteps; k++ {
 		cmd := s
-		if k >= cfg.Warmup && k < cfg.Warmup+cfg.PulseSteps {
-			cmd = cfg.Limits.Clamp(s - cfg.PulseRPM) // heat the plant briefly
+		if k >= znWarmup && k < znWarmup+znPulseSteps {
+			cmd = cfg.Limits.Clamp(s - pulse) // heat the plant briefly
 		}
 		meas := p.Step(cmd)
-		if k >= cfg.Warmup+cfg.PulseSteps {
+		if k >= znWarmup+znPulseSteps {
 			trace = append(trace, float64(meas))
 			if s <= cfg.Limits.Min || s >= cfg.Limits.Max {
 				saturated++
@@ -193,10 +175,7 @@ func runPOnly(p Plant, cfg ZNConfig, kp float64) (trace []float64, satFrac float
 		}
 		s = pid.Decide(control.FanInputs{Meas: meas, Actual: cmd})
 	}
-	if cfg.Steps > 0 {
-		satFrac = float64(saturated) / float64(cfg.Steps)
-	}
-	return trace, satFrac
+	return trace, float64(saturated) / znSteps
 }
 
 // classifyGain runs one P-only trial and classifies it. Trials that spend
@@ -205,8 +184,8 @@ func runPOnly(p Plant, cfg ZNConfig, kp float64) (trace []float64, satFrac float
 // instability for Z-N purposes, not sustained oscillation at the boundary.
 func classifyGain(p Plant, cfg ZNConfig, kp float64) Oscillation {
 	trace, satFrac := runPOnly(p, cfg, kp)
-	o := Classify(trace, cfg.Prominence, cfg.SustainedTol)
-	if satFrac > cfg.SatFraction {
+	o := Classify(trace, cfg.Prominence, znSustainedTol)
+	if satFrac > znSatFraction {
 		o.Verdict = Growing
 	}
 	return o
@@ -217,7 +196,9 @@ func classifyGain(p Plant, cfg ZNConfig, kp float64) Oscillation {
 // the value of the proportional-only gain that causes the control loop to
 // oscillate indefinitely at steady state").
 func FindUltimate(p Plant, cfg ZNConfig) (Ultimate, error) {
-	cfg.setDefaults()
+	if cfg.Prominence == 0 {
+		cfg.Prominence = 0.1
+	}
 	if err := cfg.Limits.Validate(); err != nil {
 		return Ultimate{}, err
 	}
@@ -233,7 +214,7 @@ func FindUltimate(p Plant, cfg ZNConfig) (Ultimate, error) {
 	}
 	best := Oscillation{}
 	bestKp := 0.0
-	for i := 0; i < cfg.Iterations; i++ {
+	for i := 0; i < znIterations; i++ {
 		mid := (lo + hi) / 2
 		switch o := classifyGain(p, cfg, mid); o.Verdict {
 		case Growing:

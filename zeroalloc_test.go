@@ -203,13 +203,12 @@ func TestZeroAllocContracts(t *testing.T) {
 			name: "multicore-tick",
 			runs: 500,
 			setup: func(t *testing.T) func() {
-				cfg := multicore.DefaultConfig()
-				server, err := multicore.NewServer(cfg)
+				server, err := multicore.NewServer(sim.Default())
 				if err != nil {
 					t.Fatal(err)
 				}
 				server.CommandFan(4000)
-				util := multicore.SplitEven(0.6, cfg.NCore)
+				util := multicore.SplitEven(0.6, multicore.NCore)
 				for i := 0; i < 200; i++ { // grow sensor rings to steady state
 					if _, err := server.Tick(util); err != nil {
 						t.Fatal(err)
