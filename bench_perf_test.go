@@ -556,15 +556,15 @@ func BenchmarkFleetCoordinator(b *testing.B) {
 	cfg.Duration = 900
 	cfg.Recirc = 0.03
 	cfg.Workers = 1
-	cc := fleet.CoordinatorConfig{PowerBudget: 1100}
-	res, err := fleet.RunCoordinated(cfg, cc) // warm-up + lane-tick probe
+	const budget = 1100
+	res, err := fleet.RunCoordinated(cfg, budget) // warm-up + lane-tick probe
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fleet.RunCoordinated(cfg, cc); err != nil {
+		if _, err := fleet.RunCoordinated(cfg, budget); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -187,6 +187,9 @@ func TestRunSpecFiles(t *testing.T) {
 		{`{"kind":"fleet",` + rack + `,"recirc_tol":0.001}}`, `unknown field "recirc_tol"`},
 		{`{"kind":"fleet",` + rack + `,"max_recirc_passes":25}}`, `unknown field "max_recirc_passes"`},
 		{`{"kind":"fleetcoord",` + rack + `},"params":{"fan_trim":0.1}}`, `unknown param "fan_trim"`},
+		{`{"kind":"fleetcoord",` + rack + `},"params":{"migration_gain":0.5}}`, `unknown param "migration_gain"`},
+		{`{"kind":"fleetcoord",` + rack + `},"params":{"power_budget_w":-5}}`, `power_budget_w -5 is negative`},
+		{`{"kind":"single","duration":60,"jobs":[{"workload":{"name":"step"},"policy":{"name":"full"}}]}`, `unknown factory "step"`},
 		{`{"kind":"fleet",` + rack + `,"recirc_passes":5}}`, `recirc_passes 5 outside [0, 4]`},
 	} {
 		refused := filepath.Join(t.TempDir(), "refused.json")

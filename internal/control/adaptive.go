@@ -110,7 +110,7 @@ func (a *AdaptivePID) Decide(in FanInputs) units.RPM {
 func (a *AdaptivePID) ObserveHold(meas units.Celsius) { a.pid.ObserveHold(meas) }
 
 // SetSlewPerStep bounds the per-decision command step of the underlying
-// PID (see PIDConfig.SlewPerStep).
+// PID (see PID.SetSlewPerStep).
 func (a *AdaptivePID) SetSlewPerStep(s units.RPM) { a.pid.SetSlewPerStep(s) }
 
 // SetSlewFrac switches the underlying PID to a speed-proportional

@@ -21,19 +21,12 @@ type PIDConfig struct {
 	RefSpeed units.RPM     // s_ref^fan, the linearization offset of Eq. 4
 	RefTemp  units.Celsius // T_ref^fan, the tracked junction temperature
 	Limits   Limits        // actuator bounds
-	// SlewPerStep bounds how far one decision may move the command from
-	// the currently applied speed, in rpm per decision period. Zero
-	// means unlimited. The paper's platform takes N_trans^fan decision
-	// periods to traverse the speed range (Sec. V-C); bounding the
-	// per-decision step is what makes that so, and it also caps the
-	// overshoot a 1 °C-quantized error can command at band exits.
-	SlewPerStep units.RPM
 	// SlewFrac, when positive, makes the per-decision bound proportional
 	// to the operating speed — frac*actual, floored at SlewFloor — and
-	// overrides SlewPerStep. The plant gain dT/ds is steep at low speed
-	// and flat at high speed (Table I law), so a proportional bound
-	// permits fast high-speed ramps without re-opening the low-speed
-	// quantization limit cycle.
+	// overrides the fixed bound of PID.SetSlewPerStep. The plant gain
+	// dT/ds is steep at low speed and flat at high speed (Table I law),
+	// so a proportional bound permits fast high-speed ramps without
+	// re-opening the low-speed quantization limit cycle.
 	SlewFrac  float64
 	SlewFloor units.RPM
 }
@@ -46,6 +39,9 @@ type PIDConfig struct {
 // gains positive: hotter than the set-point drives the fan faster.
 type PID struct {
 	cfg PIDConfig
+	// slewPerStep is the fixed per-decision command bound (0 unlimited);
+	// see SetSlewPerStep.
+	slewPerStep units.RPM
 	// windup bounds |Σ ΔT| for anti-windup, sized from the gains the
 	// controller is built with so KI·|Σ ΔT| can just cover the full
 	// actuator span: larger sums could only deepen saturation. Later
@@ -63,9 +59,6 @@ func NewPID(cfg PIDConfig) (*PID, error) {
 	}
 	if cfg.Gains.KP < 0 || cfg.Gains.KI < 0 || cfg.Gains.KD < 0 {
 		return nil, fmt.Errorf("control: negative PID gains %+v", cfg.Gains)
-	}
-	if cfg.SlewPerStep < 0 {
-		return nil, fmt.Errorf("control: negative slew %v", cfg.SlewPerStep)
 	}
 	if cfg.SlewFrac < 0 || cfg.SlewFrac > 1 {
 		return nil, fmt.Errorf("control: slew fraction %v outside [0, 1]", cfg.SlewFrac)
@@ -113,7 +106,7 @@ func (p *PID) slewBound(actual units.RPM) units.RPM {
 		}
 		return s
 	}
-	return p.cfg.SlewPerStep
+	return p.slewPerStep
 }
 
 // Reference implements FanController.
@@ -150,12 +143,17 @@ func (p *PID) SetRefSpeed(s units.RPM) { p.cfg.RefSpeed = s }
 // interpolates a new set every decision).
 func (p *PID) SetGains(g PIDGains) { p.cfg.Gains = g }
 
-// SetSlewPerStep updates the per-decision command slew bound (0 disables).
+// SetSlewPerStep bounds how far one decision may move the command from
+// the currently applied speed, in rpm per decision period (0 disables).
+// The paper's platform takes N_trans^fan decision periods to traverse the
+// speed range (Sec. V-C); bounding the per-decision step is what makes
+// that so, and it also caps the overshoot a 1 °C-quantized error can
+// command at band exits.
 func (p *PID) SetSlewPerStep(s units.RPM) {
 	if s < 0 {
 		s = 0
 	}
-	p.cfg.SlewPerStep = s
+	p.slewPerStep = s
 }
 
 // SetSlewFrac switches to a speed-proportional per-decision bound:

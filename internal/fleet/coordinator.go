@@ -25,83 +25,27 @@ import (
 // final answer is the best round under a safety-first objective, so
 // coordination can only beat or tie local control.
 
-// CoordinatorConfig holds the rack coordinator's policy knobs. The zero
-// value of every field selects the documented default.
-type CoordinatorConfig struct {
-	// PowerBudget is the global rack power budget (W) the cap arbitration
-	// splits across nodes. Zero disables cap arbitration (placement
-	// only). A budget below the sum of the node floors is clamped up to
-	// it — local thermal/performance constraints outrank the budget — and
-	// the resolved value is reported in CoordResult.Budget.
-	PowerBudget units.Watt
-	// MigrationGain is the fraction of a node's share the placement step
-	// may move per round at the extreme of the inlet spread (0..1].
-	// Default 0.5.
-	MigrationGain float64
-	// MaxShare / MinShare bound every node's demand share (1 = the
-	// node's own workload, unmigrated). Defaults 1.25 / 0.5.
-	MaxShare float64
-	MinShare float64
-	// PeakTarget bounds what a receiver may be scaled to at its demand
-	// peak: node i's share never exceeds PeakTarget / peakDemand_i, so
+// The rack coordinator's policy constants.
+const (
+	// migrationGain is the fraction of a node's share the placement step
+	// may move per round at the extreme of the inlet spread.
+	migrationGain = 0.5
+	// shareMax / shareMin bound every node's demand share (1 = the
+	// node's own workload, unmigrated).
+	shareMax = 1.25
+	shareMin = 0.5
+	// peakTarget bounds what a receiver may be scaled to at its demand
+	// peak: node i's share never exceeds peakTarget / peakDemand_i, so
 	// migration cannot push a node's scaled spikes past the point where
-	// any transient cap becomes a violation. Default 0.9.
-	PeakTarget float64
-	// Rounds is how many coordination rounds run after the local
-	// baseline. Default 2. The loop stops early when a round's plan
-	// stops moving.
-	Rounds int
-	// CapFloor is the utilization floor the arbitration guarantees every
-	// node (the local DTM's own MinCap). Default 0.5.
-	CapFloor units.Utilization
-}
-
-func (cc *CoordinatorConfig) setDefaults() {
-	if cc.MigrationGain == 0 {
-		cc.MigrationGain = 0.5
-	}
-	if cc.MaxShare == 0 {
-		cc.MaxShare = 1.25
-	}
-	if cc.MinShare == 0 {
-		cc.MinShare = 0.5
-	}
-	if cc.PeakTarget == 0 {
-		cc.PeakTarget = 0.9
-	}
-	if cc.Rounds == 0 {
-		cc.Rounds = 2
-	}
-	if cc.CapFloor == 0 {
-		cc.CapFloor = 0.5
-	}
-}
-
-// validate rejects degenerate coordinator knobs.
-func (cc CoordinatorConfig) validate() error {
-	if cc.PowerBudget < 0 || !units.IsFinite(float64(cc.PowerBudget)) {
-		return fmt.Errorf("fleet: bad coordinator power budget %v", cc.PowerBudget)
-	}
-	if cc.MigrationGain < 0 || cc.MigrationGain > 1 || !units.IsFinite(cc.MigrationGain) {
-		return fmt.Errorf("fleet: migration gain %v outside [0, 1]", cc.MigrationGain)
-	}
-	if cc.MinShare < 0 || cc.MinShare > 1 || !units.IsFinite(cc.MinShare) {
-		return fmt.Errorf("fleet: min share %v outside [0, 1]", cc.MinShare)
-	}
-	if cc.MaxShare < 1 || !units.IsFinite(cc.MaxShare) {
-		return fmt.Errorf("fleet: max share %v below 1", cc.MaxShare)
-	}
-	if cc.PeakTarget <= 0 || cc.PeakTarget > 1 || !units.IsFinite(cc.PeakTarget) {
-		return fmt.Errorf("fleet: peak target %v outside (0, 1]", cc.PeakTarget)
-	}
-	if cc.Rounds < 0 {
-		return fmt.Errorf("fleet: negative coordinator rounds %d", cc.Rounds)
-	}
-	if cc.CapFloor <= 0 || cc.CapFloor > 1 {
-		return fmt.Errorf("fleet: cap floor %v outside (0, 1]", cc.CapFloor)
-	}
-	return nil
-}
+	// any transient cap becomes a violation.
+	peakTarget = 0.9
+	// coordRounds is how many coordination rounds run after the local
+	// baseline. The loop stops early when a round's plan stops moving.
+	coordRounds = 2
+	// capFloor is the utilization floor the arbitration guarantees every
+	// node (the local DTM's own MinCap).
+	capFloor units.Utilization = 0.5
+)
 
 // CoordResult is the outcome of a coordinated rack run: the local
 // (per-node control only) baseline, the coordinated result, and the plan
@@ -119,7 +63,8 @@ type CoordResult struct {
 	// local control won.
 	BestRound int
 	// Budget is the resolved global power budget (0 when cap arbitration
-	// is off): max(CoordinatorConfig.PowerBudget, sum of node floors).
+	// is off): max(the budget RunCoordinated was given, sum of node
+	// floors).
 	Budget units.Watt
 	// Shares is the best round's per-node demand share (1 = unmigrated).
 	Shares []float64
@@ -219,13 +164,13 @@ func betterResult(a, b *Result) bool {
 // redistributed to cooler nodes in proportion to their remaining
 // headroom. The rack's total mean demand is conserved exactly (donor
 // share leaves in the same demand-weighted units receivers absorb), and
-// node i's share stays inside [MinShare, maxShare[i]] — the per-node
-// ceiling already folds the peak-demand headroom into MaxShare.
-func migrate(cc CoordinatorConfig, inlets []units.Celsius, meanDemand, maxShare, shares []float64) []float64 {
+// node i's share stays inside [shareMin, maxShare[i]] — the per-node
+// ceiling already folds the peak-demand headroom into shareMax.
+func migrate(inlets []units.Celsius, meanDemand, maxShare, shares []float64) []float64 {
 	n := len(shares)
 	next := make([]float64, n)
 	copy(next, shares)
-	if cc.MigrationGain <= 0 || n < 2 {
+	if n < 2 {
 		return next
 	}
 	mean, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
@@ -242,7 +187,7 @@ func migrate(cc CoordinatorConfig, inlets []units.Celsius, meanDemand, maxShare,
 	}
 
 	// Donors: shed share proportional to inlet excess, floored at
-	// MinShare. Shed is accounted in demand units (share × the node's
+	// shareMin. Shed is accounted in demand units (share × the node's
 	// unscaled mean demand) so conservation is demand-weighted.
 	shed := make([]float64, n)
 	total := 0.0
@@ -251,9 +196,9 @@ func migrate(cc CoordinatorConfig, inlets []units.Celsius, meanDemand, maxShare,
 		if excess <= 0 || meanDemand[i] <= 0 {
 			continue
 		}
-		d := cc.MigrationGain * (excess / spread) * next[i]
-		if d > next[i]-cc.MinShare {
-			d = next[i] - cc.MinShare
+		d := migrationGain * (excess / spread) * next[i]
+		if d > next[i]-shareMin {
+			d = next[i] - shareMin
 		}
 		if d <= 0 {
 			continue
@@ -265,7 +210,7 @@ func migrate(cc CoordinatorConfig, inlets []units.Celsius, meanDemand, maxShare,
 		return next
 	}
 
-	// Receivers: capacity is the headroom to MaxShare, again in demand
+	// Receivers: capacity is the headroom to maxShare, again in demand
 	// units. If the rack cannot absorb the full shed, donors keep the
 	// remainder (scaled back proportionally).
 	capacity := make([]float64, n)
@@ -302,9 +247,9 @@ func migrate(cc CoordinatorConfig, inlets []units.Celsius, meanDemand, maxShare,
 // arbitrate turns the previous round's per-node outcomes into Table II
 // proposals, runs the rack-level selector against the global budget, and
 // maps the granted power allocations back to cap ceilings. Returns nil
-// ceilings when the budget knob is off.
-func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utilization, budget units.Watt, err error) {
-	if cc.PowerBudget <= 0 {
+// ceilings when the budget is off (zero).
+func arbitrate(c Config, powerBudget units.Watt, res *Result) (ceils []units.Utilization, budget units.Watt, err error) {
+	if powerBudget <= 0 {
 		return nil, 0, nil
 	}
 	proposals := make([]coord.RackProposal, len(c.Nodes))
@@ -333,7 +278,7 @@ func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utili
 		if capDir != coord.Up {
 			need = cpu.Power(units.ClampUtil(m.MeanDelivered + 0.1))
 		}
-		floor := cpu.Power(cc.CapFloor)
+		floor := cpu.Power(capFloor)
 		sumFloor += float64(floor)
 		proposals[i] = coord.RackProposal{
 			CapDir:  capDir,
@@ -343,7 +288,7 @@ func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utili
 			Urgency: m.ViolationFrac*1e6 + float64(res.Nodes[i].Inlet),
 		}
 	}
-	budget = cc.PowerBudget
+	budget = powerBudget
 	if float64(budget) < sumFloor {
 		budget = units.Watt(sumFloor) // floors outrank the budget
 	}
@@ -355,8 +300,8 @@ func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utili
 	for i, node := range c.Nodes {
 		cpu, _, _ := node.Config.Models()
 		u := cpu.UtilizationFor(units.Watt(allocs[i]))
-		if u < cc.CapFloor {
-			u = cc.CapFloor
+		if u < capFloor {
+			u = capFloor
 		}
 		ceils[i] = u
 	}
@@ -374,19 +319,24 @@ func arbitrate(c Config, cc CoordinatorConfig, res *Result) (ceils []units.Utili
 // is bit-identical at any Workers value, and to resolving every round on
 // a freshly built rack.
 //
+// budget is the global rack power budget (W) the cap arbitration splits
+// across nodes. Zero disables cap arbitration (placement only). A budget
+// below the sum of the node floors is clamped up to it — local
+// thermal/performance constraints outrank the budget — and the resolved
+// value is reported in CoordResult.Budget.
+//
 // Trace capture (Config.Record) applies to the returned Coordinated
 // result: the best plan is re-applied and re-simulated once with
 // recording on (the Local baseline carries metrics only).
-func RunCoordinated(c Config, cc CoordinatorConfig) (*CoordResult, error) {
-	cc.setDefaults()
-	if err := cc.validate(); err != nil {
-		return nil, err
+func RunCoordinated(c Config, budget units.Watt) (*CoordResult, error) {
+	if budget < 0 || !units.IsFinite(float64(budget)) {
+		return nil, fmt.Errorf("fleet: bad coordinator power budget %v", budget)
 	}
 	r, err := newRack(c)
 	if err != nil {
 		return nil, err
 	}
-	return coordinate(c, cc, r.ls, func(p coordPlan, record bool) (*Result, error) {
+	return coordinate(c, budget, r.ls, func(p coordPlan, record bool) (*Result, error) {
 		if err := r.apply(p); err != nil {
 			return nil, err
 		}
@@ -396,16 +346,16 @@ func RunCoordinated(c Config, cc CoordinatorConfig) (*CoordResult, error) {
 
 // coordinate runs RunCoordinated's rounds: relax resolves the rack's fixed
 // point under a plan, and ls supplies the nodes' demand schedules.
-func coordinate(c Config, cc CoordinatorConfig, ls *sim.Lockstep, relax func(p coordPlan, record bool) (*Result, error)) (*CoordResult, error) {
+func coordinate(c Config, budget units.Watt, ls *sim.Lockstep, relax func(p coordPlan, record bool) (*Result, error)) (*CoordResult, error) {
 	n := len(c.Nodes)
 
 	meanDemand := make([]float64, n)
 	maxShare := make([]float64, n)
 	for i := 0; i < n; i++ {
 		meanDemand[i] = ls.MeanDemand(i)
-		maxShare[i] = cc.MaxShare
-		if peak := ls.MaxDemand(i); peak > 0 && cc.PeakTarget/peak < maxShare[i] {
-			maxShare[i] = cc.PeakTarget / peak
+		maxShare[i] = shareMax
+		if peak := ls.MaxDemand(i); peak > 0 && peakTarget/peak < maxShare[i] {
+			maxShare[i] = peakTarget / peak
 			if maxShare[i] < 1 {
 				// A node whose own spikes already exceed the peak target
 				// keeps its share; migration only stops adding to it.
@@ -427,18 +377,18 @@ func coordinate(c Config, cc CoordinatorConfig, ls *sim.Lockstep, relax func(p c
 	bestPlan := plans[0]
 	cur := local
 
-	for round := 1; round <= cc.Rounds; round++ {
+	for round := 1; round <= coordRounds; round++ {
 		prev := plans[len(plans)-1]
 		inlets := make([]units.Celsius, n)
 		for i, node := range cur.Nodes {
 			inlets[i] = node.Inlet
 		}
-		shares := migrate(cc, inlets, meanDemand, maxShare, prev.shares)
-		capCeils, budget, err := arbitrate(c, cc, cur)
+		shares := migrate(inlets, meanDemand, maxShare, prev.shares)
+		capCeils, resolved, err := arbitrate(c, budget, cur)
 		if err != nil {
 			return nil, err
 		}
-		out.Budget = budget
+		out.Budget = resolved
 		plan := coordPlan{shares: shares, capCeils: capCeils}
 		if reflect.DeepEqual(plan, prev) {
 			break // the plan stopped moving: further rounds change nothing

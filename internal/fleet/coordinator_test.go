@@ -38,13 +38,12 @@ func TestCoordinatedDeterministicAcrossWorkers(t *testing.T) {
 		{6, 700, []int{2, 4, 0}},
 		{24, 2800, []int{2, 4}},
 	} {
-		cc := CoordinatorConfig{PowerBudget: tc.budget}
-		want, err := RunCoordinated(coordRack(t, tc.nodes, 0.03, 1), cc)
+		want, err := RunCoordinated(coordRack(t, tc.nodes, 0.03, 1), tc.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range tc.workers {
-			got, err := RunCoordinated(coordRack(t, tc.nodes, 0.03, workers), cc)
+			got, err := RunCoordinated(coordRack(t, tc.nodes, 0.03, workers), tc.budget)
 			if err != nil {
 				t.Fatalf("nodes=%d workers=%d: %v", tc.nodes, workers, err)
 			}
@@ -59,14 +58,13 @@ func TestCoordinatedDeterministicAcrossWorkers(t *testing.T) {
 // same rounds, but every relaxation runs on a freshly built rack with
 // that round's plan applied, so no lane result carries over from one
 // round to the next.
-func rebuildCoordinated(t *testing.T, c Config, cc CoordinatorConfig) *CoordResult {
+func rebuildCoordinated(t *testing.T, c Config, budget units.Watt) *CoordResult {
 	t.Helper()
-	cc.setDefaults()
 	probe, err := newRack(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coordinate(c, cc, probe.ls, func(p coordPlan, record bool) (*Result, error) {
+	res, err := coordinate(c, budget, probe.ls, func(p coordPlan, record bool) (*Result, error) {
 		r, err := newRack(c)
 		if err != nil {
 			return nil, err
@@ -109,13 +107,12 @@ func TestCoordinatedMatchesPerRoundRebuild(t *testing.T) {
 			cfg.Recirc = 0.03
 			cfg.Workers = 1
 			cfg.Record = record
-			cc := CoordinatorConfig{PowerBudget: tc.budget}
 			label := fmt.Sprintf("nodes=%d seed=%d budget=%v record=%v", tc.nodes, tc.seed, tc.budget, record)
-			got, err := RunCoordinated(cfg, cc)
+			got, err := RunCoordinated(cfg, tc.budget)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := rebuildCoordinated(t, cfg, cc)
+			want := rebuildCoordinated(t, cfg, tc.budget)
 			if got.LaneTicks > want.LaneTicks || (tc.fewer && got.LaneTicks == want.LaneTicks) {
 				t.Errorf("%s: warm rack stepped %d lane-ticks, rebuild %d", label, got.LaneTicks, want.LaneTicks)
 			}
@@ -142,7 +139,7 @@ func TestCoordinatedMatchesPerRoundRebuild(t *testing.T) {
 func TestCoordinatedBeatsOrTiesLocal(t *testing.T) {
 	for _, recirc := range []float64{0, 0.02, 0.05} {
 		cfg := coordRack(t, 6, recirc, 0)
-		res, err := RunCoordinated(cfg, CoordinatorConfig{})
+		res, err := RunCoordinated(cfg, 0)
 		if err != nil {
 			t.Fatalf("recirc=%v: %v", recirc, err)
 		}
@@ -170,7 +167,7 @@ func TestCoordinatedBeatsOrTiesLocal(t *testing.T) {
 // coordinator must strictly improve violations or fan energy over
 // per-node control, not merely tie it.
 func TestCoordinatedImprovesRecircHeavyRack(t *testing.T) {
-	res, err := RunCoordinated(coordRack(t, 6, 0.03, 0), CoordinatorConfig{})
+	res, err := RunCoordinated(coordRack(t, 6, 0.03, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,24 +186,22 @@ func TestCoordinatedImprovesRecircHeavyRack(t *testing.T) {
 }
 
 // TestMigratePreservesDemand: the placement step conserves the rack's
-// demand-weighted share exactly and respects the [MinShare, MaxShare]
+// demand-weighted share exactly and respects the [shareMin, shareMax]
 // bounds, whatever the inlet field looks like.
 func TestMigratePreservesDemand(t *testing.T) {
-	cc := CoordinatorConfig{}
-	cc.setDefaults()
 	inlets := []units.Celsius{24, 26, 31, 33, 29, 24.5}
 	meanDemand := []float64{0.5, 0.65, 0.4, 0.7, 0.55, 0.6}
-	maxShare := []float64{cc.MaxShare, cc.MaxShare, cc.MaxShare, cc.MaxShare, cc.MaxShare, cc.MaxShare}
+	maxShare := []float64{shareMax, shareMax, shareMax, shareMax, shareMax, shareMax}
 	shares := []float64{1, 1, 1, 1, 1, 1}
 	for round := 0; round < 4; round++ {
-		next := migrate(cc, inlets, meanDemand, maxShare, shares)
+		next := migrate(inlets, meanDemand, maxShare, shares)
 		var before, after float64
 		for i := range shares {
 			before += shares[i] * meanDemand[i]
 			after += next[i] * meanDemand[i]
-			if next[i] < cc.MinShare-1e-12 || next[i] > cc.MaxShare+1e-12 {
+			if next[i] < shareMin-1e-12 || next[i] > shareMax+1e-12 {
 				t.Fatalf("round %d node %d: share %v outside [%v, %v]",
-					round, i, next[i], cc.MinShare, cc.MaxShare)
+					round, i, next[i], shareMin, shareMax)
 			}
 		}
 		if math.Abs(after-before) > 1e-9 {
@@ -223,8 +218,8 @@ func TestMigratePreservesDemand(t *testing.T) {
 	}
 
 	// A flat inlet field migrates nothing.
-	flat := migrate(cc, []units.Celsius{25, 25, 25}, []float64{0.5, 0.5, 0.5},
-		[]float64{cc.MaxShare, cc.MaxShare, cc.MaxShare}, []float64{1, 1, 1})
+	flat := migrate([]units.Celsius{25, 25, 25}, []float64{0.5, 0.5, 0.5},
+		[]float64{shareMax, shareMax, shareMax}, []float64{1, 1, 1})
 	for i, s := range flat {
 		if s != 1 {
 			t.Errorf("flat field moved node %d to %v", i, s)
@@ -253,13 +248,11 @@ func TestCoordinatorBudgetInvariants(t *testing.T) {
 			// A budget at 80% of the full-load draw forces the
 			// arbitration to actually ration.
 			budget := units.Watt(0.8 * float64(n) * float64(cpu.Power(1)))
-			cc := CoordinatorConfig{PowerBudget: budget}
-			cc.setDefaults()
 			local, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
-			ceils, resolved, err := arbitrate(cfg, cc, local)
+			ceils, resolved, err := arbitrate(cfg, budget, local)
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -289,7 +282,7 @@ func TestCoordinatorBudgetInvariants(t *testing.T) {
 
 			// The same invariants hold for whatever plan RunCoordinated
 			// ends up shipping (nil ceilings mean local control won).
-			res, err := RunCoordinated(cfg, cc)
+			res, err := RunCoordinated(cfg, budget)
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -314,7 +307,7 @@ func TestCoordinatedRecordTraces(t *testing.T) {
 	cfg := coordRack(t, 3, 0.03, 1)
 	cfg.Duration = 300
 	cfg.Record = true
-	res, err := RunCoordinated(cfg, CoordinatorConfig{Rounds: 1})
+	res, err := RunCoordinated(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,23 +318,14 @@ func TestCoordinatedRecordTraces(t *testing.T) {
 	}
 }
 
-// TestCoordinatorConfigValidation: degenerate knobs fail loudly.
+// TestCoordinatorConfigValidation: a negative or non-finite budget
+// fails loudly.
 func TestCoordinatorConfigValidation(t *testing.T) {
 	cfg := coordRack(t, 2, 0.01, 1)
 	cfg.Duration = 120
-	bad := []CoordinatorConfig{
-		{PowerBudget: -5},
-		{MigrationGain: 1.5},
-		{MigrationGain: -0.1},
-		{MinShare: 1.2},
-		{MaxShare: 0.8},
-		{PeakTarget: 1.5},
-		{Rounds: -1},
-		{CapFloor: 1.5},
-	}
-	for i, cc := range bad {
-		if _, err := RunCoordinated(cfg, cc); err == nil {
-			t.Errorf("bad coordinator config %d accepted: %+v", i, cc)
+	for _, budget := range []units.Watt{-5, units.Watt(math.Inf(1)), units.Watt(math.NaN())} {
+		if _, err := RunCoordinated(cfg, budget); err == nil {
+			t.Errorf("bad coordinator budget %v accepted", budget)
 		}
 	}
 }

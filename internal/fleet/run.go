@@ -231,7 +231,7 @@ func (r *rack) prepare(inlets []units.Celsius, record bool, minReach int) (int, 
 			continue
 		}
 		stepped++
-		r.ls.SetRecord(i, want.record, true)
+		r.ls.SetRecord(i, want.record)
 		pristine := !last.ran && last.inlet == want.inlet && last.capCeil == want.capCeil
 		*last = laneRun{laneInputs: want, ran: true}
 		if pristine {

@@ -53,7 +53,7 @@ func runFaultSweep(s Spec) (*Outcome, error) {
 	inner.Record = true
 	run := runSimBatch
 	if len(s.Jobs) == 0 {
-		// The coordinator reads only its own knobs from Params, so the
+		// The coordinator reads only its own knob from Params, so the
 		// "coordinated" selector passes through inert.
 		run = runFleet
 		if _, ok := s.Params["coordinated"]; ok {

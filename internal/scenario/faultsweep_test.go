@@ -32,7 +32,7 @@ func faultFleetTarget(dur units.Seconds, coordinated bool) FaultTarget {
 	var params Params
 	if coordinated {
 		name, kind = "rackcoord", KindFleetCoord
-		params = Params{"rounds": 1, "migration_gain": 0.1}
+		params = Params{"power_budget_w": 300}
 	}
 	return FaultTarget{
 		Name: name,
@@ -171,7 +171,7 @@ func TestFaultSweepValidate(t *testing.T) {
 		}},
 		{"coord knob without coordinated", func() Spec {
 			s := goodFleet
-			s.Params = Params{"rounds": 1}
+			s.Params = Params{"power_budget_w": 300}
 			return s
 		}},
 		{"unknown param", func() Spec {
@@ -179,9 +179,14 @@ func TestFaultSweepValidate(t *testing.T) {
 			s.Params = Params{"coordinated": 1, "warp": 9}
 			return s
 		}},
-		{"fractional rounds", func() Spec {
+		{"removed knob migration_gain", func() Spec {
 			s := goodCoord
-			s.Params = Params{"coordinated": 1, "rounds": 1.5}
+			s.Params = Params{"coordinated": 1, "migration_gain": 0.5}
+			return s
+		}},
+		{"negative budget", func() Spec {
+			s := goodCoord
+			s.Params = Params{"coordinated": 1, "power_budget_w": -5}
 			return s
 		}},
 	}

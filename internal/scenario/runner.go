@@ -422,20 +422,6 @@ const (
 	LocalMetricPrefix    = "local_"
 )
 
-// coordinatorConfig maps the spec's Params knobs onto the fleet
-// coordinator configuration (zero/absent knobs keep the defaults).
-func coordinatorConfig(p Params) fleet.CoordinatorConfig {
-	return fleet.CoordinatorConfig{
-		PowerBudget:   units.Watt(p.Get("power_budget_w", 0)),
-		MigrationGain: p.Get("migration_gain", 0),
-		MaxShare:      p.Get("max_share", 0),
-		MinShare:      p.Get("min_share", 0),
-		PeakTarget:    p.Get("peak_target", 0),
-		Rounds:        int(p.Get("rounds", 0)),
-		CapFloor:      units.Utilization(p.Get("cap_floor", 0)),
-	}
-}
-
 // runFleetCoord executes a rack scenario under the global coordinator and
 // reports coordinated-vs-local side by side in one outcome.
 func runFleetCoord(s Spec) (*Outcome, error) {
@@ -443,7 +429,7 @@ func runFleetCoord(s Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := fleet.RunCoordinated(cfg, coordinatorConfig(s.Params))
+	res, err := fleet.RunCoordinated(cfg, units.Watt(s.Params.Get("power_budget_w", 0)))
 	if err != nil {
 		return nil, err
 	}

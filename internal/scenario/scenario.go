@@ -50,8 +50,9 @@ const (
 	// coordinator (fleet.RunCoordinated): thermal-aware load placement
 	// plus a Table II-style global budget arbitration layered over the
 	// warm-lockstep fixed point. It reads the Fleet block like KindFleet;
-	// the coordinator's policy knobs travel in Spec.Params (see
-	// coordParams), so they participate in the store identity hash.
+	// the coordinator's one knob, its power budget, travels in
+	// Spec.Params (see coordParams), so it participates in the store
+	// identity hash.
 	KindFleetCoord = "fleetcoord"
 	// KindMulticore runs the three-controller N-core scenario through
 	// multicore.Run.
@@ -340,6 +341,11 @@ func (s *Spec) Validate() error {
 	if err := k.checkParams(s.Params); err != nil {
 		return fmt.Errorf("scenario: %s spec: %w", s.Kind, err)
 	}
+	// A negative budget would fail only inside the coordinator, as a
+	// failed run; the negated test refuses a NaN from a Go caller too.
+	if b, ok := s.Params["power_budget_w"]; ok && !(b >= 0) {
+		return fmt.Errorf("scenario: %s spec: power_budget_w %v is negative", s.Kind, b)
+	}
 	// A populated block the kind never reads would still perturb the
 	// content hash — two semantically identical scenarios would occupy
 	// different store cells — so inert blocks are errors, not noise.
@@ -496,7 +502,7 @@ func (s *Spec) validateFleetBlock() error {
 // validateFaultSweepParams checks what the kind's params entry cannot:
 // "coordinated" (exactly 1; omit it for uncoordinated targets — 0 would
 // split the store cell without changing the run) selects the coordinator
-// engine and needs a fleet target, and the fleetcoord knobs are
+// engine and needs a fleet target, and the fleetcoord knob is
 // meaningless — hence rejected — without it.
 func (s *Spec) validateFaultSweepParams() error {
 	v, coordinated := s.Params["coordinated"]

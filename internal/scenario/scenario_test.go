@@ -592,14 +592,14 @@ func TestWorkloadSharing(t *testing.T) {
 }
 
 // TestFleetCoordValidation: the coordinator kind requires the Fleet
-// block, accepts only known coordinator knobs in Params, and the plain
-// fleet kind still rejects Params outright.
+// block, accepts only its one knob, a non-negative power budget, in
+// Params, and the plain fleet kind still rejects Params outright.
 func TestFleetCoordValidation(t *testing.T) {
 	good := Spec{
 		Kind:     KindFleetCoord,
 		Duration: 300,
 		Fleet:    &FleetSpec{Size: 2, Seed: 1, Recirc: 0.02},
-		Params:   Params{"migration_gain": 0.4, "rounds": 1},
+		Params:   Params{"power_budget_w": 700},
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good fleetcoord spec rejected: %v", err)
@@ -614,9 +614,14 @@ func TestFleetCoordValidation(t *testing.T) {
 			s.Params = Params{"warp_factor": 9}
 			return s
 		}()},
-		{"fractional rounds", func() Spec {
+		{"removed knob rounds", func() Spec {
 			s := good
-			s.Params = Params{"rounds": 2.5}
+			s.Params = Params{"rounds": 2}
+			return s
+		}()},
+		{"negative budget", func() Spec {
+			s := good
+			s.Params = Params{"power_budget_w": -5}
 			return s
 		}()},
 		{"inert jobs", func() Spec {
@@ -624,10 +629,10 @@ func TestFleetCoordValidation(t *testing.T) {
 			s.Jobs = []JobSpec{{Workload: FactoryRef{Name: "constant"}, Policy: FactoryRef{Name: "full"}}}
 			return s
 		}()},
-		{"fleet kind with coordinator knobs", Spec{
+		{"fleet kind with the coordinator knob", Spec{
 			Kind: KindFleet, Duration: 300,
 			Fleet:  &FleetSpec{Size: 2},
-			Params: Params{"migration_gain": 0.4},
+			Params: Params{"power_budget_w": 700},
 		}},
 	}
 	for _, tc := range bad {
@@ -659,7 +664,7 @@ func TestFleetCoordMatchesDirect(t *testing.T) {
 	}
 	cfg.Recirc = 0.03
 	cfg.Duration = 600
-	res, err := fleet.RunCoordinated(cfg, fleet.CoordinatorConfig{PowerBudget: 700})
+	res, err := fleet.RunCoordinated(cfg, 700)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,13 +726,11 @@ func TestFleetCoordSweepServedFromStore(t *testing.T) {
 	specs := []Spec{
 		{
 			Kind: KindFleetCoord, Name: "cell-a", Duration: 300,
-			Fleet:  &FleetSpec{Size: 2, Seed: 1, Recirc: 0.03},
-			Params: Params{"rounds": 1},
+			Fleet: &FleetSpec{Size: 2, Seed: 1, Recirc: 0.03},
 		},
 		{
 			Kind: KindFleetCoord, Name: "cell-b", Duration: 300,
-			Fleet:  &FleetSpec{Size: 3, Seed: 2, Recirc: 0.03},
-			Params: Params{"rounds": 1},
+			Fleet: &FleetSpec{Size: 3, Seed: 2, Recirc: 0.03},
 		},
 	}
 	cold, err := Sweep(specs, st)

@@ -59,7 +59,13 @@ func TestKeyGolden(t *testing.T) {
 				},
 			}
 		},
-		"17c743d1f66f81ea5986f49856f02089eea86920eafb99c7be5a63378d05599f": goldenFleetCoordSpec,
+		// Key runs no Validate, so this entry still pins how a fleetcoord
+		// spec and a two-entry Params map canonicalize.
+		"17c743d1f66f81ea5986f49856f02089eea86920eafb99c7be5a63378d05599f": func() Spec {
+			s := goldenFleetCoordSpec()
+			s.Params = Params{"migration_gain": 0.5, "power_budget_w": 520}
+			return s
+		},
 	}
 	for want, build := range golden {
 		got, err := Key(build())
@@ -74,8 +80,8 @@ func TestKeyGolden(t *testing.T) {
 }
 
 // goldenFleetCoordSpec is the canonical coordinator-scenario fixture: the
-// new kind plus its Params knobs, all of which are semantic and must move
-// the content address.
+// kind plus its Params knob, which is semantic and must move the content
+// address.
 func goldenFleetCoordSpec() Spec {
 	return Spec{
 		Kind:     KindFleetCoord,
@@ -87,13 +93,12 @@ func goldenFleetCoordSpec() Spec {
 			Seed:   1,
 			Recirc: 0.03,
 		},
-		Params: Params{"migration_gain": 0.5, "power_budget_w": 520},
+		Params: Params{"power_budget_w": 520},
 	}
 }
 
-// TestKeyFleetCoordSemanticEdits: the coordinator kind and every
-// coordinator knob are part of a cell's identity — and Workers still is
-// not.
+// TestKeyFleetCoordSemanticEdits: the coordinator kind and its budget
+// knob are part of a cell's identity — and Workers still is not.
 func TestKeyFleetCoordSemanticEdits(t *testing.T) {
 	base, err := Key(goldenFleetCoordSpec())
 	if err != nil {
@@ -102,8 +107,6 @@ func TestKeyFleetCoordSemanticEdits(t *testing.T) {
 	edits := map[string]func(*Spec){
 		"kind fleet vs fleetcoord": func(s *Spec) { s.Kind = KindFleet; s.Params = nil },
 		"budget knob":              func(s *Spec) { s.Params["power_budget_w"] = 600 },
-		"migration gain knob":      func(s *Spec) { s.Params["migration_gain"] = 0.4 },
-		"new knob":                 func(s *Spec) { s.Params["rounds"] = 3 },
 		"drop knobs":               func(s *Spec) { s.Params = nil },
 		"rack recirc":              func(s *Spec) { s.Fleet.Recirc = 0.05 },
 	}

@@ -170,17 +170,12 @@ func buildPolicy(ref FactoryRef, cfg sim.Config) (sim.Policy, error) {
 	return pol, nil
 }
 
-// coordParams are the fleet coordinator's policy knobs, which fleetcoord
-// reads from Params (a coordinated faultsweep cell passes them through).
-// Zero or absent values select fleet.CoordinatorConfig's defaults.
+// coordParams holds the fleet coordinator's one knob, which fleetcoord
+// reads from Params (a coordinated faultsweep cell passes it through).
+// The coordinator's other settings are constants in fleet's
+// coordinator.go.
 var coordParams = []string{
-	"power_budget_w", // global rack power budget (W); 0 = off
-	"migration_gain", // share moved per round at the spread extreme
-	"max_share",      // per-node demand share ceiling
-	"min_share",      // per-node demand share floor
-	"peak_target",    // scaled-peak demand bound for receivers
-	"rounds",         // coordination rounds after the baseline
-	"cap_floor",      // utilization floor the arbitration guarantees
+	"power_budget_w", // global rack power budget (W); 0 or absent = off
 }
 
 // kindTable holds the scenario kinds and their runners.
@@ -190,10 +185,10 @@ var kindTable = map[string]def[func(Spec) (*Outcome, error)]{
 	KindLockstep: {doc: "alias of batch, kept for its store keys", fn: runSimBatch},
 	KindFleet:    {doc: "rack with shared inlet field (fleet.Run)", fn: runFleet},
 	KindFleetCoord: {doc: "rack under the global coordinator (fleet.RunCoordinated)",
-		params: coordParams, ints: []string{"rounds"}, fn: runFleetCoord},
+		params: coordParams, fn: runFleetCoord},
 	KindMulticore: {doc: "three-controller N-core run (multicore.Run)", fn: runMulticore},
 	KindFaultSweep: {doc: "one non-ideal-sensing campaign cell (faulted target + pathology metrics)",
-		params: append([]string{"coordinated"}, coordParams...), ints: []string{"rounds"}, fn: runFaultSweep},
+		params: append([]string{"coordinated"}, coordParams...), fn: runFaultSweep},
 	KindFig1: {doc: "Fig. 1 telemetry-lag probe (open-loop power sensor, default platform)",
 		params: []string{"step_time", "bus_base_latency", "bus_transfer_time", "bus_sensors"},
 		ints:   []string{"bus_sensors"}, fn: runFig1},
@@ -209,14 +204,6 @@ var workloadTable = map[string]def[WorkloadFactory]{
 	"square": {doc: "the paper's 0.1/0.7 square wave", params: []string{"period"},
 		fn: func(cfg sim.Config, seed int64, p Params) (workload.Generator, error) {
 			return workload.PaperSquare(units.Seconds(p.Get("period", 600))), nil
-		}},
-	"step": {doc: "one utilization step", params: []string{"before", "after", "at"},
-		fn: func(cfg sim.Config, seed int64, p Params) (workload.Generator, error) {
-			return workload.Step{
-				Before: units.Utilization(p.Get("before", 0.1)),
-				After:  units.Utilization(p.Get("after", 0.7)),
-				Time:   units.Seconds(p.Get("at", 100)),
-			}, nil
 		}},
 	"noisy-square": {doc: "square wave plus per-tick Gaussian noise", params: []string{"period", "sigma"}, seeded: true,
 		fn: func(cfg sim.Config, seed int64, p Params) (workload.Generator, error) {
@@ -262,22 +249,6 @@ var workloadTable = map[string]def[WorkloadFactory]{
 				units.Seconds(p.Get("len", 30)),
 				units.Utilization(p.Get("level", 1.0)),
 				int(p.Get("count", 6))))
-		}},
-	// A noisy square wave with two full-load bursts per period, sized
-	// from the horizon.
-	"spiky-square": {doc: "noisy square wave with two bursts per period", params: []string{"period", "sigma", "duration"}, seeded: true,
-		fn: func(cfg sim.Config, seed int64, p Params) (workload.Generator, error) {
-			period := p.Get("period", 600)
-			duration := p.Get("duration", 3600)
-			noisy, err := workload.NewNoisy(
-				workload.PaperSquare(units.Seconds(period)), p.Get("sigma", 0.04), cfg.Tick, seed)
-			if err != nil {
-				return nil, err
-			}
-			n := int(duration/period) + 1
-			spikes := workload.PeriodicSpikes(
-				units.Seconds(period/4), units.Seconds(period/2), 25, 1.0, 2*n)
-			return workload.NewSpiky(noisy, spikes)
 		}},
 	// The Table III evaluation trace: noisy square wave plus four abrupt
 	// full-load bursts per period at fixed phase fractions (two out of

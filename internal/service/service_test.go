@@ -929,6 +929,9 @@ func TestSubmitErrorCodes(t *testing.T) {
 	typo.Jobs[0].Workload.Params = scenario.Params{"uu": 0.6}
 	deepRack := scenario.Spec{Kind: scenario.KindFleet, Duration: 60,
 		Fleet: &scenario.FleetSpec{Size: 4, Seed: 1, Recirc: 0.01, RecircPasses: 5}}
+	negBudget := scenario.Spec{Kind: scenario.KindFleetCoord, Duration: 60,
+		Fleet:  &scenario.FleetSpec{Size: 4, Seed: 1, Recirc: 0.01},
+		Params: scenario.Params{"power_budget_w": -5}}
 	for _, tc := range []struct {
 		name   string
 		spec   scenario.Spec
@@ -941,6 +944,7 @@ func TestSubmitErrorCodes(t *testing.T) {
 		{"fig1 base with tick 0", zeroTick, http.StatusBadRequest, CodeInvalidSpec},
 		{"typo'd param", typo, http.StatusBadRequest, CodeInvalidSpec},
 		{"recirc_passes above the node count", deepRack, http.StatusBadRequest, CodeInvalidSpec},
+		{"negative power budget", negBudget, http.StatusBadRequest, CodeInvalidSpec},
 	} {
 		_, err := c.Submit(ctx, tc.spec, false)
 		var se *StatusError

@@ -277,14 +277,14 @@ func (ls *Lockstep) MaxDemand(i int) float64 {
 }
 
 // SetRecord adjusts lane i's trace capture for subsequent runs: record
-// keeps the full series set, recordPower just the "total_power" series
-// (implied by record). Series storage is allocated at most once per lane
-// and reused across runs, so toggling recording between passes keeps
-// re-stepping allocation-free.
-func (ls *Lockstep) SetRecord(i int, record, recordPower bool) {
+// keeps the full series set, and the "total_power" series is kept either
+// way. Series storage is allocated at most once per lane and reused
+// across runs, so toggling recording between passes keeps re-stepping
+// allocation-free.
+func (ls *Lockstep) SetRecord(i int, record bool) {
 	ln := &ls.lanes[i]
 	ln.record = record
-	ln.recordPower = record || recordPower
+	ln.recordPower = true
 }
 
 // recording returns the series a lane's current record flags capture,

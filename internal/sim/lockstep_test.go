@@ -484,7 +484,7 @@ func TestLockstepSetRecordTakesOverPowerSeries(t *testing.T) {
 	for i := range want {
 		want[i].Config.Record, want[i].Config.RecordPower = i == 0, i != 0
 	}
-	ls.SetRecord(0, true, false)
+	ls.SetRecord(0, true)
 	if res, err = ls.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestLockstepSetRecordTakesOverPowerSeries(t *testing.T) {
 	assertOneTimeAxis(t, "full", res[0].Traces, 600)
 
 	want[0].Config.Record, want[0].Config.RecordPower = false, true
-	ls.SetRecord(0, false, true)
+	ls.SetRecord(0, false)
 	if res, err = ls.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -507,14 +507,14 @@ func TestLockstepSetRecordTakesOverPowerSeries(t *testing.T) {
 	full := false
 	if allocs := testing.AllocsPerRun(3, func() {
 		full = !full
-		ls.SetRecord(0, full, true)
+		ls.SetRecord(0, full)
 		if res, err = ls.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Errorf("a warm record toggle allocates %.2f objects/op, want 0", allocs)
 	}
-	ls.SetRecord(0, true, false)
+	ls.SetRecord(0, true)
 	if res, err = ls.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -254,6 +254,21 @@ if "$svc_dir/scenariod" run specs/ci-smoke.json < /dev/null > "$svc_dir/stray-ru
     exit 1
 fi
 grep -q 'stray argument "specs/ci-smoke.json"' "$svc_dir/stray-run.out"
+# A negative coordinator budget is the client's error too: refused as
+# invalid_spec before it is queued, not stored as a failed run that
+# every resubmit runs again; `run` refuses it by the param's name.
+sed '/"name": "fleetcoord",/a\  "params": {"power_budget_w": -5},' specs/fleetcoord.json > "$svc_dir/negbudget.json"
+grep -q '"power_budget_w": -5' "$svc_dir/negbudget.json"
+if "$svc_dir/scenariod" submit -addr "$svc_addr" -spec "$svc_dir/negbudget.json" > "$svc_dir/negbudget.out" 2>&1; then
+    echo "scenariod accepted a negative coordinator budget" >&2
+    exit 1
+fi
+grep -q "invalid_spec" "$svc_dir/negbudget.out"
+if "$svc_dir/scenariod" run -spec "$svc_dir/negbudget.json" > "$svc_dir/negbudget-run.out" 2>&1; then
+    echo "scenariod run accepted a negative coordinator budget" >&2
+    exit 1
+fi
+grep -q "power_budget_w" "$svc_dir/negbudget-run.out"
 
 ticks_before=$("$svc_dir/scenariod" stats -addr "$svc_addr" | sed -n 's/.*"sim_ticks": \([0-9]*\).*/\1/p')
 "$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec specs/ci-smoke.json > "$svc_dir/second.json"

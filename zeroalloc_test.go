@@ -144,7 +144,7 @@ func TestZeroAllocContracts(t *testing.T) {
 				full := false
 				toggle := func() {
 					full = !full
-					ls.SetRecord(0, full, true)
+					ls.SetRecord(0, full)
 					if _, err := ls.Run(); err != nil {
 						t.Fatal(err)
 					}
