@@ -189,6 +189,7 @@ func TestRunSpecFiles(t *testing.T) {
 		{`{"kind":"fleetcoord",` + rack + `},"params":{"fan_trim":0.1}}`, `unknown param "fan_trim"`},
 		{`{"kind":"fleetcoord",` + rack + `},"params":{"migration_gain":0.5}}`, `unknown param "migration_gain"`},
 		{`{"kind":"fleetcoord",` + rack + `},"params":{"power_budget_w":-5}}`, `power_budget_w -5 is negative`},
+		{`{"kind":"fleetcoord",` + rack + `},"params":{"power_budget_w":0}}`, `power_budget_w 0 is no budget`},
 		{`{"kind":"single","duration":60,"jobs":[{"workload":{"name":"step"},"policy":{"name":"full"}}]}`, `unknown factory "step"`},
 		{`{"kind":"fleet",` + rack + `,"recirc_passes":5}}`, `recirc_passes 5 outside [0, 4]`},
 	} {

@@ -114,7 +114,7 @@ func (a *AdaptivePID) ObserveHold(meas units.Celsius) { a.pid.ObserveHold(meas) 
 func (a *AdaptivePID) SetSlewPerStep(s units.RPM) { a.pid.SetSlewPerStep(s) }
 
 // SetSlewFrac switches the underlying PID to a speed-proportional
-// per-decision bound (see PIDConfig.SlewFrac).
+// per-decision bound (see PID.SetSlewFrac).
 func (a *AdaptivePID) SetSlewFrac(frac float64, floor units.RPM) { a.pid.SetSlewFrac(frac, floor) }
 
 // ResetIntegral zeroes the underlying PID's error sum (used after

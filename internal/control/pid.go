@@ -21,14 +21,6 @@ type PIDConfig struct {
 	RefSpeed units.RPM     // s_ref^fan, the linearization offset of Eq. 4
 	RefTemp  units.Celsius // T_ref^fan, the tracked junction temperature
 	Limits   Limits        // actuator bounds
-	// SlewFrac, when positive, makes the per-decision bound proportional
-	// to the operating speed — frac*actual, floored at SlewFloor — and
-	// overrides the fixed bound of PID.SetSlewPerStep. The plant gain
-	// dT/ds is steep at low speed and flat at high speed (Table I law),
-	// so a proportional bound permits fast high-speed ramps without
-	// re-opening the low-speed quantization limit cycle.
-	SlewFrac  float64
-	SlewFloor units.RPM
 }
 
 // PID is the positional PID fan-speed controller of Eq. 4:
@@ -42,6 +34,10 @@ type PID struct {
 	// slewPerStep is the fixed per-decision command bound (0 unlimited);
 	// see SetSlewPerStep.
 	slewPerStep units.RPM
+	// slewFrac and slewFloor are the speed-proportional bound, which
+	// overrides slewPerStep while slewFrac is positive; see SetSlewFrac.
+	slewFrac  float64
+	slewFloor units.RPM
 	// windup bounds |Σ ΔT| for anti-windup, sized from the gains the
 	// controller is built with so KI·|Σ ΔT| can just cover the full
 	// actuator span: larger sums could only deepen saturation. Later
@@ -59,12 +55,6 @@ func NewPID(cfg PIDConfig) (*PID, error) {
 	}
 	if cfg.Gains.KP < 0 || cfg.Gains.KI < 0 || cfg.Gains.KD < 0 {
 		return nil, fmt.Errorf("control: negative PID gains %+v", cfg.Gains)
-	}
-	if cfg.SlewFrac < 0 || cfg.SlewFrac > 1 {
-		return nil, fmt.Errorf("control: slew fraction %v outside [0, 1]", cfg.SlewFrac)
-	}
-	if cfg.SlewFloor < 0 {
-		return nil, fmt.Errorf("control: negative slew floor %v", cfg.SlewFloor)
 	}
 	// Without KI the bound is unused; the span keeps it finite.
 	windup := float64(cfg.Limits.Max - cfg.Limits.Min)
@@ -99,10 +89,10 @@ func (p *PID) Decide(in FanInputs) units.RPM {
 // slewBound returns the per-decision command step bound at the given
 // operating speed, or 0 for unlimited.
 func (p *PID) slewBound(actual units.RPM) units.RPM {
-	if p.cfg.SlewFrac > 0 {
-		s := units.RPM(p.cfg.SlewFrac * float64(actual))
-		if s < p.cfg.SlewFloor {
-			s = p.cfg.SlewFloor
+	if p.slewFrac > 0 {
+		s := units.RPM(p.slewFrac * float64(actual))
+		if s < p.slewFloor {
+			s = p.slewFloor
 		}
 		return s
 	}
@@ -157,7 +147,11 @@ func (p *PID) SetSlewPerStep(s units.RPM) {
 }
 
 // SetSlewFrac switches to a speed-proportional per-decision bound:
-// frac*actual, floored at floor (see PIDConfig.SlewFrac).
+// frac*actual, floored at floor; a positive frac overrides the fixed
+// bound of SetSlewPerStep. The plant gain dT/ds is steep at low speed and
+// flat at high speed (Table I law), so a proportional bound permits fast
+// high-speed ramps without re-opening the low-speed quantization limit
+// cycle.
 func (p *PID) SetSlewFrac(frac float64, floor units.RPM) {
 	if frac < 0 {
 		frac = 0
@@ -165,5 +159,5 @@ func (p *PID) SetSlewFrac(frac float64, floor units.RPM) {
 	if floor < 0 {
 		floor = 0
 	}
-	p.cfg.SlewFrac, p.cfg.SlewFloor = frac, floor
+	p.slewFrac, p.slewFloor = frac, floor
 }

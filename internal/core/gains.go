@@ -15,14 +15,24 @@ const DefaultFanInterval units.Seconds = 30
 
 // The fan-only loops — the stability experiments' PID policies and the
 // multi-core platform's fan controller — bound each decision to
-// FanOnlySlewFrac of the operating speed, at least FanOnlySlewFloor (see
-// control.PIDConfig.SlewFrac), and guard with a FanOnlyGuardStep (°C)
+// fanOnlySlewFrac of the operating speed, at least fanOnlySlewFloor (see
+// control.PID.SetSlewFrac), and guard with a fanOnlyGuardStep (°C)
 // quantization step whatever ADC the platform declares.
 const (
-	FanOnlySlewFrac            = 0.6
-	FanOnlySlewFloor units.RPM = 400
-	FanOnlyGuardStep           = 1.0
+	fanOnlySlewFrac            = 0.6
+	fanOnlySlewFloor units.RPM = 400
+	fanOnlyGuardStep           = 1.0
 )
+
+// FanOnly builds a fan-only loop around c: it bounds c's decisions to the
+// speed-proportional slew and wraps c in the quantization guard.
+func FanOnly(c interface {
+	control.FanController
+	SetSlewFrac(frac float64, floor units.RPM)
+}) (*control.QuantGuard, error) {
+	c.SetSlewFrac(fanOnlySlewFrac, fanOnlySlewFloor)
+	return control.NewQuantGuard(c, fanOnlyGuardStep)
+}
 
 // DefaultRegions returns the gain schedule shipped with the library: the
 // two operating regions of Sec. IV-B (2000 and 6000 rpm — "two regions

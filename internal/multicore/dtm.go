@@ -59,8 +59,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptive.SetSlewFrac(core.FanOnlySlewFrac, core.FanOnlySlewFloor)
-	fan, err := control.NewQuantGuard(adaptive, core.FanOnlyGuardStep)
+	fan, err := core.FanOnly(adaptive)
 	if err != nil {
 		return nil, err
 	}

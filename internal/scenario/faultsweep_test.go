@@ -189,6 +189,11 @@ func TestFaultSweepValidate(t *testing.T) {
 			s.Params = Params{"coordinated": 1, "power_budget_w": -5}
 			return s
 		}},
+		{"zero budget", func() Spec {
+			s := goodCoord
+			s.Params = Params{"coordinated": 1, "power_budget_w": 0}
+			return s
+		}},
 	}
 	for _, tc := range bad {
 		s := tc.mk()

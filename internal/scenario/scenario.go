@@ -342,9 +342,12 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: %s spec: %w", s.Kind, err)
 	}
 	// A negative budget would fail only inside the coordinator, as a
-	// failed run; the negated test refuses a NaN from a Go caller too.
+	// failed run; the negated test refuses a NaN from a Go caller too. A
+	// zero budget would run as an absent one under another store key.
 	if b, ok := s.Params["power_budget_w"]; ok && !(b >= 0) {
 		return fmt.Errorf("scenario: %s spec: power_budget_w %v is negative", s.Kind, b)
+	} else if ok && b == 0 {
+		return fmt.Errorf("scenario: %s spec: power_budget_w 0 is no budget; omit the param", s.Kind)
 	}
 	// A populated block the kind never reads would still perturb the
 	// content hash — two semantically identical scenarios would occupy

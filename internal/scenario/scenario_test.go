@@ -624,6 +624,11 @@ func TestFleetCoordValidation(t *testing.T) {
 			s.Params = Params{"power_budget_w": -5}
 			return s
 		}()},
+		{"zero budget", func() Spec {
+			s := good
+			s.Params = Params{"power_budget_w": 0}
+			return s
+		}()},
 		{"inert jobs", func() Spec {
 			s := good
 			s.Jobs = []JobSpec{{Workload: FactoryRef{Name: "constant"}, Policy: FactoryRef{Name: "full"}}}

@@ -175,7 +175,7 @@ func buildPolicy(ref FactoryRef, cfg sim.Config) (sim.Policy, error) {
 // The coordinator's other settings are constants in fleet's
 // coordinator.go.
 var coordParams = []string{
-	"power_budget_w", // global rack power budget (W); 0 or absent = off
+	"power_budget_w", // global rack power budget (W); absent = arbitration off
 }
 
 // kindTable holds the scenario kinds and their runners.
@@ -323,14 +323,13 @@ var policyTable = map[string]def[PolicyFactory]{
 			r := regions[region]
 			pid, err := control.NewPID(control.PIDConfig{
 				Gains: r.Gains, RefSpeed: r.RefSpeed,
-				RefTemp:  units.Celsius(p.Get("ref_temp", 68)),
-				Limits:   control.Limits{Min: cfg.FanMinSpeed, Max: cfg.FanMaxSpeed},
-				SlewFrac: core.FanOnlySlewFrac, SlewFloor: core.FanOnlySlewFloor,
+				RefTemp: units.Celsius(p.Get("ref_temp", 68)),
+				Limits:  control.Limits{Min: cfg.FanMinSpeed, Max: cfg.FanMaxSpeed},
 			})
 			if err != nil {
 				return nil, err
 			}
-			fan, err := control.NewQuantGuard(pid, core.FanOnlyGuardStep)
+			fan, err := core.FanOnly(pid)
 			if err != nil {
 				return nil, err
 			}
@@ -345,8 +344,7 @@ var policyTable = map[string]def[PolicyFactory]{
 			if err != nil {
 				return nil, err
 			}
-			a.SetSlewFrac(core.FanOnlySlewFrac, core.FanOnlySlewFloor)
-			fan, err := control.NewQuantGuard(a, core.FanOnlyGuardStep)
+			fan, err := core.FanOnly(a)
 			if err != nil {
 				return nil, err
 			}

@@ -932,6 +932,8 @@ func TestSubmitErrorCodes(t *testing.T) {
 	negBudget := scenario.Spec{Kind: scenario.KindFleetCoord, Duration: 60,
 		Fleet:  &scenario.FleetSpec{Size: 4, Seed: 1, Recirc: 0.01},
 		Params: scenario.Params{"power_budget_w": -5}}
+	zeroBudget := negBudget
+	zeroBudget.Params = scenario.Params{"power_budget_w": 0}
 	for _, tc := range []struct {
 		name   string
 		spec   scenario.Spec
@@ -945,6 +947,7 @@ func TestSubmitErrorCodes(t *testing.T) {
 		{"typo'd param", typo, http.StatusBadRequest, CodeInvalidSpec},
 		{"recirc_passes above the node count", deepRack, http.StatusBadRequest, CodeInvalidSpec},
 		{"negative power budget", negBudget, http.StatusBadRequest, CodeInvalidSpec},
+		{"zero power budget", zeroBudget, http.StatusBadRequest, CodeInvalidSpec},
 	} {
 		_, err := c.Submit(ctx, tc.spec, false)
 		var se *StatusError

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/trace"
@@ -97,90 +98,198 @@ func record(ts trace.Set, r *TickResult) {
 	ts[len(ts)-1].MustAppend(float64(r.T), float64(r.TotalPower))
 }
 
-// Run executes one simulation.
-func Run(server *PhysicalServer, rc RunConfig) (*Result, error) {
+// check reports the first defect that keeps rc from running.
+func (rc RunConfig) check() error {
 	if rc.Duration <= 0 {
-		return nil, fmt.Errorf("sim: non-positive duration %v", rc.Duration)
+		return fmt.Errorf("non-positive duration %v", rc.Duration)
 	}
 	if rc.Workload == nil {
-		return nil, fmt.Errorf("sim: nil workload")
+		return errors.New("nil workload")
 	}
 	if rc.Policy == nil {
-		return nil, fmt.Errorf("sim: nil policy")
+		return errors.New("nil policy")
 	}
-	server.Reset()
-	rc.Policy.Reset()
-	if rc.WarmStart != nil {
-		if err := server.WarmStart(rc.WarmStart.Util, rc.WarmStart.Fan); err != nil {
-			return nil, err
-		}
-	}
+	return nil
+}
 
-	nTicks := int(float64(rc.Duration) / float64(server.cfg.Tick))
-	var ts trace.Set
-	if rc.Record || rc.RecordPower {
-		ts = newRecording(trace.NewSeries(seriesNames[powerSeries], nTicks), rc.Record, nTicks)
+// Run executes one simulation: one lane on server, fed by sampling the
+// workload on every tick.
+func Run(server *PhysicalServer, rc RunConfig) (*Result, error) {
+	if err := rc.check(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-
-	var m Metrics
-	violations, hwThrottles := 0, 0
-	var sumJunction, sumFan, sumDelivered, sumDemand float64
-	prev := TickResult{Cap: 1, FanCmd: server.FanCommand(), FanActual: server.FanActual(), Measured: units.Celsius(server.cfg.Sensor.InitialValue)}
-	if rc.WarmStart != nil {
-		prev.Measured = server.Junction()
-		prev.Cap = server.Cap()
+	ln := newLane("", server, rc)
+	if err := ln.reset(); err != nil {
+		return nil, err
 	}
-	for k := 0; k < nTicks; k++ {
-		t := units.Seconds(float64(k) * float64(server.cfg.Tick))
-		demand := rc.Workload.At(t)
-		cmd := rc.Policy.Step(Observation{
-			T:         t,
-			Measured:  prev.Measured,
-			Demand:    demand,
-			Delivered: prev.Delivered,
-			Violated:  prev.Violated,
-			FanCmd:    server.FanCommand(),
-			FanActual: server.FanActual(),
-			Cap:       server.Cap(),
-		})
-		server.CommandFan(cmd.Fan)
-		server.SetCap(cmd.Cap)
-		server.TickInto(demand, &prev)
-		res := &prev
+	for k := 0; k < ln.nTicks; k++ {
+		ln.step(k, rc.Workload.At(units.Seconds(float64(k)*float64(ln.tick))))
+	}
+	ln.finish()
+	return &ln.result, nil
+}
 
-		if res.Violated {
-			violations++
-		}
-		if res.HWThrottled {
-			hwThrottles++
-		}
-		m.FanEnergy += res.FanEnergyJ
-		m.CPUEnergy += res.CPUEnergyJ
-		if res.Junction > m.MaxJunction {
-			m.MaxJunction = res.Junction
-		}
-		if res.Junction > server.cfg.TLimit {
-			m.TimeAboveLimit += server.cfg.Tick
-		}
-		sumJunction += float64(res.Junction)
-		sumFan += float64(res.FanActual)
-		sumDelivered += float64(res.Delivered)
-		sumDemand += float64(res.Demand)
+// lane is the closed loop of one server: Run steps one, and a Lockstep
+// steps one per job.
+type lane struct {
+	name   string
+	server *PhysicalServer
+	policy Policy
+	warm   *WarmPoint
+	// tick and nTicks are the lane's clock: its server's engine tick and
+	// the number of ticks in its job's duration.
+	tick   units.Seconds
+	nTicks int
+	// demand is a Lockstep lane's precompiled schedule, one entry per
+	// tick; Run samples its workload instead.
+	demand []units.Utilization
+	// scale multiplies a Lockstep lane's schedule at step time (results
+	// clamped to [0, 1]); 1 leaves the schedule untouched bit for bit. The
+	// fleet coordinator migrates divisible workload share between rack
+	// nodes by adjusting lane scales between relaxations.
+	scale float64
 
-		if ts != nil {
-			record(ts, res)
+	record      bool
+	recordPower bool
+
+	// Reused output state: the result, its metrics, and the recording
+	// (see recording). Returned results alias these and stay valid until
+	// the lane's next run.
+	result   Result
+	prev     TickResult
+	rec      trace.Set
+	violated int
+	hwThrot  int
+	sumJunc  float64
+	sumFan   float64
+	sumDeliv float64
+	sumDem   float64
+}
+
+// newLane builds the lane that runs rc on server; rc must pass check.
+func newLane(name string, server *PhysicalServer, rc RunConfig) lane {
+	tick := server.cfg.Tick
+	return lane{
+		name:        name,
+		server:      server,
+		policy:      rc.Policy,
+		warm:        rc.WarmStart,
+		tick:        tick,
+		nTicks:      int(float64(rc.Duration) / float64(tick)),
+		scale:       1,
+		record:      rc.Record,
+		recordPower: rc.Record || rc.RecordPower,
+	}
+}
+
+// recording returns the series a lane's current record flags capture,
+// building them on first use and keeping them: rec holds only the power
+// series until the lane first records in full, then the full set, which
+// takes that power series over. A power-only run records into rec's last
+// element, so toggling SetRecord between passes allocates nothing once
+// the full set exists.
+func (ln *lane) recording() trace.Set {
+	switch {
+	case ln.rec == nil:
+		ln.rec = newRecording(trace.NewSeries(seriesNames[powerSeries], ln.nTicks), ln.record, ln.nTicks)
+	case ln.record && len(ln.rec) == 1:
+		ln.rec = newRecording(ln.rec[0], true, ln.nTicks)
+	}
+	if !ln.record {
+		return ln.rec[len(ln.rec)-1:]
+	}
+	return ln.rec
+}
+
+// reset returns a lane to its initial condition for a fresh run: a reset
+// (and optionally warm-started) platform and policy, the measurement the
+// first decision reads, and empty metrics and series.
+func (ln *lane) reset() error {
+	ln.server.Reset()
+	ln.policy.Reset()
+	if ln.warm != nil {
+		if err := ln.server.WarmStart(ln.warm.Util, ln.warm.Fan); err != nil {
+			return err
 		}
 	}
-
-	ts.ShareTime()
-	m.Ticks = nTicks
-	if nTicks > 0 {
-		m.ViolationFrac = float64(violations) / float64(nTicks)
-		m.HWThrottleFrac = float64(hwThrottles) / float64(nTicks)
-		m.MeanJunction = units.Celsius(sumJunction / float64(nTicks))
-		m.MeanFanSpeed = units.RPM(sumFan / float64(nTicks))
-		m.MeanDelivered = units.Utilization(sumDelivered / float64(nTicks))
-		m.MeanDemand = units.Utilization(sumDemand / float64(nTicks))
+	ln.prev = TickResult{
+		Cap:       1,
+		FanCmd:    ln.server.FanCommand(),
+		FanActual: ln.server.FanActual(),
+		Measured:  units.Celsius(ln.server.cfg.Sensor.InitialValue),
 	}
-	return &Result{Metrics: m, Traces: ts}, nil
+	if ln.warm != nil {
+		ln.prev.Measured = ln.server.Junction()
+		ln.prev.Cap = ln.server.Cap()
+	}
+	ln.result = Result{}
+	ln.violated, ln.hwThrot = 0, 0
+	ln.sumJunc, ln.sumFan, ln.sumDeliv, ln.sumDem = 0, 0, 0, 0
+	if ln.recordPower {
+		ln.result.Traces = ln.recording()
+		for i := range ln.result.Traces {
+			ln.result.Traces[i].Reset()
+		}
+	}
+	return nil
+}
+
+// step advances a lane by tick k at the given demand: policy decision,
+// actuation, platform tick, metrics accumulation and recording.
+func (ln *lane) step(k int, demand units.Utilization) {
+	cmd := ln.policy.Step(Observation{
+		T:         units.Seconds(float64(k) * float64(ln.tick)),
+		Measured:  ln.prev.Measured,
+		Demand:    demand,
+		Delivered: ln.prev.Delivered,
+		Violated:  ln.prev.Violated,
+		FanCmd:    ln.server.FanCommand(),
+		FanActual: ln.server.FanActual(),
+		Cap:       ln.server.Cap(),
+	})
+	ln.server.CommandFan(cmd.Fan)
+	ln.server.SetCap(cmd.Cap)
+	ln.server.TickInto(demand, &ln.prev)
+	res := &ln.prev
+
+	m := &ln.result.Metrics
+	if res.Violated {
+		ln.violated++
+	}
+	if res.HWThrottled {
+		ln.hwThrot++
+	}
+	m.FanEnergy += res.FanEnergyJ
+	m.CPUEnergy += res.CPUEnergyJ
+	if res.Junction > m.MaxJunction {
+		m.MaxJunction = res.Junction
+	}
+	if res.Junction > ln.server.cfg.TLimit {
+		m.TimeAboveLimit += ln.tick
+	}
+	ln.sumJunc += float64(res.Junction)
+	ln.sumFan += float64(res.FanActual)
+	ln.sumDeliv += float64(res.Delivered)
+	ln.sumDem += float64(res.Demand)
+
+	if ln.result.Traces != nil {
+		record(ln.result.Traces, res)
+	}
+}
+
+// finish folds a lane's accumulators into its metrics once its last tick
+// has run.
+func (ln *lane) finish() {
+	ln.result.Traces.ShareTime()
+	m := &ln.result.Metrics
+	m.Ticks = ln.nTicks
+	if ln.nTicks > 0 {
+		n := float64(ln.nTicks)
+		m.ViolationFrac = float64(ln.violated) / n
+		m.HWThrottleFrac = float64(ln.hwThrot) / n
+		m.MeanJunction = units.Celsius(ln.sumJunc / n)
+		m.MeanFanSpeed = units.RPM(ln.sumFan / n)
+		m.MeanDelivered = units.Utilization(ln.sumDeliv / n)
+		m.MeanDemand = units.Utilization(ln.sumDem / n)
+	}
 }

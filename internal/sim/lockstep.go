@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -27,11 +26,12 @@ import (
 // Every lane keeps its own clock — the engine tick of its server and the
 // tick count of its job's duration — so jobs with mixed ticks or durations
 // batch together. Results are bit-identical to running each job alone
-// through sim.Run on a fresh server: every lane owns its server and
-// policy, performs exactly the floating-point operations sim.Run would, in
-// the same order, and no lane reads another's state. Tests assert
-// DeepEqual against sequential Run across batch sizes, worker counts and
-// mixed clocks.
+// through sim.Run on a fresh server: Run steps one lane through the same
+// reset, step and finish (engine.go), a lane's schedule holds the samples
+// Run takes from the generator tick by tick, every lane owns its server
+// and policy, and no lane reads another's state. Tests assert DeepEqual
+// against sequential Run across batch sizes, worker counts and mixed
+// clocks.
 //
 // Schedule: a pass steps the lanes it is given (RunLanes takes a lane
 // mask; Run steps every lane), sharded contiguously over the workers, and
@@ -50,40 +50,6 @@ import (
 
 // minLanesPerWorker is the fewest stepped lanes a pass gives each worker.
 const minLanesPerWorker = 4
-
-// lane is one server's slot in the lockstep batch.
-type lane struct {
-	name   string
-	server *PhysicalServer
-	policy Policy
-	warm   *WarmPoint
-	// tick and nTicks are the lane's clock: its server's engine tick and
-	// the number of ticks in its job's duration.
-	tick   units.Seconds
-	nTicks int
-	demand []units.Utilization // precompiled schedule, one entry per tick
-	// scale multiplies the precompiled schedule at step time (results
-	// clamped to [0, 1]); 1 leaves the schedule untouched bit for bit. The
-	// fleet coordinator migrates divisible workload share between rack
-	// nodes by adjusting lane scales between relaxations.
-	scale float64
-
-	record      bool
-	recordPower bool
-
-	// Reused output state: the result, its metrics, and the recording
-	// (see recording). Returned results alias these and stay valid until
-	// the lane's next run.
-	result   Result
-	prev     TickResult
-	rec      trace.Set
-	violated int
-	hwThrot  int
-	sumJunc  float64
-	sumFan   float64
-	sumDeliv float64
-	sumDem   float64
-}
 
 // Lockstep is a warm batch of simulations. Build one with NewLockstep,
 // run it with Run, and re-step it after adjusting per-lane ambients or
@@ -112,14 +78,8 @@ func NewLockstep(jobs []Job, opts BatchOptions) (*Lockstep, error) {
 		if j.Server == nil {
 			return nil, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("nil ServerFactory")}
 		}
-		if j.Config.Workload == nil {
-			return nil, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("nil workload")}
-		}
-		if j.Config.Policy == nil {
-			return nil, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("nil policy")}
-		}
-		if j.Config.Duration <= 0 {
-			return nil, &BatchError{Index: i, Name: j.Name, Err: fmt.Errorf("non-positive duration %v", j.Config.Duration)}
+		if err := j.Config.check(); err != nil {
+			return nil, &BatchError{Index: i, Name: j.Name, Err: err}
 		}
 		if p := j.Config.Policy; reflect.ValueOf(p).Kind() == reflect.Pointer {
 			if prev, dup := seen[p]; dup {
@@ -144,16 +104,8 @@ func NewLockstep(jobs []Job, opts BatchOptions) (*Lockstep, error) {
 		if err != nil {
 			return nil, &BatchError{Index: i, Name: j.Name, Err: err}
 		}
+		ls.lanes[i] = newLane(j.Name, server, j.Config)
 		ln := &ls.lanes[i]
-		ln.name = j.Name
-		ln.server = server
-		ln.policy = j.Config.Policy
-		ln.scale = 1
-		ln.warm = j.Config.WarmStart
-		ln.tick = server.cfg.Tick
-		ln.nTicks = int(float64(j.Config.Duration) / float64(ln.tick))
-		ln.record = j.Config.Record
-		ln.recordPower = j.Config.Record || j.Config.RecordPower
 		ln.demand = compileSchedule(schedules, scheduleKey{j.Config.Workload, ln.tick, ln.nTicks})
 		ls.results[i] = &ln.result
 	}
@@ -287,132 +239,19 @@ func (ls *Lockstep) SetRecord(i int, record bool) {
 	ln.recordPower = true
 }
 
-// recording returns the series a lane's current record flags capture,
-// building them on first use and keeping them: rec holds only the power
-// series until the lane first records in full, then the full set, which
-// takes that power series over. A power-only run records into rec's last
-// element, so toggling SetRecord between passes allocates nothing once
-// the full set exists.
-func (ln *lane) recording() trace.Set {
-	switch {
-	case ln.rec == nil:
-		ln.rec = newRecording(trace.NewSeries(seriesNames[powerSeries], ln.nTicks), ln.record, ln.nTicks)
-	case ln.record && len(ln.rec) == 1:
-		ln.rec = newRecording(ln.rec[0], true, ln.nTicks)
-	}
-	if !ln.record {
-		return ln.rec[len(ln.rec)-1:]
-	}
-	return ln.rec
-}
-
-// reset returns a lane to its initial condition for a fresh run, mirroring
-// the preamble of sim.Run exactly.
-func (ls *Lockstep) reset(ln *lane) error {
-	ln.server.Reset()
-	ln.policy.Reset()
-	if ln.warm != nil {
-		if err := ln.server.WarmStart(ln.warm.Util, ln.warm.Fan); err != nil {
-			return err
-		}
-	}
-	ln.prev = TickResult{
-		Cap:       1,
-		FanCmd:    ln.server.FanCommand(),
-		FanActual: ln.server.FanActual(),
-		Measured:  units.Celsius(ln.server.cfg.Sensor.InitialValue),
-	}
-	if ln.warm != nil {
-		ln.prev.Measured = ln.server.Junction()
-		ln.prev.Cap = ln.server.Cap()
-	}
-	ln.result = Result{}
-	ln.violated, ln.hwThrot = 0, 0
-	ln.sumJunc, ln.sumFan, ln.sumDeliv, ln.sumDem = 0, 0, 0, 0
-	if ln.recordPower {
-		ln.result.Traces = ln.recording()
-		for i := range ln.result.Traces {
-			ln.result.Traces[i].Reset()
-		}
-	}
-	return nil
-}
-
-// step advances one lane by one tick: policy decision, actuation, platform
-// tick, metrics accumulation — the body of sim.Run's loop, with the
-// workload query replaced by the precompiled schedule.
-func (ls *Lockstep) step(ln *lane, k int) {
-	t := units.Seconds(float64(k) * float64(ln.tick))
-	demand := ln.demand[k]
-	if ln.scale != 1 {
-		demand = units.Utilization(float64(demand) * ln.scale)
-		if demand > 1 {
-			demand = 1
-		}
-	}
-	cmd := ln.policy.Step(Observation{
-		T:         t,
-		Measured:  ln.prev.Measured,
-		Demand:    demand,
-		Delivered: ln.prev.Delivered,
-		Violated:  ln.prev.Violated,
-		FanCmd:    ln.server.FanCommand(),
-		FanActual: ln.server.FanActual(),
-		Cap:       ln.server.Cap(),
-	})
-	ln.server.CommandFan(cmd.Fan)
-	ln.server.SetCap(cmd.Cap)
-	ln.server.TickInto(demand, &ln.prev)
-	res := &ln.prev
-
-	m := &ln.result.Metrics
-	if res.Violated {
-		ln.violated++
-	}
-	if res.HWThrottled {
-		ln.hwThrot++
-	}
-	m.FanEnergy += res.FanEnergyJ
-	m.CPUEnergy += res.CPUEnergyJ
-	if res.Junction > m.MaxJunction {
-		m.MaxJunction = res.Junction
-	}
-	if res.Junction > ln.server.cfg.TLimit {
-		m.TimeAboveLimit += ln.server.cfg.Tick
-	}
-	ln.sumJunc += float64(res.Junction)
-	ln.sumFan += float64(res.FanActual)
-	ln.sumDeliv += float64(res.Delivered)
-	ln.sumDem += float64(res.Demand)
-
-	if ln.result.Traces != nil {
-		record(ln.result.Traces, res)
-	}
-}
-
-// finalize folds a lane's accumulators into its metrics, exactly as
-// sim.Run does after its loop.
-func (ls *Lockstep) finalize(ln *lane) {
-	ln.result.Traces.ShareTime()
-	m := &ln.result.Metrics
-	m.Ticks = ln.nTicks
-	if ln.nTicks > 0 {
-		n := float64(ln.nTicks)
-		m.ViolationFrac = float64(ln.violated) / n
-		m.HWThrottleFrac = float64(ln.hwThrot) / n
-		m.MeanJunction = units.Celsius(ln.sumJunc / n)
-		m.MeanFanSpeed = units.RPM(ln.sumFan / n)
-		m.MeanDelivered = units.Utilization(ln.sumDeliv / n)
-		m.MeanDemand = units.Utilization(ln.sumDem / n)
-	}
-}
-
-// runLane advances lane i through its whole horizon; every schedule runs
-// lanes this way, one at a time per worker (see the file comment).
+// runLane advances lane i through its whole horizon on its scaled
+// schedule; every pass runs lanes this way, one at a time per worker (see
+// the file comment).
 func (ls *Lockstep) runLane(i int) {
 	ln := &ls.lanes[i]
-	for k := 0; k < ln.nTicks; k++ {
-		ls.step(ln, k)
+	for k, demand := range ln.demand {
+		if ln.scale != 1 {
+			demand = units.Utilization(float64(demand) * ln.scale)
+			if demand > 1 {
+				demand = 1
+			}
+		}
+		ln.step(k, demand)
 	}
 }
 
@@ -509,7 +348,7 @@ func (ls *Lockstep) RunLanes(active []bool) ([]*Result, error) {
 		if active != nil && !active[i] {
 			continue
 		}
-		if err := ls.reset(&ls.lanes[i]); err != nil {
+		if err := ls.lanes[i].reset(); err != nil {
 			return nil, &BatchError{Index: i, Name: ls.lanes[i].name, Err: err}
 		}
 		ls.stepped = append(ls.stepped, i)
@@ -526,7 +365,7 @@ func (ls *Lockstep) RunLanes(active []bool) ([]*Result, error) {
 		ls.runShared(workers)
 	}
 	for _, i := range ls.stepped {
-		ls.finalize(&ls.lanes[i])
+		ls.lanes[i].finish()
 	}
 	return ls.results, nil
 }

@@ -601,7 +601,8 @@ func TestLockstepSharedScheduleDedupe(t *testing.T) {
 }
 
 // TestLockstepRejectsSharedPolicy: a pointer policy aliased by two jobs
-// is refused at construction and through SetPolicy.
+// is refused at construction, blaming the second job, and through
+// SetPolicy.
 func TestLockstepRejectsSharedPolicy(t *testing.T) {
 	jobs := lockstepJobs(t, 2)
 	shared := &feedbackPolicy{ref: 70, gain: 15, cap: 1}
@@ -610,6 +611,8 @@ func TestLockstepRejectsSharedPolicy(t *testing.T) {
 	var be *BatchError
 	if _, err := NewLockstep(jobs, BatchOptions{}); !errors.As(err, &be) {
 		t.Fatalf("shared policy accepted: %v", err)
+	} else if be.Index != 1 {
+		t.Errorf("error blames job %d, want 1", be.Index)
 	}
 
 	ls, err := NewLockstep(lockstepJobs(t, 2), BatchOptions{})
@@ -645,18 +648,17 @@ func TestLockstepConstructionErrors(t *testing.T) {
 	}
 }
 
-// TestLockstepEmpty: an empty batch runs to an empty result set.
+// TestLockstepEmpty: an empty batch runs to an empty result set at any
+// worker count.
 func TestLockstepEmpty(t *testing.T) {
-	ls, err := NewLockstep(nil, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := ls.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 0 {
-		t.Fatalf("empty lockstep returned %d results", len(results))
+	for _, workers := range []int{1, 2, 0} {
+		results, err := runBatch(nil, BatchOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(results) != 0 {
+			t.Fatalf("workers=%d: empty lockstep returned %d results", workers, len(results))
+		}
 	}
 }
 

@@ -105,11 +105,14 @@ go test -race -count=5 -run 'TestLockstepMatchesRunBatch|TestLockstepStepsLaneMa
 # race detector.
 go test -race -count=5 -run 'Concurrent|Parked|Singleflight|Recheck|Cache|TwoTier|LeaderDies|SlowLeader' ./internal/service
 
-# Lockstep equivalence smoke: the lockstep engine must stay bit-identical
-# to running each job alone through sim.Run (and the fleet fixed point to
-# its per-pass rebuild reference, the coordinator to its per-round rebuild
-# reference and budget/placement invariants) — run those suites explicitly, without the race detector, so
-# the allocation bars are asserted too.
+# Lockstep equivalence smoke: the lockstep engine matches running each
+# job alone through sim.Run bit for bit because both step the same lane
+# code. These suites check the paths only the engine takes against
+# sim.Run: compiled and shared schedules, sharding across workers, lane
+# masks and warm re-steps (and the fleet fixed point against its per-pass
+# rebuild reference, the coordinator against its per-round rebuild
+# reference and budget/placement invariants). They run without the race
+# detector, so the allocation bars are asserted too.
 go test -run 'Lockstep|FixedPoint|Coordinat|ArbitrateRack|Migrate' ./internal/sim ./internal/fleet ./internal/coord
 
 # Spec-file smokes: the rack specs under specs/ run in process through
@@ -254,21 +257,24 @@ if "$svc_dir/scenariod" run specs/ci-smoke.json < /dev/null > "$svc_dir/stray-ru
     exit 1
 fi
 grep -q 'stray argument "specs/ci-smoke.json"' "$svc_dir/stray-run.out"
-# A negative coordinator budget is the client's error too: refused as
-# invalid_spec before it is queued, not stored as a failed run that
-# every resubmit runs again; `run` refuses it by the param's name.
-sed '/"name": "fleetcoord",/a\  "params": {"power_budget_w": -5},' specs/fleetcoord.json > "$svc_dir/negbudget.json"
-grep -q '"power_budget_w": -5' "$svc_dir/negbudget.json"
-if "$svc_dir/scenariod" submit -addr "$svc_addr" -spec "$svc_dir/negbudget.json" > "$svc_dir/negbudget.out" 2>&1; then
-    echo "scenariod accepted a negative coordinator budget" >&2
-    exit 1
-fi
-grep -q "invalid_spec" "$svc_dir/negbudget.out"
-if "$svc_dir/scenariod" run -spec "$svc_dir/negbudget.json" > "$svc_dir/negbudget-run.out" 2>&1; then
-    echo "scenariod run accepted a negative coordinator budget" >&2
-    exit 1
-fi
-grep -q "power_budget_w" "$svc_dir/negbudget-run.out"
+# A negative or zero coordinator budget is the client's error too:
+# refused as invalid_spec before it is queued, not stored as a failed run
+# that every resubmit runs again (negative) or as an absent budget's
+# outcome under another key (zero); `run` refuses it by the param's name.
+for budget in -5 0; do
+    sed "/\"name\": \"fleetcoord\",/a\\  \"params\": {\"power_budget_w\": $budget}," specs/fleetcoord.json > "$svc_dir/budget$budget.json"
+    grep -q "\"power_budget_w\": $budget}" "$svc_dir/budget$budget.json"
+    if "$svc_dir/scenariod" submit -addr "$svc_addr" -spec "$svc_dir/budget$budget.json" > "$svc_dir/budget$budget.out" 2>&1; then
+        echo "scenariod accepted a coordinator budget of $budget" >&2
+        exit 1
+    fi
+    grep -q "invalid_spec" "$svc_dir/budget$budget.out"
+    if "$svc_dir/scenariod" run -spec "$svc_dir/budget$budget.json" > "$svc_dir/budget$budget-run.out" 2>&1; then
+        echo "scenariod run accepted a coordinator budget of $budget" >&2
+        exit 1
+    fi
+    grep -q "power_budget_w" "$svc_dir/budget$budget-run.out"
+done
 
 ticks_before=$("$svc_dir/scenariod" stats -addr "$svc_addr" | sed -n 's/.*"sim_ticks": \([0-9]*\).*/\1/p')
 "$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec specs/ci-smoke.json > "$svc_dir/second.json"
