@@ -618,7 +618,8 @@ func scenarioStoreSpec() scenario.Spec {
 }
 
 // BenchmarkScenarioStoreHit measures a warm store lookup through the
-// sweep path: hash the spec, read the cell, decode the outcome. This is
+// sweep path: hash the spec, read the cell, decode its outcome and its
+// spec, and check that the spec validates and hashes to the key. This is
 // what every finished cell of a resumed sweep costs — compare against
 // BenchmarkScenarioRerun, the price of not having the store.
 func BenchmarkScenarioStoreHit(b *testing.B) {

@@ -117,7 +117,8 @@ func BenchmarkStoragePut(b *testing.B) {
 // in turn from one ring holding twice service.CacheBytes of outcomes
 // (about 9800 cells of 430 B), so a key comes back only after the cache
 // has evicted it, however many goroutines run: every Get reads its
-// cell, decodes the outcome to check it and compacts it. Go calls the
+// cell, compacts the outcome and decodes it to check it, and checks that
+// the cell's spec validates and hashes to the key. Go calls the
 // function once per b.N it tries, and each call writes the ring afresh:
 // 1-3 s of disk writes on a 2-vCPU guest.
 func BenchmarkStorageGetParallel(b *testing.B) {

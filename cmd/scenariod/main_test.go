@@ -192,6 +192,7 @@ func TestRunSpecFiles(t *testing.T) {
 		{`{"kind":"fleetcoord",` + rack + `},"params":{"power_budget_w":0}}`, `power_budget_w 0 is no budget`},
 		{`{"kind":"single","duration":60,"jobs":[{"workload":{"name":"step"},"policy":{"name":"full"}}]}`, `unknown factory "step"`},
 		{`{"kind":"fleet",` + rack + `,"recirc_passes":5}}`, `recirc_passes 5 outside [0, 4]`},
+		{`{"kind":"single","duration":1e300,"jobs":[{"workload":{"name":"constant"},"policy":{"name":"full"}}]}`, `more ticks than an int holds`},
 	} {
 		refused := filepath.Join(t.TempDir(), "refused.json")
 		if err := os.WriteFile(refused, []byte(tc.body), 0o644); err != nil {

@@ -24,6 +24,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/fleet"
@@ -337,6 +338,11 @@ func (s *Spec) Validate() error {
 	}
 	if !(s.Duration > 0) {
 		return fmt.Errorf("scenario: non-positive duration %v", s.Duration)
+	}
+	// The engines count ticks in an int, which a longer horizon would
+	// wrap to a negative count that runs nothing.
+	if tick := s.base().Tick; !(float64(s.Duration)/float64(tick) < math.MaxInt) {
+		return fmt.Errorf("scenario: duration %v s at a %v s tick is more ticks than an int holds", s.Duration, tick)
 	}
 	if err := k.checkParams(s.Params); err != nil {
 		return fmt.Errorf("scenario: %s spec: %w", s.Kind, err)

@@ -169,8 +169,9 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 }
 
 // TestEveryKindRejectsZeroDuration walks the kinds table: every kind has
-// a valid fixture here, and each fixture fails Validate at duration 0, so
-// a kind added later cannot skip the duration check.
+// a valid fixture here, and each fixture fails Validate at duration 0 and
+// at 1e300 s, whose tick count does not fit an int, so a kind added later
+// cannot skip the duration check.
 func TestEveryKindRejectsZeroDuration(t *testing.T) {
 	withKind := func(s Spec, kind string) Spec {
 		s.Kind = kind
@@ -198,9 +199,11 @@ func TestEveryKindRejectsZeroDuration(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s fixture rejected: %v", kind, err)
 		}
-		s.Duration = 0
-		if s.Validate() == nil {
-			t.Errorf("%s accepts duration 0", kind)
+		for _, d := range []units.Seconds{0, 1e300} {
+			s.Duration = d
+			if s.Validate() == nil {
+				t.Errorf("%s accepts duration %v", kind, d)
+			}
 		}
 	}
 }

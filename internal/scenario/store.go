@@ -115,80 +115,64 @@ func (st *Store) path(key string) string {
 
 // GetKey looks a precomputed key up. ok is false on a miss; a hit returns
 // the stored outcome, bit-identical to the run that produced it (float64
-// survives the JSON round trip exactly).
+// survives the JSON round trip exactly). Its misses are get's.
 func (st *Store) GetKey(key string) (*Outcome, bool, error) {
-	b, ok, err := st.read(key)
-	if !ok {
+	var out *Outcome
+	if ok, err := st.get(key, &out); !ok {
 		return nil, false, err
 	}
-	// Decode only what a hit needs: the stored spec is provenance for
-	// humans and re-runs, not for the hot lookup path.
-	var entry struct {
-		Version int      `json:"version"`
-		Outcome *Outcome `json:"outcome"`
-	}
-	if err := json.Unmarshal(b, &entry); err != nil || entry.Version != storeVersion || entry.Outcome == nil {
-		// A corrupt, old-format or outcome-less cell is a miss, not an
-		// error: the caller recomputes and Put's atomic rename overwrites
-		// it.
-		return nil, false, nil
-	}
-	return entry.Outcome, true, nil
+	return out, true, nil
 }
 
 // GetEncoded is GetKey returning the outcome as its compact JSON, which
 // for a cell Put wrote is the json.Marshal output of the outcome it
-// stored. Its misses are GetKey's, so the outcome is decoded once, to
-// check it, and a cell whose outcome does not decode as an Outcome is a
-// miss.
+// stored.
 func (st *Store) GetEncoded(key string) ([]byte, bool, error) {
-	b, ok, err := st.read(key)
-	if !ok {
+	var enc compactJSON
+	if ok, err := st.get(key, &enc); !ok {
 		return nil, false, err
 	}
-	var entry struct {
-		Version int         `json:"version"`
-		Outcome compactJSON `json:"outcome"`
-	}
-	if err := json.Unmarshal(b, &entry); err != nil || !usable(entry.Version, entry.Outcome) {
-		return nil, false, nil
-	}
-	return entry.Outcome, true, nil
+	return enc, true, nil
 }
 
-// GetAdmitted is GetEncoded for a caller that answers the cell for the
-// bytes that hash to its key without decoding them, as a daemon answers
-// a spec's canonical JSON. The cell must also hold a spec that passes
-// Validate and whose canonical JSON hashes to the key, so those bytes
-// are that spec's canonical JSON. A cell written by older code, under a
-// spec format or checks that have changed since, is a miss.
-func (st *Store) GetAdmitted(key string) ([]byte, bool, error) {
+// get is the one read of a stored cell, behind GetKey and GetEncoded:
+// it decodes the cell once, its outcome into outcome (a **Outcome or a
+// *compactJSON), and answers only for the current format, an outcome
+// that decodes as an Outcome and a spec that passes Validate and hashes
+// to key under this code. Any other cell (corrupt, old-format, written
+// by older code for a spec now refused or keyed elsewhere, or filed
+// under another spec's key) is a miss, not an error: the caller
+// recomputes and Put's atomic rename overwrites it.
+func (st *Store) get(key string, outcome any) (bool, error) {
 	b, ok, err := st.read(key)
 	if !ok {
-		return nil, false, err
+		return false, err
 	}
-	var entry struct {
-		Version int         `json:"version"`
-		Spec    Spec        `json:"spec"`
-		Outcome compactJSON `json:"outcome"`
-	}
-	if err := json.Unmarshal(b, &entry); err != nil || !usable(entry.Version, entry.Outcome) || entry.Spec.Validate() != nil {
-		return nil, false, nil
+	// The outcome member decodes through the pointer the field holds; a
+	// missing or null one leaves the pointee nil.
+	entry := struct {
+		Version int  `json:"version"`
+		Spec    Spec `json:"spec"`
+		Outcome any  `json:"outcome"`
+	}{Outcome: outcome}
+	if json.Unmarshal(b, &entry) != nil || entry.Version != storeVersion || entry.Spec.Validate() != nil {
+		return false, nil
 	}
 	if k, err := Key(entry.Spec); err != nil || k != key {
-		return nil, false, nil
+		return false, nil
 	}
-	return entry.Outcome, true, nil
+	switch o := outcome.(type) {
+	case **Outcome:
+		return *o != nil, nil
+	case *compactJSON:
+		// Compacting checks only that the outcome is JSON.
+		return *o != nil && decodesAsOutcome(*o), nil
+	}
+	return false, nil
 }
 
-// usable reports whether a cell's version and outcome make it a hit: the
-// current format, and an outcome that decodes as an Outcome.
-func usable(version int, outcome compactJSON) bool {
-	return version == storeVersion && outcome != nil && decodesAsOutcome(outcome)
-}
-
-// checkOutcomes recycles the values GetEncoded decodes into only to check
-// an outcome. Whether a decode fails depends on the JSON and the type
+// checkOutcomes recycles the values get decodes into only to check an
+// outcome. Whether a decode fails depends on the JSON and the type
 // alone, never on what the value already holds, so a recycled value is
 // not reset, and decoding into its maps and slices allocates less than
 // decoding into a new one.

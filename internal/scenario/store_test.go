@@ -355,10 +355,11 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreVersionMismatchIsMiss: a cell written by a different format
-// version, one that does not decode (torn or corrupt), one without an
-// outcome or one whose outcome does not decode as an Outcome reads as a
-// miss, not an error, through GetKey and GetEncoded alike, and the next
-// Put overwrites it. Put refuses to write an outcome-less cell.
+// version, one that does not decode (torn or corrupt), and one that
+// holds the right spec but no outcome or an outcome that does not decode
+// as an Outcome reads as a miss, not an error, through GetKey and
+// GetEncoded alike, and the next Put overwrites it. Put refuses to write
+// an outcome-less cell.
 func TestStoreVersionMismatchIsMiss(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -384,16 +385,33 @@ func TestStoreVersionMismatchIsMiss(t *testing.T) {
 	}
 	entry.Version = storeVersion + 1
 	future, _ := json.Marshal(entry)
+	// withOutcome is the stored cell with its outcome member replaced, or
+	// dropped for "", so only the outcome is at fault.
+	withOutcome := func(outcome string) []byte {
+		var members map[string]json.RawMessage
+		if err := json.Unmarshal(b, &members); err != nil {
+			t.Fatal(err)
+		}
+		delete(members, "outcome")
+		if outcome != "" {
+			members["outcome"] = json.RawMessage(outcome)
+		}
+		cell, err := json.Marshal(members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cell
+	}
 	for _, tc := range []struct {
 		name string
 		cell []byte
 	}{
 		{"future-version", future},
 		{"corrupt", b[:len(b)/2]},
-		{"no-outcome", []byte(`{"version":1}`)},
-		{"null-outcome", []byte(`{"version":1,"outcome":null}`)},
-		{"number-outcome", []byte(`{"version":1,"outcome":5}`)},
-		{"wrong-shaped-outcome", []byte(`{"version":1,"outcome":{"units":"x"}}`)},
+		{"no-outcome", withOutcome("")},
+		{"null-outcome", withOutcome("null")},
+		{"number-outcome", withOutcome("5")},
+		{"wrong-shaped-outcome", withOutcome(`{"units":"x"}`)},
 	} {
 		if err := os.WriteFile(path, tc.cell, 0o644); err != nil {
 			t.Fatal(err)
@@ -504,12 +522,12 @@ func TestStoreCellBytes(t *testing.T) {
 	}
 }
 
-// TestStoreGetAdmitted: GetAdmitted answers what GetEncoded answers, but
-// only for a cell whose spec passes Validate and hashes to the cell's
-// key. Cells for a spec Validate refuses, for a spec with a member the
-// format lacks and for a spec that hashes to another key read back
-// through GetEncoded and miss through GetAdmitted.
-func TestStoreGetAdmitted(t *testing.T) {
+// TestStoreGetRefusesStaleCells: a key answers only with the outcome of
+// the spec that hashes to it. GetEncoded and GetKey read back a cell Put
+// wrote, but miss, without error, on cells for a spec Validate refuses,
+// for a spec with a member the format lacks, for a spec that hashes to
+// another key, and on a cell copied under another valid spec's key.
+func TestStoreGetRefusesStaleCells(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -527,8 +545,13 @@ func TestStoreGetAdmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	key, _ := Key(spec)
-	if got, ok, err := st.GetAdmitted(key); err != nil || !ok || string(got) != string(enc) {
-		t.Errorf("admitted cell: ok %v err %v, %d bytes; want json.Marshal's %d", ok, err, len(got), len(enc))
+	if got, ok, err := st.GetEncoded(key); err != nil || !ok || string(got) != string(enc) {
+		t.Errorf("stored cell: GetEncoded ok %v err %v, %d bytes; want json.Marshal's %d", ok, err, len(got), len(enc))
+	}
+	if got, ok, err := st.GetKey(key); err != nil || !ok {
+		t.Errorf("stored cell: GetKey ok %v err %v, want a hit", ok, err)
+	} else if b, _ := json.Marshal(got); string(b) != string(enc) {
+		t.Error("stored cell: GetKey's outcome encodes to other bytes than the stored one")
 	}
 
 	refused := spec
@@ -560,12 +583,21 @@ func TestStoreGetAdmitted(t *testing.T) {
 		}
 		keys = append(keys, key)
 	}
+	misfiled, _ := Key(cheapSpec(30))
+	cell, err := os.ReadFile(st.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.path(misfiled), cell, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	keys = append(keys, misfiled)
 	for i, key := range keys {
-		if _, ok, err := st.GetEncoded(key); err != nil || !ok {
-			t.Errorf("cell %d: GetEncoded ok %v err %v, want a hit", i, ok, err)
+		if _, ok, err := st.GetEncoded(key); err != nil || ok {
+			t.Errorf("cell %d: GetEncoded ok %v err %v, want a miss without error", i, ok, err)
 		}
-		if _, ok, err := st.GetAdmitted(key); err != nil || ok {
-			t.Errorf("cell %d: GetAdmitted ok %v err %v, want a miss without error", i, ok, err)
+		if _, ok, err := st.GetKey(key); err != nil || ok {
+			t.Errorf("cell %d: GetKey ok %v err %v, want a miss without error", i, ok, err)
 		}
 	}
 }

@@ -33,6 +33,16 @@ import (
 // every built-in backend offers; Get and Put are the decoded form, and
 // a decoded Get on a built-in backend returns an outcome the caller
 // owns.
+//
+// A lookup answers a key only with the outcome of the spec that hashes
+// to it. The built-in backends admit a cell only if its spec passes
+// Validate and hashes to the key under this code: StoreBackend checks
+// every cell it reads from disk (scenario.Store's one read), since a
+// store may hold cells that older code wrote or that were copied under
+// another key, and MemBackend refuses a spec Validate refuses when it is
+// put and keys each cell by its spec. A stale or misfiled cell is a miss
+// on every lookup, so its spec is simulated again and that run's Put
+// repairs the key.
 type Backend interface {
 	// Name identifies the backend in listings and stats.
 	Name() string
@@ -88,20 +98,19 @@ func getEncoded(ctx context.Context, b Backend, key string) ([]byte, bool, error
 	return encoded(b.Get(ctx, key))
 }
 
-// getAdmitted is the submit fast path's lookup (see
-// Storage.getCanonical): it reads b's local tiers alone, never a remote
-// one, and answers only a cell whose spec passes Validate and hashes to
-// the key under this code, which a disk cell written by older code may
-// not. The built-in backends offer it; any other backend, whose cells
-// nothing here vouches for, misses.
-func getAdmitted(ctx context.Context, b Backend, key string) ([]byte, bool, error) {
+// getLocal is the submit fast path's lookup (see Storage.getCanonical):
+// it reads b's local tiers alone, so a canonical submit never calls a
+// remote one. A built-in backend reads itself, RemoteBackend reads its
+// local tier, counting a hit as a local hit, and any other backend,
+// whose cells nothing here vouches for, misses.
+func getLocal(ctx context.Context, b Backend, key string) ([]byte, bool, error) {
 	switch b := b.(type) {
-	case *StoreBackend:
-		return b.getAdmitted(key)
-	case *MemBackend:
-		return b.getAdmitted(key)
+	case *StoreBackend, *MemBackend:
+		return getEncoded(ctx, b, key)
 	case *RemoteBackend:
-		return b.getLocal(ctx, key)
+		enc, ok, err := getLocal(ctx, b.local, key)
+		b.answeredLocally(ok, err)
+		return enc, ok, err
 	}
 	return nil, false, nil
 }
@@ -210,20 +219,6 @@ func (b *StoreBackend) GetEncoded(_ context.Context, key string) ([]byte, bool, 
 	return enc, ok, err
 }
 
-// getAdmitted is GetEncoded answering only a cell read with
-// scenario.Store.GetAdmitted, here or when it was cached.
-func (b *StoreBackend) getAdmitted(key string) ([]byte, bool, error) {
-	enc, gen, ok := b.cache.getAdmitted(key)
-	if ok {
-		return enc, true, nil
-	}
-	enc, ok, err := b.st.GetAdmitted(key)
-	if ok {
-		b.cache.admit(key, enc, gen)
-	}
-	return enc, ok, err
-}
-
 // Get decodes GetEncoded's outcome.
 func (b *StoreBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
 	return getDecoded(b.GetEncoded(ctx, key))
@@ -261,8 +256,6 @@ type memCell struct {
 	units      int
 	size       int64
 	enc        []byte
-	// admitted: the spec passed Validate when the cell was put.
-	admitted bool
 }
 
 // memCellFraming is the JSON around a memCell's spec and outcome that
@@ -295,31 +288,23 @@ func (b *MemBackend) GetEncoded(_ context.Context, key string) ([]byte, bool, er
 	return c.enc, true, nil
 }
 
-// getAdmitted is GetEncoded answering only a cell whose spec passed
-// Validate.
-func (b *MemBackend) getAdmitted(key string) ([]byte, bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c, ok := b.cells[key]
-	if !ok || !c.admitted {
-		return nil, false, nil
-	}
-	return c.enc, true, nil
-}
-
 // Get decodes GetEncoded's outcome.
 func (b *MemBackend) Get(ctx context.Context, key string) (*scenario.Outcome, bool, error) {
 	return getDecoded(b.GetEncoded(ctx, key))
 }
 
 // PutEncoded stores the encoded outcome under the spec's content key,
-// replacing any earlier cell. A missing or null outcome is rejected.
+// replacing any earlier cell. A spec Validate refuses and a missing or
+// null outcome are rejected.
 func (b *MemBackend) PutEncoded(_ context.Context, spec scenario.Spec, enc []byte) error {
 	canon, err := scenario.CanonicalJSON(spec)
 	if err != nil {
 		return err
 	}
 	key := scenario.KeyOf(canon)
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("service: mem cell %s: %w", key, err)
+	}
 	if len(enc) == 0 || string(enc) == "null" {
 		return fmt.Errorf("service: mem cell %s: nil outcome", key)
 	}
@@ -332,7 +317,6 @@ func (b *MemBackend) PutEncoded(_ context.Context, spec scenario.Spec, enc []byt
 	c := &memCell{
 		kind: spec.Kind, name: spec.Name, units: len(probe.Units),
 		size: int64(len(canon) + len(enc) + memCellFraming), enc: enc,
-		admitted: spec.Validate() == nil,
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

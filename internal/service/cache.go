@@ -35,27 +35,14 @@ type outcomeCache struct {
 type cacheEntry struct {
 	key string
 	enc []byte
-	// admitted: the cell passed scenario.Store.GetAdmitted's checks.
-	admitted bool
 }
 
 // get returns a cached outcome, or on a miss the generation a later add
 // of the cell must present.
 func (c *outcomeCache) get(key string) ([]byte, uint64, bool) {
-	return c.lookup(key, false)
-}
-
-// getAdmitted is get for a cell cached as admitted (see admit); any
-// other entry is a miss.
-func (c *outcomeCache) getAdmitted(key string) ([]byte, uint64, bool) {
-	return c.lookup(key, true)
-}
-
-// lookup is get, or getAdmitted when admitted is set.
-func (c *outcomeCache) lookup(key string, admitted bool) ([]byte, uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok && (!admitted || el.Value.(*cacheEntry).admitted) {
+	if el, ok := c.items[key]; ok {
 		c.lru.MoveToFront(el)
 		return el.Value.(*cacheEntry).enc, c.gen, true
 	}
@@ -66,17 +53,6 @@ func (c *outcomeCache) lookup(key string, admitted bool) ([]byte, uint64, bool) 
 // or the outcome is oversize, then evicts the least recently used
 // entries down to the budget.
 func (c *outcomeCache) add(key string, enc []byte, gen uint64) {
-	c.insert(key, enc, gen, false)
-}
-
-// admit is add for a cell read with scenario.Store.GetAdmitted, which
-// marks an entry for the cell admitted.
-func (c *outcomeCache) admit(key string, enc []byte, gen uint64) {
-	c.insert(key, enc, gen, true)
-}
-
-// insert is add, or admit when admitted is set.
-func (c *outcomeCache) insert(key string, enc []byte, gen uint64, admitted bool) {
 	if len(enc) > CacheBytes/16 {
 		return
 	}
@@ -88,14 +64,13 @@ func (c *outcomeCache) insert(key string, enc []byte, gen uint64, admitted bool)
 	if el, ok := c.items[key]; ok {
 		// Another reader of the same generation got here first; it read
 		// the same bytes.
-		el.Value.(*cacheEntry).admitted = el.Value.(*cacheEntry).admitted || admitted
 		c.lru.MoveToFront(el)
 		return
 	}
 	if c.items == nil {
 		c.items = make(map[string]*list.Element)
 	}
-	c.items[key] = c.lru.PushFront(&cacheEntry{key: key, enc: enc, admitted: admitted})
+	c.items[key] = c.lru.PushFront(&cacheEntry{key: key, enc: enc})
 	c.bytes += len(enc)
 	for c.bytes > CacheBytes {
 		c.remove(c.lru.Back())

@@ -153,9 +153,8 @@ func TestStoreBackendCacheStaleInsert(t *testing.T) {
 
 // TestStoreBackendCacheConcurrent: reads of one hot key, which also read
 // every byte they are served, run beside Puts that alternate its
-// outcome; half the readers take the submit fast path's admitted
-// lookup. After each Put the key serves the new outcome through either
-// lookup, whatever the readers had in flight.
+// outcome. After each Put the key serves the new outcome, whatever the
+// readers had in flight.
 func TestStoreBackendCacheConcurrent(t *testing.T) {
 	b, out, replaced := cacheFixture(t)
 	hotSpec := testSpec(24)
@@ -169,10 +168,6 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 		wg.Wait()
 	}()
 	for r := 0; r < 4; r++ {
-		get := func() ([]byte, bool, error) { return b.GetEncoded(ctx, hot) }
-		if r%2 == 1 {
-			get = func() ([]byte, bool, error) { return b.getAdmitted(hot) }
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -182,7 +177,7 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				got, ok, err := get()
+				got, ok, err := b.GetEncoded(ctx, hot)
 				if err != nil {
 					t.Errorf("reader Get: %v", err)
 					return
@@ -197,17 +192,12 @@ func TestStoreBackendCacheConcurrent(t *testing.T) {
 
 	for i := 0; i < 100; i++ {
 		putKey(t, b, hotSpec, []*scenario.Outcome{out, replaced}[i%2])
-		for _, get := range []func() ([]byte, bool, error){
-			func() ([]byte, bool, error) { return b.GetEncoded(ctx, hot) },
-			func() ([]byte, bool, error) { return b.getAdmitted(hot) },
-		} {
-			got, ok, err := get()
-			if err != nil || !ok {
-				t.Fatalf("round %d: Get after Put: ok=%v err=%v", i, ok, err)
-			}
-			if !bytes.Equal(got, want[i%2]) {
-				t.Fatalf("round %d: Get after Put served the outcome the Put replaced", i)
-			}
+		got, ok, err := b.GetEncoded(ctx, hot)
+		if err != nil || !ok {
+			t.Fatalf("round %d: Get after Put: ok=%v err=%v", i, ok, err)
+		}
+		if !bytes.Equal(got, want[i%2]) {
+			t.Fatalf("round %d: Get after Put served the outcome the Put replaced", i)
 		}
 	}
 }
@@ -224,9 +214,9 @@ func sizedOutcome(t *testing.T, n int) *scenario.Outcome {
 // serves again stays in memory once each cell has been read. The set is
 // 1024 cells holding about 1.3 MiB of outcomes, in the shape of bench/'s
 // hit workload: 512 single-server hours of 430 B, 384 Table III cells
-// of 2.6 KB and 128 four-node racks of 1 KB. Each is read once through
-// the submit fast path; with every cell file then removed, each is
-// served again, as the bytes the first read returned.
+// of 2.6 KB and 128 four-node racks of 1 KB. Each is read once, which
+// checks its cell; with every cell file then removed, each is served
+// again, as the bytes the first read returned.
 func TestOutcomeCacheHoldsWorkingSet(t *testing.T) {
 	b, err := OpenStoreBackend(t.TempDir())
 	if err != nil {
@@ -249,7 +239,7 @@ func TestOutcomeCacheHoldsWorkingSet(t *testing.T) {
 	}
 	first := make([][]byte, len(keys))
 	for i, key := range keys {
-		enc, ok, err := b.getAdmitted(key)
+		enc, ok, err := b.GetEncoded(ctx, key)
 		if err != nil || !ok {
 			t.Fatalf("first read of cell %d: ok=%v err=%v", i, ok, err)
 		}
@@ -262,7 +252,7 @@ func TestOutcomeCacheHoldsWorkingSet(t *testing.T) {
 	}
 	missed := 0
 	for i, key := range keys {
-		if enc, ok, err := b.getAdmitted(key); err != nil || !ok || !sameBytes(enc, first[i]) {
+		if enc, ok, err := b.GetEncoded(ctx, key); err != nil || !ok || !sameBytes(enc, first[i]) {
 			missed++
 		}
 	}

@@ -122,15 +122,18 @@ func FuzzPush(f *testing.F) {
 // from the cell without a decode. It drives the route tables of a disk
 // daemon and an in-memory daemon, never started (so a miss answers 503
 // from the stopped queue), each holding the same few cells, and the
-// disk daemon also the cells of staleBodies. Every body must get the
-// status and the reply bytes, API code included, that submitReference
-// computes for it by the decoding path. The seeds are the stored specs'
-// canonical bodies, answered from their cells; the same specs
-// re-indented or with their fields reordered, which decode to stored
-// specs; trailing data and an unknown field, which are 400s; the
-// canonical body of a spec no daemon holds, a miss; and the bodies that
-// hash to cells this code would not compute: a stored spec that
-// Validate refuses and the stale bodies.
+// disk daemon also cells that older code or a misplaced copy could have
+// left: a cell for a spec Validate refuses, the cells of staleBodies and
+// a misfiled cell (misfiledBody). Every body must get the status and the
+// reply bytes, API code included, that submitReference computes for it
+// by the decoding path, which looks up only the cells Put wrote. The
+// seeds are the stored specs' canonical bodies, answered from their
+// cells; the same specs re-indented or with their fields reordered,
+// which decode to stored specs; trailing data and an unknown field,
+// which are 400s; the canonical body of a spec no daemon holds, a miss;
+// and the bodies that hash to the disk daemon's other cells, which no
+// lookup answers: the refused spec, the stale bodies and the misfiled
+// spec.
 func FuzzSubmitBody(f *testing.F) {
 	recorded := testSpec(25)
 	recorded.Duration, recorded.Record = 10, true
@@ -138,6 +141,8 @@ func FuzzSubmitBody(f *testing.F) {
 	short.Duration = 10
 	unstored := testSpec(27)
 	unstored.Duration = 10
+	misfiled := testSpec(28)
+	misfiled.Duration = 10
 	refused := short
 	refused.Duration = -1
 
@@ -185,18 +190,14 @@ func FuzzSubmitBody(f *testing.F) {
 		f.Add(append([]byte(`{"bogus":1,`), canon[1:]...))
 	}
 	enc := cells[mustKey(f, short)]
-	for _, d := range daemons {
-		if err := d.storage.Put(ctx, refused, enc); err != nil {
-			f.Fatal(err)
-		}
+	if err := daemons[0].storage.Put(ctx, refused, enc); err != nil {
+		f.Fatal(err)
 	}
-	// The reference looks these cells up too, though no body that
-	// decodes and validates hashes to their keys.
 	for _, body := range append(staleBodies(f, dir, short, enc), mustCanonical(f, refused)) {
-		cells[scenario.KeyOf(body)] = enc
 		f.Add(body)
 	}
 	f.Add(mustCanonical(f, unstored))
+	f.Add(misfiledBody(f, dir, short, misfiled))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		status, want := submitReference(body, cells)
@@ -231,8 +232,8 @@ func mustKey(t testing.TB, spec scenario.Spec) string {
 // has changed since, and returns the bodies that hash to their keys:
 // spec's canonical JSON with a member the format lacks, which this code
 // refuses to decode, and without the base's Ambient member, which
-// decodes to a spec that hashes to another key. Each cell reads back by
-// its key, and the submit fast path must answer neither body from it.
+// decodes to a spec that hashes to another key. Each cell reads as a
+// miss, since its stored spec hashes to another key.
 func staleBodies(t testing.TB, dir string, spec scenario.Spec, enc []byte) [][]byte {
 	t.Helper()
 	canon := mustCanonical(t, spec)
@@ -257,6 +258,23 @@ func staleBodies(t testing.TB, dir string, spec scenario.Spec, enc []byte) [][]b
 		}
 	}
 	return bodies
+}
+
+// misfiledBody copies the disk store at dir's cell for spec under the key
+// of another spec, to, as a cell misplaced by hand or by a tool could
+// be, and returns to's canonical body, which hashes to that key. The
+// cell reads as a miss, since its stored spec hashes to another key.
+func misfiledBody(t testing.TB, dir string, spec, to scenario.Spec) []byte {
+	t.Helper()
+	cell, err := os.ReadFile(filepath.Join(dir, mustKey(t, spec)+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := mustCanonical(t, to)
+	if err := os.WriteFile(filepath.Join(dir, scenario.KeyOf(body)+".json"), cell, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // submitReference is the reply a submit body gets by the decoding path,

@@ -239,13 +239,13 @@ func (q *Queue) Submit(ctx context.Context, spec scenario.Spec) (reply, error) {
 
 // submitCanonical answers a submit whose body is a stored spec's
 // canonical JSON straight from the local tiers, counted as Submit
-// counts a store hit. The lookup answers only a cell whose spec passes
-// Validate and hashes to the cell's key under this code, and a body
-// that hashes to that key is that spec's canonical JSON: decoding,
-// validating and hashing the body again would re-prove what the lookup
-// proved. ok=false, with nothing counted, leaves the body to the decode
-// and Submit: a body that is not canonical, a miss, a cell the lookup
-// does not admit, a lookup error or a stopped storage module.
+// counts a store hit. A lookup answers only a cell whose spec passes
+// Validate and hashes to the cell's key under this code (see Backend),
+// and a body that hashes to that key is that spec's canonical JSON:
+// decoding, validating and hashing the body again would re-prove what
+// the lookup proved. ok=false, with nothing counted, leaves the body to
+// the decode and Submit: a body that is not canonical, a miss, a lookup
+// error or a stopped storage module.
 func (q *Queue) submitCanonical(ctx context.Context, body []byte) (reply, bool) {
 	key, enc, ok := q.storage.getCanonical(ctx, body)
 	if !ok {

@@ -193,14 +193,6 @@ func (r *RemoteBackend) Fetch(ctx context.Context, spec scenario.Spec, key strin
 	return getDecoded(r.FetchEncoded(ctx, spec, key))
 }
 
-// getLocal is the submit fast path's lookup (see getAdmitted): the
-// local tier alone, never the remote, counting a hit as a local hit.
-func (r *RemoteBackend) getLocal(ctx context.Context, key string) ([]byte, bool, error) {
-	enc, ok, err := getAdmitted(ctx, r.local, key)
-	r.answeredLocally(ok, err)
-	return enc, ok, err
-}
-
 // answeredLocally counts a local-tier hit and reports whether the local
 // lookup answers the read: a hit or an error.
 func (r *RemoteBackend) answeredLocally(ok bool, err error) bool {

@@ -1125,16 +1125,16 @@ func TestCanonicalSubmitCounts(t *testing.T) {
 	}
 }
 
-// TestCanonicalSubmitRefusedCells: the submit fast path answers a
-// cell only for a spec this code would compute under the cell's key.
-// Cells that older code could have written, for a spec Validate now
-// refuses (on a disk and an in-memory daemon) and for the stale bodies
-// of staleBodies (on disk), read back by their keys, yet each body that
-// hashes to one gets what the decoding path gives the same body
-// re-indented: 400 invalid_spec, or, for the key that moved, the
-// never-started queue's 503. An admitted cell answers its canonical
-// body, and on disk the answer leaves the cell's cache entry marked
-// admitted, which a re-indented submit's lookup had not.
+// TestCanonicalSubmitRefusedCells: a key answers only with the outcome
+// of the spec that hashes to it. A disk store can hold cells that older
+// code wrote, for a spec Validate now refuses and for the stale bodies
+// of staleBodies, and a cell copied under another valid spec's key
+// (misfiledBody); an in-memory daemon refuses to store the refused spec.
+// A GET of each body's key answers 404, and each body gets what the
+// decoding path gives the same body re-indented, never a 200: 400
+// invalid_spec, or, for the key that moved and the misfiled key, the
+// never-started queue's 503. A cell Put wrote answers its canonical body
+// and the body re-indented.
 func TestCanonicalSubmitRefusedCells(t *testing.T) {
 	valid := testSpec(63)
 	valid.Duration = 10
@@ -1155,18 +1155,22 @@ func TestCanonicalSubmitRefusedCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range []scenario.Spec{valid, refused} {
-			if err := d.storage.Put(ctx, spec, enc); err != nil {
-				t.Fatal(err)
-			}
+		if err := d.storage.Put(ctx, valid, enc); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.storage.Put(ctx, refused, enc); (err == nil) != onDisk {
+			t.Fatalf("disk %v: Put of a spec Validate refuses = %v", onDisk, err)
 		}
 		bodies := [][]byte{mustCanonical(t, refused)}
 		if onDisk {
 			bodies = append(bodies, staleBodies(t, dir, valid, enc)...)
+			misfiled := testSpec(64)
+			misfiled.Duration = 10
+			bodies = append(bodies, misfiledBody(t, dir, valid, misfiled))
 		}
 		for _, body := range bodies {
-			if code, reply := serve(d, http.MethodGet, "/v1/scenarios/"+scenario.KeyOf(body), nil); code != http.StatusOK {
-				t.Fatalf("disk %v: GET of the cell for %.80s answered %d: %.200s", onDisk, body, code, reply)
+			if code, reply := serve(d, http.MethodGet, "/v1/scenarios/"+scenario.KeyOf(body), nil); code != http.StatusNotFound {
+				t.Errorf("disk %v: GET of the cell for %.80s answered %d: %.200s", onDisk, body, code, reply)
 			}
 			code, reply := serve(d, http.MethodPost, "/v1/scenarios", body)
 			wantCode, wantReply := serve(d, http.MethodPost, "/v1/scenarios", indentBody(t, body))
@@ -1176,22 +1180,9 @@ func TestCanonicalSubmitRefusedCells(t *testing.T) {
 		}
 
 		body := mustCanonical(t, valid)
-		key := scenario.KeyOf(body)
-		if code, reply := serve(d, http.MethodPost, "/v1/scenarios", indentBody(t, body)); code != http.StatusOK {
-			t.Fatalf("disk %v: re-indented submit answered %d: %.200s", onDisk, code, reply)
-		}
-		sb, _ := d.storage.backend.(*StoreBackend)
-		if sb != nil {
-			if _, _, ok := sb.cache.getAdmitted(key); ok {
-				t.Error("a re-indented submit's lookup marked the cell admitted")
-			}
-		}
-		if code, reply := serve(d, http.MethodPost, "/v1/scenarios", body); code != http.StatusOK || !strings.Contains(reply, `"cached":true`) {
-			t.Errorf("disk %v: canonical body of an admitted cell answered %d: %.200s", onDisk, code, reply)
-		}
-		if sb != nil {
-			if _, _, ok := sb.cache.getAdmitted(key); !ok {
-				t.Error("a canonical submit left the cell's cache entry unadmitted")
+		for _, body := range [][]byte{indentBody(t, body), body} {
+			if code, reply := serve(d, http.MethodPost, "/v1/scenarios", body); code != http.StatusOK || !strings.Contains(reply, `"cached":true`) {
+				t.Errorf("disk %v: submit of a stored spec's %.80s answered %d: %.200s", onDisk, body, code, reply)
 			}
 		}
 	}

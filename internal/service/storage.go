@@ -99,17 +99,17 @@ func (s *Storage) Fetch(ctx context.Context, spec scenario.Spec, key string) ([]
 // sends) from the backend's local tiers, without decoding it: it hashes
 // the body into the spec's content key and returns the key and the
 // cell's encoded outcome, counting the lookup as Fetch counts a hit.
-// getAdmitted answers only a cell whose spec passes Validate and hashes
-// to the key under this code, so the cell is the one the decoding path
-// would answer for the body. Any other result, a miss, a lookup
-// error or a stopped module, is ok=false and counts nothing, so the
-// caller can take the decoding path as if it had not looked.
+// A backend answers a key only with the outcome of the spec that hashes
+// to it (see Backend), so the cell is the one the decoding path would
+// answer for the body. Any other result, a miss, a lookup error or a
+// stopped module, is ok=false and counts nothing, so the caller can
+// take the decoding path as if it had not looked.
 func (s *Storage) getCanonical(ctx context.Context, body []byte) (string, []byte, bool) {
 	if s.stopped.Load() {
 		return "", nil, false
 	}
 	key := scenario.KeyOf(body)
-	enc, ok, err := getAdmitted(ctx, s.backend, key)
+	enc, ok, err := getLocal(ctx, s.backend, key)
 	if err != nil || !ok {
 		return "", nil, false
 	}

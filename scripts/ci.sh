@@ -84,9 +84,9 @@ go test -run '^$' -fuzz '^FuzzPush$' -fuzztime 10s -fuzzminimizetime 1s ./intern
 # daemons' route tables answer exactly as decoding, validating, hashing
 # and looking the key up would (status, code and reply bytes), though a
 # stored spec's canonical body is answered from its cell without a
-# decode, and cells whose stored spec this code refuses are never
-# answered that way. Minimization is capped at 1 s, as the push fuzz's
-# is.
+# decode, and a cell whose stored spec this code refuses or keys
+# elsewhere is never answered, on either path. Minimization is capped at
+# 1 s, as the push fuzz's is.
 go test -run '^$' -fuzz '^FuzzSubmitBody$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
 
 # Redundant-voter fuzz smoke: arbitrary replica readings, NaN and
@@ -285,6 +285,40 @@ test "$ticks_before" = "$ticks_after"
 kill -TERM "$svc_pid"
 wait "$svc_pid"
 grep -q "clean shutdown" "$svc_dir/serve.log"
+
+# A key answers only with the outcome of the spec that hashes to it: with
+# fig1's cell copied over ci-smoke's key, a daemon restarted on the same
+# store answers a GET of that key not_found, and a submit of ci-smoke
+# simulates it afresh instead of serving fig1's outcome as a hit. That
+# run's Put repairs the key, so a GET then answers done.
+fig1_key=$(sed -n 's/.*"key": "\([0-9a-f]*\)".*/\1/p' "$svc_dir/fig1.out" | head -n 1)
+test -n "$fig1_key"
+cp "$svc_dir/cells/$fig1_key.json" "$svc_dir/cells/$svc_key.json"
+"$svc_dir/scenariod" serve -addr 127.0.0.1:0 -store "$svc_dir/cells" > "$svc_dir/misfiled.log" 2>&1 &
+svc_pid=$!
+for _ in $(seq 1 50); do
+    grep -q "scenariod listening on " "$svc_dir/misfiled.log" && break
+    sleep 0.2
+done
+svc_addr=$(sed -n 's/^scenariod listening on \([^ ]*\).*/\1/p' "$svc_dir/misfiled.log")
+test -n "$svc_addr"
+if "$svc_dir/scenariod" get -addr "$svc_addr" "$svc_key" > "$svc_dir/misfiled-get.out" 2>&1; then
+    echo "scenariod served a cell filed under another spec's key" >&2
+    exit 1
+fi
+grep -q "not_found" "$svc_dir/misfiled-get.out"
+"$svc_dir/scenariod" submit -addr "$svc_addr" -wait -spec specs/ci-smoke.json > "$svc_dir/misfiled.json"
+grep -q '"state": "done"' "$svc_dir/misfiled.json"
+grep -q '"kind": "single"' "$svc_dir/misfiled.json"
+if grep -q '"cached": true' "$svc_dir/misfiled.json"; then
+    echo "scenariod answered ci-smoke from a misfiled cell" >&2
+    exit 1
+fi
+"$svc_dir/scenariod" get -addr "$svc_addr" "$svc_key" > "$svc_dir/repaired.json"
+grep -q '"state": "done"' "$svc_dir/repaired.json"
+kill -TERM "$svc_pid"
+wait "$svc_pid"
+grep -q "clean shutdown" "$svc_dir/misfiled.log"
 
 # In-memory daemon smoke: without -store the daemon holds its cells in
 # memory, as the outcome bytes its replies splice in. The second submit
